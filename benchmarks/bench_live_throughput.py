@@ -2,12 +2,12 @@
 """Live-cluster throughput: inline vs process placement vs shm transport.
 
 Boots real live clusters at n in {4, 8, 16, 32} across three lanes —
-``inline-tcp`` (every node in one Python process, as
-:class:`~repro.runner.live.TcpCluster`), ``process-tcp`` (one spawned OS
-process per node over localhost sockets, as
-:class:`~repro.runner.process_cluster.ProcessCluster`) and ``process-shm``
+``inline-tcp`` (every node in one Python process), ``process-tcp`` (one
+spawned OS process per node over localhost sockets) and ``process-shm``
 (the same process placement over shared-memory rings, as
-:class:`~repro.runtime.shm.ShmTransport`) — and both wire codecs, measures
+:class:`~repro.runtime.shm.ShmTransport`), all one
+:class:`~repro.runner.process_cluster.LiveCluster` behind
+``make_live_cluster`` — and both wire codecs, measures
 committed blocks per wall-clock second and commit latency (p50/p99 over
 per-replica commit-minus-decision times from the merged metrics timeline),
 and writes machine-readable ``BENCH_live_throughput.json`` at the

@@ -117,7 +117,7 @@ def run_parity_cell(n: int, seed: int) -> dict:
     sim_ledgers = {pid: r.ledger.block_ids for pid, r in sim.replicas.items()}
     live_ledgers = {pid: r.ledger.block_ids for pid, r in live.replicas.items()}
     sim_digests = kv_state_digests(sim.replicas.values())
-    live_digests = live.kv_state_digests()
+    live_digests = live.kv_digests()
     return {
         "n": n,
         "seed": seed,

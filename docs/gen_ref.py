@@ -28,6 +28,7 @@ REFERENCE_PAGES = {
         "repro.runner",
         [
             "repro.runner",
+            "repro.experiments.scenario",
             "repro.runner.campaign",
             "repro.runner.executor",
             "repro.runner.record",
@@ -64,6 +65,7 @@ REFERENCE_PAGES = {
             "repro.runtime.codec",
             "repro.runtime.chaos",
             "repro.runner.live",
+            "repro.runner.shard",
             "repro.runner.process_cluster",
         ],
     ),

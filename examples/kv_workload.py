@@ -40,7 +40,7 @@ def virtual_lanes(args: argparse.Namespace) -> bool:
     live = run_live_scenario(config)  # asyncio runtime, virtual clock, zero jitter
 
     sim_digests = kv_state_digests(sim.replicas.values())
-    live_digests = live.kv_state_digests()
+    live_digests = live.kv_digests()
     identical = (
         {p: r.ledger.block_ids for p, r in sim.replicas.items()}
         == {p: r.ledger.block_ids for p, r in live.replicas.items()}

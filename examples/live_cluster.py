@@ -70,12 +70,8 @@ async def run_cluster(args: argparse.Namespace) -> int:
     await cluster.stop()
     consistent = cluster.ledgers_are_consistent()
     decisions = len(cluster.metrics.honest_decisions())
-    if placement == "inline":
-        sent = sum(node.transport.messages_sent for node in cluster.nodes.values())
-        commits_total = sum(len(node.replica.ledger) for node in cluster.nodes.values())
-    else:
-        sent = cluster.messages_sent
-        commits_total = sum(len(ids) for ids in cluster.ledger_ids.values())
+    sent = cluster.messages_sent
+    commits_total = sum(len(ids) for ids in cluster.ledger_ids.values())
 
     print()
     print(

@@ -3,7 +3,7 @@
 :func:`run_scenario` builds a complete simulated deployment (simulator,
 network, keys, replicas with the chosen pacemaker, corruption plan, metrics)
 from a declarative :class:`ScenarioConfig`, runs it, and returns a
-:class:`ScenarioResult` with the measured quantities.  It is the single
+:class:`RunResult` with the measured quantities.  It is the single
 low-level entry point; sweeps over it are expressed as
 :class:`~repro.runner.Campaign` grids (see :mod:`repro.runner`) with
 :meth:`~repro.runner.Campaign.run` as the single high-level one.
@@ -14,7 +14,7 @@ build campaigns that regenerate the corresponding artefacts from the paper;
 library (:mod:`repro.faults`).
 """
 
-from repro.experiments.scenario import ScenarioConfig, ScenarioResult, run_scenario
+from repro.experiments.scenario import RunResult, ScenarioConfig, run_scenario
 from repro.experiments.table1 import (
     Table1Row,
     eventual_complexity_sweep,
@@ -37,8 +37,8 @@ __all__ = [
     "GauntletCell",
     "HeavySyncResult",
     "ResponsivenessPoint",
+    "RunResult",
     "ScenarioConfig",
-    "ScenarioResult",
     "Table1Row",
     "eventual_complexity_sweep",
     "figure1_sweep",

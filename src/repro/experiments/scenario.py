@@ -3,7 +3,12 @@
 A :class:`ScenarioConfig` says *what* to run (protocol, system size, timing
 parameters, faults, network adversary, duration); :func:`run_scenario` builds
 the full simulated system, runs it to the requested virtual time, and
-returns a :class:`ScenarioResult` wrapping the metrics, traces and replicas.
+returns a :class:`RunResult` wrapping the metrics, traces and replicas.
+
+The runtime-independent half of that construction — :func:`build_stack`,
+:func:`make_replica` — and the result type are shared with the live lanes
+(:mod:`repro.runner.live`): every lane assembles the same protocol objects
+here and answers the same queries from one :class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from repro.adversary.attacks import spread_corruption
 from repro.adversary.behaviours import Behaviour, SilentLeaderBehaviour
 from repro.adversary.corruption import CorruptionPlan
 from repro.config import ProtocolConfig
-from repro.consensus.ledger import ledgers_consistent
+from repro.consensus.ledger import sequences_consistent
 from repro.consensus.replica import Replica
 from repro.crypto.backend import CryptoBackend, make_backend, set_default_backend
 from repro.crypto.signatures import PKI
@@ -33,6 +38,7 @@ from repro.sim.events import Simulator
 from repro.sim.network import DelayModel, FixedDelay, Network, NetworkConfig
 from repro.sim.process import SimContext
 from repro.sim.tracing import TraceRecorder
+from repro.statemachine.kvstore import apply_chains_consistent
 
 
 @dataclass
@@ -87,7 +93,7 @@ class ScenarioConfig:
     #: every replica applies committed blocks to a replicated KV store and
     #: the selected replicas run load generators — in this simulated lane
     #: and in every live lane, since the field rides the config into
-    #: ``_make_replica`` and the spawned workers of a process cluster.
+    #: :func:`make_replica` and the spawned workers of a process cluster.
     workload: Optional[Any] = None
 
     def protocol_config(self) -> ProtocolConfig:
@@ -108,8 +114,34 @@ class ScenarioConfig:
 
 
 @dataclass
-class ScenarioResult:
-    """The outcome of one simulated run."""
+class ProtocolStack:
+    """The runtime-independent half of one run (see :func:`build_stack`)."""
+
+    config: ScenarioConfig
+    protocol_config: ProtocolConfig
+    corruption: CorruptionPlan
+    #: The schedule the network (sim) or transport (live, via
+    #: :func:`repro.runtime.chaos.adapt_schedule`) must impose; ``None`` for
+    #: fault-free and corruption-only configs.
+    delay_model: Optional[DelayModel]
+    crypto_backend: CryptoBackend
+    metrics: MetricsCollector
+    pki: PKI
+    signing_keys: dict
+    scheme: ThresholdScheme
+    trace: TraceRecorder
+
+
+@dataclass
+class RunResult:
+    """The outcome of one run, on any lane.
+
+    Simulated runs carry their ``simulator`` and ``network``; live runs
+    their ``runtime`` and ``transport``.  Runs whose replicas lived in
+    worker processes hold no replicas at all: the coordinator fills
+    ``ledger_ids`` / ``shipped_kv_digests`` / ``shipped_kv_chains`` /
+    ``events`` from the shard reports and every query answers from those.
+    """
 
     config: ScenarioConfig
     protocol_config: ProtocolConfig
@@ -117,13 +149,24 @@ class ScenarioResult:
     trace: TraceRecorder
     replicas: dict[int, Replica]
     corruption: CorruptionPlan
-    simulator: Simulator
-    #: The run's crypto backend instance (its counters expose how much digest
-    #: work the run performed); ``None`` only for hand-built results.
-    crypto_backend: Optional[CryptoBackend] = None
-    #: The run's network (exposes delivery counters and the
-    #: ``batch_deliveries`` toggle); ``None`` only for hand-built results.
+    simulator: Optional[Simulator] = None
+    #: The simulated network (delivery counters, the ``batch_deliveries``
+    #: toggle).
     network: Optional[Network] = None
+    #: The :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` and
+    #: transport of a single-runtime live run.
+    runtime: Optional[Any] = None
+    transport: Optional[Any] = None
+    #: The run's crypto backend instance (its counters expose how much digest
+    #: work the run performed); ``None`` when the stacks lived in workers.
+    crypto_backend: Optional[CryptoBackend] = None
+    #: Committed block ids, KV state digests and KV apply chains per pid,
+    #: and the runtime-event total, shipped from worker processes (consulted
+    #: only when ``replicas`` is empty).
+    ledger_ids: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    shipped_kv_digests: dict[int, str] = field(default_factory=dict)
+    shipped_kv_chains: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    events: int = 0
 
     # ------------------------------------------------------------------
     # Summaries
@@ -143,24 +186,58 @@ class ScenarioResult:
     def run_metrics(self) -> RunMetrics:
         """The picklable derived-metrics residue of this run.
 
-        This is the "lightweight half" of a :class:`ScenarioResult`: what the
-        campaign runner ships between processes and stores in its cache.  The
-        live half (replicas, traces, the simulator) stays in this object and
-        never crosses a process boundary.
+        This is the "lightweight half" of a result: what the campaign
+        runner ships between processes and stores in its cache.  The live
+        half (replicas, traces, the simulator or runtime) stays in this
+        object and never crosses a process boundary.
         """
         return extract_run_metrics(self.metrics)
 
     # ------------------------------------------------------------------
-    # Safety / liveness helpers used by tests and examples
+    # Safety / liveness queries.  Safety is the paper's: it quantifies over
+    # honest replicas only, so a corrupted pid's ledger or KV chain never
+    # enters a consistency check.
     # ------------------------------------------------------------------
     @property
     def honest_replicas(self) -> list[Replica]:
-        """Replicas that were never corrupted."""
-        return [r for pid, r in sorted(self.replicas.items()) if pid in self.corruption.honest_ids]
+        """Replicas that were never corrupted (empty when they lived in workers)."""
+        return self._honest(self.replicas)
+
+    def _honest(self, per_pid: dict[int, Any]) -> list[Any]:
+        return [value for pid, value in sorted(per_pid.items()) if pid in self.corruption.honest_ids]
+
+    def _honest_ledger_ids(self) -> list[Any]:
+        if self.replicas:
+            return [replica.ledger.block_ids for replica in self.honest_replicas]
+        return self._honest(self.ledger_ids)
 
     def ledgers_are_consistent(self) -> bool:
         """Safety: honest ledgers are pairwise prefix-consistent."""
-        return ledgers_consistent([replica.ledger for replica in self.honest_replicas])
+        return sequences_consistent(self._honest_ledger_ids())
+
+    def kv_digests(self) -> dict[int, str]:
+        """Per-replica KV state digests (empty without a workload)."""
+        if self.replicas:
+            # Local import (here and below): repro.runner layers above this package.
+            from repro.runner.workload import kv_state_digests
+
+            return kv_state_digests(self.replicas.values())
+        return dict(self.shipped_kv_digests)
+
+    def kv_chains(self) -> dict[int, tuple[str, ...]]:
+        """Per-replica KV apply chains (empty without a workload)."""
+        if self.replicas:
+            from repro.runner.workload import kv_apply_chains
+
+            return kv_apply_chains(self.replicas.values())
+        return dict(self.shipped_kv_chains)
+
+    def kv_consistent(self) -> bool:
+        """State-machine safety: honest apply chains are prefix-consistent.
+
+        Trivially true without a workload (no chains to disagree).
+        """
+        return apply_chains_consistent(self._honest(self.kv_chains()))
 
     def honest_decisions(self) -> int:
         """Number of QCs produced by honest leaders during the run."""
@@ -168,21 +245,35 @@ class ScenarioResult:
 
     def committed_blocks(self) -> int:
         """Length of the longest honest ledger."""
-        lengths = [len(replica.ledger) for replica in self.honest_replicas]
-        return max(lengths) if lengths else 0
+        return max((len(ids) for ids in self._honest_ledger_ids()), default=0)
 
     def max_honest_view(self) -> int:
         """The highest view any honest replica entered."""
-        views = [self.metrics.max_view_entered(r.pid) for r in self.honest_replicas]
-        return max(views) if views else -1
+        return max(
+            (self.metrics.max_view_entered(pid) for pid in self.corruption.honest_ids),
+            default=-1,
+        )
+
+    @property
+    def fault_counts(self) -> dict[str, int]:
+        """Injected-fault totals by name (empty for fault-free runs)."""
+        return self.metrics.fault_counts
+
+    @property
+    def events_processed(self) -> int:
+        """Simulator or runtime events handled during the run (summed across
+        worker processes when the runtimes lived there)."""
+        for kernel in (self.simulator, self.runtime):
+            if kernel is not None:
+                return kernel.events_processed
+        return self.events
 
     def describe(self) -> str:
         """One-line run description for reports."""
-        summary = self.summary()
         return (
-            f"{self.config.pacemaker} n={self.config.n} f_a={self.corruption.f_actual} "
-            f"decisions={summary.decisions} msgs={summary.total_messages} "
-            f"worst_latency={summary.worst_case_latency}"
+            f"{self.config.pacemaker} n={self.config.n} "
+            f"f_a={self.corruption.f_actual} decisions={self.honest_decisions()} "
+            f"commits={self.committed_blocks()} consistent={self.ledgers_are_consistent()}"
         )
 
 
@@ -213,35 +304,43 @@ def build_spread_fault_config(params: dict[str, Any]) -> ScenarioConfig:
     return config
 
 
-def build_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Construct the simulated system for ``config`` without running it.
+def resolve_adversary(
+    config: ScenarioConfig,
+) -> tuple[ProtocolConfig, Optional[DelayModel], CorruptionPlan]:
+    """Resolve ``config`` to its protocol config, delay model and corruption plan.
 
-    Returned with virtual time still at zero; callers that need to perturb
-    initial state (e.g. desynchronise local clocks) can do so before calling
-    ``result.simulator.run(...)`` themselves.  Most callers should use
-    :func:`run_scenario`.
+    A named scenario determines both halves of the adversary; otherwise the
+    config's explicit ``delay_model`` / ``corruption`` (or none) apply.
     """
     protocol_config = config.protocol_config()
     delay_model = config.delay_model
-    explicit_corruption = config.corruption
+    corruption = config.corruption
     if config.scenario is not None:
-        # Local import: the library builds on the experiments package's config
-        # type, so importing it at module level would create a cycle.
+        # Local import: the library builds on this module's config type, so
+        # importing it at module level would create a cycle.
         from repro.faults.library import get_scenario
 
-        if delay_model is not None or explicit_corruption is not None:
+        if delay_model is not None or corruption is not None:
             raise ConfigurationError(
                 f"scenario {config.scenario!r} fully determines the adversary; "
                 "leave delay_model and corruption unset (override via "
                 "scenario_params instead)"
             )
-        delay_model, explicit_corruption = get_scenario(config.scenario).build(
+        delay_model, corruption = get_scenario(config.scenario).build(
             config, config.scenario_params
         )
-    corruption = explicit_corruption or CorruptionPlan.none(protocol_config)
+    corruption = corruption or CorruptionPlan.none(protocol_config)
     if corruption.config.n != protocol_config.n:
         raise ConfigurationError("corruption plan was built for a different system size")
+    return protocol_config, delay_model, corruption
 
+
+def build_stack(config: ScenarioConfig) -> ProtocolStack:
+    """Build everything a lane needs before it has a runtime to hand the
+    replicas: the one place an adversary is resolved, a crypto backend
+    installed, keys minted and the metrics collector and trace created.
+    """
+    protocol_config, delay_model, corruption = resolve_adversary(config)
     # One fresh backend per run (counting tokens / memo tables must never
     # cross runs), shared by the PKI, the threshold scheme and the network,
     # and installed as the process default so lazily derived block ids use
@@ -250,63 +349,103 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
     # is the one unsupported pattern (the campaign executors never do it).
     crypto_backend = make_backend(protocol_config.crypto_backend)
     set_default_backend(crypto_backend)
+    metrics = MetricsCollector()
+    metrics.set_honest(corruption.honest_ids)
+    pki, signing_keys = PKI.setup(protocol_config.processor_ids, backend=crypto_backend)
+    return ProtocolStack(
+        config=config,
+        protocol_config=protocol_config,
+        corruption=corruption,
+        delay_model=delay_model,
+        crypto_backend=crypto_backend,
+        metrics=metrics,
+        pki=pki,
+        signing_keys=signing_keys,
+        scheme=ThresholdScheme(pki),
+        trace=TraceRecorder(enabled=config.record_trace),
+    )
 
+
+def make_replica(stack: ProtocolStack, pid: int, ctx: Any) -> Replica:
+    """Construct replica ``pid`` of ``stack`` on the runtime behind ``ctx``.
+
+    Every lane builds its replicas here — the simulator, the in-memory live
+    cluster and every shard of a socket or shared-memory cluster — so the
+    pacemaker, the behaviour and the client workload attach at one point.
+    """
+    config = stack.config
+    replica = Replica(
+        pid=pid,
+        ctx=ctx,
+        config=stack.protocol_config,
+        pki=stack.pki,
+        signing_key=stack.signing_keys[pid],
+        scheme=stack.scheme,
+        pacemaker_factory=make_pacemaker_factory(
+            config.pacemaker, stack.protocol_config, config.pacemaker_config
+        ),
+        metrics=stack.metrics,
+        behaviour=stack.corruption.behaviour_for(pid),
+    )
+    if config.workload is not None:
+        from repro.runner.workload import attach_workload
+
+        attach_workload(replica, config.workload)
+    return replica
+
+
+#: How far behind zero a replica's local clock is re-anchored immediately
+#: before ``start()`` on wall-clock runs.  Under the simulator, construction
+#: and start happen at the same virtual instant, so ``lc(p) == 0 == c_0``
+#: exactly and the first epoch event fires; on a wall clock, milliseconds
+#: elapse in between, the local clock drifts past ``c_0`` and clock-driven
+#: pacemakers would skip their bootstrap view.  Starting a hair early is
+#: indistinguishable from a slightly later protocol start.
+WALL_START_GRACE = 0.05
+
+
+def start_replicas(replicas: dict[int, Replica], wall: bool = False) -> None:
+    """Start replicas in pid order, re-anchoring local clocks on wall runs."""
+    for pid in sorted(replicas):
+        if wall:
+            replicas[pid].clock.set_to(-WALL_START_GRACE)
+        replicas[pid].start()
+
+
+def build_scenario(config: ScenarioConfig) -> RunResult:
+    """Construct the simulated system for ``config`` without running it.
+
+    Returned with virtual time still at zero; callers that need to perturb
+    initial state (e.g. desynchronise local clocks) can do so before calling
+    ``result.simulator.run(...)`` themselves.  Most callers should use
+    :func:`run_scenario`.
+    """
+    stack = build_stack(config)
     simulator = Simulator(seed=config.seed)
     network = Network(
         simulator,
         config.network_config(),
-        delay_model=delay_model or FixedDelay(config.actual_delay),
-        crypto_backend=crypto_backend,
+        delay_model=stack.delay_model or FixedDelay(config.actual_delay),
+        crypto_backend=stack.crypto_backend,
     )
-    trace = TraceRecorder(enabled=config.record_trace)
-    ctx = SimContext(sim=simulator, network=network, trace=trace)
-
-    metrics = MetricsCollector()
-    metrics.set_honest(corruption.honest_ids)
-    metrics.attach_network(network)
-
-    pki, signing_keys = PKI.setup(protocol_config.processor_ids, backend=crypto_backend)
-    scheme = ThresholdScheme(pki)
-
-    replicas: dict[int, Replica] = {}
-    for pid in protocol_config.processor_ids:
-        factory = make_pacemaker_factory(
-            config.pacemaker, protocol_config, config.pacemaker_config
-        )
-        replicas[pid] = Replica(
-            pid=pid,
-            ctx=ctx,
-            config=protocol_config,
-            pki=pki,
-            signing_key=signing_keys[pid],
-            scheme=scheme,
-            pacemaker_factory=factory,
-            metrics=metrics,
-            behaviour=corruption.behaviour_for(pid),
-        )
-        if config.workload is not None:
-            # Local import: repro.runner layers above this package.
-            from repro.runner.workload import attach_workload
-
-            attach_workload(replicas[pid], config.workload)
-
-    return ScenarioResult(
+    stack.metrics.attach_network(network)
+    ctx = SimContext(sim=simulator, network=network, trace=stack.trace)
+    return RunResult(
         config=config,
-        protocol_config=protocol_config,
-        metrics=metrics,
-        trace=trace,
-        replicas=replicas,
-        corruption=corruption,
+        protocol_config=stack.protocol_config,
+        metrics=stack.metrics,
+        trace=stack.trace,
+        replicas={pid: make_replica(stack, pid, ctx) for pid in stack.protocol_config.processor_ids},
+        corruption=stack.corruption,
         simulator=simulator,
-        crypto_backend=crypto_backend,
         network=network,
+        crypto_backend=stack.crypto_backend,
     )
 
 
-def run_scenario(config: ScenarioConfig, max_events: Optional[int] = None) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig, max_events: Optional[int] = None) -> RunResult:
     """Build and run a scenario to ``config.duration`` of virtual time."""
     result = build_scenario(config)
-    for replica in result.replicas.values():
-        replica.start()
+    start_replicas(result.replicas)
     result.simulator.run(until=config.duration, max_events=max_events)
     return result

@@ -510,7 +510,7 @@ class MetricsCollector:
         """Picklable snapshot of everything this collector recorded.
 
         The shard half of the multi-process metrics story: each node process
-        of a :class:`~repro.runner.process_cluster.ProcessCluster` ships its
+        of a :class:`~repro.runner.process_cluster.LiveCluster` ships its
         collector's state over the control channel at shutdown, and the
         coordinator rebuilds one cluster-wide collector with
         :func:`merge_metrics_states`.  ``array`` columns pickle natively;

@@ -24,7 +24,7 @@ Typical use::
 The same grid can execute on the *live* protocol stack (asyncio runtime,
 in-memory transport, deterministic virtual clock) with
 ``campaign.run(backend="live")``; see :mod:`repro.runner.live` for the
-live scenario API (``run_live_scenario``, ``TcpCluster``).
+live scenario API (``run_live_scenario``, ``make_live_cluster``).
 """
 
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -41,38 +41,31 @@ from repro.runner.workload import (
     kv_state_digests,
 )
 
-#: Names resolved lazily from repro.runner.live (PEP 562): the live module
-#: pulls the whole asyncio runtime stack, which simulated campaigns never
-#: need — importing the package root must stay as cheap as it was.
-_LIVE_EXPORTS = frozenset(
-    {
-        "LiveExecutor",
-        "LiveRunResult",
-        "TcpCluster",
-        "build_live_scenario",
-        "execute_live_cell",
-        "make_live_cluster",
-        "run_live_scenario",
-        "run_live_scenario_async",
-        "run_process_scenario",
-        "run_process_scenario_async",
-    }
-)
-
-#: Likewise for the multi-process cluster (it additionally pulls
-#: multiprocessing machinery nothing else needs).
-_PROCESS_EXPORTS = frozenset({"ProcessCluster", "ShardReport"})
+#: Names resolved lazily (PEP 562), by the submodule that defines them: the
+#: live modules pull the whole asyncio runtime stack and multiprocessing,
+#: which simulated campaigns never need — importing the package root must
+#: stay as cheap as it was.
+_LAZY_EXPORTS = {
+    "LiveExecutor": "live",
+    "build_live_scenario": "live",
+    "execute_live_cell": "live",
+    "make_live_cluster": "live",
+    "run_live_scenario": "live",
+    "run_live_scenario_async": "live",
+    "LiveCluster": "process_cluster",
+    "ShardReport": "shard",
+}
 
 
 def __getattr__(name: str):
-    if name in _LIVE_EXPORTS or name in _PROCESS_EXPORTS:
-        import importlib
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        module = "live" if name in _LIVE_EXPORTS else "process_cluster"
-        value = getattr(importlib.import_module(f"repro.runner.{module}"), name)
-        globals()[name] = value  # cache: __getattr__ runs once per name
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"repro.runner.{module}"), name)
+    globals()[name] = value  # cache: __getattr__ runs once per name
+    return value
 
 
 __all__ = [
@@ -81,17 +74,15 @@ __all__ = [
     "CampaignResult",
     "ClosedLoopLoad",
     "DEFAULT_CACHE_DIR",
+    "LiveCluster",
     "LiveExecutor",
-    "LiveRunResult",
     "OpenLoopLoad",
-    "ProcessCluster",
     "RequestGateway",
     "ResultCache",
     "RunRecord",
     "RunSpec",
     "ShardReport",
     "Sweep",
-    "TcpCluster",
     "WorkloadConfig",
     "attach_workload",
     "build_live_scenario",
@@ -104,7 +95,5 @@ __all__ = [
     "run_campaign",
     "run_live_scenario",
     "run_live_scenario_async",
-    "run_process_scenario",
-    "run_process_scenario_async",
     "spec_key",
 ]

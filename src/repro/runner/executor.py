@@ -57,18 +57,8 @@ def execute_cell(
         config = build(params)
     started = time.perf_counter()
     result = run_scenario(config, max_events=max_events)
-    wall_time = time.perf_counter() - started
-    return RunRecord(
-        run_id=run_id,
-        key=key,
-        params=params,
-        summary=result.summary(),
-        metrics=result.run_metrics(),
-        committed_blocks=result.committed_blocks(),
-        max_honest_view=result.max_honest_view(),
-        ledgers_consistent=result.ledgers_are_consistent(),
-        events_processed=result.simulator.events_processed,
-        wall_time=wall_time,
+    return RunRecord.from_result(
+        result, run_id, key, params, wall_time=time.perf_counter() - started
     )
 
 

@@ -1,19 +1,21 @@
 """Live scenario execution: the campaign layer over the asyncio runtime.
 
-Mirrors :mod:`repro.experiments.scenario` for runs that execute on an
+Mirrors :mod:`repro.experiments.scenario` (same stack builder, same
+:class:`~repro.experiments.scenario.RunResult`) for runs that execute on an
 :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` instead of the
 discrete-event simulator:
 
 * :func:`build_live_scenario` / :func:`run_live_scenario` — a whole cluster
-  in-memory over a :class:`~repro.runtime.transports.LocalTransport`.
-  Under the default :class:`~repro.runtime.asyncio_runtime.VirtualClock`
-  this is the deterministic fast path (a zero-jitter run reproduces the
-  simulator's decisions and ledgers exactly); pass a
+  in-memory over a :class:`~repro.runtime.transports.LocalTransport`, one
+  runtime shared by every replica.  Under the default
+  :class:`~repro.runtime.asyncio_runtime.VirtualClock` this is the
+  deterministic fast path (a zero-jitter run reproduces the simulator's
+  decisions and ledgers exactly); pass a
   :class:`~repro.runtime.asyncio_runtime.MonotonicClock` for wall-clock
   pacing.
-* :class:`TcpCluster` — n nodes over real TCP sockets on localhost, each
-  with its own :class:`~repro.runtime.tcp.TcpTransport` and runtime,
-  sharing one wall clock so metrics land on one timeline.
+* :func:`make_live_cluster` — n nodes on the wall clock over real sockets
+  or shared-memory rings, one runtime per node, in this process or one OS
+  process per shard (:mod:`repro.runner.process_cluster`).
 * :class:`LiveExecutor` / :func:`execute_live_cell` — the ``"live"``
   campaign backend: a :class:`~repro.runner.campaign.Campaign` sweeps
   live-cluster cells exactly like simulated ones, producing the same
@@ -39,19 +41,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
-from repro.adversary.corruption import CorruptionPlan
-from repro.config import ProtocolConfig
-from repro.consensus.ledger import ledgers_consistent
-from repro.consensus.replica import Replica
-from repro.crypto.backend import CryptoBackend, make_backend, set_default_backend
-from repro.crypto.signatures import PKI
-from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError
-from repro.experiments.scenario import ScenarioConfig
-from repro.faults.library import get_scenario
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.summary import ComplexitySummary, RunMetrics, extract_run_metrics, summarize_run
-from repro.pacemakers.registry import make_pacemaker_factory
+from repro.experiments.scenario import (
+    RunResult,
+    ScenarioConfig,
+    build_stack,
+    make_replica,
+    start_replicas,
+)
+from repro.runner.process_cluster import LiveCluster
 from repro.runner.record import RunRecord
 from repro.runtime import (
     AsyncioRuntime,
@@ -60,254 +58,11 @@ from repro.runtime import (
     FaultCounters,
     FaultyTransport,
     LocalTransport,
-    MonotonicClock,
     RuntimeContext,
-    TcpTransport,
-    Transport,
-    VirtualClock,
     WireCodec,
     adapt_schedule,
     track_downtime,
 )
-from repro.sim.network import DelayModel
-from repro.sim.tracing import TraceRecorder
-
-#: How far behind zero a replica's local clock is re-anchored immediately
-#: before ``start()`` on wall-clock runs.  Under the simulator, construction
-#: and start happen at the same virtual instant, so ``lc(p) == 0 == c_0``
-#: exactly and the first epoch event fires; on a wall clock, milliseconds
-#: elapse in between, the local clock drifts past ``c_0`` and clock-driven
-#: pacemakers would skip their bootstrap view.  Starting a hair early is
-#: indistinguishable from a slightly later protocol start.
-WALL_START_GRACE = 0.05
-
-
-def _start_replicas(replicas: dict[int, Replica], wall: bool) -> None:
-    """Start replicas in pid order, re-anchoring local clocks on wall runs."""
-    for pid in sorted(replicas):
-        if wall:
-            replicas[pid].clock.set_to(-WALL_START_GRACE)
-        replicas[pid].start()
-
-
-def _build_protocol_stack(
-    config: ScenarioConfig,
-) -> tuple[ProtocolConfig, CryptoBackend, CorruptionPlan, MetricsCollector, PKI, dict, ThresholdScheme, TraceRecorder, Optional[DelayModel]]:
-    """The runtime-independent half of scenario construction.
-
-    Resolves a named scenario to its ``(delay_model, corruption)`` effect
-    (exactly as :func:`repro.experiments.scenario.build_scenario` does),
-    installs the crypto backend, builds keys, scheme, metrics and the
-    corruption plan.  The returned delay model — ``None`` for fault-free
-    and corruption-only configs — is the schedule the live transport must
-    impose (via :func:`repro.runtime.chaos.adapt_schedule`).
-    """
-    delay_model = config.delay_model
-    explicit_corruption = config.corruption
-    if config.scenario is not None:
-        if delay_model is not None or explicit_corruption is not None:
-            raise ConfigurationError(
-                f"scenario {config.scenario!r} fully determines the adversary; "
-                "leave delay_model and corruption unset (override via "
-                "scenario_params instead)"
-            )
-        delay_model, explicit_corruption = get_scenario(config.scenario).build(
-            config, config.scenario_params
-        )
-    protocol_config = config.protocol_config()
-    corruption = explicit_corruption or CorruptionPlan.none(protocol_config)
-    if corruption.config.n != protocol_config.n:
-        raise ConfigurationError("corruption plan was built for a different system size")
-    crypto_backend = make_backend(protocol_config.crypto_backend)
-    set_default_backend(crypto_backend)
-    metrics = MetricsCollector()
-    metrics.set_honest(corruption.honest_ids)
-    pki, signing_keys = PKI.setup(protocol_config.processor_ids, backend=crypto_backend)
-    scheme = ThresholdScheme(pki)
-    trace = TraceRecorder(enabled=config.record_trace)
-    return (
-        protocol_config, crypto_backend, corruption, metrics, pki, signing_keys,
-        scheme, trace, delay_model,
-    )
-
-
-def _make_replica(
-    pid: int,
-    ctx: RuntimeContext,
-    config: ScenarioConfig,
-    protocol_config: ProtocolConfig,
-    pki: PKI,
-    signing_keys: dict,
-    scheme: ThresholdScheme,
-    metrics: MetricsCollector,
-    corruption: CorruptionPlan,
-) -> Replica:
-    factory = make_pacemaker_factory(config.pacemaker, protocol_config, config.pacemaker_config)
-    replica = Replica(
-        pid=pid,
-        ctx=ctx,
-        config=protocol_config,
-        pki=pki,
-        signing_key=signing_keys[pid],
-        scheme=scheme,
-        pacemaker_factory=factory,
-        metrics=metrics,
-        behaviour=corruption.behaviour_for(pid),
-    )
-    if config.workload is not None:
-        # Every live lane builds replicas here — inline clusters, TCP nodes
-        # and the spawned workers of a ProcessCluster — so attaching the
-        # client workload at this single point covers them all.
-        from repro.runner.workload import attach_workload
-
-        attach_workload(replica, config.workload)
-    return replica
-
-
-@dataclass
-class LiveRunResult:
-    """The outcome of one live (asyncio-runtime) run.
-
-    The live sibling of
-    :class:`~repro.experiments.scenario.ScenarioResult`: same summaries and
-    safety helpers, with the runtime and transport in place of the
-    simulator and network.
-
-    Multi-process runs (:class:`~repro.runner.process_cluster.ProcessCluster`)
-    produce the same result type from merged shard reports: there the
-    coordinator holds no replicas, runtime or transport (they lived and died
-    in the node processes), so ``replicas`` is empty, ``runtime`` and
-    ``transport`` are ``None``, and the ledger/event accessors answer from
-    ``ledger_block_ids`` / ``events`` instead.
-    """
-
-    config: ScenarioConfig
-    protocol_config: ProtocolConfig
-    metrics: MetricsCollector
-    trace: TraceRecorder
-    replicas: dict[int, Replica]
-    corruption: CorruptionPlan
-    runtime: Optional[AsyncioRuntime]
-    transport: Optional[Transport]
-    crypto_backend: Optional[CryptoBackend] = None
-    #: Committed block ids per pid, for results whose ledgers lived in other
-    #: OS processes (``None`` whenever ``replicas`` is populated).
-    ledger_block_ids: Optional[dict[int, tuple[str, ...]]] = None
-    #: Runtime-event total for results without a local runtime.
-    events: Optional[int] = None
-    #: KV state digests / apply chains shipped from node processes
-    #: (``None`` whenever ``replicas`` is populated or no workload ran).
-    kv_digests: Optional[dict[int, str]] = None
-    kv_chains: Optional[dict[int, tuple[str, ...]]] = None
-
-    # ------------------------------------------------------------------
-    # Summaries
-    # ------------------------------------------------------------------
-    def summary(self, warmup_decisions: int = 5) -> ComplexitySummary:
-        """The Table-1 measures for this run."""
-        return summarize_run(
-            self.metrics,
-            protocol=self.config.pacemaker,
-            n=self.config.n,
-            f_actual=self.corruption.f_actual,
-            gst=self.config.gst,
-            delta=self.config.delta,
-            warmup_decisions=warmup_decisions,
-        )
-
-    def run_metrics(self) -> RunMetrics:
-        """The picklable derived-metrics residue of this run."""
-        return extract_run_metrics(self.metrics)
-
-    # ------------------------------------------------------------------
-    # Safety / liveness helpers
-    # ------------------------------------------------------------------
-    @property
-    def honest_replicas(self) -> list[Replica]:
-        """Replicas that were never corrupted (empty for multi-process runs)."""
-        return [r for pid, r in sorted(self.replicas.items()) if pid in self.corruption.honest_ids]
-
-    def _honest_ledger_ids(self) -> list[list[str]]:
-        """Honest committed-id sequences, from replicas or shipped ids."""
-        if self.replicas:
-            return [replica.ledger.block_ids for replica in self.honest_replicas]
-        if self.ledger_block_ids is None:
-            return []
-        return [
-            list(ids)
-            for pid, ids in sorted(self.ledger_block_ids.items())
-            if pid in self.corruption.honest_ids
-        ]
-
-    def ledgers_are_consistent(self) -> bool:
-        """Safety: honest ledgers are pairwise prefix-consistent."""
-        from repro.consensus.ledger import sequences_consistent
-
-        return sequences_consistent(self._honest_ledger_ids())
-
-    def kv_state_digests(self) -> dict[int, str]:
-        """Per-replica KV state digests (empty without a workload)."""
-        if self.replicas:
-            from repro.runner.workload import kv_state_digests
-
-            return kv_state_digests(self.replicas.values())
-        return dict(self.kv_digests or {})
-
-    def kv_apply_chains(self) -> dict[int, tuple[str, ...]]:
-        """Per-replica KV apply chains (empty without a workload)."""
-        if self.replicas:
-            from repro.runner.workload import kv_apply_chains
-
-            return kv_apply_chains(self.replicas.values())
-        return dict(self.kv_chains or {})
-
-    def kv_consistent(self) -> bool:
-        """State-machine safety: apply chains are prefix-consistent.
-
-        Trivially true without a workload (no chains to disagree).
-        """
-        from repro.statemachine.kvstore import apply_chains_consistent
-
-        return apply_chains_consistent(self.kv_apply_chains().values())
-
-    def honest_decisions(self) -> int:
-        """Number of QCs produced by honest leaders during the run."""
-        return len(self.metrics.honest_decisions())
-
-    def committed_blocks(self) -> int:
-        """Length of the longest honest ledger."""
-        lengths = [len(ids) for ids in self._honest_ledger_ids()]
-        return max(lengths) if lengths else 0
-
-    def max_honest_view(self) -> int:
-        """The highest view any honest replica entered."""
-        views = [self.metrics.max_view_entered(r.pid) for r in self.honest_replicas]
-        return max(views) if views else -1
-
-    @property
-    def fault_counts(self) -> dict[str, int]:
-        """Injected-fault totals by name (empty for fault-free runs)."""
-        return self.metrics.fault_counts
-
-    @property
-    def events_processed(self) -> int:
-        """Runtime events handled during the run (summed across node
-        processes for multi-process results)."""
-        if self.runtime is not None:
-            return self.runtime.events_processed
-        return self.events or 0
-
-    def describe(self) -> str:
-        """One-line run description for reports."""
-        if self.runtime is None:
-            mode = "process"
-        else:
-            mode = "virtual" if self.runtime.virtual else "wall"
-        return (
-            f"live[{mode}] {self.config.pacemaker} n={self.config.n} "
-            f"decisions={self.honest_decisions()} commits={self.committed_blocks()} "
-            f"consistent={self.ledgers_are_consistent()}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +74,7 @@ def build_live_scenario(
     clock: Optional[Clock] = None,
     transport: Optional[LocalTransport] = None,
     chaos: Optional[ChaosConfig] = None,
-) -> LiveRunResult:
+) -> RunResult:
     """Construct an in-memory live cluster for ``config`` without running it.
 
     Fault-free configs get a bare :class:`LocalTransport` (base delay
@@ -332,17 +87,8 @@ def build_live_scenario(
     :class:`~repro.runtime.chaos.FaultCounters` to the metrics collector
     and track behaviour-declared downtime windows as kills/restarts.
     """
-    (
-        protocol_config,
-        crypto_backend,
-        corruption,
-        metrics,
-        pki,
-        signing_keys,
-        scheme,
-        trace,
-        delay_model,
-    ) = _build_protocol_stack(config)
+    stack = build_stack(config)
+    delay_model, metrics, trace = stack.delay_model, stack.metrics, stack.trace
     chaotic = (
         delay_model is not None
         or (chaos is not None and chaos.active)
@@ -382,25 +128,20 @@ def build_live_scenario(
     runtime = AsyncioRuntime(transport, clock=clock, trace=trace, seed=config.seed)
     metrics.attach_transport(transport)
     ctx = RuntimeContext(runtime=runtime, trace=trace)
-    replicas = {
-        pid: _make_replica(
-            pid, ctx, config, protocol_config, pki, signing_keys, scheme, metrics, corruption
-        )
-        for pid in protocol_config.processor_ids
-    }
+    replicas = {pid: make_replica(stack, pid, ctx) for pid in stack.protocol_config.processor_ids}
     if counters is not None:
         metrics.attach_fault_counters(counters)
         track_downtime(runtime, replicas, counters)
-    return LiveRunResult(
+    return RunResult(
         config=config,
-        protocol_config=protocol_config,
+        protocol_config=stack.protocol_config,
         metrics=metrics,
         trace=trace,
         replicas=replicas,
-        corruption=corruption,
+        corruption=stack.corruption,
         runtime=runtime,
         transport=transport,
-        crypto_backend=crypto_backend,
+        crypto_backend=stack.crypto_backend,
     )
 
 
@@ -409,9 +150,9 @@ async def run_live_scenario_async(
     jitter: float = 0.0,
     clock: Optional[Clock] = None,
     max_events: Optional[int] = None,
-    stop_when: Optional[Callable[[LiveRunResult], bool]] = None,
+    stop_when: Optional[Callable[[RunResult], bool]] = None,
     chaos: Optional[ChaosConfig] = None,
-) -> LiveRunResult:
+) -> RunResult:
     """Build and run an in-memory live cluster to ``config.duration``.
 
     ``duration`` is virtual seconds under the default
@@ -420,7 +161,7 @@ async def run_live_scenario_async(
     events) ends the run early either way.
     """
     result = build_live_scenario(config, jitter=jitter, clock=clock, chaos=chaos)
-    _start_replicas(result.replicas, wall=not result.runtime.virtual)
+    start_replicas(result.replicas, wall=not result.runtime.virtual)
     predicate = None if stop_when is None else (lambda: stop_when(result))
     await result.runtime.run(
         until=config.duration, max_events=max_events, stop_when=predicate
@@ -435,9 +176,9 @@ def run_live_scenario(
     jitter: float = 0.0,
     clock: Optional[Clock] = None,
     max_events: Optional[int] = None,
-    stop_when: Optional[Callable[[LiveRunResult], bool]] = None,
+    stop_when: Optional[Callable[[RunResult], bool]] = None,
     chaos: Optional[ChaosConfig] = None,
-) -> LiveRunResult:
+) -> RunResult:
     """Blocking wrapper over :func:`run_live_scenario_async` (owns the loop)."""
     return asyncio.run(
         run_live_scenario_async(
@@ -448,272 +189,23 @@ def run_live_scenario(
 
 
 # ----------------------------------------------------------------------
-# TCP cluster (one TcpTransport + runtime per node, shared wall clock)
+# Wall-clock clusters: inline (one process) vs process (one OS process per shard)
 # ----------------------------------------------------------------------
-@dataclass
-class TcpNode:
-    """One node of a :class:`TcpCluster`.
-
-    ``transport`` is the node's :class:`~repro.runtime.tcp.TcpTransport`,
-    or a :class:`~repro.runtime.chaos.FaultyTransport` wrapping it when the
-    cluster runs a chaotic scenario.
-    """
-
-    pid: int
-    transport: Transport
-    runtime: AsyncioRuntime
-    replica: Replica
-
-
-class TcpCluster:
-    """An n-replica Lumiere cluster over real TCP sockets on localhost.
-
-    Bootstrap dance (all inside one event loop, see :meth:`start`):
-    servers are bound first on ephemeral ports, the resulting address map
-    is installed on every node, then runtimes and replicas are built and
-    started.  All nodes share one :class:`MonotonicClock`, so ledger commit
-    times and metrics live on a single timeline.
-
-    Parameters
-    ----------
-    config:
-        The scenario to run; ``n``, ``pacemaker``, ``delta``, ``seed`` and
-        ``crypto_backend`` are honoured (``actual_delay`` is real network
-        latency now, so it is ignored).
-    host:
-        Listen address for every node (default localhost).
-    codec:
-        Wire codec for every node's :class:`~repro.runtime.tcp.TcpTransport`:
-        a codec name (``"binary"``, the default, or ``"json"``) or a
-        :class:`~repro.runtime.codec.WireCodec` instance shared by the whole
-        cluster.
-    """
-
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        host: str = "127.0.0.1",
-        codec: Union[WireCodec, str, None] = None,
-        connect_timeout: float = 10.0,
-        coalesce_writes: bool = True,
-    ) -> None:
-        self.config = config
-        self.host = host
-        self.codec = codec
-        self.connect_timeout = connect_timeout
-        self.coalesce_writes = coalesce_writes
-        self.clock = MonotonicClock()
-        self.nodes: dict[int, TcpNode] = {}
-        self.metrics = MetricsCollector()
-        #: Shared injected-fault totals across all nodes (``None`` until a
-        #: chaotic cluster has started).
-        self.fault_counters: Optional[FaultCounters] = None
-        #: Transport errors surfaced at :meth:`stop` (per-node
-        #: ``TcpTransport.last_errors``, prefixed with the node id).
-        self.teardown_errors: list[str] = []
-        #: Total frames lost to exhausted connect windows, cluster-wide
-        #: (aggregated at :meth:`stop`; live totals are on the transports).
-        self.frames_dropped = 0
-        self._started = False
-        self._torn_down = False
-        self._stack: Optional[tuple] = None
-
-    async def start(self) -> None:
-        """Bind servers, exchange addresses, build and start all replicas."""
-        if self._started:
-            return
-        stack = _build_protocol_stack(self.config)
-        (
-            protocol_config,
-            crypto_backend,
-            corruption,
-            metrics,
-            pki,
-            signing_keys,
-            scheme,
-            trace,
-            delay_model,
-        ) = stack
-        self._stack = stack
-        self.metrics = metrics
-        chaotic = delay_model is not None or self.config.scenario is not None
-        counters = FaultCounters() if chaotic else None
-        tcp_transports = {
-            pid: TcpTransport(
-                pid,
-                host=self.host,
-                codec=self.codec,
-                connect_timeout=self.connect_timeout,
-                coalesce_writes=self.coalesce_writes,
-            )
-            for pid in protocol_config.processor_ids
-        }
-        addresses = {}
-        for pid, transport in tcp_transports.items():
-            addresses[pid] = await transport.start_server()
-        for transport in tcp_transports.values():
-            transport.set_peers(addresses)
-        transports: dict[int, Transport] = dict(tcp_transports)
-        if delay_model is not None:
-            # Each node imposes the shared schedule on its *outgoing* sends:
-            # a hold-then-forward approximation of the simulated latency (the
-            # real socket adds its own small delay on top, so — unlike the
-            # single-runtime virtual-clock path — this lane makes no
-            # bit-exact parity claim).  Per-node seed offsets mirror the
-            # runtimes' seeds.
-            transports = {
-                pid: FaultyTransport(
-                    transport,
-                    schedule=adapt_schedule(delay_model),
-                    network=self.config.network_config(),
-                    schedule_seed=self.config.seed + pid,
-                    counters=counters,
-                )
-                for pid, transport in tcp_transports.items()
-            }
-        replicas: dict[int, Replica] = {}
-        for pid, transport in transports.items():
-            runtime = AsyncioRuntime(
-                transport, clock=self.clock, trace=trace, seed=self.config.seed + pid
-            )
-            metrics.attach_transport(transport)
-            ctx = RuntimeContext(runtime=runtime, trace=trace)
-            replica = _make_replica(
-                pid, ctx, self.config, protocol_config, pki, signing_keys, scheme,
-                metrics, corruption,
-            )
-            replicas[pid] = replica
-            self.nodes[pid] = TcpNode(pid, transport, runtime, replica)
-        for node in self.nodes.values():
-            await node.transport.start()
-        if counters is not None:
-            self.fault_counters = counters
-            metrics.attach_fault_counters(counters)
-            for pid, node in self.nodes.items():
-                track_downtime(node.runtime, {pid: node.replica}, counters)
-        _start_replicas(replicas, wall=True)
-        self._started = True
-
-    @property
-    def replicas(self) -> dict[int, Replica]:
-        """All replicas by pid."""
-        return {pid: node.replica for pid, node in self.nodes.items()}
-
-    def min_committed(self) -> int:
-        """Length of the shortest ledger across the cluster."""
-        if not self.nodes:
-            return 0
-        return min(len(node.replica.ledger) for node in self.nodes.values())
-
-    def ledgers_are_consistent(self) -> bool:
-        """Safety: all ledgers are pairwise prefix-consistent."""
-        return ledgers_consistent([node.replica.ledger for node in self.nodes.values()])
-
-    def kv_digests(self) -> dict[int, str]:
-        """Per-node KV state digests (empty without a client workload)."""
-        from repro.runner.workload import kv_state_digests
-
-        return kv_state_digests(self.replicas.values())
-
-    def kv_chains(self) -> dict[int, tuple[str, ...]]:
-        """Per-node KV apply chains (empty without a client workload)."""
-        from repro.runner.workload import kv_apply_chains
-
-        return kv_apply_chains(self.replicas.values())
-
-    def kv_consistent(self) -> bool:
-        """State-machine safety: all apply chains are prefix-consistent."""
-        from repro.statemachine.kvstore import apply_chains_consistent
-
-        return apply_chains_consistent(self.kv_chains().values())
-
-    async def run(
-        self,
-        duration: float,
-        stop_when: Optional[Callable[["TcpCluster"], bool]] = None,
-        poll: float = 0.02,
-    ) -> None:
-        """Run all nodes concurrently for ``duration`` wall seconds (or until
-        ``stop_when(cluster)`` turns true)."""
-        await self.start()
-        predicate = None if stop_when is None else (lambda: stop_when(self))
-        await asyncio.gather(
-            *(
-                node.runtime.run(until=duration, stop_when=predicate, poll=poll)
-                for node in self.nodes.values()
-            )
-        )
-
-    async def stop(self) -> None:
-        """Shut every node down (concurrently, so EOFs propagate cleanly).
-
-        Teardown surfaces rather than swallows: each transport's
-        ``last_errors`` are folded into :attr:`teardown_errors` and its
-        ``frames_dropped`` into the cluster total, so a writer that died
-        holding frames or a pump that crashed mid-run is visible here (and
-        in the run's fault counts) instead of vanishing with the tasks.
-        """
-        await asyncio.gather(*(node.runtime.stop() for node in self.nodes.values()))
-        if self._torn_down:
-            return  # idempotent: don't double-count a second stop()
-        self._torn_down = True
-        for pid, node in sorted(self.nodes.items()):
-            base = getattr(node.transport, "inner", node.transport)
-            self.frames_dropped += base.frames_dropped
-            self.teardown_errors.extend(
-                f"node {pid}: {error}" for error in base.last_errors
-            )
-
-    async def run_until_commits(
-        self, blocks: int, timeout: float, poll: float = 0.02
-    ) -> int:
-        """Run until every ledger holds ``blocks`` commits (or ``timeout`` wall
-        seconds); returns the final minimum ledger length."""
-        await self.run(
-            timeout, stop_when=lambda c: c.min_committed() >= blocks, poll=poll
-        )
-        return self.min_committed()
-
-
-# ----------------------------------------------------------------------
-# Placement: inline (one process) vs process (one OS process per node)
-# ----------------------------------------------------------------------
-#: Valid ``placement`` values for live TCP clusters.
+#: Valid ``placement`` values for live clusters.
 PLACEMENTS = ("inline", "process")
+#: Valid inter-node fabrics (``"shm"`` under process placement only).
+TRANSPORTS = ("tcp", "shm")
 
 
-def make_live_cluster(
-    config: ScenarioConfig,
-    placement: str = "inline",
-    host: str = "127.0.0.1",
-    codec: Union[WireCodec, str, None] = None,
-    processes: Optional[int] = None,
-    connect_timeout: float = 10.0,
-    coalesce_writes: bool = True,
-    transport: str = "tcp",
-    **kwargs: Any,
-):
-    """Build a live cluster with the requested process placement.
-
-    ``placement="inline"`` returns a :class:`TcpCluster` — every node in
-    the calling process, one event loop, real sockets.
-    ``placement="process"`` returns a
-    :class:`~repro.runner.process_cluster.ProcessCluster` — one spawned OS
-    process per node (or per shard of ``processes`` workers), which is the
-    multicore lane.  Both expose the same ``start`` / ``run`` /
-    ``run_until_commits`` / ``stop`` / ``min_committed`` surface, so
-    benchmarks and examples switch placement with this one knob.
-
-    ``processes`` is only meaningful under process placement (inline has
-    exactly one), as is ``transport``: ``"tcp"`` (localhost sockets, the
-    default) or ``"shm"`` (shared-memory rings between the node processes —
-    the faster lane on one machine).  Inline placement has no process
-    boundary to cross, so it always speaks TCP and rejects ``"shm"``.
-    Extra ``kwargs`` go to the chosen cluster's constructor.
-    """
-    if transport not in ("tcp", "shm"):
+def _check_lane(placement: str, transport: str, processes: Optional[int] = None) -> None:
+    """Reject a (placement, transport, processes) combination no lane runs."""
+    if placement not in PLACEMENTS:
         raise ConfigurationError(
-            f"unknown transport {transport!r}; available: tcp, shm"
+            f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
+        )
+    if transport not in TRANSPORTS:
+        raise ConfigurationError(
+            f"unknown transport {transport!r}; available: {', '.join(TRANSPORTS)}"
         )
     if placement == "inline":
         if processes is not None:
@@ -727,71 +219,85 @@ def make_live_cluster(
                 "placement shares one heap and has no process boundary for "
                 "shared memory to cross"
             )
-        return TcpCluster(
-            config, host=host, codec=codec, connect_timeout=connect_timeout,
-            coalesce_writes=coalesce_writes, **kwargs,
-        )
-    if placement == "process":
-        from repro.runner.process_cluster import ProcessCluster
-
-        return ProcessCluster(
-            config, host=host, codec=codec, processes=processes,
-            connect_timeout=connect_timeout, coalesce_writes=coalesce_writes,
-            transport=transport, **kwargs,
-        )
-    raise ConfigurationError(
-        f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-    )
+    elif processes is not None and processes < 1:
+        raise ConfigurationError(f"processes must be >= 1, got {processes}")
 
 
-async def run_process_scenario_async(
+def make_live_cluster(
     config: ScenarioConfig,
-    codec: Optional[str] = None,
+    placement: str = "inline",
+    host: str = "127.0.0.1",
+    codec: Union[WireCodec, str, None] = None,
     processes: Optional[int] = None,
-    coalesce_writes: bool = True,
     transport: str = "tcp",
-    stop_when: Optional[Callable[[Any], bool]] = None,
-) -> LiveRunResult:
-    """Run ``config`` on a multi-process cluster to ``config.duration``.
+    teardown_timeout: float = 30.0,
+) -> LiveCluster:
+    """Build a wall-clock cluster with the requested process placement.
 
-    The process-placement twin of :func:`run_live_scenario_async`.
-    ``duration`` is **wall** seconds (node processes live on a shared
-    monotonic clock; there is no virtual fast path across OS processes),
-    and ``stop_when`` receives the
-    :class:`~repro.runner.process_cluster.ProcessCluster` — use
-    ``min_committed()`` for progress predicates.  The cluster is always
-    stopped and merged, even when the run raises.  ``transport`` selects
-    the inter-node fabric (``"tcp"`` or ``"shm"``).
+    ``placement="inline"`` runs every node in the calling process — one
+    event loop, real sockets.  ``placement="process"`` spawns one OS process
+    per node (or per shard of ``processes`` workers), which is the multicore
+    lane.  Both are one :class:`~repro.runner.process_cluster.LiveCluster`
+    with the same ``start`` / ``run`` / ``run_until_commits`` / ``stop`` /
+    ``min_committed`` / ``result`` surface, so benchmarks and examples
+    switch placement with this one knob.
+
+    Parameters
+    ----------
+    host:
+        Listen address for every node (default localhost).
+    codec:
+        Wire codec of every node's transport: a codec name (``"binary"``,
+        the default, or ``"json"``) or — inline only, instances do not
+        survive the spawn pickle — a :class:`~repro.runtime.codec.WireCodec`
+        shared by the whole cluster.
+    processes:
+        Number of worker processes under process placement (inline has
+        exactly one); defaults to one per node.  Fewer processes shard the
+        nodes contiguously — useful when ``n`` exceeds the core count.
+    transport:
+        Inter-node fabric.  ``"tcp"`` (default) speaks length-prefixed
+        frames over localhost sockets; ``"shm"`` moves frames through
+        shared-memory SPSC rings (:class:`~repro.runtime.shm.ShmTransport`)
+        — no per-frame syscalls, no kernel copies.  Inline placement has no
+        process boundary to cross, so it always speaks TCP and rejects
+        ``"shm"``.
+    teardown_timeout:
+        Wall seconds ``stop()`` waits for each worker's report and exit
+        before terminating it.
+
+    Process placement also rejects the ``counting`` crypto backend: its
+    digests are process-local interning tokens and can never validate
+    across process boundaries.
     """
-    from repro.runner.process_cluster import ProcessCluster
-
-    cluster = ProcessCluster(
-        config, codec=codec, processes=processes,
-        coalesce_writes=coalesce_writes, transport=transport,
+    _check_lane(placement, transport, processes)
+    if placement == "process":
+        if codec is not None and not isinstance(codec, str):
+            raise ConfigurationError(
+                "process placement takes a codec *name* (codec instances do "
+                "not survive the spawn pickle); pass \"binary\" or \"json\""
+            )
+        if config.crypto_backend == "counting":
+            raise ConfigurationError(
+                "the counting crypto backend interns digests per process and "
+                "cannot validate across OS processes; use \"hashing\" or "
+                "\"interned\" for process placement"
+            )
+    return LiveCluster(
+        config, placement=placement, host=host, codec=codec, processes=processes,
+        transport=transport, teardown_timeout=teardown_timeout,
     )
+
+
+async def _run_process_cell(config: ScenarioConfig, transport: str) -> RunResult:
+    """Run ``config`` on a multi-process cluster for ``config.duration`` wall
+    seconds; the cluster is stopped and merged even when the run raises."""
+    cluster = make_live_cluster(config, placement="process", transport=transport)
     try:
-        await cluster.run(config.duration, stop_when=stop_when)
+        await cluster.run(config.duration)
     finally:
         await cluster.stop()
     return cluster.result()
-
-
-def run_process_scenario(
-    config: ScenarioConfig,
-    codec: Optional[str] = None,
-    processes: Optional[int] = None,
-    coalesce_writes: bool = True,
-    transport: str = "tcp",
-    stop_when: Optional[Callable[[Any], bool]] = None,
-) -> LiveRunResult:
-    """Blocking wrapper over :func:`run_process_scenario_async` (owns the loop)."""
-    return asyncio.run(
-        run_process_scenario_async(
-            config, codec=codec, processes=processes,
-            coalesce_writes=coalesce_writes, transport=transport,
-            stop_when=stop_when,
-        )
-    )
 
 
 # ----------------------------------------------------------------------
@@ -818,21 +324,13 @@ def execute_live_cell(
     set) so cached live records never shadow simulated ones.
 
     ``placement="inline"`` (the default) runs the cell in-memory under the
-    virtual clock — the deterministic fast path.  ``placement="process"``
-    runs it on a multi-process cluster instead: real wall time, one OS
-    process per node, over localhost TCP or (``transport="shm"``)
-    shared-memory rings.  Jitter and chaos are inline-transport knobs and
-    are rejected under process placement (a process cell's noise is the
-    real network's); ``transport`` conversely is a process-placement knob.
+    virtual clock — the deterministic fast path; ``placement="process"``
+    runs it for ``config.duration`` wall seconds on a
+    :func:`make_live_cluster` cluster over ``transport``.  Jitter and chaos
+    are inline-transport knobs and are rejected under process placement (a
+    process cell's noise is the real network's).
     """
-    if placement not in PLACEMENTS:
-        raise ConfigurationError(
-            f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-        )
-    if transport not in ("tcp", "shm"):
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; available: tcp, shm"
-        )
+    _check_lane(placement, transport)
     if config is None:
         config = build(params)
     started = time.perf_counter()
@@ -848,28 +346,13 @@ def execute_live_cell(
                 "placement does not support it (use a scenario/delay_model, "
                 "which the node processes impose themselves)"
             )
-        result = run_process_scenario(config, transport=transport)
+        result = asyncio.run(_run_process_cell(config, transport))
     else:
-        if transport != "tcp":
-            raise ConfigurationError(
-                "transport=\"shm\" is a process-placement knob; inline "
-                "cells share one heap (use placement=\"process\")"
-            )
         result = run_live_scenario(
             config, jitter=jitter, max_events=max_events, chaos=chaos
         )
-    wall_time = time.perf_counter() - started
-    return RunRecord(
-        run_id=run_id,
-        key=key,
-        params=params,
-        summary=result.summary(),
-        metrics=result.run_metrics(),
-        committed_blocks=result.committed_blocks(),
-        max_honest_view=result.max_honest_view(),
-        ledgers_consistent=result.ledgers_are_consistent(),
-        events_processed=result.events_processed,
-        wall_time=wall_time,
+    return RunRecord.from_result(
+        result, run_id, key, params, wall_time=time.perf_counter() - started
     )
 
 

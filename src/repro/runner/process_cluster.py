@@ -1,31 +1,32 @@
-"""``ProcessCluster``: one OS process per node (or shard of nodes) over TCP.
+"""``LiveCluster``: n replicas on the wall clock, inline or one process per shard.
 
-:class:`~repro.runner.live.TcpCluster` runs every replica of a live cluster
-inside a single Python process — real sockets, but one GIL, so ``n`` nodes'
-crypto, codec and protocol work serialise onto one core.  This module is
-the multicore lane: the same replica stack, the same
-:class:`~repro.runtime.tcp.TcpTransport`, but each node (or a shard of
-``k`` nodes) boots in its **own spawned OS process** with its own asyncio
-loop and crypto backend, and the parent acts purely as coordinator.
+Every wall-clock lane is the same :class:`~repro.runner.shard.Shard`
+lifecycle (``bind`` → ``connect`` → ``go`` → ``commits`` → ``stop``) driven
+by one cluster class in one of two placements:
 
-Bootstrap dance (the ``TcpCluster`` dance, stretched over a control pipe):
+* ``"inline"`` — one shard holding every pid, called directly in the
+  caller's loop: real sockets, but one GIL, so n nodes' crypto, codec and
+  protocol work serialise onto one core.
+* ``"process"`` — the multicore lane: one **spawned OS process** per shard,
+  each with its own asyncio loop and crypto backend, the same calls
+  stretched over a control pipe while the parent acts purely as coordinator:
 
-1. the parent spawns one worker per shard (``spawn`` context — fresh
-   interpreters, see the key-determinism note below) with a duplex
-   :func:`multiprocessing.Pipe` each;
-2. each worker builds the protocol stack, binds its nodes' servers on
-   ephemeral ports and reports ``("addresses", {pid: (host, port)})``;
-3. the parent assembles the full address map and broadcasts it back;
-   workers install it via :meth:`TcpTransport.set_peers`, start their
-   transports, and report ``("ready", ...)``;
-4. the parent broadcasts ``("go",)`` and every worker starts its replicas —
-   the barrier keeps cross-process start skew at pipe latency rather than
-   interpreter-boot latency;
-5. during the run the parent polls ``("status",)`` → per-pid ledger
-   lengths; at shutdown it sends ``("stop",)`` and each worker ships back a
-   picklable :class:`ShardReport` (metrics snapshot, ledger ids, counters,
-   teardown errors), which the parent merges into one cluster-wide
-   :class:`~repro.runner.live.LiveRunResult`.
+  1. the parent spawns one worker per shard (``spawn`` context — fresh
+     interpreters, see the key-determinism note below) with a duplex
+     :func:`multiprocessing.Pipe` each;
+  2. each worker binds and reports ``("addresses", {pid: (host, port)},
+     key fingerprint)``;
+  3. the parent assembles the full address map and broadcasts it back;
+     workers connect and report ``("ready",)``;
+  4. the parent broadcasts ``("go",)`` and every worker starts its
+     replicas — the barrier keeps cross-process start skew at pipe latency
+     rather than interpreter-boot latency;
+  5. during the run the parent polls ``("status",)`` → per-pid ledger
+     lengths; at shutdown it sends ``("stop",)`` and each worker ships back
+     its :class:`~repro.runner.shard.ShardReport`.
+
+Either way the run reduces to one
+:class:`~repro.experiments.scenario.RunResult` (:meth:`LiveCluster.result`).
 
 **Key determinism.**  Signing keys draw their secrets from a per-process
 monotonic counter, so two processes agree on the whole key ceremony exactly
@@ -34,45 +35,30 @@ counter.  Spawned workers satisfy this by construction (fresh interpreter,
 ``PKI.setup`` is the first key-creating act), and the coordinator verifies
 it anyway: every worker reports a key fingerprint with its addresses, and a
 mismatch aborts the bootstrap with a configuration error instead of an
-unexplainable signature-verification storm.  The ``counting`` crypto
-backend is rejected outright — its digests are process-local interning
-tokens and can never validate across process boundaries.
-
-**Timeline.**  All workers anchor their
-:class:`~repro.runtime.asyncio_runtime.MonotonicClock` to one
-``time.monotonic()`` origin chosen by the parent (``CLOCK_MONOTONIC`` is
-system-wide on Linux), so merged metrics live on a single timeline exactly
-like a shared in-process clock.
+unexplainable signature-verification storm.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import multiprocessing
-import os
 import time
 import traceback
 import uuid
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.consensus.ledger import sequences_consistent
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import RunResult, ScenarioConfig, resolve_adversary
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
+from repro.runner.shard import Node, Shard, ShardReport, ShardSpec
 from repro.runtime import (
     DEFAULT_RING_BYTES,
-    AsyncioRuntime,
     FaultCounters,
-    FaultyTransport,
     MonotonicClock,
-    RuntimeContext,
-    ShmTransport,
-    TcpTransport,
-    adapt_schedule,
+    WireCodec,
     create_cluster_rings,
     destroy_cluster_rings,
-    track_downtime,
 )
 from repro.sim.tracing import TraceRecorder
 
@@ -80,234 +66,74 @@ from repro.sim.tracing import TraceRecorder
 #: self-destructing — the orphan guard for a coordinator that died without
 #: sending ``("stop",)``.
 WORKER_LIFETIME_MARGIN = 120.0
+#: How often a worker looks at its control pipe, and the coordinator at a
+#: worker's, while waiting for a message.
+PIPE_POLL = 0.02
+#: Minimum spacing of the coordinator's status rounds during a run.
+STATUS_INTERVAL = 0.05
+#: Wall seconds a worker may take to boot its interpreter and answer each
+#: bootstrap step.
+BOOTSTRAP_TIMEOUT = 120.0
 
 
 # ----------------------------------------------------------------------
 # Worker side (runs in the spawned process)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _ShardSpec:
-    """Everything one worker needs, shipped through the spawn pickle."""
-
-    config: ScenarioConfig
-    pids: tuple[int, ...]
-    host: str
-    codec: Optional[str]
-    clock_origin: float
-    coalesce_writes: bool
-    connect_timeout: float
-    poll: float
-    lifetime: float
-    #: Inter-node fabric: ``"tcp"`` (localhost sockets) or ``"shm"``
-    #: (shared-memory rings; ``shm_token`` names the parent-created
-    #: segments and ``ring_bytes`` their per-pair data capacity).
-    transport: str = "tcp"
-    shm_token: Optional[str] = None
-    ring_bytes: int = DEFAULT_RING_BYTES
-
-
-@dataclass(frozen=True)
-class ShardReport:
-    """The picklable residue one worker ships back at shutdown."""
-
-    pids: tuple[int, ...]
-    metrics_state: dict
-    ledger_ids: dict[int, tuple[str, ...]]
-    events_processed: int
-    messages_sent: int
-    messages_delivered: int
-    frames_dropped: int
-    teardown_errors: tuple[str, ...]
-    #: KV state digests / apply chains per pid (empty without a workload).
-    kv_digests: dict[int, str] = field(default_factory=dict)
-    kv_chains: dict[int, tuple[str, ...]] = field(default_factory=dict)
-
-
-async def _pipe_recv(conn, poll: float, timeout: Optional[float] = None):
+async def _pipe_recv(conn, timeout: float):
     """Await the next control message without blocking the event loop."""
     loop = asyncio.get_running_loop()
-    deadline = None if timeout is None else loop.time() + timeout
+    deadline = loop.time() + timeout
     while True:
         if conn.poll():
             return conn.recv()
-        if deadline is not None and loop.time() >= deadline:
+        if loop.time() >= deadline:
             raise TimeoutError("control-channel message timed out")
-        await asyncio.sleep(poll)
+        await asyncio.sleep(PIPE_POLL)
 
 
-def _key_fingerprint(signing_keys: dict) -> tuple:
-    """Cross-process comparable summary of a shard's key ceremony."""
-    return tuple((pid, signing_keys[pid].secret_token) for pid in sorted(signing_keys))
-
-
-async def _shard_main(spec: _ShardSpec, conn) -> None:
-    # Imported here (not module top) to keep the coordinator-side import of
-    # this module free of a cycle: repro.runner.live imports ProcessCluster
-    # lazily, and the worker only needs the stack builders at run time.
-    from repro.runner.live import _build_protocol_stack, _make_replica, _start_replicas
-
-    (
-        protocol_config,
-        _crypto_backend,
-        corruption,
-        metrics,
-        pki,
-        signing_keys,
-        scheme,
-        trace,
-        delay_model,
-    ) = _build_protocol_stack(spec.config)
-    chaotic = delay_model is not None or spec.config.scenario is not None
-    counters = FaultCounters() if chaotic else None
-    if spec.transport == "shm":
-        assert spec.shm_token is not None, "shm transport needs a cluster token"
-        node_transports: dict[int, Any] = {
-            pid: ShmTransport(
-                pid,
-                token=spec.shm_token,
-                codec=spec.codec,
-                ring_bytes=spec.ring_bytes,
-                host=spec.host,
-            )
-            for pid in spec.pids
-        }
-    else:
-        node_transports = {
-            pid: TcpTransport(
-                pid,
-                host=spec.host,
-                codec=spec.codec,
-                connect_timeout=spec.connect_timeout,
-                coalesce_writes=spec.coalesce_writes,
-            )
-            for pid in spec.pids
-        }
-    addresses = {}
-    for pid, transport in node_transports.items():
-        # For shm the "address" is the node's UDP doorbell; the bootstrap
-        # exchange is byte-for-byte the same dance either way.
-        addresses[pid] = await transport.start_server()
-    conn.send(("addresses", addresses, _key_fingerprint(signing_keys)))
-
-    kind, peers = await _pipe_recv(conn, spec.poll, timeout=spec.lifetime)
+async def _serve_shard(spec: ShardSpec, conn) -> None:
+    """Drive one :class:`Shard` from the coordinator's control messages."""
+    lifetime = spec.config.duration + WORKER_LIFETIME_MARGIN
+    shard = Shard(spec)
+    conn.send(("addresses", *await shard.bind()))
+    kind, peers = await _pipe_recv(conn, timeout=lifetime)
     assert kind == "peers", f"unexpected bootstrap message {kind!r}"
-    for transport in node_transports.values():
-        transport.set_peers(peers)
-
-    transports: dict[int, Any] = dict(node_transports)
-    if delay_model is not None:
-        # Same hold-then-forward approximation as TcpCluster: each node
-        # imposes the shared schedule on its outgoing sends, seeded per pid.
-        transports = {
-            pid: FaultyTransport(
-                transport,
-                schedule=adapt_schedule(delay_model),
-                network=spec.config.network_config(),
-                schedule_seed=spec.config.seed + pid,
-                counters=counters,
-            )
-            for pid, transport in node_transports.items()
-        }
-
-    clock = MonotonicClock(origin=spec.clock_origin)
-    runtimes: dict[int, AsyncioRuntime] = {}
-    replicas: dict[int, Any] = {}
-    for pid, transport in transports.items():
-        runtime = AsyncioRuntime(
-            transport, clock=clock, trace=trace, seed=spec.config.seed + pid
-        )
-        metrics.attach_transport(transport)
-        ctx = RuntimeContext(runtime=runtime, trace=trace)
-        replicas[pid] = _make_replica(
-            pid, ctx, spec.config, protocol_config, pki, signing_keys, scheme,
-            metrics, corruption,
-        )
-        runtimes[pid] = runtime
-    for transport in transports.values():
-        await transport.start()
-    if counters is not None:
-        metrics.attach_fault_counters(counters)
-        for pid, runtime in runtimes.items():
-            track_downtime(runtime, {pid: replicas[pid]}, counters)
-
+    await shard.connect(peers)
     conn.send(("ready",))
-    kind, = await _pipe_recv(conn, spec.poll, timeout=spec.lifetime)
+    kind, = await _pipe_recv(conn, timeout=lifetime)
     assert kind == "go", f"unexpected bootstrap message {kind!r}"
-    _start_replicas(replicas, wall=True)
+    shard.go()
 
     # Serve the control channel until told to stop (or until the orphan
     # guard fires).  Replicas run entirely on loop timers and transport
     # tasks; this coroutine only answers status probes.
     loop = asyncio.get_running_loop()
-    deadline = loop.time() + spec.lifetime
+    deadline = loop.time() + lifetime
     stopping = False
     while not stopping and loop.time() < deadline:
-        await asyncio.sleep(spec.poll)
+        await asyncio.sleep(PIPE_POLL)
         try:
             while conn.poll():
                 message = conn.recv()
                 if message[0] == "status":
-                    conn.send(
-                        ("status", {pid: len(r.ledger) for pid, r in replicas.items()})
-                    )
+                    conn.send(("status", shard.commits()))
                 elif message[0] == "stop":
                     stopping = True
                     break
         except (EOFError, OSError):
             stopping = True  # coordinator went away: tear down and exit
 
-    for runtime in runtimes.values():
-        await runtime.stop()
-    teardown_errors: list[str] = []
-    frames_dropped = 0
-    for pid, transport in transports.items():
-        base = getattr(transport, "inner", transport)
-        frames_dropped += base.frames_dropped
-        teardown_errors.extend(f"node {pid}: {error}" for error in base.last_errors)
-    report = ShardReport(
-        pids=spec.pids,
-        metrics_state=metrics.state(),
-        ledger_ids={pid: tuple(r.ledger.block_ids) for pid, r in replicas.items()},
-        kv_digests={
-            pid: r.state_machine.digest()
-            for pid, r in replicas.items()
-            if r.state_machine is not None
-        },
-        kv_chains={
-            pid: r.state_machine.apply_chain
-            for pid, r in replicas.items()
-            if r.state_machine is not None
-        },
-        events_processed=sum(r.events_processed for r in runtimes.values()),
-        messages_sent=sum(t.messages_sent for t in transports.values()),
-        messages_delivered=sum(t.messages_delivered for t in transports.values()),
-        frames_dropped=frames_dropped,
-        teardown_errors=tuple(teardown_errors),
-    )
+    report = await shard.stop()
     try:
         conn.send(("result", report))
     except (BrokenPipeError, OSError):
         pass  # coordinator already gone; nothing left to report to
 
 
-def _shard_worker(spec: _ShardSpec, conn) -> None:
+def _shard_worker(spec: ShardSpec, conn) -> None:
     """Spawn target: run the shard, ship errors instead of dying silently."""
     try:
-        profile_dir = os.environ.get("REPRO_WORKER_PROFILE")
-        if profile_dir:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                asyncio.run(_shard_main(spec, conn))
-            finally:
-                profiler.disable()
-                profiler.dump_stats(
-                    os.path.join(profile_dir, f"worker-{os.getpid()}.prof")
-                )
-        else:
-            asyncio.run(_shard_main(spec, conn))
+        asyncio.run(_serve_shard(spec, conn))
     except Exception:  # noqa: BLE001 - crossing a process boundary
         try:
             conn.send(("error", traceback.format_exc()))
@@ -320,7 +146,7 @@ def _shard_worker(spec: _ShardSpec, conn) -> None:
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
-@dataclass
+@dataclasses.dataclass
 class _Worker:
     """Coordinator-side handle for one spawned shard."""
 
@@ -330,171 +156,137 @@ class _Worker:
     conn: Any
     alive: bool = True
     report: Optional[ShardReport] = None
-    commits: dict[int, int] = field(default_factory=dict)
+    commits: dict[int, int] = dataclasses.field(default_factory=dict)
+
+    def __str__(self) -> str:
+        return f"worker {self.index} (pids {self.pids})"
 
 
-class ProcessCluster:
-    """An n-replica cluster with one OS process per node (or shard).
+def partition(pids: Sequence[int], shards: int) -> list[list[int]]:
+    """Contiguous near-equal shards of ``pids``, every shard non-empty."""
+    base, extra = divmod(len(pids), shards)
+    out, cursor = [], 0
+    for index in range(shards):
+        size = base + (1 if index < extra else 0)
+        out.append(list(pids[cursor:cursor + size]))
+        cursor += size
+    return out
 
-    The multicore sibling of :class:`~repro.runner.live.TcpCluster`: the
-    public surface (``start`` / ``run`` / ``run_until_commits`` / ``stop``,
-    ``min_committed``, ``ledgers_are_consistent``, ``metrics``) mirrors it,
-    so benchmarks and examples switch placement with one constructor.  The
-    differences are inherent to the process boundary:
 
-    * ``metrics`` holds the *merged* cluster-wide collector only after
+class LiveCluster:
+    """An n-replica cluster on the wall clock, inline or one process per shard.
+
+    Build one with :func:`repro.runner.live.make_live_cluster`, which
+    validates the lane and documents the options.  Both placements expose
+    ``start`` / ``run`` / ``run_until_commits`` / ``stop`` /
+    ``min_committed`` / ``result`` and the safety queries; the differences
+    are inherent to the process boundary:
+
+    * inline, ``nodes`` / ``replicas`` / ``metrics`` / ``fault_counters``
+      are the live objects from :meth:`start` on, and the queries answer
+      at any time.  Under process placement ``nodes`` stays empty,
+      ``metrics`` holds the *merged* cluster-wide collector only after
       :meth:`stop` (during the run the parent sees ledger lengths, not
-      events);
-    * ``stop_when`` predicates receive the cluster and may consult
-      :meth:`min_committed`, which refreshes at the status-poll cadence;
-    * protocol traces (``config.record_trace``) stay inside the workers and
-      are discarded — cross-process trace merge is not supported.
+      events), and the queries need :meth:`stop` first;
+    * under process placement :meth:`min_committed` refreshes at the
+      status-poll cadence, and protocol traces (``config.record_trace``)
+      stay inside the workers and are discarded — cross-process trace merge
+      is not supported.
 
-    Parameters
-    ----------
-    config:
-        The scenario to run; ``n``, ``pacemaker``, ``delta``, ``seed``,
-        ``crypto_backend`` and a named ``scenario``/``delay_model`` are
-        honoured exactly as :class:`~repro.runner.live.TcpCluster` honours
-        them.  The ``counting`` crypto backend is rejected: its digests are
-        process-local interning tokens and cannot validate across nodes
-        that do not share a heap.
-    processes:
-        Number of worker processes; defaults to one per node.  Fewer
-        processes shard the nodes contiguously (``k`` nodes per worker) —
-        useful when ``n`` exceeds the core count.
-    codec:
-        Wire-codec *name* (``"binary"``/``"json"``); codec instances do not
-        cross the spawn boundary.
-    transport:
-        Inter-node fabric.  ``"tcp"`` (default) speaks length-prefixed
-        frames over localhost sockets; ``"shm"`` moves frames through
-        shared-memory SPSC rings (:class:`~repro.runtime.shm.ShmTransport`)
-        — no per-frame syscalls, no kernel copies — which is the faster
-        lane whenever the whole cluster shares a machine.  The parent
-        creates one segment per directed node pair before spawning and is
-        the only process that unlinks them.
-    ring_bytes:
-        Per-directed-pair ring capacity for ``transport="shm"`` (a frame
-        that outgrows the free space is dropped and counted, never blocked
-        on).
+    ``config.n``, ``pacemaker``, ``delta``, ``seed``, ``crypto_backend`` and
+    a named ``scenario``/``delay_model`` are honoured (``actual_delay`` is
+    real network latency now, so it is ignored).
     """
 
     def __init__(
         self,
         config: ScenarioConfig,
+        placement: str = "inline",
         host: str = "127.0.0.1",
-        codec: Optional[str] = None,
+        codec: Union[WireCodec, str, None] = None,
         processes: Optional[int] = None,
-        connect_timeout: float = 10.0,
-        coalesce_writes: bool = True,
-        status_interval: float = 0.05,
-        worker_poll: float = 0.02,
-        bootstrap_timeout: float = 120.0,
-        teardown_timeout: float = 30.0,
         transport: str = "tcp",
-        ring_bytes: int = DEFAULT_RING_BYTES,
+        teardown_timeout: float = 30.0,
     ) -> None:
-        if codec is not None and not isinstance(codec, str):
-            raise ConfigurationError(
-                "ProcessCluster takes a codec *name* (codec instances do not "
-                "survive the spawn pickle); pass \"binary\" or \"json\""
-            )
-        if config.crypto_backend == "counting":
-            raise ConfigurationError(
-                "the counting crypto backend interns digests per process and "
-                "cannot validate across OS processes; use \"hashing\" or "
-                "\"interned\" for process placement"
-            )
-        if processes is not None and processes < 1:
-            raise ConfigurationError(f"processes must be >= 1, got {processes}")
-        if transport not in ("tcp", "shm"):
-            raise ConfigurationError(
-                f"unknown transport {transport!r}; available: tcp, shm"
-            )
         self.config = config
-        self.transport = transport
-        self.ring_bytes = ring_bytes
-        self.host = host
-        self.codec = codec
+        self.placement = placement
         self.processes = min(processes, config.n) if processes is not None else config.n
-        self.connect_timeout = connect_timeout
-        self.coalesce_writes = coalesce_writes
-        self.status_interval = status_interval
-        self.worker_poll = worker_poll
-        self.bootstrap_timeout = bootstrap_timeout
         self.teardown_timeout = teardown_timeout
-        #: Merged cluster-wide metrics; populated by :meth:`stop`.
+        #: The spec of a shard holding every pid; workers get a slice of it.
+        self.spec = ShardSpec(
+            config=config, pids=tuple(range(config.n)), clock_origin=time.monotonic(),
+            host=host, codec=codec, transport=transport,
+        )
+        #: The cluster's timeline (every shard's clock shares its origin).
+        self.clock = MonotonicClock(origin=self.spec.clock_origin)
+        #: The inline shard's nodes by pid (empty under process placement).
+        self.nodes: dict[int, Node] = {}
+        #: Inline: the live collector.  Process: the merged cluster-wide
+        #: collector, populated by :meth:`stop`.
         self.metrics = MetricsCollector()
-        #: Committed block ids per pid, shipped back at :meth:`stop`.
+        #: Injected-fault totals of a chaotic inline cluster.
+        self.fault_counters: Optional[FaultCounters] = None
+        #: Committed block ids per pid, collected at :meth:`stop`.
         self.ledger_ids: dict[int, tuple[str, ...]] = {}
-        #: KV state digests / apply chains per pid, shipped back at
-        #: :meth:`stop` (empty when no client workload was configured).
-        self.kv_state_digests: dict[int, str] = {}
-        self.kv_apply_chains: dict[int, tuple[str, ...]] = {}
         #: Errors surfaced during teardown: transport ``last_errors`` from
         #: every node, plus coordinator-observed worker failures (crashes,
         #: missing reports, non-zero exit codes).
         self.teardown_errors: list[str] = []
-        #: Total frames lost to exhausted connect windows, cluster-wide.
+        #: Total frames lost to exhausted connect windows or full rings,
+        #: cluster-wide (collected at :meth:`stop`).
         self.frames_dropped = 0
-        #: Sum of every node runtime's ``events_processed``.
+        #: Sum of every node runtime's ``events_processed`` and the wire
+        #: totals across all nodes (collected at :meth:`stop`).
         self.events_processed = 0
-        #: Wire totals across all nodes (populated by :meth:`stop`).
         self.messages_sent = 0
         self.messages_delivered = 0
+        self._kv_digests: dict[int, str] = {}
+        self._kv_chains: dict[int, tuple[str, ...]] = {}
+        self._corruption = None  # resolved by the coordinator at start()
+        self._local: Optional[Shard] = None  # the inline shard
         self._workers: list[_Worker] = []
-        self._stack: Optional[tuple] = None
         self._segments: list = []  # parent-owned shm ring segments
-        self._shm_token: Optional[str] = None
         self._started = False
         self._stopped = False
         self._status_due = 0.0
-        self._status_outstanding = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the workers and run the address/ready/go bootstrap dance."""
+        """Bind servers, exchange addresses, build and start all replicas."""
         if self._started:
             return
-        from repro.runner.live import _build_protocol_stack
+        if self.placement == "inline":
+            shard = Shard(self.spec)
+            addresses, _ = await shard.bind()
+            await shard.connect(addresses)
+            self._local = shard
+            self.nodes = shard.nodes
+            self.metrics = shard.stack.metrics
+            self.fault_counters = shard.fault_counters
+            shard.go()
+        else:
+            # The coordinator holds no replicas, so it resolves the config
+            # (for summaries and the honest set) without minting any keys.
+            _, _, self._corruption = resolve_adversary(self.config)
+            await self._spawn_workers(self.spec.pids)
+        self._started = True
 
-        # Parent-side stack build: only protocol_config and the corruption
-        # plan are kept (for summaries); the parent mints keys it never uses.
-        self._stack = _build_protocol_stack(self.config)
-        protocol_config = self._stack[0]
-        pids = list(protocol_config.processor_ids)
-        shards = self._partition(pids, self.processes)
-        origin = time.monotonic()
-        lifetime = self.config.duration + WORKER_LIFETIME_MARGIN
+    async def _spawn_workers(self, pids: Sequence[int]) -> None:
+        """Spawn one worker per shard and run the address/ready/go dance."""
         ctx = multiprocessing.get_context("spawn")
-        if self.transport == "shm":
+        shm_token = None
+        if self.spec.transport == "shm":
             # The parent creates every directed-pair ring segment before the
             # first worker exists and remains their sole owner; workers only
             # attach by the deterministic names the token implies.
-            self._shm_token = uuid.uuid4().hex[:12]
-            self._segments = create_cluster_rings(
-                self._shm_token, pids, self.ring_bytes
-            )
+            shm_token = uuid.uuid4().hex[:12]
+            self._segments = create_cluster_rings(shm_token, pids, DEFAULT_RING_BYTES)
         try:
-            for index, shard in enumerate(shards):
+            for index, shard in enumerate(partition(pids, self.processes)):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
-                spec = _ShardSpec(
-                    config=self.config,
-                    pids=tuple(shard),
-                    host=self.host,
-                    codec=self.codec,
-                    clock_origin=origin,
-                    coalesce_writes=self.coalesce_writes,
-                    connect_timeout=self.connect_timeout,
-                    poll=self.worker_poll,
-                    lifetime=lifetime,
-                    transport=self.transport,
-                    shm_token=self._shm_token,
-                    ring_bytes=self.ring_bytes,
-                )
+                spec = dataclasses.replace(self.spec, pids=tuple(shard), shm_token=shm_token)
                 process = ctx.Process(
                     target=_shard_worker, args=(spec, child_conn), daemon=True,
                     name=f"repro-shard-{index}",
@@ -504,61 +296,65 @@ class ProcessCluster:
                 self._workers.append(
                     _Worker(index=index, pids=tuple(shard), process=process, conn=parent_conn)
                 )
-            addresses: dict[int, tuple[str, int]] = {}
-            fingerprints = []
-            for worker in self._workers:
-                message = await self._recv(worker, timeout=self.bootstrap_timeout)
-                if message is None or message[0] != "addresses":
-                    raise SimulationError(
-                        f"worker {worker.index} (pids {worker.pids}) failed during "
-                        f"bootstrap: {self._failure_reason(worker, message)}"
-                    )
-                addresses.update(message[1])
-                fingerprints.append(message[2])
-            if any(fp != fingerprints[0] for fp in fingerprints[1:]):
+            bound = [await self._expect(w, "addresses", "during bootstrap") for w in self._workers]
+            if any(message[2] != bound[0][2] for message in bound[1:]):
                 raise ConfigurationError(
                     "spawned workers derived different signing keys — the key "
                     "ceremony is no longer deterministic under a fresh "
                     "interpreter (did module import start minting keys?)"
                 )
+            addresses: dict[int, tuple[str, int]] = {}
+            for message in bound:
+                addresses.update(message[1])
             for worker in self._workers:
                 worker.conn.send(("peers", addresses))
             for worker in self._workers:
-                message = await self._recv(worker, timeout=self.bootstrap_timeout)
-                if message is None or message[0] != "ready":
-                    raise SimulationError(
-                        f"worker {worker.index} (pids {worker.pids}) failed before "
-                        f"start: {self._failure_reason(worker, message)}"
-                    )
+                await self._expect(worker, "ready", "before start")
             for worker in self._workers:
                 worker.conn.send(("go",))
         except Exception:
             self._terminate_all()
             self._release_segments()
             raise
-        self._started = True
+
+    async def _expect(self, worker: _Worker, kind: str, phase: str) -> tuple:
+        """The worker's next bootstrap message, which must be a ``kind``."""
+        message = await self._recv(worker, timeout=BOOTSTRAP_TIMEOUT)
+        if message is not None and message[0] == kind:
+            return message
+        if message is not None and message[0] == "error":
+            reason = f"worker raised:\n{message[1]}"
+        elif not worker.process.is_alive():
+            reason = f"process died (exit code {worker.process.exitcode})"
+        else:
+            reason = "bootstrap timed out"
+        raise SimulationError(f"{worker} failed {phase}: {reason}")
 
     async def run(
         self,
         duration: float,
-        stop_when: Optional[Callable[["ProcessCluster"], bool]] = None,
+        stop_when: Optional[Callable[["LiveCluster"], bool]] = None,
         poll: float = 0.02,
     ) -> None:
         """Run for ``duration`` wall seconds (or until ``stop_when(cluster)``).
 
-        The predicate is evaluated at the status-poll cadence against the
-        freshest per-node ledger lengths the workers reported.
+        Replicas run on loop timers and transport tasks; this coroutine only
+        waits.  Under process placement the predicate sees the freshest
+        per-node ledger lengths the workers reported.
         """
         await self.start()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + duration
-        while loop.time() < deadline:
-            await asyncio.sleep(min(poll, max(deadline - loop.time(), 0.0)))
+        while True:
             await self._refresh_status()
             if stop_when is not None and stop_when(self):
                 return
-            if not any(worker.alive for worker in self._workers):
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                return
+            if self._workers and not any(worker.alive for worker in self._workers):
                 return  # every worker died; nothing left to wait for
+            await asyncio.sleep(min(poll, remaining))
 
     async def run_until_commits(
         self, blocks: int, timeout: float, poll: float = 0.02
@@ -571,7 +367,7 @@ class ProcessCluster:
         return self.min_committed()
 
     async def stop(self) -> None:
-        """Stop every worker, collect reports, and merge the cluster result.
+        """Stop every shard and fold the reports into the result surface.
 
         Never hangs on a crashed worker: reports are awaited under
         ``teardown_timeout`` and stragglers are terminated, with the
@@ -581,120 +377,125 @@ class ProcessCluster:
         if self._stopped:
             return
         self._stopped = True
+        if self._local is not None:
+            reports = [await self._local.stop()]
+        else:
+            reports = await self._stop_workers()
+            # merge_metrics_states folds each shard's fault_counts snapshot
+            # (which includes its frames_dropped) into the merged collector.
+            self.metrics = merge_metrics_states([r.metrics_state for r in reports])
+        for report in reports:
+            self.ledger_ids.update(report.ledger_ids)
+            self._kv_digests.update(report.kv_digests)
+            self._kv_chains.update(report.kv_chains)
+            self.events_processed += report.events_processed
+            self.messages_sent += report.messages_sent
+            self.messages_delivered += report.messages_delivered
+            self.frames_dropped += report.frames_dropped
+            self.teardown_errors.extend(report.teardown_errors)
+
+    async def _stop_workers(self) -> list[ShardReport]:
         for worker in self._workers:
             if worker.alive:
                 try:
                     worker.conn.send(("stop",))
                 except (BrokenPipeError, OSError):
                     worker.alive = False
-        reports: list[ShardReport] = []
         for worker in self._workers:
-            report = await self._await_report(worker)
-            if report is not None:
-                reports.append(report)
-                worker.report = report
+            worker.report = await self._await_report(worker)
         for worker in self._workers:
             worker.process.join(timeout=self.teardown_timeout)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
-                self.teardown_errors.append(
-                    f"worker {worker.index} (pids {worker.pids}): did not exit; terminated"
-                )
+                self.teardown_errors.append(f"{worker}: did not exit; terminated")
             elif worker.report is None:
                 self.teardown_errors.append(
-                    f"worker {worker.index} (pids {worker.pids}): exited with code "
-                    f"{worker.process.exitcode} without reporting results"
+                    f"{worker}: exited with code {worker.process.exitcode} "
+                    "without reporting results"
                 )
             worker.conn.close()
         self._release_segments()
-        self._merge(reports)
+        return [worker.report for worker in self._workers if worker.report is not None]
 
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    def min_committed(self) -> int:
-        """Shortest known ledger across the cluster (status-poll freshness).
+    @property
+    def replicas(self) -> dict[int, Any]:
+        """All local replicas by pid (empty under process placement)."""
+        return self._local.replicas if self._local is not None else {}
 
-        Nodes whose worker died report their last known length; a cluster
-        that has not completed its first status round reports 0.
+    def min_committed(self) -> int:
+        """Shortest known ledger across the cluster.
+
+        Under process placement this has status-poll freshness: nodes whose
+        worker died report their last known length, and a cluster that has
+        not completed its first status round reports 0.
         """
-        commits = {}
-        for worker in self._workers:
-            commits.update(worker.commits)
+        if self._local is not None:
+            commits = self._local.commits()
+        else:
+            commits = {}
+            for worker in self._workers:
+                commits.update(worker.commits)
         if len(commits) < self.config.n:
             return 0
         return min(commits.values())
 
-    def ledgers_are_consistent(self) -> bool:
-        """Safety over the collected ledgers (available after :meth:`stop`)."""
-        if not self._stopped:
-            raise SimulationError(
-                "ledgers_are_consistent() needs the collected ledgers; call "
-                "stop() first (use min_committed() for live progress)"
-            )
-        return sequences_consistent(self.ledger_ids.values())
+    def result(self) -> RunResult:
+        """The run as a :class:`~repro.experiments.scenario.RunResult`.
 
-    def kv_consistent(self) -> bool:
-        """State-machine safety over the shipped apply chains (after :meth:`stop`).
-
-        Trivially true when no workload ran (nothing was shipped).
+        Inline it wraps the live replicas and is available from
+        :meth:`start` on; under process placement it wraps what the workers
+        shipped and needs :meth:`stop` first.
         """
-        if not self._stopped:
-            raise SimulationError("kv_consistent() needs the shipped chains; call stop() first")
-        from repro.statemachine.kvstore import apply_chains_consistent
-
-        return apply_chains_consistent(self.kv_apply_chains.values())
-
-    def kv_digests(self) -> dict[int, str]:
-        """Per-pid KV state digests (after :meth:`stop`); TcpCluster-compatible."""
-        if not self._stopped:
-            raise SimulationError("kv_digests() needs the shipped state; call stop() first")
-        return dict(self.kv_state_digests)
-
-    def kv_chains(self) -> dict[int, tuple[str, ...]]:
-        """Per-pid KV apply chains (after :meth:`stop`); TcpCluster-compatible."""
-        if not self._stopped:
-            raise SimulationError("kv_chains() needs the shipped state; call stop() first")
-        return dict(self.kv_apply_chains)
-
-    def result(self):
-        """The merged :class:`~repro.runner.live.LiveRunResult` (after :meth:`stop`)."""
-        if not self._stopped:
-            raise SimulationError("result() is available after stop()")
-        from repro.runner.live import LiveRunResult
-
-        assert self._stack is not None
-        protocol_config, _, corruption = self._stack[0], self._stack[1], self._stack[2]
-        return LiveRunResult(
+        if self._local is not None:
+            stack = self._local.stack
+            return RunResult(
+                config=self.config,
+                protocol_config=stack.protocol_config,
+                metrics=stack.metrics,
+                trace=stack.trace,
+                replicas=self.replicas,
+                corruption=stack.corruption,
+                crypto_backend=stack.crypto_backend,
+                events=sum(node.runtime.events_processed for node in self.nodes.values()),
+            )
+        if not self._stopped or self._corruption is None:
+            raise SimulationError(
+                "no result yet: an inline cluster has one from start() on, a "
+                "process cluster once stop() has collected the workers' "
+                "ledgers and KV state (use min_committed() for live progress)"
+            )
+        return RunResult(
             config=self.config,
-            protocol_config=protocol_config,
+            protocol_config=self.config.protocol_config(),
             metrics=self.metrics,
             trace=TraceRecorder(enabled=False),
             replicas={},
-            corruption=corruption,
-            runtime=None,
-            transport=None,
-            ledger_block_ids=dict(self.ledger_ids),
+            corruption=self._corruption,
+            ledger_ids=dict(self.ledger_ids),
+            shipped_kv_digests=dict(self._kv_digests),
+            shipped_kv_chains=dict(self._kv_chains),
             events=self.events_processed,
-            kv_digests=dict(self.kv_state_digests),
-            kv_chains=dict(self.kv_apply_chains),
         )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _partition(pids: Sequence[int], processes: int) -> list[list[int]]:
-        """Contiguous near-equal shards, every shard non-empty."""
-        base, extra = divmod(len(pids), processes)
-        shards, cursor = [], 0
-        for index in range(processes):
-            size = base + (1 if index < extra else 0)
-            shards.append(list(pids[cursor:cursor + size]))
-            cursor += size
-        return shards
+    def ledgers_are_consistent(self) -> bool:
+        """Safety: honest ledgers are pairwise prefix-consistent."""
+        return self.result().ledgers_are_consistent()
 
+    def kv_consistent(self) -> bool:
+        """State-machine safety: honest apply chains are prefix-consistent."""
+        return self.result().kv_consistent()
+
+    def kv_digests(self) -> dict[int, str]:
+        """Per-pid KV state digests (empty without a client workload)."""
+        return self.result().kv_digests()
+
+    # ------------------------------------------------------------------
+    # Coordinator internals
+    # ------------------------------------------------------------------
     async def _recv(self, worker: _Worker, timeout: float):
         """Next message from a worker, or ``None`` if it died/timed out."""
         loop = asyncio.get_running_loop()
@@ -714,21 +515,14 @@ class ProcessCluster:
                 return None
             if loop.time() >= deadline:
                 return None
-            await asyncio.sleep(self.worker_poll)
-
-    def _failure_reason(self, worker: _Worker, message) -> str:
-        if message is not None and message[0] == "error":
-            return f"worker raised:\n{message[1]}"
-        if not worker.process.is_alive():
-            return f"process died (exit code {worker.process.exitcode})"
-        return "bootstrap timed out"
+            await asyncio.sleep(PIPE_POLL)
 
     async def _refresh_status(self) -> None:
         """One status round across the alive workers, rate-limited."""
         loop = asyncio.get_running_loop()
-        if loop.time() < self._status_due:
+        if not self._workers or loop.time() < self._status_due:
             return
-        self._status_due = loop.time() + self.status_interval
+        self._status_due = loop.time() + STATUS_INTERVAL
         polled = []
         for worker in self._workers:
             if not worker.alive:
@@ -739,29 +533,23 @@ class ProcessCluster:
             except (BrokenPipeError, OSError):
                 worker.alive = False
                 self.teardown_errors.append(
-                    f"worker {worker.index} (pids {worker.pids}): control channel "
-                    f"broke mid-run (exit code {worker.process.exitcode})"
+                    f"{worker}: control channel broke mid-run "
+                    f"(exit code {worker.process.exitcode})"
                 )
         for worker in polled:
             # Workers answer within one of their poll cycles; a short wait
             # keeps a wedged worker from stalling the coordinator's run loop.
-            message = await self._recv(
-                worker, timeout=max(1.0, 10 * self.status_interval)
-            )
+            message = await self._recv(worker, timeout=1.0)
             if message is None:
                 if not worker.alive:
                     self.teardown_errors.append(
-                        f"worker {worker.index} (pids {worker.pids}): died mid-run "
-                        f"(exit code {worker.process.exitcode})"
+                        f"{worker}: died mid-run (exit code {worker.process.exitcode})"
                     )
-                continue
-            if message[0] == "status":
+            elif message[0] == "status":
                 worker.commits.update(message[1])
             elif message[0] == "error":
                 worker.alive = False
-                self.teardown_errors.append(
-                    f"worker {worker.index} (pids {worker.pids}): {message[1]}"
-                )
+                self.teardown_errors.append(f"{worker}: {message[1]}")
 
     async def _await_report(self, worker: _Worker) -> Optional[ShardReport]:
         """Wait for a worker's ``("result", ...)``, skipping stale replies."""
@@ -774,9 +562,7 @@ class ProcessCluster:
             if message[0] == "result":
                 return message[1]
             if message[0] == "error":
-                self.teardown_errors.append(
-                    f"worker {worker.index} (pids {worker.pids}): {message[1]}"
-                )
+                self.teardown_errors.append(f"{worker}: {message[1]}")
                 return None
             # stale status replies drain here
         return None
@@ -798,27 +584,11 @@ class ProcessCluster:
             destroy_cluster_rings(self._segments)
             self._segments = []
 
-    def _merge(self, reports: list[ShardReport]) -> None:
-        """Fold the shard reports into the cluster-wide result surface."""
-        self.metrics = merge_metrics_states([r.metrics_state for r in reports])
-        for report in reports:
-            self.ledger_ids.update(report.ledger_ids)
-            self.kv_state_digests.update(report.kv_digests)
-            self.kv_apply_chains.update(report.kv_chains)
-            self.events_processed += report.events_processed
-            self.messages_sent += report.messages_sent
-            self.messages_delivered += report.messages_delivered
-            self.frames_dropped += report.frames_dropped
-            self.teardown_errors.extend(report.teardown_errors)
-        # merge_metrics_states already folded each shard's fault_counts
-        # snapshot (which includes its frames_dropped) into the merged
-        # collector, so RunMetrics carries them without further wiring.
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "stopped" if self._stopped else ("running" if self._started else "new")
         return (
-            f"ProcessCluster(n={self.config.n}, processes={self.processes}, "
-            f"{state}, min_committed={self.min_committed()}, "
+            f"LiveCluster(n={self.config.n}, {self.placement}, {state}, "
+            f"min_committed={self.min_committed()}, "
             f"frames_dropped={self.frames_dropped}, "
             f"teardown_errors={len(self.teardown_errors)})"
         )

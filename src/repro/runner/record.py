@@ -1,7 +1,7 @@
 """The picklable outcome of one campaign cell.
 
-A :class:`RunRecord` is everything a campaign keeps from a finished
-:func:`~repro.experiments.scenario.run_scenario` call: the swept parameter
+A :class:`RunRecord` is everything a campaign keeps from a finished run
+(:meth:`RunRecord.from_result`, on any lane): the swept parameter
 values, the Table-1 :class:`~repro.metrics.summary.ComplexitySummary`, the
 derived :class:`~repro.metrics.summary.RunMetrics` time-series, and a few
 safety/accounting scalars.  It contains no live objects — no simulator,
@@ -38,13 +38,32 @@ class RunRecord:
     max_honest_view: int
     #: Safety check: honest ledgers pairwise prefix-consistent.
     ledgers_consistent: bool
-    #: Simulator events executed during the run.
+    #: Simulator (or live-runtime) events executed during the run.
     events_processed: int
-    #: Wall-clock seconds spent inside ``run_scenario``.  Cached records keep
+    #: Wall-clock seconds spent building and running the scenario.  Cached records keep
     #: the wall time of the execution that originally produced them.
     wall_time: float
     #: Whether this record was recovered from the result cache.
     cached: bool = False
+
+    @classmethod
+    def from_result(
+        cls, result: Any, run_id: str, key: str, params: dict[str, Any], wall_time: float
+    ) -> "RunRecord":
+        """Reduce a finished run on any lane (a
+        :class:`~repro.experiments.scenario.RunResult`) to its record."""
+        return cls(
+            run_id=run_id,
+            key=key,
+            params=params,
+            summary=result.summary(),
+            metrics=result.run_metrics(),
+            committed_blocks=result.committed_blocks(),
+            max_honest_view=result.max_honest_view(),
+            ledgers_consistent=result.ledgers_are_consistent(),
+            events_processed=result.events_processed,
+            wall_time=wall_time,
+        )
 
     @property
     def decisions(self) -> int:

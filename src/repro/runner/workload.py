@@ -347,10 +347,9 @@ _LOADS = {"open": OpenLoopLoad, "closed": ClosedLoopLoad}
 def attach_workload(replica, workload: WorkloadConfig) -> None:
     """Wire one replica for the client workload (no-op if ``workload`` is None).
 
-    Called from every builder that constructs replicas — ``build_scenario``
-    (sim), ``_make_replica`` (in-memory live, TCP, and the spawned workers
-    of a multi-process cluster) — so all four execution lanes run the same
-    client path.  Every replica gets the state machine; only the replicas
+    Called from :func:`repro.experiments.scenario.make_replica`, the one
+    place any lane constructs a replica, so all four execution lanes run
+    the same client path.  Every replica gets the state machine; only the replicas
     ``workload.client_pids`` selects also get a gateway and generator.
     """
     if workload is None:

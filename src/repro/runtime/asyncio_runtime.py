@@ -69,7 +69,7 @@ class MonotonicClock(Clock):
     one reading and hand it to every node *process* of a multi-process
     cluster — their clocks then agree the way a shared instance makes
     in-process nodes agree (see
-    :class:`~repro.runner.process_cluster.ProcessCluster`).
+    :class:`~repro.runner.process_cluster.LiveCluster`).
     """
 
     __slots__ = ("_origin",)

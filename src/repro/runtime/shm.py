@@ -1,6 +1,6 @@
 """``ShmTransport``: shared-memory message fabric for co-located node processes.
 
-A :class:`~repro.runner.process_cluster.ProcessCluster` with
+A process-placement :class:`~repro.runner.process_cluster.LiveCluster` with
 ``transport="tcp"`` pays localhost-TCP syscalls, length-prefix framing and
 at least two full buffer copies for every frame exchanged between processes
 that live on the *same machine*.  This module replaces that path with one
@@ -39,10 +39,10 @@ on the producer side, counted in :attr:`ShmTransport.frames_dropped` (the
 same counter the metrics layer folds into a run's fault counts for TCP) and
 surfaced once per peer in :attr:`ShmTransport.last_errors`.
 
-Lifecycle: the **parent** (``ProcessCluster``) creates every segment before
-spawning workers (:func:`create_cluster_rings`) and is the only process
-that ever unlinks them (:func:`destroy_cluster_rings`).  Workers attach by
-deterministic name (:func:`attach_ring`); spawned workers inherit the
+Lifecycle: the **parent** (the ``LiveCluster`` coordinator) creates every
+segment before spawning workers (:func:`create_cluster_rings`) and is the
+only process that ever unlinks them (:func:`destroy_cluster_rings`).  Workers
+attach by deterministic name (:func:`attach_ring`); spawned workers inherit the
 parent's :mod:`multiprocessing.resource_tracker` process, so attach-side
 registrations deduplicate against the parent's and the parent's ``unlink``
 retires them — workers must *not* unregister, which would yank the
@@ -79,15 +79,17 @@ DEFAULT_RING_BYTES = 256 * 1024
 #: Smallest accepted ring capacity; anything less cannot hold a burst.
 MIN_RING_BYTES = 4096
 
-_OFF_WRITE = 0  # producer-owned monotonic write index (8 bytes, LE)
-_OFF_READ = 64  # consumer-owned monotonic read index (8 bytes, LE)
+# The two indices are read by the *other* process while their owner updates
+# them, so each must change in one aligned 8-byte store and be read in one
+# load.  ``SpscRing._load`` / ``_store`` therefore go through a ``cast("Q")``
+# view of the header (CPython copies a whole word per item access) — never
+# ``struct.pack_into``, which zero-fills its destination before writing it,
+# letting a reader on another core see index 0, decode stale bytes and never
+# find a frame boundary again.
+_WORD_WRITE = 0  # producer-owned monotonic write index (header word 0)
+_WORD_READ = 8  # consumer-owned monotonic read index (byte offset 64)
 _OFF_SLEEP = 128  # consumer-sleeping flag (1 byte)
 
-# ``Struct.unpack_from``/``pack_into`` read and write the header words
-# without materialising a slice object per access — the header is touched
-# several times per frame on both sides, so the hot path stays
-# allocation-free.
-_U64 = struct.Struct("<Q")
 _PREFIX = struct.Struct(">I")
 assert _PREFIX.size == LENGTH_PREFIX_BYTES
 
@@ -120,28 +122,28 @@ class SpscRing:
 
     def __init__(self, buf: memoryview, capacity: int) -> None:
         self._buf = buf
+        self._words = buf[:RING_HEADER_BYTES].cast("Q")
         self._data = buf[RING_HEADER_BYTES : RING_HEADER_BYTES + capacity]
         self.capacity = capacity
-        self._w = self._load(_OFF_WRITE)
-        self._r = self._load(_OFF_READ)
+        self._w = self._load(_WORD_WRITE)
+        self._r = self._load(_WORD_READ)
         #: Frames refused by :meth:`try_push` because the ring was full.
         self.dropped = 0
         self._pending = 0  # total bytes of the last peeked frame
 
     # ------------------------------------------------------------------
-    # Header accessors
+    # Header accessors: the only code that touches the shared indices
     # ------------------------------------------------------------------
-    def _load(self, offset: int) -> int:
-        return _U64.unpack_from(self._buf, offset)[0]
+    def _load(self, word: int) -> int:
+        return self._words[word]
 
-    def _store(self, offset: int, value: int) -> None:
-        _U64.pack_into(self._buf, offset, value)
+    def _store(self, word: int, value: int) -> None:
+        self._words[word] = value
 
     @property
     def unread_bytes(self) -> int:
         """Bytes written but not yet consumed (either side may ask)."""
-        buf = self._buf
-        return _U64.unpack_from(buf, _OFF_WRITE)[0] - _U64.unpack_from(buf, _OFF_READ)[0]
+        return self._load(_WORD_WRITE) - self._load(_WORD_READ)
 
     # ------------------------------------------------------------------
     # Producer side
@@ -156,7 +158,7 @@ class SpscRing:
         n = len(frame)
         w = self._w
         cap = self.capacity
-        if n > cap - (w - _U64.unpack_from(self._buf, _OFF_READ)[0]):
+        if n > cap - (w - self._load(_WORD_READ)):
             self.dropped += 1
             return False
         pos = w % cap
@@ -170,7 +172,7 @@ class SpscRing:
         # Data is in place before the index store publishes it (x86-64
         # preserves store order; CPython executes these sequentially).
         self._w = w + n
-        _U64.pack_into(self._buf, _OFF_WRITE, self._w)
+        self._store(_WORD_WRITE, self._w)
         return True
 
     def consumer_sleeping(self) -> bool:
@@ -190,7 +192,7 @@ class SpscRing:
         ``bytes`` from its two slices.
         """
         r = self._r
-        if _U64.unpack_from(self._buf, _OFF_WRITE)[0] == r:
+        if self._load(_WORD_WRITE) == r:
             return None
         cap = self.capacity
         data = self._data
@@ -214,7 +216,7 @@ class SpscRing:
         """Advance past the frame returned by the last :meth:`peek`."""
         self._r += self._pending
         self._pending = 0
-        _U64.pack_into(self._buf, _OFF_READ, self._r)
+        self._store(_WORD_READ, self._r)
 
     def set_sleeping(self, flag: bool) -> None:
         """Publish (or retract) the consumer's about-to-sleep advertisement."""
@@ -223,6 +225,7 @@ class SpscRing:
     def detach(self) -> None:
         """Release this ring's views so the segment can be closed."""
         self._data.release()
+        self._words.release()
         self._buf.release()
 
 
@@ -299,7 +302,7 @@ class ShmTransport(Transport):
     same ``frames_dropped``/``last_errors`` accounting — so
     :class:`~repro.runtime.chaos.FaultyTransport` and the metrics layer
     wrap it unchanged.  Only meaningful under a wall clock (it is built for
-    :class:`~repro.runner.process_cluster.ProcessCluster` workers).
+    :class:`~repro.runner.process_cluster.LiveCluster` workers).
 
     Parameters
     ----------

@@ -18,7 +18,7 @@ Frames are ``4-byte big-endian length || JSON body`` (see
 first (:meth:`TcpTransport.start_server`), read the bound
 :attr:`TcpTransport.address`, then exchange the address map via
 :meth:`TcpTransport.set_peers` — ``examples/live_cluster.py`` and
-:class:`~repro.runner.live.TcpCluster` do exactly this dance.
+:class:`~repro.runner.process_cluster.Shard` do exactly this dance.
 """
 
 from __future__ import annotations

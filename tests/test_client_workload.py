@@ -125,7 +125,7 @@ def test_sim_matches_zero_jitter_live_with_workload():
     sim = run_scenario(config)
     live = run_live_scenario(config)  # zero jitter, virtual clock
     assert _ledgers(sim.replicas) == _ledgers(live.replicas)
-    assert kv_state_digests(sim.replicas.values()) == live.kv_state_digests()
+    assert kv_state_digests(sim.replicas.values()) == live.kv_digests()
     assert sim.metrics.requests_applied == live.metrics.requests_applied == 800
     assert live.kv_consistent()
 
@@ -183,6 +183,6 @@ def test_exactly_once_under_churn_and_drops():
     clean = run_scenario(clean_config)
     assert clean.metrics.requests_applied == submitted
     clean_digests = set(kv_state_digests(clean.replicas.values()).values())
-    chaotic_digests = set(chaotic.kv_state_digests().values())
+    chaotic_digests = set(chaotic.kv_digests().values())
     assert clean_digests == chaotic_digests
     assert len(clean_digests) == 1

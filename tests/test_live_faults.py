@@ -19,7 +19,7 @@ import pytest
 
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.faults.library import available_scenarios
-from repro.runner import Campaign, Sweep, TcpCluster, run_live_scenario
+from repro.runner import Campaign, Sweep, make_live_cluster, run_live_scenario
 from repro.runtime.chaos import BASE_FAULT_COUNTS
 
 ALL_SCENARIOS = tuple(available_scenarios())
@@ -154,7 +154,7 @@ def test_every_scenario_runs_under_the_live_campaign_backend(tmp_path):
 @pytest.mark.parametrize("name", ["split_brain_at_gst", "crash_churn"])
 def test_tcp_cluster_runs_chaotic_scenarios(name):
     async def run():
-        cluster = TcpCluster(
+        cluster = make_live_cluster(
             _config(
                 name, 0, delta=0.3, gst=2.0, duration=20.0,
                 scenario_params={

@@ -21,7 +21,7 @@ from repro.runner import (
     Campaign,
     LiveExecutor,
     Sweep,
-    TcpCluster,
+    make_live_cluster,
     run_live_scenario,
 )
 from repro.runtime import MonotonicClock
@@ -199,7 +199,7 @@ def test_live_campaign_backend_and_cache_salting(tmp_path):
 # ----------------------------------------------------------------------
 def test_tcp_cluster_smoke():
     async def scenario():
-        cluster = TcpCluster(
+        cluster = make_live_cluster(
             ScenarioConfig(
                 n=4, pacemaker="lumiere", delta=0.2, duration=25.0,
                 seed=0, record_trace=False,

@@ -17,7 +17,8 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
-from repro.runner import ProcessCluster, TcpCluster, make_live_cluster
+from repro.runner import make_live_cluster
+from repro.runner.process_cluster import partition
 from repro.runtime import default_binary_codec
 
 
@@ -93,7 +94,7 @@ def test_process_cluster_survives_worker_crash():
     config = _config(n=4, delta=0.3)
 
     async def run():
-        cluster = ProcessCluster(config, teardown_timeout=10.0)
+        cluster = make_live_cluster(config, placement="process", teardown_timeout=10.0)
         try:
             await asyncio.wait_for(
                 cluster.run_until_commits(3, timeout=30.0), timeout=40.0
@@ -121,17 +122,17 @@ def test_process_cluster_survives_worker_crash():
 # ----------------------------------------------------------------------
 def test_counting_backend_is_rejected():
     with pytest.raises(ConfigurationError, match="counting"):
-        ProcessCluster(_config(crypto_backend="counting"))
+        make_live_cluster(_config(crypto_backend="counting"), placement="process")
 
 
 def test_codec_instances_are_rejected():
     with pytest.raises(ConfigurationError, match="codec"):
-        ProcessCluster(_config(), codec=default_binary_codec())
+        make_live_cluster(_config(), placement="process", codec=default_binary_codec())
 
 
 def test_invalid_process_counts_are_rejected():
     with pytest.raises(ConfigurationError, match="processes"):
-        ProcessCluster(_config(), processes=0)
+        make_live_cluster(_config(), placement="process", processes=0)
 
 
 def test_inline_placement_rejects_processes_knob():
@@ -145,7 +146,7 @@ def test_unknown_placement_is_rejected():
 
 
 def test_result_requires_stop_first():
-    cluster = ProcessCluster(_config())
+    cluster = make_live_cluster(_config(), placement="process")
     with pytest.raises(SimulationError):
         cluster.result()
     with pytest.raises(SimulationError):
@@ -153,9 +154,9 @@ def test_result_requires_stop_first():
 
 
 def test_shard_partition_is_contiguous_and_exact():
-    assert ProcessCluster._partition(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
-    assert ProcessCluster._partition(list(range(4)), 4) == [[0], [1], [2], [3]]
-    assert ProcessCluster._partition(list(range(5)), 1) == [[0, 1, 2, 3, 4]]
+    assert partition(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
+    assert partition(list(range(4)), 4) == [[0], [1], [2], [3]]
+    assert partition(list(range(5)), 1) == [[0, 1, 2, 3, 4]]
 
 
 # ----------------------------------------------------------------------

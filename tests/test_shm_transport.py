@@ -22,6 +22,8 @@ this file in full.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import time
 import uuid
 
 import pytest
@@ -184,6 +186,132 @@ class TestSegmentLifecycle:
 
         with pytest.raises(ConfigurationError):
             transport.register(Proc())
+
+
+# ----------------------------------------------------------------------
+# Two OS processes, one ring: the indices must never be seen half-written
+# ----------------------------------------------------------------------
+_PROBE_CAPACITY = 1 << 20
+#: Multi-byte starting value and stride, so a torn or zero-filled store of
+#: the index shows up as 0 or as a value that went backwards.
+_INDEX_BASE = 1 << 40
+_INDEX_STRIDE = 0x0101010101
+
+
+def _publish_indices(name: str, seconds: float) -> None:
+    """Child: publish a strictly increasing write index, as fast as it can."""
+    segment = attach_ring(name)
+    ring = SpscRing(segment.buf, _PROBE_CAPACITY)
+    value = _INDEX_BASE
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        for _ in range(1000):
+            value += _INDEX_STRIDE
+            ring._store(0, value)
+    ring.detach()
+    segment.close()
+
+
+def _stream_body(seq: int) -> bytes:
+    return seq.to_bytes(4, "big") * (256 + seq % 256)  # 1-2 KiB
+
+
+def _push_stream(name: str, frames: int, conn) -> None:
+    """Child: push ``frames`` numbered frames, report refused pushes."""
+    segment = attach_ring(name)
+    ring = SpscRing(segment.buf, _PROBE_CAPACITY)
+    for seq in range(frames):
+        ring.try_push(_frame(_stream_body(seq)))
+    conn.send(ring.dropped)
+    ring.detach()
+    segment.close()
+
+
+@pytest.mark.tcp
+class TestRingAcrossProcesses:
+    def _segment(self):
+        from multiprocessing.shared_memory import SharedMemory
+
+        return SharedMemory(
+            name=f"repro-{_token()}", create=True,
+            size=RING_HEADER_BYTES + _PROBE_CAPACITY,
+        )
+
+    def test_published_index_is_never_seen_zero_or_torn(self):
+        """The reader of an index never sees 0 or a value that went back.
+
+        ``struct.pack_into`` zero-fills its destination before writing, so
+        an index published with it reads as 0 on another core a fifth of
+        the time; the ring's ``_store``/``_load`` move the whole word.
+        """
+        segment = self._segment()
+        ring = SpscRing(segment.buf, _PROBE_CAPACITY)
+        ring._store(0, _INDEX_BASE)
+        ctx = multiprocessing.get_context("spawn")
+        child = ctx.Process(target=_publish_indices, args=(segment.name, 2.0))
+        child.start()
+        reads = zeros = backwards = 0
+        last = _INDEX_BASE
+        try:
+            while child.is_alive():
+                for _ in range(1000):
+                    seen = ring._load(0)
+                    reads += 1
+                    if seen == 0:
+                        zeros += 1
+                    elif seen < last:
+                        backwards += 1
+                    else:
+                        last = seen
+            child.join(timeout=5.0)
+        finally:
+            if child.is_alive():
+                child.kill()
+            ring.detach()
+            destroy_cluster_rings([segment])
+        assert child.exitcode == 0
+        assert last > _INDEX_BASE, "the publisher never ran alongside the reader"
+        assert (zeros, backwards) == (0, 0), f"{zeros} zero and {backwards} stale of {reads} reads"
+
+    def test_frame_stream_decodes_cleanly_with_no_spurious_full(self):
+        """A numbered stream between two processes arrives intact.
+
+        The stream is smaller than the ring, so a refused push can only
+        come from a misread read index; the indices start beyond one lap
+        of the ring, so a misread write index could not pass for empty.
+        """
+        frames = 400
+        segment = self._segment()
+        ring = SpscRing(segment.buf, _PROBE_CAPACITY)
+        filler = _frame(b"\0" * 4092)
+        for _ in range(2 * _PROBE_CAPACITY // len(filler)):
+            assert ring.try_push(filler)
+            ring.peek()
+            ring.consume()
+        ctx = multiprocessing.get_context("spawn")
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_push_stream, args=(segment.name, frames, child_conn))
+        child.start()
+        received = 0
+        deadline = time.monotonic() + 8.0
+        try:
+            while received < frames and time.monotonic() < deadline:
+                body = ring.peek()
+                if body is None:
+                    continue
+                assert bytes(body) == _stream_body(received), f"frame {received} is garbled"
+                body = None  # release the memoryview before consume
+                ring.consume()
+                received += 1
+            dropped = parent_conn.recv() if parent_conn.poll(5.0) else None
+            child.join(timeout=5.0)
+        finally:
+            if child.is_alive():
+                child.kill()
+            ring.detach()
+            destroy_cluster_rings([segment])
+        assert received == frames
+        assert dropped == 0, f"{dropped} pushes refused on a ring that was never full"
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,12 @@ Two tiers, one report (``BENCH_throughput.json`` at the repository root):
   (p50/p99).  Request latency is end-to-end: client submission at the
   gateway to state-machine application on the submitting replica.
 
+* **Run length** (process + shm, wall clock).  One n=4 cluster in one
+  worker process over shared-memory rings at 2000 req/s for 25 s (8 s with
+  ``--quick``): committed blocks per second, request p50 and the worker's
+  resident set over the first and the last fifth of the run.  A view must
+  cost and keep the same at second 25 as at second 5.
+
 Correctness gates (``--check``; non-zero exit if any fails):
 
 * every parity cell's sim and live runs agree byte-for-byte (ledgers,
@@ -29,6 +35,9 @@ Correctness gates (``--check``; non-zero exit if any fails):
   the exact KV state digest across replicas (trailing synthetic-filler
   blocks never touch the store, so ragged shutdown lengths don't excuse
   digest divergence);
+* the run-length row's late/early blocks-per-second ratio is at least
+  0.85 and its worker grew by at most 2 KB resident per block per replica
+  between the two slices, net of 160 B per applied request per replica;
 * the committed ``--output`` JSON (if present) was generated by the
   current repro version (``--check-output-version`` runs only this).
 
@@ -37,6 +46,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_throughput.py          # full matrix
     PYTHONPATH=src python benchmarks/bench_throughput.py --quick  # CI smoke
     PYTHONPATH=src python benchmarks/bench_throughput.py --quick --check
+    PYTHONPATH=src python benchmarks/bench_throughput.py --quick --check --run-length-only
 """
 
 from __future__ import annotations
@@ -44,10 +54,12 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import multiprocessing
 import os
 import platform
 import sys
 import time
+from bisect import bisect_left
 from pathlib import Path
 from typing import Optional
 
@@ -187,13 +199,143 @@ async def _run_matrix_cell(
     }
 
 
+# ----------------------------------------------------------------------
+# Run length: the same cluster early and late in one run
+# ----------------------------------------------------------------------
+_PAGE_BYTES = os.sysconf("SC_PAGE_SIZE")
+#: The two run-length gates: blocks per second over the last fifth of the run
+#: against the first fifth's, and resident bytes the worker may grow by per
+#: block per replica in between (block, ledger entry, metrics rows), net of
+#: what the requests themselves leave.
+MIN_LATE_OVER_EARLY = 0.85
+MAX_BYTES_PER_BLOCK = 2048
+#: Resident bytes one applied request leaves per replica (its command in each
+#: ledger, its request rows).  Requests arrive at a fixed rate, so a slow host
+#: that commits a third of the blocks charges each with three times the
+#: requests: 1644 B per block at 800 blocks/s, 2404 B at 250 blocks/s, which
+#: solve to 1.2 KB per block and this much per request.  Net of it the row
+#: reads 1.2-1.3 KB at either speed, and 2.4-2.5 KB with the floor disabled.
+REQUEST_BYTES = 160
+
+
+def _worker_rss_bytes() -> int:
+    """Resident bytes of the live worker processes, from ``/proc``."""
+    total = 0
+    for child in multiprocessing.active_children():
+        try:
+            with open(f"/proc/{child.pid}/statm", "rb") as handle:
+                total += int(handle.read().split()[1]) * _PAGE_BYTES
+        except (OSError, IndexError, ValueError):
+            continue  # exited between listing and reading
+    return total
+
+
+def _slice_numbers(metrics, per_pid_commits: list[list[float]], lo: float, hi: float) -> dict:
+    """Blocks every replica committed in ``[lo, hi)`` and the request p50 there."""
+    latencies = sorted(
+        metrics.request_latencies(after=lo)[: metrics.requests_applied_between(lo, hi)]
+    )
+    blocks = min(bisect_left(times, hi) - bisect_left(times, lo) for times in per_pid_commits)
+    return {
+        "blocks": blocks,
+        "blocks_per_sec": round(blocks / (hi - lo), 1),
+        "request_latency_p50": round(_percentile(latencies, 0.50), 5) if latencies else None,
+    }
+
+
+async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
+    n = 4
+    workload = WorkloadConfig(
+        mode="open", rate=500.0, clients=4, forward_batch=8, forward_deadline=0.02,
+        retry_interval=2.0, stop=window,
+    )
+    config = ScenarioConfig(
+        n=n, pacemaker="lumiere", delta=delta, actual_delay=0.02,
+        duration=window + 30.0, seed=seed, record_trace=False, workload=workload,
+    )
+    cluster = make_live_cluster(
+        config, placement="process", processes=1, transport="shm", codec="binary"
+    )
+    samples: list[tuple[float, int]] = []  # (cluster-clock seconds, worker RSS)
+
+    async def sample_rss() -> None:
+        while True:
+            samples.append((cluster.clock.now, _worker_rss_bytes()))
+            await asyncio.sleep(0.1)
+
+    try:
+        await cluster.start()
+        sampler = asyncio.create_task(sample_rss())
+        try:
+            await cluster.run(window + 1.0)
+        finally:
+            sampler.cancel()
+    finally:
+        await cluster.stop()
+    metrics = cluster.metrics
+    started = min(entries[0][0] for entries in metrics.view_entries.values() if entries)
+    per_pid: dict[int, list[float]] = {pid: [] for pid in metrics.view_entries}
+    for commit in metrics.commits:
+        per_pid[commit.pid].append(commit.time)
+    commits = list(per_pid.values())
+    fifth = window / 5.0
+    early = _slice_numbers(metrics, commits, started, started + fifth)
+    late = _slice_numbers(metrics, commits, started + window - fifth, started + window)
+
+    def rss_at(when: float) -> int:
+        return max((rss for at, rss in samples if at <= when), default=0)
+
+    early["worker_rss_mb"] = round(rss_at(started + fifth) / 1e6, 1)
+    late["worker_rss_mb"] = round(rss_at(started + window) / 1e6, 1)
+    between = _slice_numbers(metrics, commits, started + fifth, started + window)["blocks"]
+    requests = metrics.requests_applied_between(started + fifth, started + window)
+    grown = rss_at(started + window) - rss_at(started + fifth)
+    return {
+        "n": n,
+        "lane": "process+shm, one worker",
+        "offered_total": workload.rate * n,
+        "window": window,
+        "early": early,
+        "late": late,
+        "late_over_early_blocks_per_sec": round(
+            late["blocks_per_sec"] / early["blocks_per_sec"], 3
+        ) if early["blocks_per_sec"] else None,
+        "blocks_between_slices": between,
+        "requests_between_slices": requests,
+        "rss_bytes_per_block_per_replica": round(grown / (between * n), 1) if between else None,
+        "rss_bytes_per_block_per_replica_net_of_requests": round(
+            (grown / n - REQUEST_BYTES * requests) / between, 1
+        ) if between else None,
+        "requests_submitted": metrics.requests_submitted,
+        "requests_applied": metrics.requests_applied,
+        "ledgers_consistent": cluster.ledgers_are_consistent(),
+        "teardown_errors": [e for e in cluster.teardown_errors if "ring full" not in e],
+    }
+
+
 def run_report(args: argparse.Namespace) -> dict:
     parity_ns = PARITY_NS_QUICK if args.quick else PARITY_NS_FULL
     ns = QUICK_NS if args.quick else FULL_NS
     rates = QUICK_RATES if args.quick else FULL_RATES
     window = args.window or (6.0 if args.quick else 10.0)
+    run_length_window = 8.0 if args.quick else 25.0
 
-    parity = []
+    print(f"[bench] run length: n=4 process+shm, {run_length_window:.0f}s at 2000 req/s ...",
+          flush=True)
+    run_length = asyncio.run(_run_length_cell(run_length_window, args.delta, args.seed))
+    print(
+        f"[bench] run length: blocks/s {run_length['early']['blocks_per_sec']} -> "
+        f"{run_length['late']['blocks_per_sec']}, req p50 "
+        f"{run_length['early']['request_latency_p50']} -> "
+        f"{run_length['late']['request_latency_p50']}, worker RSS "
+        f"{run_length['early']['worker_rss_mb']} -> {run_length['late']['worker_rss_mb']} MB "
+        f"({run_length['rss_bytes_per_block_per_replica']} B/block/replica, "
+        f"{run_length['rss_bytes_per_block_per_replica_net_of_requests']} net of requests)",
+        flush=True,
+    )
+    parity, cells = [], []
+    if args.run_length_only:
+        parity_ns = ns = ()
     for n in parity_ns:
         print(f"[bench] parity n={n}: sim vs zero-jitter live ...", flush=True)
         cell = run_parity_cell(n, args.seed)
@@ -205,7 +347,6 @@ def run_report(args: argparse.Namespace) -> dict:
             flush=True,
         )
 
-    cells = []
     for n in ns:
         for rate in rates:
             for placement in args.placements:
@@ -228,6 +369,7 @@ def run_report(args: argparse.Namespace) -> dict:
         "generated_by": "benchmarks/bench_throughput.py",
         "version": __version__,
         "mode": "quick" if args.quick else "full",
+        "run_length_only": args.run_length_only,
         "host": {
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
@@ -244,6 +386,7 @@ def run_report(args: argparse.Namespace) -> dict:
         },
         "parity": parity,
         "cells": cells,
+        "run_length": run_length,
     }
 
 
@@ -280,6 +423,21 @@ def check(report: dict, args: argparse.Namespace) -> list[str]:
             failures.append(
                 f"{name}: all requests applied but replica KV digests differ"
             )
+    row = report["run_length"]
+    if not row["ledgers_consistent"] or row["teardown_errors"]:
+        failures.append(f"run length: unsafe or unclean run ({row['teardown_errors']})")
+    ratio = row["late_over_early_blocks_per_sec"]
+    if ratio is None or ratio < MIN_LATE_OVER_EARLY:
+        failures.append(
+            f"run length: late/early blocks per second {ratio} (gate {MIN_LATE_OVER_EARLY}): "
+            "a view got dearer as the run got longer"
+        )
+    growth = row["rss_bytes_per_block_per_replica_net_of_requests"]
+    if growth is None or growth > MAX_BYTES_PER_BLOCK:
+        failures.append(
+            f"run length: worker grew {growth} B per block per replica net of "
+            f"requests (gate {MAX_BYTES_PER_BLOCK})"
+        )
     return failures
 
 
@@ -316,6 +474,8 @@ def main() -> int:
                         help="apply the correctness gates and exit non-zero on failure")
     parser.add_argument("--min-completion", type=float, default=1.0,
                         help="required applied/submitted fraction per cell (default 1.0)")
+    parser.add_argument("--run-length-only", action="store_true",
+                        help="run and gate only the run-length row")
     parser.add_argument("--check-output-version", action="store_true",
                         help="only check that the committed --output JSON was "
                              "generated by this version (no cells run), then exit")

@@ -31,7 +31,7 @@ from repro.consensus.messages import (
     QCAnnounce,
     Vote,
 )
-from repro.consensus.quorum import QuorumCertificate, VoteAggregator
+from repro.consensus.quorum import QuorumCertificate, VoteAggregator, release_below
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking only
     from repro.consensus.replica import Replica
@@ -55,6 +55,9 @@ class ConsensusEngine(ABC):
     def on_message(self, msg: ConsensusMessage, sender: int) -> None:
         """Handle a consensus-layer message."""
 
+    def release_below(self, floor: int) -> None:
+        """The replica's committed-view floor rose: free per-view state below it."""
+
 
 class ChainedHotStuff(ConsensusEngine):
     """Chained HotStuff with NewView status messages and a 3-chain commit rule."""
@@ -71,6 +74,9 @@ class ChainedHotStuff(ConsensusEngine):
         self._proposed_views: set[int] = set()
         self._announced_qcs: set[int] = set()
         self._learned_qcs: set[tuple[int, str]] = set()
+        # Bit v: the QC of view v, now below the floor, was learned (a view
+        # has one QC: two would share an honest voter).
+        self._learned_below = 0
         self._voted_views: set[int] = set()
         # Exact-type dispatch table for on_message; subclasses of the four
         # wire messages are resolved (and cached) on first sight.
@@ -113,6 +119,26 @@ class ChainedHotStuff(ConsensusEngine):
             proposal, sender = pending
             self._handle_proposal(proposal, sender)
 
+    def release_below(self, floor: int) -> None:
+        """Free everything keyed by a view below ``floor``: the handlers
+        return on its messages first, and an orphan down there is off the
+        committed chain.  Learned-QC marks shrink to a bit each: a cut-off
+        replica first sees QC(v) after committing past v, and that counts."""
+        release_below(
+            floor, self._pending_proposals, self._new_view_qcs,
+            self._proposed_views, self._announced_qcs, self._voted_views,
+        )
+        for view, _ in self._learned_qcs:
+            if view < floor:
+                self._learned_below |= 1 << view
+        release_below((floor,), self._learned_qcs)
+        self.aggregator.release_below(floor)
+        self._orphans = {
+            parent_id: kept
+            for parent_id, blocks in self._orphans.items()
+            if (kept := [block for block in blocks if block.view >= floor])
+        }
+
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
@@ -154,6 +180,8 @@ class ChainedHotStuff(ConsensusEngine):
             return
         if msg.high_qc is not None:
             self._learn_qc(msg.high_qc, block=None)
+        if msg.view < self.replica.floor:
+            return
         self._new_view_qcs.setdefault(msg.view, {})[sender] = msg.high_qc
         self._maybe_propose(msg.view)
 
@@ -298,7 +326,7 @@ class ChainedHotStuff(ConsensusEngine):
 
     def _handle_vote(self, msg: Vote, sender: int) -> None:
         replica = self.replica
-        if replica.leader_of(msg.view) != replica.pid:
+        if replica.leader_of(msg.view) != replica.pid or msg.view < replica.floor:
             return
         qc = self.aggregator.add_vote(msg.view, msg.block_id, msg.partial)
         if qc is not None:
@@ -334,7 +362,8 @@ class ChainedHotStuff(ConsensusEngine):
         if block.block_id in self.tree:
             return
         if block.parent_id not in self.tree and block.parent_id != GENESIS_ID:
-            self._orphans.setdefault(block.parent_id, []).append(block)
+            if block.view >= self.replica.floor:
+                self._orphans.setdefault(block.parent_id, []).append(block)
             return
         self.tree.add(block)
         self._adopt_orphans(block.block_id)
@@ -348,7 +377,7 @@ class ChainedHotStuff(ConsensusEngine):
 
     def _learn_qc(self, qc: QuorumCertificate, block: Optional[Block]) -> None:
         key = (qc.view, qc.block_id)
-        if key in self._learned_qcs:
+        if key in self._learned_qcs or (qc.view >= 0 and self._learned_below >> qc.view & 1):
             return
         if not self.replica.scheme.verify(qc.aggregate, qc.message()):
             return

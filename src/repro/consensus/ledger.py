@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.consensus.blocks import Block
+from repro.crypto.backend import PackedDigests
 from repro.errors import SafetyViolation
 
 
@@ -43,27 +44,29 @@ class Ledger:
         self._entries.append(CommittedEntry(block=block, commit_time=time))
         self._committed_ids.add(block.block_id)
 
-    @property
-    def entries(self) -> Sequence[CommittedEntry]:
-        """All committed entries in commit order."""
-        return tuple(self._entries)
-
-    @property
-    def blocks(self) -> list[Block]:
-        """All committed blocks in commit order."""
-        return [entry.block for entry in self._entries]
-
-    @property
-    def block_ids(self) -> list[str]:
-        """Committed block ids in commit order."""
-        return [entry.block.block_id for entry in self._entries]
-
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __getitem__(self, index: int) -> CommittedEntry:
+        """The ``index``-th committed entry — the non-copying read the commit
+        path uses (``ReplicatedKV.catch_up`` walks on from its cursor)."""
+        return self._entries[index]
+
+    @property
+    def entries(self) -> Sequence[CommittedEntry]:
+        """All committed entries in commit order (O(len) snapshot, not for
+        hot paths: index the ledger instead)."""
+        return tuple(self._entries)
+
+    @property
+    def block_ids(self) -> list[str]:
+        """Committed block ids in commit order (O(len) snapshot, not for hot paths)."""
+        return [entry.block.block_id for entry in self._entries]
+
     @property
     def commands(self) -> list:
-        """Flattened committed command sequence.
+        """Flattened committed command sequence (O(len) snapshot that decodes
+        every batch — not for hot paths).
 
         Client batches are expanded into their decoded
         :class:`~repro.statemachine.commands.Command` tuples; synthetic
@@ -87,18 +90,12 @@ def ledgers_consistent(ledgers: Iterable[Ledger]) -> bool:
     return sequences_consistent(ledger.block_ids for ledger in ledgers)
 
 
-def sequences_consistent(id_sequences: Iterable[Sequence[str]]) -> bool:
+def sequences_consistent(id_sequences: Iterable[Iterable[str]]) -> bool:
     """Prefix-consistency over bare block-id sequences.
 
     The ledger-free form of :func:`ledgers_consistent`, for callers that
-    hold only the committed id lists — a multi-process cluster's coordinator
-    checks safety over the id sequences its node processes shipped back,
-    without ever holding the ledgers themselves.
+    hold only the committed ids — a multi-process cluster's coordinator
+    checks safety over the :class:`~repro.crypto.backend.PackedDigests` its
+    node processes shipped back, without ever holding the ledgers themselves.
     """
-    sequences = [list(seq) for seq in id_sequences]
-    for i, seq_a in enumerate(sequences):
-        for seq_b in sequences[i + 1 :]:
-            shorter, longer = (seq_a, seq_b) if len(seq_a) <= len(seq_b) else (seq_b, seq_a)
-            if longer[: len(shorter)] != shorter:
-                return False
-    return True
+    return PackedDigests.prefix_consistent(id_sequences)

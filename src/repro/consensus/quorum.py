@@ -38,11 +38,25 @@ class QuorumCertificate:
         return f"QC(view={self.view}, block={self.block_id[:8]}…, signers={len(self.signers)})"
 
 
+def release_below(floor, *tables) -> None:
+    """Forget every key below ``floor`` in per-view dicts and sets: the one
+    primitive of the committed-view floor (``Replica.commit_block``).  Pass
+    ``(view,)`` for tables keyed ``(view, block_id)`` — it sorts first."""
+    for table in tables:
+        stale = [key for key in table if key < floor]
+        if isinstance(table, dict):
+            for key in stale:
+                del table[key]
+        else:
+            table.difference_update(stale)
+
+
 class VoteAggregator:
     """Collects votes per ``(view, block_id)`` and forms a QC at quorum.
 
     Each leader owns one aggregator.  Votes from duplicate signers are
-    ignored; the QC is formed at most once per (view, block).
+    ignored; the QC is formed at most once per (view, block), which frees
+    the bucket of shares.
     """
 
     def __init__(self, scheme: ThresholdScheme, quorum_size: int) -> None:
@@ -76,7 +90,12 @@ class VoteAggregator:
         except ThresholdError:
             return None
         self._formed.add(key)
+        del self._partials[key], self._message_digests[key]
         return QuorumCertificate(view=view, block_id=block_id, aggregate=aggregate)
+
+    def release_below(self, floor: int) -> None:
+        """Drop every bucket and formed-marker of a view below ``floor``."""
+        release_below((floor,), self._partials, self._message_digests, self._formed)
 
     def votes_for(self, view: int, block_id: str) -> int:
         """How many distinct votes have been collected for (view, block)."""

@@ -75,6 +75,11 @@ class Replica(Process):
         self.mempool = mempool if mempool is not None else Mempool(pid)
         self.engine = (engine_factory or ChainedHotStuff)(self)
         self.pacemaker = pacemaker_factory(self)
+        #: The committed-view floor, ``min(last committed view, current
+        #: view)``: every view below it is decided and left, so engine and
+        #: pacemaker free its state and its messages are no-ops — all but the
+        #: first sight of a QC, which still counts (``_learn_qc``).
+        self.floor = -1
         # Client-workload attachments (set by repro.runner.workload when a
         # ScenarioConfig carries a workload; None for pure-consensus runs).
         self.state_machine = None
@@ -183,6 +188,11 @@ class Replica(Process):
         if self.state_machine is not None:
             self.state_machine.catch_up(self.ledger, self.now)
         self.trace("commit", view=block.view, block=block.block_id[:8])
+        floor = min(self.safety.state.last_committed_view, self.current_view)
+        if floor > self.floor:
+            self.floor = floor
+            self.pacemaker.release_below(floor)
+            self.engine.release_below(floor)
 
     def _on_client_message(self, payload: ClientMessage, sender: int) -> None:
         """Client-path traffic: forwarded batches feed the mempool.

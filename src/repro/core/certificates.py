@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.consensus.quorum import release_below
 from repro.crypto.threshold import PartialSignature, ThresholdScheme, ThresholdSignature
 from repro.errors import CryptoError, ThresholdError
 
@@ -78,7 +79,12 @@ class CertificateCollector:
         except ThresholdError:
             return None
         self._formed.add(view)
+        del self._partials[view]  # the shares are dead once the certificate exists
         return aggregate
+
+    def release_below(self, floor: int) -> None:
+        """Forget every view below ``floor``."""
+        release_below(floor, self._partials, self._formed, self._payloads)
 
     def _verifying_key(self, sender: int):
         key = self._vkeys.get(sender)
@@ -162,6 +168,10 @@ class EpochMessageCollector:
             self._ec_reported.add(view)
             ec_now = True
         return (tc_now, ec_now)
+
+    def release_below(self, floor: int) -> None:
+        """Forget every view below ``floor``."""
+        release_below(floor, self._signers, self._tc_reported, self._ec_reported, self._payloads)
 
     def count(self, view: int) -> int:
         """Distinct signers seen for ``view``."""

@@ -23,7 +23,7 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
-from repro.consensus.quorum import QuorumCertificate
+from repro.consensus.quorum import QuorumCertificate, release_below
 from repro.core.certificates import CertificateCollector, EpochMessageCollector
 from repro.core.config import LumiereConfig
 from repro.core.leader_schedule import LeaderSchedule
@@ -234,6 +234,8 @@ class LumierePacemaker(Pacemaker):
         view = msg.view
         if not self.cfg.is_initial(view) or view < 0:
             return
+        if view < self.replica.floor:
+            return  # decided and left: line 36 saw it, or it can do nothing now
         payload, digest = self._view_payload(view)
         if not self.replica.scheme.verify(msg.aggregate, payload, message_digest=digest):
             return
@@ -259,6 +261,8 @@ class LumierePacemaker(Pacemaker):
         view = msg.view
         if not self.cfg.is_epoch_view(view) or view < 0:
             return
+        if self.cfg.epoch_of(view) < self.cfg.epoch_of(self.replica.floor):
+            return  # an epoch left behind: lines 16 and 23 would return at once
         tc_now, ec_now = self._epoch_collector.add(view, sender, msg.partial)
         if tc_now:
             self._on_timeout_certificate(view)
@@ -341,6 +345,21 @@ class LumierePacemaker(Pacemaker):
         if start is None:
             return True
         return self.now <= start + self.cfg.qc_deadline + _EPS
+
+    def release_below(self, floor: int) -> None:
+        """Free per-view state below ``floor`` and per-epoch state of the
+        epochs before the floor's: a late QC still counts toward the success
+        criterion of the floor's own epoch and its TC still has us relay
+        (line 21); an older epoch's criterion, TC and EC are moot."""
+        epoch = self.cfg.epoch_of(floor)
+        epoch_view = self.cfg.first_view_of_epoch(epoch)
+        release_below(floor, self._view_msgs_sent, self._vc_handled, self._qc_handled,
+                      self._deadline_start, self._view_payloads)
+        release_below(epoch_view, self._epoch_msgs_sent, self._tc_handled, self._ec_handled,
+                      self._epoch_clock_handled, self._epoch_payloads)
+        self._vc_collector.release_below(floor)
+        self._epoch_collector.release_below(epoch_view)
+        self.success.release_below(epoch)
 
     # ------------------------------------------------------------------
     # Shared helpers

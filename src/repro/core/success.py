@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.consensus.quorum import QuorumCertificate
+from repro.consensus.quorum import QuorumCertificate, release_below
 from repro.core.config import LumiereConfig
 
 
@@ -31,6 +31,7 @@ class SuccessTracker:
         self._qualified: dict[int, int] = {}
         self._quota = config.success_qcs_per_leader
         self._required = config.success_leaders_required
+        self._released = 0  # epochs before this one are forgotten
 
     def observe_qc(self, qc: QuorumCertificate) -> bool:
         """Record a QC.  Returns True if this observation *newly* satisfies the epoch."""
@@ -40,7 +41,7 @@ class SuccessTracker:
         if view < 0:
             return False
         epoch = self.config.epoch_of(view)
-        if epoch in self._satisfied:
+        if epoch in self._satisfied or epoch < self._released:
             return False
         leader = self.leader_of(view)
         per_leader = self._qc_views.setdefault(epoch, {})
@@ -54,23 +55,19 @@ class SuccessTracker:
         self._qualified[epoch] = qualified
         if qualified >= self._required:
             self._satisfied.add(epoch)
+            # Nothing reads a satisfied epoch's per-leader views again.
+            del self._qc_views[epoch], self._qualified[epoch]
             return True
         return False
+
+    def release_below(self, epoch: int) -> None:
+        """Forget every epoch before ``epoch``: the replica is past the first
+        view of ``epoch``, the last place their criterion was read."""
+        self._released = epoch
+        release_below(epoch, self._qc_views, self._qualified, self._satisfied)
 
     def satisfied(self, epoch: int) -> bool:
         """The local variable ``success(epoch)``."""
         if epoch < 0:
             return False
         return epoch in self._satisfied
-
-    def qc_count(self, epoch: int) -> int:
-        """Total QCs observed for views of ``epoch`` (diagnostics)."""
-        per_leader = self._qc_views.get(epoch, {})
-        return sum(len(views) for views in per_leader.values())
-
-    def qualified_leaders(self, epoch: int) -> int:
-        """How many leaders currently meet the per-leader QC quota in ``epoch``."""
-        per_leader = self._qc_views.get(epoch, {})
-        return sum(
-            1 for views in per_leader.values() if len(views) >= self.config.success_qcs_per_leader
-        )

@@ -46,7 +46,7 @@ import hashlib
 import itertools
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -171,6 +171,40 @@ def blake_digest(*parts: Any) -> str:
         hasher.update(canonical_bytes(part))
         hasher.update(b"|")
     return hasher.hexdigest()
+
+
+class PackedDigests:
+    """Digest strings in order, held as one ``bytes``, a newline after each:
+    what a shard ships at shutdown in place of a tuple of ``str`` per replica
+    (ledger ids, KV apply chains, commit ids).  One object to build, pickle
+    and keep; sized, iterable, comparable; ``list(packed)`` to index."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, digests: Iterable[str] = ()) -> None:
+        self.data = "".join(map("{}\n".format, digests)).encode("ascii")
+
+    def __len__(self) -> int:
+        return self.data.count(b"\n")
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.data.decode("ascii").splitlines())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple)):  # what this type replaced
+            other = PackedDigests(other)
+        return isinstance(other, PackedDigests) and self.data == other.data
+
+    __hash__ = None
+
+    @classmethod
+    def prefix_consistent(cls, sequences: Iterable[Iterable[str]]) -> bool:
+        """Whether every two of ``sequences`` agree on their common prefix:
+        sorted by packed size, each must start the next."""
+        packed = sorted(
+            ((seq if isinstance(seq, cls) else cls(seq)).data for seq in sequences), key=len
+        )
+        return all(map(bytes.startswith, packed[1:], packed))
 
 
 def _freeze(value: Any) -> Any:

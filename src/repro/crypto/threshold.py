@@ -30,6 +30,11 @@ from repro.crypto.signatures import PKI, Signature, SigningKey
 # the batched and per-share paths produce identical runs.
 _BATCH_VERIFY_DEFAULT = True
 
+#: Aggregates per generation of the verified cache; two are kept.  Replicas
+#: verify a certificate within a few views of its minting, so the last
+#: 512-1024 serve a run of any length, and a miss only recomputes.
+_VERIFIED_GENERATION = 512
+
 
 def set_batch_verify_default(enabled: bool) -> bool:
     """Set the process-wide batched-verification default; returns the
@@ -126,6 +131,7 @@ class ThresholdScheme:
         self._verified: Optional[set[tuple[str, str, int, frozenset[int]]]] = (
             set() if cache_verified else None
         )
+        self._verified_before: set = set()  # the previous generation
         #: Number of :meth:`verify` calls served from the verified cache.
         self.verify_cache_hits = 0
         #: Number of :meth:`combine` calls whose whole quorum verified in
@@ -239,7 +245,7 @@ class ThresholdScheme:
             # recipient's first verify of this certificate is already a
             # cache hit — the O(n) signer-set digest happens exactly once,
             # here.
-            self._verified.add((proof, message_digest, threshold, signers))
+            self._remember((proof, message_digest, threshold, signers))
         return ThresholdSignature(
             message_digest=message_digest,
             threshold=threshold,
@@ -274,7 +280,7 @@ class ThresholdScheme:
                 aggregate.threshold,
                 aggregate.signers,
             )
-            if key in verified:
+            if key in verified or key in self._verified_before:
                 self.verify_cache_hits += 1
                 return True
         if aggregate.size < aggregate.threshold:
@@ -287,8 +293,14 @@ class ThresholdScheme:
         if aggregate.proof != expected:
             return False
         if verified is not None:
-            verified.add(key)
+            self._remember(key)
         return True
+
+    def _remember(self, key: tuple) -> None:
+        """Add ``key`` to the verified cache, rotating generations when full."""
+        if len(self._verified) >= _VERIFIED_GENERATION:
+            self._verified_before, self._verified = self._verified, set()
+        self._verified.add(key)
 
     def require_valid(self, aggregate: ThresholdSignature, message: Any) -> None:
         """Raise :class:`ThresholdError` unless ``aggregate`` verifies over ``message``."""

@@ -14,7 +14,7 @@ here and answers the same queries from one :class:`RunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.adversary.attacks import spread_corruption
 from repro.adversary.behaviours import Behaviour, SilentLeaderBehaviour
@@ -163,9 +163,9 @@ class RunResult:
     #: Committed block ids, KV state digests and KV apply chains per pid,
     #: and the runtime-event total, shipped from worker processes (consulted
     #: only when ``replicas`` is empty).
-    ledger_ids: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    ledger_ids: dict[int, Iterable[str]] = field(default_factory=dict)
     shipped_kv_digests: dict[int, str] = field(default_factory=dict)
-    shipped_kv_chains: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    shipped_kv_chains: dict[int, Iterable[str]] = field(default_factory=dict)
     events: int = 0
 
     # ------------------------------------------------------------------
@@ -224,7 +224,7 @@ class RunResult:
             return kv_state_digests(self.replicas.values())
         return dict(self.shipped_kv_digests)
 
-    def kv_chains(self) -> dict[int, tuple[str, ...]]:
+    def kv_chains(self) -> dict[int, Iterable[str]]:
         """Per-replica KV apply chains (empty without a workload)."""
         if self.replicas:
             from repro.runner.workload import kv_apply_chains

@@ -31,10 +31,14 @@ API is unchanged.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.crypto.backend import PackedDigests
 from repro.sim.network import Envelope
 
 
@@ -83,10 +87,11 @@ class MetricsCollector:
         self.honest_ids: set[int] = set()
         # Message columns, appended in send order (send times are the
         # simulator clock, so the time column is sorted and bisectable).
+        # (2-byte id columns: these rows are most of what a collector holds.)
         self._message_times = array("d")
-        self._message_senders = array("q")
-        self._message_recipients = array("q")
-        self._message_kind_ids = array("q")
+        self._message_senders = array("h")
+        self._message_recipients = array("h")
+        self._message_kind_ids = array("h")
         # Payload-type interning: kind id <-> name (a handful of entries).
         self._kind_names: list[str] = []
         self._kind_ids: dict[str, int] = {}
@@ -216,9 +221,7 @@ class MetricsCollector:
         kind = type(envelope.payload).__name__
         kind_id = self._kind_ids.get(kind)
         if kind_id is None:
-            kind_id = len(self._kind_names)
-            self._kind_ids[kind] = kind_id
-            self._kind_names.append(kind)
+            kind_id = self._intern_kind(kind)
         self._message_times.append(envelope.send_time)
         self._message_senders.append(sender)
         self._message_recipients.append(envelope.recipient)
@@ -226,6 +229,13 @@ class MetricsCollector:
         digest = envelope.payload_digest
         if digest is not None:
             self._payload_digests.add(digest)
+
+    def _intern_kind(self, kind: str) -> int:
+        """The id of payload-type name ``kind``, minted on first sight."""
+        if kind not in self._kind_ids:
+            self._kind_ids[kind] = len(self._kind_names)
+            self._kind_names.append(kind)
+        return self._kind_ids[kind]
 
     def record_decision(self, time: float, view: int, leader: int) -> None:
         """Record that ``leader`` produced a QC for its own view ``view``."""
@@ -530,7 +540,7 @@ class MetricsCollector:
             "commit_times": self._commit_times,
             "commit_pids": self._commit_pids,
             "commit_views": self._commit_views,
-            "commit_block_ids": list(self._commit_block_ids),
+            "commit_block_ids": PackedDigests(self._commit_block_ids),
             "request_submit_times": self._request_submit_times,
             "request_apply_times": self._request_apply_times,
             "request_pids": self._request_pids,
@@ -544,46 +554,43 @@ class MetricsCollector:
         }
 
 
+def _merge_message_columns(merged: "MetricsCollector", states: list[dict]) -> None:
+    """Put the shards' message columns on ``merged`` in send-time order: one
+    shard's are adopted as they are; several are concatenated (kind ids
+    renumbered) and, only if their rows interleave, stably sorted by time."""
+    shards = []
+    for s in states:
+        kind_ids = [merged._intern_kind(kind) for kind in s["kind_names"]]
+        columns = [s["message_" + name] for name in ("times", "senders", "recipients", "kind_ids")]
+        if kind_ids != list(range(len(kind_ids))):
+            columns[3] = array("h", map(kind_ids.__getitem__, columns[3]))
+        shards.append(columns)
+    columns = [functools.reduce(operator.add, parts) for parts in zip(*shards)]
+    times = columns[0]
+    if any(map(operator.gt, times, itertools.islice(times, 1, None))):
+        order = sorted(range(len(times)), key=times.__getitem__)
+        columns = [array(c.typecode, map(c.__getitem__, order)) for c in columns]
+    (merged._message_times, merged._message_senders,
+     merged._message_recipients, merged._message_kind_ids) = columns
+
+
 def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
     """Rebuild one :class:`MetricsCollector` from shard :meth:`~MetricsCollector.state` snapshots.
 
     Every time-keyed stream (messages, decisions, commits, epoch syncs) is
-    merge-sorted onto one timeline — the shards of a multi-process cluster
-    share a monotonic clock origin, so their timestamps are directly
-    comparable — and the re-interleaved rows are replayed through the
-    ordinary recording methods.  The sorted-column invariants (bisectable
-    message times, the honest-decision index) therefore hold on the merged
-    collector exactly as they do on a single-process one, and every query
-    answers cluster-wide.
+    merged onto one timeline — the shards of a multi-process cluster share
+    a monotonic clock origin, so their timestamps are directly comparable.
+    The message columns, by far the longest, are merged as columns; the
+    short streams are replayed through the ordinary recording methods.  The
+    sorted-column invariants (bisectable message times, the honest-decision
+    index) therefore hold on the merged collector exactly as they do on a
+    single-process one, and every query answers cluster-wide.
     """
-    import heapq
-
     states = list(states)
     merged = MetricsCollector()
-    merged.set_honest(set().union(*(set(s["honest_ids"]) for s in states)) if states else set())
-
-    def message_rows(s: dict):
-        kind_names = s["kind_names"]
-        return (
-            (time, sender, recipient, kind_names[kind_id])
-            for time, sender, recipient, kind_id in zip(
-                s["message_times"], s["message_senders"],
-                s["message_recipients"], s["message_kind_ids"],
-            )
-        )
-
-    for time, sender, recipient, kind in heapq.merge(
-        *(message_rows(s) for s in states), key=lambda row: row[0]
-    ):
-        kind_id = merged._kind_ids.get(kind)
-        if kind_id is None:
-            kind_id = len(merged._kind_names)
-            merged._kind_ids[kind] = kind_id
-            merged._kind_names.append(kind)
-        merged._message_times.append(time)
-        merged._message_senders.append(sender)
-        merged._message_recipients.append(recipient)
-        merged._message_kind_ids.append(kind_id)
+    merged.set_honest(set().union(*(s["honest_ids"] for s in states)))
+    if states:
+        _merge_message_columns(merged, states)
 
     decisions = sorted(
         (time, view, leader)
@@ -595,8 +602,9 @@ def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
     for time, view, leader in decisions:
         merged.record_decision(time, view, leader)
 
+    block_ids: dict[str, str] = {}  # one str per block, however many replicas committed it
     commits = sorted(
-        (time, pid, view, block_id)
+        (time, pid, view, block_ids.setdefault(block_id, block_id))
         for s in states
         for time, pid, view, block_id in zip(
             s["commit_times"], s["commit_pids"], s["commit_views"], s["commit_block_ids"]

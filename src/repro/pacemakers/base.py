@@ -89,6 +89,10 @@ class Pacemaker(ABC):
         (non-initial) view it leads.  Default: no-op.
         """
 
+    def release_below(self, floor: int) -> None:
+        """The replica's committed-view floor rose to ``floor``: free
+        per-view tables below it (Lumiere does).  Default: no-op."""
+
     @abstractmethod
     def leader_of(self, view: int) -> int:
         """The designated leader of ``view``."""

@@ -46,7 +46,7 @@ import multiprocessing
 import time
 import traceback
 import uuid
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import RunResult, ScenarioConfig, resolve_adversary
@@ -226,8 +226,8 @@ class LiveCluster:
         self.metrics = MetricsCollector()
         #: Injected-fault totals of a chaotic inline cluster.
         self.fault_counters: Optional[FaultCounters] = None
-        #: Committed block ids per pid, collected at :meth:`stop`.
-        self.ledger_ids: dict[int, tuple[str, ...]] = {}
+        #: Committed block ids per pid (packed), collected at :meth:`stop`.
+        self.ledger_ids: dict[int, Iterable[str]] = {}
         #: Errors surfaced during teardown: transport ``last_errors`` from
         #: every node, plus coordinator-observed worker failures (crashes,
         #: missing reports, non-zero exit codes).
@@ -241,7 +241,7 @@ class LiveCluster:
         self.messages_sent = 0
         self.messages_delivered = 0
         self._kv_digests: dict[int, str] = {}
-        self._kv_chains: dict[int, tuple[str, ...]] = {}
+        self._kv_chains: dict[int, Iterable[str]] = {}
         self._corruption = None  # resolved by the coordinator at start()
         self._local: Optional[Shard] = None  # the inline shard
         self._workers: list[_Worker] = []

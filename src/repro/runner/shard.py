@@ -11,9 +11,11 @@ worker answering its control pipe (process placement: one worker per shard).
 from __future__ import annotations
 
 import asyncio
+import gc
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
+from repro.crypto.backend import PackedDigests
 from repro.experiments.scenario import (
     ProtocolStack,
     ScenarioConfig,
@@ -76,7 +78,8 @@ class ShardReport:
     """The picklable residue one shard leaves behind at shutdown."""
 
     metrics_state: dict
-    ledger_ids: dict[int, tuple[str, ...]]
+    #: Committed block ids per pid, packed (as are ``kv_chains``).
+    ledger_ids: dict[int, PackedDigests]
     events_processed: int
     messages_sent: int
     messages_delivered: int
@@ -84,7 +87,7 @@ class ShardReport:
     teardown_errors: tuple[str, ...]
     #: KV state digests / apply chains per pid (empty without a workload).
     kv_digests: dict[int, str]
-    kv_chains: dict[int, tuple[str, ...]]
+    kv_chains: dict[int, PackedDigests]
 
 
 class Shard:
@@ -167,7 +170,10 @@ class Shard:
                 track_downtime(node.runtime, {pid: node.replica}, counters)
 
     def go(self) -> None:
-        """Start every replica (on the wall clock)."""
+        """Start every replica (on the wall clock), after freezing what is built
+        so far (imports, keys, codec tables, rings) out of the collector's reach."""
+        gc.collect()
+        gc.freeze()
         start_replicas(self.replicas, wall=True)
 
     def commits(self) -> dict[int, int]:
@@ -192,14 +198,19 @@ class Shard:
             frames_dropped += base.frames_dropped
             teardown_errors.extend(f"node {node.pid}: {error}" for error in base.last_errors)
         replicas = self.replicas
-        return ShardReport(
+        report = ShardReport(
             metrics_state=self.stack.metrics.state(),
-            ledger_ids={pid: tuple(r.ledger.block_ids) for pid, r in replicas.items()},
+            ledger_ids={pid: PackedDigests(r.ledger.block_ids) for pid, r in replicas.items()},
             kv_digests=kv_state_digests(replicas.values()),
-            kv_chains=kv_apply_chains(replicas.values()),
+            kv_chains={
+                pid: PackedDigests(chain)
+                for pid, chain in kv_apply_chains(replicas.values()).items()
+            },
             events_processed=sum(node.runtime.events_processed for node in nodes),
             messages_sent=sum(node.transport.messages_sent for node in nodes),
             messages_delivered=sum(node.transport.messages_delivered for node in nodes),
             frames_dropped=frames_dropped,
             teardown_errors=tuple(teardown_errors),
         )
+        gc.unfreeze()  # an inline caller's heap outlives the shard
+        return report

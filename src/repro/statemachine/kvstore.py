@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Iterable, Optional
 
+from repro.crypto.backend import PackedDigests
 from repro.statemachine.commands import OP_DELETE, OP_PUT, Command, decode_commands
 from repro.statemachine.messages import CommandBatch
 
@@ -128,16 +129,22 @@ class ReplicatedKV:
         """Running state hash after each applied ledger entry.
 
         Chained per block, so replicas stopped at different ledger lengths
-        are comparable over the common prefix.
+        are comparable over the common prefix.  O(len) snapshot, not for hot
+        paths: :attr:`last_chain` reads the newest hash.
         """
         return tuple(self._chain_history)
 
+    @property
+    def last_chain(self) -> str:
+        """The running state hash after the newest applied entry."""
+        return self._chain
+
     def catch_up(self, ledger, now: float) -> int:
-        """Apply every ledger entry past the cursor; return commands applied."""
+        """Apply every ledger entry past the cursor (read as ``ledger[i]``, so
+        the cost is the new entries'); return commands applied."""
         applied = 0
-        entries = ledger.entries
-        while self._applied_entries < len(entries):
-            block = entries[self._applied_entries].block
+        while self._applied_entries < len(ledger):
+            block = ledger[self._applied_entries].block
             self._applied_entries += 1
             hasher = hashlib.sha256(self._chain.encode("ascii"))
             for item in block.payload:
@@ -162,16 +169,10 @@ class ReplicatedKV:
         return self.store.state_digest()
 
 
-def apply_chains_consistent(chains: Iterable[tuple[str, ...]]) -> bool:
+def apply_chains_consistent(chains: Iterable[Iterable[str]]) -> bool:
     """Prefix-consistency over per-replica apply chains.
 
     The state-machine analogue of ``ledgers_consistent``: every pair of
     replicas must agree on the state hash after every block both applied.
     """
-    sequences = [tuple(chain) for chain in chains]
-    for i, chain_a in enumerate(sequences):
-        for chain_b in sequences[i + 1 :]:
-            shorter = min(len(chain_a), len(chain_b))
-            if chain_a[:shorter] != chain_b[:shorter]:
-                return False
-    return True
+    return PackedDigests.prefix_consistent(chains)

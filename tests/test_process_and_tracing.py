@@ -130,8 +130,8 @@ def test_every_commit_was_previously_certified():
     )
     decided_views = {d.view for d in result.metrics.decisions}
     for replica in result.honest_replicas:
-        for entry in replica.ledger.entries:
-            assert entry.block.view in decided_views
+        for index in range(len(replica.ledger)):
+            assert replica.ledger[index].block.view in decided_views
 
 
 def test_all_honest_replicas_observe_the_same_committed_prefix():

@@ -1,0 +1,134 @@
+"""A view costs and keeps the same whatever came before it.
+
+Count-based, virtual clock, no timing: the in-memory cluster is probed when
+its shortest ledger reaches a short length and again at ten times that, and
+(a) every per-view table has a bounded size at both, (b) ``catch_up`` reads
+only the entries past its cursor, (c) the interpreter's live objects grow by
+a small constant per committed block.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from repro.experiments.scenario import ScenarioConfig
+from repro.runner import WorkloadConfig, run_live_scenario
+from repro.statemachine import ReplicatedKV
+
+#: Attributes that are per-peer or per-type, not per-view.
+_NOT_PER_VIEW = {"_handlers", "_routes", "_vkeys", "honest_ids"}
+
+
+def _per_view_tables(replica) -> dict[str, int]:
+    """Size of every dict/set the engine, its aggregator, the pacemaker with
+    its collectors and tracker, and the shared scheme hold."""
+    owners = [replica.engine, replica.engine.aggregator, replica.pacemaker, replica.scheme]
+    for name in ("success", "_vc_collector", "_epoch_collector"):
+        if hasattr(replica.pacemaker, name):
+            owners.append(getattr(replica.pacemaker, name))
+    sizes = {}
+    for owner in owners:
+        for name, value in vars(owner).items():
+            if isinstance(value, (dict, set)) and name not in _NOT_PER_VIEW:
+                sizes[f"{type(owner).__name__}.{name}"] = len(value)
+    return sizes
+
+
+def _probe_at(lengths, **config):
+    """Run one in-memory cluster; snapshot it as its shortest ledger first
+    reaches each of ``lengths``.  Returns ``[(blocks, tables, objects)]``."""
+    config = ScenarioConfig(n=4, delta=1.0, actual_delay=0.1, record_trace=False,
+                            duration=1e9, seed=2, **config)
+    pending, snapshots = list(lengths), []
+
+    def probe(result) -> bool:
+        blocks = min(len(replica.ledger) for replica in result.honest_replicas)
+        if blocks < pending[0]:
+            return False
+        pending.pop(0)
+        gc.collect()
+        tables = {}
+        for replica in result.honest_replicas:
+            for name, size in _per_view_tables(replica).items():
+                tables[name] = max(tables.get(name, 0), size)
+        snapshots.append((blocks, tables, len(gc.get_objects())))
+        return not pending
+
+    run_live_scenario(config, stop_when=probe)
+    return snapshots
+
+
+_KV_LOAD = WorkloadConfig(mode="open", rate=2.0, clients=2, retry_interval=5.0)
+
+
+@pytest.fixture(scope="module")
+def lumiere_kv():
+    """The n=4 Lumiere KV open loop, probed at 300 and at 3000 blocks."""
+    return _probe_at((300, 3000), pacemaker="lumiere", workload=_KV_LOAD)
+
+
+def _assert_bounded(short, long, only=None):
+    # The live window is the three views of the commit chain above the floor
+    # (measured: at most 3 entries anywhere); 2n leaves room for a slow peer.
+    bound = 2 * 4
+    for name in long:
+        if only is not None and not name.startswith(only):
+            continue
+        limit = 512 if name.startswith("ThresholdScheme.") else bound
+        assert short[name] <= limit and long[name] <= limit, (name, short[name], long[name])
+
+
+def test_per_view_tables_do_not_grow_with_the_run(lumiere_kv):
+    (_, short, _), (_, long, _) = lumiere_kv
+    assert len(long) >= 30  # engine, aggregator, pacemaker, collectors, tracker, scheme
+    _assert_bounded(short, long)
+
+
+def test_per_view_tables_do_not_grow_across_failed_views():
+    (_, short, _), (_, long, _) = _probe_at(
+        (60, 600), pacemaker="lumiere", scenario="silent_spread", gst=5.0
+    )
+    _assert_bounded(short, long)
+
+
+def test_engine_tables_do_not_grow_under_another_pacemaker():
+    # LP22's own tables are not under the floor; the engine's, the
+    # aggregator's and the scheme's are, whatever drives the views.
+    (_, short, _), (_, long, _) = _probe_at((60, 600), pacemaker="lp22")
+    _assert_bounded(short, long, only=("ChainedHotStuff.", "VoteAggregator.", "ThresholdScheme."))
+
+
+def test_live_objects_grow_by_a_constant_per_block(lumiere_kv):
+    (b0, _, objects0), (b1, _, objects1) = lumiere_kv
+    # What a block legitimately leaves behind across the four replicas: the
+    # block (shared in this lane), one ledger entry each, and the client
+    # batches — about 9 collector-tracked objects; before the floor it was 22.
+    assert (objects1 - objects0) / (b1 - b0) < 14
+
+
+class _CountingLedger:
+    def __init__(self):
+        self.entries, self.reads = [], 0
+
+    def add(self):
+        self.entries.append(type("Entry", (), {"block": type("Block", (), {"payload": ()})()})())
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.entries[index]
+
+
+def test_catch_up_touches_only_the_new_entries():
+    ledger, kv = _CountingLedger(), ReplicatedKV()
+    for _ in range(1000):
+        ledger.add()
+    kv.catch_up(ledger, now=0.0)
+    assert ledger.reads == 1000
+    ledger.add()
+    kv.catch_up(ledger, now=1.0)
+    assert ledger.reads == 1001 and kv.applied_entries == 1001

@@ -127,13 +127,19 @@ class _Block:
 
 
 class _FakeLedger:
-    """Just enough of Ledger for catch_up: an ``entries`` sequence."""
+    """Just enough of Ledger for catch_up: ``len`` and indexing."""
 
     def __init__(self):
-        self.entries = []
+        self._entries = []
 
     def add(self, payload):
-        self.entries.append(_Entry(_Block(tuple(payload))))
+        self._entries.append(_Entry(_Block(tuple(payload))))
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __getitem__(self, index):
+        return self._entries[index]
 
 
 class TestReplicatedKV:
@@ -149,6 +155,7 @@ class TestReplicatedKV:
         assert kv.catch_up(ledger, now=3.0) == 1
         assert kv.store.get("a") == "1" and kv.store.get("b") == "2"
         assert len(kv.apply_chain) == 2
+        assert kv.last_chain == kv.apply_chain[-1]
 
     def test_synthetic_payload_items_are_skipped(self):
         ledger = _FakeLedger()

@@ -4,8 +4,8 @@
 Two tiers, one report (``BENCH_throughput.json`` at the repository root):
 
 * **Parity gate** (virtual time).  For each gated n, the same
-  client-workload scenario runs under the discrete-event simulator and
-  under the asyncio runtime with a zero-jitter virtual clock.  The two
+  client-workload scenario runs over the simulated network and over the
+  zero-jitter deterministic live lane (the transport stack).  The two
   lanes must produce identical ledgers *and* identical replicated-KV
   digests with every request applied — the determinism property the whole
   workload harness is built around.
@@ -116,7 +116,7 @@ def _matrix_workload(rate: float, window: float) -> WorkloadConfig:
 
 
 # ----------------------------------------------------------------------
-# Parity gate: sim == zero-jitter virtual-clock live, workload attached
+# Parity gate: sim == zero-jitter deterministic live, workload attached
 # ----------------------------------------------------------------------
 def run_parity_cell(n: int, seed: int) -> dict:
     workload = WorkloadConfig(mode="open", rate=10.0, clients=2, stop=20.0)
@@ -125,7 +125,7 @@ def run_parity_cell(n: int, seed: int) -> dict:
         duration=30.0, seed=seed, record_trace=False, workload=workload,
     )
     sim = run_scenario(config)
-    live = run_live_scenario(config)  # zero jitter, virtual clock
+    live = run_live_scenario(config)  # zero jitter, virtual time
     sim_ledgers = {pid: r.ledger.block_ids for pid, r in sim.replicas.items()}
     live_ledgers = {pid: r.ledger.block_ids for pid, r in live.replicas.items()}
     sim_digests = kv_state_digests(sim.replicas.values())

@@ -9,15 +9,18 @@ the top-N functions by cumulative time, plus the same table by internal
 run) and uploads the JSON, so every push leaves a downloadable record of
 where the kernel's time went.
 
-The report is a *observability* artifact, not a gate: wall times vary across
-machines, so nothing here fails the build.  The companion correctness guard
-lives in ``bench_scaling.py --check-baseline`` (decision counts are
-machine-independent).
+The report is a *observability* artifact: wall times vary across machines,
+so no number here fails the build.  The companion correctness guard lives in
+``bench_scaling.py --check-baseline`` (decision counts are
+machine-independent).  The one gate is staleness: ``--check-output-version``
+fails when the committed ``BENCH_kernel_profile.json`` was generated by an
+older ``repro.version`` (the same check as the other ``BENCH_*.json``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_kernel.py           # n=512 report
     PYTHONPATH=src python benchmarks/profile_kernel.py --quick   # CI: n=16
+    PYTHONPATH=src python benchmarks/profile_kernel.py --check-output-version
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from bench_scaling import check_output_version
 from repro.experiments.scenario import build_spread_fault_config, run_scenario
 from repro.version import __version__
 
@@ -99,7 +103,16 @@ def main(argv=None) -> int:
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_kernel_profile.json")
+    parser.add_argument("--check-output-version", action="store_true",
+                        help="only check that --output was generated by this "
+                             "repro version; profile nothing")
     args = parser.parse_args(argv)
+
+    if args.check_output_version:
+        failures = check_output_version(args.output)
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        return 1 if failures else 0
 
     n = args.n if args.n is not None else (16 if args.quick else 512)
     duration = args.duration if args.duration is not None else (15.0 if args.quick else 10.0)

@@ -39,6 +39,7 @@ REFERENCE_PAGES = {
         "repro.faults",
         [
             "repro.faults",
+            "repro.sim.network",
             "repro.faults.schedules",
             "repro.faults.library",
         ],
@@ -235,14 +236,14 @@ def generate_catalogue() -> None:
         "correct pacemaker under every entry; what varies is the latency and",
         "communication the adversary extracts.",
         "",
-        "Every entry runs on **both execution substrates**: the discrete-event",
-        "simulator and the live asyncio runtime",
+        "Every entry runs on **both message fabrics**: the simulated network",
+        "and the live transport stack",
         '(`Campaign.run(backend="live")`), where a `FaultyTransport` imposes',
-        "the scenario's schedule and a zero-jitter virtual-clock run replays",
-        "the simulated decisions and ledgers exactly — see the chaos section",
-        "of [runtimes](runtimes.md).  The conformance suite",
-        "(`tests/test_live_faults.py`) asserts that equivalence for the whole",
-        "catalogue on every run of CI.",
+        "the scenario's schedule and a zero-jitter run on the simulator kernel",
+        "replays the simulated decisions, ledgers and fault counts exactly —",
+        "see the chaos section of [runtimes](runtimes.md).  The conformance",
+        "suite (`tests/test_live_faults.py`) asserts that equivalence for the",
+        "whole catalogue on every run of CI.",
         "",
     ]
     for entry in scenario_catalogue():

@@ -8,8 +8,8 @@ which batches them, forwards them to the current leader's mempool, and
 retries across view changes; committed blocks are applied to a
 deterministic replicated KV store with exactly-once semantics per
 ``(client, seq)``.  The same ``WorkloadConfig`` runs under the simulator,
-the zero-jitter virtual-clock asyncio runtime (byte-identical to the sim
-run), and a real TCP cluster — this script runs all three and compares.
+the zero-jitter deterministic live lane (byte-identical to the sim run),
+and a real TCP cluster — this script runs all three and compares.
 
 Run with:  python examples/kv_workload.py
            python examples/kv_workload.py --rate 50 --stop 10
@@ -37,7 +37,7 @@ def virtual_lanes(args: argparse.Namespace) -> bool:
         workload=workload,
     )
     sim = run_scenario(config)
-    live = run_live_scenario(config)  # asyncio runtime, virtual clock, zero jitter
+    live = run_live_scenario(config)  # transport stack, virtual time, zero jitter
 
     sim_digests = kv_state_digests(sim.replicas.values())
     live_digests = live.kv_digests()

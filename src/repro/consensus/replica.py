@@ -88,7 +88,7 @@ class Replica(Process):
         # Per-payload-type routing table, filled lazily on first sight of
         # each concrete message class (see on_message).
         self._routes: dict[type, Callable[[Any, int], None]] = {}
-        self._schedule_downtime()
+        self._arm_downtime()
 
     @property
     def crypto_backend(self):
@@ -105,12 +105,14 @@ class Replica(Process):
         if self.clients is not None:
             self.clients.start()
 
-    def _schedule_downtime(self) -> None:
+    def _arm_downtime(self) -> None:
         """Schedule every crash/recovery window the behaviour declares.
 
         A window ``(crash_at, recover_at)`` crashes the replica at its start
         and — when ``recover_at`` is not ``None`` — restarts it at its end,
         so churn behaviours can take a replica down and up repeatedly.
+        :meth:`crash` and :meth:`recover` count each transition as it
+        happens, into the run's fault counters.
         """
         windows = self.behaviour.downtime_windows()
         for crash_at, recover_at in windows:
@@ -122,6 +124,17 @@ class Replica(Process):
             self.runtime.set_timer_at(max(crash_at, self.now), self.crash)
             if recover_at is not None:
                 self.runtime.set_timer_at(max(recover_at, self.now), self.recover)
+
+    def crash(self) -> None:
+        """Stop the replica, counting the kill."""
+        super().crash()
+        self.metrics.faults.bump("kills")
+
+    def recover(self) -> None:
+        """Restart the replica, counting the restart if it was down."""
+        if self.crashed:
+            self.metrics.faults.bump("restarts")
+        super().recover()
 
     # ------------------------------------------------------------------
     # Message routing

@@ -9,7 +9,7 @@ only be minted through the :class:`SigningKey` held by the corresponding
 processor, and aggregation refuses duplicate signers or too-few shares.
 
 The digest primitive everything reduces to is pluggable — see
-:mod:`repro.crypto.backend` for the hashing / counting / interned backends
+:mod:`repro.crypto.backend` for the hashing and counting backends
 and how a scenario selects one.
 """
 
@@ -17,7 +17,6 @@ from repro.crypto.backend import (
     CountingBackend,
     CryptoBackend,
     HashingBackend,
-    MemoisingBackend,
     available_backends,
     blake_digest,
     get_default_backend,
@@ -34,7 +33,6 @@ __all__ = [
     "CryptoBackend",
     "HashingBackend",
     "KeyPair",
-    "MemoisingBackend",
     "PKI",
     "PartialSignature",
     "Signature",

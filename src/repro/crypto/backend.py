@@ -7,7 +7,7 @@ payload structure to a short string.  The paper's results only need the
 *equality semantics* of that mapping (equal payloads map to equal digests,
 distinct payloads to distinct digests); the bytes themselves never matter.
 
-That observation makes the primitive pluggable.  Three backends exist:
+That observation makes the primitive pluggable.  Two backends exist:
 
 * :class:`HashingBackend` — canonicalise the payload structure and BLAKE2b
   it (the historical behaviour, and the default).  Digests are stable
@@ -20,10 +20,6 @@ That observation makes the primitive pluggable.  Three backends exist:
   proof strings, so nothing ever depends on tokens being unguessable.
   Tokens are only meaningful within the backend instance that minted them
   (one simulation run); they must never cross runs.
-* :class:`MemoisingBackend` — a wrapper that interns the digests of any
-  inner backend per payload value, so repeated digests of the same payload
-  (every recipient of a broadcast verifying the same certificate, say) pay
-  the canonicalise-and-hash cost once.
 
 A backend is chosen per scenario via ``ScenarioConfig.crypto_backend`` /
 ``ProtocolConfig.crypto_backend`` (see :func:`make_backend` for the names)
@@ -425,73 +421,10 @@ class CountingBackend(CryptoBackend):
         return True
 
 
-class MemoisingBackend(CryptoBackend):
-    """Intern the digests of an inner backend per payload value.
-
-    Repeated digests of the same payload — every recipient of a broadcast
-    verifying the same certificate, every vote re-verified at aggregation —
-    pay the inner backend's cost once.  Digest *values* are the inner
-    backend's, so ``MemoisingBackend(HashingBackend())`` is bit-identical to
-    plain hashing, just faster on repetitive workloads at the price of the
-    memo table's memory.
-    """
-
-    name = "interned"
-
-    def __init__(self, inner: CryptoBackend | None = None) -> None:
-        super().__init__()
-        self.inner = inner if inner is not None else HashingBackend()
-        self._memo: dict[Any, str] = {}
-        #: Requests served from the memo table.
-        self.hits = 0
-
-    def _compute(self, *parts: Any) -> str:
-        memo = self._memo
-        key: Any = parts
-        try:
-            cached = memo.get(key)
-        except TypeError:
-            key = _freeze(parts)
-            cached = memo.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.digest_computes += 1
-        value = self.inner.digest(*parts)
-        memo[key] = value
-        return value
-
-    def _verify_batch(self, items: Sequence[tuple[tuple, str]]) -> bool:
-        # Hoisted memo loop: verified shares were almost always digested
-        # before (their proofs were minted through this backend), so the
-        # common case is one memo hit per share.
-        memo = self._memo
-        for parts, expected in items:
-            key: Any = parts
-            try:
-                cached = memo.get(key)
-            except TypeError:
-                key = _freeze(parts)
-                cached = memo.get(key)
-            if cached is None:
-                self.digest_computes += 1
-                cached = self.inner.digest(*parts)
-                memo[key] = cached
-            else:
-                self.hits += 1
-            if cached != expected:
-                return False
-        return True
-
-    def describe(self) -> str:
-        return f"{self.name}({self.inner.describe()})"
-
-
 #: Registered backend factories, keyed by the name used in configs.
 _BACKEND_FACTORIES: dict[str, Callable[[], CryptoBackend]] = {
     "hashing": HashingBackend,
     "counting": CountingBackend,
-    "interned": MemoisingBackend,
 }
 
 
@@ -503,8 +436,8 @@ def available_backends() -> tuple[str, ...]:
 def make_backend(name: str) -> CryptoBackend:
     """Construct a fresh backend instance by registered name.
 
-    A *fresh* instance matters: counting tokens and memo tables are only
-    meaningful within one run, so every scenario build gets its own.
+    A *fresh* instance matters: counting tokens are only meaningful within
+    one run, so every scenario build gets its own.
 
     Raises
     ------

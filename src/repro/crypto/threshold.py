@@ -235,9 +235,9 @@ class ThresholdScheme:
         # The signer set is digested as a frozenset: canonicalisation sorts
         # set elements, so the digest is deterministic, and the *same*
         # frozenset object travels inside the aggregate to every verifier —
-        # its cached hash makes re-verification O(1) under the counting and
-        # interned backends (a sorted list here forced an O(n) walk per
-        # verification at every recipient).
+        # its cached hash makes re-verification O(1) under the counting
+        # backend (a sorted list here forced an O(n) walk per verification
+        # at every recipient).
         proof = self.backend.digest("threshold", message_digest, threshold, signers)
         if self._verified is not None:
             # Seed the verified cache with the freshly minted aggregate: the

@@ -83,10 +83,10 @@ class ScenarioConfig:
     #: Parameter overrides for the named scenario (JSON-serializable values).
     scenario_params: dict[str, Any] = field(default_factory=dict)
     #: Crypto backend name (see :func:`repro.crypto.backend.available_backends`):
-    #: ``"hashing"`` (stable digests, the default), ``"counting"`` (O(1)
-    #: structural tokens, the large-n fast path) or ``"interned"`` (memoised
-    #: hashing).  Semantically identical for modelled runs, so campaigns can
-    #: sweep this field directly — ``benchmarks/bench_scaling.py`` does.
+    #: ``"hashing"`` (stable digests, the default) or ``"counting"`` (O(1)
+    #: structural tokens, the large-n fast path).  Semantically identical
+    #: for modelled runs, so campaigns can sweep this field directly —
+    #: ``benchmarks/bench_scaling.py`` does.
     crypto_backend: str = "hashing"
     #: Client workload (a :class:`repro.runner.workload.WorkloadConfig`);
     #: ``None`` runs pure consensus with synthetic payloads.  When set,
@@ -120,9 +120,9 @@ class ProtocolStack:
     config: ScenarioConfig
     protocol_config: ProtocolConfig
     corruption: CorruptionPlan
-    #: The schedule the network (sim) or transport (live, via
-    #: :func:`repro.runtime.chaos.adapt_schedule`) must impose; ``None`` for
-    #: fault-free and corruption-only configs.
+    #: The schedule the network (sim) or the
+    #: :class:`~repro.runtime.chaos.FaultyTransport` (live) must impose;
+    #: ``None`` for fault-free and corruption-only configs.
     delay_model: Optional[DelayModel]
     crypto_backend: CryptoBackend
     metrics: MetricsCollector
@@ -136,8 +136,10 @@ class ProtocolStack:
 class RunResult:
     """The outcome of one run, on any lane.
 
-    Simulated runs carry their ``simulator`` and ``network``; live runs
-    their ``runtime`` and ``transport``.  Runs whose replicas lived in
+    Virtual-time runs carry their ``simulator`` — with the ``network`` of
+    the simulated lane or the ``runtime`` and ``transport`` of the
+    deterministic live lane; wall-clock runs carry ``runtime`` and
+    ``transport`` only.  Runs whose replicas lived in
     worker processes hold no replicas at all: the coordinator fills
     ``ledger_ids`` / ``shipped_kv_digests`` / ``shipped_kv_chains`` /
     ``events`` from the shard reports and every query answers from those.
@@ -153,8 +155,9 @@ class RunResult:
     #: The simulated network (delivery counters, the ``batch_deliveries``
     #: toggle).
     network: Optional[Network] = None
-    #: The :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` and
-    #: transport of a single-runtime live run.
+    #: The runtime (:class:`~repro.runtime.simulation.SimRuntime`, or
+    #: :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` on a wall clock)
+    #: and transport of a single-runtime live run.
     runtime: Optional[Any] = None
     transport: Optional[Any] = None
     #: The run's crypto backend instance (its counters expose how much digest
@@ -256,7 +259,8 @@ class RunResult:
 
     @property
     def fault_counts(self) -> dict[str, int]:
-        """Injected-fault totals by name (empty for fault-free runs)."""
+        """Injected-fault totals by name (the same names and counts on every
+        deterministic lane; all zero for fault-free runs)."""
         return self.metrics.fault_counts
 
     @property
@@ -338,11 +342,12 @@ def resolve_adversary(
 def build_stack(config: ScenarioConfig) -> ProtocolStack:
     """Build everything a lane needs before it has a runtime to hand the
     replicas: the one place an adversary is resolved, a crypto backend
-    installed, keys minted and the metrics collector and trace created.
+    installed, keys minted and the trace and the metrics collector — with
+    the run's one fault-counter bag, ``metrics.faults`` — created.
     """
     protocol_config, delay_model, corruption = resolve_adversary(config)
-    # One fresh backend per run (counting tokens / memo tables must never
-    # cross runs), shared by the PKI, the threshold scheme and the network,
+    # One fresh backend per run (counting tokens must never cross runs),
+    # shared by the PKI, the threshold scheme and the network,
     # and installed as the process default so lazily derived block ids use
     # it too.  Runs are single-threaded per process; building two scenarios
     # with *different* backends and interleaving their runs in one process
@@ -427,6 +432,7 @@ def build_scenario(config: ScenarioConfig) -> RunResult:
         config.network_config(),
         delay_model=stack.delay_model or FixedDelay(config.actual_delay),
         crypto_backend=stack.crypto_backend,
+        faults=stack.metrics.faults,
     )
     stack.metrics.attach_network(network)
     ctx = SimContext(sim=simulator, network=network, trace=stack.trace)

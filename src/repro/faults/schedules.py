@@ -7,12 +7,17 @@ three levers the partial-synchrony adversary actually has.  Schedules wrap a
 an :class:`IntermittentSynchrony` whose chaotic phase is a
 :class:`PartitionSchedule` is a network that periodically splits in half.
 
-Every schedule here respects the model envelope by construction: the network
-still clamps delivery to ``max(GST, send_time) + Delta``, so a schedule can
+Every schedule here respects the model envelope by construction: its caller
+still decides the arrival with
+:meth:`~repro.sim.network.NetworkConfig.delivery_time`, so a schedule can
 *propose* arbitrarily hostile delays without ever violating partial
 synchrony.  The practical consequence is documented per class (e.g. a
 partition whose heal time exceeds ``GST + Delta`` is cut short by the
 clamp — pair partitions with a GST at or after the heal time).
+
+A schedule is one class: ``propose_delay`` is its whole decision on every
+lane, and it counts the faults it injects itself, into ``ctx.faults``, in the
+branch that shaped the message.
 
 All schedules implement a parameter-faithful ``describe()`` so campaign run
 keys and the on-disk result cache stay sound (see
@@ -26,8 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.consensus.messages import ConsensusMessage
 from repro.errors import ConfigurationError
 from repro.pacemakers.base import PacemakerMessage
-from repro.sim.events import Simulator
-from repro.sim.network import DelayModel, PendingSend
+from repro.sim.network import DelayContext, DelayModel, PendingSend
 
 #: Traffic classes understood by :class:`MessageClassDelay`.
 MESSAGE_CLASSES = ("view-sync", "consensus")
@@ -99,11 +103,15 @@ class PartitionSchedule(DelayModel):
             return False
         return sender_group != recipient_group
 
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
+    def propose_delay(self, envelope_info: PendingSend, ctx: DelayContext) -> float:
         send_time = envelope_info.send_time
         if self.split_at <= send_time < self.heal_at and self._crosses_split(envelope_info):
+            # One PartitionSchedule holds one split window: one epoch,
+            # however many messages it defers.
+            ctx.faults.note_epoch("partition_epochs", (id(self),))
+            ctx.faults.bump("partitioned_messages")
             return (self.heal_at - send_time) + self.flush_delay
-        return self.base.propose_delay(envelope_info, sim)
+        return self.base.propose_delay(envelope_info, ctx)
 
     def describe(self) -> str:
         groups = ";".join("-".join(str(pid) for pid in group) for group in self.groups)
@@ -164,9 +172,13 @@ class IntermittentSynchrony(DelayModel):
         offset = (time - self.start) % (self.calm_duration + self.chaos_duration)
         return offset >= self.calm_duration
 
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
-        model = self.chaotic if self.in_chaos(envelope_info.send_time) else self.calm
-        return model.propose_delay(envelope_info, sim)
+    def propose_delay(self, envelope_info: PendingSend, ctx: DelayContext) -> float:
+        send_time = envelope_info.send_time
+        if not self.in_chaos(send_time):
+            return self.calm.propose_delay(envelope_info, ctx)
+        window = int((send_time - self.start) // (self.calm_duration + self.chaos_duration))
+        ctx.faults.note_epoch("chaos_windows", (id(self), window))
+        return self.chaotic.propose_delay(envelope_info, ctx)
 
     def describe(self) -> str:
         return (
@@ -244,7 +256,7 @@ class RotatingLeaderDelay(DelayModel):
             return self.leader_fn(view)
         return view % self.n
 
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
+    def propose_delay(self, envelope_info: PendingSend, ctx: DelayContext) -> float:
         victim = self.victim_at(envelope_info.send_time)
         hit = False
         if self.direction in ("to", "both") and envelope_info.recipient == victim:
@@ -252,8 +264,9 @@ class RotatingLeaderDelay(DelayModel):
         if self.direction in ("from", "both") and envelope_info.sender == victim:
             hit = True
         if hit:
+            ctx.faults.bump("dos_hits")
             return self.target_delay
-        return self.base.propose_delay(envelope_info, sim)
+        return self.base.propose_delay(envelope_info, ctx)
 
     def describe(self) -> str:
         return (
@@ -303,10 +316,11 @@ class MessageClassDelay(DelayModel):
             return isinstance(payload, PacemakerMessage)
         return isinstance(payload, ConsensusMessage)
 
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
+    def propose_delay(self, envelope_info: PendingSend, ctx: DelayContext) -> float:
         if self.matches(envelope_info.payload):
+            ctx.faults.bump("throttled_messages")
             return self.delay
-        return self.base.propose_delay(envelope_info, sim)
+        return self.base.propose_delay(envelope_info, ctx)
 
     def describe(self) -> str:
         return (

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.crypto.backend import PackedDigests
-from repro.sim.network import Envelope
+from repro.sim.network import Envelope, FaultCounters
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,14 +123,13 @@ class MetricsCollector:
         # Distinct payload contents honest processors put on the wire, from
         # Envelope.payload_digest (networks with a crypto backend attached).
         self._payload_digests: set[str] = set()
-        # Injected-fault totals of a chaotic live run (None outside chaos).
-        self._fault_counters = None
+        #: The run's one injected-fault counter bag: delay schedules,
+        #: drop/duplicate injectors and replica crash/recovery count into it
+        #: where the fault happens, on every lane.
+        self.faults = FaultCounters()
         # Transports whose frames_dropped counter folds into fault_counts
         # (TCP transports register through attach_transport).
         self._drop_sources: list = []
-        # Static fault totals adopted from merged snapshots (multi-process
-        # clusters sum their shards' counters into one collector).
-        self._extra_fault_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -166,40 +165,20 @@ class MetricsCollector:
         if source is not None and hasattr(source, "frames_dropped"):
             self._drop_sources.append(source)
 
-    def attach_fault_counters(self, counters) -> None:
-        """Adopt a chaos layer's :class:`~repro.runtime.chaos.FaultCounters`.
-
-        The counters object is shared live state (the transport and the
-        downtime trackers keep bumping it); :attr:`fault_counts` snapshots
-        it on access.
-        """
-        self._fault_counters = counters
-
     def add_fault_counts(self, counts: dict[str, int]) -> None:
-        """Fold static fault totals into this collector (merge path).
-
-        Unlike :meth:`attach_fault_counters` — live shared state, snapshotted
-        on access — these are fixed numbers: the already-final totals of a
-        finished shard, summed in when a multi-process cluster merges its
-        children's snapshots.
-        """
+        """Fold the final fault totals of a finished shard into :attr:`faults`
+        (the merge path of a multi-process cluster)."""
         for name, count in counts.items():
-            self._extra_fault_counts[name] = (
-                self._extra_fault_counts.get(name, 0) + count
-            )
+            self.faults.bump(name, count)
 
     @property
     def fault_counts(self) -> dict[str, int]:
-        """Injected-fault totals by name (empty outside chaotic/TCP runs).
+        """Injected-fault totals by name (the base counters always present).
 
-        The union of the chaos layer's live counters, any statically merged
-        totals (:meth:`add_fault_counts`) and the ``frames_dropped``
-        counters of attached drop-source transports.
+        A snapshot of :attr:`faults` plus the ``frames_dropped`` counters of
+        attached drop-source transports.
         """
-        counts = dict(self._extra_fault_counts)
-        if self._fault_counters is not None:
-            for name, count in self._fault_counters.as_dict().items():
-                counts[name] = counts.get(name, 0) + count
+        counts = self.faults.as_dict()
         if self._drop_sources:
             counts["frames_dropped"] = counts.get("frames_dropped", 0) + sum(
                 source.frames_dropped for source in self._drop_sources

@@ -82,8 +82,8 @@ class RunMetrics:
     epoch_sync_events: tuple[tuple[float, int], ...]
     #: Total messages sent by honest processors.
     total_honest_messages: int
-    #: Injected-fault totals of a chaotic live run, as sorted
-    #: ``(name, count)`` pairs (empty for simulated and fault-free runs).
+    #: Injected-fault totals of the run, as sorted ``(name, count)`` pairs
+    #: (the same names and counts on every lane; empty in old cached records).
     fault_counts: tuple[tuple[str, int], ...] = ()
     #: End-to-end client-request latencies in apply order (empty without a
     #: workload).  Defaults keep old cached pickles loadable.

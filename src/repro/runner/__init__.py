@@ -21,8 +21,8 @@ Typical use::
     for record in result:
         print(record.run_id, record.summary.eventual_latency)
 
-The same grid can execute on the *live* protocol stack (asyncio runtime,
-in-memory transport, deterministic virtual clock) with
+The same grid can execute on the *live* transport stack (in-memory
+transport, deterministic virtual time) with
 ``campaign.run(backend="live")``; see :mod:`repro.runner.live` for the
 live scenario API (``run_live_scenario``, ``make_live_cluster``).
 """

@@ -347,8 +347,8 @@ class Campaign:
         backend:
             ``"serial"`` (deterministic, in-process; the default),
             ``"process"`` (a ``concurrent.futures`` process pool), or
-            ``"live"`` (the asyncio runtime under a deterministic virtual
-            clock; see :mod:`repro.runner.live`).
+            ``"live"`` (the transport stack in deterministic virtual
+            time; see :mod:`repro.runner.live`).
         workers:
             Worker count for the process backend (``None`` = executor
             default, i.e. the CPU count).

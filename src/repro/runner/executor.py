@@ -8,9 +8,9 @@ Two backends run the expanded cells of a :class:`~repro.runner.campaign.Campaign
   re-builds the scenario from ``(build, params)`` and returns a picklable
   :class:`~repro.runner.record.RunRecord`, so nothing unpicklable (replicas,
   traces, closure-based delay models) ever crosses the pool boundary.
-* ``"live"`` — the asyncio runtime under a deterministic virtual clock
-  (:mod:`repro.runner.live`): the same cells execute on the live protocol
-  stack (``LocalTransport``) instead of the simulator.  Live cache keys are
+* ``"live"`` — the deterministic live lane (:mod:`repro.runner.live`): the
+  same cells execute in virtual time over the live transport stack
+  (``LocalTransport``) instead of the simulated network.  Live cache keys are
   salted with a ``live:`` prefix so live and simulated records of the same
   parameter point never collide in a shared cache.
 

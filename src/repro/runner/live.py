@@ -1,18 +1,19 @@
-"""Live scenario execution: the campaign layer over the asyncio runtime.
+"""Live scenario execution: the campaign layer over the transport stack.
 
 Mirrors :mod:`repro.experiments.scenario` (same stack builder, same
-:class:`~repro.experiments.scenario.RunResult`) for runs that execute on an
-:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` instead of the
-discrete-event simulator:
+:class:`~repro.experiments.scenario.RunResult`) for runs whose messages move
+through a :class:`~repro.runtime.transports.Transport` instead of the
+simulated network:
 
 * :func:`build_live_scenario` / :func:`run_live_scenario` — a whole cluster
   in-memory over a :class:`~repro.runtime.transports.LocalTransport`, one
-  runtime shared by every replica.  Under the default
-  :class:`~repro.runtime.asyncio_runtime.VirtualClock` this is the
-  deterministic fast path (a zero-jitter run reproduces the simulator's
-  decisions and ledgers exactly); pass a
+  runtime shared by every replica.  By default that runtime is the
+  discrete-event kernel (:class:`~repro.runtime.simulation.SimRuntime`):
+  the deterministic lane, where a zero-jitter run reproduces the
+  simulator's decisions, ledgers and fault counts exactly — the oracle the
+  transport stack is tested on.  Pass a
   :class:`~repro.runtime.asyncio_runtime.MonotonicClock` for wall-clock
-  pacing.
+  pacing on an :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`.
 * :func:`make_live_cluster` — n nodes on the wall clock over real sockets
   or shared-memory rings, one runtime per node, in this process or one OS
   process per shard (:mod:`repro.runner.process_cluster`).
@@ -27,11 +28,10 @@ Live runs support the full adversarial surface: crash/recovery behaviours
 ``repro.faults`` scenarios.  A config with a ``delay_model`` or ``scenario``
 is executed under a :class:`~repro.runtime.chaos.FaultyTransport` driving
 the *same* schedule objects as the simulator (see
-:mod:`repro.runtime.chaos`): under the default virtual clock this replays
-the simulated scenario's decisions and ledgers exactly, and
-injected-fault counters (drops, duplicates, partition epochs,
-kills/restarts) surface through the run's
-:class:`~repro.metrics.collector.MetricsCollector`.
+:mod:`repro.runtime.chaos`): on the deterministic lane this replays the
+simulated scenario's decisions and ledgers exactly, and injected-fault
+counters (drops, duplicates, partition epochs, kills/restarts) surface
+through the run's :class:`~repro.metrics.collector.MetricsCollector`.
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ from repro.runtime import (
     AsyncioRuntime,
     ChaosConfig,
     Clock,
-    FaultCounters,
     FaultyTransport,
     LocalTransport,
     RuntimeContext,
+    SimRuntime,
     WireCodec,
-    adapt_schedule,
-    track_downtime,
 )
+from repro.sim.events import Simulator
 
 
 # ----------------------------------------------------------------------
@@ -81,20 +80,17 @@ def build_live_scenario(
     ``config.actual_delay``, jitter RNG seeded ``config.seed`` — the live
     twin of the simulated ``FixedDelay(actual_delay)`` scenario).  A
     ``delay_model`` or named ``scenario`` wraps a zero-delay transport in a
-    :class:`~repro.runtime.chaos.FaultyTransport` imposing the adapted
-    schedule under the config's partial-synchrony envelope; ``chaos`` adds
-    drop/duplicate injectors either way.  Chaotic builds attach their
-    :class:`~repro.runtime.chaos.FaultCounters` to the metrics collector
-    and track behaviour-declared downtime windows as kills/restarts.
+    :class:`~repro.runtime.chaos.FaultyTransport` imposing the schedule
+    under the config's partial-synchrony envelope; ``chaos`` adds
+    drop/duplicate injectors either way.  Everything injected is counted
+    in the run's one bag, ``metrics.faults``.
+
+    ``clock=None`` (the default) runs the cluster in virtual time on a
+    :class:`~repro.sim.events.Simulator` (``result.simulator``); a wall
+    clock puts it on an :class:`AsyncioRuntime`.
     """
     stack = build_stack(config)
     delay_model, metrics, trace = stack.delay_model, stack.metrics, stack.trace
-    chaotic = (
-        delay_model is not None
-        or (chaos is not None and chaos.active)
-        or config.scenario is not None
-    )
-    counters = FaultCounters() if chaotic else None
     if transport is None:
         if delay_model is not None:
             if jitter:
@@ -108,37 +104,39 @@ def build_live_scenario(
             inner = LocalTransport(delay=0.0, jitter=0.0, seed=config.seed)
             transport = FaultyTransport(
                 inner,
-                schedule=adapt_schedule(delay_model),
+                schedule=delay_model,
                 network=config.network_config(),
                 schedule_seed=config.seed,
                 chaos=chaos,
-                counters=counters,
+                counters=metrics.faults,
             )
         else:
             transport = LocalTransport(
                 delay=config.actual_delay, jitter=jitter, seed=config.seed
             )
             if chaos is not None and chaos.active:
-                transport = FaultyTransport(transport, chaos=chaos, counters=counters)
+                transport = FaultyTransport(transport, chaos=chaos, counters=metrics.faults)
     elif delay_model is not None:
         raise ConfigurationError(
             "pass either an explicit transport or a delay_model/scenario, "
             "not both (the scenario's schedule decides the transport)"
         )
-    runtime = AsyncioRuntime(transport, clock=clock, trace=trace, seed=config.seed)
+    simulator = None
+    if clock is None:
+        simulator = Simulator(seed=config.seed)
+        runtime = SimRuntime(simulator, transport, trace=trace)
+    else:
+        runtime = AsyncioRuntime(transport, clock=clock, trace=trace, seed=config.seed)
     metrics.attach_transport(transport)
     ctx = RuntimeContext(runtime=runtime, trace=trace)
-    replicas = {pid: make_replica(stack, pid, ctx) for pid in stack.protocol_config.processor_ids}
-    if counters is not None:
-        metrics.attach_fault_counters(counters)
-        track_downtime(runtime, replicas, counters)
     return RunResult(
         config=config,
         protocol_config=stack.protocol_config,
         metrics=metrics,
         trace=trace,
-        replicas=replicas,
+        replicas={pid: make_replica(stack, pid, ctx) for pid in stack.protocol_config.processor_ids},
         corruption=stack.corruption,
+        simulator=simulator,
         runtime=runtime,
         transport=transport,
         crypto_backend=stack.crypto_backend,
@@ -155,19 +153,34 @@ async def run_live_scenario_async(
 ) -> RunResult:
     """Build and run an in-memory live cluster to ``config.duration``.
 
-    ``duration`` is virtual seconds under the default
-    :class:`VirtualClock` and wall seconds under a
+    ``duration`` is virtual seconds by default and wall seconds under a
     :class:`MonotonicClock`; ``stop_when`` (called with the result between
-    events) ends the run early either way.
+    events, or at the wall runtime's poll cadence) ends the run early either
+    way.  ``max_events`` is a replay budget of the deterministic lane and is
+    rejected on a wall clock rather than ignored.
     """
     result = build_live_scenario(config, jitter=jitter, clock=clock, chaos=chaos)
-    start_replicas(result.replicas, wall=not result.runtime.virtual)
-    predicate = None if stop_when is None else (lambda: stop_when(result))
-    await result.runtime.run(
-        until=config.duration, max_events=max_events, stop_when=predicate
-    )
-    if not result.runtime.virtual:
+    simulator = result.simulator
+    if simulator is None and max_events is not None:
+        raise ConfigurationError(
+            "max_events is a virtual-time replay budget; wall-clock runs "
+            "are bounded by `duration` and `stop_when`"
+        )
+    start_replicas(result.replicas, wall=simulator is None)
+    if simulator is None:
+        predicate = None if stop_when is None else (lambda: stop_when(result))
+        await result.runtime.run(until=config.duration, stop_when=predicate)
         await result.runtime.stop()
+    elif stop_when is None:
+        simulator.run(until=config.duration, max_events=max_events)
+    else:
+        budget = -1 if max_events is None else max_events
+        while budget != 0 and not stop_when(result):
+            before = simulator.events_processed
+            simulator.run(until=config.duration, max_events=1)
+            if simulator.events_processed == before:
+                break  # drained, or the next event lies beyond the duration
+            budget -= 1
     return result
 
 
@@ -280,8 +293,8 @@ def make_live_cluster(
         if config.crypto_backend == "counting":
             raise ConfigurationError(
                 "the counting crypto backend interns digests per process and "
-                "cannot validate across OS processes; use \"hashing\" or "
-                "\"interned\" for process placement"
+                "cannot validate across OS processes; use \"hashing\" for "
+                "process placement"
             )
     return LiveCluster(
         config, placement=placement, host=host, codec=codec, processes=processes,
@@ -315,16 +328,17 @@ def execute_live_cell(
     placement: str = "inline",
     transport: str = "tcp",
 ) -> RunRecord:
-    """Run one campaign cell on the asyncio runtime.
+    """Run one campaign cell over the transport stack.
 
     The live twin of :func:`repro.runner.executor.execute_cell`: same
     picklable :class:`RunRecord` shape, with ``events_processed`` counted
-    by the runtime.  ``key`` arrives already salted by the campaign layer
-    (``live:`` prefix, plus jitter/chaos/placement/transport knobs when
-    set) so cached live records never shadow simulated ones.
+    by the kernel or the node runtimes.  ``key`` arrives already salted by
+    the campaign layer (``live:`` prefix, plus jitter/chaos/placement/
+    transport knobs when set) so cached live records never shadow simulated
+    ones.
 
-    ``placement="inline"`` (the default) runs the cell in-memory under the
-    virtual clock — the deterministic fast path; ``placement="process"``
+    ``placement="inline"`` (the default) runs the cell in-memory in virtual
+    time — the deterministic lane; ``placement="process"``
     runs it for ``config.duration`` wall seconds on a
     :func:`make_live_cluster` cluster over ``transport``.  Jitter and chaos
     are inline-transport knobs and are rejected under process placement (a
@@ -371,7 +385,7 @@ class LiveExecutor:
     #: Drop/duplicate injection applied to every cell's transport.
     chaos: Optional[ChaosConfig] = None
     #: Where each cell's nodes run: ``"inline"`` (one process, virtual
-    #: clock) or ``"process"`` (one OS process per node, wall clock).
+    #: time) or ``"process"`` (one OS process per node, wall clock).
     placement: str = "inline"
     #: Inter-node fabric under process placement: ``"tcp"`` or ``"shm"``.
     transport: str = "tcp"

@@ -224,7 +224,8 @@ class LiveCluster:
         #: Inline: the live collector.  Process: the merged cluster-wide
         #: collector, populated by :meth:`stop`.
         self.metrics = MetricsCollector()
-        #: Injected-fault totals of a chaotic inline cluster.
+        #: The live injected-fault totals of an inline cluster (its
+        #: ``metrics.faults``; ``None`` under process placement).
         self.fault_counters: Optional[FaultCounters] = None
         #: Committed block ids per pid (packed), collected at :meth:`stop`.
         self.ledger_ids: dict[int, Iterable[str]] = {}
@@ -264,7 +265,7 @@ class LiveCluster:
             self._local = shard
             self.nodes = shard.nodes
             self.metrics = shard.stack.metrics
-            self.fault_counters = shard.fault_counters
+            self.fault_counters = self.metrics.faults
             shard.go()
         else:
             # The coordinator holds no replicas, so it resolves the config

@@ -26,7 +26,6 @@ from repro.experiments.scenario import (
 from repro.runner.workload import kv_apply_chains, kv_state_digests
 from repro.runtime import (
     AsyncioRuntime,
-    FaultCounters,
     FaultyTransport,
     MonotonicClock,
     RuntimeContext,
@@ -34,8 +33,6 @@ from repro.runtime import (
     TcpTransport,
     Transport,
     WireCodec,
-    adapt_schedule,
-    track_downtime,
 )
 
 
@@ -98,9 +95,6 @@ class Shard:
         self.clock = MonotonicClock(origin=spec.clock_origin)
         self.stack: Optional[ProtocolStack] = None
         self.nodes: dict[int, Node] = {}
-        #: Injected-fault totals across this shard's nodes (``None`` unless
-        #: the scenario is chaotic and :meth:`connect` has run).
-        self.fault_counters: Optional[FaultCounters] = None
         self._transports: dict[int, Any] = {}
 
     @property
@@ -135,23 +129,21 @@ class Shard:
     async def connect(self, peers: dict[int, tuple[str, int]]) -> None:
         """Install the cluster-wide address map; build runtimes and replicas."""
         stack, config = self.stack, self.spec.config
-        chaotic = stack.delay_model is not None or config.scenario is not None
-        counters = FaultCounters() if chaotic else None
         for pid, transport in self._transports.items():
             transport.set_peers(peers)
             if stack.delay_model is not None:
                 # Each node imposes the shared schedule on its *outgoing*
                 # sends: a hold-then-forward approximation of the simulated
                 # latency (the real fabric adds its own small delay on top,
-                # so — unlike the single-runtime virtual-clock path — this
+                # so — unlike the single-runtime deterministic lane — this
                 # lane makes no bit-exact parity claim).  Per-node seed
                 # offsets mirror the runtimes' seeds.
                 transport = FaultyTransport(
                     transport,
-                    schedule=adapt_schedule(stack.delay_model),
+                    schedule=stack.delay_model,
                     network=config.network_config(),
                     schedule_seed=config.seed + pid,
-                    counters=counters,
+                    counters=stack.metrics.faults,
                 )
             runtime = AsyncioRuntime(
                 transport, clock=self.clock, trace=stack.trace, seed=config.seed + pid
@@ -163,11 +155,6 @@ class Shard:
             self.nodes[pid] = Node(pid, transport, runtime, replica)
         for node in self.nodes.values():
             await node.transport.start()
-        if counters is not None:
-            self.fault_counters = counters
-            stack.metrics.attach_fault_counters(counters)
-            for pid, node in self.nodes.items():
-                track_downtime(node.runtime, {pid: node.replica}, counters)
 
     def go(self) -> None:
         """Start every replica (on the wall clock), after freezing what is built

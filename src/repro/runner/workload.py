@@ -34,7 +34,7 @@ mempool refuses forwarded batches (the retry re-offers them later).
 Everything here is deterministic by construction — keys, values and ops
 are derived from ``(client, seq)``, timers fire on a fixed grid, and no
 randomness is consumed — so a simulated run and a zero-jitter
-virtual-clock live run produce identical ledgers *and* identical KV
+deterministic live run produce identical ledgers *and* identical KV
 state, which ``bench_throughput.py`` gates on.
 """
 
@@ -266,7 +266,7 @@ class OpenLoopLoad:
             self._seqs[stream] += 1
         self._tick += 1
         # Fixed grid (not now + interval): no drift, and identical firing
-        # times under sim and virtual-clock live runs.
+        # times under sim and deterministic live runs.
         self.replica.runtime.set_timer_at(
             self._origin + self._tick * self._interval, self._submit_tick
         )

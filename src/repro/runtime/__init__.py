@@ -7,11 +7,11 @@ the *same* protocol objects execute
 
 * under the discrete-event simulator
   (:class:`~repro.runtime.simulation.SimRuntime`, a pass-through adapter
-  with byte-for-byte identical event ordering),
-* on an asyncio loop in-memory
-  (:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` +
-  :class:`~repro.runtime.transports.LocalTransport`, deterministic when
-  seeded under a :class:`~repro.runtime.asyncio_runtime.VirtualClock`), or
+  with byte-for-byte identical event ordering) over its grouped-delivery
+  network, or — the deterministic live lane — over an in-memory
+  :class:`~repro.runtime.transports.LocalTransport`,
+* on an asyncio loop in wall time
+  (:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`), in-memory, or
 * over real TCP sockets (:class:`~repro.runtime.tcp.TcpTransport`,
   length-prefixed binary frames by default, JSON via ``codec="json"``), or
 * over shared-memory rings between co-located node processes
@@ -24,20 +24,9 @@ writing-a-transport guide.
 
 from repro.runtime.base import Clock, Runtime, RuntimeContext, TimerHandle
 from repro.runtime.simulation import SimRuntime
-from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock, VirtualClock
+from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
 from repro.runtime.transports import LocalTransport, Transport, TransportEnvelope
-from repro.runtime.chaos import (
-    ChaosConfig,
-    ChaosContext,
-    FaultCounters,
-    FaultyTransport,
-    ScheduleAdapter,
-    adapt_schedule,
-    live_adaptable_classes,
-    register_live_adapter,
-    schedule_downtime,
-    track_downtime,
-)
+from repro.runtime.chaos import ChaosConfig, FaultCounters, FaultyTransport
 from repro.runtime.codec import (
     BinaryWireCodec,
     WireCodec,
@@ -62,7 +51,6 @@ __all__ = [
     "AsyncioRuntime",
     "BinaryWireCodec",
     "ChaosConfig",
-    "ChaosContext",
     "Clock",
     "DEFAULT_RING_BYTES",
     "FaultCounters",
@@ -71,7 +59,6 @@ __all__ = [
     "MonotonicClock",
     "Runtime",
     "RuntimeContext",
-    "ScheduleAdapter",
     "ShmTransport",
     "SimRuntime",
     "SpscRing",
@@ -79,20 +66,14 @@ __all__ = [
     "TimerHandle",
     "Transport",
     "TransportEnvelope",
-    "VirtualClock",
     "WireCodec",
     "WireCodecError",
-    "adapt_schedule",
     "attach_ring",
     "available_codecs",
     "create_cluster_rings",
     "destroy_cluster_rings",
     "default_binary_codec",
     "default_codec",
-    "live_adaptable_classes",
     "make_codec",
-    "register_live_adapter",
     "ring_segment_name",
-    "schedule_downtime",
-    "track_downtime",
 ]

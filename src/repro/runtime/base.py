@@ -11,14 +11,16 @@ cancellable :class:`TimerHandle`) and defers work (:meth:`Runtime.spawn`).
 Two families implement the interface:
 
 * :class:`~repro.runtime.simulation.SimRuntime` — a thin adapter over the
-  discrete-event :class:`~repro.sim.events.Simulator` and the
-  partial-synchrony :class:`~repro.sim.network.Network`.  Every call is a
-  direct pass-through, so a refactored protocol produces byte-for-byte the
-  same event ordering the pre-runtime code did.
+  discrete-event :class:`~repro.sim.events.Simulator`, the only
+  virtual-time kernel, and a message fabric: the partial-synchrony
+  :class:`~repro.sim.network.Network` or any
+  :class:`~repro.runtime.transports.Transport`.  Every call is a direct
+  pass-through, so a refactored protocol produces byte-for-byte the same
+  event ordering the pre-runtime code did.
 * :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` — runs the same
-  protocol objects on an asyncio event loop, over a pluggable
-  :class:`~repro.runtime.transports.Transport` (in-memory or TCP), against
-  either a deterministic virtual clock or the wall clock.
+  protocol objects on an asyncio event loop in wall time, over a pluggable
+  :class:`~repro.runtime.transports.Transport` (in-memory, TCP or shared
+  memory).
 
 The contract the protocol core relies on (and every runtime must honour):
 
@@ -62,9 +64,8 @@ class Clock(ABC):
     """A source of the runtime's notion of "now".
 
     The protocol core reads time only through :attr:`Runtime.now`, which
-    delegates here.  Simulated runs use the simulator's virtual clock,
-    deterministic asyncio runs a :class:`~repro.runtime.asyncio_runtime.VirtualClock`,
-    and live clusters a :class:`~repro.runtime.asyncio_runtime.MonotonicClock`
+    delegates here.  Virtual-time runs read the simulator's own time;
+    wall-clock runtimes a :class:`~repro.runtime.asyncio_runtime.MonotonicClock`
     (``time.monotonic`` re-zeroed at construction, so runs start near 0.0
     like simulated ones).
     """

@@ -5,325 +5,43 @@ The simulator expresses its adversary as a
 send.  Live runtimes have no network object to hook — latency lives in the
 transport — so this module decorates any
 :class:`~repro.runtime.transports.Transport` with a
-:class:`FaultyTransport` that imposes the *same* schedule objects the
-simulator runs (plus drop/duplicate injectors the simulator has no analogue
-for), applying the identical partial-synchrony envelope: delays are floored
-at ``min_delay`` and clamped to ``max(GST, send) + Delta``, exactly as
-:meth:`repro.sim.network.Network._delivery_time` does.
+:class:`FaultyTransport` that consults the *same* schedule object, with the
+same :class:`~repro.sim.network.DelayContext`, and decides each arrival
+with the same :meth:`~repro.sim.network.NetworkConfig.delivery_time` (plus
+drop/duplicate injectors the simulator has no analogue for).
 
 Determinism contract (the basis of the cross-runtime conformance suite in
-``tests/test_live_faults.py``): library delay models read nothing from the
-simulator but ``sim.rng`` and the :class:`~repro.sim.network.PendingSend`,
-and the simulated RNG is consumed *only* by delay models — one draw per
-non-self send for the drawing models, in ascending-recipient order per
-broadcast.  :class:`ChaosContext` reproduces that stream with its own
-``random.Random(seed)``, so a zero-jitter virtual-clock run under a
-:class:`FaultyTransport` replays the simulated scenario's decisions and
-ledgers exactly.  Wall clocks (and real TCP latency underneath a schedule)
-break exact replay; there the schedule is an approximation — see
-``docs/runtimes.md``.
-
-Schedules must be *adapted* before they drive a live transport:
-:func:`adapt_schedule` resolves a registered adapter per concrete model
-class (recursively, so composed schedules validate whole trees) and refuses
-unknown classes.  Adapters also observe the traffic they shape, feeding the
-:class:`FaultCounters` that surface injected-fault totals (drops,
-duplicates, partition epochs, kills/restarts, ...) through the metrics
-layer.  :class:`~repro.sim.network.AdversarialDelay` is deliberately *not*
-adaptable: it wraps arbitrary callables that may close over simulator state
-no live runtime can provide.
+``tests/test_live_faults.py``): the simulated RNG is consumed *only* by
+delay models — one draw per non-self send for the drawing models, in
+ascending-recipient order per broadcast.  :class:`FaultyTransport` hands
+its schedule a ``random.Random(schedule_seed)`` and proposes one delay per
+non-self send in send order, so on the simulator kernel
+(:class:`~repro.runtime.simulation.SimRuntime` over a zero-jitter
+:class:`~repro.runtime.transports.LocalTransport`) a scenario replays the
+simulated network's decisions, ledgers and fault counts exactly.  Wall
+clocks (and real TCP latency underneath a schedule) break exact replay;
+there the schedule is an approximation — see ``docs/runtimes.md``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.faults.schedules import (
-    IntermittentSynchrony,
-    MessageClassDelay,
-    PartitionSchedule,
-    RotatingLeaderDelay,
-)
-from repro.runtime.transports import Transport, TransportEnvelope
+from repro.runtime.base import Runtime
+from repro.runtime.transports import Transport
 from repro.sim.network import (
+    BASE_FAULT_COUNTS,
+    DelayContext,
     DelayModel,
-    FixedDelay,
+    FaultCounters,
     NetworkConfig,
     PendingSend,
-    PreGSTChaos,
-    TargetedDelay,
-    UniformDelay,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - type-checking only
-    from repro.runtime.asyncio_runtime import AsyncioRuntime
-
-
-# ----------------------------------------------------------------------
-# Fault accounting
-# ----------------------------------------------------------------------
-#: Counters every chaotic run reports, even when zero.
-BASE_FAULT_COUNTS = ("drops", "duplicates", "kills", "partition_epochs", "restarts")
-
-
-class FaultCounters:
-    """Injected-fault totals for one run, shared by every injection site.
-
-    A plain named-counter bag (``bump``) plus distinct-key counting
-    (``note_epoch``) for window-shaped faults: a partition that defers ten
-    thousand messages is still *one* partition epoch.  ``as_dict()`` is what
-    the metrics layer snapshots into
-    :attr:`~repro.metrics.summary.RunMetrics.fault_counts`.
-    """
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {name: 0 for name in BASE_FAULT_COUNTS}
-        self._epoch_keys: set[tuple] = set()
-
-    def bump(self, name: str, by: int = 1) -> None:
-        """Add ``by`` to the counter called ``name`` (created at zero)."""
-        self._counts[name] = self._counts.get(name, 0) + by
-
-    def note_epoch(self, name: str, key: tuple) -> None:
-        """Bump ``name`` once per distinct ``key`` (idempotent per key)."""
-        full_key = (name, key)
-        if full_key not in self._epoch_keys:
-            self._epoch_keys.add(full_key)
-            self.bump(name)
-
-    def as_dict(self) -> dict[str, int]:
-        """All counters by name (base counters always present)."""
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        nonzero = {k: v for k, v in self._counts.items() if v}
-        return f"FaultCounters({nonzero})"
-
-
-# ----------------------------------------------------------------------
-# The schedule context: what a live run offers a sim DelayModel
-# ----------------------------------------------------------------------
-class ChaosContext:
-    """The live stand-in for the ``sim`` argument of ``propose_delay``.
-
-    Library delay models touch exactly two things on the simulator: the
-    seeded ``rng`` (the delay-model stream — nothing else in a run consumes
-    it) and, in principle, ``now``.  Seeding with the scenario seed
-    therefore replays the simulated draw stream verbatim, provided the
-    transport proposes one delay per non-self send in send order (which
-    :class:`FaultyTransport` does).
-    """
-
-    def __init__(self, seed: int) -> None:
-        self.rng = random.Random(seed)
-        self._runtime: Optional["AsyncioRuntime"] = None
-
-    def bind(self, runtime: "AsyncioRuntime") -> None:
-        """Attach the runtime whose clock ``now`` reads."""
-        self._runtime = runtime
-
-    @property
-    def now(self) -> float:
-        """Current runtime time (0.0 before the context is bound)."""
-        return self._runtime.now if self._runtime is not None else 0.0
-
-
-# ----------------------------------------------------------------------
-# Schedule adapters
-# ----------------------------------------------------------------------
-class ScheduleAdapter:
-    """A sim :class:`DelayModel` validated and instrumented for live use.
-
-    ``propose_delay`` delegates to the wrapped model itself — the exact
-    code the simulator runs — so sim/live parity is structural, not a
-    re-implementation.  ``observe`` mirrors the model's dispatch (only the
-    branch that actually shaped the message is observed) and feeds the
-    run's :class:`FaultCounters`.
-    """
-
-    def __init__(self, model: DelayModel) -> None:
-        self.model = model
-
-    def propose_delay(self, pending: PendingSend, ctx: ChaosContext) -> float:
-        """The model's proposed delay for ``pending`` (same draws as the sim)."""
-        return self.model.propose_delay(pending, ctx)
-
-    def observe(self, pending: PendingSend, counters: FaultCounters) -> None:
-        """Record what this schedule did to ``pending``.  Default: nothing."""
-
-    def describe(self) -> str:
-        """The wrapped model's parameter-faithful description."""
-        return self.model.describe()
-
-
-class _LeafAdapter(ScheduleAdapter):
-    """Benign leaf models (fixed/uniform latency): nothing to observe."""
-
-
-class _PassThroughAdapter(ScheduleAdapter):
-    """One-child wrappers whose targeted branch needs no counter."""
-
-    def __init__(self, model: DelayModel, child: ScheduleAdapter) -> None:
-        super().__init__(model)
-        self.child = child
-
-
-class _TargetedAdapter(_PassThroughAdapter):
-    def observe(self, pending: PendingSend, counters: FaultCounters) -> None:
-        model = self.model
-        hit = (
-            model.direction in ("to", "both") and pending.recipient in model.targets
-        ) or (model.direction in ("from", "both") and pending.sender in model.targets)
-        if hit:
-            counters.bump("targeted_delays")
-        else:
-            self.child.observe(pending, counters)
-
-
-class _PreGSTAdapter(_PassThroughAdapter):
-    def observe(self, pending: PendingSend, counters: FaultCounters) -> None:
-        if pending.after_gst:
-            self.child.observe(pending, counters)
-
-
-class _PartitionAdapter(ScheduleAdapter):
-    def __init__(self, model: PartitionSchedule, base: ScheduleAdapter) -> None:
-        super().__init__(model)
-        self.base = base
-
-    def observe(self, pending: PendingSend, counters: FaultCounters) -> None:
-        model = self.model
-        t = pending.send_time
-        if model.split_at <= t < model.heal_at and model._crosses_split(pending):
-            # One PartitionSchedule holds one split window; composed
-            # schedules (e.g. under IntermittentSynchrony) key further
-            # epochs off the outer window index via note_epoch elsewhere.
-            counters.note_epoch("partition_epochs", (id(model),))
-            counters.bump("partitioned_messages")
-        else:
-            self.base.observe(pending, counters)
-
-
-class _IntermittentAdapter(ScheduleAdapter):
-    def __init__(
-        self, model: IntermittentSynchrony, calm: ScheduleAdapter, chaotic: ScheduleAdapter
-    ) -> None:
-        super().__init__(model)
-        self.calm = calm
-        self.chaotic = chaotic
-
-    def observe(self, pending: PendingSend, counters: FaultCounters) -> None:
-        model = self.model
-        t = pending.send_time
-        if model.in_chaos(t):
-            period = model.calm_duration + model.chaos_duration
-            window = int((t - model.start) // period)
-            counters.note_epoch("chaos_windows", (id(model), window))
-            self.chaotic.observe(pending, counters)
-        else:
-            self.calm.observe(pending, counters)
-
-
-class _RotatingAdapter(ScheduleAdapter):
-    def __init__(self, model: RotatingLeaderDelay, base: ScheduleAdapter) -> None:
-        super().__init__(model)
-        self.base = base
-
-    def observe(self, pending: PendingSend, counters: FaultCounters) -> None:
-        model = self.model
-        victim = model.victim_at(pending.send_time)
-        hit = (model.direction in ("to", "both") and pending.recipient == victim) or (
-            model.direction in ("from", "both") and pending.sender == victim
-        )
-        if hit:
-            counters.bump("dos_hits")
-        else:
-            self.base.observe(pending, counters)
-
-
-class _MessageClassAdapter(ScheduleAdapter):
-    def __init__(self, model: MessageClassDelay, base: ScheduleAdapter) -> None:
-        super().__init__(model)
-        self.base = base
-
-    def observe(self, pending: PendingSend, counters: FaultCounters) -> None:
-        if self.model.matches(pending.payload):
-            counters.bump("throttled_messages")
-        else:
-            self.base.observe(pending, counters)
-
-
-#: Adapter factory per concrete DelayModel class (exact type, no subclass
-#: fallback: a new schedule class must register its own adapter — the
-#: registry-coverage guard in tests/test_faults.py enforces this).
-_LIVE_ADAPTERS: dict[type, Callable[[DelayModel], ScheduleAdapter]] = {}
-
-
-def register_live_adapter(
-    model_cls: type, factory: Callable[[DelayModel], ScheduleAdapter]
-) -> None:
-    """Register ``factory`` as the live adapter for ``model_cls``.
-
-    ``factory`` receives the model instance and returns its
-    :class:`ScheduleAdapter`; factories for composite models should call
-    :func:`adapt_schedule` on their children so validation recurses.
-    """
-    if model_cls in _LIVE_ADAPTERS:
-        raise ConfigurationError(
-            f"{model_cls.__name__} already has a live adapter registered"
-        )
-    _LIVE_ADAPTERS[model_cls] = factory
-
-
-def live_adaptable_classes() -> frozenset:
-    """Every DelayModel class that can drive a live transport."""
-    return frozenset(_LIVE_ADAPTERS)
-
-
-def adapt_schedule(model: DelayModel) -> ScheduleAdapter:
-    """The live adapter for ``model``, validating the whole schedule tree.
-
-    Raises
-    ------
-    ConfigurationError
-        If ``model`` (or any model it composes) has no registered adapter —
-        e.g. :class:`~repro.sim.network.AdversarialDelay`, whose arbitrary
-        callables may depend on simulator state a live runtime cannot offer.
-    """
-    factory = _LIVE_ADAPTERS.get(type(model))
-    if factory is None:
-        raise ConfigurationError(
-            f"{type(model).__name__} ({model.describe()}) has no live runtime "
-            "adapter; register one with repro.runtime.chaos.register_live_adapter "
-            "to run it outside the simulator"
-        )
-    return factory(model)
-
-
-register_live_adapter(FixedDelay, _LeafAdapter)
-register_live_adapter(UniformDelay, _LeafAdapter)
-register_live_adapter(
-    PreGSTChaos, lambda m: _PreGSTAdapter(m, adapt_schedule(m.post_model))
-)
-register_live_adapter(
-    TargetedDelay, lambda m: _TargetedAdapter(m, adapt_schedule(m.base))
-)
-register_live_adapter(
-    PartitionSchedule, lambda m: _PartitionAdapter(m, adapt_schedule(m.base))
-)
-register_live_adapter(
-    IntermittentSynchrony,
-    lambda m: _IntermittentAdapter(m, adapt_schedule(m.calm), adapt_schedule(m.chaotic)),
-)
-register_live_adapter(
-    RotatingLeaderDelay, lambda m: _RotatingAdapter(m, adapt_schedule(m.base))
-)
-register_live_adapter(
-    MessageClassDelay, lambda m: _MessageClassAdapter(m, adapt_schedule(m.base))
-)
+__all__ = ["BASE_FAULT_COUNTS", "ChaosConfig", "FaultCounters", "FaultyTransport"]
 
 
 # ----------------------------------------------------------------------
@@ -370,11 +88,12 @@ class FaultyTransport(Transport):
 
     Wraps an ``inner`` transport and intercepts every ``send``:
 
-    * a ``schedule`` (an adapted sim :class:`DelayModel`) proposes each
-      non-self message's latency, floored/clamped by the partial-synchrony
-      envelope of ``network`` exactly as the simulated network does —
-      partitions, targeted DoS and traffic-class throttles all arrive this
-      way, since they are delay models over (time, topology, class);
+    * a ``schedule`` (any :class:`~repro.sim.network.DelayModel`) proposes
+      each non-self message's latency and ``network.delivery_time`` decides
+      the arrival, exactly as in the simulated network — partitions,
+      targeted DoS and traffic-class throttles all arrive this way, since
+      they are delay models over (time, topology, class), and each counts
+      itself into ``counters``;
     * drop and duplicate injectors (see :class:`ChaosConfig` rates) fire
       from a separate seeded RNG;
     * everything the chaos layer does lands in ``counters``.
@@ -395,7 +114,7 @@ class FaultyTransport(Transport):
     def __init__(
         self,
         inner: Transport,
-        schedule: Optional[ScheduleAdapter] = None,
+        schedule: Optional[DelayModel] = None,
         network: Optional[NetworkConfig] = None,
         schedule_seed: int = 0,
         chaos: Optional[ChaosConfig] = None,
@@ -409,20 +128,15 @@ class FaultyTransport(Transport):
                 "a schedule needs the NetworkConfig whose gst/delta/min_delay "
                 "envelope bounds its proposals"
             )
-        if isinstance(schedule, DelayModel):
-            raise ConfigurationError(
-                "pass an adapted schedule (adapt_schedule(model)), not the raw "
-                "DelayModel"
-            )
         self._inner = inner
-        self._runtime: Optional["AsyncioRuntime"] = None
+        self._runtime: Optional[Runtime] = None
         self.send_listeners = inner.send_listeners
         self.deliver_listeners = inner.deliver_listeners
         self.schedule = schedule
         self.network = network
         self.chaos = chaos if chaos is not None else ChaosConfig()
         self.counters = counters if counters is not None else FaultCounters()
-        self._ctx = ChaosContext(schedule_seed)
+        self._ctx = DelayContext(random.Random(schedule_seed), self.counters)
         self._injector_rng = random.Random(self.chaos.seed)
         self._exact_send = getattr(inner, "send_with_delay", None)
         self._draw_delay = getattr(inner, "draw_delay", None)
@@ -438,11 +152,10 @@ class FaultyTransport(Transport):
         """Whether sends delegate verbatim (no schedule, zero rates)."""
         return self.schedule is None and not self.chaos.active
 
-    def bind(self, runtime: "AsyncioRuntime") -> None:
-        """Bind the wrapper, the inner transport and the schedule context."""
+    def bind(self, runtime: Runtime) -> None:
+        """Bind the wrapper and the inner transport."""
         self._runtime = runtime
         self._inner.bind(runtime)
-        self._ctx.bind(runtime)
 
     def register(self, process: Any) -> None:
         """Register on the inner transport (the delivery endpoints live there)."""
@@ -515,11 +228,8 @@ class FaultyTransport(Transport):
         config = self.network
         now = self.runtime.now
         pending = PendingSend(sender, recipient, payload, now, now >= config.gst)
-        raw = max(config.min_delay, self.schedule.propose_delay(pending, self._ctx))
-        deadline = max(config.gst, now) + config.delta
-        delay = min(now + raw, deadline) - now
-        self.schedule.observe(pending, self.counters)
-        return delay
+        proposed = self.schedule.propose_delay(pending, self._ctx)
+        return config.delivery_time(now, proposed) - now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         schedule = self.schedule.describe() if self.schedule else None
@@ -528,91 +238,3 @@ class FaultyTransport(Transport):
             f"schedule={schedule}, chaos=({self.chaos.describe()}), "
             f"counters={self.counters!r})"
         )
-
-
-# ----------------------------------------------------------------------
-# Kill / restart
-# ----------------------------------------------------------------------
-def _validate_windows(windows: Iterable[tuple[float, Optional[float]]]) -> list:
-    windows = list(windows)
-    for crash_at, recover_at in windows:
-        if recover_at is not None and recover_at <= crash_at:
-            raise ConfigurationError(
-                f"recovery at {recover_at} does not follow crash at {crash_at}"
-            )
-    return windows
-
-
-def _kill(process: Any, counters: Optional[FaultCounters]) -> None:
-    process.crash()
-    if counters is not None:
-        counters.bump("kills")
-
-
-def _restart(process: Any, counters: Optional[FaultCounters]) -> None:
-    process.recover()
-    if counters is not None:
-        counters.bump("restarts")
-
-
-def schedule_downtime(
-    runtime: "AsyncioRuntime",
-    process: Any,
-    windows: Iterable[tuple[float, Optional[float]]],
-    counters: Optional[FaultCounters] = None,
-) -> None:
-    """Kill (and optionally restart) ``process`` on the given windows.
-
-    The live injection twin of
-    :meth:`repro.consensus.replica.Replica._schedule_downtime`: each
-    ``(crash_at, recover_at)`` window arms a :meth:`Process.crash` timer at
-    its start and — when ``recover_at`` is not ``None`` — a
-    :meth:`Process.recover` timer at its end, counting ``kills`` /
-    ``restarts`` as they fire.  Use this to impose downtime on processes
-    whose behaviour declares none.
-    """
-    for crash_at, recover_at in _validate_windows(windows):
-        runtime.set_timer_at(max(crash_at, runtime.now), _kill, process, counters)
-        if recover_at is not None:
-            runtime.set_timer_at(
-                max(recover_at, runtime.now), _restart, process, counters
-            )
-
-
-def _note_crashed(replica: Any, counters: FaultCounters) -> None:
-    if replica.crashed:
-        counters.bump("kills")
-
-
-def _note_recovered(replica: Any, counters: FaultCounters) -> None:
-    if not replica.crashed:
-        counters.bump("restarts")
-
-
-def track_downtime(
-    runtime: "AsyncioRuntime", replicas: dict[int, Any], counters: FaultCounters
-) -> None:
-    """Count behaviour-declared crash/recovery windows as they take effect.
-
-    Replicas arm their own downtime timers from
-    ``Behaviour.downtime_windows()`` (that machinery is runtime-agnostic);
-    this observer arms a sibling timer just after each one and records a
-    ``kill`` / ``restart`` only if the replica's state actually flipped —
-    the counters report what *happened*, not what was scheduled.  The small
-    wall-mode pad orders the observer after the lifecycle timer on real
-    clocks; in virtual mode same-timestamp insertion order already does.
-    """
-    pad = 0.0 if runtime.virtual else 1e-3
-    now = runtime.now
-    for pid in sorted(replicas):
-        replica = replicas[pid]
-        for crash_at, recover_at in _validate_windows(
-            replica.behaviour.downtime_windows()
-        ):
-            runtime.set_timer_at(
-                max(crash_at, now) + pad, _note_crashed, replica, counters
-            )
-            if recover_at is not None:
-                runtime.set_timer_at(
-                    max(recover_at, now) + pad, _note_recovered, replica, counters
-                )

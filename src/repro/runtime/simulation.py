@@ -1,21 +1,32 @@
 """``SimRuntime``: the discrete-event simulator behind the runtime seam.
 
-The adapter is deliberately nothing but pass-throughs: ``set_timer`` *is*
-:meth:`~repro.sim.events.Simulator.schedule`, ``send`` *is*
-:meth:`~repro.sim.network.Network.send`, and so on.  A protocol refactored
-onto the :class:`~repro.runtime.base.Runtime` interface therefore issues the
-exact same simulator and network calls, in the same order, as the
-pre-runtime code did — the event heap sees identical ``(time, seq)``
-entries, so traces, metrics and decisions are byte-for-byte unchanged (the
-``tests/test_batched_delivery.py`` equivalence suite and the committed
-``benchmarks/BASELINE_smoke.json`` decision counts both guard this).
+The :class:`~repro.sim.events.Simulator` is the repo's only virtual-time
+kernel, and this adapter is deliberately nothing but pass-throughs onto it:
+``set_timer`` *is* :meth:`~repro.sim.events.Simulator.schedule`,
+``call_after`` *is* ``schedule_fired``, and ``send`` / ``broadcast`` go to
+whichever message fabric the runtime was built over:
+
+* the grouped-delivery :class:`~repro.sim.network.Network` — the simulated
+  lane (``run_scenario``).  A protocol issues the exact same simulator and
+  network calls, in the same order, as the pre-runtime code did, so the
+  event heap sees identical ``(time, seq)`` entries (the
+  ``tests/test_batched_delivery.py`` equivalence suite and the committed
+  ``benchmarks/BASELINE_smoke.json`` decision counts both guard this);
+* any :class:`~repro.runtime.transports.Transport` — the deterministic live
+  lane (``run_live_scenario``): a per-recipient
+  :class:`~repro.runtime.transports.LocalTransport`, bare or under a
+  :class:`~repro.runtime.chaos.FaultyTransport`, schedules its deliveries
+  back through :meth:`SimRuntime.call_after`.  With zero jitter it reaches
+  the simulated lane's decisions, ledgers and fault counts exactly, which
+  makes it the oracle the wall-clock lanes' transport stack is tested on.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 from repro.runtime.base import Runtime, TimerHandle
+from repro.runtime.transports import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking only
     from repro.sim.events import Simulator
@@ -24,25 +35,35 @@ if TYPE_CHECKING:  # pragma: no cover - type-checking only
 
 
 class SimRuntime(Runtime):
-    """Adapter presenting a :class:`Simulator` + :class:`Network` as a :class:`Runtime`.
+    """Adapter presenting a :class:`Simulator` + a message fabric as a :class:`Runtime`.
 
     Parameters
     ----------
     sim:
         The discrete-event simulator providing time and timers.
     network:
-        The partial-synchrony network providing message delivery.
+        The message fabric: the partial-synchrony
+        :class:`~repro.sim.network.Network`, or a
+        :class:`~repro.runtime.transports.Transport` (bound to this runtime
+        here, so its deliveries run on ``sim``).
     trace:
         Optional trace recorder, exposed as :attr:`trace` by convention.
     """
 
     __slots__ = ("sim", "network", "trace", "rng")
 
-    def __init__(self, sim: "Simulator", network: "Network", trace: "TraceRecorder" = None) -> None:
+    def __init__(
+        self,
+        sim: "Simulator",
+        network: Union["Network", Transport],
+        trace: "TraceRecorder" = None,
+    ) -> None:
         self.sim = sim
         self.network = network
         self.trace = trace
         self.rng = sim.rng
+        if isinstance(network, Transport):
+            network.bind(self)
 
     # ------------------------------------------------------------------
     # Time and timers
@@ -72,15 +93,15 @@ class SimRuntime(Runtime):
     # Messaging and registration
     # ------------------------------------------------------------------
     def send(self, sender: int, recipient: int, payload: Any) -> None:
-        """Point-to-point send through the simulated network."""
+        """Point-to-point send through the fabric."""
         self.network.send(sender, recipient, payload)
 
     def broadcast(self, sender: int, payload: Any) -> None:
-        """Broadcast (including self) through the simulated network."""
+        """Broadcast (including self) through the fabric."""
         self.network.broadcast(sender, payload)
 
     def register(self, process: Any) -> None:
-        """Register the process as a network endpoint."""
+        """Register the process as a fabric endpoint."""
         self.network.register(process)
 
     @property

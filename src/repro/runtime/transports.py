@@ -1,4 +1,4 @@
-"""Transports: the message fabric beneath an :class:`AsyncioRuntime`.
+"""Transports: the message fabric beneath a runtime.
 
 A :class:`Transport` owns addressing (``process_ids``), endpoint
 registration and the actual movement of payloads; the runtime delegates
@@ -13,12 +13,14 @@ network (:meth:`~repro.metrics.collector.MetricsCollector.attach_transport`).
 Two implementations ship:
 
 * :class:`LocalTransport` (here) — in-memory, single-runtime: the whole
-  cluster lives on one event loop.  Per-message latency is
+  cluster lives on one runtime.  Per-message latency is
   ``delay + U(0, jitter)`` drawn from a transport-local seeded RNG, so runs
-  are deterministic under a :class:`~repro.runtime.asyncio_runtime.VirtualClock`;
-  with zero jitter it reproduces a ``FixedDelay`` simulation exactly.
+  are deterministic on the simulator kernel
+  (:class:`~repro.runtime.simulation.SimRuntime`); with zero jitter it
+  reproduces a ``FixedDelay`` simulation exactly.
 * :class:`~repro.runtime.tcp.TcpTransport` — one node of a real cluster,
-  length-prefixed JSON frames over ``asyncio`` TCP streams.
+  length-prefixed frames (binary by default, JSON via ``codec="json"``)
+  over ``asyncio`` TCP streams.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - type-checking only
-    from repro.runtime.asyncio_runtime import AsyncioRuntime
+from repro.runtime.base import Runtime
 
 
 class TransportEnvelope(NamedTuple):
@@ -75,22 +75,22 @@ class Transport(ABC):
         self.messages_sent = 0
         self.messages_delivered = 0
         self._msg_ids = itertools.count()
-        self._runtime: Optional["AsyncioRuntime"] = None
+        self._runtime: Optional[Runtime] = None
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def bind(self, runtime: "AsyncioRuntime") -> None:
+    def bind(self, runtime: Runtime) -> None:
         """Attach the runtime whose clock and scheduler deliveries use."""
         self._runtime = runtime
 
     @property
-    def runtime(self) -> "AsyncioRuntime":
+    def runtime(self) -> Runtime:
         """The bound runtime (raises if the transport is not bound yet)."""
         if self._runtime is None:
             raise ConfigurationError(
                 f"{type(self).__name__} is not bound to a runtime yet; construct "
-                "an AsyncioRuntime around it first"
+                "a SimRuntime or an AsyncioRuntime around it first"
             )
         return self._runtime
 
@@ -113,7 +113,7 @@ class Transport(ABC):
     def broadcast(self, sender: int, payload: Any, include_self: bool = True) -> None:
         """Send ``payload`` to every processor, in ascending id order.
 
-        The id order matters for determinism: under a virtual clock the
+        The id order matters for determinism: on the simulator kernel the
         per-recipient jitter draws and delivery-event sequence numbers
         follow this loop, matching the simulated network's convention.
         """
@@ -166,7 +166,7 @@ class LocalTransport(Transport):
         Width of the uniform jitter band added to ``delay``; each message
         draws ``U(0, jitter)`` from the transport's own seeded RNG, so a
         given ``(seed, send order)`` always yields the same latencies —
-        deterministic replay under a virtual clock, reproducible noise
+        deterministic replay on the simulator kernel, reproducible noise
         under a wall clock.
     seed:
         Seed of the jitter RNG.

@@ -12,8 +12,10 @@ from repro.sim.events import EventHandle, Simulator
 from repro.sim.clock import LocalClock, LocalTimer
 from repro.sim.network import (
     AdversarialDelay,
+    DelayContext,
     DelayModel,
     Envelope,
+    FaultCounters,
     FixedDelay,
     Network,
     NetworkConfig,

@@ -89,8 +89,10 @@ class Simulator:
     #: event chain (e.g. a delay model proposing 0.0 for every message) makes
     #: unbounded progress without virtual time ever advancing, so
     #: ``run(until=...)`` would otherwise never return.  Exceeding the budget
-    #: raises :class:`SimulationError` instead of livelocking; legitimate
-    #: bursts (n^2 broadcast deliveries at one instant) sit far below it.
+    #: raises :class:`SimulationError` instead of livelocking.  A legitimate
+    #: burst reaches it only as n^2 per-recipient deliveries at one instant
+    #: (a ``LocalTransport`` fabric from n = 317); the grouped-delivery
+    #: ``Network`` schedules one event per broadcast and sits far below it.
     #: Handle-free :meth:`schedule_fired` events draw on the same budget.
     MAX_EVENTS_PER_TIMESTAMP = 100_000
 
@@ -240,10 +242,14 @@ class Simulator:
     def _budget_exceeded(self) -> SimulationError:
         return SimulationError(
             f"more than {self.MAX_EVENTS_PER_TIMESTAMP} events executed at "
-            f"timestamp {self._now!r} without time advancing; this is almost "
-            "always a zero-delay event chain (e.g. a delay model proposing "
-            "0.0 for every message) — give NetworkConfig a min_delay floor "
-            "or raise Simulator.MAX_EVENTS_PER_TIMESTAMP"
+            f"timestamp {self._now!r} without time advancing; either a "
+            "zero-delay event chain (e.g. a delay model proposing 0.0 for "
+            "every message — give NetworkConfig a min_delay floor), or a "
+            "legitimate n^2 fan-in of per-recipient deliveries at one "
+            "instant (an all-to-all round on a LocalTransport from n = 317; "
+            "the grouped-delivery Network needs one event per broadcast — "
+            "use run_scenario at that size, or raise "
+            "Simulator.MAX_EVENTS_PER_TIMESTAMP)"
         )
 
     def step(self) -> bool:
@@ -256,7 +262,8 @@ class Simulator:
         ------
         SimulationError
             If more than :attr:`MAX_EVENTS_PER_TIMESTAMP` events execute
-            without virtual time advancing (a zero-delay event chain).
+            without virtual time advancing (a zero-delay event chain, or an
+            n^2 fan-in of per-recipient deliveries).
         """
         queue = self._queue
         while queue:

@@ -13,6 +13,7 @@ the convention stated in Section 4 of the paper.
 from __future__ import annotations
 
 import itertools
+import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence
@@ -89,6 +90,76 @@ class NetworkConfig:
                 "actual_delay or lower min_delay"
             )
 
+    def delivery_time(self, send_time: float, proposed_delay: float) -> float:
+        """When a message sent at ``send_time`` arrives, given the adversary's proposal.
+
+        The model's one network rule, stated here and nowhere else: the
+        proposal is floored at ``min_delay`` and delivery is clamped to
+        ``max(GST, send_time) + Delta``.  The simulated :class:`Network` and
+        the live :class:`~repro.runtime.chaos.FaultyTransport` both decide
+        every non-self message's fate through this method.
+        """
+        return min(
+            send_time + max(self.min_delay, proposed_delay),
+            max(self.gst, send_time) + self.delta,
+        )
+
+
+#: Counters every run reports, even when zero.
+BASE_FAULT_COUNTS = ("drops", "duplicates", "kills", "partition_epochs", "restarts")
+
+
+class FaultCounters:
+    """Injected-fault totals for one run, shared by every injection site.
+
+    A plain named-counter bag (``bump``) plus distinct-key counting
+    (``note_epoch``) for window-shaped faults: a partition that defers ten
+    thousand messages is still *one* partition epoch.  Each run has one bag
+    (:attr:`repro.metrics.collector.MetricsCollector.faults`): delay
+    schedules, drop/duplicate injectors and replica crash/recovery all count
+    into it at the point the fault happens, on every lane.
+    """
+
+    def __init__(self) -> None:
+        self._counts: dict[str, int] = {name: 0 for name in BASE_FAULT_COUNTS}
+        self._epoch_keys: set[tuple] = set()
+
+    def bump(self, name: str, by: int = 1) -> None:
+        """Add ``by`` to the counter called ``name`` (created at zero)."""
+        self._counts[name] = self._counts.get(name, 0) + by
+
+    def note_epoch(self, name: str, key: tuple) -> None:
+        """Bump ``name`` once per distinct ``key`` (idempotent per key)."""
+        full_key = (name, key)
+        if full_key not in self._epoch_keys:
+            self._epoch_keys.add(full_key)
+            self.bump(name)
+
+    def as_dict(self) -> dict[str, int]:
+        """All counters by name (base counters always present)."""
+        return dict(self._counts)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        nonzero = {k: v for k, v in self._counts.items() if v}
+        return f"FaultCounters({nonzero})"
+
+
+class DelayContext:
+    """What a :class:`DelayModel` is handed besides the message, on every lane.
+
+    ``rng`` is the run's seeded delay stream — nothing else in a run draws
+    from it, so the simulated network (which passes the simulator's RNG) and
+    a live transport seeded with the scenario seed replay the same draws.
+    ``faults`` is the run's :class:`FaultCounters`: a schedule counts a
+    message in the branch that shaped it.
+    """
+
+    __slots__ = ("rng", "faults")
+
+    def __init__(self, rng: random.Random, faults: Optional[FaultCounters] = None) -> None:
+        self.rng = rng
+        self.faults = faults if faults is not None else FaultCounters()
+
 
 class Envelope(NamedTuple):
     """A single point-to-point message in flight.
@@ -136,27 +207,32 @@ class DelayModel(ABC):
     """Strategy choosing the delay of each message, i.e. the network adversary."""
 
     @abstractmethod
-    def propose_delay(self, envelope_info: "PendingSend", sim: Simulator) -> float:
+    def propose_delay(self, envelope_info: "PendingSend", ctx: DelayContext) -> float:
         """Return the proposed delay for the message described by ``envelope_info``.
+
+        This is a schedule's one decision, on every lane: the simulated
+        :class:`Network` and a live
+        :class:`~repro.runtime.chaos.FaultyTransport` call it with the same
+        arguments, so a new subclass runs everywhere with no further step.
 
         Parameters
         ----------
         envelope_info:
             The :class:`PendingSend` describing the message (sender,
             recipient, payload, send time, whether the send is after GST).
-        sim:
-            The simulator; use ``sim.rng`` for randomness so runs stay
-            reproducible, and ``sim.now`` for the current time.
+        ctx:
+            The run's :class:`DelayContext`: draw randomness from
+            ``ctx.rng`` only, so runs stay reproducible, and count a fault
+            in ``ctx.faults`` in the branch that shapes the message.
 
         Returns
         -------
         float
-            The proposed delay in virtual-time units.  Advisory: the network
-            floors it at :attr:`NetworkConfig.min_delay` and clamps delivery
-            to the partial-synchrony deadline ``max(GST, send_time) + Delta``.
+            The proposed delay in seconds.  Advisory: the caller decides the
+            arrival with :meth:`NetworkConfig.delivery_time`.
         """
 
-    def propose_delays(self, sends: Sequence["PendingSend"], sim: Simulator) -> list[float]:
+    def propose_delays(self, sends: Sequence["PendingSend"], ctx: DelayContext) -> list[float]:
         """Propose delays for a whole batch of messages at once, in order.
 
         The vectorised form of :meth:`propose_delay`, called by the
@@ -177,8 +253,8 @@ class DelayModel(ABC):
         sends:
             The :class:`PendingSend` descriptions, one per recipient, in
             delivery-schedule order.
-        sim:
-            The simulator (``sim.rng`` for randomness, ``sim.now`` for time).
+        ctx:
+            The run's :class:`DelayContext`, as for :meth:`propose_delay`.
 
         Returns
         -------
@@ -187,10 +263,10 @@ class DelayModel(ABC):
             like :meth:`propose_delay`: the network floors and clamps each.
         """
         propose = self.propose_delay
-        return [propose(send, sim) for send in sends]
+        return [propose(send, ctx) for send in sends]
 
     def propose_delays_bulk(
-        self, count: int, now: float, after_gst: bool, sim: Simulator
+        self, count: int, now: float, after_gst: bool, ctx: DelayContext
     ) -> Optional[list[float]]:
         """Delays for ``count`` recipients of one send, **without** per-send
         descriptions.
@@ -266,10 +342,10 @@ class FixedDelay(DelayModel):
             raise ConfigurationError(f"delay must be non-negative, got {delay}")
         self.delay = delay
 
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
+    def propose_delay(self, envelope_info: PendingSend, ctx: DelayContext) -> float:
         return self.delay
 
-    def propose_delays(self, sends: Sequence[PendingSend], sim: Simulator) -> list[float]:
+    def propose_delays(self, sends: Sequence[PendingSend], ctx: DelayContext) -> list[float]:
         return [self.delay] * len(sends)
 
     def constant_delay(self) -> Optional[float]:
@@ -294,23 +370,23 @@ class UniformDelay(DelayModel):
         self.low = low
         self.high = high
 
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
-        return sim.rng.uniform(self.low, self.high)
+    def propose_delay(self, envelope_info: PendingSend, ctx: DelayContext) -> float:
+        return ctx.rng.uniform(self.low, self.high)
 
-    def propose_delays(self, sends: Sequence[PendingSend], sim: Simulator) -> list[float]:
+    def propose_delays(self, sends: Sequence[PendingSend], ctx: DelayContext) -> list[float]:
         # Same draws in the same order as the per-message path, without the
         # per-send method dispatch.
-        uniform = sim.rng.uniform
+        uniform = ctx.rng.uniform
         low, high = self.low, self.high
         return [uniform(low, high) for _ in sends]
 
     def propose_delays_bulk(
-        self, count: int, now: float, after_gst: bool, sim: Simulator
+        self, count: int, now: float, after_gst: bool, ctx: DelayContext
     ) -> Optional[list[float]]:
         # The decision ignores everything but the RNG, so the network can
         # skip building PendingSend descriptions entirely.  One draw per
         # recipient in order — the same stream as propose_delays.
-        uniform = sim.rng.uniform
+        uniform = ctx.rng.uniform
         low, high = self.low, self.high
         return [uniform(low, high) for _ in range(count)]
 
@@ -339,20 +415,20 @@ class PreGSTChaos(DelayModel):
         self.post_model = post_model
         self.pre_gst_max_delay = pre_gst_max_delay
 
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
+    def propose_delay(self, envelope_info: PendingSend, ctx: DelayContext) -> float:
         if envelope_info.after_gst:
-            return self.post_model.propose_delay(envelope_info, sim)
-        return sim.rng.uniform(0.0, self.pre_gst_max_delay)
+            return self.post_model.propose_delay(envelope_info, ctx)
+        return ctx.rng.uniform(0.0, self.pre_gst_max_delay)
 
     def propose_delays_bulk(
-        self, count: int, now: float, after_gst: bool, sim: Simulator
+        self, count: int, now: float, after_gst: bool, ctx: DelayContext
     ) -> Optional[list[float]]:
         # All sends of one batch share a send time, hence one GST side.
         # Pre-GST the chaos draws need no per-send information; post-GST
         # the wrapped model decides whether it can go bulk.
         if after_gst:
-            return self.post_model.propose_delays_bulk(count, now, after_gst, sim)
-        uniform = sim.rng.uniform
+            return self.post_model.propose_delays_bulk(count, now, after_gst, ctx)
+        uniform = ctx.rng.uniform
         bound = self.pre_gst_max_delay
         return [uniform(0.0, bound) for _ in range(count)]
 
@@ -363,8 +439,9 @@ class PreGSTChaos(DelayModel):
 class AdversarialDelay(DelayModel):
     """Delegates the delay decision to an arbitrary callable.
 
-    The callable receives ``(pending_send, sim)`` and returns a delay.  Used
-    by attack strategies that need full control of the schedule.
+    The callable receives ``(pending_send, ctx)`` — the same
+    :class:`DelayContext` on every lane — and returns a delay.  Used by
+    attack strategies that need full control of the schedule.
 
     ``describe()`` identifies the model in campaign cache keys, so it must
     distinguish different schedules.  The default (the callable's qualname)
@@ -375,18 +452,18 @@ class AdversarialDelay(DelayModel):
     Parameters
     ----------
     fn:
-        Callable ``(pending_send, sim) -> delay`` deciding each message.
+        Callable ``(pending_send, ctx) -> delay`` deciding each message.
     name:
         Stable identifier used by ``describe()``; required for lambdas and
         closures (see above).
     """
 
-    def __init__(self, fn: Callable[[PendingSend, Simulator], float], name: str = "") -> None:
+    def __init__(self, fn: Callable[[PendingSend, DelayContext], float], name: str = "") -> None:
         self.fn = fn
         self.name = name
 
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
-        return self.fn(envelope_info, sim)
+    def propose_delay(self, envelope_info: PendingSend, ctx: DelayContext) -> float:
+        return self.fn(envelope_info, ctx)
 
     def describe(self) -> str:
         if self.name:
@@ -430,15 +507,16 @@ class TargetedDelay(DelayModel):
         self.target_delay = target_delay
         self.direction = direction
 
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
+    def propose_delay(self, envelope_info: PendingSend, ctx: DelayContext) -> float:
         hit = False
         if self.direction in ("to", "both") and envelope_info.recipient in self.targets:
             hit = True
         if self.direction in ("from", "both") and envelope_info.sender in self.targets:
             hit = True
         if hit:
+            ctx.faults.bump("targeted_delays")
             return self.target_delay
-        return self.base.propose_delay(envelope_info, sim)
+        return self.base.propose_delay(envelope_info, ctx)
 
     def describe(self) -> str:
         return (
@@ -482,6 +560,9 @@ class Network:
         same envelopes, delivery times and delivery order (see
         :meth:`DelayModel.propose_delays` for the RNG discipline that
         makes this hold for randomised models).
+    faults:
+        The run's :class:`FaultCounters`, handed to the delay model with
+        ``sim.rng`` as its :class:`DelayContext`; a fresh bag when omitted.
     """
 
     def __init__(
@@ -491,10 +572,12 @@ class Network:
         delay_model: Optional[DelayModel] = None,
         crypto_backend: Optional["CryptoBackend"] = None,
         batch_deliveries: bool = True,
+        faults: Optional[FaultCounters] = None,
     ) -> None:
         self.sim = sim
         self.config = config
         self.batch_deliveries = batch_deliveries
+        self._ctx = DelayContext(sim.rng, faults)
         self.delay_model = delay_model or FixedDelay(config.actual_delay)
         self.crypto_backend = crypto_backend
         self._processes: dict[int, Any] = {}
@@ -513,14 +596,11 @@ class Network:
     @delay_model.setter
     def delay_model(self, model: DelayModel) -> None:
         # Fast path: a model with one constant delay for every message lets
-        # _delivery_time skip the per-message PendingSend + propose_delay
-        # call.  The floored value is cached here (and kept consistent if a
-        # test swaps the model mid-run).
+        # the send paths skip the per-message PendingSend + propose_delay
+        # call.  Cached here (and kept consistent if a test swaps the model
+        # mid-run).
         self._delay_model = model
-        constant = model.constant_delay()
-        self._constant_floored_delay = (
-            None if constant is None else max(self.config.min_delay, constant)
-        )
+        self._constant_delay = model.constant_delay()
 
     # ------------------------------------------------------------------
     # Registration
@@ -652,47 +732,18 @@ class Network:
         sim = self.sim
         listeners = self.send_listeners
         config = self.config
-        deadline = max(config.gst, now) + config.delta
-        constant = self._constant_floored_delay
-        delay_iter = None
-        constant_time = now
-        min_delay = 0.0
-        if constant is not None:
-            constant_time = now + constant
-            if constant_time > deadline:
-                constant_time = deadline
-        else:
-            after_gst = now >= config.gst
-            count = sum(1 for pid in pids if pid != sender)
-            # Fastest lane first: models that decide from (now, after_gst)
-            # alone hand back the whole delay vector with no per-send
-            # descriptions built at all.
-            delays = self._delay_model.propose_delays_bulk(count, now, after_gst, sim)
-            if delays is None:
-                # Positional NamedTuple construction: this list is built per
-                # broadcast under every send-inspecting delay model.
-                pending = [
-                    PendingSend(sender, pid, payload, now, after_gst)
-                    for pid in pids
-                    if pid != sender
-                ]
-                delays = self._delay_model.propose_delays(pending, sim)
-            if len(delays) != count:
-                raise SimulationError(
-                    f"{self._delay_model.describe()}.propose_delays(_bulk) returned "
-                    f"{len(delays)} delays for {count} sends"
-                )
-            delay_iter = iter(delays)
-            min_delay = config.min_delay
         next_id = self._msg_ids
+        deliver = self._deliver
         envelopes: list[Envelope] = []
-        if delay_iter is None:
+        constant = self._constant_delay
+        if constant is not None:
             # Constant-delay fast lane: at most two delivery groups can
             # exist — the self-copy at ``now`` and everyone else at
             # ``constant_time`` — so group membership is a comparison
             # instead of a dict lookup per envelope.  Zero-delay models
             # collapse both into the ``now`` group, preserving ``pids``
             # order exactly as the general grouping would.
+            constant_time = config.delivery_time(now, constant)
             now_group: list[Envelope] = []
             late_group: list[Envelope] = []
             for pid in pids:
@@ -705,7 +756,6 @@ class Network:
                     listener(envelope)
                 envelopes.append(envelope)
                 (now_group if deliver_time == now else late_group).append(envelope)
-            deliver = self._deliver
             for deliver_time, batch in ((now, now_group), (constant_time, late_group)):
                 if not batch:
                     continue
@@ -714,20 +764,32 @@ class Network:
                 else:
                     sim.schedule_fired_at(deliver_time, self._deliver_batch, batch)
             return envelopes
+        after_gst = now >= config.gst
+        count = sum(1 for pid in pids if pid != sender)
+        # Fastest lane first: models that decide from (now, after_gst)
+        # alone hand back the whole delay vector with no per-send
+        # descriptions built at all.
+        delays = self._delay_model.propose_delays_bulk(count, now, after_gst, self._ctx)
+        if delays is None:
+            # Positional NamedTuple construction: this list is built per
+            # broadcast under every send-inspecting delay model.
+            pending = [
+                PendingSend(sender, pid, payload, now, after_gst)
+                for pid in pids
+                if pid != sender
+            ]
+            delays = self._delay_model.propose_delays(pending, self._ctx)
+        if len(delays) != count:
+            raise SimulationError(
+                f"{self._delay_model.describe()}.propose_delays(_bulk) returned "
+                f"{len(delays)} delays for {count} sends"
+            )
+        delay_iter = iter(delays)
+        delivery_time = config.delivery_time
         groups: dict[float, list[Envelope]] = {}
         for pid in pids:
-            if pid == sender:
-                # Self-messages are received immediately (paper, Section 4).
-                deliver_time = now
-            elif delay_iter is None:
-                deliver_time = constant_time
-            else:
-                delay = next(delay_iter)
-                if delay < min_delay:
-                    delay = min_delay
-                deliver_time = now + delay
-                if deliver_time > deadline:
-                    deliver_time = deadline
+            # Self-messages are received immediately (paper, Section 4).
+            deliver_time = now if pid == sender else delivery_time(now, next(delay_iter))
             envelope = Envelope(
                 next(next_id), sender, pid, payload, now, deliver_time, payload_digest
             )
@@ -740,7 +802,6 @@ class Network:
                 groups[deliver_time] = [envelope]
             else:
                 group.append(envelope)
-        deliver = self._deliver
         for deliver_time, batch in groups.items():
             if len(batch) == 1:
                 sim.schedule_fired_at(deliver_time, deliver, batch[0])
@@ -802,7 +863,16 @@ class Network:
         ``payload_digest`` is computed by the caller (once per send call,
         even for an n-recipient broadcast) and attached verbatim.
         """
-        deliver_time = self._delivery_time(sender, recipient, payload, now)
+        if sender == recipient:
+            # Self-messages are received immediately (paper, Section 4).
+            deliver_time = now
+        else:
+            config = self.config
+            delay = self._constant_delay
+            if delay is None:
+                pending = PendingSend(sender, recipient, payload, now, now >= config.gst)
+                delay = self._delay_model.propose_delay(pending, self._ctx)
+            deliver_time = config.delivery_time(now, delay)
         envelope = Envelope(
             next(self._msg_ids), sender, recipient, payload, now, deliver_time, payload_digest
         )
@@ -817,18 +887,6 @@ class Network:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _delivery_time(self, sender: int, recipient: int, payload: Any, now: float) -> float:
-        if sender == recipient:
-            # Self-messages are received immediately (paper, Section 4).
-            return now
-        config = self.config
-        raw_delay = self._constant_floored_delay
-        if raw_delay is None:
-            pending = PendingSend(sender, recipient, payload, now, now >= config.gst)
-            raw_delay = max(config.min_delay, self.delay_model.propose_delay(pending, self.sim))
-        deadline = max(config.gst, now) + config.delta
-        return min(now + raw_delay, deadline)
-
     def _deliver(self, envelope: Envelope) -> None:
         self.messages_delivered += 1
         for listener in self.deliver_listeners:

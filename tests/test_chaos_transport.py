@@ -1,9 +1,8 @@
-"""Unit tests for the chaos layer: injectors, adapters, kill/restart.
+"""Unit tests for the chaos layer: injectors and schedules on a transport.
 
 Each injector is exercised on its own — seeded determinism for drop,
-delay, duplicate and partition shaping; timer-driven kill/restart
-lifecycle — plus the transparency property: a fully-disabled
-:class:`~repro.runtime.chaos.FaultyTransport` is byte-for-byte invisible
+delay, duplicate and partition shaping — plus the transparency property: a
+fully-disabled :class:`~repro.runtime.chaos.FaultyTransport` is byte-for-byte invisible
 over a :class:`~repro.runtime.transports.LocalTransport` (identical
 envelope streams, wire-encoded payloads included).  Whole-scenario
 sim-vs-live conformance lives in ``tests/test_live_faults.py``.
@@ -14,22 +13,20 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.runner.live import build_live_scenario, run_live_scenario
 from repro.runtime import (
-    AsyncioRuntime,
     ChaosConfig,
     FaultCounters,
     FaultyTransport,
     LocalTransport,
-    adapt_schedule,
-    register_live_adapter,
-    schedule_downtime,
+    SimRuntime,
 )
-from repro.runtime.chaos import BASE_FAULT_COUNTS, ScheduleAdapter
+from repro.runtime.chaos import BASE_FAULT_COUNTS
 from repro.runtime.codec import default_binary_codec
 from repro.faults.schedules import PartitionSchedule
-from repro.sim.network import AdversarialDelay, DelayModel, FixedDelay, UniformDelay
+from repro.sim.events import Simulator
+from repro.sim.network import AdversarialDelay, FixedDelay, UniformDelay
 
 
 def _scenario(seed: int = 0, **overrides) -> ScenarioConfig:
@@ -78,7 +75,7 @@ def _run_built(config, transport=None):
     result.transport.deliver_listeners.append(recorder(delivered))
     for pid in sorted(result.replicas):
         result.replicas[pid].start()
-    result.runtime.run_sync(until=config.duration)
+    result.simulator.run(until=config.duration)
     return result, sent, delivered
 
 
@@ -112,7 +109,8 @@ def _drive_script(transport):
     stream (ids, timings, payload bytes), same deliveries, same wire frames
     under the binary codec.
     """
-    runtime = AsyncioRuntime(transport, seed=0)
+    simulator = Simulator(seed=0)
+    runtime = SimRuntime(simulator, transport)
     codec = default_binary_codec()
     received: list = []
     sent: list = []
@@ -143,7 +141,7 @@ def _drive_script(transport):
 
     runtime.set_timer_at(0.5, script)
     runtime.set_timer_at(2.0, transport.send, 1, 0, b"late reply")
-    runtime.run_sync(until=5.0)
+    simulator.run(until=5.0)
     return sent, delivered, received
 
 
@@ -176,8 +174,8 @@ def test_disabled_faulty_transport_is_transparent_in_a_full_run():
     assert _signature(wrapped) == _signature(bare)
     assert wrapped.transport.messages_sent == bare.transport.messages_sent
     assert wrapped.transport.messages_delivered == bare.transport.messages_delivered
-    # No fault ever fired (build attaches no counters to a transparent run).
-    assert wrapped.fault_counts == {}
+    # No fault ever fired.
+    assert wrapped.fault_counts == dict.fromkeys(BASE_FAULT_COUNTS, 0)
 
 
 def test_transparent_with_jitter_preserves_the_jitter_stream():
@@ -286,78 +284,34 @@ def test_partition_schedule_is_deterministic_and_counts_epochs():
 
 
 # ----------------------------------------------------------------------
-# Kill / restart lifecycle
+# Construction
 # ----------------------------------------------------------------------
-class _FakeProcess:
-    def __init__(self):
-        self.crashed = False
-        self.transitions: list[tuple[str, float]] = []
-        self.clock = None
-
-    def crash(self):
-        self.crashed = True
-        self.transitions.append(("crash", self.clock()))
-
-    def recover(self):
-        self.crashed = False
-        self.transitions.append(("recover", self.clock()))
-
-
-def test_schedule_downtime_kills_and_restarts_on_schedule():
-    transport = LocalTransport()
-    runtime = AsyncioRuntime(transport, seed=0)
-    process = _FakeProcess()
-    process.clock = lambda: runtime.now
-    counters = FaultCounters()
-    schedule_downtime(
-        runtime, process, [(2.0, 5.0), (8.0, None)], counters=counters
-    )
-    runtime.run_sync(until=10.0)
-
-    assert process.transitions == [("crash", 2.0), ("recover", 5.0), ("crash", 8.0)]
-    assert process.crashed  # the second window never recovers
-    assert counters.as_dict()["kills"] == 2
-    assert counters.as_dict()["restarts"] == 1
-
-
-def test_schedule_downtime_rejects_inverted_windows():
-    transport = LocalTransport()
-    runtime = AsyncioRuntime(transport, seed=0)
+def test_faulty_transport_schedule_needs_its_network_envelope():
     with pytest.raises(ConfigurationError):
-        schedule_downtime(runtime, _FakeProcess(), [(5.0, 2.0)])
+        FaultyTransport(LocalTransport(), schedule=FixedDelay(0.1), network=None)
 
 
-# ----------------------------------------------------------------------
-# Construction and adapter validation
-# ----------------------------------------------------------------------
-def test_faulty_transport_rejects_raw_delay_models_and_missing_network():
-    inner = LocalTransport()
-    with pytest.raises(ConfigurationError):
-        FaultyTransport(inner, schedule=FixedDelay(0.1), network=None)
-    with pytest.raises(ConfigurationError):
-        FaultyTransport(inner, schedule=adapt_schedule(FixedDelay(0.1)))
+def test_adversarial_delay_runs_on_the_deterministic_live_lane():
+    # The callable sees the same (pending, ctx) on both lanes, so nothing
+    # about it is simulator-only any more — including inside a composed tree.
+    def config_for():
+        cfg = _scenario(0, gst=5.0, duration=20.0)
+        cfg.delay_model = PartitionSchedule(
+            base=AdversarialDelay(
+                lambda pending, ctx: 0.05 + ctx.rng.uniform(0.0, 0.1), name="custom"
+            ),
+            groups=[(0, 1), (2, 3)],
+            split_at=1.0,
+            heal_at=5.0,
+        )
+        return cfg
 
-
-def test_adversarial_delay_has_no_live_adapter():
-    model = AdversarialDelay(lambda pending, sim: 0.1, name="custom")
-    with pytest.raises(ConfigurationError, match="AdversarialDelay"):
-        adapt_schedule(model)
-
-
-def test_adapt_schedule_validates_whole_trees():
-    nested = PartitionSchedule(
-        base=AdversarialDelay(lambda pending, sim: 0.1),
-        groups=[(0, 1), (2, 3)],
-        split_at=1.0,
-        heal_at=2.0,
-    )
-    with pytest.raises(ConfigurationError, match="AdversarialDelay"):
-        adapt_schedule(nested)
-
-
-def test_register_live_adapter_rejects_double_registration():
-    with pytest.raises(ConfigurationError, match="already has a live adapter"):
-        register_live_adapter(FixedDelay, ScheduleAdapter)
+    live = run_live_scenario(config_for())
+    sim = run_scenario(config_for())
+    assert live.committed_blocks() > 0
+    assert _signature(live) == _signature(sim)
+    assert live.fault_counts == sim.fault_counts
+    assert live.fault_counts["partition_epochs"] == 1
 
 
 def test_explicit_transport_with_delay_model_is_rejected():

@@ -14,7 +14,6 @@ from repro.config import ProtocolConfig
 from repro.crypto.backend import (
     CountingBackend,
     HashingBackend,
-    MemoisingBackend,
     available_backends,
     blake_digest,
     get_default_backend,
@@ -29,7 +28,7 @@ from repro.runner.campaign import spec_key
 from repro.sim.events import Simulator
 from repro.sim.network import FixedDelay, Network, NetworkConfig
 
-ALL_BACKENDS = ("hashing", "counting", "interned")
+ALL_BACKENDS = ("hashing", "counting")
 
 
 @pytest.fixture(params=ALL_BACKENDS)
@@ -149,25 +148,6 @@ def test_counting_backend_counts_calls_and_computes():
     backend.digest("b")
     assert backend.digest_calls == 3
     assert backend.digest_computes == 2
-
-
-def test_memoising_backend_computes_each_payload_once():
-    backend = MemoisingBackend(HashingBackend())
-    value = backend.digest("qc", 7, "block")
-    assert value == blake_digest("qc", 7, "block")  # bit-identical to hashing
-    for _ in range(5):
-        assert backend.digest("qc", 7, "block") == value
-    assert backend.digest_computes == 1
-    assert backend.hits == 5
-    assert backend.inner.digest_calls == 1
-
-
-def test_memoising_backend_memoises_unhashable_payloads():
-    backend = MemoisingBackend(HashingBackend())
-    backend.digest("threshold", "d", 3, [0, 1, 2])
-    backend.digest("threshold", "d", 3, [0, 1, 2])
-    assert backend.digest_computes == 1
-    assert backend.hits == 1
 
 
 def test_reset_counters(backend):

@@ -14,11 +14,14 @@ These pin down the exact boundary semantics the protocols rely on:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.sim.events import Simulator
 from repro.sim.network import (
     AdversarialDelay,
+    DelayContext,
     FixedDelay,
     Network,
     NetworkConfig,
@@ -46,6 +49,60 @@ def build_network(gst: float, delta: float, model, n: int = 3):
 
 
 HUGE_DELAY = AdversarialDelay(lambda pending, sim: 1e9, name="huge")
+
+
+# ----------------------------------------------------------------------
+# The one rule: NetworkConfig.delivery_time
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "send_time,proposed,expected",
+    [
+        (0.0, 0.25, 0.25),     # benign proposal before GST: taken as is
+        (0.0, 1e9, 11.5),      # hostile proposal before GST: GST + Delta
+        (10.0, 1e9, 11.5),     # exactly at GST: both branches agree
+        (25.0, 1e9, 26.5),     # after GST: send + Delta
+        (25.0, 0.01, 25.05),   # below the floor: min_delay
+        (25.0, -5.0, 25.05),   # negative proposal: floored too
+        (25.0, 1.5, 26.5),     # exactly Delta: on the deadline
+        (9.0, 2.0, 11.0),      # straddles GST inside the envelope: untouched
+    ],
+)
+def test_delivery_time_floors_then_clamps(send_time, proposed, expected):
+    config = NetworkConfig(delta=1.5, gst=10.0, actual_delay=0.1, min_delay=0.05)
+    assert config.delivery_time(send_time, proposed) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("site", ["unicast", "constant-broadcast", "drawn-broadcast", "transport"])
+def test_every_send_path_decides_arrival_through_the_one_rule(site, monkeypatch):
+    # Replace the rule; every call site must follow it — none re-states it.
+    monkeypatch.setattr(
+        NetworkConfig, "delivery_time", lambda self, send_time, proposed: send_time + 0.75
+    )
+    config = NetworkConfig(delta=1.0, gst=0.0, actual_delay=0.1)
+    sim = Simulator(seed=3)
+    drawn = AdversarialDelay(lambda pending, ctx: 0.2, name="drawn")
+    if site == "transport":
+        from repro.runtime import FaultyTransport, LocalTransport, SimRuntime
+
+        fabric = FaultyTransport(LocalTransport(), schedule=drawn, network=config)
+        SimRuntime(sim, fabric)
+    else:
+        model = FixedDelay(0.2) if site == "constant-broadcast" else drawn
+        fabric = Network(sim, config, model)
+    sinks = [Sink(pid) for pid in range(3)]
+    arrivals = []
+    for sink in sinks:
+        sink.deliver = lambda payload, sender, pid=sink.pid: arrivals.append((pid, sim.now))
+        fabric.register(sink)
+    sim.run(until=1.0)
+    if site == "unicast":
+        fabric.send(0, 1, "x")
+        expected = [(1, 1.75)]
+    else:
+        fabric.broadcast(0, "x")
+        expected = [(0, 1.0), (1, 1.75), (2, 1.75)]
+    sim.run()
+    assert arrivals == expected
 
 
 # ----------------------------------------------------------------------
@@ -108,13 +165,15 @@ def _pending(sender: int, recipient: int) -> PendingSend:
     ],
 )
 def test_targeted_delay_directions(direction, expectations):
-    sim = Simulator(seed=0)
+    ctx = DelayContext(random.Random(0))
     model = TargetedDelay(FixedDelay(0.1), targets=[1], target_delay=0.9, direction=direction)
     for (sender, recipient), hit in expectations.items():
         expected = 0.9 if hit else 0.1
-        assert model.propose_delay(_pending(sender, recipient), sim) == pytest.approx(expected), (
+        assert model.propose_delay(_pending(sender, recipient), ctx) == pytest.approx(expected), (
             f"direction={direction}, sender={sender}, recipient={recipient}"
         )
+    # The schedule counted exactly the messages it shaped, itself.
+    assert ctx.faults.as_dict()["targeted_delays"] == sum(expectations.values())
 
 
 def test_targeted_delay_end_to_end_delivery_times():

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import pytest
 
 from repro.adversary.behaviours import Behaviour, ChurnBehaviour, CrashBehaviour
+from repro.adversary.corruption import CorruptionPlan
 from repro.consensus.messages import ConsensusMessage
 from repro.errors import ConfigurationError
 from repro.experiments.gauntlet import build_gauntlet_config
-from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.experiments.scenario import ScenarioConfig, build_scenario, run_scenario
 from repro.faults import (
     IntermittentSynchrony,
     MessageClassDelay,
@@ -21,9 +23,9 @@ from repro.faults import (
     scenario_catalogue,
 )
 from repro.pacemakers.base import PacemakerMessage
-from repro.runner import Campaign, Sweep, spec_key
+from repro.runner import Campaign, Sweep, run_live_scenario, spec_key
 from repro.sim.events import Simulator
-from repro.sim.network import FixedDelay, Network, NetworkConfig
+from repro.sim.network import DelayContext, FixedDelay, Network, NetworkConfig, PendingSend
 
 
 class Sink:
@@ -255,6 +257,54 @@ def test_message_class_delay_rejects_unknown_classes():
 
 
 # ----------------------------------------------------------------------
+# A schedule counts the faults it injects itself, in the branch that shaped
+# the message — and only there
+# ----------------------------------------------------------------------
+def _send(sender, recipient, time, payload="x"):
+    return PendingSend(sender, recipient, payload, time, True)
+
+
+SELF_COUNTING_CASES = {
+    "partition": (
+        lambda: partition_model(split=1.0, heal=5.0),
+        # Two crossings inside the window, one inside a group, one after the heal.
+        [_send(0, 2, 1.0), _send(3, 1, 4.9), _send(0, 1, 2.0), _send(0, 2, 5.0)],
+        {"partition_epochs": 1, "partitioned_messages": 2},
+    ),
+    "intermittent": (
+        lambda: IntermittentSynchrony(
+            FixedDelay(0.1), partition_model(split=0.0, heal=100.0),
+            calm_duration=5.0, chaos_duration=5.0,
+        ),
+        # Calm; first chaotic window twice (one crossing); second chaotic window.
+        [_send(0, 2, 1.0), _send(0, 2, 6.0), _send(0, 1, 7.0), _send(0, 1, 16.0)],
+        {"chaos_windows": 2, "partition_epochs": 1, "partitioned_messages": 1},
+    ),
+    "rotating": (
+        lambda: RotatingLeaderDelay(FixedDelay(0.1), n=4, view_duration=1.0, target_delay=9.0),
+        # The victim at time t is pid int(t) % 4; direction "to".
+        [_send(0, 1, 1.5), _send(1, 0, 1.5), _send(0, 2, 2.0)],
+        {"dos_hits": 2},
+    ),
+    "message-class": (
+        lambda: MessageClassDelay(FixedDelay(0.1), match="view-sync", delay=0.8),
+        [_send(0, 1, 0.0, PacemakerMessage()), _send(0, 1, 0.0, ConsensusMessage(view=0))],
+        {"throttled_messages": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELF_COUNTING_CASES))
+def test_schedule_counts_exactly_the_messages_it_shapes(case):
+    build, sends, expected = SELF_COUNTING_CASES[case]
+    model, ctx = build(), DelayContext(random.Random(0))
+    for pending in sends:
+        model.propose_delay(pending, ctx)
+    counts = {name: count for name, count in ctx.faults.as_dict().items() if count}
+    assert counts == expected
+
+
+# ----------------------------------------------------------------------
 # Crash/recovery churn
 # ----------------------------------------------------------------------
 def test_default_behaviour_has_no_downtime():
@@ -276,6 +326,30 @@ def test_churn_behaviour_validates_windows():
         ChurnBehaviour(downtime=5.0, period=5.0)
     with pytest.raises(ValueError):
         ChurnBehaviour(downtime=1.0, period=2.0, cycles=0)
+
+
+def test_replica_rejects_a_recovery_that_does_not_follow_its_crash():
+    config = ScenarioConfig(n=4, duration=10.0, record_trace=False)
+    config.corruption = CorruptionPlan(
+        config.protocol_config(), {3: CrashBehaviour(at_time=5.0, recover_at=2.0)}
+    )
+    for run in (run_scenario, run_live_scenario):
+        with pytest.raises(ConfigurationError, match="does not follow"):
+            run(config)
+
+
+def test_replica_counts_kills_and_restarts_as_they_happen():
+    config = ScenarioConfig(n=4, duration=10.0, record_trace=False)
+    result = build_scenario(config)
+    replica, faults = result.replicas[2], result.metrics.faults
+    replica.recover()  # not down: nothing restarted
+    assert result.fault_counts["restarts"] == 0
+    replica.crash()
+    assert replica.crashed and faults.as_dict()["kills"] == 1
+    replica.recover()
+    replica.recover()
+    assert not replica.crashed
+    assert (result.fault_counts["kills"], result.fault_counts["restarts"]) == (1, 1)
 
 
 def test_replica_recovers_after_a_crash_window():
@@ -385,64 +459,3 @@ def test_campaign_sweeps_eight_named_scenarios():
     assert all(record.decisions > 0 for record in result)
     # Run ids carry the scenario name, so reports and caches line up.
     assert any("scenario=silent_spread" in record.run_id for record in result)
-
-
-# ----------------------------------------------------------------------
-# Live-adapter registry coverage (the chaos layer's drift guard)
-# ----------------------------------------------------------------------
-def _library_delay_model_classes():
-    """Every concrete DelayModel class the library itself defines."""
-    from repro.sim.network import DelayModel
-
-    seen = set()
-
-    def walk(cls):
-        for sub in cls.__subclasses__():
-            if sub not in seen:
-                seen.add(sub)
-                walk(sub)
-
-    walk(DelayModel)
-    # Tests may define their own throwaway subclasses; the guard is about
-    # what ships in repro.* (mirrors the wire-codec zoo guard).
-    return {cls for cls in seen if cls.__module__.startswith("repro.")}
-
-
-def test_every_library_delay_model_has_a_live_adapter():
-    # A new schedule class without a registered live adapter fails here:
-    # either register one (repro.runtime.chaos.register_live_adapter) or
-    # add it to the explicit exemption set with a reason.
-    from repro.runtime.chaos import live_adaptable_classes
-    from repro.sim.network import AdversarialDelay
-
-    library = _library_delay_model_classes()
-    adaptable = set(live_adaptable_classes())
-    # AdversarialDelay wraps arbitrary callables that may close over
-    # simulator state no live runtime can provide; it is sim-only by design.
-    exempt = {AdversarialDelay}
-    missing = sorted(cls.__name__ for cls in library - adaptable - exempt)
-    assert not missing, (
-        f"DelayModel classes with no live runtime adapter: {missing}; "
-        "register one with repro.runtime.chaos.register_live_adapter"
-    )
-    stale = sorted(cls.__name__ for cls in adaptable - library)
-    assert not stale, f"live adapters registered for unknown classes: {stale}"
-    assert not (exempt & adaptable)
-
-
-def test_every_named_scenario_adapts_for_live_runs():
-    # Every registry entry must run under Campaign.run(backend="live"):
-    # its built delay model (when it has one) must adapt cleanly, keeping
-    # the model's own parameter-faithful description.
-    from repro.runtime.chaos import adapt_schedule
-
-    config = ScenarioConfig(n=4, delta=1.0, actual_delay=0.1, gst=10.0, duration=60.0)
-    adapted = 0
-    for name in available_scenarios():
-        delay_model, _ = get_scenario(name).build(config, {})
-        if delay_model is None:
-            continue  # corruption-only: runs live on a plain transport
-        adapter = adapt_schedule(delay_model)
-        assert adapter.describe() == delay_model.describe()
-        adapted += 1
-    assert adapted >= 8  # the delay-model scenarios shipped today

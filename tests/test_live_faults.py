@@ -2,12 +2,12 @@
 
 The chaos layer's headline guarantee (ISSUE 7 acceptance): for *every*
 scenario in the ``repro.faults`` registry, a zero-jitter live run on the
-:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` under a
-:class:`~repro.runtime.asyncio_runtime.VirtualClock` — delay schedules
+simulator kernel (:class:`~repro.runtime.simulation.SimRuntime` over a
+:class:`~repro.runtime.transports.LocalTransport`) — delay schedules
 imposed by a :class:`~repro.runtime.chaos.FaultyTransport` — reaches
-exactly the simulator's decisions and ledgers, across multiple seeds,
-with zero safety violations and the injected-fault counters the scenario
-implies.  A TCP wall-clock subset (marked ``tcp``) smoke-tests the real
+exactly the simulated network's decisions, ledgers and fault counts, across
+multiple seeds, with zero safety violations and the injected-fault counters
+the scenario implies.  A TCP wall-clock subset (marked ``tcp``) smoke-tests the real
 socket lane, where the schedule is an approximation by design.
 """
 
@@ -21,6 +21,7 @@ from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.faults.library import available_scenarios
 from repro.runner import Campaign, Sweep, make_live_cluster, run_live_scenario
 from repro.runtime.chaos import BASE_FAULT_COUNTS
+from repro.sim.network import DelayModel
 
 ALL_SCENARIOS = tuple(available_scenarios())
 
@@ -91,18 +92,49 @@ def test_scenario_live_run_matches_simulator(name, seed):
     # live transport minted too (and vice versa).
     assert live.transport.messages_sent == sim.network.messages_sent
     assert live.transport.messages_delivered == sim.network.messages_delivered
+    # Same faults, counted where they happen by the same schedule objects
+    # and the same replicas.
+    assert live.fault_counts == sim.fault_counts
 
 
+@pytest.mark.parametrize("run", [run_scenario, run_live_scenario])
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_scenario_live_fault_counters(name):
-    live = run_live_scenario(_config(name, 0))
-    counts = live.fault_counts
+def test_scenario_fault_counters_on_both_deterministic_lanes(name, run):
+    counts = run(_config(name, 0)).fault_counts
     # Every scenario run reports the base counters, even at zero.
     assert set(BASE_FAULT_COUNTS) <= set(counts)
     for counter, floor in EXPECTED_COUNTS.get(name, {}).items():
         assert counts[counter] >= floor, (
             f"{name}: expected {counter} >= {floor}, got {counts}"
         )
+
+
+def test_a_new_delay_model_runs_live_with_no_registration_step():
+    class EveryThirdSlow(DelayModel):
+        """Defined here and nowhere else: one class is a whole schedule."""
+
+        def __init__(self):
+            self.seen = 0
+
+        def propose_delay(self, envelope_info, ctx):
+            self.seen += 1
+            if self.seen % 3:
+                return ctx.rng.uniform(0.05, 0.15)
+            ctx.faults.bump("every_third_slowed")
+            return 0.6
+
+    def config():
+        cfg = _config(None, 0, gst=0.0)
+        cfg.delay_model = EveryThirdSlow()
+        return cfg
+
+    sim = run_scenario(config())
+    live = run_live_scenario(config())
+    assert live.committed_blocks() > 0
+    assert _decisions(live.metrics) == _decisions(sim.metrics)
+    assert _ledgers(live.replicas) == _ledgers(sim.replicas)
+    assert live.fault_counts == sim.fault_counts
+    assert live.fault_counts["every_third_slowed"] > 0
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -140,6 +172,12 @@ def test_every_scenario_runs_under_the_live_campaign_backend(tmp_path):
     assert churn.metrics.fault_count("kills") >= 1
     assert churn.metrics.fault_count("restarts") >= 1
 
+    # The simulated lane counts the same faults, cell for cell.
+    serial = campaign.run(backend="serial")
+    for record in result:
+        twin = serial.one(scenario=record.params["scenario"])
+        assert twin.metrics.fault_counts == record.metrics.fault_counts
+
     # The counters survive the JSON cache round trip.
     again = campaign.run(backend="live", cache=cache)
     assert again.cache_hits == len(ALL_SCENARIOS)
@@ -168,7 +206,7 @@ def test_tcp_cluster_runs_chaotic_scenarios(name):
             if c.min_committed() < 3:
                 return False
             if name == "crash_churn":
-                return c.fault_counters.as_dict()["kills"] >= 1
+                return c.fault_counters.as_dict()["restarts"] >= 1
             return True
 
         try:
@@ -187,4 +225,6 @@ def test_tcp_cluster_runs_chaotic_scenarios(name):
     assert consistent
     assert set(BASE_FAULT_COUNTS) <= set(counts)
     if name == "crash_churn":
-        assert counts["kills"] >= 1
+        assert counts["kills"] >= 1 and counts["restarts"] >= 1
+    else:
+        assert counts["partition_epochs"] >= 1

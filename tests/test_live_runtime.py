@@ -1,10 +1,10 @@
 """Live-runtime integration tests: sim equivalence, determinism, TCP smoke.
 
-The headline property (ISSUE 5 acceptance): the asyncio runtime with a
-seeded zero-jitter ``LocalTransport`` reaches exactly the same decisions
-and ledgers as the discrete-event simulator for the same scenario, across
-multiple seeds — the protocol core genuinely does not know which runtime
-it is on.
+The headline property (ISSUE 5 acceptance): the transport stack — a seeded
+zero-jitter ``LocalTransport`` on the simulator kernel — reaches exactly the
+same decisions and ledgers as the simulated network for the same scenario,
+across multiple seeds — the protocol core genuinely does not know which
+fabric it is on.
 """
 
 from __future__ import annotations
@@ -52,13 +52,13 @@ def _ledgers(replicas):
 
 
 # ----------------------------------------------------------------------
-# Equivalence: AsyncioRuntime + seeded LocalTransport == SimRuntime
+# Equivalence: SimRuntime + seeded LocalTransport == SimRuntime + Network
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_local_transport_reproduces_simulator_exactly(seed):
     config = _scenario(seed)
     sim = run_scenario(config)
-    live = run_live_scenario(config)  # zero jitter, virtual clock
+    live = run_live_scenario(config)  # zero jitter, virtual time
 
     assert _decisions(live.metrics) == _decisions(sim.metrics)
     assert _ledgers(live.replicas) == _ledgers(sim.replicas)
@@ -79,6 +79,35 @@ def test_equivalence_holds_under_faults():
     assert _decisions(live.metrics) == _decisions(sim.metrics)
     assert _ledgers(live.replicas) == _ledgers(sim.replicas)
     assert live.ledgers_are_consistent()
+
+
+# ----------------------------------------------------------------------
+# How a deterministic live run ends: duration, event budget, predicate
+# ----------------------------------------------------------------------
+def test_deterministic_run_ends_at_the_duration_on_one_kernel():
+    config = _scenario(0, duration=12.5)
+    result = run_live_scenario(config)
+    assert result.simulator.now == result.runtime.now == 12.5
+    assert result.events_processed == result.simulator.events_processed > 0
+
+
+def test_deterministic_run_honours_the_event_budget():
+    config = _scenario(0)
+    assert run_live_scenario(config, max_events=100).events_processed == 100
+    # With a predicate that never fires the budget still bounds the run...
+    bounded = run_live_scenario(config, max_events=100, stop_when=lambda r: False)
+    assert bounded.events_processed == 100
+    # ...and without one, the duration does.
+    full = run_live_scenario(config, stop_when=lambda r: False)
+    assert full.simulator.now == config.duration
+    assert _decisions(full.metrics) == _decisions(run_live_scenario(config).metrics)
+
+
+def test_deterministic_run_stops_at_the_event_the_predicate_turns_true():
+    config = _scenario(0)
+    result = run_live_scenario(config, stop_when=lambda r: r.committed_blocks() >= 3)
+    assert result.committed_blocks() == 3
+    assert result.simulator.now < config.duration
 
 
 # ----------------------------------------------------------------------
@@ -130,12 +159,30 @@ def test_wall_clock_local_cluster_commits_in_real_time():
     )
     assert result.committed_blocks() >= 3
     assert result.ledgers_are_consistent()
+    # The wall lane reports the deterministic lanes' counter names.
+    assert set(result.fault_counts) == set(run_live_scenario(config).fault_counts)
     # Wall timestamps: monotone, non-virtual times recorded by the collector.
     # The WALL_START_GRACE re-anchor may push the very first events a hair
     # before zero, but never out of order.
     times = [d.time for d in result.metrics.decisions]
     assert times == sorted(times)
     assert all(t >= -1.0 for t in times)
+
+
+def test_wall_clock_local_cluster_counts_each_downtime_window_once():
+    # Kills and restarts are counted by the replica's own crash/recover
+    # timers, so even on a wall clock the totals are exact, not sampled.
+    config = _scenario(
+        0, delta=0.1, duration=3.0, scenario="crash_churn",
+        scenario_params={"downtime": 0.3, "period": 0.8, "cycles": 2},
+    )
+    result = run_live_scenario(
+        config,
+        clock=MonotonicClock(),
+        stop_when=lambda r: r.fault_counts["restarts"] >= 2,
+    )
+    assert (result.fault_counts["kills"], result.fault_counts["restarts"]) == (2, 2)
+    assert result.ledgers_are_consistent()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """One result surface on every lane.
 
 The same n=4 Lumiere + KV-workload config runs in the simulator, on the
-virtual-clock in-memory live lane, on an inline TCP cluster and on a
+deterministic in-memory live lane, on an inline TCP cluster and on a
 process cluster over shared-memory rings; each must hand back the one
 :class:`~repro.experiments.scenario.RunResult` type answering the same
 queries, and :meth:`~repro.runner.record.RunRecord.from_result` must agree
@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.scenario import RunResult, ScenarioConfig, run_scenario
 from repro.runner import RunRecord, WorkloadConfig, make_live_cluster, run_live_scenario
+from repro.runtime.chaos import BASE_FAULT_COUNTS
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -44,7 +45,7 @@ def _run_cluster(config: ScenarioConfig, **lane):
 
 LANES = [
     pytest.param(run_scenario, id="sim"),
-    pytest.param(run_live_scenario, id="virtual-clock"),
+    pytest.param(run_live_scenario, id="deterministic-live"),
     pytest.param(
         lambda config: _run_cluster(config, placement="inline").result(),
         id="inline-tcp", marks=pytest.mark.tcp,
@@ -70,6 +71,9 @@ def test_every_lane_returns_the_one_result_type(run):
     assert result.kv_consistent()
     assert sorted(result.kv_digests()) == sorted(result.kv_chains()) == [0, 1, 2, 3]
     assert result.metrics.requests_applied > 0
+    # Every lane reports the same fault-counter names (all zero here).
+    assert set(BASE_FAULT_COUNTS) <= set(result.fault_counts)
+    assert not any(result.fault_counts[name] for name in BASE_FAULT_COUNTS)
     assert result.summary().decisions == len(result.run_metrics().decision_times) > 0
     assert "lumiere" in result.describe()
 

@@ -1,4 +1,4 @@
-"""Unit tests for the runtime seam: SimRuntime, AsyncioRuntime, codec, dispatch."""
+"""Unit tests for the runtime seam: SimRuntime (both fabrics), AsyncioRuntime, codec, dispatch."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.runtime import (
     MonotonicClock,
     RuntimeContext,
     SimRuntime,
-    VirtualClock,
     WireCodecError,
     default_codec,
 )
@@ -88,85 +87,131 @@ def test_sim_context_runtime_is_cached():
 
 
 # ----------------------------------------------------------------------
-# AsyncioRuntime, virtual clock
+# SimRuntime over a Transport: the deterministic live lane's kernel
 # ----------------------------------------------------------------------
-def _virtual_runtime(**transport_kwargs):
+def _transport_runtime(**transport_kwargs):
+    sim = Simulator(seed=0)
     transport = LocalTransport(**transport_kwargs)
-    return AsyncioRuntime(transport, clock=VirtualClock()), transport
+    return sim, SimRuntime(sim, transport), transport
 
 
-def test_virtual_runtime_orders_timers_like_the_simulator():
-    runtime, _ = _virtual_runtime()
+def test_sim_runtime_binds_the_transport_it_is_built_over():
+    unbound = LocalTransport()
+    with pytest.raises(ConfigurationError, match="not bound to a runtime"):
+        unbound.runtime
+    _, runtime, transport = _transport_runtime()
+    assert transport.runtime is runtime
+    assert runtime.network is transport
+
+
+def test_transport_runtime_orders_timers_by_time_then_insertion():
+    sim, runtime, _ = _transport_runtime()
     fired = []
     runtime.set_timer(1.0, lambda: fired.append("b"))
     runtime.set_timer(0.5, lambda: fired.append("a"))
     runtime.set_timer(1.0, lambda: fired.append("c"))  # same time: insertion order
-    runtime.run_sync(until=2.0)
+    sim.run(until=2.0)
     assert fired == ["a", "b", "c"]
     assert runtime.now == 2.0
-    assert runtime.events_processed == 3
+    assert sim.events_processed == 3
 
 
-def test_virtual_runtime_cancellation_and_validation():
-    runtime, _ = _virtual_runtime()
+def test_transport_runtime_cancellation_and_validation():
+    sim, runtime, _ = _transport_runtime()
     fired = []
     handle = runtime.set_timer(0.5, lambda: fired.append("x"))
     handle.cancel()
     assert not handle.pending
     with pytest.raises(SimulationError):
         runtime.set_timer(-1.0, lambda: None)
-    runtime.run_sync(until=1.0)
+    sim.run(until=1.0)
     with pytest.raises(SimulationError):
         runtime.set_timer_at(0.25, lambda: None)  # before now
     assert fired == []
 
 
-def test_virtual_runtime_delivers_through_local_transport():
-    runtime, transport = _virtual_runtime(delay=0.1)
-    a, b = _Sink(0), _Sink(1)
+def test_transport_runtime_delivers_self_at_once_and_peers_never_early():
+    sim, runtime, transport = _transport_runtime(delay=0.1)
+    arrivals = []
+
+    class _Timed(_Sink):
+        def deliver(self, payload, sender):
+            arrivals.append((self.pid, runtime.now))
+            super().deliver(payload, sender)
+
+    a, b = _Timed(0), _Timed(1)
     runtime.register(a)
     runtime.register(b)
+    assert list(runtime.process_ids) == [0, 1]
+    sim.run(until=0.5)
     runtime.broadcast(0, "ping")
-    runtime.run_sync(until=1.0)
-    # Self-copy immediate, peer copy after the transport delay.
+    sim.run(until=1.0)
+    # Self-copy at the sending instant, peer copy after the transport delay.
+    assert arrivals == [(0, 0.5), (1, 0.6)]
     assert a.received == [("ping", 0)]
     assert b.received == [("ping", 0)]
     assert transport.messages_sent == 2
     assert transport.messages_delivered == 2
 
 
-def test_virtual_runtime_zero_delay_chain_trips_budget():
-    runtime, _ = _virtual_runtime()
+def test_transport_runtime_zero_delay_chain_trips_budget():
+    sim, runtime, _ = _transport_runtime()
 
     def rearm():
         runtime.call_after(0.0, rearm)
 
     runtime.call_after(0.0, rearm)
-    with pytest.raises(SimulationError):
-        runtime.run_sync(until=1.0)
+    with pytest.raises(SimulationError, match="zero-delay event chain"):
+        sim.run(until=1.0)
 
 
-def test_local_clock_runs_on_asyncio_runtime():
-    runtime, _ = _virtual_runtime()
+def test_per_recipient_fan_in_trips_budget_and_the_error_names_it(monkeypatch):
+    # n broadcasts at one instant are n^2 per-recipient deliveries at one
+    # later instant on a LocalTransport (n = 317 at the real budget); the
+    # grouped-delivery Network spends one event per broadcast on the same
+    # round and stays below it.
+    n = 8
+    monkeypatch.setattr(Simulator, "MAX_EVENTS_PER_TIMESTAMP", n * (n - 1) - 1)
+    sim, runtime, _ = _transport_runtime(delay=0.1)
+    for pid in range(n):
+        runtime.register(_Sink(pid))
+    for pid in range(n):
+        runtime.broadcast(pid, "all-to-all")
+    with pytest.raises(SimulationError, match="fan-in of per-recipient deliveries"):
+        sim.run(until=1.0)
+
+    sim, network, runtime = _sim_runtime()
+    sinks = [_Sink(pid) for pid in range(n)]
+    for sink in sinks:
+        runtime.register(sink)
+    for pid in range(n):
+        runtime.broadcast(pid, "all-to-all")
+    sim.run(until=1.0)
+    assert all(len(sink.received) == n for sink in sinks)
+
+
+def test_local_clock_runs_on_a_transport_runtime():
+    sim, runtime, _ = _transport_runtime()
     clock = LocalClock(runtime)
     fired = []
     clock.schedule_at_local(2.0, lambda: fired.append(clock.read()))
     clock.pause()
-    runtime.run_sync(until=1.0)
+    sim.run(until=1.0)
     assert fired == []  # paused: local time frozen below the target
     clock.unpause()
     clock.bump_to(2.0)
-    runtime.run_sync(until=1.5)
+    sim.run(until=1.5)
     assert len(fired) == 1 and fired[0] >= 2.0
 
 
+# ----------------------------------------------------------------------
+# AsyncioRuntime: wall clock
+# ----------------------------------------------------------------------
 def test_wall_clock_runtime_requires_loop_for_timers():
-    transport = LocalTransport()
-    runtime = AsyncioRuntime(transport, clock=MonotonicClock())
+    runtime = AsyncioRuntime(LocalTransport())
+    assert isinstance(runtime.clock, MonotonicClock)
     with pytest.raises(RuntimeError):
         runtime.set_timer(0.1, lambda: None)  # no running loop
-    with pytest.raises(ConfigurationError):
-        runtime.run_sync(until=0.1)  # run_sync is virtual-only
 
 
 def test_wall_clock_set_timer_at_clamps_past_times():
@@ -185,12 +230,11 @@ def test_wall_clock_set_timer_at_clamps_past_times():
 
 
 def test_wall_clock_run_rejects_max_events():
-    async def scenario():
-        runtime = AsyncioRuntime(LocalTransport(), clock=MonotonicClock())
-        with pytest.raises(ConfigurationError):
-            await runtime.run(until=0.05, max_events=10)
+    from repro.runner import run_live_scenario
 
-    asyncio.run(scenario())
+    config = ScenarioConfig(n=4, duration=0.05, record_trace=False)
+    with pytest.raises(ConfigurationError, match="max_events"):
+        run_live_scenario(config, clock=MonotonicClock(), max_events=10)
 
 
 def test_wall_clock_runtime_fires_timers_and_delivers():

@@ -32,7 +32,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.runner import make_live_cluster
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
-from repro.runtime.chaos import ChaosConfig, FaultCounters, FaultyTransport, adapt_schedule
+from repro.runtime.chaos import ChaosConfig, FaultCounters, FaultyTransport
 from repro.runtime.codec import default_binary_codec
 from repro.runtime.shm import (
     DEFAULT_RING_BYTES,
@@ -499,13 +499,11 @@ class TestChaosOverShm:
         segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
         counters = FaultCounters()
         network = NetworkConfig(delta=1.0, gst=0.0, actual_delay=0.05)
-        schedule = adapt_schedule(
-            TargetedDelay(
-                base=FixedDelay(0.0),
-                targets=frozenset({1}),
-                target_delay=0.3,
-                direction="to",
-            )
+        schedule = TargetedDelay(
+            base=FixedDelay(0.0),
+            targets=frozenset({1}),
+            target_delay=0.3,
+            direction="to",
         )
 
         async def run():

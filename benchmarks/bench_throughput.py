@@ -35,6 +35,9 @@ Correctness gates (``--check``; non-zero exit if any fails):
   the exact KV state digest across replicas (trailing synthetic-filler
   blocks never touch the store, so ragged shutdown lengths don't excuse
   digest divergence);
+* no cell (parity, matrix, run length) commits more than 0.02 duplicates
+  per applied request on its worst replica — the commit-frontier retry
+  orders a command once;
 * the run-length row's late/early blocks-per-second ratio is at least
   0.85 and its worker grew by at most 2 KB resident per block per replica
   between the two slices, net of 160 B per applied request per replica;
@@ -83,6 +86,10 @@ PARITY_NS_QUICK = (4,)
 #: Drain margin: the submission window closes this many seconds before the
 #: measurement window so retries can complete every outstanding request.
 DRAIN_SECONDS = 2.0
+#: Committed duplicates the worst replica may skip per applied request: the
+#: commit-frontier retry produces none, so more means commands are being
+#: ordered twice again.
+MAX_DUPLICATES_PER_APPLIED = 0.02
 
 
 def _percentile(sorted_values: list[float], q: float) -> Optional[float]:
@@ -139,6 +146,7 @@ def run_parity_cell(n: int, seed: int) -> dict:
         "requests_applied_sim": sim.metrics.requests_applied,
         "requests_applied_live": live.metrics.requests_applied,
         "requests_submitted": sim.metrics.requests_submitted,
+        "duplicates_per_applied": round(sim.duplicates_per_applied(), 5),
     }
 
 
@@ -166,7 +174,8 @@ async def _run_matrix_cell(
     metrics = cluster.metrics
     request_latencies = sorted(metrics.request_latencies())
     commit_latencies = _commit_latencies(metrics)
-    digests = cluster.kv_digests()
+    result = cluster.result()
+    digests = result.kv_digests()
     submitted = metrics.requests_submitted
     applied = metrics.requests_applied
     return {
@@ -180,6 +189,8 @@ async def _run_matrix_cell(
         "requests_submitted": submitted,
         "requests_rejected": metrics.requests_rejected,
         "requests_applied": applied,
+        "requests_redispatched": metrics.requests_redispatched,
+        "duplicates_per_applied": round(result.duplicates_per_applied(), 5),
         "completion": round(applied / submitted, 5) if submitted else None,
         "requests_per_sec": round(applied / run_time, 2) if run_time > 0 else 0.0,
         "request_latency_p50": round(_percentile(request_latencies, 0.50), 5)
@@ -308,6 +319,7 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
         ) if between else None,
         "requests_submitted": metrics.requests_submitted,
         "requests_applied": metrics.requests_applied,
+        "duplicates_per_applied": round(cluster.result().duplicates_per_applied(), 5),
         "ledgers_consistent": cluster.ledgers_are_consistent(),
         "teardown_errors": [e for e in cluster.teardown_errors if "ring full" not in e],
     }
@@ -424,6 +436,17 @@ def check(report: dict, args: argparse.Namespace) -> list[str]:
                 f"{name}: all requests applied but replica KV digests differ"
             )
     row = report["run_length"]
+    for name, cell in (
+        [(f"parity n={c['n']}", c) for c in report["parity"]]
+        + [(f"n={c['n']} rate={c['rate_per_host']:g} {c['placement']}", c)
+           for c in report["cells"]]
+        + [("run length", row)]
+    ):
+        if cell["duplicates_per_applied"] > MAX_DUPLICATES_PER_APPLIED:
+            failures.append(
+                f"{name}: {cell['duplicates_per_applied']} committed duplicates per "
+                f"applied request (gate {MAX_DUPLICATES_PER_APPLIED})"
+            )
     if not row["ledgers_consistent"] or row["teardown_errors"]:
         failures.append(f"run length: unsafe or unclean run ({row['teardown_errors']})")
     ratio = row["late_over_early_blocks_per_sec"]

@@ -5,9 +5,10 @@ Two modes, chosen per call by what the mempool holds:
 * **Client batches.**  Request gateways submit pre-encoded
   :class:`~repro.statemachine.messages.CommandBatch` blobs via
   :meth:`Mempool.ingest`.  The queue is bounded in *commands* —
-  ``max_pending`` — and a full mempool rejects the batch (the gateway's
-  retry timer re-offers it later), which is the backpressure signal that
-  keeps an overloaded leader from buffering unbounded client state.
+  ``max_pending`` — and a full mempool rejects the batch (its owner, the
+  gateway that submitted it, re-dispatches it once the commit frontier
+  passes this leader's turn), which is the backpressure signal that keeps
+  an overloaded leader from buffering unbounded client state.
   :meth:`Mempool.next_batch` pops whole batches up to ``max_batch``
   commands per proposal **without re-encoding them**: the blobs were
   encoded once at the gateway and travel as opaque bytes through the
@@ -26,6 +27,13 @@ forward), and forgotten once proposed — if that proposal's view fails,
 the next retry must be accepted again.  Committed duplicates are the
 state machine's job (`ReplicatedKV`'s exactly-once filter), not the
 mempool's: a mempool cannot know which in-flight proposals will commit.
+
+A queue lives for one *turn* of its owner (its run of consecutive views as
+leader).  What two proposals could not carry is dropped when the turn ends
+(:meth:`Mempool.expire`, called by the replica) instead of waiting a whole
+leader rotation for the next one: the submitting gateway stays the single
+owner of every command and re-dispatches it to a leader that proposes
+sooner.
 """
 
 from __future__ import annotations
@@ -61,6 +69,10 @@ class Mempool:
         self.accepted = 0
         self.rejected = 0
         self.duplicates = 0
+        #: Batches the owner could no longer propose: forwards the replica
+        #: refused because no proposal of its own was coming, and queued
+        #: batches dropped at the end of its turn.
+        self.expired = 0
 
     @property
     def pending_commands(self) -> int:
@@ -80,6 +92,18 @@ class Mempool:
         self._pending_commands += batch.count
         self.accepted += 1
         return True
+
+    def refuse(self) -> None:
+        """Count a batch turned away at the door: no proposal of the owner's
+        is coming that could carry it."""
+        self.expired += 1
+
+    def expire(self) -> None:
+        """Drop every queued batch: the owner's turn as leader is over."""
+        self.expired += len(self._queue)
+        self._queue.clear()
+        self._queued.clear()
+        self._pending_commands = 0
 
     def next_batch(self) -> tuple:
         """The payload for the next proposal.

@@ -173,10 +173,33 @@ class Replica(Process):
         """Whether this replica leads ``view``."""
         return self.leader_of(view) == self.pid
 
+    def turn_end(self, view: int) -> int:
+        """The last view of the *turn* containing ``view``: its leader's
+        maximal run of consecutive views (two under the paired schedules,
+        four across a Lumiere epoch boundary, one under round-robin)."""
+        leader = self.leader_of(view)
+        while self.leader_of(view + 1) == leader:
+            view += 1
+        return view
+
+    def _proposal_coming(self) -> bool:
+        """Whether this replica proposes in one of the next two views — the
+        reach of a batch queued now: a later turn is a leader rotation away."""
+        view = self.current_view
+        return self.is_leader(view + 1) or self.is_leader(view + 2)
+
     def on_view_entered(self, view: int) -> None:
         """Callback from the pacemaker when this replica enters ``view``."""
         self.metrics.record_view_entry(self.pid, view, self.now)
         self.trace("enter_view", view=view, local_clock=round(self.local_time, 3))
+        if (
+            self.mempool.pending_commands
+            and not self.is_leader(view)
+            and not self._proposal_coming()
+        ):
+            # Our turn ended with batches its proposals could not carry:
+            # their gateways re-dispatch them to a leader that proposes next.
+            self.mempool.expire()
         self.engine.on_enter_view(view)
 
     # ------------------------------------------------------------------
@@ -200,6 +223,11 @@ class Replica(Process):
         self.metrics.record_commit(self.pid, block.view, block.block_id, self.now)
         if self.state_machine is not None:
             self.state_machine.catch_up(self.ledger, self.now)
+        if self.gateway is not None:
+            # This block's view, not safety.state.last_committed_view: that
+            # is already the newest block's while a run of ancestors is
+            # still being handed over, oldest first.
+            self.gateway.redispatch(block.view)
         self.trace("commit", view=block.view, block=block.block_id[:8])
         floor = min(self.safety.state.last_committed_view, self.current_view)
         if floor > self.floor:
@@ -210,12 +238,18 @@ class Replica(Process):
     def _on_client_message(self, payload: ClientMessage, sender: int) -> None:
         """Client-path traffic: forwarded batches feed the mempool.
 
-        A full mempool silently drops the forward — the sending gateway's
-        retry timer re-offers outstanding commands, so backpressure needs
-        no NACK.
+        A forward is accepted only while a proposal of this replica's own is
+        coming within the next two views; one that arrives outside that
+        window (or finds the mempool full) is dropped and counted.  Neither
+        case needs a NACK or a hand-off to the next leader: the gateway that
+        submitted the commands stays their single owner and re-dispatches
+        them once the commit frontier has passed the turn it aimed at.
         """
         if isinstance(payload, CommandForward):
-            self.mempool.ingest(payload.batch)
+            if self._proposal_coming():
+                self.mempool.ingest(payload.batch)
+            else:
+                self.mempool.refuse()
 
     # ------------------------------------------------------------------
     # Epoch-synchronisation accounting (used by epoch-based pacemakers)

@@ -142,7 +142,8 @@ class RunResult:
     ``transport`` only.  Runs whose replicas lived in
     worker processes hold no replicas at all: the coordinator fills
     ``ledger_ids`` / ``shipped_kv_digests`` / ``shipped_kv_chains`` /
-    ``events`` from the shard reports and every query answers from those.
+    ``shipped_client_counts`` / ``events`` from the shard reports and every
+    query answers from those.
     """
 
     config: ScenarioConfig
@@ -163,12 +164,13 @@ class RunResult:
     #: The run's crypto backend instance (its counters expose how much digest
     #: work the run performed); ``None`` when the stacks lived in workers.
     crypto_backend: Optional[CryptoBackend] = None
-    #: Committed block ids, KV state digests and KV apply chains per pid,
-    #: and the runtime-event total, shipped from worker processes (consulted
-    #: only when ``replicas`` is empty).
+    #: Committed block ids, KV state digests, KV apply chains and client-path
+    #: counters per pid, and the runtime-event total, shipped from worker
+    #: processes (consulted only when ``replicas`` is empty).
     ledger_ids: dict[int, Iterable[str]] = field(default_factory=dict)
     shipped_kv_digests: dict[int, str] = field(default_factory=dict)
     shipped_kv_chains: dict[int, Iterable[str]] = field(default_factory=dict)
+    shipped_client_counts: dict[int, dict[str, int]] = field(default_factory=dict)
     events: int = 0
 
     # ------------------------------------------------------------------
@@ -235,6 +237,26 @@ class RunResult:
             return kv_apply_chains(self.replicas.values())
         return dict(self.shipped_kv_chains)
 
+    def client_counts(self) -> dict[int, dict[str, int]]:
+        """Per-replica client-path counters (empty without a workload):
+        ``mempool.expired`` and ``store.duplicates_skipped``."""
+        if self.replicas:
+            from repro.runner.workload import client_path_counts
+
+            return client_path_counts(self.replicas.values())
+        return dict(self.shipped_client_counts)
+
+    def duplicates_per_applied(self) -> float:
+        """Committed duplicates the worst honest replica skipped, per request
+        applied (0.0 without a workload): the share of ordering work the
+        client path spent on commands that were already committed."""
+        skipped = [
+            counts["store.duplicates_skipped"]
+            for counts in self._honest(self.client_counts())
+        ]
+        applied = self.metrics.requests_applied
+        return max(skipped) / applied if skipped and applied else 0.0
+
     def kv_consistent(self) -> bool:
         """State-machine safety: honest apply chains are prefix-consistent.
 
@@ -274,11 +296,20 @@ class RunResult:
 
     def describe(self) -> str:
         """One-line run description for reports."""
-        return (
+        line = (
             f"{self.config.pacemaker} n={self.config.n} "
             f"f_a={self.corruption.f_actual} decisions={self.honest_decisions()} "
             f"commits={self.committed_blocks()} consistent={self.ledgers_are_consistent()}"
         )
+        if self.config.workload is not None:
+            expired = sum(c["mempool.expired"] for c in self.client_counts().values())
+            line += (
+                f" applied={self.metrics.requests_applied}"
+                f"/{self.metrics.requests_submitted}"
+                f" redispatched={self.metrics.requests_redispatched}"
+                f" expired={expired}"
+            )
+        return line
 
 
 def build_spread_fault_config(params: dict[str, Any]) -> ScenarioConfig:

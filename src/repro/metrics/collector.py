@@ -117,6 +117,7 @@ class MetricsCollector:
         self._request_pids = array("q")
         self.requests_submitted = 0
         self.requests_rejected = 0
+        self.requests_redispatched = 0
         self.view_entries: dict[int, list[tuple[float, int]]] = {}
         self.epoch_syncs: list[tuple[float, int, int]] = []  # (time, pid, epoch)
         self.qc_count = 0
@@ -259,6 +260,11 @@ class MetricsCollector:
     def record_request_rejected(self, pid: int) -> None:
         """Count one client request refused by backpressure at ``pid``."""
         self.requests_rejected += 1
+
+    def record_requests_redispatched(self, pid: int, count: int) -> None:
+        """Count ``count`` outstanding requests the gateway at ``pid`` sent
+        again, their leader's turn having passed without committing them."""
+        self.requests_redispatched += count
 
     def record_request_applied(
         self, pid: int, submit_time: float, apply_time: float
@@ -525,6 +531,7 @@ class MetricsCollector:
             "request_pids": self._request_pids,
             "requests_submitted": self.requests_submitted,
             "requests_rejected": self.requests_rejected,
+            "requests_redispatched": self.requests_redispatched,
             "view_entries": {pid: list(entries) for pid, entries in self.view_entries.items()},
             "epoch_syncs": list(self.epoch_syncs),
             "qc_count": self.qc_count,
@@ -609,6 +616,7 @@ def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
     for s in states:
         merged.requests_submitted += s.get("requests_submitted", 0)
         merged.requests_rejected += s.get("requests_rejected", 0)
+        merged.requests_redispatched += s.get("requests_redispatched", 0)
         for pid, entries in s["view_entries"].items():
             merged.view_entries.setdefault(pid, []).extend(entries)
         merged.qc_count += s["qc_count"]

@@ -37,6 +37,7 @@ from repro.runner.workload import (
     RequestGateway,
     WorkloadConfig,
     attach_workload,
+    client_path_counts,
     kv_apply_chains,
     kv_state_digests,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "WorkloadConfig",
     "attach_workload",
     "build_live_scenario",
+    "client_path_counts",
     "config_fingerprint",
     "execute_cell",
     "execute_live_cell",

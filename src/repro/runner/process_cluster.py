@@ -243,6 +243,7 @@ class LiveCluster:
         self.messages_delivered = 0
         self._kv_digests: dict[int, str] = {}
         self._kv_chains: dict[int, Iterable[str]] = {}
+        self._client_counts: dict[int, dict[str, int]] = {}
         self._corruption = None  # resolved by the coordinator at start()
         self._local: Optional[Shard] = None  # the inline shard
         self._workers: list[_Worker] = []
@@ -389,6 +390,7 @@ class LiveCluster:
             self.ledger_ids.update(report.ledger_ids)
             self._kv_digests.update(report.kv_digests)
             self._kv_chains.update(report.kv_chains)
+            self._client_counts.update(report.client_counts)
             self.events_processed += report.events_processed
             self.messages_sent += report.messages_sent
             self.messages_delivered += report.messages_delivered
@@ -479,6 +481,7 @@ class LiveCluster:
             ledger_ids=dict(self.ledger_ids),
             shipped_kv_digests=dict(self._kv_digests),
             shipped_kv_chains=dict(self._kv_chains),
+            shipped_client_counts=dict(self._client_counts),
             events=self.events_processed,
         )
 

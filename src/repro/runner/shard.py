@@ -23,7 +23,7 @@ from repro.experiments.scenario import (
     make_replica,
     start_replicas,
 )
-from repro.runner.workload import kv_apply_chains, kv_state_digests
+from repro.runner.workload import client_path_counts, kv_apply_chains, kv_state_digests
 from repro.runtime import (
     AsyncioRuntime,
     FaultyTransport,
@@ -85,6 +85,8 @@ class ShardReport:
     #: KV state digests / apply chains per pid (empty without a workload).
     kv_digests: dict[int, str]
     kv_chains: dict[int, PackedDigests]
+    #: Mempool and exactly-once counters per pid (empty without a workload).
+    client_counts: dict[int, dict[str, int]]
 
 
 class Shard:
@@ -193,6 +195,7 @@ class Shard:
                 pid: PackedDigests(chain)
                 for pid, chain in kv_apply_chains(replicas.values()).items()
             },
+            client_counts=client_path_counts(replicas.values()),
             events_processed=sum(node.runtime.events_processed for node in nodes),
             messages_sent=sum(node.transport.messages_sent for node in nodes),
             messages_delivered=sum(node.transport.messages_delivered for node in nodes),

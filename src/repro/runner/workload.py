@@ -21,15 +21,29 @@ The gateway implements adaptive batching: submissions buffer until either
 ``forward_batch`` commands are waiting (size trigger) or
 ``forward_deadline`` elapses after the first buffered command (latency
 trigger); the flush encodes the buffer **once** into a
-:class:`~repro.statemachine.messages.CommandBatch` blob and hands it to
-the local mempool when this replica leads the current view, else forwards
-it to the believed leader.  A periodic retry timer re-encodes still
-outstanding commands and re-offers them to the *current* leader — that is
-what re-proposes commands across failed views, crashed leaders and
-dropped forwards, and why the state machine's exactly-once filter earns
-its keep.  Backpressure is two-level and bounded at both: a gateway
-refuses new submissions past ``max_pending`` outstanding, and a full
-mempool refuses forwarded batches (the retry re-offers them later).
+:class:`~repro.statemachine.messages.CommandBatch` blob and routes it by
+the leader schedule.  Three rules share one notion, a leader's *turn* (its
+run of consecutive views under ``replica.leader_of``, any pacemaker):
+
+* **route** — the batch goes to the first proposer it can still reach: the
+  local mempool when this replica leads ``current_view + 1``, else the
+  leader of ``current_view + 2`` (a forward takes up to a message delay, a
+  view lasts two), and every command is filed under the last view of that
+  turn;
+* **retry on the commit frontier** — when the replica applies a block of
+  that view or later and the command is still outstanding, no block of the
+  turn can commit it any more, so it is re-dispatched then; the
+  ``retry_interval`` timer only covers the lossy regime, where the
+  frontier does not follow (drops, crashed leaders);
+* **expire** — a replica accepts forwards, and keeps batches queued, only
+  while a proposal of its own is coming within two views
+  (``Replica._on_client_message`` / ``on_view_entered``), so the gateway
+  that submitted a command stays its single owner and committed duplicates
+  are the lossy-regime exception, not the steady state.
+
+Backpressure is two-level and bounded at both: a gateway refuses new
+submissions past ``max_pending`` outstanding, and a full mempool refuses
+forwarded batches (their owner re-dispatches them to a later leader).
 
 Everything here is deterministic by construction — keys, values and ops
 are derived from ``(client, seq)``, timers fire on a fixed grid, and no
@@ -80,10 +94,11 @@ class WorkloadConfig:
     #: Deadline trigger: flush this many seconds after the first buffered
     #: command even if the size trigger never fires.
     forward_deadline: float = 0.05
-    #: Re-offer outstanding commands to the current leader this often.
-    #: Keep it comfortably above the typical commit latency — a retry that
-    #: races a commit is correct (the exactly-once filter eats it) but
-    #: wastes payload bytes on duplicates.
+    #: Fallback retry cadence.  The primary retry is the commit frontier; this
+    #: timer re-dispatches only commands whose leader's turn is
+    #: ``FALLBACK_VIEW_LAG`` views behind with nothing committed past it
+    #: (lost forwards, crashed leaders).  A retry that races a commit is
+    #: correct (the exactly-once filter eats it) but orders the command twice.
     retry_interval: float = 5.0
     #: Gateway bound: refuse submissions past this many outstanding.
     max_pending: int = 2048
@@ -118,8 +133,18 @@ def make_command(
     return Command(client, seq, op, key, f"v{client}:{seq}")
 
 
+#: The ``retry_interval`` fallback re-dispatches an entry only once its
+#: leader's turn is this many views behind the replica's current view.  It
+#: must not beat the commit frontier through one failed turn: the blocks
+#: certified just before a silent leader commit only with the first
+#: three-chain after it, which a replica sees as it enters the fourth view
+#: past the failed turn — and a turn is at most four views long (a Lumiere
+#: epoch boundary).  Until then a re-dispatch would order the command twice.
+FALLBACK_VIEW_LAG = 8
+
+
 class RequestGateway:
-    """Per-replica client ingress: buffer, batch, forward, retry, complete.
+    """Per-replica client ingress: buffer, batch, route, retry, complete.
 
     Owns the outstanding-request table keyed ``(client, seq)``; the state
     machine's ``on_apply`` callback completes entries and records
@@ -131,32 +156,30 @@ class RequestGateway:
         self.replica = replica
         self.workload = workload
         self.metrics = replica.metrics
-        self._buffer: list[Command] = []
+        # Submitted, not yet flushed: (command, submit_time).
+        self._buffer: list[tuple[Command, float]] = []
         self._deadline_timer = None
-        # (client, seq) -> (command, submit_time); insertion = submission
-        # order, so retries re-offer in the original per-client order.
-        self._outstanding: dict[tuple[int, int], tuple[Command, float]] = {}
+        # (client, seq) -> (command, submit_time, last view of the turn it
+        # was dispatched to), in dispatch order — so the turn views ascend
+        # and a retry only ever inspects the head.
+        self._outstanding: dict[tuple[int, int], tuple[Command, float, int]] = {}
         #: Completion callback for closed-loop generators.
         self.on_complete = None
 
     @property
     def outstanding(self) -> int:
         """Requests submitted but not yet applied."""
-        return len(self._outstanding)
+        return len(self._outstanding) + len(self._buffer)
 
     def submit(self, command: Command) -> bool:
         """Accept one client command; ``False`` = backpressure, try later."""
         if self.replica.crashed:
             return False
-        if len(self._outstanding) >= self.workload.max_pending:
+        if self.outstanding >= self.workload.max_pending:
             self.metrics.record_request_rejected(self.replica.pid)
             return False
         self.metrics.record_request_submitted(self.replica.pid)
-        self._outstanding[(command.client, command.seq)] = (
-            command,
-            self.replica.now,
-        )
-        self._buffer.append(command)
+        self._buffer.append((command, self.replica.now))
         if len(self._buffer) >= self.workload.forward_batch:
             self.flush()
         elif self._deadline_timer is None:
@@ -170,42 +193,78 @@ class RequestGateway:
         self.flush()
 
     def flush(self) -> None:
-        """Encode the buffer once and offer it toward the current leader."""
+        """Encode the buffer once and dispatch it to the next proposer."""
         if self._deadline_timer is not None:
             self._deadline_timer.cancel()
             self._deadline_timer = None
         if not self._buffer:
             return
-        batch = CommandBatch(
-            count=len(self._buffer), data=encode_commands(self._buffer)
-        )
+        self._dispatch(self._buffer)
         self._buffer.clear()
-        self._dispatch(batch)
 
-    def _dispatch(self, batch: CommandBatch) -> None:
+    def _route(self) -> tuple[int, int]:
+        """``(proposer, last view of its turn)`` for a batch dispatched now.
+
+        The first proposer the batch can still reach: this replica when it
+        leads the next view, else whoever leads the view after — a forward
+        takes up to a message delay and a view lasts two, so the next view's
+        leader may have proposed before the batch arrives.
+        """
         replica = self.replica
-        leader = replica.leader_of(replica.current_view)
-        if leader == replica.pid:
+        view = replica.current_view + 1
+        if not replica.is_leader(view):
+            view += 1
+        return replica.leader_of(view), replica.turn_end(view)
+
+    def _dispatch(self, entries: list[tuple]) -> None:
+        """Send the commands of ``entries`` (``(command, submit_time, ...)``)
+        as one batch and file them, at the tail of the outstanding table,
+        under the turn they were sent to."""
+        replica = self.replica
+        batch = CommandBatch(
+            count=len(entries), data=encode_commands([entry[0] for entry in entries])
+        )
+        proposer, turn_end = self._route()
+        if proposer == replica.pid:
             replica.mempool.ingest(batch)
         else:
-            replica.send(leader, CommandForward(batch=batch))
+            replica.send(proposer, CommandForward(batch=batch))
+        outstanding = self._outstanding
+        for entry in entries:
+            command = entry[0]
+            outstanding[(command.client, command.seq)] = (command, entry[1], turn_end)
+
+    def redispatch(self, frontier: int) -> None:
+        """Re-dispatch, oldest first, the entries whose turn ended at or
+        before view ``frontier``.  O(1) when the head's has not.
+
+        The primary retry: the replica calls this with the view of each
+        block it has just applied.  An entry still outstanding then can no
+        longer be committed by any block of its turn (blocks commit in view
+        order), so it goes to a proposer that is still to come.
+        """
+        outstanding = self._outstanding
+        stale = []
+        for entry in outstanding.values():
+            if entry[2] > frontier:
+                break
+            stale.append(entry)
+        if not stale:
+            return
+        self.metrics.record_requests_redispatched(self.replica.pid, len(stale))
+        for command, _, _ in stale:
+            del outstanding[(command.client, command.seq)]
+        # As few batches as proposals can carry them in: every frame more is
+        # one more that a lossy link can drop.
+        size = self.workload.max_batch
+        for lo in range(0, len(stale), size):
+            self._dispatch(stale[lo : lo + size])
 
     def retry_outstanding(self) -> None:
-        """Re-offer every outstanding command to the *current* leader.
-
-        This is the re-proposal path across failed views: forwards lost to
-        drops or a crashed leader come back here until the command applies.
-        """
-        self.flush()
-        if not self._outstanding:
-            return
-        commands = [entry[0] for entry in self._outstanding.values()]
-        size = self.workload.forward_batch
-        for lo in range(0, len(commands), size):
-            chunk = commands[lo : lo + size]
-            self._dispatch(
-                CommandBatch(count=len(chunk), data=encode_commands(chunk))
-            )
+        """Timer fallback for the lossy regime: re-dispatch entries whose
+        turn is ``FALLBACK_VIEW_LAG`` views behind while the commit frontier
+        has not followed (forwards or proposals lost, leaders crashed)."""
+        self.redispatch(self.replica.current_view - FALLBACK_VIEW_LAG)
 
     def on_applied(self, command: Command, time: float) -> None:
         """State-machine callback: complete the request if it is ours."""
@@ -379,6 +438,20 @@ def kv_state_digests(replicas) -> dict[int, str]:
     """Per-replica KV state digests (replicas without a state machine skipped)."""
     return {
         replica.pid: replica.state_machine.digest()
+        for replica in replicas
+        if getattr(replica, "state_machine", None) is not None
+    }
+
+
+def client_path_counts(replicas) -> dict[int, dict[str, int]]:
+    """Per-replica client-path counters: the batches each mempool gave up
+    on, and the committed duplicates the exactly-once filter skipped
+    (replicas without a state machine skipped)."""
+    return {
+        replica.pid: {
+            "mempool.expired": replica.mempool.expired,
+            "store.duplicates_skipped": replica.state_machine.store.duplicates_skipped,
+        }
         for replica in replicas
         if getattr(replica, "state_machine", None) is not None
     }

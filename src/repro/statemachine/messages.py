@@ -34,7 +34,9 @@ class CommandBatch:
 
 @dataclass(frozen=True, slots=True)
 class CommandForward(ClientMessage):
-    """A batch forwarded from a non-leader's request gateway to the
-    replica it believes is the current leader."""
+    """A batch forwarded from a request gateway to the replica that proposes
+    next but one (the leader of the sender's ``current_view + 2``).  The
+    recipient queues it only while a proposal of its own is still coming;
+    the sender stays the owner and re-dispatches what does not commit."""
 
     batch: CommandBatch

@@ -9,20 +9,29 @@ under faults.  Headline assertions:
 * a zero-jitter virtual-clock live run is **byte-identical** to the sim
   run — same ledgers, same KV state, same request count;
 * under leader churn (``crash_churn``) plus transport drops the gateway
-  retry path re-proposes commands, at least one duplicate reaches the
-  ledger, the exactly-once filter applies each identity once, and the end
-  state equals a fault-free run's.
+  retry path re-proposes commands, each identity applies once, and the end
+  state equals a fault-free run's;
+* two leaders handed the same batch on purpose both commit it, and the
+  exactly-once filter applies it once.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.scenario import ScenarioConfig, build_scenario, run_scenario
+from repro.experiments.scenario import (
+    ScenarioConfig,
+    build_scenario,
+    run_scenario,
+    start_replicas,
+)
 from repro.runner import WorkloadConfig, kv_apply_chains, kv_state_digests
 from repro.runner.live import run_live_scenario
+from repro.runner.workload import make_command
 from repro.runtime.chaos import ChaosConfig
 from repro.statemachine import apply_chains_consistent
+from repro.statemachine.commands import encode_commands
+from repro.statemachine.messages import CommandBatch
 
 
 def _config(seed: int = 0, **overrides) -> ScenarioConfig:
@@ -166,13 +175,7 @@ def test_exactly_once_under_churn_and_drops():
     for pid in honest:
         assert chaotic.replicas[pid].gateway.outstanding == 0
 
-    # The retry path really did re-propose: at least one committed
-    # duplicate hit the exactly-once filter somewhere...
-    duplicates = sum(
-        r.state_machine.store.duplicates_skipped for r in chaotic.replicas.values()
-    )
-    assert duplicates > 0
-    # ...and each identity applied exactly once on every replica.
+    # Each identity applied exactly once on every replica.
     for replica in chaotic.replicas.values():
         assert replica.state_machine.store.applied_total == submitted
     assert chaotic.kv_consistent()
@@ -186,3 +189,43 @@ def test_exactly_once_under_churn_and_drops():
     chaotic_digests = set(chaotic.kv_digests().values())
     assert clean_digests == chaotic_digests
     assert len(clean_digests) == 1
+
+
+def test_a_batch_committed_by_two_leaders_applies_once():
+    # The exactly-once filter, exercised on purpose rather than by a wasteful
+    # retry: the same batch is put into the mempools of the next two leaders,
+    # both propose it, both blocks commit.
+    workload = _workload(client_pids=())  # state machines, no generators
+    result = build_scenario(_config(workload=workload))
+    replicas = result.replicas
+    commands = [make_command(workload, client=9, seq=seq) for seq in range(8)]
+    batch = CommandBatch(count=len(commands), data=encode_commands(commands))
+    handed = []
+
+    def hand_over():
+        any_replica = replicas[0]
+        first_view = any_replica.current_view + 1
+        second_view = any_replica.turn_end(first_view) + 1
+        for view in (first_view, second_view):
+            leader = any_replica.leader_of(view)
+            assert replicas[leader].mempool.ingest(batch)
+            handed.append(leader)
+
+    result.simulator.schedule_at(5.03, hand_over)
+    start_replicas(replicas)
+    result.simulator.run(until=10.0)
+
+    assert len(set(handed)) == 2
+    carriers = [
+        entry.block
+        for entry in replicas[0].ledger.entries
+        if batch in entry.block.payload
+    ]
+    assert sorted(block.proposer for block in carriers) == sorted(handed)
+    for replica in replicas.values():
+        store = replica.state_machine.store
+        assert store.applied_total == len(commands)
+        assert store.duplicates_skipped == len(commands)
+    chains = kv_apply_chains(replicas.values())
+    assert len(set(chains.values())) == 1
+    assert len(set(kv_state_digests(replicas.values()).values())) == 1

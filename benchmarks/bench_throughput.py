@@ -24,6 +24,13 @@ Two tiers, one report (``BENCH_throughput.json`` at the repository root):
   resident set over the first and the last fifth of the run.  A view must
   cost and keep the same at second 25 as at second 5.
 
+Request latency is also reported in the unit the protocol works in:
+``request_latency_p50_views`` is request p50 times blocks per second of the
+same cell or slice — how many views a request spends between submission and
+application.  Routing plus the three-chain need under five; what is above
+that is waiting.  Every row carries the gateway's flush counts by trigger
+(``view`` / ``size`` / ``deadline``) and the ``CommandForward`` frames sent.
+
 Correctness gates (``--check``; non-zero exit if any fails):
 
 * every parity cell's sim and live runs agree byte-for-byte (ledgers,
@@ -41,6 +48,7 @@ Correctness gates (``--check``; non-zero exit if any fails):
 * the run-length row's late/early blocks-per-second ratio is at least
   0.85 and its worker grew by at most 2 KB resident per block per replica
   between the two slices, net of 160 B per applied request per replica;
+* request p50 on both run-length slices is at most 7 views;
 * the committed ``--output`` JSON (if present) was generated by the
   current repro version (``--check-output-version`` runs only this).
 
@@ -90,6 +98,10 @@ DRAIN_SECONDS = 2.0
 #: commit-frontier retry produces none, so more means commands are being
 #: ordered twice again.
 MAX_DUPLICATES_PER_APPLIED = 0.02
+#: Request p50 in views on the fault-free run-length slices: a view to leave
+#: the gateway, up to two to the aimed-at proposal, the three-chain, the apply.
+#: Count-or-timer batching sat at 9.6 and 10.2.
+MAX_REQUEST_P50_VIEWS = 7.0
 
 
 def _percentile(sorted_values: list[float], q: float) -> Optional[float]:
@@ -97,6 +109,18 @@ def _percentile(sorted_values: list[float], q: float) -> Optional[float]:
         return None
     index = min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1)))
     return sorted_values[index]
+
+
+def _in_views(latency: Optional[float], blocks_per_sec: float) -> Optional[float]:
+    """``latency`` seconds as a number of views at ``blocks_per_sec``."""
+    if latency is None or not blocks_per_sec:
+        return None
+    return round(latency * blocks_per_sec, 2)
+
+
+def _gateway_counts(metrics) -> dict:
+    """Which trigger flushed the gateways, and the forwards they sent."""
+    return {"flushes": dict(metrics.flushes), "forwards_sent": metrics.forwards_sent}
 
 
 def _commit_latencies(metrics) -> list[float]:
@@ -147,6 +171,7 @@ def run_parity_cell(n: int, seed: int) -> dict:
         "requests_applied_live": live.metrics.requests_applied,
         "requests_submitted": sim.metrics.requests_submitted,
         "duplicates_per_applied": round(sim.duplicates_per_applied(), 5),
+        **_gateway_counts(sim.metrics),
     }
 
 
@@ -178,6 +203,8 @@ async def _run_matrix_cell(
     digests = result.kv_digests()
     submitted = metrics.requests_submitted
     applied = metrics.requests_applied
+    request_p50 = _percentile(request_latencies, 0.50)
+    blocks = cluster.min_committed()
     return {
         "n": n,
         "placement": placement,
@@ -190,18 +217,19 @@ async def _run_matrix_cell(
         "requests_rejected": metrics.requests_rejected,
         "requests_applied": applied,
         "requests_redispatched": metrics.requests_redispatched,
+        **_gateway_counts(metrics),
         "duplicates_per_applied": round(result.duplicates_per_applied(), 5),
         "completion": round(applied / submitted, 5) if submitted else None,
         "requests_per_sec": round(applied / run_time, 2) if run_time > 0 else 0.0,
-        "request_latency_p50": round(_percentile(request_latencies, 0.50), 5)
-        if request_latencies else None,
+        "request_latency_p50": round(request_p50, 5) if request_latencies else None,
+        "request_latency_p50_views": _in_views(request_p50, blocks / run_time),
         "request_latency_p99": round(_percentile(request_latencies, 0.99), 5)
         if request_latencies else None,
         "commit_latency_p50": round(_percentile(commit_latencies, 0.50), 5)
         if commit_latencies else None,
         "commit_latency_p99": round(_percentile(commit_latencies, 0.99), 5)
         if commit_latencies else None,
-        "committed_blocks": cluster.min_committed(),
+        "committed_blocks": blocks,
         "ledgers_consistent": cluster.ledgers_are_consistent(),
         "kv_chains_consistent": cluster.kv_consistent(),
         "kv_digests_agree": len(set(digests.values())) == 1 if digests else False,
@@ -247,10 +275,12 @@ def _slice_numbers(metrics, per_pid_commits: list[list[float]], lo: float, hi: f
         metrics.request_latencies(after=lo)[: metrics.requests_applied_between(lo, hi)]
     )
     blocks = min(bisect_left(times, hi) - bisect_left(times, lo) for times in per_pid_commits)
+    request_p50 = _percentile(latencies, 0.50)
     return {
         "blocks": blocks,
         "blocks_per_sec": round(blocks / (hi - lo), 1),
-        "request_latency_p50": round(_percentile(latencies, 0.50), 5) if latencies else None,
+        "request_latency_p50": round(request_p50, 5) if latencies else None,
+        "request_latency_p50_views": _in_views(request_p50, blocks / (hi - lo)),
     }
 
 
@@ -319,6 +349,8 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
         ) if between else None,
         "requests_submitted": metrics.requests_submitted,
         "requests_applied": metrics.requests_applied,
+        "requests_redispatched": metrics.requests_redispatched,
+        **_gateway_counts(metrics),
         "duplicates_per_applied": round(cluster.result().duplicates_per_applied(), 5),
         "ledgers_consistent": cluster.ledgers_are_consistent(),
         "teardown_errors": [e for e in cluster.teardown_errors if "ring full" not in e],
@@ -339,7 +371,9 @@ def run_report(args: argparse.Namespace) -> dict:
         f"[bench] run length: blocks/s {run_length['early']['blocks_per_sec']} -> "
         f"{run_length['late']['blocks_per_sec']}, req p50 "
         f"{run_length['early']['request_latency_p50']} -> "
-        f"{run_length['late']['request_latency_p50']}, worker RSS "
+        f"{run_length['late']['request_latency_p50']} "
+        f"({run_length['early']['request_latency_p50_views']} -> "
+        f"{run_length['late']['request_latency_p50_views']} views), worker RSS "
         f"{run_length['early']['worker_rss_mb']} -> {run_length['late']['worker_rss_mb']} MB "
         f"({run_length['rss_bytes_per_block_per_replica']} B/block/replica, "
         f"{run_length['rss_bytes_per_block_per_replica_net_of_requests']} net of requests)",
@@ -371,7 +405,9 @@ def run_report(args: argparse.Namespace) -> dict:
                 print(
                     f"[bench] {label}: {cell['requests_per_sec']} req/s "
                     f"({cell['requests_applied']}/{cell['requests_submitted']} applied, "
-                    f"req p50 {cell['request_latency_p50']} p99 {cell['request_latency_p99']}, "
+                    f"req p50 {cell['request_latency_p50']} "
+                    f"({cell['request_latency_p50_views']} views) "
+                    f"p99 {cell['request_latency_p99']}, "
                     f"commit p50 {cell['commit_latency_p50']}, "
                     f"kv={cell['kv_digests_agree']})",
                     flush=True,
@@ -455,6 +491,14 @@ def check(report: dict, args: argparse.Namespace) -> list[str]:
             f"run length: late/early blocks per second {ratio} (gate {MIN_LATE_OVER_EARLY}): "
             "a view got dearer as the run got longer"
         )
+    for name in ("early", "late"):
+        views = row[name]["request_latency_p50_views"]
+        if views is None or views > MAX_REQUEST_P50_VIEWS:
+            failures.append(
+                f"run length: request p50 is {views} views on the {name} slice "
+                f"(gate {MAX_REQUEST_P50_VIEWS}): requests wait for something "
+                "other than a proposal"
+            )
     growth = row["rss_bytes_per_block_per_replica_net_of_requests"]
     if growth is None or growth > MAX_BYTES_PER_BLOCK:
         failures.append(

@@ -55,6 +55,11 @@ class ConsensusEngine(ABC):
     def on_message(self, msg: ConsensusMessage, sender: int) -> None:
         """Handle a consensus-layer message."""
 
+    @abstractmethod
+    def proposal_pending(self, view: int) -> bool:
+        """Whether this replica leads ``view`` and has yet to propose in it
+        (read-only: what is queued for it now can still ride that proposal)."""
+
     def release_below(self, floor: int) -> None:
         """The replica's committed-view floor rose: free per-view state below it."""
 
@@ -175,6 +180,14 @@ class ChainedHotStuff(ConsensusEngine):
     # ------------------------------------------------------------------
     # Leader logic
     # ------------------------------------------------------------------
+    def proposal_pending(self, view: int) -> bool:
+        replica = self.replica
+        return (
+            view >= 0
+            and replica.leader_of(view) == replica.pid
+            and view not in self._proposed_views
+        )
+
     def _handle_new_view(self, msg: NewView, sender: int) -> None:
         if self.replica.leader_of(msg.view) != self.replica.pid:
             return
@@ -193,11 +206,7 @@ class ChainedHotStuff(ConsensusEngine):
         failed view), or ``view`` is the first view of the execution.
         """
         replica = self.replica
-        if view < 0 or replica.leader_of(view) != replica.pid:
-            return
-        if view in self._proposed_views:
-            return
-        if replica.current_view != view:
+        if not self.proposal_pending(view) or replica.current_view != view:
             return
         high_qc = self.safety.high_qc
         quorum_reports = self._new_view_qcs.get(view, {})

@@ -200,6 +200,10 @@ class Replica(Process):
             # Our turn ended with batches its proposals could not carry:
             # their gateways re-dispatch them to a leader that proposes next.
             self.mempool.expire()
+        if self.gateway is not None:
+            # Before the engine may propose: what this replica buffered since
+            # the last view rides the proposal of this one when it leads it.
+            self.gateway.flush("view")
         self.engine.on_enter_view(view)
 
     # ------------------------------------------------------------------

@@ -308,6 +308,8 @@ class RunResult:
                 f"/{self.metrics.requests_submitted}"
                 f" redispatched={self.metrics.requests_redispatched}"
                 f" expired={expired}"
+                f" flushes={'/'.join(f'{k}:{v}' for k, v in self.metrics.flushes.items())}"
+                f" forwards={self.metrics.forwards_sent}"
             )
         return line
 

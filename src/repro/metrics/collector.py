@@ -118,6 +118,11 @@ class MetricsCollector:
         self.requests_submitted = 0
         self.requests_rejected = 0
         self.requests_redispatched = 0
+        #: Gateway flushes by the trigger that fired them, and the
+        #: ``CommandForward`` frames gateways sent (flushes and re-dispatches
+        #: that did not go to the local mempool).
+        self.flushes: dict[str, int] = {"view": 0, "size": 0, "deadline": 0}
+        self.forwards_sent = 0
         self.view_entries: dict[int, list[tuple[float, int]]] = {}
         self.epoch_syncs: list[tuple[float, int, int]] = []  # (time, pid, epoch)
         self.qc_count = 0
@@ -265,6 +270,15 @@ class MetricsCollector:
         """Count ``count`` outstanding requests the gateway at ``pid`` sent
         again, their leader's turn having passed without committing them."""
         self.requests_redispatched += count
+
+    def record_flush(self, pid: int, trigger: str) -> None:
+        """Count one non-empty flush of the gateway at ``pid`` by what fired
+        it: ``view`` (a view entry), ``size`` or ``deadline``."""
+        self.flushes[trigger] += 1
+
+    def record_forward_sent(self, pid: int) -> None:
+        """Count one ``CommandForward`` the gateway at ``pid`` sent."""
+        self.forwards_sent += 1
 
     def record_request_applied(
         self, pid: int, submit_time: float, apply_time: float
@@ -532,6 +546,8 @@ class MetricsCollector:
             "requests_submitted": self.requests_submitted,
             "requests_rejected": self.requests_rejected,
             "requests_redispatched": self.requests_redispatched,
+            "flushes": dict(self.flushes),
+            "forwards_sent": self.forwards_sent,
             "view_entries": {pid: list(entries) for pid, entries in self.view_entries.items()},
             "epoch_syncs": list(self.epoch_syncs),
             "qc_count": self.qc_count,
@@ -617,6 +633,9 @@ def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
         merged.requests_submitted += s.get("requests_submitted", 0)
         merged.requests_rejected += s.get("requests_rejected", 0)
         merged.requests_redispatched += s.get("requests_redispatched", 0)
+        for trigger, count in s.get("flushes", {}).items():
+            merged.flushes[trigger] += count
+        merged.forwards_sent += s.get("forwards_sent", 0)
         for pid, entries in s["view_entries"].items():
             merged.view_entries.setdefault(pid, []).extend(entries)
         merged.qc_count += s["qc_count"]

@@ -17,19 +17,36 @@ standalone client processes would receive (and distort the accounting of)
 all consensus traffic.  A generator is therefore plain timer-driven state
 on its replica, submitting into the local gateway.
 
-The gateway implements adaptive batching: submissions buffer until either
-``forward_batch`` commands are waiting (size trigger) or
-``forward_deadline`` elapses after the first buffered command (latency
-trigger); the flush encodes the buffer **once** into a
-:class:`~repro.statemachine.messages.CommandBatch` blob and routes it by
-the leader schedule.  Three rules share one notion, a leader's *turn* (its
-run of consecutive views under ``replica.leader_of``, any pacemaker):
+The gateway batches by the **view**, the one clock a batch can be used on:
+a batch is "what arrived since the last proposal opportunity".  Submissions
+buffer until one of three triggers flushes them, and the flush encodes the
+buffer **once** into a :class:`~repro.statemachine.messages.CommandBatch`
+blob and routes it by the leader schedule:
+
+* ``view`` — the replica enters a view (``Replica.on_view_entered``, after
+  the turn-end mempool expiry and *before* the engine may propose), under
+  every pacemaker on every lane, because view entry is the one event they all
+  share.  This is the trigger that serves a healthy run: a request waits for
+  a proposal, not for a timer;
+* ``size`` — ``forward_batch`` commands are waiting: the cap on one forward,
+  for a burst inside one view;
+* ``deadline`` — the oldest buffered command is ``forward_deadline`` seconds
+  old.  It survives as the stall fallback: while a silent leader's view
+  times out nobody enters a view, and commands still have to leave for the
+  leaders after it.  There is at most one armed timer per gateway; it
+  re-checks the age of the oldest buffered command when it fires instead of
+  being cancelled and re-armed by every flush.
+
+``MetricsCollector.flushes`` counts which trigger served a run.  Three rules
+share one notion, a leader's *turn* (its run of consecutive views under
+``replica.leader_of``, any pacemaker):
 
 * **route** — the batch goes to the first proposer it can still reach: the
-  local mempool when this replica leads ``current_view + 1``, else the
-  leader of ``current_view + 2`` (a forward takes up to a message delay, a
-  view lasts two), and every command is filed under the last view of that
-  turn;
+  local mempool when this replica leads the view it is in and has not
+  proposed in it yet (so what a leader buffered rides the proposal it is
+  about to make) or leads ``current_view + 1``, else the leader of
+  ``current_view + 2`` (a forward takes up to a message delay, a view lasts
+  two), and every command is filed under the last view of that turn;
 * **retry on the commit frontier** — when the replica applies a block of
   that view or later and the command is still outstanding, no block of the
   turn can commit it any more, so it is re-dispatched then; the
@@ -156,9 +173,11 @@ class RequestGateway:
         self.replica = replica
         self.workload = workload
         self.metrics = replica.metrics
-        # Submitted, not yet flushed: (command, submit_time).
+        # Submitted, not yet flushed: (command, submit_time), oldest first.
         self._buffer: list[tuple[Command, float]] = []
-        self._deadline_timer = None
+        # When the one deadline timer fires (None = not armed).  Flushes never
+        # cancel it: it looks at the oldest buffered command when it fires.
+        self._deadline_due: Optional[float] = None
         # (client, seq) -> (command, submit_time, last view of the turn it
         # was dispatched to), in dispatch order — so the turn views ascend
         # and a retry only ever inspects the head.
@@ -179,26 +198,41 @@ class RequestGateway:
             self.metrics.record_request_rejected(self.replica.pid)
             return False
         self.metrics.record_request_submitted(self.replica.pid)
-        self._buffer.append((command, self.replica.now))
+        now = self.replica.now
+        self._buffer.append((command, now))
         if len(self._buffer) >= self.workload.forward_batch:
-            self.flush()
-        elif self._deadline_timer is None:
-            self._deadline_timer = self.replica.runtime.set_timer(
-                self.workload.forward_deadline, self._deadline_flush
-            )
+            self.flush("size")
+        elif self._deadline_due is None:
+            self._arm_deadline(now + self.workload.forward_deadline)
         return True
 
-    def _deadline_flush(self) -> None:
-        self._deadline_timer = None
-        self.flush()
+    def _arm_deadline(self, due: float) -> None:
+        self._deadline_due = due
+        self.replica.runtime.set_timer_at(due, self._on_deadline)
 
-    def flush(self) -> None:
-        """Encode the buffer once and dispatch it to the next proposer."""
-        if self._deadline_timer is not None:
-            self._deadline_timer.cancel()
-            self._deadline_timer = None
+    def _on_deadline(self) -> None:
+        """The deadline timer fired: flush if the oldest buffered command is
+        the one it was armed for (or as old), else wait out the remainder of
+        that command's deadline — the flush times of a timer armed per
+        command, at one timer per ``forward_deadline`` instead of one armed
+        and one cancelled per flush."""
+        armed_for, self._deadline_due = self._deadline_due, None
         if not self._buffer:
             return
+        due = self._buffer[0][1] + self.workload.forward_deadline
+        if due <= armed_for:
+            self.flush("deadline")
+        else:
+            self._arm_deadline(due)
+
+    def flush(self, trigger: str) -> None:
+        """Encode the buffer once and dispatch it to the next proposer;
+        ``trigger`` (``view`` / ``size`` / ``deadline``) is counted.  An empty
+        buffer — most view entries of a lightly loaded replica — costs this
+        one check."""
+        if not self._buffer:
+            return
+        self.metrics.record_flush(self.replica.pid, trigger)
         self._dispatch(self._buffer)
         self._buffer.clear()
 
@@ -206,14 +240,17 @@ class RequestGateway:
         """``(proposer, last view of its turn)`` for a batch dispatched now.
 
         The first proposer the batch can still reach: this replica when it
-        leads the next view, else whoever leads the view after — a forward
-        takes up to a message delay and a view lasts two, so the next view's
-        leader may have proposed before the batch arrives.
+        leads the view it is in and has yet to propose in it, or leads the
+        next view; else whoever leads the view after — a forward takes up to
+        a message delay and a view lasts two, so the next view's leader may
+        have proposed before the batch arrives.
         """
         replica = self.replica
-        view = replica.current_view + 1
-        if not replica.is_leader(view):
+        view = replica.current_view
+        if not replica.engine.proposal_pending(view):
             view += 1
+            if not replica.is_leader(view):
+                view += 1
         return replica.leader_of(view), replica.turn_end(view)
 
     def _dispatch(self, entries: list[tuple]) -> None:
@@ -228,6 +265,7 @@ class RequestGateway:
         if proposer == replica.pid:
             replica.mempool.ingest(batch)
         else:
+            self.metrics.record_forward_sent(replica.pid)
             replica.send(proposer, CommandForward(batch=batch))
         outstanding = self._outstanding
         for entry in entries:

@@ -367,6 +367,7 @@ class ShmTransport(Transport):
         #: Teardown/overflow errors surfaced instead of swallowed.
         self.last_errors: list[str] = []
         self._peers: dict[int, tuple[str, int]] = {}
+        self._sorted_ids: tuple[int, ...] = (pid,)
         self._process: Any = None
         self._sock: Optional[socket.socket] = None
         self._rings_out: dict[int, SpscRing] = {}
@@ -399,11 +400,12 @@ class ShmTransport(Transport):
         self._peers = {
             pid: tuple(addr) for pid, addr in peers.items() if pid != self.pid
         }
+        self._sorted_ids = tuple(sorted({self.pid, *self._peers}))
 
     @property
     def process_ids(self) -> Sequence[int]:
         """Sorted ids of the whole cluster (self plus peers)."""
-        return sorted({self.pid, *self._peers})
+        return self._sorted_ids
 
     @property
     def address(self) -> tuple[str, int]:

@@ -109,6 +109,7 @@ class TcpTransport(Transport):
         #: these; clusters now aggregate them into ``teardown_errors``.
         self.last_errors: list[str] = []
         self._peers: dict[int, tuple[str, int]] = {}
+        self._sorted_ids: tuple[int, ...] = (pid,)
         self._process: Any = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._inbox: Optional[asyncio.Queue] = None
@@ -135,11 +136,12 @@ class TcpTransport(Transport):
     def set_peers(self, peers: Mapping[int, tuple[str, int]]) -> None:
         """Install the full ``pid -> (host, port)`` map (own entry ignored)."""
         self._peers = {pid: tuple(addr) for pid, addr in peers.items() if pid != self.pid}
+        self._sorted_ids = tuple(sorted({self.pid, *self._peers}))
 
     @property
     def process_ids(self) -> Sequence[int]:
         """Sorted ids of the whole cluster (self plus peers)."""
-        return sorted({self.pid, *self._peers})
+        return self._sorted_ids
 
     @property
     def address(self) -> tuple[str, int]:

@@ -221,3 +221,17 @@ def test_merge_metrics_states_sums_fault_counts():
     merged = merge_metrics_states([state_a, state_b])
     nonzero = {name: count for name, count in merged.fault_counts.items() if count}
     assert nonzero == {"frames_dropped": 5, "messages_dropped": 1}
+
+
+def test_merge_metrics_states_sums_flush_triggers_and_forwards():
+    collector = MetricsCollector()
+    for trigger in ("view", "view", "deadline"):
+        collector.record_flush(0, trigger)
+    collector.record_forward_sent(0)
+    other = MetricsCollector()
+    other.record_flush(1, "size")
+    other.record_forward_sent(1)
+    merged = merge_metrics_states([collector.state(), other.state()])
+    assert merged.flushes == {"view": 2, "size": 1, "deadline": 1}
+    assert merged.forwards_sent == 2
+    assert collector.state()["flushes"] is not collector.flushes  # a snapshot

@@ -5,13 +5,18 @@ The client path shares one notion with the pacemakers, *a leader's turn*
 built on it:
 
 1. a flushed batch goes to the first proposer it can still reach — the
-   gateway's own replica when it leads ``current_view + 1``, else the leader
-   of ``current_view + 2`` — and is filed under the last view of that turn;
+   gateway's own replica when it leads the view it is in and has not proposed
+   in it yet, or leads ``current_view + 1``, else the leader of
+   ``current_view + 2`` — and is filed under the last view of that turn;
 2. an entry is re-dispatched when a block of that view or later has been
    applied and the command is still outstanding (the ``retry_interval``
    timer is only the lossy-regime fallback);
 3. a replica accepts a forward, and keeps batches queued, only while a
    proposal of its own is coming within two views.
+
+What is flushed is paced by the view: a replica's gateway flushes as the
+replica enters a view, before the engine may propose in it; ``forward_batch``
+caps one forward and ``forward_deadline`` is the fallback for a stalled view.
 """
 
 from __future__ import annotations
@@ -39,6 +44,25 @@ def _config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
+def _one_silent_leader(faults: int) -> dict:
+    """Scenario overrides for the matrices' ``faults`` axis (0 = fault-free)."""
+    if not faults:
+        return {}
+    return {"scenario": "silent_spread", "scenario_params": {"faults": 1}}
+
+
+def _carriers(replica) -> dict:
+    """``{view: (proposer, commands)}`` of the committed blocks carrying
+    client batches, in ledger order."""
+    return {
+        entry.block.view: (entry.block.proposer, sum(
+            item.count for item in entry.block.payload if isinstance(item, CommandBatch)
+        ))
+        for entry in replica.ledger.entries
+        if any(isinstance(item, CommandBatch) for item in entry.block.payload)
+    }
+
+
 def _duplicates_per_replica(result) -> int:
     return max(
         replica.state_machine.store.duplicates_skipped
@@ -56,6 +80,15 @@ def test_dispatch_targets_the_next_reachable_proposer(pacemaker):
     for pid, replica in result.replicas.items():
         for view in range(-1, 300):
             replica.pacemaker._current_view = view
+            # In a view of its own it has yet to propose in, the replica's
+            # batch rides that proposal; once it has proposed, the table is
+            # the remote one again.
+            if view >= 0 and replica.leader_of(view) == pid:
+                assert replica.engine.proposal_pending(view)
+                proposer, turn_end = replica.gateway._route()
+                assert proposer == pid and turn_end == replica.turn_end(view)
+                replica.engine._proposed_views.add(view)
+            assert not replica.engine.proposal_pending(view)
             proposer, turn_end = replica.gateway._route()
             own = replica.leader_of(view + 1) == pid
             first = view + 1 if own else view + 2
@@ -118,13 +151,10 @@ def test_a_flush_is_filed_under_the_turn_it_was_sent_to():
 @pytest.mark.parametrize("pacemaker", available_pacemakers())
 def test_every_request_applies_with_almost_no_duplicates(pacemaker, faults):
     workload = WorkloadConfig(rate=2.0, clients=2, start=0.01, stop=100.01)
-    fault = (
-        {"scenario": "silent_spread", "scenario_params": {"faults": 1}}
-        if faults else {}
-    )
-    result = run_scenario(
-        _config(pacemaker=pacemaker, duration=220.0, workload=workload, **fault)
-    )
+    result = run_scenario(_config(
+        pacemaker=pacemaker, duration=220.0, workload=workload,
+        **_one_silent_leader(faults),
+    ))
     metrics = result.metrics
     assert metrics.requests_submitted == 1400
     assert metrics.requests_applied == 1400
@@ -141,7 +171,13 @@ def test_latency_through_a_silent_leader_is_under_one_rotation():
     # Delta) plus a 24.4 Delta stall.  The median request must not wait out
     # a whole stall, nor the 90th percentile a whole rotation (the blind
     # retry sat at two and four rotations).
-    workload = WorkloadConfig(rate=2.0, clients=2, start=0.01, stop=140.0)
+    # The deadline is one Delta: four healthy views, a twenty-fourth of the
+    # stall.  Views pace the batches while there are views; while the silent
+    # leader's times out nobody enters one, and the deadline is what still
+    # sends commands on to the leaders after it.
+    workload = WorkloadConfig(
+        rate=2.0, clients=2, start=0.01, stop=140.0, forward_deadline=1.0
+    )
     result = run_scenario(_config(
         n=16, gst=20.0, duration=200.0, workload=workload,
         scenario="silent_spread", scenario_params={"faults": 1},
@@ -151,6 +187,120 @@ def test_latency_through_a_silent_leader_is_under_one_rotation():
     assert metrics.request_latency_percentile(0.5) < 24.4
     assert metrics.request_latency_percentile(0.9) < 32.0
     assert _duplicates_per_replica(result) <= 0.02 * 4480
+    assert metrics.flushes["view"] > 0 and metrics.flushes["deadline"] > 0
+    decided = metrics.honest_decision_times_after(20.0)
+    stall_start, stall_end = max(zip(decided, decided[1:]), key=lambda gap: gap[1] - gap[0])
+    assert stall_end - stall_start > 20.0
+    in_stall = metrics.message_kinds_between(stall_start + 2.0, stall_end - 2.0)
+    assert in_stall.get("CommandForward", 0) > 0
+
+
+# ----------------------------------------------------------------------
+# The batching clock is the view
+# ----------------------------------------------------------------------
+#: No size trigger, no deadline inside the run: only a view entry can flush.
+#: (The matrix above never gets there: at 2 requests a second its default
+#: 0.05 s deadline fires before the next view entry, every time.)
+_VIEW_PACED = dict(forward_batch=10**6, forward_deadline=50.0)
+
+
+def _view_paced_run(pacemaker: str, n: int, stop: float, duration: float, **fault):
+    workload = WorkloadConfig(rate=2.0, clients=2, start=3.0, stop=stop, **_VIEW_PACED)
+    result = run_scenario(_config(
+        n=n, pacemaker=pacemaker, duration=duration, workload=workload, **fault
+    ))
+    metrics = result.metrics
+    views = max(metrics.max_view_entered(pid) for pid in result.replicas) + 1
+    assert metrics.requests_applied == metrics.requests_submitted > 0
+    assert metrics.flushes["size"] == metrics.flushes["deadline"] == 0
+    assert metrics.flushes["view"] > 0
+    # Per view, every replica but the one that will propose forwards at most
+    # once (re-dispatches ride the same bound: they leave on a commit).
+    assert metrics.forwards_sent <= (n - 1) * views
+    assert _duplicates_per_replica(result) == 0
+    return result, views
+
+
+@pytest.mark.parametrize("n", (4, 7))
+@pytest.mark.parametrize("pacemaker", ("lumiere", "fever", "lp22", "raresync"))
+def test_a_request_waits_for_a_proposal_not_for_a_timer(pacemaker, n):
+    # With the count and the timer out of reach a request used to sit in the
+    # gateway until the 50 s deadline (over a 60 Delta window: p50 31-32
+    # Delta, max 51-53 under Lumiere).  Paced by views it costs the pipeline:
+    # a view to leave, the aimed-at proposal, the three-chain.
+    responsive = pacemaker in ("lumiere", "fever")
+    stop, duration = (33.0, 40.0) if responsive else (100.0, 150.0)
+    result, views = _view_paced_run(pacemaker, n, stop, duration)
+    metrics = result.metrics
+    assert metrics.requests_redispatched == 0
+    latencies = sorted(metrics.request_latencies())
+    if responsive:
+        assert latencies[-1] <= 2.0  # Delta = 1: network speed, not Delta
+    else:
+        # Timer-paced views: the same pipeline in units of their own length.
+        view_length = duration / views
+        assert latencies[len(latencies) // 2] < 5 * view_length
+        assert latencies[-1] < 7 * view_length
+
+
+@pytest.mark.parametrize("faults", (0, 1))
+@pytest.mark.parametrize("pacemaker", available_pacemakers())
+def test_view_paced_batches_under_every_pacemaker(pacemaker, faults):
+    stop, duration = (60.0, 150.0) if faults else (40.0, 70.0)
+    result, _ = _view_paced_run(pacemaker, 7, stop, duration, **_one_silent_leader(faults))
+    if not faults:
+        assert result.metrics.requests_redispatched == 0
+        assert sum(r.mempool.expired for r in result.replicas.values()) == 0
+    assert len(set(kv_state_digests(result.honest_replicas).values())) == 1
+    assert all(r.mempool.rejected == 0 for r in result.replicas.values())
+
+
+def test_buffered_commands_ride_the_proposal_of_the_view_entered_as_leader():
+    workload = WorkloadConfig(stop=0.0, client_pids=(3,), **_VIEW_PACED)
+    result = build_scenario(_config(duration=14.0, workload=workload))
+    replica = result.replicas[3]
+    enter_view = replica.on_view_entered
+    seen = {}
+
+    def submit(seqs):
+        for seq in seqs:
+            assert replica.gateway.submit(make_command(workload, client=3, seq=seq))
+
+    def on_view_entered(view):
+        if "own" not in seen and view > 20 and replica.is_leader(view):
+            # Buffered while the view before was still running ...
+            seen["own"] = view
+            assert not replica.is_leader(view - 1)
+            submit(range(3))
+        enter_view(view)
+        if seen.get("own") == view:
+            # ... proposed with the view's block, and this replica's part of
+            # the view is done: what arrives now goes to a leader to come.
+            assert replica.gateway.outstanding == 3 and not replica.gateway._buffer
+            assert not replica.engine.proposal_pending(view)
+        if "late" not in seen and "own" in seen and view == replica.turn_end(seen["own"]):
+            seen["late"] = view
+            accepted = replica.mempool.accepted
+            submit(range(3, 6))
+            replica.gateway.flush("size")
+            assert replica.mempool.accepted == accepted
+
+    replica.on_view_entered = on_view_entered
+    start_replicas(result.replicas)
+    result.simulator.run(until=result.config.duration)
+    carriers = _carriers(replica)
+    assert carriers.pop(seen["own"]) == (3, 3)
+    # The late three went to the leader of the view after next, which proposed
+    # them in its turn.
+    target = replica.leader_of(seen["late"] + 2)
+    ((late_view, carrier),) = carriers.items()
+    assert carrier == (target, 3) and target != 3
+    assert seen["late"] < late_view <= replica.turn_end(seen["late"] + 2)
+    metrics = result.metrics
+    assert metrics.requests_applied == 6 and metrics.requests_redispatched == 0
+    assert metrics.flushes == {"view": 1, "size": 1, "deadline": 0}
+    assert metrics.forwards_sent == 1
+    assert _duplicates_per_replica(result) == 0
 
 
 # ----------------------------------------------------------------------
@@ -244,11 +394,7 @@ def test_a_backlog_over_two_proposals_does_not_wait_a_rotation():
     assert result.metrics.requests_redispatched == 8
     assert result.metrics.requests_applied == 40
     assert _duplicates_per_replica(result) == 0
-    carriers = [
-        entry.block.view
-        for entry in replicas[0].ledger.entries
-        if any(isinstance(item, CommandBatch) for item in entry.block.payload)
-    ]
+    carriers = list(_carriers(replicas[0]))
     # Three proposals carried it, the last one within half a rotation (2n =
     # 14 views) of the turn first aimed at: the next proposer reachable once
     # the frontier had passed, not the same leader a rotation later.

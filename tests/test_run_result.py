@@ -76,6 +76,11 @@ def test_every_lane_returns_the_one_result_type(run):
     assert not any(result.fault_counts[name] for name in BASE_FAULT_COUNTS)
     assert result.summary().decisions == len(result.run_metrics().decision_times) > 0
     assert "lumiere" in result.describe()
+    # Which trigger served the run is on the collector on every lane (worker
+    # processes included), and views pace a healthy run on all of them.
+    flushes = result.metrics.flushes
+    assert flushes["view"] > 0 and result.metrics.forwards_sent > 0
+    assert f"flushes=view:{flushes['view']}/" in result.describe()
 
     record = RunRecord.from_result(result, "run", "key", {"n": 4}, wall_time=0.0)
     assert record.committed_blocks == result.committed_blocks()

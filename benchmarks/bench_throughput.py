@@ -22,7 +22,10 @@ Two tiers, one report (``BENCH_throughput.json`` at the repository root):
   worker process over shared-memory rings at 2000 req/s for 25 s (8 s with
   ``--quick``): committed blocks per second, request p50 and the worker's
   resident set over the first and the last fifth of the run.  A view must
-  cost and keep the same at second 25 as at second 5.
+  cost and keep the same at second 25 as at second 5.  The row also counts
+  what a view costs: worker CPU per committed block, and frame decodes per
+  frame sent — the four replicas share one process, so a broadcast's frame
+  reaches three of them and is decoded once.
 
 Request latency is also reported in the unit the protocol works in:
 ``request_latency_p50_views`` is request p50 times blocks per second of the
@@ -49,6 +52,9 @@ Correctness gates (``--check``; non-zero exit if any fails):
   0.85 and its worker grew by at most 2 KB resident per block per replica
   between the two slices, net of 160 B per applied request per replica;
 * request p50 on both run-length slices is at most 7 views;
+* the run-length row decodes at most 0.8 frames per frame sent (a count:
+  9.5 of a block's 13.5 frames at n=4 in one process, 0.71; 1.0 means every
+  co-located recipient decoded its own copy);
 * the committed ``--output`` JSON (if present) was generated by the
   current repro version (``--check-output-version`` runs only this).
 
@@ -255,18 +261,28 @@ MAX_BYTES_PER_BLOCK = 2048
 #: solve to 1.2 KB per block and this much per request.  Net of it the row
 #: reads 1.2-1.3 KB at either speed, and 2.4-2.5 KB with the floor disabled.
 REQUEST_BYTES = 160
+#: Frame decodes per frame sent the row may show: co-located replicas share
+#: a broadcast's decode, so one worker holding all of n=4 reads 0.71.
+MAX_DECODES_PER_FRAME = 0.8
+_CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
 
 
-def _worker_rss_bytes() -> int:
-    """Resident bytes of the live worker processes, from ``/proc``."""
-    total = 0
+def _worker_usage() -> tuple[int, float]:
+    """Resident bytes and CPU seconds (user + system) of the live worker
+    processes, from ``/proc``."""
+    rss, cpu = 0, 0.0
     for child in multiprocessing.active_children():
         try:
             with open(f"/proc/{child.pid}/statm", "rb") as handle:
-                total += int(handle.read().split()[1]) * _PAGE_BYTES
+                rss += int(handle.read().split()[1]) * _PAGE_BYTES
+            with open(f"/proc/{child.pid}/stat", "rb") as handle:
+                # Past the parenthesised command name: utime and stime are
+                # the 14th and 15th fields of the line.
+                fields = handle.read().rsplit(b")", 1)[1].split()
+                cpu += (int(fields[11]) + int(fields[12])) / _CLOCK_TICKS
         except (OSError, IndexError, ValueError):
             continue  # exited between listing and reading
-    return total
+    return rss, cpu
 
 
 def _slice_numbers(metrics, per_pid_commits: list[list[float]], lo: float, hi: float) -> dict:
@@ -297,16 +313,17 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
     cluster = make_live_cluster(
         config, placement="process", processes=1, transport="shm", codec="binary"
     )
-    samples: list[tuple[float, int]] = []  # (cluster-clock seconds, worker RSS)
+    # (cluster-clock seconds, worker RSS, worker CPU seconds)
+    samples: list[tuple[float, int, float]] = []
 
-    async def sample_rss() -> None:
+    async def sample_usage() -> None:
         while True:
-            samples.append((cluster.clock.now, _worker_rss_bytes()))
+            samples.append((cluster.clock.now, *_worker_usage()))
             await asyncio.sleep(0.1)
 
     try:
         await cluster.start()
-        sampler = asyncio.create_task(sample_rss())
+        sampler = asyncio.create_task(sample_usage())
         try:
             await cluster.run(window + 1.0)
         finally:
@@ -324,10 +341,14 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
     late = _slice_numbers(metrics, commits, started + window - fifth, started + window)
 
     def rss_at(when: float) -> int:
-        return max((rss for at, rss in samples if at <= when), default=0)
+        return max((rss for at, rss, _ in samples if at <= when), default=0)
+
+    def cpu_at(when: float) -> float:
+        return max((cpu for at, _, cpu in samples if at <= when), default=0.0)
 
     early["worker_rss_mb"] = round(rss_at(started + fifth) / 1e6, 1)
     late["worker_rss_mb"] = round(rss_at(started + window) / 1e6, 1)
+    whole = _slice_numbers(metrics, commits, started, started + window)["blocks"]
     between = _slice_numbers(metrics, commits, started + fifth, started + window)["blocks"]
     requests = metrics.requests_applied_between(started + fifth, started + window)
     grown = rss_at(started + window) - rss_at(started + fifth)
@@ -347,6 +368,14 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
         "rss_bytes_per_block_per_replica_net_of_requests": round(
             (grown / n - REQUEST_BYTES * requests) / between, 1
         ) if between else None,
+        "worker_cpu_ms_per_block": round(
+            1e3 * (cpu_at(started + window) - cpu_at(started)) / whole, 3
+        ) if whole else None,
+        "frames_sent": metrics.total_honest_messages,
+        "frames_decoded": cluster.frames_decoded,
+        "decodes_per_frame": round(
+            cluster.frames_decoded / metrics.total_honest_messages, 3
+        ) if metrics.total_honest_messages else None,
         "requests_submitted": metrics.requests_submitted,
         "requests_applied": metrics.requests_applied,
         "requests_redispatched": metrics.requests_redispatched,
@@ -376,7 +405,9 @@ def run_report(args: argparse.Namespace) -> dict:
         f"{run_length['late']['request_latency_p50_views']} views), worker RSS "
         f"{run_length['early']['worker_rss_mb']} -> {run_length['late']['worker_rss_mb']} MB "
         f"({run_length['rss_bytes_per_block_per_replica']} B/block/replica, "
-        f"{run_length['rss_bytes_per_block_per_replica_net_of_requests']} net of requests)",
+        f"{run_length['rss_bytes_per_block_per_replica_net_of_requests']} net of requests), "
+        f"worker CPU {run_length['worker_cpu_ms_per_block']} ms/block, "
+        f"{run_length['decodes_per_frame']} decodes/frame",
         flush=True,
     )
     parity, cells = [], []
@@ -499,6 +530,13 @@ def check(report: dict, args: argparse.Namespace) -> list[str]:
                 f"(gate {MAX_REQUEST_P50_VIEWS}): requests wait for something "
                 "other than a proposal"
             )
+    decodes = row["decodes_per_frame"]
+    if decodes is None or decodes > MAX_DECODES_PER_FRAME:
+        failures.append(
+            f"run length: {decodes} frame decodes per frame sent (gate "
+            f"{MAX_DECODES_PER_FRAME}): co-located replicas each decode their "
+            "own copy of a broadcast"
+        )
     growth = row["rss_bytes_per_block_per_replica_net_of_requests"]
     if growth is None or growth > MAX_BYTES_PER_BLOCK:
         failures.append(

@@ -138,11 +138,12 @@ class ChainedHotStuff(ConsensusEngine):
                 self._learned_below |= 1 << view
         release_below((floor,), self._learned_qcs)
         self.aggregator.release_below(floor)
-        self._orphans = {
-            parent_id: kept
-            for parent_id, blocks in self._orphans.items()
-            if (kept := [block for block in blocks if block.view >= floor])
-        }
+        if self._orphans:
+            self._orphans = {
+                parent_id: kept
+                for parent_id, blocks in self._orphans.items()
+                if (kept := [block for block in blocks if block.view >= floor])
+            }
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -192,7 +193,7 @@ class ChainedHotStuff(ConsensusEngine):
         if self.replica.leader_of(msg.view) != self.replica.pid:
             return
         if msg.high_qc is not None:
-            self._learn_qc(msg.high_qc, block=None)
+            self._learn_qc(msg.high_qc)
         if msg.view < self.replica.floor:
             return
         self._new_view_qcs.setdefault(msg.view, {})[sender] = msg.high_qc
@@ -302,7 +303,7 @@ class ChainedHotStuff(ConsensusEngine):
         if sender != leader or msg.block.proposer != leader:
             return
         if msg.justify is not None:
-            self._learn_qc(msg.justify, block=None)
+            self._learn_qc(msg.justify)
         self._store_block(msg.block)
         current = replica.current_view
         if msg.view > current:
@@ -353,16 +354,19 @@ class ChainedHotStuff(ConsensusEngine):
         replica.on_qc_produced(qc)
         if self.behaviour.suppress_qc_broadcast(qc.view):
             replica.trace("qc_broadcast_suppressed", view=qc.view)
-            self._learn_qc(qc, block=block)
+            self._learn_qc(qc)
             return
         delay = self.behaviour.qc_broadcast_delay(qc.view)
         announce = QCAnnounce(view=qc.view, qc=qc, block=block if block is not None else GENESIS)
         self._send_after(delay, lambda: replica.broadcast(announce))
 
     def _handle_qc_announce(self, msg: QCAnnounce, sender: int) -> None:
-        if msg.block is not None and msg.block.view >= 0:
-            self._store_block(msg.block)
-        self._learn_qc(msg.qc, block=msg.block)
+        # The block rides along for a replica that missed its proposal; one
+        # that holds the certified block has nothing to store, or to hash.
+        block = msg.block
+        if msg.qc.block_id not in self.tree and block is not None and block.view >= 0:
+            self._store_block(block)
+        self._learn_qc(msg.qc)
 
     # ------------------------------------------------------------------
     # Shared QC / block learning
@@ -384,15 +388,13 @@ class ChainedHotStuff(ConsensusEngine):
                 self.tree.add(child)
                 self._adopt_orphans(child.block_id)
 
-    def _learn_qc(self, qc: QuorumCertificate, block: Optional[Block]) -> None:
+    def _learn_qc(self, qc: QuorumCertificate) -> None:
         key = (qc.view, qc.block_id)
         if key in self._learned_qcs or (qc.view >= 0 and self._learned_below >> qc.view & 1):
             return
         if not self.replica.scheme.verify(qc.aggregate, qc.message()):
             return
         self._learned_qcs.add(key)
-        if block is not None and block.view >= 0:
-            self._store_block(block)
         self.safety.update_high_qc(qc)
         for committed in self.safety.commit_candidate(qc):
             self.replica.commit_block(committed)

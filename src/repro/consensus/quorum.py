@@ -41,14 +41,26 @@ class QuorumCertificate:
 def release_below(floor, *tables) -> None:
     """Forget every key below ``floor`` in per-view dicts and sets: the one
     primitive of the committed-view floor (``Replica.commit_block``).  Pass
-    ``(view,)`` for tables keyed ``(view, block_id)`` — it sorts first."""
+    ``(view,)`` for tables keyed ``(view, block_id)`` — it sorts first.
+
+    Called for every table on every commit, with the floor a view higher
+    than last time: most tables are empty or hold nothing that old, and the
+    rest one such key.  So an empty table costs its truth test, one with
+    nothing to free a ``min``, and only a floor that jumped (a replica that
+    was cut off and caught up) walks a table to collect what went stale.
+    """
     for table in tables:
-        stale = [key for key in table if key < floor]
-        if isinstance(table, dict):
-            for key in stale:
-                del table[key]
-        else:
-            table.difference_update(stale)
+        if not table:
+            continue
+        lowest = min(table)
+        if lowest >= floor:
+            continue
+        # dict.pop(key) and set.remove(key): drop one key that is there.
+        discard = table.pop if isinstance(table, dict) else table.remove
+        discard(lowest)
+        if table and min(table) < floor:
+            for key in [key for key in table if key < floor]:
+                discard(key)
 
 
 class VoteAggregator:

@@ -223,10 +223,11 @@ class Replica(Process):
 
     def commit_block(self, block: Block) -> None:
         """A block became committed under the 3-chain rule."""
-        self.ledger.commit(block, self.now)
-        self.metrics.record_commit(self.pid, block.view, block.block_id, self.now)
+        now = self.now
+        self.ledger.commit(block, now)
+        self.metrics.record_commit(self.pid, block.view, block.block_id, now)
         if self.state_machine is not None:
-            self.state_machine.catch_up(self.ledger, self.now)
+            self.state_machine.catch_up(self.ledger, now)
         if self.gateway is not None:
             # This block's view, not safety.state.last_committed_view: that
             # is already the newest block's while a run of ancestors is

@@ -139,17 +139,17 @@ class LumierePacemaker(Pacemaker):
         candidate = int(math.floor(lc / step + _EPS)) * 2
         if candidate < 0:
             candidate = 0
-        if not include_current:
-            while self.clock_time(candidate) <= lc + _EPS:
-                candidate += 2
         # include_current keeps the floor boundary at-or-below lc.  On a real
         # monotonic clock a few microseconds elapse between bump_to(c_v) and
         # the read() above, so requiring c_candidate >= lc here would skip the
         # boundary we were just bumped onto — under responsive view racing
         # that silently skips the epoch view and live-locks the run at the
-        # epoch boundary.  Re-offering an already-handled boundary is safe:
-        # _on_clock_target's view/first-seeing guards make the re-fire a no-op
-        # and its finally-clause schedules the next boundary above lc.
+        # epoch boundary.  A boundary whose view is already entered is not
+        # re-offered: _on_clock_target would return on its first line and
+        # schedule what the loop below finds, a zero-delay timer later.
+        if not include_current or candidate <= self._current_view:
+            while self.clock_time(candidate) <= lc + _EPS:
+                candidate += 2
         target_view = candidate
         self._clock_timer = self.clock.schedule_at_local(
             self.clock_time(target_view),
@@ -250,7 +250,7 @@ class LumierePacemaker(Pacemaker):
         # Lines 37-40.
         if self.clock.read() < self.clock_time(view) - _EPS:
             self._send_skipped_view_messages(view)
-            self.clock.bump_to(self.clock_time(view))
+            self._bump_clock_to(view)
             self._enter(view)
             self._schedule_next_clock_event(include_current=True)
 
@@ -280,7 +280,7 @@ class LumierePacemaker(Pacemaker):
         if self.clock.read() < self.clock_time(view) - _EPS:
             # Lines 17-20.
             self._send_skipped_view_messages(view)
-            self.clock.bump_to(self.clock_time(view))
+            self._bump_clock_to(view)
             if self._current_view < view - 1:
                 self._enter(view - 1)
             self._schedule_next_clock_event(include_current=True)
@@ -296,7 +296,7 @@ class LumierePacemaker(Pacemaker):
             return
         self._maybe_unpause(trigger_view=view, kind="ec")
         if self.clock.read() < self.clock_time(view) - _EPS:
-            self.clock.bump_to(self.clock_time(view))
+            self._bump_clock_to(view)
         self._enter(view)
         self.trace("lumiere_enter_epoch_via_ec", view=view, epoch=self.cfg.epoch_of(view))
         self._schedule_next_clock_event(include_current=True)
@@ -323,7 +323,7 @@ class LumierePacemaker(Pacemaker):
         if self.clock.read() < self.clock_time(next_view) - _EPS:
             # Lines 45-49.
             self._send_skipped_view_messages(view)
-            self.clock.bump_to(self.clock_time(next_view))
+            self._bump_clock_to(next_view)
             if not self.cfg.is_epoch_view(next_view):
                 self._enter(next_view)
             elif self._current_view < view:
@@ -372,6 +372,19 @@ class LumierePacemaker(Pacemaker):
         if self.leader_of(view) == self.pid and view not in self._deadline_start:
             self._deadline_start[view] = self.now
         self.enter_view(view)
+
+    def _bump_clock_to(self, view: int) -> None:
+        """Bump the local clock to ``c_view``, its timer cancelled first.
+
+        Every caller goes on to ``_schedule_next_clock_event(include_current=
+        True)``, which replaces the timer.  One left pending across the bump
+        would be re-armed by the clock for its new distance — or to fire at
+        once, if the bump reached it — only to be cancelled unfired.
+        """
+        if self._clock_timer is not None:
+            self._clock_timer.cancel()
+            self._clock_timer = None
+        self.clock.bump_to(self.clock_time(view))
 
     def _view_payload(self, view: int) -> tuple:
         """``(payload, digest)`` of ``view``'s view message, memoised."""

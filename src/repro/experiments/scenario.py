@@ -172,6 +172,11 @@ class RunResult:
     shipped_kv_chains: dict[int, Iterable[str]] = field(default_factory=dict)
     shipped_client_counts: dict[int, dict[str, int]] = field(default_factory=dict)
     events: int = 0
+    #: Inbound frames decoded and messages delivered (loopback included) by
+    #: the transports of a socket or shared-memory cluster; both zero on the
+    #: single-runtime lanes, which move objects, not frames.
+    frames_decoded: int = 0
+    messages_delivered: int = 0
 
     # ------------------------------------------------------------------
     # Summaries
@@ -301,6 +306,8 @@ class RunResult:
             f"f_a={self.corruption.f_actual} decisions={self.honest_decisions()} "
             f"commits={self.committed_blocks()} consistent={self.ledgers_are_consistent()}"
         )
+        if self.messages_delivered:
+            line += f" decoded={self.frames_decoded}/delivered={self.messages_delivered}"
         if self.config.workload is not None:
             expired = sum(c["mempool.expired"] for c in self.client_counts().values())
             line += (

@@ -241,6 +241,8 @@ class LiveCluster:
         self.events_processed = 0
         self.messages_sent = 0
         self.messages_delivered = 0
+        #: Inbound frames decoded, cluster-wide (collected at :meth:`stop`).
+        self.frames_decoded = 0
         self._kv_digests: dict[int, str] = {}
         self._kv_chains: dict[int, Iterable[str]] = {}
         self._client_counts: dict[int, dict[str, int]] = {}
@@ -394,6 +396,7 @@ class LiveCluster:
             self.events_processed += report.events_processed
             self.messages_sent += report.messages_sent
             self.messages_delivered += report.messages_delivered
+            self.frames_decoded += report.frames_decoded
             self.frames_dropped += report.frames_dropped
             self.teardown_errors.extend(report.teardown_errors)
 
@@ -455,6 +458,7 @@ class LiveCluster:
         """
         if self._local is not None:
             stack = self._local.stack
+            transports = [node.transport for node in self.nodes.values()]
             return RunResult(
                 config=self.config,
                 protocol_config=stack.protocol_config,
@@ -464,6 +468,10 @@ class LiveCluster:
                 corruption=stack.corruption,
                 crypto_backend=stack.crypto_backend,
                 events=sum(node.runtime.events_processed for node in self.nodes.values()),
+                frames_decoded=sum(transport.frames_decoded for transport in transports),
+                messages_delivered=sum(
+                    transport.messages_delivered for transport in transports
+                ),
             )
         if not self._stopped or self._corruption is None:
             raise SimulationError(
@@ -483,6 +491,8 @@ class LiveCluster:
             shipped_kv_chains=dict(self._kv_chains),
             shipped_client_counts=dict(self._client_counts),
             events=self.events_processed,
+            frames_decoded=self.frames_decoded,
+            messages_delivered=self.messages_delivered,
         )
 
     def ledgers_are_consistent(self) -> bool:

@@ -80,6 +80,10 @@ class ShardReport:
     events_processed: int
     messages_sent: int
     messages_delivered: int
+    #: Inbound frames the shard's transports decoded: fewer than the
+    #: non-loopback part of ``messages_delivered`` wherever co-located
+    #: replicas shared a broadcast's decode.
+    frames_decoded: int
     frames_dropped: int
     teardown_errors: tuple[str, ...]
     #: KV state digests / apply chains per pid (empty without a workload).
@@ -199,6 +203,7 @@ class Shard:
             events_processed=sum(node.runtime.events_processed for node in nodes),
             messages_sent=sum(node.transport.messages_sent for node in nodes),
             messages_delivered=sum(node.transport.messages_delivered for node in nodes),
+            frames_decoded=sum(node.transport.frames_decoded for node in nodes),
             frames_dropped=frames_dropped,
             teardown_errors=tuple(teardown_errors),
         )

@@ -16,7 +16,8 @@ the *same* protocol objects execute
   length-prefixed binary frames by default, JSON via ``codec="json"``), or
 * over shared-memory rings between co-located node processes
   (:class:`~repro.runtime.shm.ShmTransport`, one SPSC ring per directed
-  pair — zero syscalls and zero frame copies in steady state).
+  pair — zero syscalls in steady state, frames decoded in place, or once
+  for all the nodes a process hosts).
 
 See ``docs/runtimes.md`` for the interface contract and a
 writing-a-transport guide.
@@ -25,7 +26,12 @@ writing-a-transport guide.
 from repro.runtime.base import Clock, Runtime, RuntimeContext, TimerHandle
 from repro.runtime.simulation import SimRuntime
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
-from repro.runtime.transports import LocalTransport, Transport, TransportEnvelope
+from repro.runtime.transports import (
+    FramedTransport,
+    LocalTransport,
+    Transport,
+    TransportEnvelope,
+)
 from repro.runtime.chaos import ChaosConfig, FaultCounters, FaultyTransport
 from repro.runtime.codec import (
     BinaryWireCodec,
@@ -55,6 +61,7 @@ __all__ = [
     "DEFAULT_RING_BYTES",
     "FaultCounters",
     "FaultyTransport",
+    "FramedTransport",
     "LocalTransport",
     "MonotonicClock",
     "Runtime",

@@ -176,6 +176,11 @@ class FaultyTransport(Transport):
         """Messages delivered (shared with the inner transport)."""
         return self._inner.messages_delivered
 
+    @property
+    def frames_decoded(self) -> int:
+        """Inbound frames decoded (shared with the inner transport)."""
+        return self._inner.frames_decoded
+
     async def start(self) -> None:
         """Start the inner transport's I/O."""
         await self._inner.start()

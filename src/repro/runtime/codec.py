@@ -23,13 +23,18 @@ Two codecs ship, selected by name via :func:`make_codec`:
   the wire).  A QC-carrying proposal shrinks to roughly a third of its JSON
   frame.  Both ends must register the same classes in the same order — the
   registration order defines the numeric wire ids — which holds by
-  construction for :func:`default_binary_codec`.
+  construction for :func:`default_binary_codec`.  Registering a class
+  compiles its *plan*: a packer and an unpacker generated for that class,
+  fields unrolled, built positionally, the common field shapes inline
+  (:func:`_compile_class`).  Plans are built with the codec, so importing
+  this module compiles nothing.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import json
 import struct
 from typing import Any, Callable, Iterable, Optional
@@ -54,6 +59,74 @@ class WireCodecError(ConfigurationError):
     """A payload (or frame) could not be encoded or decoded."""
 
 
+class FrameMemo:
+    """Decoded frame bodies by their exact bytes, for the transports of one
+    process that decode with one codec.
+
+    A codec never consults it — :meth:`WireCodec.decode_body` always
+    decodes.  The transports do
+    (:meth:`~repro.runtime.transports.FramedTransport._decode`), and only
+    while :attr:`sharers` says more than one of them is running on this
+    codec in this process: then the frame of a broadcast arrives once per
+    co-located recipient and all of them can be handed one decoded,
+    immutable payload.  Keys are whole bodies (sender included), so two
+    frames share an entry only if they are the same frame — an equivocating
+    sender's two proposals never do.  Values only ever come out of
+    ``decode_body``: a sender's own object is never filed under its frame,
+    so what co-located recipients share is what the bytes say and nothing a
+    co-located (possibly Byzantine) sender attached to its copy.
+
+    Bounded as two generations of :attr:`BOUND` ``// 2`` entries: a full
+    young generation retires the old one wholesale, so remembering a frame
+    is O(1) and a frame stays findable for at least ``BOUND // 2`` later
+    ones — recipients of one broadcast drain it within a few dozen frames of
+    each other.  The last sharer to leave empties it: a payload caches what
+    was derived from it under one run's crypto backend (``Block.block_id``)
+    and must not be served to the next run.
+    """
+
+    #: Most frames remembered at once.
+    BOUND = 512
+
+    __slots__ = ("sharers", "lookups", "_young", "_old")
+
+    def __init__(self) -> None:
+        #: Running transports of this process that decode with the codec.
+        self.sharers = 0
+        #: Times a transport asked (hits and misses alike).
+        self.lookups = 0
+        self._young: dict[bytes, tuple[int, Any]] = {}
+        self._old: dict[bytes, tuple[int, Any]] = {}
+
+    def attach(self) -> None:
+        """A transport started on the codec."""
+        self.sharers += 1
+
+    def detach(self) -> None:
+        """A transport stopped; the last one out clears the memo."""
+        self.sharers -= 1
+        if self.sharers <= 0:
+            self.sharers = 0
+            self._young, self._old = {}, {}
+
+    def get(self, body: bytes) -> Optional[tuple[int, Any]]:
+        """The remembered ``(sender, payload)`` of ``body``, or ``None``."""
+        self.lookups += 1
+        decoded = self._young.get(body)
+        if decoded is None:
+            decoded = self._old.get(body)
+        return decoded
+
+    def put(self, body: bytes, decoded: tuple[int, Any]) -> None:
+        """Remember ``decoded`` as the value of ``body``."""
+        if len(self._young) >= self.BOUND // 2:
+            self._old, self._young = self._young, {}
+        self._young[body] = decoded
+
+    def __len__(self) -> int:
+        return len(self._young) + len(self._old)
+
+
 class WireCodec:
     """Encode/decode registered dataclass trees as JSON frames."""
 
@@ -62,6 +135,8 @@ class WireCodec:
 
     def __init__(self) -> None:
         self._by_name: dict[str, type] = {}
+        #: What co-located transports share of this codec's decoding.
+        self.frames = FrameMemo()
 
     # ------------------------------------------------------------------
     # Registry
@@ -225,6 +300,7 @@ _T_DICT = 0x0A
 _T_CLASS = 0x0B
 
 _FLOAT_STRUCT = struct.Struct(">d")
+_PREFIX_STRUCT = struct.Struct(">I")
 
 
 def _pack_uvarint(value: int, out: bytearray) -> None:
@@ -259,7 +335,8 @@ class BinaryWireCodec(WireCodec):
 
     The registry adds a layer on top of :class:`WireCodec`'s name map: each
     registered class also gets a numeric wire id (its registration ordinal)
-    and a precomputed field tuple, so a dataclass encodes as
+    and a compiled plan — one packer and one unpacker with the fields
+    unrolled (:func:`_compile_class`) — so a dataclass encodes as
     ``CLASS tag || varint id || field values`` — no field names, no class
     names, no JSON quoting.  **Registration order is part of the wire
     format**: peers decode ids against their own registration sequence, so
@@ -277,24 +354,21 @@ class BinaryWireCodec(WireCodec):
 
     def __init__(self) -> None:
         super().__init__()
-        # type -> (wire id, field names); ids are registration ordinals.
-        self._class_info: dict[type, tuple[int, tuple[str, ...]]] = {}
-        # wire id -> (class, field names); the decode side of the same map.
-        self._by_id: list[tuple[type, tuple[str, ...]]] = []
+        # wire id -> compiled unpacker; ids are registration ordinals.
+        self._by_id: list[Callable[[Any, int], tuple[Any, int]]] = []
         # Per-instance exact-type dispatch: primitives from the shared table
-        # plus one entry per registered class, so the hottest shape (a
-        # registered message) packs without an isinstance ladder.
+        # plus one compiled packer per registered class, so the hottest shape
+        # (a registered message) packs without an isinstance ladder.
         self._packers: dict[type, Callable[["BinaryWireCodec", Any, bytearray], None]] = dict(
             _BINARY_PACKERS
         )
 
     def register(self, cls: type) -> type:
         super().register(cls)
-        if cls not in self._class_info:
-            names = tuple(field.name for field in dataclasses.fields(cls))
-            self._class_info[cls] = (len(self._by_id), names)
-            self._by_id.append((cls, names))
-            self._packers[cls] = BinaryWireCodec._pack_class
+        if cls not in self._packers:
+            packer, unpacker = _compile_class(self, cls, len(self._by_id))
+            self._packers[cls] = packer
+            self._by_id.append(unpacker)
         return cls
 
     # ------------------------------------------------------------------
@@ -321,14 +395,15 @@ class BinaryWireCodec(WireCodec):
         if body_len > MAX_FRAME_BYTES:
             del out[start:]
             raise WireCodecError(f"frame of {body_len} bytes exceeds MAX_FRAME_BYTES")
-        out[start : start + LENGTH_PREFIX_BYTES] = body_len.to_bytes(
-            LENGTH_PREFIX_BYTES, "big"
-        )
+        _PREFIX_STRUCT.pack_into(out, start, body_len)
         return LENGTH_PREFIX_BYTES + body_len
 
     def decode_body(self, body: bytes) -> tuple[int, Any]:
         try:
-            raw_sender, pos = _unpack_uvarint(body, 0)
+            raw_sender = body[0]
+            pos = 1
+            if raw_sender > 0x7F:
+                raw_sender, pos = _unpack_uvarint(body, 0)
             payload, pos = self._unpack_value(body, pos)
         except WireCodecError:
             raise
@@ -350,24 +425,14 @@ class BinaryWireCodec(WireCodec):
             return
         self._pack_other(value, out)
 
-    def _pack_class(self, value: Any, out: bytearray) -> None:
-        info = self._class_info.get(type(value))
-        if info is None:
+    def _pack_other(self, value: Any, out: bytearray) -> None:
+        """Generic path: builtin subclasses; anything else cannot cross a wire."""
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            # A registered class has a compiled packer in the dispatch table.
             raise WireCodecError(
                 f"{type(value)!r} is not registered with this codec; "
                 "register it before sending it over a wire transport"
             )
-        wire_id, names = info
-        out.append(_T_CLASS)
-        _pack_uvarint(wire_id, out)
-        pack = self._pack_value
-        for name in names:
-            pack(getattr(value, name), out)
-
-    def _pack_other(self, value: Any, out: bytearray) -> None:
-        """Generic path: builtin subclasses and registered dataclasses."""
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            self._pack_class(value, out)
         elif isinstance(value, bool):
             out.append(_T_TRUE if value else _T_FALSE)
         elif isinstance(value, int):
@@ -415,13 +480,7 @@ class BinaryWireCodec(WireCodec):
             wire_id, pos = _unpack_uvarint(buf, pos)
             if wire_id >= len(self._by_id):
                 raise WireCodecError(f"unknown wire class id {wire_id}")
-            cls, names = self._by_id[wire_id]
-            unpack = self._unpack_value
-            values = []
-            for _ in names:
-                value, pos = unpack(buf, pos)
-                values.append(value)
-            return cls(**dict(zip(names, values))), pos
+            return self._by_id[wire_id](buf, pos)
         if tag == _T_TUPLE or tag == _T_LIST or tag == _T_FSET:
             count, pos = _unpack_uvarint(buf, pos)
             unpack = self._unpack_value
@@ -529,6 +588,143 @@ _BINARY_PACKERS: dict[type, Callable[[BinaryWireCodec, Any, bytearray], None]] =
     frozenset: _pack_fset,
     dict: _pack_dict,
 }
+
+
+# ----------------------------------------------------------------------
+# Compiled class plans
+# ----------------------------------------------------------------------
+# ``BinaryWireCodec.register`` turns each class into one packer and one
+# unpacker with its fields unrolled, generated from the templates below the
+# way ``dataclasses`` generates ``__init__``.  Each field gets the one inline
+# fast path its annotation suggests — an exact ``int`` (views, signer ids),
+# an exact ``str`` (digests), or a nested registered class — and falls back
+# to the generic walker for any other value, multi-byte length or class id.
+# The annotation only picks which test comes first, so the templates add no
+# format rule of their own: same bytes out, same values and rejections in.
+_PACK_FIELD = {
+    "int": """\
+    v = value.{name}
+    if v.__class__ is int:
+        v = v * 2 if v >= 0 else -v * 2 - 1
+        out.append({INT})
+        if v < 128:
+            out.append(v)
+        else:
+            put_uvarint(v, out)
+    else:
+        codec._pack_value(v, out)
+""",
+    "str": """\
+    v = value.{name}
+    if v.__class__ is str:
+        v = v.encode("utf-8")
+        out.append({STR})
+        if len(v) < 128:
+            out.append(len(v))
+        else:
+            put_uvarint(len(v), out)
+        out += v
+    else:
+        codec._pack_value(v, out)
+""",
+    "class": """\
+    v = value.{name}
+    p = packers.get(v.__class__)
+    if p is not None:
+        p(codec, v, out)
+    else:
+        codec._pack_other(v, out)
+""",
+}
+
+_UNPACK_FIELD = {
+    "int": """\
+    if buf[pos] == {INT}:
+        v{i} = buf[pos + 1]
+        if v{i} < 128:
+            pos += 2
+        else:
+            v{i}, pos = get_uvarint(buf, pos + 1)
+        v{i} = v{i} >> 1 if not v{i} & 1 else -(v{i} + 1) >> 1
+    else:
+        v{i}, pos = unpack(buf, pos)
+""",
+    "str": """\
+    if buf[pos] == {STR} and buf[pos + 1] < 128:
+        pos += 2
+        end = pos + buf[pos - 1]
+        if end > len(buf):
+            raise WireCodecError("malformed frame body: truncated string")
+        v{i} = str(buf[pos:end], "utf-8")
+        pos = end
+    else:
+        v{i}, pos = unpack(buf, pos)
+""",
+    "class": """\
+    if buf[pos] == {CLASS} and (k := buf[pos + 1]) < 128 and k < len(unpackers):
+        v{i}, pos = unpackers[k](buf, pos + 2)
+    else:
+        v{i}, pos = unpack(buf, pos)
+""",
+}
+
+_TAGS = {"INT": _T_INT, "STR": _T_STR, "CLASS": _T_CLASS}
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_code(source: str) -> Any:
+    """Compiled plan source; classes of one shape (``view`` + ``partial``:
+    six of the library's 24) and every further codec instance share it."""
+    return compile(source, "<wire plan>", "exec")
+
+
+def _compile_class(
+    codec: BinaryWireCodec, cls: type, wire_id: int
+) -> tuple[
+    Callable[[BinaryWireCodec, Any, bytearray], None],
+    Callable[[Any, int], tuple[Any, int]],
+]:
+    """The ``(packer, unpacker)`` pair of ``cls`` under ``codec``.
+
+    The packer appends ``CLASS tag || varint wire_id || field values`` to
+    its buffer; the unpacker starts past the id and returns ``(instance,
+    next position)``, building the instance positionally.
+    """
+    header = bytearray([_T_CLASS])
+    _pack_uvarint(wire_id, header)
+    fields = dataclasses.fields(cls)
+    # Annotations are source text under ``from __future__ import annotations``.
+    hints = [
+        hint if hint in ("int", "str") else "class"
+        for hint in (getattr(field.type, "__name__", field.type) for field in fields)
+    ]
+    arguments = ", ".join(
+        f"{field.name}=v{i}" if field.kw_only else f"v{i}"
+        for i, field in enumerate(fields)
+    )
+    source = (
+        "def pack(codec, value, out):\n"
+        "    out += header\n"
+        + "".join(
+            _PACK_FIELD[hint].format(name=field.name, **_TAGS)
+            for hint, field in zip(hints, fields)
+        )
+        + "def unpack_class(buf, pos):\n"
+        + "".join(_UNPACK_FIELD[hint].format(i=i, **_TAGS) for i, hint in enumerate(hints))
+        + f"    return cls({arguments}), pos\n"
+    )
+    namespace = {
+        "cls": cls,
+        "header": bytes(header),
+        "packers": codec._packers,
+        "unpackers": codec._by_id,
+        "unpack": codec._unpack_value,
+        "put_uvarint": _pack_uvarint,
+        "get_uvarint": _unpack_uvarint,
+        "WireCodecError": WireCodecError,
+    }
+    exec(_plan_code(source), namespace)
+    return namespace["pack"], namespace["unpack_class"]
 
 
 def _message_subclasses(base: type) -> set[type]:

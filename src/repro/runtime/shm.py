@@ -11,8 +11,12 @@ fixed-size **SPSC ring buffer per directed node pair**, backed by
   (:meth:`~repro.runtime.codec.WireCodec.encode_into`, no intermediate
   ``bytes``) and copies it into the ring **once**;
 * the consumer decodes frames **in place** from a ``memoryview`` over the
-  ring (a contiguous frame is never copied out before decoding) and only
-  then advances the read index;
+  ring and only then advances the read index: a node alone in its process
+  never copies a contiguous frame out before decoding.  A process hosting
+  several nodes instead copies each body out once, as the key under which
+  its transports share the decoded payload
+  (:meth:`~repro.runtime.transports.FramedTransport._decode`): a broadcast
+  then costs that process one decode, not one per local recipient;
 * in steady state neither side makes a single syscall per frame — the ring
   is plain memory shared by two processes.
 
@@ -55,17 +59,11 @@ import asyncio
 import socket
 import struct
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.runtime.codec import (
-    LENGTH_PREFIX_BYTES,
-    WireCodec,
-    WireCodecError,
-    default_binary_codec,
-    make_codec,
-)
-from repro.runtime.transports import Transport, TransportEnvelope
+from repro.runtime.codec import LENGTH_PREFIX_BYTES, WireCodec, WireCodecError
+from repro.runtime.transports import FramedTransport
 
 #: Bytes reserved at the front of every segment for the ring header.
 #: Fields live on separate 64-byte lines so the producer-owned write index
@@ -292,7 +290,7 @@ def attach_ring(name: str) -> SharedMemory:
     return SharedMemory(name=name, create=False)
 
 
-class ShmTransport(Transport):
+class ShmTransport(FramedTransport):
     """Shared-memory message fabric for a single node of a live cluster.
 
     Drop-in sibling of :class:`~repro.runtime.tcp.TcpTransport` for nodes
@@ -306,13 +304,11 @@ class ShmTransport(Transport):
 
     Parameters
     ----------
-    pid:
-        The processor id of the (single) local process this node hosts.
+    pid, codec:
+        As for :class:`~repro.runtime.transports.FramedTransport`.
     token:
         The cluster's shm namespace; all nodes of one cluster must agree
         (the parent mints it and ships it through the shard spec).
-    codec:
-        Wire codec instance or name, exactly as for ``TcpTransport``.
     ring_bytes:
         Data capacity of each directed ring this node consumes or fills.
         Must match the creator's value — both sides derive the data region
@@ -346,29 +342,14 @@ class ShmTransport(Transport):
         ring_bytes: int = DEFAULT_RING_BYTES,
         host: str = "127.0.0.1",
     ) -> None:
-        super().__init__()
-        self.pid = pid
+        super().__init__(pid, codec)
         self.token = token
         self.host = host
-        if codec is None:
-            self.codec = default_binary_codec()
-        elif isinstance(codec, str):
-            self.codec = make_codec(codec)
-        else:
-            self.codec = codec
         if ring_bytes < MIN_RING_BYTES:
             raise ConfigurationError(
                 f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes}"
             )
         self.ring_bytes = ring_bytes
-        #: Frames dropped because an outbound ring was full (folded into a
-        #: run's fault counts by ``MetricsCollector.attach_transport``).
-        self.frames_dropped = 0
-        #: Teardown/overflow errors surfaced instead of swallowed.
-        self.last_errors: list[str] = []
-        self._peers: dict[int, tuple[str, int]] = {}
-        self._sorted_ids: tuple[int, ...] = (pid,)
-        self._process: Any = None
         self._sock: Optional[socket.socket] = None
         self._rings_out: dict[int, SpscRing] = {}
         self._rings_in: dict[int, SpscRing] = {}
@@ -384,29 +365,6 @@ class ShmTransport(Transport):
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
-    def register(self, process: Any) -> None:
-        """Attach the node's local process (exactly one per transport)."""
-        if process.pid != self.pid:
-            raise ConfigurationError(
-                f"ShmTransport for pid {self.pid} cannot host process {process.pid}; "
-                "one transport per node"
-            )
-        if self._process is not None:
-            raise SimulationError(f"process id {self.pid} registered twice")
-        self._process = process
-
-    def set_peers(self, peers: Mapping[int, tuple[str, int]]) -> None:
-        """Install the ``pid -> doorbell address`` map (own entry ignored)."""
-        self._peers = {
-            pid: tuple(addr) for pid, addr in peers.items() if pid != self.pid
-        }
-        self._sorted_ids = tuple(sorted({self.pid, *self._peers}))
-
-    @property
-    def process_ids(self) -> Sequence[int]:
-        """Sorted ids of the whole cluster (self plus peers)."""
-        return self._sorted_ids
-
     @property
     def address(self) -> tuple[str, int]:
         """The bound doorbell address (resolves the ephemeral port)."""
@@ -436,6 +394,7 @@ class ShmTransport(Transport):
         :attr:`WAKE_TIMEOUT` re-check timer backstops a missed poke.
         """
         await self.start_server()
+        self._share_frames(True)
         loop = asyncio.get_running_loop()
         if not self._reader_installed:
             assert self._sock is not None
@@ -474,6 +433,7 @@ class ShmTransport(Transport):
         race a callback into detached rings.
         """
         self._stopped = True
+        self._share_frames(False)
         if self._backstop_handle is not None:
             self._backstop_handle.cancel()
             self._backstop_handle = None
@@ -513,12 +473,13 @@ class ShmTransport(Transport):
         """
         if self._stopped:
             return
+        now = self.runtime.now
         if recipient == self.pid:
-            self._deliver_local(sender, payload)
+            self._deliver_local(sender, payload, now)
             return
         if recipient not in self._rings_out:
             raise SimulationError(f"unknown recipient {recipient}")
-        self._mint(sender, recipient, payload, self.runtime.now)
+        self._mint(sender, recipient, payload, now, now)
         scratch = self._scratch
         del scratch[:]
         self.codec.encode_into(sender, payload, scratch)
@@ -534,21 +495,14 @@ class ShmTransport(Transport):
             if not include_self and pid == sender:
                 continue
             if pid == self.pid:
-                self._deliver_local(sender, payload)
+                self._deliver_local(sender, payload, now)
                 continue
             if scratch is None:
                 scratch = self._scratch
                 del scratch[:]
                 self.codec.encode_into(sender, payload, scratch)
-            self._mint(sender, pid, payload, now)
+            self._mint(sender, pid, payload, now, now)
             self._push(pid, scratch)
-
-    def _deliver_local(self, sender: int, payload: Any) -> None:
-        """Immediate loopback delivery to the hosted process."""
-        envelope = self._mint(sender, self.pid, payload, self.runtime.now)
-        if self._process is None:
-            return
-        self.runtime.call_after(0.0, self._delivered, envelope, self._process)
 
     def _push(self, recipient: int, frame: Union[bytes, bytearray]) -> None:
         """Ring-push with overflow accounting and doorbell poke."""
@@ -592,14 +546,14 @@ class ShmTransport(Transport):
     def _drain_ready(self) -> int:
         """One sweep over all inbound rings; returns frames delivered.
 
-        Frames decode **in place** from the ring's memoryview before the
-        read index advances (the producer cannot overwrite unconsumed
-        bytes), then deliver exactly like the TCP pump.  Each ring yields
+        Frames decode from the ring's memoryview — in place, or through
+        the frame memo co-located transports share — before the read index
+        advances (the producer cannot overwrite unconsumed bytes), then
+        deliver exactly like the TCP pump.  Each ring yields
         at most :attr:`MAX_DRAIN_PER_RING` frames per sweep so one loud
         peer cannot starve the others.
         """
         delivered = 0
-        codec = self.codec
         for peer, ring in self._in_pairs:
             if self._stopped:
                 break
@@ -608,7 +562,7 @@ class ShmTransport(Transport):
                 if body is None:
                     break
                 try:
-                    sender, payload = codec.decode_body(body)
+                    sender, payload = self._decode(body)
                 except WireCodecError as exc:
                     self.last_errors.append(f"shm-decode-{peer}->{self.pid}: {exc!r}")
                     ring.consume()
@@ -617,14 +571,8 @@ class ShmTransport(Transport):
                     body = None  # release a memoryview into the ring
                 ring.consume()
                 delivered += 1
-                if self._process is None:
-                    continue
-                envelope = TransportEnvelope(
-                    next(self._msg_ids), sender, self.pid, payload,
-                    self.runtime.now, self.runtime.now,
-                )
-                self.runtime.events_processed += 1
-                self._delivered(envelope, self._process)
+                if self._process is not None:
+                    self._receive(sender, payload)
         return delivered
 
     def _drain_burst(self) -> None:

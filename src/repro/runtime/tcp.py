@@ -24,37 +24,30 @@ first (:meth:`TcpTransport.start_server`), read the bound
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.runtime.codec import (
     LENGTH_PREFIX_BYTES,
     MAX_FRAME_BYTES,
     WireCodec,
     WireCodecError,
-    default_binary_codec,
-    make_codec,
 )
-from repro.runtime.transports import Transport, TransportEnvelope
+from repro.runtime.transports import FramedTransport
 
 
-class TcpTransport(Transport):
+class TcpTransport(FramedTransport):
     """TCP message fabric for a single node of a live cluster.
 
     Parameters
     ----------
-    pid:
-        The processor id of the (single) local process this node hosts.
+    pid, codec:
+        As for :class:`~repro.runtime.transports.FramedTransport`; the
+        default codec is the compact binary format over every message type
+        the library defines.
     host, port:
         Listen address.  ``port=0`` binds an ephemeral port; read
         :attr:`address` after :meth:`start_server`.
-    codec:
-        Wire codec: a :class:`~repro.runtime.codec.WireCodec` instance or a
-        codec name (``"binary"``/``"json"``, see
-        :func:`~repro.runtime.codec.make_codec`).  Defaults to
-        :func:`~repro.runtime.codec.default_binary_codec` — the compact
-        binary format over every message type the library defines.  All
-        nodes of one cluster must use the same codec.
     connect_timeout:
         How long a writer keeps retrying each (re)connect window to a peer
         before giving up (covers the all-nodes-starting-at-once race and
@@ -87,30 +80,11 @@ class TcpTransport(Transport):
         connect_timeout: float = 10.0,
         coalesce_writes: bool = True,
     ) -> None:
-        super().__init__()
-        self.pid = pid
+        super().__init__(pid, codec)
         self.host = host
         self.port = port
-        if codec is None:
-            self.codec = default_binary_codec()
-        elif isinstance(codec, str):
-            self.codec = make_codec(codec)
-        else:
-            self.codec = codec
         self.connect_timeout = connect_timeout
         self.coalesce_writes = coalesce_writes
-        #: Frames this node gave up on: a writer that exhausted its connect
-        #: window died holding them.  Folded into a run's fault counts by
-        #: ``MetricsCollector.attach_transport`` so silently lost frames
-        #: always leave a trace in ``RunMetrics``.
-        self.frames_dropped = 0
-        #: Non-cancellation exceptions surfaced while tearing the node down
-        #: (``{task name}: {error!r}`` strings).  Teardown used to swallow
-        #: these; clusters now aggregate them into ``teardown_errors``.
-        self.last_errors: list[str] = []
-        self._peers: dict[int, tuple[str, int]] = {}
-        self._sorted_ids: tuple[int, ...] = (pid,)
-        self._process: Any = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._inbox: Optional[asyncio.Queue] = None
         self._outboxes: dict[int, asyncio.Queue] = {}
@@ -122,27 +96,6 @@ class TcpTransport(Transport):
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
-    def register(self, process: Any) -> None:
-        """Attach the node's local process (exactly one per transport)."""
-        if process.pid != self.pid:
-            raise ConfigurationError(
-                f"TcpTransport for pid {self.pid} cannot host process {process.pid}; "
-                "one transport per node"
-            )
-        if self._process is not None:
-            raise SimulationError(f"process id {self.pid} registered twice")
-        self._process = process
-
-    def set_peers(self, peers: Mapping[int, tuple[str, int]]) -> None:
-        """Install the full ``pid -> (host, port)`` map (own entry ignored)."""
-        self._peers = {pid: tuple(addr) for pid, addr in peers.items() if pid != self.pid}
-        self._sorted_ids = tuple(sorted({self.pid, *self._peers}))
-
-    @property
-    def process_ids(self) -> Sequence[int]:
-        """Sorted ids of the whole cluster (self plus peers)."""
-        return self._sorted_ids
-
     @property
     def address(self) -> tuple[str, int]:
         """The actually bound listen address (resolves ``port=0``)."""
@@ -160,6 +113,7 @@ class TcpTransport(Transport):
         if self._server is None:
             self._inbox = asyncio.Queue()
             self._server = await asyncio.start_server(self._on_connection, self.host, self.port)
+            self._share_frames(True)  # readers decode from here on
         return self.address
 
     async def start(self) -> None:
@@ -186,6 +140,7 @@ class TcpTransport(Transport):
         just requested records the error in :attr:`last_errors`, so cluster
         shutdown can report real bugs instead of swallowing them.
         """
+        self._share_frames(False)
         own = [self._pump_task, *self._writers.values()]
         for task in own:
             if task is not None:
@@ -219,12 +174,13 @@ class TcpTransport(Transport):
     # ------------------------------------------------------------------
     def send(self, sender: int, recipient: int, payload: Any) -> None:
         """Deliver locally (immediate) or frame and queue for a peer."""
+        now = self.runtime.now
         if recipient == self.pid:
-            self._deliver_local(sender, payload)
+            self._deliver_local(sender, payload, now)
             return
         if recipient not in self._peers:
             raise SimulationError(f"unknown recipient {recipient}")
-        self._mint(sender, recipient, payload, self.runtime.now)
+        self._mint(sender, recipient, payload, now, now)
         frame = bytearray()
         self.codec.encode_into(sender, payload, frame)
         self._enqueue_frame(recipient, frame)
@@ -245,20 +201,13 @@ class TcpTransport(Transport):
             if not include_self and pid == sender:
                 continue
             if pid == self.pid:
-                self._deliver_local(sender, payload)
+                self._deliver_local(sender, payload, now)
                 continue
             if frame is None:
                 frame = bytearray()
                 self.codec.encode_into(sender, payload, frame)
-            self._mint(sender, pid, payload, now)
+            self._mint(sender, pid, payload, now, now)
             self._enqueue_frame(pid, frame)
-
-    def _deliver_local(self, sender: int, payload: Any) -> None:
-        """Immediate loopback delivery to the hosted process."""
-        envelope = self._mint(sender, self.pid, payload, self.runtime.now)
-        if self._process is None:
-            return
-        self.runtime.call_after(0.0, self._delivered, envelope, self._process)
 
     def _enqueue_frame(self, recipient: int, frame: Union[bytes, bytearray]) -> None:
         """Queue encoded frame bytes for a peer and (re)spawn its writer task.
@@ -372,7 +321,7 @@ class TcpTransport(Transport):
                     break  # malformed or hostile peer; drop the connection
                 body = await reader.readexactly(length)
                 try:
-                    sender, payload = self.codec.decode_body(body)
+                    sender, payload = self._decode(body)
                 except WireCodecError:
                     break  # malformed or version-skewed peer; drop cleanly
                 assert self._inbox is not None
@@ -407,14 +356,8 @@ class TcpTransport(Transport):
                 except asyncio.QueueEmpty:
                     break
             for sender, payload in batch:
-                if self._process is None:
-                    continue
-                envelope = TransportEnvelope(
-                    next(self._msg_ids), sender, self.pid, payload,
-                    self.runtime.now, self.runtime.now,
-                )
-                self.runtime.events_processed += 1
-                self._delivered(envelope, self._process)
+                if self._process is not None:
+                    self._receive(sender, payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

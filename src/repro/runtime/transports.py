@@ -21,6 +21,11 @@ Two implementations ship:
 * :class:`~repro.runtime.tcp.TcpTransport` — one node of a real cluster,
   length-prefixed frames (binary by default, JSON via ``codec="json"``)
   over ``asyncio`` TCP streams.
+
+:class:`FramedTransport` (here) is what the frame-moving transports — TCP
+and the shared-memory :class:`~repro.runtime.shm.ShmTransport` — have in
+common, including the one place an inbound frame is decoded: once per
+process for the transports that share a codec there.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.base import Runtime
+from repro.runtime.codec import WireCodec, default_binary_codec, make_codec
 
 
 class TransportEnvelope(NamedTuple):
@@ -74,6 +80,11 @@ class Transport(ABC):
         self.deliver_listeners: list[Callable[[TransportEnvelope], None]] = []
         self.messages_sent = 0
         self.messages_delivered = 0
+        #: Inbound frame bodies run through a codec: stays zero on a
+        #: transport that moves objects, and below the frames received
+        #: wherever co-located transports share a decode
+        #: (:meth:`FramedTransport._decode`).
+        self.frames_decoded = 0
         self._msg_ids = itertools.count()
         self._runtime: Optional[Runtime] = None
 
@@ -134,10 +145,14 @@ class Transport(ABC):
     # Shared internals
     # ------------------------------------------------------------------
     def _mint(
-        self, sender: int, recipient: int, payload: Any, deliver_time: float
+        self, sender: int, recipient: int, payload: Any, now: float, deliver_time: float
     ) -> TransportEnvelope:
-        """Create the envelope, bump counters and notify send listeners."""
-        now = self.runtime.now
+        """Create the envelope, bump counters and notify send listeners.
+
+        ``now`` is the caller's one reading of the runtime clock for this
+        send: the envelope's ``send_time``, and what ``deliver_time`` was
+        derived from.
+        """
         envelope = TransportEnvelope(
             next(self._msg_ids), sender, recipient, payload, now, deliver_time
         )
@@ -152,6 +167,129 @@ class Transport(ABC):
         for listener in self.deliver_listeners:
             listener(envelope)
         process.deliver(envelope.payload, envelope.sender)
+
+
+class FramedTransport(Transport):
+    """One node of a cluster whose peers are reached through encoded frames.
+
+    The half :class:`~repro.runtime.tcp.TcpTransport` and
+    :class:`~repro.runtime.shm.ShmTransport` share: the wire codec, the one
+    hosted process and the peer map, loopback delivery, the
+    ``frames_dropped`` / ``last_errors`` accounting the metrics layer and
+    :class:`~repro.runtime.chaos.FaultyTransport` read, and the decode of an
+    inbound frame body (:meth:`_decode`).
+
+    Parameters
+    ----------
+    pid:
+        The processor id of the (single) local process this node hosts.
+    codec:
+        A :class:`~repro.runtime.codec.WireCodec` instance or a codec name
+        (``"binary"`` / ``"json"``, see
+        :func:`~repro.runtime.codec.make_codec`); the shared binary codec
+        when omitted.  All nodes of one cluster must use the same codec.
+    """
+
+    def __init__(self, pid: int, codec: Union[WireCodec, str, None] = None) -> None:
+        super().__init__()
+        self.pid = pid
+        if codec is None:
+            self.codec = default_binary_codec()
+        elif isinstance(codec, str):
+            self.codec = make_codec(codec)
+        else:
+            self.codec = codec
+        #: Frames this node lost: a writer that exhausted its connect window
+        #: died holding them, or an outbound ring was full.  Folded into a
+        #: run's fault counts by ``MetricsCollector.attach_transport``, so a
+        #: silently lost frame always leaves a trace in ``RunMetrics``.
+        self.frames_dropped = 0
+        #: Errors surfaced instead of swallowed (``{where}: {error!r}``
+        #: strings); clusters aggregate them into ``teardown_errors``.
+        self.last_errors: list[str] = []
+        self._peers: dict[int, tuple[str, int]] = {}
+        self._sorted_ids: tuple[int, ...] = (pid,)
+        self._process: Any = None
+        self._shares_frames = False
+
+    # ------------------------------------------------------------------
+    # Addressing
+    # ------------------------------------------------------------------
+    def register(self, process: Any) -> None:
+        """Attach the node's local process (exactly one per transport)."""
+        if process.pid != self.pid:
+            raise ConfigurationError(
+                f"{type(self).__name__} for pid {self.pid} cannot host process "
+                f"{process.pid}; one transport per node"
+            )
+        if self._process is not None:
+            raise SimulationError(f"process id {self.pid} registered twice")
+        self._process = process
+
+    def set_peers(self, peers: Mapping[int, tuple[str, int]]) -> None:
+        """Install the full ``pid -> address`` map (own entry ignored)."""
+        self._peers = {pid: tuple(addr) for pid, addr in peers.items() if pid != self.pid}
+        self._sorted_ids = tuple(sorted({self.pid, *self._peers}))
+
+    @property
+    def process_ids(self) -> Sequence[int]:
+        """Sorted ids of the whole cluster (self plus peers)."""
+        return self._sorted_ids
+
+    # ------------------------------------------------------------------
+    # Shared internals
+    # ------------------------------------------------------------------
+    def _share_frames(self, sharing: bool) -> None:
+        """Join (on start) or leave (on stop) the transports of this process
+        that decode with :attr:`codec`.  Idempotent."""
+        if sharing != self._shares_frames:
+            self._shares_frames = sharing
+            if sharing:
+                self.codec.frames.attach()
+            else:
+                self.codec.frames.detach()
+
+    def _deliver_local(self, sender: int, payload: Any, now: float) -> None:
+        """Immediate loopback delivery to the hosted process."""
+        envelope = self._mint(sender, self.pid, payload, now, now)
+        if self._process is None:
+            return
+        self.runtime.call_after(0.0, self._delivered, envelope, self._process)
+
+    def _decode(self, body: Any) -> tuple[int, Any]:
+        """``(sender, payload)`` of one inbound frame body.
+
+        A process hosting several transports on one codec — every replica
+        of a shard — sees a broadcast's frame once per local recipient, byte
+        for byte.  The first of them decodes it; the others take the same
+        immutable payload from the codec's
+        :class:`~repro.runtime.codec.FrameMemo`, so the frame costs the
+        process one decode and its ``Block`` one ``block_id`` hash.  A
+        transport alone on its codec decodes ``body`` where it lies (a
+        ``memoryview`` into a ring is never copied) and never sees the memo.
+        A body that fails to decode raises for each recipient and is not
+        remembered.
+        """
+        frames = self.codec.frames
+        if frames.sharers < 2:
+            self.frames_decoded += 1
+            return self.codec.decode_body(body)
+        body = bytes(body)
+        decoded = frames.get(body)
+        if decoded is None:
+            self.frames_decoded += 1
+            decoded = self.codec.decode_body(body)
+            frames.put(body, decoded)
+        return decoded
+
+    def _receive(self, sender: int, payload: Any) -> None:
+        """Hand one decoded inbound frame to the hosted process."""
+        now = self.runtime.now
+        envelope = TransportEnvelope(
+            next(self._msg_ids), sender, self.pid, payload, now, now
+        )
+        self.runtime.events_processed += 1
+        self._delivered(envelope, self._process)
 
 
 class LocalTransport(Transport):
@@ -231,7 +369,8 @@ class LocalTransport(Transport):
         process = self._processes.get(recipient)
         if process is None:
             raise SimulationError(f"unknown recipient {recipient}")
-        envelope = self._mint(sender, recipient, payload, self.runtime.now + delay)
+        now = self.runtime.now
+        envelope = self._mint(sender, recipient, payload, now, now + delay)
         if deliver:
             self.runtime.call_after(delay, self._delivered, envelope, process)
         return envelope

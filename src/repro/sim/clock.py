@@ -135,7 +135,6 @@ class LocalClock:
         self._anchor_value = value
         self._anchor_time = self._source.now
         self.bump_count += 1
-        self._fire_reached_timers()
         self._resync_timers()
         return True
 
@@ -148,7 +147,6 @@ class LocalClock:
         """
         self._anchor_value = value
         self._anchor_time = self._source.now
-        self._fire_reached_timers()
         self._resync_timers()
 
     # ------------------------------------------------------------------
@@ -200,14 +198,10 @@ class LocalClock:
         timer._event = None
         timer.callback()
 
-    def _fire_reached_timers(self) -> None:
-        """After a bump, immediately schedule any timer whose target was passed."""
-        for timer in self._timers:
-            if timer.pending and self.read() >= timer.target:
-                self._arm(timer)
-
     def _resync_timers(self) -> None:
-        """Re-arm all pending timers after a pause/unpause/bump."""
+        """Re-arm all pending timers after a pause/unpause/bump: one runtime
+        timer each, due at once where the clock now stands at or past the
+        target."""
         self._timers = [t for t in self._timers if t.pending]
         for timer in self._timers:
             self._arm(timer)

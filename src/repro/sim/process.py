@@ -149,9 +149,11 @@ class Process:
     # Tracing
     # ------------------------------------------------------------------
     def trace(self, kind: str, **details: Any) -> None:
-        """Record a trace event if a recorder is attached."""
-        if self.ctx.trace is not None:
-            self.ctx.trace.record(self.now, self.pid, kind, details)
+        """Record a trace event if a recorder is attached and switched on
+        (a disabled one is not worth a clock read per protocol step)."""
+        recorder = self.ctx.trace
+        if recorder is not None and recorder.enabled:
+            recorder.record(self.now, self.pid, kind, details)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

@@ -186,6 +186,63 @@ def test_wall_clock_local_cluster_counts_each_downtime_window_once():
 
 
 # ----------------------------------------------------------------------
+# One runtime timer per view entered
+# ----------------------------------------------------------------------
+def test_a_view_entry_arms_one_clock_timer_and_fires_none_for_an_entered_view(monkeypatch):
+    from repro.core.lumiere import LumierePacemaker
+    from repro.runtime.simulation import SimRuntime
+    from repro.sim.clock import LocalClock
+
+    clock_timers = []  # delays of the runtime timers LocalClock armed
+    stale_fires = []  # _on_clock_target(view) with view already entered
+    set_timer = SimRuntime.set_timer
+    on_clock_target = LumierePacemaker._on_clock_target
+
+    def counting_set_timer(self, delay, callback, *args, **kwargs):
+        if isinstance(getattr(callback, "__self__", None), LocalClock):
+            clock_timers.append(delay)
+        return set_timer(self, delay, callback, *args, **kwargs)
+
+    def watching_on_clock_target(self, view):
+        if view <= self.current_view:
+            stale_fires.append(view)
+        on_clock_target(self, view)
+
+    monkeypatch.setattr(SimRuntime, "set_timer", counting_set_timer)
+    monkeypatch.setattr(LumierePacemaker, "_on_clock_target", watching_on_clock_target)
+    result = run_live_scenario(_scenario(1, duration=80.0))
+    entries = sum(len(views) for views in result.metrics.view_entries.values())
+    assert result.max_honest_view() >= 200 and entries >= 4 * 200
+    # A view entered on a QC cancels the pending boundary timer, bumps, and
+    # arms the next boundary: one timer, not re-arm / zero-delay no-op /
+    # re-arm (3.5 per entry before).
+    assert len(clock_timers) <= 1.5 * entries
+    assert stale_fires == []
+
+
+def test_wall_clock_lumiere_keeps_committing_across_epoch_boundaries():
+    # One-round epochs (8 views at n=4) on a real clock: every few views a
+    # QC bumps the replicas exactly onto an epoch view's clock time, and a
+    # few microseconds pass before the pacemaker reads the clock again.  It
+    # must still be offered that boundary, or the run live-locks there.
+    from repro.core.config import LumiereConfig
+
+    config = _scenario(0, delta=0.1, actual_delay=0.002, duration=20.0)
+    config.pacemaker_config = LumiereConfig(
+        protocol=config.protocol_config(), epoch_rounds=1
+    )
+    result = run_live_scenario(
+        config,
+        clock=MonotonicClock(),
+        stop_when=lambda r: r.committed_blocks() >= 40,
+    )
+    assert result.committed_blocks() >= 40
+    assert result.ledgers_are_consistent()
+    epochs = {replica.pacemaker.current_epoch for replica in result.replicas.values()}
+    assert min(epochs) >= 3
+
+
+# ----------------------------------------------------------------------
 # Campaign integration: the "live" backend
 # ----------------------------------------------------------------------
 def _build_live_cell(params):

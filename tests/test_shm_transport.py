@@ -12,7 +12,10 @@ Three layers, mirroring how the transport is built:
   through ``frames_dropped``/``last_errors``, teardown and post-stop sends;
 * chaos composition: a :class:`~repro.runtime.chaos.FaultyTransport`
   wrapping shm counts drops and targeted delays in ``FaultCounters``
-  exactly as it does over TCP.
+  exactly as it does over TCP;
+* the frame memo: transports that share a codec in one process decode a
+  broadcast's frame once and hand every local recipient the same payload,
+  a transport alone on its codec decodes in place and never sees the memo.
 
 The wall-clock tests (everything touching real segments or sockets) are
 ``tcp``-marked so CI's tier-1 matrix skips them; the live-smoke job runs
@@ -28,12 +31,20 @@ import uuid
 
 import pytest
 
+from repro.consensus.blocks import Block
+from repro.consensus.messages import Proposal
+from repro.crypto.backend import make_backend, use_backend
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.runner import make_live_cluster
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
 from repro.runtime.chaos import ChaosConfig, FaultCounters, FaultyTransport
-from repro.runtime.codec import default_binary_codec
+from repro.runtime.codec import (
+    BinaryWireCodec,
+    FrameMemo,
+    _register_library_messages,
+    default_binary_codec,
+)
 from repro.runtime.shm import (
     DEFAULT_RING_BYTES,
     MIN_RING_BYTES,
@@ -453,6 +464,217 @@ class TestShmTransportPair:
         t0 = asyncio.run(run())
         assert t0.frames_dropped == 0
         assert t0.last_errors == []
+        destroy_cluster_rings(segments)
+
+
+# ----------------------------------------------------------------------
+# The frame memo: one decode per frame per process
+# ----------------------------------------------------------------------
+class _SpyCodec(BinaryWireCodec):
+    """The binary codec, recording what ``decode_body`` was handed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.decoded: list[type] = []
+
+    def decode_body(self, body):
+        self.decoded.append(type(body))
+        return super().decode_body(body)
+
+
+def _spy_codec() -> _SpyCodec:
+    return _register_library_messages(_SpyCodec())
+
+
+class _CountingClock(MonotonicClock):
+    """A wall clock that counts how often it is read."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads = 0
+
+    @property
+    def now(self) -> float:
+        self.reads += 1
+        return super().now
+
+
+async def _start_nodes(token, codecs, ring_bytes=MIN_RING_BYTES, clock=None):
+    """One started, peered ShmTransport per entry of ``codecs`` (pid = index)."""
+    transports = [
+        ShmTransport(pid, token, codec=codec, ring_bytes=ring_bytes)
+        for pid, codec in enumerate(codecs)
+    ]
+    sinks = [_Sink(pid) for pid in range(len(codecs))]
+    for transport, sink in zip(transports, sinks):
+        AsyncioRuntime(transport, clock=clock or MonotonicClock()).register(sink)
+    peers = {t.pid: await t.start_server() for t in transports}
+    for transport in transports:
+        transport.set_peers(peers)
+        await transport.start()
+    return transports, sinks
+
+
+def _proposal(view: int, tag: str = "") -> Proposal:
+    block = Block(view=view, parent_id="genesis", proposer=0, payload=("tx", tag))
+    return Proposal(view=view, block=block, justify=None)
+
+
+def test_memo_never_grows_past_its_bound():
+    codec = _spy_codec()
+    first, second = (ShmTransport(pid, "unused", codec=codec) for pid in (0, 1))
+    first._share_frames(True)
+    second._share_frames(True)
+    for i in range(10_000):
+        body = codec.encode_frame(0, f"frame-{i}")[4:]
+        assert first._decode(body) == (0, f"frame-{i}")
+        assert second._decode(memoryview(body)) == (0, f"frame-{i}")
+        assert len(codec.frames) <= FrameMemo.BOUND
+    # Every frame was decoded once and found once, even across retirements.
+    assert len(codec.decoded) == first.frames_decoded == 10_000
+    assert second.frames_decoded == 0 and codec.frames.lookups == 20_000
+    first._share_frames(False)
+    assert len(codec.frames) > 0  # one sharer left: kept, just not consulted
+    second._share_frames(False)
+    assert len(codec.frames) == 0 and codec.frames.sharers == 0
+
+
+@pytest.mark.tcp
+class TestFrameMemo:
+    def test_co_located_recipients_share_one_decode_and_one_block_id(self):
+        token = _token()
+        segments = create_cluster_rings(token, [0, 1, 2], MIN_RING_BYTES)
+        codec = _spy_codec()
+        proposal = _proposal(3)
+
+        async def run():
+            transports, sinks = await _start_nodes(token, [codec] * 3)
+            try:
+                transports[0].broadcast(0, proposal)
+                await _wait_until(lambda: all(len(sink.received) == 1 for sink in sinks))
+            finally:
+                for transport in transports:
+                    await transport.stop()
+            return transports, sinks
+
+        with use_backend(make_backend("counting")) as backend:
+            transports, sinks = asyncio.run(run())
+            (_, own), (_, first), (_, second) = (sink.received[0] for sink in sinks)
+            assert own is proposal  # loopback never meets the codec
+            assert first == proposal and first is second and first is not proposal
+            assert len(codec.decoded) == 1
+            assert sorted(t.frames_decoded for t in transports) == [0, 0, 1]
+            assert [t.messages_delivered for t in transports] == [1, 1, 1]
+            before = backend.digest_calls
+            assert first.block.block_id == second.block.block_id
+            assert backend.digest_calls == before + 1
+        destroy_cluster_rings(segments)
+
+    def test_an_equivocating_senders_frames_decode_separately(self):
+        token = _token()
+        segments = create_cluster_rings(token, [0, 1, 2], MIN_RING_BYTES)
+        codec = _spy_codec()
+
+        async def run():
+            transports, sinks = await _start_nodes(token, [codec] * 3)
+            try:
+                transports[0].send(0, 1, _proposal(3, "a"))
+                transports[0].send(0, 2, _proposal(3, "b"))
+                await _wait_until(lambda: sinks[1].received and sinks[2].received)
+            finally:
+                for transport in transports:
+                    await transport.stop()
+            return sinks
+
+        sinks = asyncio.run(run())
+        (_, first), (_, second) = sinks[1].received[0], sinks[2].received[0]
+        assert len(codec.decoded) == 2
+        assert first.block.payload == ("tx", "a") and second.block.payload == ("tx", "b")
+        destroy_cluster_rings(segments)
+
+    def test_a_transport_alone_on_its_codec_decodes_in_place(self):
+        # One replica per process: nothing to share with, so a frame is
+        # decoded where it lies in the ring and the memo is never asked.
+        token = _token()
+        segments = create_cluster_rings(token, [0, 1], DEFAULT_RING_BYTES)
+        codecs = [_spy_codec(), _spy_codec()]
+
+        async def run():
+            transports, sinks = await _start_nodes(token, codecs, DEFAULT_RING_BYTES)
+            try:
+                for view in range(20):
+                    transports[0].send(0, 1, _proposal(view))
+                await _wait_until(lambda: len(sinks[1].received) == 20)
+            finally:
+                for transport in transports:
+                    await transport.stop()
+            return transports
+
+        transports = asyncio.run(run())
+        assert codecs[1].decoded == [memoryview] * 20
+        assert transports[1].frames_decoded == 20
+        assert all(codec.frames.lookups == 0 and len(codec.frames) == 0 for codec in codecs)
+        destroy_cluster_rings(segments)
+
+    def test_a_malformed_frame_is_reported_per_recipient_and_never_cached(self):
+        token = _token()
+        segments = create_cluster_rings(token, [0, 1, 2], MIN_RING_BYTES)
+        codec = _spy_codec()
+        garbage = _frame(b"\x00\xff")  # sender 0, then an unknown tag
+
+        async def run():
+            transports, sinks = await _start_nodes(token, [codec] * 3)
+            try:
+                transports[0]._push(1, garbage)
+                transports[0]._push(2, garbage)
+                transports[0].broadcast(0, "after", include_self=False)
+                await _wait_until(lambda: sinks[1].received and sinks[2].received)
+                remembered = len(codec.frames)
+            finally:
+                for transport in transports:
+                    await transport.stop()
+            return transports, remembered
+
+        transports, remembered = asyncio.run(run())
+        for transport in transports[1:]:
+            assert len(transport.last_errors) == 1
+            assert "unknown tag" in transport.last_errors[0]
+        # Both recipients tried the bad frame; only the good one is kept.
+        assert len(codec.decoded) == 3 and remembered == 1
+        destroy_cluster_rings(segments)
+
+    def test_one_clock_read_stamps_each_envelope(self):
+        token = _token()
+        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        clock = _CountingClock()
+        minted, delivered = [], []
+
+        async def run():
+            transports, sinks = await _start_nodes(
+                token, [default_binary_codec()] * 2, clock=clock
+            )
+            transports[0].send_listeners.append(minted.append)
+            transports[1].deliver_listeners.append(delivered.append)
+            try:
+                before = clock.reads
+                transports[0].send(0, 1, "ping")
+                assert clock.reads == before + 1
+                transports[0].broadcast(0, "fanout", include_self=False)
+                assert clock.reads == before + 2
+                await _wait_until(lambda: len(sinks[1].received) == 2)
+                # ... and one per frame on the way in.
+                assert clock.reads == before + 4
+            finally:
+                for transport in transports:
+                    await transport.stop()
+
+        asyncio.run(run())
+        assert len(minted) == 2 and len(delivered) == 2
+        for envelope in minted + delivered:
+            assert envelope.send_time <= envelope.deliver_time
+        assert minted[0].send_time <= delivered[0].send_time
         destroy_cluster_rings(segments)
 
 

@@ -192,3 +192,45 @@ def test_timer_fires_only_once_clock_reaches_target(ops, target):
     for reading in fired_at_clock_value:
         assert reading >= target - 1e-6
     assert len(fired_at_clock_value) <= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    start=st.floats(0.0, 50.0),
+    target=st.floats(0.0, 100.0),
+    bump=st.floats(0.0, 100.0),
+    retarget=st.floats(0.0, 200.0),
+)
+def test_cancelling_before_a_bump_reschedules_like_cancelling_after(start, target, bump, retarget):
+    """The Lumiere pacemaker's pattern: a pending timer, a bump, then a new
+    timer replacing the old one.  Whether the old timer is cancelled before
+    the bump or after it, it never fires and the new one fires at the same
+    local time."""
+
+    def run(cancel_first: bool) -> tuple[list[str], list[float]]:
+        sim, clock = make_clock(initial=start)
+        fired: list[str] = []
+        at: list[float] = []
+        old = clock.schedule_at_local(target, lambda: fired.append("old"))
+
+        def step() -> None:
+            if cancel_first:
+                old.cancel()
+                clock.bump_to(bump)
+            else:
+                clock.bump_to(bump)
+                old.cancel()
+            clock.schedule_at_local(
+                retarget, lambda: (fired.append("new"), at.append(clock.read()))
+            )
+
+        if target <= start:
+            step()  # before the zero-delay fire of an already-reached target
+        else:
+            sim.schedule((target - start) / 2, step)
+        sim.run()
+        return fired, at
+
+    assert run(cancel_first=True) == run(cancel_first=False)
+    fired, at = run(cancel_first=True)
+    assert fired == ["new"] and at[0] >= retarget - 1e-9

@@ -6,6 +6,10 @@ toggle selecting the per-frame reference path, and a test proves the two are
 observationally identical — here, that the *byte stream* a peer receives is
 identical, which is the strongest statement possible for a framed protocol
 (the receiver cannot even in principle distinguish the paths).
+
+The reader's side of the same economy is the frame memo: nodes that share a
+codec in one process decode a broadcast's frame once (the shm twin of these
+tests is in ``tests/test_shm_transport.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +19,10 @@ import socket
 
 import pytest
 
-from repro.runtime import TcpTransport
+from repro.consensus.blocks import Block
+from repro.consensus.messages import Proposal
+from repro.runtime import AsyncioRuntime, MonotonicClock, TcpTransport
+from repro.runtime.codec import BinaryWireCodec, _register_library_messages
 
 
 def _frame(index: int, size: int = 40) -> bytes:
@@ -133,3 +140,125 @@ def test_stop_collects_task_errors_instead_of_swallowing():
     assert "tcp-writer-0->1" in transport.last_errors[0]
     assert "writer exploded mid-run" in transport.last_errors[0]
     assert "teardown_errors=1" in repr(transport)
+
+
+# ----------------------------------------------------------------------
+# The frame memo on the reader side
+# ----------------------------------------------------------------------
+class _SpyCodec(BinaryWireCodec):
+    """The binary codec, counting ``decode_body`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.decodes = 0
+
+    def decode_body(self, body):
+        self.decodes += 1
+        return super().decode_body(body)
+
+
+class _Sink:
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.received: list[tuple[int, object]] = []
+
+    def deliver(self, payload, sender) -> None:
+        self.received.append((sender, payload))
+
+
+async def _start_nodes(codecs):
+    """One started, peered TcpTransport per entry of ``codecs`` (pid = index)."""
+    transports = [TcpTransport(pid, codec=codec) for pid, codec in enumerate(codecs)]
+    sinks = [_Sink(pid) for pid in range(len(codecs))]
+    for transport, sink in zip(transports, sinks):
+        AsyncioRuntime(transport, clock=MonotonicClock()).register(sink)
+    peers = {t.pid: await t.start_server() for t in transports}
+    for transport in transports:
+        transport.set_peers(peers)
+        await transport.start()
+    return transports, sinks
+
+
+async def _wait_until(predicate, timeout: float = 8.0) -> None:
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        if loop.time() > deadline:
+            raise AssertionError("condition not reached within the budget")
+        await asyncio.sleep(0.005)
+
+
+def _proposal(tag: str) -> Proposal:
+    block = Block(view=3, parent_id="genesis", proposer=0, payload=("tx", tag))
+    return Proposal(view=3, block=block, justify=None)
+
+
+@pytest.mark.tcp
+def test_co_located_tcp_nodes_decode_a_broadcast_once():
+    codec = _register_library_messages(_SpyCodec())
+
+    async def run():
+        transports, sinks = await _start_nodes([codec] * 3)
+        try:
+            transports[0].broadcast(0, _proposal("same"))
+            await _wait_until(lambda: all(len(sink.received) == 1 for sink in sinks))
+            shared = codec.decodes
+            # An equivocating sender's two frames are two frames.
+            transports[0].send(0, 1, _proposal("a"))
+            transports[0].send(0, 2, _proposal("b"))
+            await _wait_until(lambda: all(len(sink.received) == 2 for sink in sinks[1:]))
+        finally:
+            for transport in transports:
+                await transport.stop()
+        return transports, sinks, shared
+
+    transports, sinks, shared = asyncio.run(run())
+    assert shared == 1 and codec.decodes == 3
+    assert sinks[1].received[0][1] is sinks[2].received[0][1]
+    assert sinks[1].received[1][1].block.payload == ("tx", "a")
+    assert sinks[2].received[1][1].block.payload == ("tx", "b")
+    assert sum(t.frames_decoded for t in transports) == 3
+    assert codec.frames.sharers == 0 and len(codec.frames) == 0  # emptied on the way out
+
+
+@pytest.mark.tcp
+def test_a_tcp_node_alone_on_its_codec_never_consults_the_memo():
+    codecs = [_register_library_messages(_SpyCodec()) for _ in range(2)]
+
+    async def run():
+        transports, sinks = await _start_nodes(codecs)
+        try:
+            for tag in "abc":
+                transports[0].send(0, 1, _proposal(tag))
+            await _wait_until(lambda: len(sinks[1].received) == 3)
+        finally:
+            for transport in transports:
+                await transport.stop()
+        return transports
+
+    transports = asyncio.run(run())
+    assert codecs[1].decodes == transports[1].frames_decoded == 3
+    assert all(codec.frames.lookups == 0 for codec in codecs)
+
+
+@pytest.mark.tcp
+def test_a_malformed_tcp_frame_drops_each_connection_and_is_never_cached():
+    codec = _register_library_messages(_SpyCodec())
+    garbage = (2).to_bytes(4, "big") + b"\x00\xff"  # sender 0, then an unknown tag
+
+    async def run():
+        transports, _ = await _start_nodes([codec] * 2)
+        try:
+            for transport in transports:
+                reader, writer = await asyncio.open_connection(*transport.address)
+                writer.write(garbage)
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""  # hung up on
+                writer.close()
+            return codec.decodes, len(codec.frames)
+        finally:
+            for transport in transports:
+                await transport.stop()
+
+    decodes, remembered = asyncio.run(run())
+    assert decodes == 2 and remembered == 0

@@ -12,14 +12,29 @@ with the binary codec:
   frames for every zoo message);
 * edge values (negative/huge ints, unicode, empty containers, bytes) and
   the binary format's error paths (unknown class id, unknown tag, trailing
-  bytes, truncated values).
+  bytes, truncated values);
+* the wire itself: ``tests/data/wire_frames.json`` holds the hex of every
+  zoo frame under both codecs as the commit *before* the compiled class
+  plans produced it (``python tests/test_wire_codecs.py --capture`` with
+  that commit's ``src`` on the path), and every frame must come out byte for
+  byte; random trees that leave the plans' inline paths must match a
+  reference packer written out here and decode to what the JSON codec
+  decodes; and every zoo frame cut short at every offset must be rejected
+  with :class:`WireCodecError`, from ``bytes`` and from a ``memoryview``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import struct
+import sys
+from pathlib import Path
+from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consensus.blocks import Block
 from repro.consensus.messages import (
@@ -330,3 +345,255 @@ class TestZeroCopyPaths:
         for message in message_zoo():
             body = codec.encode_frame(2, message)[4:]
             assert codec.decode_body(memoryview(body)) == codec.decode_body(body)
+
+
+# ----------------------------------------------------------------------
+# The wire, byte for byte
+# ----------------------------------------------------------------------
+GOLDEN_FRAMES = Path(__file__).parent / "data" / "wire_frames.json"
+GOLDEN_SENDER = 5
+
+
+class _Recorder(WireCodec):
+    """Records first-registration order, nothing else."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.order: list[type] = []
+
+    def register(self, cls: type) -> type:
+        if cls not in self.order:
+            self.order.append(cls)
+        return super().register(cls)
+
+
+def _library_classes() -> list[type]:
+    """The library's own wire classes in canonical registration order.  A
+    registration sweep in a test process also finds the fake messages other
+    test modules define (and a shared codec may hold them already), which
+    would shift every later wire id."""
+    swept = _register_library_messages(_Recorder()).order
+    return [cls for cls in swept if cls.__module__.startswith("repro.")]
+
+
+def _zoo_frames() -> dict[str, dict[str, str]]:
+    """``{codec name: {class name: frame hex}}`` for the whole zoo."""
+    frames = {}
+    for codec in (BinaryWireCodec(), WireCodec()):
+        codec.register_all(_library_classes())
+        frames[codec.name] = {
+            type(message).__name__: codec.encode_frame(GOLDEN_SENDER, message).hex()
+            for message in message_zoo()
+        }
+    return frames
+
+
+def test_every_zoo_frame_is_byte_identical_to_the_captured_wire():
+    golden = json.loads(GOLDEN_FRAMES.read_text())
+    assert sorted(golden) == sorted(available_codecs())
+    frames = _zoo_frames()
+    for name in available_codecs():
+        assert sorted(frames[name]) == sorted(golden[name]) and len(golden[name]) == 24
+        for kind, frame in frames[name].items():
+            assert frame == golden[name][kind], f"{name} frame of {kind} changed on the wire"
+
+
+# A packer for the binary format written straight from its description — one
+# tag byte per value, LEB128 lengths, zigzag integers, classes as ordinal id
+# plus positional fields — sharing no code with the codec's walker or plans.
+def _ref_uvarint(value: int) -> bytes:
+    out = bytearray()
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def reference_pack(ids: dict[type, int], value: Any) -> bytes:
+    if value is None:
+        return b"\x00"
+    if value is True:
+        return b"\x01"
+    if value is False:
+        return b"\x02"
+    if isinstance(value, int):
+        return b"\x03" + _ref_uvarint(value * 2 if value >= 0 else -value * 2 - 1)
+    if isinstance(value, float):
+        return b"\x04" + struct.pack(">d", value)
+    if isinstance(value, str):
+        encoded = value.encode("utf-8")
+        return b"\x05" + _ref_uvarint(len(encoded)) + encoded
+    if isinstance(value, bytes):
+        return b"\x06" + _ref_uvarint(len(value)) + value
+    if isinstance(value, (tuple, list, frozenset)):
+        tag = {tuple: b"\x07", list: b"\x08", frozenset: b"\x09"}[type(value)]
+        items = value
+        if isinstance(value, frozenset):
+            try:
+                items = sorted(value)
+            except TypeError:
+                items = list(value)
+        return tag + _ref_uvarint(len(items)) + b"".join(reference_pack(ids, i) for i in items)
+    if isinstance(value, dict):
+        return b"\x0a" + _ref_uvarint(len(value)) + b"".join(
+            reference_pack(ids, k) + reference_pack(ids, v) for k, v in value.items()
+        )
+    fields = b"".join(
+        reference_pack(ids, getattr(value, field.name)) for field in dataclasses.fields(value)
+    )
+    return b"\x0b" + _ref_uvarint(ids[type(value)]) + fields
+
+
+def reference_frame(ids: dict[type, int], sender: int, payload: Any) -> bytes:
+    body = _ref_uvarint(sender * 2 if sender >= 0 else -sender * 2 - 1) + reference_pack(ids, payload)
+    return len(body).to_bytes(4, "big") + body
+
+
+@dataclasses.dataclass(frozen=True)
+class LateComer:
+    """A custom message registered after the library defaults."""
+
+    tag: int
+    note: str
+    body: Any = None
+
+
+def _fresh_codecs() -> tuple[BinaryWireCodec, WireCodec, dict[type, int]]:
+    """Both codecs over the library registry plus :class:`LateComer`, and the
+    wire id of every class (registration order *is* the id)."""
+    order = _library_classes() + [LateComer]
+    binary, jsonc = BinaryWireCodec(), WireCodec()
+    binary.register_all(order)
+    jsonc.register_all(order)
+    return binary, jsonc, {cls: wire_id for wire_id, cls in enumerate(order)}
+
+
+FUZZ_BINARY, FUZZ_JSON, FUZZ_IDS = _fresh_codecs()
+
+# Leaves that leave every inline path: integers past one varint byte, past 63
+# bits and negative; strings of 128 bytes and more, and non-ASCII ones.
+_ints = st.one_of(
+    st.integers(-70, 70),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([63, 64, -64, -65, 2**63 - 1, 2**63, -(2**63) - 1, 8191, 8192]),
+)
+_strs = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="ab✓λ🛰", min_size=40, max_size=200),
+    st.sampled_from(["", "a" * 127, "a" * 128, "é" * 64, "x" * 300]),
+)
+_hashable_leaves = st.one_of(st.none(), st.booleans(), _ints, _strs, st.binary(max_size=200))
+_hashables = st.recursive(
+    _hashable_leaves,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner),
+        st.frozensets(inner, max_size=4),
+    ),
+    max_leaves=6,
+)
+_trees = st.recursive(
+    st.one_of(_hashable_leaves, st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4),
+        st.dictionaries(_hashables, inner, max_size=3),
+        st.builds(LateComer, tag=inner, note=inner, body=inner),
+    ),
+    max_leaves=10,
+)
+
+
+def _messages(trees):
+    """Library and custom classes whose fields hold arbitrary trees — a
+    dataclass does not check its annotations, and neither may a plan."""
+    signature = Signature(signer=3, message_digest="md", proof="p")
+    partial = PartialSignature(signer=3, message_digest="md", signature=signature)
+    return st.one_of(
+        trees,
+        st.builds(LateComer, tag=_ints, note=_strs, body=trees),
+        st.builds(Vote, view=_ints, block_id=_strs, partial=st.sampled_from([partial, None])),
+        st.builds(Vote, view=trees, block_id=trees, partial=trees),
+        st.builds(
+            Block, view=_ints, parent_id=_strs, proposer=_ints,
+            payload=st.lists(trees, max_size=3).map(tuple), justify_view=_ints,
+        ),
+        st.builds(NewView, view=_ints, high_qc=st.none()),
+        st.builds(CommandBatch, count=_ints, data=st.binary(max_size=300)),
+        st.sampled_from([PacemakerMessage(), ClientMessage()]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sender=st.integers(-(2**40), 2**40), payload=_messages(_trees))
+def test_random_trees_match_the_reference_packer_and_the_json_oracle(sender, payload):
+    frame = FUZZ_BINARY.encode_frame(sender, payload)
+    assert frame == reference_frame(FUZZ_IDS, sender, payload)
+    decoded = FUZZ_BINARY.decode_body(frame[4:])
+    assert decoded == (sender, payload)
+    assert FUZZ_BINARY.decode_body(memoryview(frame)[4:]) == decoded
+    # The JSON codec decodes the same value from its own frame of it.
+    assert FUZZ_JSON.decode_body(FUZZ_JSON.encode_frame(sender, payload)[4:]) == decoded
+
+
+def _rejected(codec: BinaryWireCodec, body: bytes) -> None:
+    for view in (body, memoryview(body)):
+        with pytest.raises(WireCodecError):
+            codec.decode_body(view)
+
+
+class TestCompiledPlanRejections:
+    """The strict decoder's rejections, reached through the compiled plans:
+    always :class:`WireCodecError`, never a bare ``IndexError``."""
+
+    def test_every_zoo_frame_truncated_at_every_offset(self):
+        codec = make_codec("binary")
+        for message in message_zoo():
+            body = codec.encode_frame(1, message)[4:]
+            for cut in range(len(body)):
+                _rejected(codec, body[:cut])
+
+    def test_trailing_bytes_after_every_zoo_frame(self):
+        codec = make_codec("binary")
+        for message in message_zoo():
+            body = codec.encode_frame(1, message)[4:]
+            with pytest.raises(WireCodecError, match="trailing bytes"):
+                codec.decode_body(body + b"\x00")
+
+    def test_unknown_tag_inside_a_class(self):
+        codec = make_codec("binary")
+        vote = next(m for m in message_zoo() if isinstance(m, Vote))
+        body = bytearray(codec.encode_frame(1, vote)[4:])
+        # sender, CLASS tag, class id, then the first field's tag byte.
+        assert body[3] == 0x03
+        body[3] = 0xFF
+        with pytest.raises(WireCodecError, match="unknown tag"):
+            codec.decode_body(bytes(body))
+        _rejected(codec, bytes(body))
+
+    def test_unknown_class_id_inside_a_class(self):
+        codec = make_codec("binary")
+        forward = next(m for m in message_zoo() if isinstance(m, CommandForward))
+        body = bytearray(codec.encode_frame(1, forward)[4:])
+        # sender, CLASS, CommandForward's id, CLASS, CommandBatch's id.
+        assert body[3] == 0x0B
+        for bogus in (bytes([len(codec._by_id) + 3]), b"\xff\x7f"):
+            forged = bytes(body[:4]) + bogus + bytes(body[5:])
+            with pytest.raises(WireCodecError, match="unknown wire class id"):
+                codec.decode_body(forged)
+            _rejected(codec, forged)
+
+    def test_empty_and_sender_only_bodies(self):
+        codec = make_codec("binary")
+        _rejected(codec, b"")
+        _rejected(codec, b"\x02")
+        _rejected(codec, b"\x80")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--capture"]:
+        sys.exit("usage: python tests/test_wire_codecs.py --capture")
+    GOLDEN_FRAMES.parent.mkdir(exist_ok=True)
+    frames = _zoo_frames()
+    GOLDEN_FRAMES.write_text(json.dumps(frames, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {sum(len(v) for v in frames.values())} frames to {GOLDEN_FRAMES}")

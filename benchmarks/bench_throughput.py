@@ -3,12 +3,11 @@
 
 Two tiers, one report (``BENCH_throughput.json`` at the repository root):
 
-* **Parity gate** (virtual time).  For each gated n, the same
-  client-workload scenario runs over the simulated network and over the
-  zero-jitter deterministic live lane (the transport stack).  The two
-  lanes must produce identical ledgers *and* identical replicated-KV
-  digests with every request applied — the determinism property the whole
-  workload harness is built around.
+* **Virtual-time gate.**  For each gated n, one client-workload scenario
+  runs on the virtual-time lane (``run_scenario``: the simulator kernel
+  over the in-memory transport).  Every request must be applied, exactly
+  once, and every replica must end on one replicated-KV digest — in a lane
+  where nothing but the protocol can be blamed.
 
 * **Wall-clock matrix** (real TCP).  Boots live clusters over
   n x offered-rate x placement (``inline`` = all nodes on one process's
@@ -36,8 +35,8 @@ that is waiting.  Every row carries the gateway's flush counts by trigger
 
 Correctness gates (``--check``; non-zero exit if any fails):
 
-* every parity cell's sim and live runs agree byte-for-byte (ledgers,
-  KV digests, request counts);
+* every virtual-time cell applies every submitted request and its
+  replicas agree on one KV digest;
 * zero safety violations in the matrix: ledgers prefix-consistent, KV
   apply chains prefix-consistent, no teardown errors;
 * every matrix cell completes at least ``--min-completion`` of submitted
@@ -45,7 +44,7 @@ Correctness gates (``--check``; non-zero exit if any fails):
   the exact KV state digest across replicas (trailing synthetic-filler
   blocks never touch the store, so ragged shutdown lengths don't excuse
   digest divergence);
-* no cell (parity, matrix, run length) commits more than 0.02 duplicates
+* no cell (virtual time, matrix, run length) commits more than 0.02 duplicates
   per applied request on its worst replica — the commit-frontier retry
   orders a command once;
 * the run-length row's late/early blocks-per-second ratio is at least
@@ -83,8 +82,8 @@ from typing import Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.runner.live import make_live_cluster, run_live_scenario
-from repro.runner.workload import WorkloadConfig, kv_state_digests
+from repro.runner.live import make_live_cluster
+from repro.runner.workload import WorkloadConfig
 from repro.version import __version__
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -95,8 +94,8 @@ QUICK_NS = (4,)
 FULL_RATES = (50.0, 200.0)
 QUICK_RATES = (50.0,)
 PLACEMENTS = ("inline", "process")
-PARITY_NS_FULL = (4, 8)
-PARITY_NS_QUICK = (4,)
+VIRTUAL_NS_FULL = (4, 8)
+VIRTUAL_NS_QUICK = (4,)
 #: Drain margin: the submission window closes this many seconds before the
 #: measurement window so retries can complete every outstanding request.
 DRAIN_SECONDS = 2.0
@@ -153,31 +152,24 @@ def _matrix_workload(rate: float, window: float) -> WorkloadConfig:
 
 
 # ----------------------------------------------------------------------
-# Parity gate: sim == zero-jitter deterministic live, workload attached
+# Virtual-time gate: every request applied once, one KV digest
 # ----------------------------------------------------------------------
-def run_parity_cell(n: int, seed: int) -> dict:
+def run_virtual_time_cell(n: int, seed: int) -> dict:
     workload = WorkloadConfig(mode="open", rate=10.0, clients=2, stop=20.0)
     config = ScenarioConfig(
         n=n, pacemaker="lumiere", delta=1.0, actual_delay=0.1,
         duration=30.0, seed=seed, record_trace=False, workload=workload,
     )
-    sim = run_scenario(config)
-    live = run_live_scenario(config)  # zero jitter, virtual time
-    sim_ledgers = {pid: r.ledger.block_ids for pid, r in sim.replicas.items()}
-    live_ledgers = {pid: r.ledger.block_ids for pid, r in live.replicas.items()}
-    sim_digests = kv_state_digests(sim.replicas.values())
-    live_digests = live.kv_digests()
+    result = run_scenario(config)
     return {
         "n": n,
         "seed": seed,
-        "ledgers_identical": sim_ledgers == live_ledgers,
-        "kv_digests_identical": sim_digests == live_digests,
-        "kv_digests_agree": len(set(sim_digests.values())) == 1,
-        "requests_applied_sim": sim.metrics.requests_applied,
-        "requests_applied_live": live.metrics.requests_applied,
-        "requests_submitted": sim.metrics.requests_submitted,
-        "duplicates_per_applied": round(sim.duplicates_per_applied(), 5),
-        **_gateway_counts(sim.metrics),
+        "ledgers_consistent": result.ledgers_are_consistent(),
+        "kv_digests_agree": len(set(result.kv_digests().values())) == 1,
+        "requests_applied": result.metrics.requests_applied,
+        "requests_submitted": result.metrics.requests_submitted,
+        "duplicates_per_applied": round(result.duplicates_per_applied(), 5),
+        **_gateway_counts(result.metrics),
     }
 
 
@@ -387,7 +379,7 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
 
 
 def run_report(args: argparse.Namespace) -> dict:
-    parity_ns = PARITY_NS_QUICK if args.quick else PARITY_NS_FULL
+    virtual_ns = VIRTUAL_NS_QUICK if args.quick else VIRTUAL_NS_FULL
     ns = QUICK_NS if args.quick else FULL_NS
     rates = QUICK_RATES if args.quick else FULL_RATES
     window = args.window or (6.0 if args.quick else 10.0)
@@ -410,17 +402,16 @@ def run_report(args: argparse.Namespace) -> dict:
         f"{run_length['decodes_per_frame']} decodes/frame",
         flush=True,
     )
-    parity, cells = [], []
+    virtual_time, cells = [], []
     if args.run_length_only:
-        parity_ns = ns = ()
-    for n in parity_ns:
-        print(f"[bench] parity n={n}: sim vs zero-jitter live ...", flush=True)
-        cell = run_parity_cell(n, args.seed)
-        parity.append(cell)
+        virtual_ns = ns = ()
+    for n in virtual_ns:
+        cell = run_virtual_time_cell(n, args.seed)
+        virtual_time.append(cell)
         print(
-            f"[bench] parity n={n}: ledgers_identical={cell['ledgers_identical']} "
-            f"kv_identical={cell['kv_digests_identical']} "
-            f"applied {cell['requests_applied_sim']}/{cell['requests_submitted']}",
+            f"[bench] virtual time n={n}: kv_digests_agree={cell['kv_digests_agree']} "
+            f"applied {cell['requests_applied']}/{cell['requests_submitted']} "
+            f"duplicates/applied {cell['duplicates_per_applied']}",
             flush=True,
         )
 
@@ -455,7 +446,7 @@ def run_report(args: argparse.Namespace) -> dict:
             "python": platform.python_version(),
         },
         "parameters": {
-            "parity_ns": list(parity_ns),
+            "virtual_time_ns": list(virtual_ns),
             "ns": list(ns),
             "rates": list(rates),
             "placements": list(args.placements),
@@ -463,7 +454,7 @@ def run_report(args: argparse.Namespace) -> dict:
             "delta": args.delta,
             "seed": args.seed,
         },
-        "parity": parity,
+        "virtual_time": virtual_time,
         "cells": cells,
         "run_length": run_length,
     }
@@ -471,17 +462,15 @@ def run_report(args: argparse.Namespace) -> dict:
 
 def check(report: dict, args: argparse.Namespace) -> list[str]:
     failures = []
-    for cell in report["parity"]:
-        name = f"parity n={cell['n']}"
-        if not cell["ledgers_identical"]:
-            failures.append(f"{name}: sim and live ledgers diverged")
-        if not cell["kv_digests_identical"]:
-            failures.append(f"{name}: sim and live KV digests diverged")
+    for cell in report["virtual_time"]:
+        name = f"virtual time n={cell['n']}"
+        if not cell["ledgers_consistent"]:
+            failures.append(f"{name}: SAFETY VIOLATION (ledgers diverged)")
         if not cell["kv_digests_agree"]:
             failures.append(f"{name}: replicas disagree on KV state")
-        if cell["requests_applied_sim"] != cell["requests_submitted"]:
+        if cell["requests_applied"] != cell["requests_submitted"]:
             failures.append(
-                f"{name}: only {cell['requests_applied_sim']}/"
+                f"{name}: only {cell['requests_applied']}/"
                 f"{cell['requests_submitted']} requests applied"
             )
     for cell in report["cells"]:
@@ -504,7 +493,7 @@ def check(report: dict, args: argparse.Namespace) -> list[str]:
             )
     row = report["run_length"]
     for name, cell in (
-        [(f"parity n={c['n']}", c) for c in report["parity"]]
+        [(f"virtual time n={c['n']}", c) for c in report["virtual_time"]]
         + [(f"n={c['n']} rate={c['rate_per_host']:g} {c['placement']}", c)
            for c in report["cells"]]
         + [("run length", row)]

@@ -143,8 +143,8 @@ def main(argv=None) -> int:
             "decisions": result.honest_decisions(),
             "committed_blocks": result.committed_blocks(),
             "ledgers_consistent": result.ledgers_are_consistent(),
-            "messages_sent": result.network.messages_sent,
-            "messages_delivered": result.network.messages_delivered,
+            "messages_sent": result.transport.messages_sent,
+            "messages_delivered": result.transport.messages_delivered,
             "total_honest_messages": result.metrics.total_honest_messages,
         },
         "hotspots": {

@@ -236,14 +236,14 @@ def generate_catalogue() -> None:
         "correct pacemaker under every entry; what varies is the latency and",
         "communication the adversary extracts.",
         "",
-        "Every entry runs on **both message fabrics**: the simulated network",
-        "and the live transport stack",
-        '(`Campaign.run(backend="live")`), where a `FaultyTransport` imposes',
-        "the scenario's schedule and a zero-jitter run on the simulator kernel",
-        "replays the simulated decisions, ledgers and fault counts exactly —",
-        "see the chaos section of [runtimes](runtimes.md).  The conformance",
-        "suite (`tests/test_live_faults.py`) asserts that equivalence for the",
-        "whole catalogue on every run of CI.",
+        "Every entry runs on **every lane**: a `FaultyTransport` imposes the",
+        "scenario's schedule on the in-memory transport of the virtual-time lane",
+        "and on the socket and shared-memory transports of a live cluster alike —",
+        "see the chaos section of [runtimes](runtimes.md).  In virtual time a run",
+        "replays exactly; the conformance suite (`tests/test_live_faults.py`) holds",
+        "the whole catalogue, across three seeds, to decisions, ledgers, wire totals",
+        "and fault counts captured on the `Network` fabric the transport stack",
+        "replaced (`tests/data/lane_fingerprints.json`).",
         "",
     ]
     for entry in scenario_catalogue():

@@ -7,9 +7,8 @@ client-workload layer instead.  Open-loop clients on every replica submit
 which batches them, forwards them to the current leader's mempool, and
 retries across view changes; committed blocks are applied to a
 deterministic replicated KV store with exactly-once semantics per
-``(client, seq)``.  The same ``WorkloadConfig`` runs under the simulator,
-the zero-jitter deterministic live lane (byte-identical to the sim run),
-and a real TCP cluster — this script runs all three and compares.
+``(client, seq)``.  The same ``WorkloadConfig`` runs in virtual time on
+the simulator kernel and on a real TCP cluster — this script runs both.
 
 Run with:  python examples/kv_workload.py
            python examples/kv_workload.py --rate 50 --stop 10
@@ -24,40 +23,35 @@ import sys
 import time
 
 from repro.experiments import ScenarioConfig, run_scenario
-from repro.runner import WorkloadConfig, kv_state_digests, make_live_cluster
-from repro.runner.live import run_live_scenario
+from repro.runner import WorkloadConfig, make_live_cluster
 
 
-def virtual_lanes(args: argparse.Namespace) -> bool:
-    """Sim and zero-jitter live must agree byte-for-byte."""
+def virtual_time_lane(args: argparse.Namespace) -> bool:
+    """Every request applied exactly once, one KV digest, in virtual time."""
     workload = WorkloadConfig(mode="open", rate=args.rate, clients=2, stop=args.stop)
     config = ScenarioConfig(
         n=args.n, pacemaker="lumiere", delta=1.0, actual_delay=0.1,
         duration=args.stop + 10.0, seed=args.seed, record_trace=False,
         workload=workload,
     )
-    sim = run_scenario(config)
-    live = run_live_scenario(config)  # transport stack, virtual time, zero jitter
-
-    sim_digests = kv_state_digests(sim.replicas.values())
-    live_digests = live.kv_digests()
-    identical = (
-        {p: r.ledger.block_ids for p, r in sim.replicas.items()}
-        == {p: r.ledger.block_ids for p, r in live.replicas.items()}
-        and sim_digests == live_digests
-    )
-    print("virtual lanes (sim vs zero-jitter live)")
+    result = run_scenario(config)
+    metrics = result.metrics
+    digests = result.kv_digests()
+    print("virtual-time lane (simulator kernel, in-memory transport)")
     print("-" * 48)
-    print(f"requests applied (sim)         : {sim.metrics.requests_applied}"
-          f"/{sim.metrics.requests_submitted}")
-    print(f"requests applied (live)        : {live.metrics.requests_applied}")
+    print(f"requests applied               : {metrics.requests_applied}"
+          f"/{metrics.requests_submitted}")
     print(f"request p50 / p99              : "
-          f"{sim.metrics.request_latency_percentile(0.5):.3f}s / "
-          f"{sim.metrics.request_latency_percentile(0.99):.3f}s (virtual time)")
-    print(f"distinct KV digests            : {len(set(sim_digests.values()))}")
-    print(f"lanes byte-identical           : {identical}")
+          f"{metrics.request_latency_percentile(0.5):.3f}s / "
+          f"{metrics.request_latency_percentile(0.99):.3f}s (virtual time)")
+    print(f"distinct KV digests            : {len(set(digests.values()))}")
+    print(f"duplicates per applied request : {result.duplicates_per_applied():.3f}")
     print()
-    return identical and sim.metrics.requests_applied == sim.metrics.requests_submitted
+    return (
+        metrics.requests_applied == metrics.requests_submitted
+        and len(set(digests.values())) == 1
+        and result.duplicates_per_applied() <= 0.02
+    )
 
 
 async def tcp_lane(args: argparse.Namespace) -> bool:
@@ -120,11 +114,11 @@ def main() -> int:
                              "process per node); omit for inline")
     args = parser.parse_args()
 
-    ok = virtual_lanes(args)
+    ok = virtual_time_lane(args)
     ok = asyncio.run(tcp_lane(args)) and ok
     print()
     if not ok:
-        print("FAILED: lanes disagreed or requests were lost", file=sys.stderr)
+        print("FAILED: replicas disagreed or requests were lost", file=sys.stderr)
         return 1
     print("OK: every request applied exactly once, identical state everywhere")
     return 0

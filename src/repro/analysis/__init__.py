@@ -1,7 +1,7 @@
 """Analytical companions to the measurements.
 
 :mod:`repro.analysis.table1` provides the closed-form asymptotic bounds of
-Table 1 (as Python callables) so that EXPERIMENTS.md and the benchmarks can
+Table 1 (as Python callables) so that the benchmarks can
 place measured values next to the bound they are supposed to track, and
 :mod:`repro.analysis.fitting` provides small curve-fitting helpers used to
 check that measured scaling matches the predicted exponent.

@@ -2,7 +2,7 @@
 
 Each protocol's four asymptotic bounds are expressed as callables of
 ``(n, f_a, delta_big, delta_small)`` returning the dominant term (without
-constants).  Benchmarks and EXPERIMENTS.md use them to sanity-check the
+constants).  The benchmarks use them to sanity-check the
 *shape* of measured curves — e.g. that Lumiere's eventual communication per
 decision grows linearly in ``f_a`` while LP22's stays quadratic in ``n``.
 """

@@ -60,11 +60,11 @@ class CertificateCollector:
         bucket = self._partials.setdefault(view, {})
         if sender in bucket:
             return None
-        payload, payload_digest = self._payload_and_digest(view)
-        if partial.message_digest != payload_digest:
+        payload, digest = self._payload_and_digest(view)
+        if partial.message_digest != digest:
             return None
         key = self._verifying_key(sender)
-        if key is None or not key.verify_digest(partial.signature, payload_digest):
+        if key is None or not key.verify_digest(partial.signature, digest):
             return None
         bucket[sender] = partial
         if len(bucket) < self.threshold:
@@ -74,7 +74,7 @@ class CertificateCollector:
                 list(bucket.values()),
                 self.threshold,
                 payload,
-                message_digest=payload_digest,
+                message_digest=digest,
             )
         except ThresholdError:
             return None
@@ -146,8 +146,8 @@ class EpochMessageCollector:
         if cached is None:
             payload = self.payload_fn(view)
             cached = self._payloads[view] = (payload, self.scheme.backend.digest(payload))
-        payload, payload_digest = cached
-        if partial.message_digest != payload_digest:
+        payload, digest = cached
+        if partial.message_digest != digest:
             return (False, False)
         key = self._vkeys.get(sender)
         if key is None:
@@ -156,7 +156,7 @@ class EpochMessageCollector:
             except CryptoError:
                 return (False, False)
             self._vkeys[sender] = key
-        if not key.verify_digest(partial.signature, payload_digest):
+        if not key.verify_digest(partial.signature, digest):
             return (False, False)
         signers.add(sender)
         tc_now = False

@@ -2,13 +2,15 @@
 
 A :class:`ScenarioConfig` says *what* to run (protocol, system size, timing
 parameters, faults, network adversary, duration); :func:`run_scenario` builds
-the full simulated system, runs it to the requested virtual time, and
-returns a :class:`RunResult` wrapping the metrics, traces and replicas.
+the whole system in one process — every replica on one
+:class:`~repro.sim.events.Simulator` over one in-memory transport — runs it
+to the requested virtual time, and returns a :class:`RunResult` wrapping the
+metrics, traces and replicas.
 
 The runtime-independent half of that construction — :func:`build_stack`,
-:func:`make_replica` — and the result type are shared with the live lanes
-(:mod:`repro.runner.live`): every lane assembles the same protocol objects
-here and answers the same queries from one :class:`RunResult`.
+:func:`make_replica` — and the result type are shared with the wall-clock
+lanes (:mod:`repro.runner.live`): every lane assembles the same protocol
+objects here and answers the same queries from one :class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,17 @@ from repro.metrics.summary import (
     summarize_run,
 )
 from repro.pacemakers.registry import make_pacemaker_factory
+from repro.runtime import (
+    AsyncioRuntime,
+    ChaosConfig,
+    Clock,
+    FaultyTransport,
+    LocalTransport,
+    RuntimeContext,
+    SimRuntime,
+)
 from repro.sim.events import Simulator
-from repro.sim.network import DelayModel, FixedDelay, Network, NetworkConfig
-from repro.sim.process import SimContext
+from repro.sim.network import DelayModel, NetworkConfig
 from repro.sim.tracing import TraceRecorder
 from repro.statemachine.kvstore import apply_chains_consistent
 
@@ -65,7 +75,7 @@ class ScenarioConfig:
     seed: int = 0
     #: Explicit corruption plan; ``None`` means no faults.
     corruption: Optional[CorruptionPlan] = None
-    #: Network delay model; ``None`` means FixedDelay(actual_delay).
+    #: Network delay model; ``None`` means every message takes ``actual_delay``.
     delay_model: Optional[DelayModel] = None
     #: Whether to record a full protocol trace (costs memory on long runs).
     record_trace: bool = True
@@ -120,9 +130,8 @@ class ProtocolStack:
     config: ScenarioConfig
     protocol_config: ProtocolConfig
     corruption: CorruptionPlan
-    #: The schedule the network (sim) or the
-    #: :class:`~repro.runtime.chaos.FaultyTransport` (live) must impose;
-    #: ``None`` for fault-free and corruption-only configs.
+    #: The schedule a :class:`~repro.runtime.chaos.FaultyTransport` must
+    #: impose; ``None`` for fault-free and corruption-only configs.
     delay_model: Optional[DelayModel]
     crypto_backend: CryptoBackend
     metrics: MetricsCollector
@@ -136,10 +145,8 @@ class ProtocolStack:
 class RunResult:
     """The outcome of one run, on any lane.
 
-    Virtual-time runs carry their ``simulator`` — with the ``network`` of
-    the simulated lane or the ``runtime`` and ``transport`` of the
-    deterministic live lane; wall-clock runs carry ``runtime`` and
-    ``transport`` only.  Runs whose replicas lived in
+    Single-runtime runs carry their ``runtime`` and ``transport``, and in
+    virtual time their ``simulator`` too.  Runs whose replicas lived in
     worker processes hold no replicas at all: the coordinator fills
     ``ledger_ids`` / ``shipped_kv_digests`` / ``shipped_kv_chains`` /
     ``shipped_client_counts`` / ``events`` from the shard reports and every
@@ -153,12 +160,9 @@ class RunResult:
     replicas: dict[int, Replica]
     corruption: CorruptionPlan
     simulator: Optional[Simulator] = None
-    #: The simulated network (delivery counters, the ``batch_deliveries``
-    #: toggle).
-    network: Optional[Network] = None
     #: The runtime (:class:`~repro.runtime.simulation.SimRuntime`, or
     #: :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` on a wall clock)
-    #: and transport of a single-runtime live run.
+    #: and transport of a single-runtime run.
     runtime: Optional[Any] = None
     transport: Optional[Any] = None
     #: The run's crypto backend instance (its counters expose how much digest
@@ -286,8 +290,8 @@ class RunResult:
 
     @property
     def fault_counts(self) -> dict[str, int]:
-        """Injected-fault totals by name (the same names and counts on every
-        deterministic lane; all zero for fault-free runs)."""
+        """Injected-fault totals by name (the same names on every lane; all
+        zero for fault-free runs)."""
         return self.metrics.fault_counts
 
     @property
@@ -387,11 +391,11 @@ def build_stack(config: ScenarioConfig) -> ProtocolStack:
     """
     protocol_config, delay_model, corruption = resolve_adversary(config)
     # One fresh backend per run (counting tokens must never cross runs),
-    # shared by the PKI, the threshold scheme and the network,
-    # and installed as the process default so lazily derived block ids use
-    # it too.  Runs are single-threaded per process; building two scenarios
-    # with *different* backends and interleaving their runs in one process
-    # is the one unsupported pattern (the campaign executors never do it).
+    # shared by the PKI and the threshold scheme, and installed as the
+    # process default so lazily derived block ids use it too.  Runs are
+    # single-threaded per process; building two scenarios with *different*
+    # backends and interleaving their runs in one process is the one
+    # unsupported pattern (the campaign executors never do it).
     crypto_backend = make_backend(protocol_config.crypto_backend)
     set_default_backend(crypto_backend)
     metrics = MetricsCollector()
@@ -414,8 +418,8 @@ def build_stack(config: ScenarioConfig) -> ProtocolStack:
 def make_replica(stack: ProtocolStack, pid: int, ctx: Any) -> Replica:
     """Construct replica ``pid`` of ``stack`` on the runtime behind ``ctx``.
 
-    Every lane builds its replicas here — the simulator, the in-memory live
-    cluster and every shard of a socket or shared-memory cluster — so the
+    Every lane builds its replicas here — the single-runtime cluster and
+    every shard of a socket or shared-memory cluster — so the
     pacemaker, the behaviour and the client workload attach at one point.
     """
     config = stack.config
@@ -457,34 +461,74 @@ def start_replicas(replicas: dict[int, Replica], wall: bool = False) -> None:
         replicas[pid].start()
 
 
-def build_scenario(config: ScenarioConfig) -> RunResult:
-    """Construct the simulated system for ``config`` without running it.
+def build_scenario(
+    config: ScenarioConfig,
+    jitter: float = 0.0,
+    clock: Optional[Clock] = None,
+    chaos: Optional[ChaosConfig] = None,
+) -> RunResult:
+    """Construct the whole system for ``config`` on one runtime, without
+    running it.
 
-    Returned with virtual time still at zero; callers that need to perturb
-    initial state (e.g. desynchronise local clocks) can do so before calling
-    ``result.simulator.run(...)`` themselves.  Most callers should use
-    :func:`run_scenario`.
+    Fault-free configs get a bare :class:`LocalTransport` (base delay
+    ``config.actual_delay``, jitter RNG seeded ``config.seed``).  A
+    ``delay_model`` or named ``scenario`` wraps a zero-delay transport in a
+    :class:`~repro.runtime.chaos.FaultyTransport` imposing the schedule
+    under the config's partial-synchrony envelope; ``chaos`` adds
+    drop/duplicate injectors either way.  Everything injected is counted
+    in the run's one bag, ``metrics.faults``.
+
+    ``clock=None`` (the default) puts the cluster in virtual time on a
+    :class:`~repro.sim.events.Simulator` (``result.simulator``), returned
+    with time still at zero: callers that need to perturb initial state
+    (e.g. desynchronise local clocks) can do so before calling
+    ``result.simulator.run(...)`` themselves — most should use
+    :func:`run_scenario`.  A wall clock puts it on an
+    :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`
+    (:func:`repro.runner.live.run_live_scenario` drives that).
     """
     stack = build_stack(config)
-    simulator = Simulator(seed=config.seed)
-    network = Network(
-        simulator,
-        config.network_config(),
-        delay_model=stack.delay_model or FixedDelay(config.actual_delay),
-        crypto_backend=stack.crypto_backend,
-        faults=stack.metrics.faults,
-    )
-    stack.metrics.attach_network(network)
-    ctx = SimContext(sim=simulator, network=network, trace=stack.trace)
+    metrics, trace = stack.metrics, stack.trace
+    if stack.delay_model is not None:
+        if jitter:
+            raise ConfigurationError(
+                "a delay model/scenario fully determines latency; transport "
+                "jitter must stay 0 (it would add on top of the schedule)"
+            )
+        # The schedule proposes every non-self latency, so the inner
+        # transport contributes none of its own.
+        transport = FaultyTransport(
+            LocalTransport(delay=0.0, jitter=0.0, seed=config.seed),
+            schedule=stack.delay_model,
+            network=config.network_config(),
+            schedule_seed=config.seed,
+            chaos=chaos,
+            counters=metrics.faults,
+        )
+    else:
+        transport = LocalTransport(
+            delay=config.actual_delay, jitter=jitter, seed=config.seed
+        )
+        if chaos is not None and chaos.active:
+            transport = FaultyTransport(transport, chaos=chaos, counters=metrics.faults)
+    simulator = None
+    if clock is None:
+        simulator = Simulator(seed=config.seed)
+        runtime = SimRuntime(simulator, transport, trace=trace)
+    else:
+        runtime = AsyncioRuntime(transport, clock=clock, trace=trace, seed=config.seed)
+    metrics.attach_transport(transport)
+    ctx = RuntimeContext(runtime=runtime, trace=trace)
     return RunResult(
         config=config,
         protocol_config=stack.protocol_config,
-        metrics=stack.metrics,
-        trace=stack.trace,
+        metrics=metrics,
+        trace=trace,
         replicas={pid: make_replica(stack, pid, ctx) for pid in stack.protocol_config.processor_ids},
         corruption=stack.corruption,
         simulator=simulator,
-        network=network,
+        runtime=runtime,
+        transport=transport,
         crypto_backend=stack.crypto_backend,
     )
 

@@ -13,7 +13,7 @@ declarative :class:`~repro.runner.Campaign` grids:
   ``f_a`` (rows 2 and 4 of Table 1).
 
 :func:`table1_rows` combines both into the table printed by
-``benchmarks/bench_table1_*.py`` and recorded in EXPERIMENTS.md.
+``benchmarks/bench_table1_*.py``.
 """
 
 from __future__ import annotations

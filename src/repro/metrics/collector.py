@@ -1,6 +1,6 @@
 """Run-time metrics collection.
 
-The collector is attached to the network (to observe sends) and is called by
+The collector is attached to the transport (to observe sends) and is called by
 replicas when QCs form, views are entered, blocks commit, or heavy epoch
 synchronisations happen.  It never influences the protocols — it only
 observes.
@@ -126,9 +126,6 @@ class MetricsCollector:
         self.view_entries: dict[int, list[tuple[float, int]]] = {}
         self.epoch_syncs: list[tuple[float, int, int]] = []  # (time, pid, epoch)
         self.qc_count = 0
-        # Distinct payload contents honest processors put on the wire, from
-        # Envelope.payload_digest (networks with a crypto backend attached).
-        self._payload_digests: set[str] = set()
         #: The run's one injected-fault counter bag: delay schedules,
         #: drop/duplicate injectors and replica crash/recovery count into it
         #: where the fault happens, on every lane.
@@ -144,19 +141,12 @@ class MetricsCollector:
         """Declare which processor ids are honest (never corrupted)."""
         self.honest_ids = set(honest_ids)
 
-    def attach_network(self, network) -> None:
-        """Subscribe to the network's send events."""
-        network.send_listeners.append(self.on_send)
-
     def attach_transport(self, transport) -> None:
-        """Subscribe to a live transport's send events.
+        """Subscribe to a transport's send events.
 
-        Transports expose the same ``send_listeners`` surface as the
-        simulated network, so this simply delegates to
-        :meth:`attach_network` — live (wall-clock) runs record through the
-        identical hot path, with times being whatever the run's
-        :class:`~repro.runtime.base.Clock` reports (monotonic seconds since
-        cluster start for live clusters, virtual seconds under replay).
+        Every lane records through this one hot path, with times being
+        whatever the run's clock reports (virtual seconds on the simulator
+        kernel, monotonic seconds since cluster start for live clusters).
 
         Transports that can lose frames (``TcpTransport``, directly or
         under a chaos wrapper) are also registered as *drop sources*: their
@@ -164,7 +154,7 @@ class MetricsCollector:
         writer that died holding unsent frames always leaves a trace in the
         run's :class:`~repro.metrics.summary.RunMetrics`.
         """
-        self.attach_network(transport)
+        transport.send_listeners.append(self.on_send)
         source = transport
         if not hasattr(source, "frames_dropped"):
             source = getattr(transport, "inner", None)
@@ -211,9 +201,6 @@ class MetricsCollector:
         self._message_senders.append(sender)
         self._message_recipients.append(envelope.recipient)
         self._message_kind_ids.append(kind_id)
-        digest = envelope.payload_digest
-        if digest is not None:
-            self._payload_digests.add(digest)
 
     def _intern_kind(self, kind: str) -> int:
         """The id of payload-type name ``kind``, minted on first sight."""
@@ -374,20 +361,6 @@ class MetricsCollector:
     def total_honest_messages(self) -> int:
         """Total messages sent by honest processors during the run."""
         return len(self._message_times)
-
-    @property
-    def distinct_payloads_sent(self) -> int:
-        """Distinct message contents honest processors sent (0 when the
-        network has no crypto backend attached, so no payload digests)."""
-        return len(self._payload_digests)
-
-    @property
-    def broadcast_amplification(self) -> Optional[float]:
-        """Mean envelopes per distinct payload — how much of the message
-        count is the same content fanned out (``None`` without digests)."""
-        if not self._payload_digests:
-            return None
-        return len(self._message_times) / len(self._payload_digests)
 
     # ------------------------------------------------------------------
     # Queries: decisions
@@ -551,7 +524,6 @@ class MetricsCollector:
             "view_entries": {pid: list(entries) for pid, entries in self.view_entries.items()},
             "epoch_syncs": list(self.epoch_syncs),
             "qc_count": self.qc_count,
-            "payload_digests": set(self._payload_digests),
             "fault_counts": self.fault_counts,
         }
 
@@ -639,7 +611,6 @@ def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
         for pid, entries in s["view_entries"].items():
             merged.view_entries.setdefault(pid, []).extend(entries)
         merged.qc_count += s["qc_count"]
-        merged._payload_digests |= s["payload_digests"]
         merged.add_fault_counts(s["fault_counts"])
     for entries in merged.view_entries.values():
         entries.sort()

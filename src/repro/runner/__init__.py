@@ -48,7 +48,6 @@ from repro.runner.workload import (
 #: stay as cheap as it was.
 _LAZY_EXPORTS = {
     "LiveExecutor": "live",
-    "build_live_scenario": "live",
     "execute_live_cell": "live",
     "make_live_cluster": "live",
     "run_live_scenario": "live",
@@ -86,7 +85,6 @@ __all__ = [
     "Sweep",
     "WorkloadConfig",
     "attach_workload",
-    "build_live_scenario",
     "client_path_counts",
     "config_fingerprint",
     "execute_cell",

@@ -8,11 +8,11 @@ Two backends run the expanded cells of a :class:`~repro.runner.campaign.Campaign
   re-builds the scenario from ``(build, params)`` and returns a picklable
   :class:`~repro.runner.record.RunRecord`, so nothing unpicklable (replicas,
   traces, closure-based delay models) ever crosses the pool boundary.
-* ``"live"`` — the deterministic live lane (:mod:`repro.runner.live`): the
-  same cells execute in virtual time over the live transport stack
-  (``LocalTransport``) instead of the simulated network.  Live cache keys are
-  salted with a ``live:`` prefix so live and simulated records of the same
-  parameter point never collide in a shared cache.
+* ``"live"`` — :mod:`repro.runner.live`: the same cells in virtual time
+  with the live executor's knobs (transport jitter, drop/duplicate
+  injection), or on a wall-clock process cluster.  Live cache keys are
+  salted with a ``live:`` prefix (plus the knobs) so records made under
+  different knobs never answer for each other from a shared cache.
 
 Because every simulation is seeded from its config alone, the serial and
 process backends produce identical records for the same campaign — a

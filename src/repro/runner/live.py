@@ -1,17 +1,14 @@
 """Live scenario execution: the campaign layer over the transport stack.
 
-Mirrors :mod:`repro.experiments.scenario` (same stack builder, same
-:class:`~repro.experiments.scenario.RunResult`) for runs whose messages move
-through a :class:`~repro.runtime.transports.Transport` instead of the
-simulated network:
+Shares :mod:`repro.experiments.scenario`'s stack builder, scenario builder
+and :class:`~repro.experiments.scenario.RunResult`:
 
-* :func:`build_live_scenario` / :func:`run_live_scenario` — a whole cluster
-  in-memory over a :class:`~repro.runtime.transports.LocalTransport`, one
-  runtime shared by every replica.  By default that runtime is the
-  discrete-event kernel (:class:`~repro.runtime.simulation.SimRuntime`):
-  the deterministic lane, where a zero-jitter run reproduces the
-  simulator's decisions, ledgers and fault counts exactly — the oracle the
-  transport stack is tested on.  Pass a
+* :func:`run_live_scenario` — :func:`~repro.experiments.scenario.build_scenario`
+  plus the wall-clock branch.  By default the whole in-memory cluster runs
+  on the discrete-event kernel, exactly as
+  :func:`~repro.experiments.scenario.run_scenario` runs it (this entry
+  point adds transport ``jitter``, ``chaos`` injectors and a ``stop_when``
+  predicate); pass a
   :class:`~repro.runtime.asyncio_runtime.MonotonicClock` for wall-clock
   pacing on an :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`.
 * :func:`make_live_cluster` — n nodes on the wall clock over real sockets
@@ -21,17 +18,16 @@ simulated network:
   campaign backend: a :class:`~repro.runner.campaign.Campaign` sweeps
   live-cluster cells exactly like simulated ones, producing the same
   picklable :class:`~repro.runner.record.RunRecord` rows (cache keys are
-  salted with ``live:`` so live and simulated records never collide).
+  salted with ``live:`` so records made under jitter, chaos or a process
+  placement never answer for plain ones).
 
-Live runs support the full adversarial surface: crash/recovery behaviours
-(timer-driven, runtime-agnostic), simulator delay models and the named
+Every lane supports the full adversarial surface: crash/recovery behaviours
+(timer-driven, runtime-agnostic), delay models and the named
 ``repro.faults`` scenarios.  A config with a ``delay_model`` or ``scenario``
-is executed under a :class:`~repro.runtime.chaos.FaultyTransport` driving
-the *same* schedule objects as the simulator (see
-:mod:`repro.runtime.chaos`): on the deterministic lane this replays the
-simulated scenario's decisions and ledgers exactly, and injected-fault
-counters (drops, duplicates, partition epochs, kills/restarts) surface
-through the run's :class:`~repro.metrics.collector.MetricsCollector`.
+is executed under a :class:`~repro.runtime.chaos.FaultyTransport` (see
+:mod:`repro.runtime.chaos`), and injected-fault counters (drops,
+duplicates, partition epochs, kills/restarts) surface through the run's
+:class:`~repro.metrics.collector.MetricsCollector`.
 """
 
 from __future__ import annotations
@@ -45,104 +41,17 @@ from repro.errors import ConfigurationError
 from repro.experiments.scenario import (
     RunResult,
     ScenarioConfig,
-    build_stack,
-    make_replica,
+    build_scenario,
     start_replicas,
 )
 from repro.runner.process_cluster import LiveCluster
 from repro.runner.record import RunRecord
-from repro.runtime import (
-    AsyncioRuntime,
-    ChaosConfig,
-    Clock,
-    FaultyTransport,
-    LocalTransport,
-    RuntimeContext,
-    SimRuntime,
-    WireCodec,
-)
-from repro.sim.events import Simulator
+from repro.runtime import ChaosConfig, Clock, WireCodec
 
 
 # ----------------------------------------------------------------------
 # In-memory cluster (LocalTransport, one runtime)
 # ----------------------------------------------------------------------
-def build_live_scenario(
-    config: ScenarioConfig,
-    jitter: float = 0.0,
-    clock: Optional[Clock] = None,
-    transport: Optional[LocalTransport] = None,
-    chaos: Optional[ChaosConfig] = None,
-) -> RunResult:
-    """Construct an in-memory live cluster for ``config`` without running it.
-
-    Fault-free configs get a bare :class:`LocalTransport` (base delay
-    ``config.actual_delay``, jitter RNG seeded ``config.seed`` — the live
-    twin of the simulated ``FixedDelay(actual_delay)`` scenario).  A
-    ``delay_model`` or named ``scenario`` wraps a zero-delay transport in a
-    :class:`~repro.runtime.chaos.FaultyTransport` imposing the schedule
-    under the config's partial-synchrony envelope; ``chaos`` adds
-    drop/duplicate injectors either way.  Everything injected is counted
-    in the run's one bag, ``metrics.faults``.
-
-    ``clock=None`` (the default) runs the cluster in virtual time on a
-    :class:`~repro.sim.events.Simulator` (``result.simulator``); a wall
-    clock puts it on an :class:`AsyncioRuntime`.
-    """
-    stack = build_stack(config)
-    delay_model, metrics, trace = stack.delay_model, stack.metrics, stack.trace
-    if transport is None:
-        if delay_model is not None:
-            if jitter:
-                raise ConfigurationError(
-                    "a delay model/scenario fully determines live latency; "
-                    "transport jitter must stay 0 (it would add on top of "
-                    "the schedule and break sim parity)"
-                )
-            # The schedule proposes every non-self latency, so the inner
-            # transport contributes none of its own.
-            inner = LocalTransport(delay=0.0, jitter=0.0, seed=config.seed)
-            transport = FaultyTransport(
-                inner,
-                schedule=delay_model,
-                network=config.network_config(),
-                schedule_seed=config.seed,
-                chaos=chaos,
-                counters=metrics.faults,
-            )
-        else:
-            transport = LocalTransport(
-                delay=config.actual_delay, jitter=jitter, seed=config.seed
-            )
-            if chaos is not None and chaos.active:
-                transport = FaultyTransport(transport, chaos=chaos, counters=metrics.faults)
-    elif delay_model is not None:
-        raise ConfigurationError(
-            "pass either an explicit transport or a delay_model/scenario, "
-            "not both (the scenario's schedule decides the transport)"
-        )
-    simulator = None
-    if clock is None:
-        simulator = Simulator(seed=config.seed)
-        runtime = SimRuntime(simulator, transport, trace=trace)
-    else:
-        runtime = AsyncioRuntime(transport, clock=clock, trace=trace, seed=config.seed)
-    metrics.attach_transport(transport)
-    ctx = RuntimeContext(runtime=runtime, trace=trace)
-    return RunResult(
-        config=config,
-        protocol_config=stack.protocol_config,
-        metrics=metrics,
-        trace=trace,
-        replicas={pid: make_replica(stack, pid, ctx) for pid in stack.protocol_config.processor_ids},
-        corruption=stack.corruption,
-        simulator=simulator,
-        runtime=runtime,
-        transport=transport,
-        crypto_backend=stack.crypto_backend,
-    )
-
-
 async def run_live_scenario_async(
     config: ScenarioConfig,
     jitter: float = 0.0,
@@ -156,10 +65,10 @@ async def run_live_scenario_async(
     ``duration`` is virtual seconds by default and wall seconds under a
     :class:`MonotonicClock`; ``stop_when`` (called with the result between
     events, or at the wall runtime's poll cadence) ends the run early either
-    way.  ``max_events`` is a replay budget of the deterministic lane and is
+    way.  ``max_events`` is a replay budget of the virtual-time lane and is
     rejected on a wall clock rather than ignored.
     """
-    result = build_live_scenario(config, jitter=jitter, clock=clock, chaos=chaos)
+    result = build_scenario(config, jitter=jitter, clock=clock, chaos=chaos)
     simulator = result.simulator
     if simulator is None and max_events is not None:
         raise ConfigurationError(
@@ -338,8 +247,7 @@ def execute_live_cell(
     ones.
 
     ``placement="inline"`` (the default) runs the cell in-memory in virtual
-    time — the deterministic lane; ``placement="process"``
-    runs it for ``config.duration`` wall seconds on a
+    time; ``placement="process"`` runs it for ``config.duration`` wall seconds on a
     :func:`make_live_cluster` cluster over ``transport``.  Jitter and chaos
     are inline-transport knobs and are rejected under process placement (a
     process cell's noise is the real network's).

@@ -141,7 +141,7 @@ class Shard:
                 # Each node imposes the shared schedule on its *outgoing*
                 # sends: a hold-then-forward approximation of the simulated
                 # latency (the real fabric adds its own small delay on top,
-                # so — unlike the single-runtime deterministic lane — this
+                # so — unlike the single-runtime virtual-time lane — this
                 # lane makes no bit-exact parity claim).  Per-node seed
                 # offsets mirror the runtimes' seeds.
                 transport = FaultyTransport(

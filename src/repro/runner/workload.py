@@ -64,9 +64,8 @@ forwarded batches (their owner re-dispatches them to a later leader).
 
 Everything here is deterministic by construction — keys, values and ops
 are derived from ``(client, seq)``, timers fire on a fixed grid, and no
-randomness is consumed — so a simulated run and a zero-jitter
-deterministic live run produce identical ledgers *and* identical KV
-state, which ``bench_throughput.py`` gates on.
+randomness is consumed — so two virtual-time runs of one config produce
+identical ledgers *and* identical KV state.
 """
 
 from __future__ import annotations
@@ -362,8 +361,7 @@ class OpenLoopLoad:
         if self.gateway.submit(command):
             self._seqs[stream] += 1
         self._tick += 1
-        # Fixed grid (not now + interval): no drift, and identical firing
-        # times under sim and deterministic live runs.
+        # Fixed grid (not now + interval): no drift.
         self.replica.runtime.set_timer_at(
             self._origin + self._tick * self._interval, self._submit_tick
         )

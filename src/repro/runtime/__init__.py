@@ -6,10 +6,9 @@ the :class:`~repro.runtime.base.Runtime` interface — ``send`` /
 the *same* protocol objects execute
 
 * under the discrete-event simulator
-  (:class:`~repro.runtime.simulation.SimRuntime`, a pass-through adapter
-  with byte-for-byte identical event ordering) over its grouped-delivery
-  network, or — the deterministic live lane — over an in-memory
-  :class:`~repro.runtime.transports.LocalTransport`,
+  (:class:`~repro.runtime.simulation.SimRuntime`, a pass-through adapter)
+  over an in-memory :class:`~repro.runtime.transports.LocalTransport` — the
+  virtual-time lane,
 * on an asyncio loop in wall time
   (:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`), in-memory, or
 * over real TCP sockets (:class:`~repro.runtime.tcp.TcpTransport`,
@@ -26,12 +25,7 @@ writing-a-transport guide.
 from repro.runtime.base import Clock, Runtime, RuntimeContext, TimerHandle
 from repro.runtime.simulation import SimRuntime
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
-from repro.runtime.transports import (
-    FramedTransport,
-    LocalTransport,
-    Transport,
-    TransportEnvelope,
-)
+from repro.runtime.transports import FramedTransport, LocalTransport, Transport
 from repro.runtime.chaos import ChaosConfig, FaultCounters, FaultyTransport
 from repro.runtime.codec import (
     BinaryWireCodec,
@@ -72,7 +66,6 @@ __all__ = [
     "TcpTransport",
     "TimerHandle",
     "Transport",
-    "TransportEnvelope",
     "WireCodec",
     "WireCodecError",
     "attach_ring",

@@ -8,7 +8,7 @@ timers are ``loop.call_later`` callbacks, transports run real I/O tasks, and
 stop predicate) is reached.  The clock is re-zeroed at construction so live
 metrics share the "runs start near 0.0" convention of simulated ones.
 
-Virtual time is not this module's business: the deterministic lanes run the
+Virtual time is not this module's business: the virtual-time lane runs the
 same transports on the discrete-event kernel
 (:class:`~repro.runtime.simulation.SimRuntime`).  Both honour the
 :class:`~repro.runtime.base.Runtime` contract: sequential callbacks, timers

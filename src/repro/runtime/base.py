@@ -12,11 +12,8 @@ Two families implement the interface:
 
 * :class:`~repro.runtime.simulation.SimRuntime` — a thin adapter over the
   discrete-event :class:`~repro.sim.events.Simulator`, the only
-  virtual-time kernel, and a message fabric: the partial-synchrony
-  :class:`~repro.sim.network.Network` or any
-  :class:`~repro.runtime.transports.Transport`.  Every call is a direct
-  pass-through, so a refactored protocol produces byte-for-byte the same
-  event ordering the pre-runtime code did.
+  virtual-time kernel, and a :class:`~repro.runtime.transports.Transport`.
+  Every call is a direct pass-through onto one of the two.
 * :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` — runs the same
   protocol objects on an asyncio event loop in wall time, over a pluggable
   :class:`~repro.runtime.transports.Transport` (in-memory, TCP or shared
@@ -154,13 +151,8 @@ class Runtime(ABC):
 
 @dataclass
 class RuntimeContext:
-    """The handles a :class:`~repro.sim.process.Process` needs, runtime-agnostic.
-
-    The live-runtime counterpart of :class:`~repro.sim.process.SimContext`
-    (which additionally carries the simulator and network for sim-only
-    tooling).  Both expose the same two attributes the process layer reads:
-    ``runtime`` and ``trace``.
-    """
+    """The handles a :class:`~repro.sim.process.Process` needs on any runtime:
+    ``runtime`` and ``trace``."""
 
     runtime: Runtime
     trace: Optional[Any] = None

@@ -1,26 +1,24 @@
-"""Transport-level fault injection: the live twin of the simulated adversary.
+"""Transport-level fault injection: where the model's adversary acts.
 
-The simulator expresses its adversary as a
-:class:`~repro.sim.network.DelayModel` consulted by the network on every
-send.  Live runtimes have no network object to hook — latency lives in the
-transport — so this module decorates any
+The network adversary is a :class:`~repro.sim.network.DelayModel`, and
+latency lives in the transport — so this module decorates any
 :class:`~repro.runtime.transports.Transport` with a
-:class:`FaultyTransport` that consults the *same* schedule object, with the
-same :class:`~repro.sim.network.DelayContext`, and decides each arrival
-with the same :meth:`~repro.sim.network.NetworkConfig.delivery_time` (plus
-drop/duplicate injectors the simulator has no analogue for).
+:class:`FaultyTransport` that asks the schedule for each message's delay,
+hands it the run's :class:`~repro.sim.network.DelayContext`, and decides
+the arrival with :meth:`~repro.sim.network.NetworkConfig.delivery_time`
+(plus drop/duplicate injectors, which the paper's model has no analogue
+for).  It is the one place a schedule is imposed, on every lane.
 
-Determinism contract (the basis of the cross-runtime conformance suite in
-``tests/test_live_faults.py``): the simulated RNG is consumed *only* by
-delay models — one draw per non-self send for the drawing models, in
-ascending-recipient order per broadcast.  :class:`FaultyTransport` hands
-its schedule a ``random.Random(schedule_seed)`` and proposes one delay per
-non-self send in send order, so on the simulator kernel
+Determinism contract: the schedule's RNG (``random.Random(schedule_seed)``)
+is consumed *only* by delay models — one ``propose_delay`` per non-self
+send, in send order, ascending recipient within a broadcast — and the
+injectors draw from their own.  On the simulator kernel
 (:class:`~repro.runtime.simulation.SimRuntime` over a zero-jitter
-:class:`~repro.runtime.transports.LocalTransport`) a scenario replays the
-simulated network's decisions, ledgers and fault counts exactly.  Wall
-clocks (and real TCP latency underneath a schedule) break exact replay;
-there the schedule is an approximation — see ``docs/runtimes.md``.
+:class:`~repro.runtime.transports.LocalTransport`) a scenario therefore
+replays event for event (``tests/data/lane_fingerprints.json`` pins 39 runs
+captured on the fabric this stack replaced).  Wall clocks (and real TCP
+latency underneath a schedule) break exact replay; there the schedule is an
+approximation — see ``docs/runtimes.md``.
 """
 
 from __future__ import annotations
@@ -49,12 +47,12 @@ __all__ = ["BASE_FAULT_COUNTS", "ChaosConfig", "FaultCounters", "FaultyTransport
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Transport injector knobs with no simulator analogue.
+    """Transport injector knobs the paper's model has no analogue for.
 
     Drop and duplicate injectors draw from their own seeded RNG (never from
     the schedule stream), so enabling them perturbs delivery without
     perturbing the schedule's draws; at the default zero rates no injector
-    RNG is consumed at all and a scheduled run stays sim-exact.
+    RNG is consumed at all.
     """
 
     #: Probability a non-self message is minted but never delivered.
@@ -86,25 +84,26 @@ class ChaosConfig:
 class FaultyTransport(Transport):
     """Chaos decorator over any transport: drop, delay, duplicate, partition.
 
-    Wraps an ``inner`` transport and intercepts every ``send``:
+    Wraps an ``inner`` transport and intercepts every ``send`` and
+    ``broadcast``:
 
     * a ``schedule`` (any :class:`~repro.sim.network.DelayModel`) proposes
       each non-self message's latency and ``network.delivery_time`` decides
-      the arrival, exactly as in the simulated network — partitions,
-      targeted DoS and traffic-class throttles all arrive this way, since
-      they are delay models over (time, topology, class), and each counts
-      itself into ``counters``;
+      the arrival — partitions, targeted DoS and traffic-class throttles
+      all arrive this way, since they are delay models over (time,
+      topology, class), and each counts itself into ``counters``;
     * drop and duplicate injectors (see :class:`ChaosConfig` rates) fire
       from a separate seeded RNG;
     * everything the chaos layer does lands in ``counters``.
 
     Delivery mechanics depend on the inner transport: transports exposing
-    ``send_with_delay`` (``LocalTransport``) get exact scheduling with
-    truthful envelope ``deliver_time``; any other transport
-    (``TcpTransport``) is approximated by holding the send itself for the
-    proposed delay — real network latency then adds on top, and dropped
-    messages are never minted (the frame never exists).  With no schedule
-    and zero rates the wrapper is transparent: ``send`` delegates verbatim.
+    ``send_grouped`` (``LocalTransport``) get exact scheduling with
+    truthful envelope ``deliver_time``, a broadcast's deliveries grouped by
+    arrival; any other transport (``TcpTransport``) is approximated by
+    holding the send itself for the proposed delay — real network latency
+    then adds on top, and dropped messages are never minted (the frame
+    never exists).  With no schedule and zero rates the wrapper is
+    transparent: ``send`` delegates verbatim.
 
     Listener lists and message counters are shared with the inner
     transport, so ``MetricsCollector.attach_transport`` observes a wrapped
@@ -138,7 +137,7 @@ class FaultyTransport(Transport):
         self.counters = counters if counters is not None else FaultCounters()
         self._ctx = DelayContext(random.Random(schedule_seed), self.counters)
         self._injector_rng = random.Random(self.chaos.seed)
-        self._exact_send = getattr(inner, "send_with_delay", None)
+        self._send_grouped = getattr(inner, "send_grouped", None)
         self._draw_delay = getattr(inner, "draw_delay", None)
 
     # -- wiring --------------------------------------------------------
@@ -195,10 +194,43 @@ class FaultyTransport(Transport):
         inner = self._inner
         if sender == recipient or self.transparent:
             # Self-messages are immediate on every runtime (the paper's
-            # convention) and never consult schedules or injectors — the
-            # simulated network never proposes a delay for them either.
+            # convention) and never consult schedules or injectors.
             inner.send(sender, recipient, payload)
             return
+        sends: list[tuple[int, float, bool]] = []
+        self._shape(sender, recipient, payload, sends)
+        if self._send_grouped is not None:
+            self._send_grouped(sender, payload, sends)
+            return
+        # Hold-then-forward (TCP lane): the schedule delays the *send*;
+        # real network latency adds on top.  Approximate by design.  A
+        # dropped frame never exists here, and neither does its duplicate.
+        _, delay, delivered = sends[0]
+        if delivered:
+            for _ in sends:
+                self.runtime.call_after(delay, inner.send, sender, recipient, payload)
+
+    def broadcast(self, sender: int, payload: Any, include_self: bool = True) -> None:
+        """Shape a broadcast recipient by recipient, in ascending id order —
+        the schedule and injector draws of the per-recipient loop — and hand
+        an inner transport that can group deliveries the whole of it."""
+        if self._send_grouped is None or self.transparent:
+            super().broadcast(sender, payload, include_self)
+            return
+        sends: list[tuple[int, float, bool]] = []
+        for pid in self.process_ids:
+            if pid != sender:
+                self._shape(sender, pid, payload, sends)
+            elif include_self:
+                sends.append((pid, 0.0, True))
+        self._send_grouped(sender, payload, sends)
+
+    def _shape(
+        self, sender: int, recipient: int, payload: Any, sends: list[tuple[int, float, bool]]
+    ) -> None:
+        """Decide one non-self message's fate and append it to ``sends`` as
+        ``(recipient, delay, deliver)``: once, undelivered when dropped,
+        twice when duplicated."""
         delay = self._delay_for(sender, recipient, payload)
         chaos = self.chaos
         dropped = (
@@ -208,19 +240,11 @@ class FaultyTransport(Transport):
             chaos.duplicate_rate > 0.0
             and self._injector_rng.random() < chaos.duplicate_rate
         )
-        if self._exact_send is not None:
-            self._exact_send(sender, recipient, payload, delay, deliver=not dropped)
-            if duplicated:
-                self._exact_send(sender, recipient, payload, delay)
-        elif not dropped:
-            # Hold-then-forward (TCP lane): the schedule delays the *send*;
-            # real network latency adds on top.  Approximate by design.
-            self.runtime.call_after(delay, inner.send, sender, recipient, payload)
-            if duplicated:
-                self.runtime.call_after(delay, inner.send, sender, recipient, payload)
+        sends.append((recipient, delay, not dropped))
         if dropped:
             self.counters.bump("drops")
         if duplicated:
+            sends.append((recipient, delay, True))
             self.counters.bump("duplicates")
 
     def _delay_for(self, sender: int, recipient: int, payload: Any) -> float:

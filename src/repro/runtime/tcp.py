@@ -62,9 +62,8 @@ class TcpTransport(FramedTransport):
         of one per frame.  The byte stream is identical — frames are
         length-prefixed and concatenated in queue order, untouched — so the
         receiver cannot tell the difference; only the syscall count drops.
-        ``False`` selects the per-frame reference path (the
-        ``Network.batch_deliveries`` pattern: the toggle exists so the
-        equivalence is testable, see ``tests/test_tcp_batching.py``).
+        ``False`` selects the per-frame reference path (the toggle exists
+        so the equivalence is testable, see ``tests/test_tcp_batching.py``).
     """
 
     #: Upper bound on frames flushed per coalesced ``write()`` — bounds the

@@ -2,13 +2,12 @@
 
 A :class:`Transport` owns addressing (``process_ids``), endpoint
 registration and the actual movement of payloads; the runtime delegates
-:meth:`~repro.runtime.base.Runtime.send` / ``broadcast`` here.  Transports
-mirror the observation surface of the simulated
-:class:`~repro.sim.network.Network` — ``send_listeners`` /
-``deliver_listeners`` called with an envelope per message, plus
-``messages_sent`` / ``messages_delivered`` counters — so the metrics layer
-attaches to a live transport exactly the way it attaches to a simulated
-network (:meth:`~repro.metrics.collector.MetricsCollector.attach_transport`).
+:meth:`~repro.runtime.base.Runtime.send` / ``broadcast`` here.  Every
+transport has one observation surface — ``send_listeners`` /
+``deliver_listeners`` called with an :class:`~repro.sim.network.Envelope`
+per message, plus ``messages_sent`` / ``messages_delivered`` counters —
+which is what the metrics layer attaches to
+(:meth:`~repro.metrics.collector.MetricsCollector.attach_transport`).
 
 Two implementations ship:
 
@@ -16,8 +15,8 @@ Two implementations ship:
   cluster lives on one runtime.  Per-message latency is
   ``delay + U(0, jitter)`` drawn from a transport-local seeded RNG, so runs
   are deterministic on the simulator kernel
-  (:class:`~repro.runtime.simulation.SimRuntime`); with zero jitter it
-  reproduces a ``FixedDelay`` simulation exactly.
+  (:class:`~repro.runtime.simulation.SimRuntime`) — the virtual-time lane —
+  and one broadcast costs one runtime event per distinct delivery time.
 * :class:`~repro.runtime.tcp.TcpTransport` — one node of a real cluster,
   length-prefixed frames (binary by default, JSON via ``codec="json"``)
   over ``asyncio`` TCP streams.
@@ -33,36 +32,12 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.base import Runtime
 from repro.runtime.codec import WireCodec, default_binary_codec, make_codec
-
-
-class TransportEnvelope(NamedTuple):
-    """One in-flight message as observed by transport listeners.
-
-    Field-compatible with the simulator's
-    :class:`~repro.sim.network.Envelope` (the metrics collector duck-types
-    over either).  ``deliver_time`` is the *scheduled* delivery time for
-    local transports and the send time for TCP (real network latency is not
-    known at send time); ``payload_digest`` is ``None`` unless the transport
-    has a crypto backend attached.
-    """
-
-    msg_id: int
-    sender: int
-    recipient: int
-    payload: Any
-    send_time: float
-    deliver_time: float
-    payload_digest: Optional[str] = None
-
-    @property
-    def is_self_message(self) -> bool:
-        """Whether the message was sent by a processor to itself."""
-        return self.sender == self.recipient
+from repro.sim.network import Envelope
 
 
 class Transport(ABC):
@@ -76,8 +51,8 @@ class Transport(ABC):
     """
 
     def __init__(self) -> None:
-        self.send_listeners: list[Callable[[TransportEnvelope], None]] = []
-        self.deliver_listeners: list[Callable[[TransportEnvelope], None]] = []
+        self.send_listeners: list[Callable[[Envelope], None]] = []
+        self.deliver_listeners: list[Callable[[Envelope], None]] = []
         self.messages_sent = 0
         self.messages_delivered = 0
         #: Inbound frame bodies run through a codec: stays zero on a
@@ -125,8 +100,10 @@ class Transport(ABC):
         """Send ``payload`` to every processor, in ascending id order.
 
         The id order matters for determinism: on the simulator kernel the
-        per-recipient jitter draws and delivery-event sequence numbers
-        follow this loop, matching the simulated network's convention.
+        per-recipient delay draws and delivery-event sequence numbers
+        follow this loop.  This per-recipient form is what every socket
+        lane runs, and the reference a transport that groups a broadcast's
+        deliveries (:meth:`LocalTransport.send_grouped`) is tested against.
         """
         for pid in self.process_ids:
             if include_self or pid != sender:
@@ -146,14 +123,14 @@ class Transport(ABC):
     # ------------------------------------------------------------------
     def _mint(
         self, sender: int, recipient: int, payload: Any, now: float, deliver_time: float
-    ) -> TransportEnvelope:
+    ) -> Envelope:
         """Create the envelope, bump counters and notify send listeners.
 
         ``now`` is the caller's one reading of the runtime clock for this
         send: the envelope's ``send_time``, and what ``deliver_time`` was
         derived from.
         """
-        envelope = TransportEnvelope(
+        envelope = Envelope(
             next(self._msg_ids), sender, recipient, payload, now, deliver_time
         )
         self.messages_sent += 1
@@ -161,7 +138,7 @@ class Transport(ABC):
             listener(envelope)
         return envelope
 
-    def _delivered(self, envelope: TransportEnvelope, process: Any) -> None:
+    def _delivered(self, envelope: Envelope, process: Any) -> None:
         """Notify deliver listeners and hand the payload to the process."""
         self.messages_delivered += 1
         for listener in self.deliver_listeners:
@@ -285,7 +262,7 @@ class FramedTransport(Transport):
     def _receive(self, sender: int, payload: Any) -> None:
         """Hand one decoded inbound frame to the hosted process."""
         now = self.runtime.now
-        envelope = TransportEnvelope(
+        envelope = Envelope(
             next(self._msg_ids), sender, self.pid, payload, now, now
         )
         self.runtime.events_processed += 1
@@ -339,9 +316,9 @@ class LocalTransport(Transport):
         """The latency this transport would apply to one message, drawn now.
 
         Consumes one jitter draw when jitter is configured, exactly as
-        :meth:`send` would — callers that use the returned value with
-        :meth:`send_with_delay` keep the RNG stream identical to an
-        unwrapped transport.
+        :meth:`send` would — callers that hand the returned value to
+        :meth:`send_grouped` keep the RNG stream identical to an unwrapped
+        transport.
         """
         if sender == recipient:
             return 0.0
@@ -350,35 +327,69 @@ class LocalTransport(Transport):
             delay += self._rng.uniform(0.0, self.jitter)
         return delay
 
-    def send_with_delay(
-        self,
-        sender: int,
-        recipient: int,
-        payload: Any,
-        delay: float,
-        deliver: bool = True,
-    ) -> TransportEnvelope:
-        """Send with an exact caller-imposed latency (the chaos-layer seam).
+    def send_grouped(
+        self, sender: int, payload: Any, sends: Iterable[tuple[int, float, bool]]
+    ) -> None:
+        """Send ``payload`` once per ``(recipient, delay, deliver)`` entry.
 
-        Mints the envelope (counters and send listeners fire as usual, with
-        the true ``deliver_time``) and schedules delivery ``delay`` seconds
-        out.  ``deliver=False`` mints without scheduling — the envelope was
-        sent but never arrives, which is how a drop injector keeps the
-        sender-side accounting honest.
+        The transport's one send primitive, and the chaos-layer seam: each
+        entry mints an envelope in ``sends`` order (counters and send
+        listeners fire as usual, with the true ``deliver_time``) that
+        arrives exactly ``delay`` seconds out.  ``deliver=False`` mints
+        without delivering — the message was sent but never arrives, which
+        is how a drop injector keeps the sender-side accounting honest.
+
+        Entries that share a delay share one runtime event, whose callback
+        hands the payload to each recipient in ``sends`` order.  That is
+        the order one event per entry would have fired in (equal time,
+        ascending insertion sequence, and nothing else is scheduled between
+        the entries of one call), so grouping changes the number of events
+        and nothing a process, a listener or an RNG can see.
         """
-        process = self._processes.get(recipient)
-        if process is None:
-            raise SimulationError(f"unknown recipient {recipient}")
         now = self.runtime.now
-        envelope = self._mint(sender, recipient, payload, now, now + delay)
-        if deliver:
-            self.runtime.call_after(delay, self._delivered, envelope, process)
-        return envelope
+        processes = self._processes
+        mint = self._mint
+        # delay -> (delivery time, envelopes to deliver then): the entries of
+        # one group share one float, not one each.
+        groups: dict[float, tuple[float, list[Envelope]]] = {}
+        for recipient, delay, deliver in sends:
+            if recipient not in processes:
+                raise SimulationError(f"unknown recipient {recipient}")
+            group = groups.get(delay)
+            if group is None:
+                group = groups[delay] = (now + delay, [])
+            envelope = mint(sender, recipient, payload, now, group[0])
+            if deliver:
+                group[1].append(envelope)
+        call_after = self.runtime.call_after
+        for delay, (_, group) in groups.items():
+            if group:
+                call_after(delay, self._deliver_group, group)
+
+    def _deliver_group(self, envelopes: Sequence[Envelope]) -> None:
+        processes = self._processes
+        for envelope in envelopes:
+            self._delivered(envelope, processes[envelope.recipient])
 
     def send(self, sender: int, recipient: int, payload: Any) -> None:
         """Schedule an in-memory delivery through the runtime's timer lane."""
-        self.send_with_delay(
-            sender, recipient, payload, self.draw_delay(sender, recipient)
+        self.send_grouped(
+            sender, payload, ((recipient, self.draw_delay(sender, recipient), True),)
+        )
+
+    def broadcast(self, sender: int, payload: Any, include_self: bool = True) -> None:
+        """Send to every processor in ascending id order, grouping the
+        deliveries: one delay draw per recipient as the per-recipient loop
+        makes them, one runtime event per distinct delay."""
+        draw_delay = self.draw_delay
+        self.send_grouped(
+            sender,
+            payload,
+            [
+                (pid, draw_delay(sender, pid), True)
+                for pid in self._sorted_ids
+                if include_self or pid != sender
+            ],
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,11 +1,13 @@
 """Discrete-event simulation of the partial synchrony model.
 
-The simulator provides virtual time, an event queue, a network whose message
-delays are chosen by a pluggable :class:`~repro.sim.network.DelayModel`
-subject to the partial synchrony constraint (every message sent at time ``t``
-arrives by ``max(GST, t) + Delta``), per-processor local clocks with the
+The simulator provides virtual time and an event queue; the network model
+says how message delays are chosen — by a pluggable
+:class:`~repro.sim.network.DelayModel` subject to the partial synchrony
+constraint (every message sent at time ``t`` arrives by
+``max(GST, t) + Delta``); the rest is per-processor local clocks with the
 pause/bump semantics the paper's protocols rely on, and a ``Process`` base
-class that protocol replicas derive from.
+class that protocol replicas derive from.  Messages move through a
+:class:`~repro.runtime.transports.Transport` (:mod:`repro.runtime`).
 """
 
 from repro.sim.events import EventHandle, Simulator
@@ -17,13 +19,12 @@ from repro.sim.network import (
     Envelope,
     FaultCounters,
     FixedDelay,
-    Network,
     NetworkConfig,
     PreGSTChaos,
     TargetedDelay,
     UniformDelay,
 )
-from repro.sim.process import Process, SimContext
+from repro.sim.process import Process
 from repro.sim.tracing import TraceEvent, TraceRecorder
 
 __all__ = [
@@ -34,11 +35,9 @@ __all__ = [
     "FixedDelay",
     "LocalClock",
     "LocalTimer",
-    "Network",
     "NetworkConfig",
     "PreGSTChaos",
     "Process",
-    "SimContext",
     "Simulator",
     "TargetedDelay",
     "TraceEvent",

@@ -2,11 +2,11 @@
 
 The kernel is intentionally small: a priority queue of ``(time, sequence)``
 ordered events, each carrying a callback.  Everything else in the library
-(network delivery, local-clock timers, protocol timeouts) is built on top of
+(message delivery, local-clock timers, protocol timeouts) is built on top of
 :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` (cancellable
 timers) and :meth:`Simulator.schedule_fired` /
 :meth:`Simulator.schedule_fired_at` (the handle-free fast lane used by
-network deliveries).
+message deliveries).
 
 Determinism: ties on time are broken by insertion order, and all randomness
 in the library flows through :attr:`Simulator.rng`, which is seeded at
@@ -89,10 +89,9 @@ class Simulator:
     #: event chain (e.g. a delay model proposing 0.0 for every message) makes
     #: unbounded progress without virtual time ever advancing, so
     #: ``run(until=...)`` would otherwise never return.  Exceeding the budget
-    #: raises :class:`SimulationError` instead of livelocking.  A legitimate
-    #: burst reaches it only as n^2 per-recipient deliveries at one instant
-    #: (a ``LocalTransport`` fabric from n = 317); the grouped-delivery
-    #: ``Network`` schedules one event per broadcast and sits far below it.
+    #: raises :class:`SimulationError` instead of livelocking.  Legitimate
+    #: bursts sit far below it: a broadcast is one event per distinct
+    #: delivery time, so even an all-to-all round is O(n) events an instant.
     #: Handle-free :meth:`schedule_fired` events draw on the same budget.
     MAX_EVENTS_PER_TIMESTAMP = 100_000
 
@@ -242,14 +241,9 @@ class Simulator:
     def _budget_exceeded(self) -> SimulationError:
         return SimulationError(
             f"more than {self.MAX_EVENTS_PER_TIMESTAMP} events executed at "
-            f"timestamp {self._now!r} without time advancing; either a "
-            "zero-delay event chain (e.g. a delay model proposing 0.0 for "
-            "every message — give NetworkConfig a min_delay floor), or a "
-            "legitimate n^2 fan-in of per-recipient deliveries at one "
-            "instant (an all-to-all round on a LocalTransport from n = 317; "
-            "the grouped-delivery Network needs one event per broadcast — "
-            "use run_scenario at that size, or raise "
-            "Simulator.MAX_EVENTS_PER_TIMESTAMP)"
+            f"timestamp {self._now!r} without time advancing: a zero-delay "
+            "event chain (e.g. a delay model proposing 0.0 for every message "
+            "— give NetworkConfig a min_delay floor)"
         )
 
     def step(self) -> bool:
@@ -262,8 +256,7 @@ class Simulator:
         ------
         SimulationError
             If more than :attr:`MAX_EVENTS_PER_TIMESTAMP` events execute
-            without virtual time advancing (a zero-delay event chain, or an
-            n^2 fan-in of per-recipient deliveries).
+            without virtual time advancing (a zero-delay event chain).
         """
         queue = self._queue
         while queue:

@@ -5,56 +5,16 @@ messages from its :class:`~repro.runtime.base.Runtime`.  Protocol replicas
 (see :mod:`repro.consensus.replica`) derive from it, as do purpose-built
 Byzantine processes in :mod:`repro.adversary`.
 
-A process is constructed over a *context* exposing ``runtime`` and
-``trace``: either a :class:`SimContext` (simulator + network, the
-discrete-event world) or a :class:`~repro.runtime.base.RuntimeContext`
-(any other runtime, e.g. asyncio).  All messaging, timing and scheduling
-flows through :attr:`Process.runtime`; the :attr:`sim` / :attr:`network`
-accessors exist only for simulation-side tooling and raise when the
-process runs on a non-simulated runtime.
+A process is constructed over a :class:`~repro.runtime.base.RuntimeContext`
+(anything exposing ``runtime`` and ``trace``); all messaging, timing and
+scheduling flows through :attr:`Process.runtime`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim.clock import LocalClock
-from repro.sim.events import Simulator
-from repro.sim.network import Network
-from repro.sim.tracing import TraceRecorder
-
-
-@dataclass
-class SimContext:
-    """Shared handles of a simulated run: simulator, network and (optional) trace.
-
-    Exposes :attr:`runtime` — a lazily built, cached
-    :class:`~repro.runtime.simulation.SimRuntime` over the same simulator
-    and network — which is what processes actually talk to.
-    """
-
-    sim: Simulator
-    network: Network
-    trace: Optional[TraceRecorder] = None
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self.sim.now
-
-    @property
-    def runtime(self):
-        """The (cached) :class:`~repro.runtime.simulation.SimRuntime` adapter."""
-        runtime = self.__dict__.get("_runtime")
-        if runtime is None:
-            # Local import: repro.runtime is a sibling package layered above
-            # repro.sim; importing it lazily keeps sim importable alone.
-            from repro.runtime.simulation import SimRuntime
-
-            runtime = SimRuntime(self.sim, self.network, trace=self.trace)
-            self.__dict__["_runtime"] = runtime
-        return runtime
 
 
 class Process:
@@ -76,16 +36,6 @@ class Process:
     # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------
-    @property
-    def sim(self) -> Simulator:
-        """The simulator this process runs in (simulated contexts only)."""
-        return self.ctx.sim
-
-    @property
-    def network(self) -> Network:
-        """The network this process is attached to (simulated contexts only)."""
-        return self.ctx.network
-
     @property
     def now(self) -> float:
         """Current runtime time (virtual under simulation, wall-clock when live)."""

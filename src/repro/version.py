@@ -1,3 +1,3 @@
 """Package version, kept in a tiny module so nothing heavy is imported for it."""
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"

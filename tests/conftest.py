@@ -7,9 +7,8 @@ import pytest
 from repro.config import ProtocolConfig
 from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
+from repro.runtime import LocalTransport, RuntimeContext, SimRuntime
 from repro.sim.events import Simulator
-from repro.sim.network import FixedDelay, Network, NetworkConfig
-from repro.sim.process import SimContext
 from repro.sim.tracing import TraceRecorder
 
 
@@ -31,13 +30,11 @@ def simulator() -> Simulator:
 
 
 @pytest.fixture
-def network(simulator: Simulator) -> Network:
-    return Network(simulator, NetworkConfig(delta=1.0, gst=0.0, actual_delay=0.1), FixedDelay(0.1))
-
-
-@pytest.fixture
-def ctx(simulator: Simulator, network: Network) -> SimContext:
-    return SimContext(sim=simulator, network=network, trace=TraceRecorder())
+def ctx(simulator: Simulator) -> RuntimeContext:
+    """A virtual-time context: ``ctx.runtime.sim`` is the ``simulator`` fixture."""
+    trace = TraceRecorder()
+    runtime = SimRuntime(simulator, LocalTransport(delay=0.1), trace=trace)
+    return RuntimeContext(runtime=runtime, trace=trace)
 
 
 @pytest.fixture

@@ -1,47 +1,62 @@
-"""Equivalence of batched and per-recipient delivery, across delay models.
+"""Equivalence of grouped and per-recipient delivery, across delay models.
 
-The network's batched send path (``Network.batch_deliveries = True``, the
-default) proposes all recipient delays up front, groups deliveries by
-identical deliver-time, and schedules one handle-free event per distinct
-timestamp.  The per-recipient reference path schedules one event per
-envelope.  These property-style tests assert the two paths are
-*observationally identical* — same envelopes, same delivery times, same
-delivery order, same decision sequences, commit ledgers and metrics totals —
-across seeds and every shipped delay model, plus regression tests that the
-handle-free ``schedule_fired`` lane respects the same-timestamp event
-budget.
+The virtual-time fabric groups a broadcast's deliveries:
+:meth:`LocalTransport.broadcast <repro.runtime.transports.LocalTransport.broadcast>`
+and :meth:`FaultyTransport.broadcast <repro.runtime.chaos.FaultyTransport.broadcast>`
+decide every recipient's delay up front and schedule one runtime event per
+distinct delay (:meth:`~repro.runtime.transports.LocalTransport.send_grouped`).
+The reference is the inherited per-recipient loop every socket lane runs —
+``Transport.broadcast(transport, ...)``, one ``send`` and one event per
+envelope — so no toggle and no second implementation is needed to compare
+them.  These property-style tests assert the two are *observationally
+identical* — same envelopes, same delivery times, same delivery order, same
+RNG streams afterwards, same decision sequences, commit ledgers and metrics
+totals — across seeds, every shipped delay model, transport jitter and drop
+/ duplicate injection, in virtual time and once on an asyncio loop; plus
+regression tests that the handle-free ``schedule_fired`` lane respects the
+same-timestamp event budget.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.runtime import (
+    AsyncioRuntime,
+    ChaosConfig,
+    FaultyTransport,
+    LocalTransport,
+    SimRuntime,
+    Transport,
+)
 from repro.sim.events import Simulator
 from repro.sim.network import (
     AdversarialDelay,
     DelayModel,
     FixedDelay,
-    Network,
     NetworkConfig,
-    PendingSend,
     PreGSTChaos,
     TargetedDelay,
     UniformDelay,
 )
 
+CONFIG = NetworkConfig(delta=1.0, gst=2.0, actual_delay=0.9, pre_gst_max_delay=10.0)
+
 
 class RecordingSink:
-    """Minimal process recording (payload, sender, time) per delivery."""
+    """Minimal process logging (pid, payload, sender, time) per delivery."""
 
-    def __init__(self, pid: int, sim: Simulator) -> None:
+    def __init__(self, pid: int, runtime, log: list) -> None:
         self.pid = pid
-        self.sim = sim
-        self.received: list[tuple[object, int, float]] = []
+        self.runtime = runtime
+        self.log = log
 
     def deliver(self, payload, sender):
-        self.received.append((payload, sender, self.sim.now))
+        self.log.append((self.pid, payload, sender, self.runtime.now))
 
 
 def delay_models() -> dict[str, DelayModel]:
@@ -53,154 +68,195 @@ def delay_models() -> dict[str, DelayModel]:
             UniformDelay(0.05, 0.3), targets=[1, 4], target_delay=0.9, direction="both"
         ),
         "adversarial": AdversarialDelay(
-            lambda info, sim: 0.1 + 0.05 * ((info.sender + info.recipient) % 7),
+            lambda info, ctx: 0.1 + 0.05 * ((info.sender + info.recipient) % 7),
             name="sum-mod-7",
         ),
         "pre-gst-chaos": PreGSTChaos(UniformDelay(0.05, 0.2), pre_gst_max_delay=10.0),
         # Half the messages land at the send instant: exercises delivery
         # ordering when the self-copy and zero-delay peers share a timestamp
-        # (the self-copy must keep its pid-order position in the batch).
+        # (the self-copy must keep its pid-order position in the group).
         "zero-or-slow": AdversarialDelay(
-            lambda info, sim: 0.0 if (info.sender + info.recipient) % 2 else 0.35,
+            lambda info, ctx: 0.0 if (info.sender + info.recipient) % 2 else 0.35,
             name="zero-or-slow",
         ),
         "all-zero": FixedDelay(0.0),
     }
 
 
-def run_workload(model: DelayModel, seed: int, batch: bool):
-    """A mixed broadcast/multicast/unicast workload; returns the full trace.
-
-    The trace captures everything either send path can influence: every
-    envelope's metadata in send order, every delivery in execution order,
-    and the kernel's RNG stream position at the end (equal streams mean the
-    batched path drew the same random delays in the same order).
-    """
-    sim = Simulator(seed=seed)
-    net = Network(
-        sim,
-        NetworkConfig(delta=1.0, gst=2.0, actual_delay=0.9, pre_gst_max_delay=10.0),
-        model,
-        batch_deliveries=batch,
-    )
-    sinks = [RecordingSink(i, sim) for i in range(7)]
-    for sink in sinks:
-        net.register(sink)
-    sent: list[tuple] = []
-    net.send_listeners.append(
-        lambda e: sent.append((e.msg_id, e.sender, e.recipient, e.send_time, e.deliver_time))
-    )
-
-    def burst(round_index: int) -> None:
-        sender = round_index % 7
-        net.broadcast(sender, ("bcast", round_index))
-        net.multicast((sender + 1) % 7, [0, 3, 5], ("multi", round_index))
-        net.send(sender, (sender + 2) % 7, ("uni", round_index))
-
-    for round_index in range(12):
-        sim.schedule(0.4 * round_index, burst, round_index)
-    sim.run(until=20.0)
-
-    deliveries = [
-        (sink.pid, payload, sender, time)
-        for sink in sinks
-        for payload, sender, time in sink.received
-    ]
-    per_sink_order = {sink.pid: list(sink.received) for sink in sinks}
-    return {
-        "sent": sent,
-        "deliveries": sorted(deliveries),
-        "per_sink_order": per_sink_order,
-        "rng_probe": sim.rng.random(),
-        "messages_sent": net.messages_sent,
-        "messages_delivered": net.messages_delivered,
+def fabrics() -> dict:
+    """``name -> (seed -> transport)``: every delay model under a
+    :class:`FaultyTransport`, plus the fabrics no delay model reaches."""
+    lossy = lambda seed: ChaosConfig(drop_rate=0.2, duplicate_rate=0.25, seed=seed + 1)
+    made = {
+        name: lambda seed, name=name: FaultyTransport(
+            LocalTransport(seed=seed),
+            schedule=delay_models()[name], network=CONFIG, schedule_seed=seed,
+        )
+        for name in delay_models()
     }
+    made["bare-fixed"] = lambda seed: LocalTransport(delay=0.25, seed=seed)
+    made["bare-jitter"] = lambda seed: LocalTransport(delay=0.1, jitter=0.6, seed=seed)
+    made["uniform-lossy"] = lambda seed: FaultyTransport(
+        LocalTransport(seed=seed), schedule=UniformDelay(0.05, 0.8), network=CONFIG,
+        schedule_seed=seed, chaos=lossy(seed),
+    )
+    made["lattice-lossy"] = lambda seed: FaultyTransport(
+        LocalTransport(seed=seed), schedule=delay_models()["adversarial"], network=CONFIG,
+        schedule_seed=seed, chaos=lossy(seed),
+    )
+    made["jitter-lossy"] = lambda seed: FaultyTransport(
+        LocalTransport(delay=0.1, jitter=0.6, seed=seed), chaos=lossy(seed)
+    )
+    return made
 
 
-@pytest.mark.parametrize("model_name", sorted(delay_models()))
+def rng_probes(transport: Transport) -> list[float]:
+    """The next draw of every RNG a send path consumes: equal probes mean
+    both paths drew the same numbers (delays, jitter, drops, duplicates)."""
+    probes = []
+    if isinstance(transport, FaultyTransport):
+        probes += [transport._ctx.rng.random(), transport._injector_rng.random()]
+        transport = transport.inner
+    return probes + [transport._rng.random()]
+
+
+def observe(transport: Transport, runtime) -> dict:
+    """Register seven sinks and record everything either path can influence."""
+    trace = {"sent": [], "delivered": [], "deliveries": []}
+    for pid in range(7):
+        transport.register(RecordingSink(pid, runtime, trace["deliveries"]))
+    for kind, listeners in (
+        ("sent", transport.send_listeners), ("delivered", transport.deliver_listeners)
+    ):
+        listeners.append(
+            lambda e, log=trace[kind]: log.append(
+                (e.msg_id, e.sender, e.recipient, e.send_time, e.deliver_time)
+            )
+        )
+    return trace
+
+
+def burst(transport: Transport, grouped: bool, round_index: int) -> None:
+    """A broadcast, a broadcast to the others and a unicast."""
+    broadcast = type(transport).broadcast if grouped else Transport.broadcast
+    sender = round_index % 7
+    broadcast(transport, sender, ("bcast", round_index))
+    broadcast(transport, (sender + 1) % 7, ("others", round_index), include_self=False)
+    transport.send(sender, (sender + 2) % 7, ("uni", round_index))
+
+
+def run_workload(make_transport, seed: int, grouped: bool) -> tuple[dict, int]:
+    """A mixed workload in virtual time; returns the full trace — every
+    envelope's metadata in send order, every delivery in execution order,
+    the counters, each RNG's position at the end — and the kernel's event
+    count."""
+    sim = Simulator(seed=seed)
+    transport = make_transport(seed)
+    runtime = SimRuntime(sim, transport)
+    trace = observe(transport, runtime)
+    for round_index in range(12):
+        sim.schedule(0.4 * round_index, burst, transport, grouped, round_index)
+    sim.run(until=20.0)
+    trace.update(
+        rng_probes=rng_probes(transport),
+        messages_sent=transport.messages_sent,
+        messages_delivered=transport.messages_delivered,
+    )
+    if isinstance(transport, FaultyTransport):
+        trace["fault_counts"] = transport.counters.as_dict()
+    return trace, sim.events_processed
+
+
+@pytest.mark.parametrize("model_name", sorted(fabrics()))
 @pytest.mark.parametrize("seed", [0, 7, 91])
 def test_batched_and_reference_paths_produce_identical_traces(model_name, seed):
-    batched = run_workload(delay_models()[model_name], seed, batch=True)
-    reference = run_workload(delay_models()[model_name], seed, batch=False)
-    assert batched == reference
-
-
-class PropagationDelay(DelayModel):
-    """A model that only implements ``propose_delay``: exercises the default
-    (looping) ``propose_delays`` used by the batched path."""
-
-    def propose_delay(self, envelope_info: PendingSend, sim: Simulator) -> float:
-        return 0.05 + sim.rng.random() * 0.4
-
-
-def test_default_propose_delays_preserves_the_rng_stream():
-    batched = run_workload(PropagationDelay(), seed=3, batch=True)
-    reference = run_workload(PropagationDelay(), seed=3, batch=False)
-    assert batched == reference
-
-
-def test_propose_delays_returning_wrong_length_is_rejected():
-    class Broken(FixedDelay):
-        def __init__(self):
-            super().__init__(0.1)
-
-        def propose_delays(self, sends, sim):
-            return [0.1]  # wrong length for any multi-recipient send
-
-        def constant_delay(self):
-            return None  # force the variable-delay batched path
-
-    sim = Simulator(seed=0)
-    net = Network(sim, NetworkConfig(), Broken())
-    sinks = [RecordingSink(i, sim) for i in range(3)]
-    for sink in sinks:
-        net.register(sink)
-    with pytest.raises(SimulationError, match="propose_delays"):
-        net.broadcast(0, "payload")
-
-
-def scenario_pair(model: DelayModel, seed: int, pacemaker: str = "lumiere"):
-    """Run one scenario twice — batched and reference delivery — and return both."""
-    results = []
-    for batch in (True, False):
-        config = ScenarioConfig(
-            n=7,
-            pacemaker=pacemaker,
-            delta=1.0,
-            actual_delay=0.5,
-            gst=0.0,
-            duration=40.0,
-            seed=seed,
-            delay_model=model,
-            record_trace=False,
+    grouped, grouped_events = run_workload(fabrics()[model_name], seed, grouped=True)
+    reference, reference_events = run_workload(fabrics()[model_name], seed, grouped=False)
+    assert grouped == reference
+    assert len(grouped["deliveries"]) > 100
+    # Continuous random delays rarely collide, so grouping may not merge
+    # anything — but it must never add events.
+    assert grouped_events <= reference_events
+    if model_name.endswith("lossy"):
+        counts = grouped["fault_counts"]
+        assert counts["drops"] > 0 and counts["duplicates"] > 0
+        assert grouped["messages_delivered"] == (
+            grouped["messages_sent"] - counts["drops"]
         )
-        result = build_scenario(config)
-        result.network.batch_deliveries = batch
-        for replica in result.replicas.values():
-            replica.start()
-        result.simulator.run(until=config.duration)
-        results.append(result)
-    return results
+
+
+def test_grouped_and_per_recipient_broadcast_agree_on_an_asyncio_loop():
+    """Wall time: the delays sit on a 50 ms lattice, far apart next to the
+    microseconds between two sends, so the order of arrival is determined."""
+
+    def make_transport() -> FaultyTransport:
+        return FaultyTransport(
+            LocalTransport(),
+            schedule=AdversarialDelay(
+                lambda info, ctx: 0.05 * ((info.sender + info.recipient) % 3), name="lattice"
+            ),
+            network=NetworkConfig(delta=1.0, actual_delay=0.2),
+            chaos=ChaosConfig(drop_rate=0.2, duplicate_rate=0.25, seed=3),
+        )
+
+    async def run(grouped: bool) -> dict:
+        transport = make_transport()
+        runtime = AsyncioRuntime(transport)
+        trace = observe(transport, runtime)
+        for round_index in range(4):
+            burst(transport, grouped, round_index)
+        sent = transport.messages_sent - transport.counters.as_dict()["drops"]
+        await runtime.run(until=2.0, stop_when=lambda: transport.messages_delivered == sent)
+        await runtime.stop()
+        assert transport.messages_delivered == sent
+        return {
+            # Wall-clock readings differ between two runs; the imposed
+            # latency and the order of everything do not.
+            "sent": [(i, s, r, round(due - at, 9)) for i, s, r, at, due in trace["sent"]],
+            "delivered": [(i, s, r) for i, s, r, _, _ in trace["delivered"]],
+            "deliveries": [(pid, payload, s) for pid, payload, s, _ in trace["deliveries"]],
+            "rng_probes": rng_probes(transport),
+            "fault_counts": transport.counters.as_dict(),
+        }
+
+    grouped, reference = asyncio.run(run(True)), asyncio.run(run(False))
+    assert grouped == reference
+    assert grouped["fault_counts"]["drops"] > 0 and grouped["fault_counts"]["duplicates"] > 0
+
+
+def scenario_pair(monkeypatch, model: DelayModel, seed: int):
+    """Run one scenario twice — grouped broadcasts, then the inherited
+    per-recipient loop in their place — and return both results."""
+
+    def run():
+        return run_scenario(
+            ScenarioConfig(
+                n=7, pacemaker="lumiere", delta=1.0, actual_delay=0.5, gst=0.0,
+                duration=40.0, seed=seed, delay_model=model, record_trace=False,
+            )
+        )
+
+    grouped = run()
+    monkeypatch.setattr(FaultyTransport, "broadcast", Transport.broadcast)
+    monkeypatch.setattr(LocalTransport, "broadcast", Transport.broadcast)
+    return grouped, run()
+
+
+def _decisions(result):
+    return [(d.time, d.view, d.leader) for d in result.metrics.honest_decisions()]
+
+
+def _ledgers(result):
+    return [r.ledger.block_ids for r in result.honest_replicas]
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_scenario_runs_are_equivalent_under_batched_delivery(seed):
-    model = UniformDelay(0.05, 0.45)
-    batched, reference = scenario_pair(model, seed)
+def test_scenario_runs_are_equivalent_under_batched_delivery(monkeypatch, seed):
+    batched, reference = scenario_pair(monkeypatch, UniformDelay(0.05, 0.45), seed)
 
-    batched_decisions = [
-        (d.time, d.view, d.leader) for d in batched.metrics.honest_decisions()
-    ]
-    reference_decisions = [
-        (d.time, d.view, d.leader) for d in reference.metrics.honest_decisions()
-    ]
-    assert batched_decisions == reference_decisions
-    assert len(batched_decisions) > 5  # the runs actually made progress
-
-    batched_ledgers = [r.ledger.block_ids for r in batched.honest_replicas]
-    reference_ledgers = [r.ledger.block_ids for r in reference.honest_replicas]
-    assert batched_ledgers == reference_ledgers
-
+    assert _decisions(batched) == _decisions(reference)
+    assert len(_decisions(batched)) > 5  # the runs actually made progress
+    assert _ledgers(batched) == _ledgers(reference)
     assert (
         batched.metrics.total_honest_messages
         == reference.metrics.total_honest_messages
@@ -208,28 +264,22 @@ def test_scenario_runs_are_equivalent_under_batched_delivery(seed):
     assert batched.metrics.message_kinds_between(0.0, float("inf")) == (
         reference.metrics.message_kinds_between(0.0, float("inf"))
     )
-    assert batched.network.messages_delivered == reference.network.messages_delivered
-    # Continuous random delays rarely collide, so grouping may not merge
-    # anything — but it must never add events.
-    assert batched.simulator.events_processed <= reference.simulator.events_processed
+    assert batched.transport.messages_delivered == reference.transport.messages_delivered
+    assert batched.events_processed <= reference.events_processed
 
 
-def test_batched_delivery_merges_events_under_discrete_delays():
+def test_batched_delivery_merges_events_under_discrete_delays(monkeypatch):
     """With delays on a lattice, many recipients share a deliver-time and the
-    batched path executes strictly fewer kernel events for the same trace."""
-    model_factory = lambda: AdversarialDelay(
-        lambda info, sim: 0.2 + 0.1 * ((info.sender + info.recipient) % 3),
+    grouped path executes strictly fewer kernel events for the same trace."""
+    lattice = AdversarialDelay(
+        lambda info, ctx: 0.2 + 0.1 * ((info.sender + info.recipient) % 3),
         name="lattice",
     )
-    batched, reference = scenario_pair(model_factory(), seed=1)
-    assert [
-        (d.time, d.view, d.leader) for d in batched.metrics.honest_decisions()
-    ] == [(d.time, d.view, d.leader) for d in reference.metrics.honest_decisions()]
-    assert [r.ledger.block_ids for r in batched.honest_replicas] == [
-        r.ledger.block_ids for r in reference.honest_replicas
-    ]
-    assert batched.network.messages_delivered == reference.network.messages_delivered
-    assert batched.simulator.events_processed < reference.simulator.events_processed
+    batched, reference = scenario_pair(monkeypatch, lattice, seed=1)
+    assert _decisions(batched) == _decisions(reference)
+    assert _ledgers(batched) == _ledgers(reference)
+    assert batched.transport.messages_delivered == reference.transport.messages_delivered
+    assert batched.events_processed < reference.events_processed
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +299,15 @@ def test_schedule_fired_chain_respects_the_event_budget():
 
 
 def test_zero_delay_batched_deliveries_respect_the_event_budget():
-    """A zero-delay *network* chain through the batched path still trips the
+    """A zero-delay *message* chain through the grouped path still trips the
     guard instead of livelocking ``run(until=...)``."""
     sim = Simulator(seed=1)
     sim.MAX_EVENTS_PER_TIMESTAMP = 100
-    net = Network(sim, NetworkConfig(delta=1.0, actual_delay=0.1), FixedDelay(0.0))
+    net = FaultyTransport(
+        LocalTransport(), schedule=FixedDelay(0.0),
+        network=NetworkConfig(delta=1.0, actual_delay=0.1),
+    )
+    runtime = SimRuntime(sim, net)
 
     class Echo(RecordingSink):
         def deliver(self, payload, sender):
@@ -261,7 +315,7 @@ def test_zero_delay_batched_deliveries_respect_the_event_budget():
             net.broadcast(self.pid, payload, include_self=False)
 
     for pid in range(3):
-        net.register(Echo(pid, sim))
+        net.register(Echo(pid, runtime, []))
     net.broadcast(0, "storm", include_self=False)
     with pytest.raises(SimulationError, match="timestamp"):
         sim.run(until=5.0)

@@ -5,7 +5,7 @@ delay, duplicate and partition shaping — plus the transparency property: a
 fully-disabled :class:`~repro.runtime.chaos.FaultyTransport` is byte-for-byte invisible
 over a :class:`~repro.runtime.transports.LocalTransport` (identical
 envelope streams, wire-encoded payloads included).  Whole-scenario
-sim-vs-live conformance lives in ``tests/test_live_faults.py``.
+conformance lives in ``tests/test_live_faults.py``.
 """
 
 from __future__ import annotations
@@ -13,13 +13,21 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.runner.live import build_live_scenario, run_live_scenario
+from repro.experiments.scenario import (
+    RunResult,
+    ScenarioConfig,
+    build_scenario,
+    build_stack,
+    make_replica,
+    run_scenario,
+)
+from repro.runner.live import run_live_scenario
 from repro.runtime import (
     ChaosConfig,
     FaultCounters,
     FaultyTransport,
     LocalTransport,
+    RuntimeContext,
     SimRuntime,
 )
 from repro.runtime.chaos import BASE_FAULT_COUNTS
@@ -44,6 +52,21 @@ def _scenario(seed: int = 0, **overrides) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
+def _build_over(config, transport):
+    """``build_scenario``'s wiring over a transport of the test's choosing."""
+    stack = build_stack(config)
+    simulator = Simulator(seed=config.seed)
+    runtime = SimRuntime(simulator, transport, trace=stack.trace)
+    stack.metrics.attach_transport(transport)
+    ctx = RuntimeContext(runtime=runtime, trace=stack.trace)
+    return RunResult(
+        config=config, protocol_config=stack.protocol_config, metrics=stack.metrics,
+        trace=stack.trace, corruption=stack.corruption, simulator=simulator,
+        runtime=runtime, transport=transport,
+        replicas={pid: make_replica(stack, pid, ctx) for pid in stack.protocol_config.processor_ids},
+    )
+
+
 def _run_built(config, transport=None):
     """Build, record every envelope's metadata, run to duration.
 
@@ -52,7 +75,7 @@ def _run_built(config, transport=None):
     comparison happens in the lockstep transport-level test below, where
     the payloads are under test control.
     """
-    result = build_live_scenario(config, transport=transport)
+    result = build_scenario(config) if transport is None else _build_over(config, transport)
 
     def recorder(log):
         def listener(env):
@@ -312,13 +335,6 @@ def test_adversarial_delay_runs_on_the_deterministic_live_lane():
     assert _signature(live) == _signature(sim)
     assert live.fault_counts == sim.fault_counts
     assert live.fault_counts["partition_epochs"] == 1
-
-
-def test_explicit_transport_with_delay_model_is_rejected():
-    config = _scenario(0)
-    config.delay_model = FixedDelay(0.1)
-    with pytest.raises(ConfigurationError):
-        build_live_scenario(config, transport=LocalTransport())
 
 
 def test_fault_counters_base_names_and_epoch_idempotence():

@@ -1,9 +1,8 @@
 """Tests for the pluggable crypto backends and their threading through the stack.
 
-Covers the backend registry and semantics, the once-per-send digest hoisting
-in ``Network.broadcast`` (regression-tested via the backends' call counters),
-threshold-signature misuse under **each** backend, and the end-to-end claim
-that backends only change digest representation, never protocol outcomes.
+Covers the backend registry and semantics, threshold-signature misuse under
+**each** backend, and the end-to-end claim that backends only change digest
+representation, never protocol outcomes.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from repro.crypto.threshold import PartialSignature, ThresholdScheme
 from repro.errors import ConfigurationError, ThresholdError
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.runner.campaign import spec_key
-from repro.sim.events import Simulator
-from repro.sim.network import FixedDelay, Network, NetworkConfig
 
 ALL_BACKENDS = ("hashing", "counting")
 
@@ -158,67 +155,6 @@ def test_reset_counters(backend):
 
 
 # ----------------------------------------------------------------------
-# Broadcast hoists the payload digest out of the per-recipient loop
-# ----------------------------------------------------------------------
-class _Sink:
-    def __init__(self, pid):
-        self.pid = pid
-        self.received = []
-
-    def deliver(self, payload, sender):
-        self.received.append((payload, sender))
-
-
-def _network_with_backend(n, backend):
-    sim = Simulator(seed=0)
-    net = Network(
-        sim,
-        NetworkConfig(delta=1.0, actual_delay=0.1),
-        FixedDelay(0.1),
-        crypto_backend=backend,
-    )
-    for pid in range(n):
-        net.register(_Sink(pid))
-    return sim, net
-
-
-@pytest.mark.parametrize("backend_name", ALL_BACKENDS)
-def test_broadcast_digests_payload_once_not_once_per_recipient(backend_name):
-    backend = make_backend(backend_name)
-    sim, net = _network_with_backend(7, backend)
-    backend.reset_counters()
-    envelopes = net.broadcast(0, "the-proposal")
-    assert len(envelopes) == 7
-    assert backend.digest_calls == 1  # hoisted: one call for seven recipients
-    digests = {envelope.payload_digest for envelope in envelopes}
-    assert len(digests) == 1 and None not in digests
-
-
-def test_multicast_digests_payload_once():
-    backend = CountingBackend()
-    sim, net = _network_with_backend(5, backend)
-    backend.reset_counters()
-    net.multicast(0, [1, 2, 3], "batch")
-    assert backend.digest_calls == 1
-
-
-def test_send_attaches_payload_digest():
-    backend = CountingBackend()
-    sim, net = _network_with_backend(2, backend)
-    envelope = net.send(0, 1, "hello")
-    assert envelope.payload_digest == backend.digest("hello")
-
-
-def test_network_without_backend_attaches_no_digest():
-    sim = Simulator(seed=0)
-    net = Network(sim, NetworkConfig(), FixedDelay(0.1))
-    net.register(_Sink(0))
-    net.register(_Sink(1))
-    envelope = net.send(0, 1, "hello")
-    assert envelope.payload_digest is None
-
-
-# ----------------------------------------------------------------------
 # Threshold-signature misuse under each backend (satellite)
 # ----------------------------------------------------------------------
 def _scheme_with_keys(backend, n=4):
@@ -296,16 +232,6 @@ def test_lumiere_config_rejects_degenerate_success_overrides():
         LumiereConfig(protocol=protocol, success_qcs_override=0)
     with pytest.raises(ConfigurationError, match="success_leaders_override"):
         LumiereConfig(protocol=protocol, success_leaders_override=0)
-
-
-def test_scenario_metrics_expose_payload_identity():
-    """Envelope payload digests roll up into distinct-payload accounting."""
-    result = _run("counting")
-    metrics = result.metrics
-    assert metrics.distinct_payloads_sent > 0
-    assert metrics.distinct_payloads_sent < metrics.total_honest_messages
-    # Broadcast fan-out means each distinct payload averages > 1 envelope.
-    assert metrics.broadcast_amplification > 1.0
 
 
 def test_backends_produce_identical_decisions_and_stay_safe():

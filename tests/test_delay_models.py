@@ -18,12 +18,12 @@ import random
 
 import pytest
 
+from repro.runtime import FaultyTransport, LocalTransport, SimRuntime, Transport
 from repro.sim.events import Simulator
 from repro.sim.network import (
     AdversarialDelay,
     DelayContext,
     FixedDelay,
-    Network,
     NetworkConfig,
     PendingSend,
     PreGSTChaos,
@@ -40,12 +40,28 @@ class Sink:
         self.received.append((payload, sender))
 
 
+class Fabric:
+    """``model`` imposed under ``config`` on ``sim`` as ``build_scenario``
+    wires it; ``send`` hands back the envelope the transport minted."""
+
+    def __init__(self, sim: Simulator, config: NetworkConfig, model, n: int = 3) -> None:
+        self.transport = FaultyTransport(
+            LocalTransport(seed=sim.seed), schedule=model, network=config, schedule_seed=sim.seed
+        )
+        SimRuntime(sim, self.transport)
+        self.sent = []
+        self.transport.send_listeners.append(self.sent.append)
+        for pid in range(n):
+            self.transport.register(Sink(pid))
+
+    def send(self, sender: int, recipient: int, payload):
+        self.transport.send(sender, recipient, payload)
+        return self.sent[-1]
+
+
 def build_network(gst: float, delta: float, model, n: int = 3):
     sim = Simulator(seed=3)
-    net = Network(sim, NetworkConfig(delta=delta, gst=gst, actual_delay=delta / 2), model)
-    for pid in range(n):
-        net.register(Sink(pid))
-    return sim, net
+    return sim, Fabric(sim, NetworkConfig(delta=delta, gst=gst, actual_delay=delta / 2), model, n)
 
 
 HUGE_DELAY = AdversarialDelay(lambda pending, sim: 1e9, name="huge")
@@ -75,20 +91,17 @@ def test_delivery_time_floors_then_clamps(send_time, proposed, expected):
 @pytest.mark.parametrize("site", ["unicast", "constant-broadcast", "drawn-broadcast", "transport"])
 def test_every_send_path_decides_arrival_through_the_one_rule(site, monkeypatch):
     # Replace the rule; every call site must follow it — none re-states it.
+    # ("transport" is the inherited per-recipient broadcast every socket
+    # lane runs; the others go through the grouped paths.)
     monkeypatch.setattr(
         NetworkConfig, "delivery_time", lambda self, send_time, proposed: send_time + 0.75
     )
     config = NetworkConfig(delta=1.0, gst=0.0, actual_delay=0.1)
     sim = Simulator(seed=3)
     drawn = AdversarialDelay(lambda pending, ctx: 0.2, name="drawn")
-    if site == "transport":
-        from repro.runtime import FaultyTransport, LocalTransport, SimRuntime
-
-        fabric = FaultyTransport(LocalTransport(), schedule=drawn, network=config)
-        SimRuntime(sim, fabric)
-    else:
-        model = FixedDelay(0.2) if site == "constant-broadcast" else drawn
-        fabric = Network(sim, config, model)
+    model = FixedDelay(0.2) if site == "constant-broadcast" else drawn
+    fabric = FaultyTransport(LocalTransport(), schedule=model, network=config)
+    SimRuntime(sim, fabric)
     sinks = [Sink(pid) for pid in range(3)]
     arrivals = []
     for sink in sinks:
@@ -99,7 +112,8 @@ def test_every_send_path_decides_arrival_through_the_one_rule(site, monkeypatch)
         fabric.send(0, 1, "x")
         expected = [(1, 1.75)]
     else:
-        fabric.broadcast(0, "x")
+        broadcast = Transport.broadcast if site == "transport" else FaultyTransport.broadcast
+        broadcast(fabric, 0, "x")
         expected = [(0, 1.0), (1, 1.75), (2, 1.75)]
     sim.run()
     assert arrivals == expected
@@ -209,14 +223,11 @@ def test_pre_gst_chaos_switches_to_post_model_at_gst():
 
 def test_pre_gst_chaos_draw_is_deterministic_per_seed():
     def deliver_times(seed: int) -> list[float]:
-        sim = Simulator(seed=seed)
-        net = Network(
-            sim,
+        net = Fabric(
+            Simulator(seed=seed),
             NetworkConfig(delta=1.0, gst=50.0, actual_delay=0.1),
             PreGSTChaos(FixedDelay(0.1), pre_gst_max_delay=30.0),
         )
-        for pid in range(3):
-            net.register(Sink(pid))
         return [net.send(0, 1, i).deliver_time for i in range(5)]
 
     assert deliver_times(11) == deliver_times(11)

@@ -24,8 +24,9 @@ from repro.faults import (
 )
 from repro.pacemakers.base import PacemakerMessage
 from repro.runner import Campaign, Sweep, run_live_scenario, spec_key
+from repro.runtime import FaultyTransport, LocalTransport, SimRuntime
 from repro.sim.events import Simulator
-from repro.sim.network import DelayContext, FixedDelay, Network, NetworkConfig, PendingSend
+from repro.sim.network import DelayContext, FixedDelay, NetworkConfig, PendingSend
 
 
 class Sink:
@@ -42,7 +43,13 @@ class Sink:
 
 def build_network(n=4, gst=0.0, delta=1.0, actual=0.1, model=None):
     sim = Simulator(seed=1)
-    net = Network(sim, NetworkConfig(delta=delta, gst=gst, actual_delay=actual), model)
+    net = FaultyTransport(
+        LocalTransport(seed=1),
+        schedule=model or FixedDelay(actual),
+        network=NetworkConfig(delta=delta, gst=gst, actual_delay=actual),
+        schedule_seed=1,
+    )
+    SimRuntime(sim, net)
     sinks = [Sink(i, sim) for i in range(n)]
     for sink in sinks:
         net.register(sink)

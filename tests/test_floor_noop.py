@@ -150,7 +150,7 @@ def test_frames_below_the_floor_are_no_ops(settled, recent):
         ),
     )
     before = _protocol_state(replica)
-    sent_before = settled.network.messages_sent
+    sent_before = settled.transport.messages_sent
     for frame, sender in (
         (vote, 1),
         (NewView(view=view, high_qc=seen_qc), 1),
@@ -159,7 +159,7 @@ def test_frames_below_the_floor_are_no_ops(settled, recent):
         (QCAnnounce(view=view, qc=seen_qc, block=stale_block), 3),
     ):
         replica.on_message(frame, sender)
-    assert settled.network.messages_sent == sent_before
+    assert settled.transport.messages_sent == sent_before
     assert _protocol_state(replica) == before
 
 

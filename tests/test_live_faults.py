@@ -1,19 +1,35 @@
-"""Cross-runtime conformance suite: every named scenario, sim vs live.
+"""Conformance suite of the virtual-time lane: every named scenario.
 
-The chaos layer's headline guarantee (ISSUE 7 acceptance): for *every*
-scenario in the ``repro.faults`` registry, a zero-jitter live run on the
-simulator kernel (:class:`~repro.runtime.simulation.SimRuntime` over a
-:class:`~repro.runtime.transports.LocalTransport`) — delay schedules
-imposed by a :class:`~repro.runtime.chaos.FaultyTransport` — reaches
-exactly the simulated network's decisions, ledgers and fault counts, across
-multiple seeds, with zero safety violations and the injected-fault counters
-the scenario implies.  A TCP wall-clock subset (marked ``tcp``) smoke-tests the real
-socket lane, where the schedule is an approximation by design.
+Two kinds of check:
+
+* **Golden fingerprints.**  ``tests/data/lane_fingerprints.json`` was
+  captured through ``run_scenario`` on the commit *before* the simulated
+  ``Network`` fabric was deleted (``python tests/test_live_faults.py
+  --capture`` with that commit's ``src`` on the path): decisions with their
+  times, every replica's ledger, the fabric's sent / delivered totals, the
+  honest message count and ``fault_counts`` of all twelve ``repro.faults``
+  scenarios x three seeds, plus three fault-free seeds.  That fabric
+  survives only as this file; the transport stack — a
+  :class:`~repro.runtime.transports.LocalTransport` on the simulator
+  kernel, schedules imposed by a
+  :class:`~repro.runtime.chaos.FaultyTransport` — must reproduce every cell
+  exactly (:func:`assert_reproduces_the_captured_fabric`, also run by
+  ``tests/test_live_runtime.py`` on the fault-free cells).
+* **Counters and campaigns.**  Every scenario reports the injected-fault
+  counters it implies, replays deterministically, and runs under the
+  ``live`` campaign backend.  A TCP wall-clock subset (marked ``tcp``)
+  smoke-tests the real socket lane, where the schedule is an approximation
+  by design.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +39,8 @@ from repro.runner import Campaign, Sweep, make_live_cluster, run_live_scenario
 from repro.runtime.chaos import BASE_FAULT_COUNTS
 from repro.sim.network import DelayModel
 
+GOLDEN = Path(__file__).parent / "data" / "lane_fingerprints.json"
+SEEDS = (0, 1, 2)
 ALL_SCENARIOS = tuple(available_scenarios())
 
 #: Faster knobs for scenarios whose defaults are sized for long runs: the
@@ -73,28 +91,64 @@ def _ledgers(replicas):
     return {pid: replica.ledger.block_ids for pid, replica in replicas.items()}
 
 
+def _fault_free_config(seed: int) -> ScenarioConfig:
+    return ScenarioConfig(
+        n=4, pacemaker="lumiere", delta=1.0, actual_delay=0.1, gst=0.0,
+        duration=30.0, seed=seed, record_trace=False,
+    )
+
+
+def _digest(values) -> str:
+    return f"{len(values)}:" + hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def lane_fingerprint(result) -> dict:
+    """Everything a message fabric could disturb, small enough to commit."""
+    # ``result.network``: only the capturing commit's ``run_scenario`` has it.
+    fabric = result.transport if result.transport is not None else result.network
+    return {
+        "decisions": _digest(_decisions(result.metrics)),
+        "ledgers": {
+            str(pid): _digest(list(replica.ledger.block_ids))
+            for pid, replica in sorted(result.replicas.items())
+        },
+        "messages_sent": fabric.messages_sent,
+        "messages_delivered": fabric.messages_delivered,
+        "honest_messages": result.metrics.total_honest_messages,
+        "fault_counts": result.fault_counts,
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def _cells() -> dict[str, ScenarioConfig]:
+    cells = {f"{name}/{seed}": _config(name, seed) for name in ALL_SCENARIOS for seed in SEEDS}
+    cells.update({f"fault_free/{seed}": _fault_free_config(seed) for seed in SEEDS})
+    return cells
+
+
+def assert_reproduces_the_captured_fabric(cell: str) -> None:
+    """Run golden cell ``cell`` and compare it with its captured fingerprint."""
+    result = run_scenario(_cells()[cell])
+    assert result.ledgers_are_consistent()
+    assert lane_fingerprint(result) == _golden()[cell]
+
+
 # ----------------------------------------------------------------------
-# The conformance matrix: every scenario x three seeds
+# The golden matrix: every scenario x three seeds (+ three fault-free cells)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_golden_file_covers_every_cell():
+    assert sorted(_golden()) == sorted(_cells())
+    assert len(_cells()) == 39
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_scenario_live_run_matches_simulator(name, seed):
-    config = _config(name, seed)
-    sim = run_scenario(config)
-    live = run_live_scenario(config)
-
-    assert _decisions(live.metrics) == _decisions(sim.metrics)
-    assert _ledgers(live.replicas) == _ledgers(sim.replicas)
-    assert live.ledgers_are_consistent()
-    assert sim.ledgers_are_consistent()
-    assert live.committed_blocks() == sim.committed_blocks()
-    # Same wire accounting: every send the simulated network minted, the
-    # live transport minted too (and vice versa).
-    assert live.transport.messages_sent == sim.network.messages_sent
-    assert live.transport.messages_delivered == sim.network.messages_delivered
-    # Same faults, counted where they happen by the same schedule objects
-    # and the same replicas.
-    assert live.fault_counts == sim.fault_counts
+    assert_reproduces_the_captured_fabric(f"{name}/{seed}")
 
 
 @pytest.mark.parametrize("run", [run_scenario, run_live_scenario])
@@ -228,3 +282,12 @@ def test_tcp_cluster_runs_chaotic_scenarios(name):
         assert counts["kills"] >= 1 and counts["restarts"] >= 1
     else:
         assert counts["partition_epochs"] >= 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--capture"]:
+        sys.exit("usage: python tests/test_live_faults.py --capture")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    cells = {cell: lane_fingerprint(run_scenario(config)) for cell, config in _cells().items()}
+    GOLDEN.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(cells)} cells to {GOLDEN}")

@@ -1,10 +1,10 @@
-"""Live-runtime integration tests: sim equivalence, determinism, TCP smoke.
+"""Live-runtime integration tests: golden fault-free runs, how a run ends,
+jitter, the wall clock, the ``live`` campaign backend, TCP smoke.
 
-The headline property (ISSUE 5 acceptance): the transport stack — a seeded
-zero-jitter ``LocalTransport`` on the simulator kernel — reaches exactly the
-same decisions and ledgers as the simulated network for the same scenario,
-across multiple seeds — the protocol core genuinely does not know which
-fabric it is on.
+The transport stack — a seeded zero-jitter ``LocalTransport`` on the
+simulator kernel — reaches exactly the decisions and ledgers the simulated
+``Network`` fabric it replaced reached for the same scenario
+(``tests/data/lane_fingerprints.json``, see ``tests/test_live_faults.py``).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.runner import (
 )
 from repro.runtime import MonotonicClock
 from repro.sim.network import FixedDelay
+from test_live_faults import assert_reproduces_the_captured_fabric
 
 
 def _scenario(seed: int, **overrides) -> ScenarioConfig:
@@ -52,24 +53,15 @@ def _ledgers(replicas):
 
 
 # ----------------------------------------------------------------------
-# Equivalence: SimRuntime + seeded LocalTransport == SimRuntime + Network
+# Golden: SimRuntime + seeded LocalTransport == the captured Network fabric
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_local_transport_reproduces_simulator_exactly(seed):
-    config = _scenario(seed)
-    sim = run_scenario(config)
-    live = run_live_scenario(config)  # zero jitter, virtual time
-
-    assert _decisions(live.metrics) == _decisions(sim.metrics)
-    assert _ledgers(live.replicas) == _ledgers(sim.replicas)
-    assert live.committed_blocks() == sim.committed_blocks() > 0
-    assert live.ledgers_are_consistent()
-    # The wire accounting agrees too: same sends, same deliveries.
-    assert live.transport.messages_sent == sim.network.messages_sent
-    assert live.transport.messages_delivered == sim.network.messages_delivered
+    assert_reproduces_the_captured_fabric(f"fault_free/{seed}")
 
 
 def test_equivalence_holds_under_faults():
+    # run_live_scenario is run_scenario plus knobs: with none set, one run.
     config = _scenario(3)
     config.corruption = spread_corruption(
         config.protocol_config(), 1, SilentLeaderBehaviour
@@ -78,7 +70,7 @@ def test_equivalence_holds_under_faults():
     live = run_live_scenario(config)
     assert _decisions(live.metrics) == _decisions(sim.metrics)
     assert _ledgers(live.replicas) == _ledgers(sim.replicas)
-    assert live.ledgers_are_consistent()
+    assert live.ledgers_are_consistent() and live.committed_blocks() > 0
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +131,7 @@ def test_live_runs_execute_simulator_adversaries():
     assert result.ledgers_are_consistent()
     assert result.fault_counts["partition_epochs"] >= 1
 
-    # Transport jitter on top of a schedule would break sim parity.
+    # Transport jitter on top of a schedule is rejected, not added.
     with pytest.raises(ConfigurationError):
         run_live_scenario(named, jitter=0.05)
 

@@ -30,7 +30,7 @@ def test_processes_exchange_messages(ctx):
     a = Echo(0, ctx)
     b = Echo(1, ctx)
     a.send(1, "ping")
-    ctx.sim.run()
+    ctx.runtime.sim.run()
     assert ("ping", 0) in b.received
     assert ("pong", 1) in a.received
 
@@ -41,7 +41,7 @@ def test_crashed_process_neither_sends_nor_receives(ctx):
     b.crash()
     a.send(1, "ping")
     b.send(0, "never")
-    ctx.sim.run()
+    ctx.runtime.sim.run()
     assert b.received == []
     assert a.received == []
     assert b.crashed
@@ -51,14 +51,14 @@ def test_broadcast_includes_self(ctx):
     a = Echo(0, ctx)
     Echo(1, ctx)
     a.broadcast("hello")
-    ctx.sim.run()
+    ctx.runtime.sim.run()
     assert ("hello", 0) in a.received
 
 
 def test_local_time_tracks_clock(ctx):
     a = Echo(0, ctx)
-    ctx.sim.schedule(4.0, lambda: None)
-    ctx.sim.run()
+    ctx.runtime.sim.schedule(4.0, lambda: None)
+    ctx.runtime.sim.run()
     assert a.local_time == pytest.approx(4.0)
     assert a.now == pytest.approx(4.0)
 

@@ -1,4 +1,4 @@
-"""Unit tests for the runtime seam: SimRuntime (both fabrics), AsyncioRuntime, codec, dispatch."""
+"""Unit tests for the runtime seam: SimRuntime, AsyncioRuntime, codec, dispatch."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.runtime import (
     AsyncioRuntime,
+    FaultyTransport,
     LocalTransport,
     MonotonicClock,
     RuntimeContext,
@@ -24,11 +25,11 @@ from repro.runtime import (
 from repro.runtime.codec import WireCodec
 from repro.sim.clock import LocalClock
 from repro.sim.events import Simulator
-from repro.sim.network import Envelope, FixedDelay, Network, NetworkConfig
+from repro.sim.network import AdversarialDelay, Envelope, FixedDelay, NetworkConfig
 
 
 # ----------------------------------------------------------------------
-# SimRuntime: thin adapter over Simulator + Network
+# SimRuntime: thin adapter over Simulator + a Transport
 # ----------------------------------------------------------------------
 class _Sink:
     def __init__(self, pid):
@@ -39,14 +40,14 @@ class _Sink:
         self.received.append((payload, sender))
 
 
-def _sim_runtime():
+def _transport_runtime(**transport_kwargs):
     sim = Simulator(seed=0)
-    network = Network(sim, NetworkConfig(delta=1.0), delay_model=FixedDelay(0.1))
-    return sim, network, SimRuntime(sim, network)
+    transport = LocalTransport(**transport_kwargs)
+    return sim, SimRuntime(sim, transport), transport
 
 
 def test_sim_runtime_timers_and_messaging():
-    sim, network, runtime = _sim_runtime()
+    sim, runtime, _ = _transport_runtime(delay=0.1)
     a, b = _Sink(0), _Sink(1)
     runtime.register(a)
     runtime.register(b)
@@ -66,7 +67,7 @@ def test_sim_runtime_timers_and_messaging():
 
 
 def test_sim_runtime_timer_cancellation():
-    sim, _, runtime = _sim_runtime()
+    sim, runtime, _ = _transport_runtime()
     fired = []
     handle = runtime.set_timer_at(1.0, lambda: fired.append("x"))
     handle.cancel()
@@ -75,33 +76,13 @@ def test_sim_runtime_timer_cancellation():
     assert fired == []
 
 
-def test_sim_context_runtime_is_cached():
-    from repro.sim.process import SimContext
-
-    sim = Simulator(seed=0)
-    network = Network(sim, NetworkConfig(delta=1.0))
-    ctx = SimContext(sim=sim, network=network)
-    assert ctx.runtime is ctx.runtime
-    assert ctx.runtime.sim is sim
-    assert ctx.runtime.network is network
-
-
-# ----------------------------------------------------------------------
-# SimRuntime over a Transport: the deterministic live lane's kernel
-# ----------------------------------------------------------------------
-def _transport_runtime(**transport_kwargs):
-    sim = Simulator(seed=0)
-    transport = LocalTransport(**transport_kwargs)
-    return sim, SimRuntime(sim, transport), transport
-
-
 def test_sim_runtime_binds_the_transport_it_is_built_over():
     unbound = LocalTransport()
     with pytest.raises(ConfigurationError, match="not bound to a runtime"):
         unbound.runtime
     _, runtime, transport = _transport_runtime()
     assert transport.runtime is runtime
-    assert runtime.network is transport
+    assert runtime.transport is transport
 
 
 def test_transport_runtime_orders_timers_by_time_then_insertion():
@@ -165,22 +146,23 @@ def test_transport_runtime_zero_delay_chain_trips_budget():
         sim.run(until=1.0)
 
 
-def test_per_recipient_fan_in_trips_budget_and_the_error_names_it(monkeypatch):
-    # n broadcasts at one instant are n^2 per-recipient deliveries at one
-    # later instant on a LocalTransport (n = 317 at the real budget); the
-    # grouped-delivery Network spends one event per broadcast on the same
-    # round and stays below it.
-    n = 8
-    monkeypatch.setattr(Simulator, "MAX_EVENTS_PER_TIMESTAMP", n * (n - 1) - 1)
-    sim, runtime, _ = _transport_runtime(delay=0.1)
-    for pid in range(n):
-        runtime.register(_Sink(pid))
-    for pid in range(n):
-        runtime.broadcast(pid, "all-to-all")
-    with pytest.raises(SimulationError, match="fan-in of per-recipient deliveries"):
-        sim.run(until=1.0)
-
-    sim, network, runtime = _sim_runtime()
+@pytest.mark.parametrize("scheduled", [False, True], ids=["bare", "scheduled"])
+def test_an_all_to_all_round_at_n_320_stays_far_below_the_real_budget(scheduled):
+    # n^2 = 102 400 deliveries land inside one round; one event per broadcast
+    # per distinct delivery time keeps every instant far below the budget.
+    n = 320
+    transport = LocalTransport(delay=0.1)
+    if scheduled:
+        # Three delivery times a broadcast: at most 3n events an instant.
+        transport = FaultyTransport(
+            LocalTransport(),
+            schedule=AdversarialDelay(
+                lambda pending, ctx: 0.1 * ctx.rng.randrange(1, 4), name="three-steps"
+            ),
+            network=NetworkConfig(delta=1.0),
+        )
+    sim = Simulator(seed=0)
+    runtime = SimRuntime(sim, transport)
     sinks = [_Sink(pid) for pid in range(n)]
     for sink in sinks:
         runtime.register(sink)
@@ -188,6 +170,35 @@ def test_per_recipient_fan_in_trips_budget_and_the_error_names_it(monkeypatch):
         runtime.broadcast(pid, "all-to-all")
     sim.run(until=1.0)
     assert all(len(sink.received) == n for sink in sinks)
+    assert transport.messages_delivered == n * n > Simulator.MAX_EVENTS_PER_TIMESTAMP
+    assert sim.events_processed <= 4 * n
+
+
+def test_a_zero_delay_schedule_without_min_delay_still_raises(monkeypatch):
+    # The guard's one honest cause: a message chain that never advances time.
+    monkeypatch.setattr(Simulator, "MAX_EVENTS_PER_TIMESTAMP", 1000)
+
+    def storm(network):
+        sim = Simulator(seed=0)
+        transport = FaultyTransport(LocalTransport(), schedule=FixedDelay(0.0), network=network)
+        SimRuntime(sim, transport)
+
+        class _Echo(_Sink):
+            def deliver(self, payload, sender):
+                transport.broadcast(self.pid, payload, include_self=False)
+
+        for pid in range(4):
+            transport.register(_Echo(pid))
+        transport.broadcast(0, "storm", include_self=False)
+        return sim
+
+    sim = storm(NetworkConfig(delta=1.0))
+    with pytest.raises(SimulationError, match="zero-delay event chain.*min_delay floor"):
+        sim.run(until=1.0)
+    assert sim.now == 0.0
+    sim = storm(NetworkConfig(delta=1.0, min_delay=0.05))
+    sim.run(until=0.2)
+    assert sim.now == 0.2
 
 
 def test_local_clock_runs_on_a_transport_runtime():
@@ -393,10 +404,10 @@ def test_engine_dispatch_handles_subclasses_and_unknowns():
 # Tuple-backed Envelope
 # ----------------------------------------------------------------------
 def test_envelope_is_tuple_backed_and_keyword_compatible():
-    positional = Envelope(1, 0, 1, "p", 0.0, 0.5, None)
+    positional = Envelope(1, 0, 1, "p", 0.0, 0.5)
     keyword = Envelope(
         msg_id=1, sender=0, recipient=1, payload="p",
-        send_time=0.0, deliver_time=0.5, payload_digest=None,
+        send_time=0.0, deliver_time=0.5,
     )
     assert positional == keyword
     assert isinstance(positional, tuple)

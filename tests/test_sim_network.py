@@ -1,16 +1,19 @@
-"""Unit tests for the partial-synchrony network model."""
+"""Unit tests for the partial-synchrony network model, as the virtual-time
+fabric applies it: a :class:`~repro.runtime.transports.LocalTransport` on the
+simulator kernel, the delay model imposed by a
+:class:`~repro.runtime.chaos.FaultyTransport`."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.runtime import FaultyTransport, LocalTransport, SimRuntime
 from repro.sim.events import Simulator
 from repro.sim.network import (
     AdversarialDelay,
     Envelope,
     FixedDelay,
-    Network,
     NetworkConfig,
     PreGSTChaos,
     TargetedDelay,
@@ -30,9 +33,20 @@ class Sink:
         self.received.append((payload, sender, self.sim.now))
 
 
+def fabric(sim, config, model):
+    """``model`` imposed under ``config`` on ``sim``, as ``build_scenario`` wires it."""
+    net = FaultyTransport(
+        LocalTransport(seed=sim.seed), schedule=model, network=config, schedule_seed=sim.seed
+    )
+    SimRuntime(sim, net)
+    return net
+
+
 def build(n=3, gst=0.0, delta=1.0, actual=0.1, model=None):
     sim = Simulator(seed=1)
-    net = Network(sim, NetworkConfig(delta=delta, gst=gst, actual_delay=actual), model)
+    net = fabric(
+        sim, NetworkConfig(delta=delta, gst=gst, actual_delay=actual), model or FixedDelay(actual)
+    )
     sinks = [Sink(i, sim) for i in range(n)]
     for sink in sinks:
         net.register(sink)
@@ -106,12 +120,17 @@ def test_broadcast_can_exclude_sender():
 
 
 def test_multicast_targets_only_listed_recipients():
+    # The grouped-send primitive is the fabric's multicast: one entry per
+    # recipient, one event for the entries that share a delay.
     sim, net, sinks = build(n=4)
-    net.multicast(0, [1, 3], "sel")
+    net.inner.send_grouped(0, "sel", [(1, 0.1, True), (3, 0.1, True)])
     sim.run()
+    assert sim.events_processed == 1
     assert len(sinks[1].received) == 1
     assert len(sinks[3].received) == 1
     assert sinks[2].received == []
+    with pytest.raises(SimulationError):
+        net.inner.send_grouped(0, "sel", [(1, 0.1, True), (99, 0.1, True)])
 
 
 def test_unknown_recipient_rejected():
@@ -199,11 +218,7 @@ def test_config_accepts_min_delay_equal_to_actual_delay():
 
 def test_min_delay_floors_a_zero_delay_model():
     sim = Simulator(seed=1)
-    net = Network(
-        sim,
-        NetworkConfig(delta=1.0, actual_delay=0.1, min_delay=0.05),
-        FixedDelay(0.0),
-    )
+    net = fabric(sim, NetworkConfig(delta=1.0, actual_delay=0.1, min_delay=0.05), FixedDelay(0.0))
     sinks = [Sink(i, sim) for i in range(2)]
     for sink in sinks:
         net.register(sink)
@@ -214,7 +229,7 @@ def test_min_delay_floors_a_zero_delay_model():
 
 def test_min_delay_does_not_slow_self_messages():
     sim = Simulator(seed=1)
-    net = Network(sim, NetworkConfig(actual_delay=0.5, min_delay=0.5), FixedDelay(0.0))
+    net = fabric(sim, NetworkConfig(actual_delay=0.5, min_delay=0.5), FixedDelay(0.0))
     sink = Sink(0, sim)
     net.register(sink)
     net.send(0, 0, "to-self")
@@ -225,7 +240,7 @@ def test_min_delay_does_not_slow_self_messages():
 class PingPong(Sink):
     """Replies to every delivery, creating an unbounded message chain."""
 
-    def __init__(self, pid: int, sim: Simulator, net: Network) -> None:
+    def __init__(self, pid: int, sim: Simulator, net: FaultyTransport) -> None:
         super().__init__(pid, sim)
         self.net = net
 
@@ -237,7 +252,7 @@ class PingPong(Sink):
 def test_zero_delay_model_without_floor_raises_instead_of_hanging():
     sim = Simulator(seed=1)
     sim.MAX_EVENTS_PER_TIMESTAMP = 100
-    net = Network(sim, NetworkConfig(delta=1.0, actual_delay=0.1), FixedDelay(0.0))
+    net = fabric(sim, NetworkConfig(delta=1.0, actual_delay=0.1), FixedDelay(0.0))
     players = [PingPong(i, sim, net) for i in range(2)]
     for player in players:
         net.register(player)
@@ -248,11 +263,7 @@ def test_zero_delay_model_without_floor_raises_instead_of_hanging():
 
 def test_zero_delay_model_with_floor_terminates():
     sim = Simulator(seed=1)
-    net = Network(
-        sim,
-        NetworkConfig(delta=1.0, actual_delay=0.1, min_delay=0.01),
-        FixedDelay(0.0),
-    )
+    net = fabric(sim, NetworkConfig(delta=1.0, actual_delay=0.1, min_delay=0.01), FixedDelay(0.0))
     players = [PingPong(i, sim, net) for i in range(2)]
     for player in players:
         net.register(player)
@@ -280,7 +291,8 @@ def test_send_and_deliver_listeners_fire():
 
 def test_envelope_identifies_self_messages():
     sim, net, sinks = build()
-    envelope = net.send(1, 1, "me")
-    assert envelope.is_self_message
-    envelope = net.send(1, 2, "you")
-    assert not envelope.is_self_message
+    sent: list[Envelope] = []
+    net.send_listeners.append(sent.append)
+    net.send(1, 1, "me")
+    net.send(1, 2, "you")
+    assert [envelope.is_self_message for envelope in sent] == [True, False]

@@ -1,8 +1,8 @@
 """Coalesced TCP writes: byte-stream equivalence, drop accounting, teardown errors.
 
 The writer-coalescing optimisation (``TcpTransport(coalesce_writes=...)``)
-follows the ``Network.batch_deliveries`` pattern: the fast path ships with a
-toggle selecting the per-frame reference path, and a test proves the two are
+ships with a toggle selecting the per-frame reference path, and a test
+proves the two are
 observationally identical — here, that the *byte stream* a peer receives is
 identical, which is the strongest statement possible for a framed protocol
 (the receiver cannot even in principle distinguish the paths).

@@ -72,6 +72,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.experiments.scenario import ScenarioConfig
 from repro.runner.live import make_live_cluster
 from repro.runtime import DEFAULT_RING_BYTES
+from repro.sim.network import BASE_FAULT_COUNTS
 from repro.version import __version__
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -139,6 +140,7 @@ async def _run_cell(
     finally:
         await cluster.stop()
     consistent = cluster.ledgers_are_consistent()
+    counts = cluster.metrics.counts
     latencies = _commit_latencies(cluster.metrics)
     decisions = [(d.view, d.leader) for d in cluster.metrics.honest_decisions()]
     return {
@@ -156,9 +158,9 @@ async def _run_cell(
         "commit_latency_p99": round(_percentile(latencies, 0.99), 5) if latencies else None,
         "commit_samples": len(latencies),
         "ledgers_consistent": consistent,
-        "frames_dropped": cluster.frames_dropped,
+        "frames_dropped": counts["frames_dropped"],
         "teardown_errors": list(cluster.teardown_errors),
-        "fault_counts": dict(cluster.metrics.fault_counts),
+        "fault_counts": {name: counts[name] for name in (*BASE_FAULT_COUNTS, "frames_dropped")},
         "decisions": decisions,
     }
 

@@ -84,6 +84,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.runner.live import make_live_cluster
 from repro.runner.workload import WorkloadConfig
+from repro.sim.network import FLUSH_COUNTS
 from repro.version import __version__
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -123,9 +124,12 @@ def _in_views(latency: Optional[float], blocks_per_sec: float) -> Optional[float
     return round(latency * blocks_per_sec, 2)
 
 
-def _gateway_counts(metrics) -> dict:
+def _gateway_counts(counts: dict) -> dict:
     """Which trigger flushed the gateways, and the forwards they sent."""
-    return {"flushes": dict(metrics.flushes), "forwards_sent": metrics.forwards_sent}
+    return {
+        "flushes": {trigger: counts[name] for trigger, name in FLUSH_COUNTS.items()},
+        "forwards_sent": counts["forwards_sent"],
+    }
 
 
 def _commit_latencies(metrics) -> list[float]:
@@ -161,15 +165,16 @@ def run_virtual_time_cell(n: int, seed: int) -> dict:
         duration=30.0, seed=seed, record_trace=False, workload=workload,
     )
     result = run_scenario(config)
+    counts = result.metrics.counts
     return {
         "n": n,
         "seed": seed,
         "ledgers_consistent": result.ledgers_are_consistent(),
         "kv_digests_agree": len(set(result.kv_digests().values())) == 1,
         "requests_applied": result.metrics.requests_applied,
-        "requests_submitted": result.metrics.requests_submitted,
+        "requests_submitted": counts["requests_submitted"],
         "duplicates_per_applied": round(result.duplicates_per_applied(), 5),
-        **_gateway_counts(result.metrics),
+        **_gateway_counts(counts),
     }
 
 
@@ -195,11 +200,12 @@ async def _run_matrix_cell(
     finally:
         await cluster.stop()
     metrics = cluster.metrics
+    counts = metrics.counts
     request_latencies = sorted(metrics.request_latencies())
     commit_latencies = _commit_latencies(metrics)
     result = cluster.result()
     digests = result.kv_digests()
-    submitted = metrics.requests_submitted
+    submitted = counts["requests_submitted"]
     applied = metrics.requests_applied
     request_p50 = _percentile(request_latencies, 0.50)
     blocks = cluster.min_committed()
@@ -212,10 +218,10 @@ async def _run_matrix_cell(
         "run_time": round(run_time, 4),
         "bootstrap_time": round(bootstrap_time, 4),
         "requests_submitted": submitted,
-        "requests_rejected": metrics.requests_rejected,
+        "requests_rejected": counts["requests_rejected"],
         "requests_applied": applied,
-        "requests_redispatched": metrics.requests_redispatched,
-        **_gateway_counts(metrics),
+        "requests_redispatched": counts["requests_redispatched"],
+        **_gateway_counts(counts),
         "duplicates_per_applied": round(result.duplicates_per_applied(), 5),
         "completion": round(applied / submitted, 5) if submitted else None,
         "requests_per_sec": round(applied / run_time, 2) if run_time > 0 else 0.0,
@@ -231,7 +237,7 @@ async def _run_matrix_cell(
         "ledgers_consistent": cluster.ledgers_are_consistent(),
         "kv_chains_consistent": cluster.kv_consistent(),
         "kv_digests_agree": len(set(digests.values())) == 1 if digests else False,
-        "frames_dropped": cluster.frames_dropped,
+        "frames_dropped": counts["frames_dropped"],
         "teardown_errors": list(cluster.teardown_errors),
     }
 
@@ -323,6 +329,7 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
     finally:
         await cluster.stop()
     metrics = cluster.metrics
+    counts = metrics.counts
     started = min(entries[0][0] for entries in metrics.view_entries.values() if entries)
     per_pid: dict[int, list[float]] = {pid: [] for pid in metrics.view_entries}
     for commit in metrics.commits:
@@ -364,14 +371,14 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
             1e3 * (cpu_at(started + window) - cpu_at(started)) / whole, 3
         ) if whole else None,
         "frames_sent": metrics.total_honest_messages,
-        "frames_decoded": cluster.frames_decoded,
+        "frames_decoded": counts["frames_decoded"],
         "decodes_per_frame": round(
-            cluster.frames_decoded / metrics.total_honest_messages, 3
+            counts["frames_decoded"] / metrics.total_honest_messages, 3
         ) if metrics.total_honest_messages else None,
-        "requests_submitted": metrics.requests_submitted,
+        "requests_submitted": counts["requests_submitted"],
         "requests_applied": metrics.requests_applied,
-        "requests_redispatched": metrics.requests_redispatched,
-        **_gateway_counts(metrics),
+        "requests_redispatched": counts["requests_redispatched"],
+        **_gateway_counts(counts),
         "duplicates_per_applied": round(cluster.result().duplicates_per_applied(), 5),
         "ledgers_consistent": cluster.ledgers_are_consistent(),
         "teardown_errors": [e for e in cluster.teardown_errors if "ring full" not in e],

@@ -40,7 +40,7 @@ def virtual_time_lane(args: argparse.Namespace) -> bool:
     print("virtual-time lane (simulator kernel, in-memory transport)")
     print("-" * 48)
     print(f"requests applied               : {metrics.requests_applied}"
-          f"/{metrics.requests_submitted}")
+          f"/{metrics.counts['requests_submitted']}")
     print(f"request p50 / p99              : "
           f"{metrics.request_latency_percentile(0.5):.3f}s / "
           f"{metrics.request_latency_percentile(0.99):.3f}s (virtual time)")
@@ -48,7 +48,7 @@ def virtual_time_lane(args: argparse.Namespace) -> bool:
     print(f"duplicates per applied request : {result.duplicates_per_applied():.3f}")
     print()
     return (
-        metrics.requests_applied == metrics.requests_submitted
+        metrics.requests_applied == metrics.counts["requests_submitted"]
         and len(set(digests.values())) == 1
         and result.duplicates_per_applied() <= 0.02
     )
@@ -78,7 +78,7 @@ async def tcp_lane(args: argparse.Namespace) -> bool:
     metrics = cluster.metrics
     latencies = sorted(metrics.request_latencies())
     digests = cluster.kv_digests()
-    applied, submitted = metrics.requests_applied, metrics.requests_submitted
+    applied, submitted = metrics.requests_applied, metrics.counts["requests_submitted"]
     print()
     print(f"TCP lane (n={args.n}, Delta={args.delta}s, {placement} placement)")
     print("-" * 48)

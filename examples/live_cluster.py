@@ -68,10 +68,11 @@ async def run_cluster(args: argparse.Namespace) -> int:
     now = time.monotonic()
     elapsed, run_elapsed = now - started, now - run_started
     await cluster.stop()
-    consistent = cluster.ledgers_are_consistent()
-    decisions = len(cluster.metrics.honest_decisions())
-    sent = cluster.messages_sent
-    commits_total = sum(len(ids) for ids in cluster.ledger_ids.values())
+    result = cluster.result()
+    consistent = result.ledgers_are_consistent()
+    decisions = result.honest_decisions()
+    sent = result.metrics.counts["messages_sent"]
+    commits_total = sum(len(r.ledger) for r in result.residues().values())
 
     print()
     print(

@@ -25,7 +25,7 @@ a real transport.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.adversary.behaviours import Behaviour, HonestBehaviour
 from repro.config import ProtocolConfig
@@ -37,11 +37,29 @@ from repro.consensus.mempool import Mempool
 from repro.consensus.messages import ConsensusMessage
 from repro.consensus.quorum import QuorumCertificate
 from repro.consensus.safety import SafetyRules
+from repro.crypto.backend import PackedDigests
 from repro.crypto.signatures import PKI, SigningKey
 from repro.crypto.threshold import ThresholdScheme
 from repro.metrics.collector import MetricsCollector
 from repro.sim.process import Process
 from repro.statemachine.messages import ClientMessage, CommandForward
+
+
+class ReplicaResidue(NamedTuple):
+    """What one replica leaves behind, picklable: everything a run's
+    per-replica queries read, built by :meth:`Replica.residue` — from the
+    live replica, or in a worker process and shipped as is."""
+
+    #: Committed block ids, packed.
+    ledger: PackedDigests
+    #: KV state digest (``None`` without a workload).
+    kv_digest: Optional[str]
+    #: KV apply chain, packed (empty without a workload).
+    kv_chain: PackedDigests
+    #: Client-path counts (empty without a workload): the batches the
+    #: mempool gave up on and the committed duplicates the exactly-once
+    #: filter skipped.
+    client_counts: dict[str, int]
 
 
 class Replica(Process):
@@ -112,7 +130,7 @@ class Replica(Process):
         and — when ``recover_at`` is not ``None`` — restarts it at its end,
         so churn behaviours can take a replica down and up repeatedly.
         :meth:`crash` and :meth:`recover` count each transition as it
-        happens, into the run's fault counters.
+        happens, into the run's counter bag.
         """
         windows = self.behaviour.downtime_windows()
         for crash_at, recover_at in windows:
@@ -128,12 +146,12 @@ class Replica(Process):
     def crash(self) -> None:
         """Stop the replica, counting the kill."""
         super().crash()
-        self.metrics.faults.bump("kills")
+        self.metrics.counters.bump("kills")
 
     def recover(self) -> None:
         """Restart the replica, counting the restart if it was down."""
         if self.crashed:
-            self.metrics.faults.bump("restarts")
+            self.metrics.counters.bump("restarts")
         super().recover()
 
     # ------------------------------------------------------------------
@@ -217,7 +235,7 @@ class Replica(Process):
 
     def on_qc_observed(self, qc: QuorumCertificate) -> None:
         """This replica learned of a QC (its own or another leader's)."""
-        self.metrics.record_qc()
+        self.metrics.counters.bump("qc_count")
         self.trace("qc_observed", view=qc.view)
         self.pacemaker.on_qc(qc)
 
@@ -255,6 +273,22 @@ class Replica(Process):
                 self.mempool.ingest(payload.batch)
             else:
                 self.mempool.refuse()
+
+    def residue(self) -> ReplicaResidue:
+        """This replica's :class:`ReplicaResidue`, as of now."""
+        ledger = PackedDigests(self.ledger.block_ids)
+        machine = self.state_machine
+        if machine is None:
+            return ReplicaResidue(ledger, None, PackedDigests(), {})
+        return ReplicaResidue(
+            ledger,
+            machine.digest(),
+            PackedDigests(machine.apply_chain),
+            {
+                "mempool.expired": self.mempool.expired,
+                "store.duplicates_skipped": machine.store.duplicates_skipped,
+            },
+        )
 
     # ------------------------------------------------------------------
     # Epoch-synchronisation accounting (used by epoch-based pacemakers)

@@ -178,7 +178,8 @@ class PackedDigests:
     __slots__ = ("data",)
 
     def __init__(self, digests: Iterable[str] = ()) -> None:
-        self.data = "".join(map("{}\n".format, digests)).encode("ascii")
+        # One join; the trailing "" puts a newline after the last digest.
+        self.data = "\n".join(itertools.chain(digests, ("",))).encode("ascii")
 
     def __len__(self) -> int:
         return self.data.count(b"\n")

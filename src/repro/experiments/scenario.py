@@ -23,7 +23,7 @@ from repro.adversary.behaviours import Behaviour, SilentLeaderBehaviour
 from repro.adversary.corruption import CorruptionPlan
 from repro.config import ProtocolConfig
 from repro.consensus.ledger import sequences_consistent
-from repro.consensus.replica import Replica
+from repro.consensus.replica import Replica, ReplicaResidue
 from repro.crypto.backend import CryptoBackend, make_backend, set_default_backend
 from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
@@ -46,7 +46,7 @@ from repro.runtime import (
     SimRuntime,
 )
 from repro.sim.events import Simulator
-from repro.sim.network import DelayModel, NetworkConfig
+from repro.sim.network import FLUSH_COUNTS, DelayModel, NetworkConfig
 from repro.sim.tracing import TraceRecorder
 from repro.statemachine.kvstore import apply_chains_consistent
 
@@ -148,9 +148,8 @@ class RunResult:
     Single-runtime runs carry their ``runtime`` and ``transport``, and in
     virtual time their ``simulator`` too.  Runs whose replicas lived in
     worker processes hold no replicas at all: the coordinator fills
-    ``ledger_ids`` / ``shipped_kv_digests`` / ``shipped_kv_chains`` /
-    ``shipped_client_counts`` / ``events`` from the shard reports and every
-    query answers from those.
+    ``shipped`` with each replica's :class:`ReplicaResidue` from the shard
+    reports, and every per-replica query answers from those.
     """
 
     config: ScenarioConfig
@@ -168,19 +167,9 @@ class RunResult:
     #: The run's crypto backend instance (its counters expose how much digest
     #: work the run performed); ``None`` when the stacks lived in workers.
     crypto_backend: Optional[CryptoBackend] = None
-    #: Committed block ids, KV state digests, KV apply chains and client-path
-    #: counters per pid, and the runtime-event total, shipped from worker
-    #: processes (consulted only when ``replicas`` is empty).
-    ledger_ids: dict[int, Iterable[str]] = field(default_factory=dict)
-    shipped_kv_digests: dict[int, str] = field(default_factory=dict)
-    shipped_kv_chains: dict[int, Iterable[str]] = field(default_factory=dict)
-    shipped_client_counts: dict[int, dict[str, int]] = field(default_factory=dict)
-    events: int = 0
-    #: Inbound frames decoded and messages delivered (loopback included) by
-    #: the transports of a socket or shared-memory cluster; both zero on the
-    #: single-runtime lanes, which move objects, not frames.
-    frames_decoded: int = 0
-    messages_delivered: int = 0
+    #: Per-pid residues shipped from worker processes (consulted only when
+    #: ``replicas`` is empty).
+    shipped: dict[int, ReplicaResidue] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Summaries
@@ -218,42 +207,36 @@ class RunResult:
         return self._honest(self.replicas)
 
     def _honest(self, per_pid: dict[int, Any]) -> list[Any]:
-        return [value for pid, value in sorted(per_pid.items()) if pid in self.corruption.honest_ids]
+        honest_ids = self.corruption.honest_ids  # a fresh set per read
+        return [value for pid, value in sorted(per_pid.items()) if pid in honest_ids]
 
-    def _honest_ledger_ids(self) -> list[Any]:
+    def residues(self) -> dict[int, ReplicaResidue]:
+        """Every replica's :class:`ReplicaResidue`: built from the live
+        replicas, or as shipped from worker processes."""
         if self.replicas:
-            return [replica.ledger.block_ids for replica in self.honest_replicas]
-        return self._honest(self.ledger_ids)
+            return {pid: replica.residue() for pid, replica in self.replicas.items()}
+        return self.shipped
 
     def ledgers_are_consistent(self) -> bool:
         """Safety: honest ledgers are pairwise prefix-consistent."""
-        return sequences_consistent(self._honest_ledger_ids())
+        return sequences_consistent(r.ledger for r in self._honest(self.residues()))
 
     def kv_digests(self) -> dict[int, str]:
         """Per-replica KV state digests (empty without a workload)."""
-        if self.replicas:
-            # Local import (here and below): repro.runner layers above this package.
-            from repro.runner.workload import kv_state_digests
-
-            return kv_state_digests(self.replicas.values())
-        return dict(self.shipped_kv_digests)
+        return {
+            pid: r.kv_digest for pid, r in self.residues().items() if r.kv_digest is not None
+        }
 
     def kv_chains(self) -> dict[int, Iterable[str]]:
         """Per-replica KV apply chains (empty without a workload)."""
-        if self.replicas:
-            from repro.runner.workload import kv_apply_chains
-
-            return kv_apply_chains(self.replicas.values())
-        return dict(self.shipped_kv_chains)
+        return {
+            pid: r.kv_chain for pid, r in self.residues().items() if r.kv_digest is not None
+        }
 
     def client_counts(self) -> dict[int, dict[str, int]]:
         """Per-replica client-path counters (empty without a workload):
         ``mempool.expired`` and ``store.duplicates_skipped``."""
-        if self.replicas:
-            from repro.runner.workload import client_path_counts
-
-            return client_path_counts(self.replicas.values())
-        return dict(self.shipped_client_counts)
+        return {pid: r.client_counts for pid, r in self.residues().items() if r.client_counts}
 
     def duplicates_per_applied(self) -> float:
         """Committed duplicates the worst honest replica skipped, per request
@@ -279,7 +262,7 @@ class RunResult:
 
     def committed_blocks(self) -> int:
         """Length of the longest honest ledger."""
-        return max((len(ids) for ids in self._honest_ledger_ids()), default=0)
+        return max((len(r.ledger) for r in self._honest(self.residues())), default=0)
 
     def max_honest_view(self) -> int:
         """The highest view any honest replica entered."""
@@ -289,19 +272,10 @@ class RunResult:
         )
 
     @property
-    def fault_counts(self) -> dict[str, int]:
-        """Injected-fault totals by name (the same names on every lane; all
-        zero for fault-free runs)."""
-        return self.metrics.fault_counts
-
-    @property
     def events_processed(self) -> int:
         """Simulator or runtime events handled during the run (summed across
-        worker processes when the runtimes lived there)."""
-        for kernel in (self.simulator, self.runtime):
-            if kernel is not None:
-                return kernel.events_processed
-        return self.events
+        the node runtimes of a cluster): ``metrics.counts["events_processed"]``."""
+        return self.metrics.counts["events_processed"]
 
     def describe(self) -> str:
         """One-line run description for reports."""
@@ -310,17 +284,21 @@ class RunResult:
             f"f_a={self.corruption.f_actual} decisions={self.honest_decisions()} "
             f"commits={self.committed_blocks()} consistent={self.ledgers_are_consistent()}"
         )
-        if self.messages_delivered:
-            line += f" decoded={self.frames_decoded}/delivered={self.messages_delivered}"
+        counts = self.metrics.counts
+        if counts["frames_decoded"]:
+            line += f" decoded={counts['frames_decoded']}/delivered={counts['messages_delivered']}"
         if self.config.workload is not None:
             expired = sum(c["mempool.expired"] for c in self.client_counts().values())
+            flushes = "/".join(
+                f"{trigger}:{counts[name]}" for trigger, name in FLUSH_COUNTS.items()
+            )
             line += (
                 f" applied={self.metrics.requests_applied}"
-                f"/{self.metrics.requests_submitted}"
-                f" redispatched={self.metrics.requests_redispatched}"
+                f"/{counts['requests_submitted']}"
+                f" redispatched={counts['requests_redispatched']}"
                 f" expired={expired}"
-                f" flushes={'/'.join(f'{k}:{v}' for k, v in self.metrics.flushes.items())}"
-                f" forwards={self.metrics.forwards_sent}"
+                f" flushes={flushes}"
+                f" forwards={counts['forwards_sent']}"
             )
         return line
 
@@ -387,7 +365,7 @@ def build_stack(config: ScenarioConfig) -> ProtocolStack:
     """Build everything a lane needs before it has a runtime to hand the
     replicas: the one place an adversary is resolved, a crypto backend
     installed, keys minted and the trace and the metrics collector — with
-    the run's one fault-counter bag, ``metrics.faults`` — created.
+    the run's one counter bag, ``metrics.counters`` — created.
     """
     protocol_config, delay_model, corruption = resolve_adversary(config)
     # One fresh backend per run (counting tokens must never cross runs),
@@ -476,7 +454,7 @@ def build_scenario(
     :class:`~repro.runtime.chaos.FaultyTransport` imposing the schedule
     under the config's partial-synchrony envelope; ``chaos`` adds
     drop/duplicate injectors either way.  Everything injected is counted
-    in the run's one bag, ``metrics.faults``.
+    in the run's one bag, ``metrics.counters``.
 
     ``clock=None`` (the default) puts the cluster in virtual time on a
     :class:`~repro.sim.events.Simulator` (``result.simulator``), returned
@@ -503,14 +481,14 @@ def build_scenario(
             network=config.network_config(),
             schedule_seed=config.seed,
             chaos=chaos,
-            counters=metrics.faults,
+            counters=metrics.counters,
         )
     else:
         transport = LocalTransport(
             delay=config.actual_delay, jitter=jitter, seed=config.seed
         )
         if chaos is not None and chaos.active:
-            transport = FaultyTransport(transport, chaos=chaos, counters=metrics.faults)
+            transport = FaultyTransport(transport, chaos=chaos, counters=metrics.counters)
     simulator = None
     if clock is None:
         simulator = Simulator(seed=config.seed)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.crypto.backend import PackedDigests
-from repro.sim.network import Envelope, FaultCounters
+from repro.sim.network import SOURCE_COUNTS, Counters, Envelope
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,29 +110,22 @@ class MetricsCollector:
         self._commit_block_ids: list[str] = []
         # Client-request columns: one row per *applied* request, appended at
         # apply time (the apply-time column is sorted and bisectable, like
-        # the message and commit columns).  Submission/rejection totals are
-        # plain counters — backpressure only needs counts.
+        # the message and commit columns).  Submissions, rejections and the
+        # rest of the client path are names in the counter bag.
         self._request_submit_times = array("d")
         self._request_apply_times = array("d")
         self._request_pids = array("q")
-        self.requests_submitted = 0
-        self.requests_rejected = 0
-        self.requests_redispatched = 0
-        #: Gateway flushes by the trigger that fired them, and the
-        #: ``CommandForward`` frames gateways sent (flushes and re-dispatches
-        #: that did not go to the local mempool).
-        self.flushes: dict[str, int] = {"view": 0, "size": 0, "deadline": 0}
-        self.forwards_sent = 0
         self.view_entries: dict[int, list[tuple[float, int]]] = {}
         self.epoch_syncs: list[tuple[float, int, int]] = []  # (time, pid, epoch)
-        self.qc_count = 0
-        #: The run's one injected-fault counter bag: delay schedules,
-        #: drop/duplicate injectors and replica crash/recovery count into it
-        #: where the fault happens, on every lane.
-        self.faults = FaultCounters()
-        # Transports whose frames_dropped counter folds into fault_counts
-        # (TCP transports register through attach_transport).
-        self._drop_sources: list = []
+        #: The run's one named-counter bag: faults (delay schedules,
+        #: drop/duplicate injectors, replica crash/recovery), the client
+        #: path (``requests_*``, ``flushes.<trigger>``, ``forwards_sent``)
+        #: and ``qc_count`` are counted into it where they happen, on every
+        #: lane.  :attr:`counts` is its snapshot plus the sources' totals.
+        self.counters = Counters()
+        # Objects whose SOURCE_COUNTS totals :attr:`counts` reads: the
+        # transports and runtimes attach_transport registered.
+        self._sources: list = []
 
     # ------------------------------------------------------------------
     # Wiring
@@ -142,44 +135,46 @@ class MetricsCollector:
         self.honest_ids = set(honest_ids)
 
     def attach_transport(self, transport) -> None:
-        """Subscribe to a transport's send events.
+        """Subscribe to a transport's send events and read its totals.
 
         Every lane records through this one hot path, with times being
         whatever the run's clock reports (virtual seconds on the simulator
         kernel, monotonic seconds since cluster start for live clusters).
 
-        Transports that can lose frames (``TcpTransport``, directly or
-        under a chaos wrapper) are also registered as *drop sources*: their
-        ``frames_dropped`` counters fold into :attr:`fault_counts`, so a
+        The transport (the inner one, under a chaos wrapper) and the runtime
+        it is bound to become *sources* of :attr:`counts`: their
+        ``messages_sent`` / ``messages_delivered`` / ``frames_decoded`` /
+        ``frames_dropped`` / ``events_processed`` attributes are read when
+        a snapshot is taken, so their hot paths stay plain increments and a
         writer that died holding unsent frames always leaves a trace in the
         run's :class:`~repro.metrics.summary.RunMetrics`.
         """
         transport.send_listeners.append(self.on_send)
-        source = transport
-        if not hasattr(source, "frames_dropped"):
-            source = getattr(transport, "inner", None)
-        if source is not None and hasattr(source, "frames_dropped"):
-            self._drop_sources.append(source)
-
-    def add_fault_counts(self, counts: dict[str, int]) -> None:
-        """Fold the final fault totals of a finished shard into :attr:`faults`
-        (the merge path of a multi-process cluster)."""
-        for name, count in counts.items():
-            self.faults.bump(name, count)
+        self._sources += (getattr(transport, "inner", transport), transport.runtime)
 
     @property
-    def fault_counts(self) -> dict[str, int]:
-        """Injected-fault totals by name (the base counters always present).
-
-        A snapshot of :attr:`faults` plus the ``frames_dropped`` counters of
-        attached drop-source transports.
-        """
-        counts = self.faults.as_dict()
-        if self._drop_sources:
-            counts["frames_dropped"] = counts.get("frames_dropped", 0) + sum(
-                source.frames_dropped for source in self._drop_sources
+    def counts(self) -> dict[str, int]:
+        """Every run total by name (the base names always present): a
+        snapshot of :attr:`counters` plus the attached sources' totals
+        (which only a merged run's bag holds itself)."""
+        counts = self.counters.as_dict()
+        for name in SOURCE_COUNTS:
+            counts[name] = counts.get(name, 0) + sum(
+                getattr(source, name, 0) for source in self._sources
             )
         return counts
+
+    # The two client totals the benchmark harness under benchmarks/ledger/
+    # reads by attribute; everything else reads counts.
+    @property
+    def requests_submitted(self) -> int:
+        """Client requests accepted by a gateway: ``counts["requests_submitted"]``."""
+        return self.counters.as_dict()["requests_submitted"]
+
+    @property
+    def requests_rejected(self) -> int:
+        """Client requests refused by backpressure: ``counts["requests_rejected"]``."""
+        return self.counters.as_dict()["requests_rejected"]
 
     # ------------------------------------------------------------------
     # Recording
@@ -230,10 +225,6 @@ class MetricsCollector:
                 times.append(time)
                 self._honest_decision_indices.append(index)
 
-    def record_qc(self) -> None:
-        """Count one QC formation (any leader)."""
-        self.qc_count += 1
-
     def record_view_entry(self, pid: int, view: int, time: float) -> None:
         """Record that processor ``pid`` entered ``view`` at ``time``."""
         self.view_entries.setdefault(pid, []).append((time, view))
@@ -246,26 +237,9 @@ class MetricsCollector:
         self._commit_block_ids.append(block_id)
 
     def record_request_submitted(self, pid: int) -> None:
-        """Count one client request accepted by a gateway at ``pid``."""
-        self.requests_submitted += 1
-
-    def record_request_rejected(self, pid: int) -> None:
-        """Count one client request refused by backpressure at ``pid``."""
-        self.requests_rejected += 1
-
-    def record_requests_redispatched(self, pid: int, count: int) -> None:
-        """Count ``count`` outstanding requests the gateway at ``pid`` sent
-        again, their leader's turn having passed without committing them."""
-        self.requests_redispatched += count
-
-    def record_flush(self, pid: int, trigger: str) -> None:
-        """Count one non-empty flush of the gateway at ``pid`` by what fired
-        it: ``view`` (a view entry), ``size`` or ``deadline``."""
-        self.flushes[trigger] += 1
-
-    def record_forward_sent(self, pid: int) -> None:
-        """Count one ``CommandForward`` the gateway at ``pid`` sent."""
-        self.forwards_sent += 1
+        """Count one client request accepted by a gateway at ``pid`` (the
+        benchmark harness's entry point; gateways bump the bag directly)."""
+        self.counters.bump("requests_submitted")
 
     def record_request_applied(
         self, pid: int, submit_time: float, apply_time: float
@@ -496,8 +470,8 @@ class MetricsCollector:
         collector's state over the control channel at shutdown, and the
         coordinator rebuilds one cluster-wide collector with
         :func:`merge_metrics_states`.  ``array`` columns pickle natively;
-        live references (fault counters, drop-source transports) are
-        snapshotted into plain numbers.
+        the counter bag and its sources ship as one :attr:`counts` snapshot
+        (its nonzero names).
         """
         return {
             "honest_ids": sorted(self.honest_ids),
@@ -516,15 +490,10 @@ class MetricsCollector:
             "request_submit_times": self._request_submit_times,
             "request_apply_times": self._request_apply_times,
             "request_pids": self._request_pids,
-            "requests_submitted": self.requests_submitted,
-            "requests_rejected": self.requests_rejected,
-            "requests_redispatched": self.requests_redispatched,
-            "flushes": dict(self.flushes),
-            "forwards_sent": self.forwards_sent,
             "view_entries": {pid: list(entries) for pid, entries in self.view_entries.items()},
             "epoch_syncs": list(self.epoch_syncs),
-            "qc_count": self.qc_count,
-            "fault_counts": self.fault_counts,
+            # Nonzero names only: the merged bag starts every base name at 0.
+            "counts": {name: count for name, count in self.counts.items() if count},
         }
 
 
@@ -593,25 +562,16 @@ def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
         (apply_time, submit_time, pid)
         for s in states
         for submit_time, apply_time, pid in zip(
-            s.get("request_submit_times", ()),
-            s.get("request_apply_times", ()),
-            s.get("request_pids", ()),
+            s["request_submit_times"], s["request_apply_times"], s["request_pids"]
         )
     )
     for apply_time, submit_time, pid in requests:
         merged.record_request_applied(pid, submit_time, apply_time)
 
     for s in states:
-        merged.requests_submitted += s.get("requests_submitted", 0)
-        merged.requests_rejected += s.get("requests_rejected", 0)
-        merged.requests_redispatched += s.get("requests_redispatched", 0)
-        for trigger, count in s.get("flushes", {}).items():
-            merged.flushes[trigger] += count
-        merged.forwards_sent += s.get("forwards_sent", 0)
         for pid, entries in s["view_entries"].items():
             merged.view_entries.setdefault(pid, []).extend(entries)
-        merged.qc_count += s["qc_count"]
-        merged.add_fault_counts(s["fault_counts"])
+        merged.counters.add(s["counts"])
     for entries in merged.view_entries.values():
         entries.sort()
     merged.epoch_syncs = sorted(

@@ -82,16 +82,14 @@ class RunMetrics:
     epoch_sync_events: tuple[tuple[float, int], ...]
     #: Total messages sent by honest processors.
     total_honest_messages: int
-    #: Injected-fault totals of the run, as sorted ``(name, count)`` pairs
-    #: (the same names and counts on every lane; empty in old cached records).
-    fault_counts: tuple[tuple[str, int], ...] = ()
+    #: Every run total by name, as
+    #: :attr:`~repro.metrics.collector.MetricsCollector.counts` reported it
+    #: (faults, client path, transport and runtime totals; the same names
+    #: on every lane).
+    counts: dict[str, int]
     #: End-to-end client-request latencies in apply order (empty without a
-    #: workload).  Defaults keep old cached pickles loadable.
-    request_latencies: tuple[float, ...] = ()
-    #: Client-request totals (submitted counts acceptances; rejected counts
-    #: backpressure refusals; applied == len(request_latencies)).
-    requests_submitted: int = 0
-    requests_rejected: int = 0
+    #: workload; requests applied == their number).
+    request_latencies: tuple[float, ...]
 
     # ------------------------------------------------------------------
     # The same queries MetricsCollector answers, evaluated on the residue
@@ -129,9 +127,9 @@ class RunMetrics:
         gaps = sorted(self.decision_gaps(after))
         return gaps[len(gaps) // 2] if gaps else None
 
-    def fault_count(self, name: str) -> int:
-        """One injected-fault counter by name (0 when absent)."""
-        return dict(self.fault_counts).get(name, 0)
+    def count(self, name: str) -> int:
+        """One run total by name (0 when absent)."""
+        return self.counts.get(name, 0)
 
     @property
     def requests_applied(self) -> int:
@@ -162,10 +160,8 @@ def extract_run_metrics(metrics: MetricsCollector) -> RunMetrics:
             if pid in metrics.honest_ids
         ),
         total_honest_messages=metrics.total_honest_messages,
-        fault_counts=tuple(sorted(metrics.fault_counts.items())),
+        counts=metrics.counts,
         request_latencies=tuple(metrics.request_latencies()),
-        requests_submitted=metrics.requests_submitted,
-        requests_rejected=metrics.requests_rejected,
     )
 
 

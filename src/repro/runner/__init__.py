@@ -37,9 +37,6 @@ from repro.runner.workload import (
     RequestGateway,
     WorkloadConfig,
     attach_workload,
-    client_path_counts,
-    kv_apply_chains,
-    kv_state_digests,
 )
 
 #: Names resolved lazily (PEP 562), by the submodule that defines them: the
@@ -85,12 +82,9 @@ __all__ = [
     "Sweep",
     "WorkloadConfig",
     "attach_workload",
-    "client_path_counts",
     "config_fingerprint",
     "execute_cell",
     "execute_live_cell",
-    "kv_apply_chains",
-    "kv_state_digests",
     "make_live_cluster",
     "run_campaign",
     "run_live_scenario",

@@ -46,15 +46,15 @@ import multiprocessing
 import time
 import traceback
 import uuid
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.consensus.replica import ReplicaResidue
 from repro.experiments.scenario import RunResult, ScenarioConfig, resolve_adversary
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.runner.shard import Node, Shard, ShardReport, ShardSpec
 from repro.runtime import (
     DEFAULT_RING_BYTES,
-    FaultCounters,
     MonotonicClock,
     WireCodec,
     create_cluster_rings,
@@ -182,9 +182,8 @@ class LiveCluster:
     ``min_committed`` / ``result`` and the safety queries; the differences
     are inherent to the process boundary:
 
-    * inline, ``nodes`` / ``replicas`` / ``metrics`` / ``fault_counters``
-      are the live objects from :meth:`start` on, and the queries answer
-      at any time.  Under process placement ``nodes`` stays empty,
+    * inline, ``nodes`` / ``replicas`` / ``metrics`` are the live objects
+      from :meth:`start` on, and the queries answer at any time.  Under process placement ``nodes`` stays empty,
       ``metrics`` holds the *merged* cluster-wide collector only after
       :meth:`stop` (during the run the parent sees ledger lengths, not
       events), and the queries need :meth:`stop` first;
@@ -222,30 +221,15 @@ class LiveCluster:
         #: The inline shard's nodes by pid (empty under process placement).
         self.nodes: dict[int, Node] = {}
         #: Inline: the live collector.  Process: the merged cluster-wide
-        #: collector, populated by :meth:`stop`.
+        #: collector, populated by :meth:`stop`.  Every run total is a name
+        #: in its ``counts``.
         self.metrics = MetricsCollector()
-        #: The live injected-fault totals of an inline cluster (its
-        #: ``metrics.faults``; ``None`` under process placement).
-        self.fault_counters: Optional[FaultCounters] = None
-        #: Committed block ids per pid (packed), collected at :meth:`stop`.
-        self.ledger_ids: dict[int, Iterable[str]] = {}
         #: Errors surfaced during teardown: transport ``last_errors`` from
         #: every node, plus coordinator-observed worker failures (crashes,
         #: missing reports, non-zero exit codes).
         self.teardown_errors: list[str] = []
-        #: Total frames lost to exhausted connect windows or full rings,
-        #: cluster-wide (collected at :meth:`stop`).
-        self.frames_dropped = 0
-        #: Sum of every node runtime's ``events_processed`` and the wire
-        #: totals across all nodes (collected at :meth:`stop`).
-        self.events_processed = 0
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        #: Inbound frames decoded, cluster-wide (collected at :meth:`stop`).
-        self.frames_decoded = 0
-        self._kv_digests: dict[int, str] = {}
-        self._kv_chains: dict[int, Iterable[str]] = {}
-        self._client_counts: dict[int, dict[str, int]] = {}
+        #: Per-pid residues the workers shipped (collected at :meth:`stop`).
+        self._shipped: dict[int, ReplicaResidue] = {}
         self._corruption = None  # resolved by the coordinator at start()
         self._local: Optional[Shard] = None  # the inline shard
         self._workers: list[_Worker] = []
@@ -268,7 +252,6 @@ class LiveCluster:
             self._local = shard
             self.nodes = shard.nodes
             self.metrics = shard.stack.metrics
-            self.fault_counters = self.metrics.faults
             shard.go()
         else:
             # The coordinator holds no replicas, so it resolves the config
@@ -385,19 +368,10 @@ class LiveCluster:
             reports = [await self._local.stop()]
         else:
             reports = await self._stop_workers()
-            # merge_metrics_states folds each shard's fault_counts snapshot
-            # (which includes its frames_dropped) into the merged collector.
             self.metrics = merge_metrics_states([r.metrics_state for r in reports])
+            for report in reports:
+                self._shipped.update(report.replicas)
         for report in reports:
-            self.ledger_ids.update(report.ledger_ids)
-            self._kv_digests.update(report.kv_digests)
-            self._kv_chains.update(report.kv_chains)
-            self._client_counts.update(report.client_counts)
-            self.events_processed += report.events_processed
-            self.messages_sent += report.messages_sent
-            self.messages_delivered += report.messages_delivered
-            self.frames_decoded += report.frames_decoded
-            self.frames_dropped += report.frames_dropped
             self.teardown_errors.extend(report.teardown_errors)
 
     async def _stop_workers(self) -> list[ShardReport]:
@@ -432,6 +406,20 @@ class LiveCluster:
         """All local replicas by pid (empty under process placement)."""
         return self._local.replicas if self._local is not None else {}
 
+    # Cluster totals the benchmark harness under benchmarks/ledger/ reads by
+    # attribute; everything else reads metrics.counts.
+    @property
+    def frames_dropped(self) -> int:
+        """Frames lost to exhausted connect windows or full rings,
+        cluster-wide: ``metrics.counts["frames_dropped"]``."""
+        return self.metrics.counts["frames_dropped"]
+
+    @property
+    def events_processed(self) -> int:
+        """Every node runtime's events, summed:
+        ``metrics.counts["events_processed"]``."""
+        return self.metrics.counts["events_processed"]
+
     def min_committed(self) -> int:
         """Shortest known ledger across the cluster.
 
@@ -458,7 +446,6 @@ class LiveCluster:
         """
         if self._local is not None:
             stack = self._local.stack
-            transports = [node.transport for node in self.nodes.values()]
             return RunResult(
                 config=self.config,
                 protocol_config=stack.protocol_config,
@@ -467,11 +454,6 @@ class LiveCluster:
                 replicas=self.replicas,
                 corruption=stack.corruption,
                 crypto_backend=stack.crypto_backend,
-                events=sum(node.runtime.events_processed for node in self.nodes.values()),
-                frames_decoded=sum(transport.frames_decoded for transport in transports),
-                messages_delivered=sum(
-                    transport.messages_delivered for transport in transports
-                ),
             )
         if not self._stopped or self._corruption is None:
             raise SimulationError(
@@ -486,13 +468,7 @@ class LiveCluster:
             trace=TraceRecorder(enabled=False),
             replicas={},
             corruption=self._corruption,
-            ledger_ids=dict(self.ledger_ids),
-            shipped_kv_digests=dict(self._kv_digests),
-            shipped_kv_chains=dict(self._kv_chains),
-            shipped_client_counts=dict(self._client_counts),
-            events=self.events_processed,
-            frames_decoded=self.frames_decoded,
-            messages_delivered=self.messages_delivered,
+            shipped=dict(self._shipped),
         )
 
     def ledgers_are_consistent(self) -> bool:

@@ -85,7 +85,8 @@ class RunRecord:
                 "gap_message_counts": list(self.metrics.gap_message_counts),
                 "epoch_sync_events": [list(pair) for pair in self.metrics.epoch_sync_events],
                 "total_honest_messages": self.metrics.total_honest_messages,
-                "fault_counts": [list(pair) for pair in self.metrics.fault_counts],
+                "counts": self.metrics.counts,
+                "request_latencies": list(self.metrics.request_latencies),
             },
             "committed_blocks": self.committed_blocks,
             "max_honest_view": self.max_honest_view,
@@ -110,11 +111,8 @@ class RunRecord:
                     (time, epoch) for time, epoch in metrics_data["epoch_sync_events"]
                 ),
                 total_honest_messages=metrics_data["total_honest_messages"],
-                # Absent in records cached before the chaos layer existed.
-                fault_counts=tuple(
-                    (name, count)
-                    for name, count in metrics_data.get("fault_counts", ())
-                ),
+                counts=dict(metrics_data["counts"]),
+                request_latencies=tuple(metrics_data["request_latencies"]),
             ),
             committed_blocks=data["committed_blocks"],
             max_honest_view=data["max_honest_view"],

@@ -15,7 +15,7 @@ import gc
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
-from repro.crypto.backend import PackedDigests
+from repro.consensus.replica import ReplicaResidue
 from repro.experiments.scenario import (
     ProtocolStack,
     ScenarioConfig,
@@ -23,7 +23,6 @@ from repro.experiments.scenario import (
     make_replica,
     start_replicas,
 )
-from repro.runner.workload import client_path_counts, kv_apply_chains, kv_state_digests
 from repro.runtime import (
     AsyncioRuntime,
     FaultyTransport,
@@ -74,23 +73,10 @@ class Node:
 class ShardReport:
     """The picklable residue one shard leaves behind at shutdown."""
 
+    #: The shard's collector, every run total in it (``counts``).
     metrics_state: dict
-    #: Committed block ids per pid, packed (as are ``kv_chains``).
-    ledger_ids: dict[int, PackedDigests]
-    events_processed: int
-    messages_sent: int
-    messages_delivered: int
-    #: Inbound frames the shard's transports decoded: fewer than the
-    #: non-loopback part of ``messages_delivered`` wherever co-located
-    #: replicas shared a broadcast's decode.
-    frames_decoded: int
-    frames_dropped: int
+    replicas: dict[int, ReplicaResidue]
     teardown_errors: tuple[str, ...]
-    #: KV state digests / apply chains per pid (empty without a workload).
-    kv_digests: dict[int, str]
-    kv_chains: dict[int, PackedDigests]
-    #: Mempool and exactly-once counters per pid (empty without a workload).
-    client_counts: dict[int, dict[str, int]]
 
 
 class Shard:
@@ -149,7 +135,7 @@ class Shard:
                     schedule=stack.delay_model,
                     network=config.network_config(),
                     schedule_seed=config.seed + pid,
-                    counters=stack.metrics.faults,
+                    counters=stack.metrics.counters,
                 )
             runtime = AsyncioRuntime(
                 transport, clock=self.clock, trace=stack.trace, seed=config.seed + pid
@@ -177,35 +163,20 @@ class Shard:
         """Shut every node down (concurrently, so EOFs propagate cleanly).
 
         Teardown surfaces rather than swallows: each transport's
-        ``last_errors`` and ``frames_dropped`` land in the report, so a
-        writer that died holding frames or a pump that crashed mid-run is
-        visible there (and in the run's fault counts) instead of vanishing
-        with the tasks.
+        ``last_errors`` land in the report and its ``frames_dropped`` in the
+        shipped counts, so a writer that died holding frames or a pump that
+        crashed mid-run is visible there instead of vanishing with the tasks.
         """
         nodes = self.nodes.values()
         await asyncio.gather(*(node.runtime.stop() for node in nodes))
-        teardown_errors: list[str] = []
-        frames_dropped = 0
-        for node in nodes:
-            base = getattr(node.transport, "inner", node.transport)
-            frames_dropped += base.frames_dropped
-            teardown_errors.extend(f"node {node.pid}: {error}" for error in base.last_errors)
-        replicas = self.replicas
         report = ShardReport(
             metrics_state=self.stack.metrics.state(),
-            ledger_ids={pid: PackedDigests(r.ledger.block_ids) for pid, r in replicas.items()},
-            kv_digests=kv_state_digests(replicas.values()),
-            kv_chains={
-                pid: PackedDigests(chain)
-                for pid, chain in kv_apply_chains(replicas.values()).items()
-            },
-            client_counts=client_path_counts(replicas.values()),
-            events_processed=sum(node.runtime.events_processed for node in nodes),
-            messages_sent=sum(node.transport.messages_sent for node in nodes),
-            messages_delivered=sum(node.transport.messages_delivered for node in nodes),
-            frames_decoded=sum(node.transport.frames_decoded for node in nodes),
-            frames_dropped=frames_dropped,
-            teardown_errors=tuple(teardown_errors),
+            replicas={node.pid: node.replica.residue() for node in nodes},
+            teardown_errors=tuple(
+                f"node {node.pid}: {error}"
+                for node in nodes
+                for error in getattr(node.transport, "inner", node.transport).last_errors
+            ),
         )
         gc.unfreeze()  # an inline caller's heap outlives the shard
         return report

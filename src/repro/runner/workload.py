@@ -37,7 +37,9 @@ blob and routes it by the leader schedule:
   re-checks the age of the oldest buffered command when it fires instead of
   being cancelled and re-armed by every flush.
 
-``MetricsCollector.flushes`` counts which trigger served a run.  Three rules
+``counts["flushes.view"]`` (and ``.size`` / ``.deadline``) on the run's
+:class:`~repro.metrics.collector.MetricsCollector` counts which trigger
+served a run.  Three rules
 share one notion, a leader's *turn* (its run of consecutive views under
 ``replica.leader_of``, any pacemaker):
 
@@ -74,6 +76,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.consensus.mempool import Mempool
+from repro.sim.network import FLUSH_COUNTS
 from repro.statemachine.commands import OP_DELETE, OP_PUT, Command, encode_commands
 from repro.statemachine.kvstore import ReplicatedKV
 from repro.statemachine.messages import CommandBatch, CommandForward
@@ -194,9 +197,9 @@ class RequestGateway:
         if self.replica.crashed:
             return False
         if self.outstanding >= self.workload.max_pending:
-            self.metrics.record_request_rejected(self.replica.pid)
+            self.metrics.counters.bump("requests_rejected")
             return False
-        self.metrics.record_request_submitted(self.replica.pid)
+        self.metrics.counters.bump("requests_submitted")
         now = self.replica.now
         self._buffer.append((command, now))
         if len(self._buffer) >= self.workload.forward_batch:
@@ -226,12 +229,12 @@ class RequestGateway:
 
     def flush(self, trigger: str) -> None:
         """Encode the buffer once and dispatch it to the next proposer;
-        ``trigger`` (``view`` / ``size`` / ``deadline``) is counted.  An empty
+        ``trigger`` (a key of ``FLUSH_COUNTS``) is counted.  An empty
         buffer — most view entries of a lightly loaded replica — costs this
         one check."""
         if not self._buffer:
             return
-        self.metrics.record_flush(self.replica.pid, trigger)
+        self.metrics.counters.bump(FLUSH_COUNTS[trigger])
         self._dispatch(self._buffer)
         self._buffer.clear()
 
@@ -264,7 +267,7 @@ class RequestGateway:
         if proposer == replica.pid:
             replica.mempool.ingest(batch)
         else:
-            self.metrics.record_forward_sent(replica.pid)
+            self.metrics.counters.bump("forwards_sent")
             replica.send(proposer, CommandForward(batch=batch))
         outstanding = self._outstanding
         for entry in entries:
@@ -288,7 +291,7 @@ class RequestGateway:
             stale.append(entry)
         if not stale:
             return
-        self.metrics.record_requests_redispatched(self.replica.pid, len(stale))
+        self.metrics.counters.bump("requests_redispatched", len(stale))
         for command, _, _ in stale:
             del outstanding[(command.client, command.seq)]
         # As few batches as proposals can carry them in: every frame more is
@@ -468,35 +471,3 @@ def attach_workload(replica, workload: WorkloadConfig) -> None:
         )
     replica.clients = load_factory(replica, gateway, workload)
     replica.gateway = gateway
-
-
-def kv_state_digests(replicas) -> dict[int, str]:
-    """Per-replica KV state digests (replicas without a state machine skipped)."""
-    return {
-        replica.pid: replica.state_machine.digest()
-        for replica in replicas
-        if getattr(replica, "state_machine", None) is not None
-    }
-
-
-def client_path_counts(replicas) -> dict[int, dict[str, int]]:
-    """Per-replica client-path counters: the batches each mempool gave up
-    on, and the committed duplicates the exactly-once filter skipped
-    (replicas without a state machine skipped)."""
-    return {
-        replica.pid: {
-            "mempool.expired": replica.mempool.expired,
-            "store.duplicates_skipped": replica.state_machine.store.duplicates_skipped,
-        }
-        for replica in replicas
-        if getattr(replica, "state_machine", None) is not None
-    }
-
-
-def kv_apply_chains(replicas) -> dict[int, tuple[str, ...]]:
-    """Per-replica apply chains, for prefix-consistency checks."""
-    return {
-        replica.pid: replica.state_machine.apply_chain
-        for replica in replicas
-        if getattr(replica, "state_machine", None) is not None
-    }

@@ -26,7 +26,7 @@ from repro.runtime.base import Clock, Runtime, RuntimeContext, TimerHandle
 from repro.runtime.simulation import SimRuntime
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
 from repro.runtime.transports import FramedTransport, LocalTransport, Transport
-from repro.runtime.chaos import ChaosConfig, FaultCounters, FaultyTransport
+from repro.runtime.chaos import ChaosConfig, Counters, FaultyTransport
 from repro.runtime.codec import (
     BinaryWireCodec,
     WireCodec,
@@ -52,8 +52,8 @@ __all__ = [
     "BinaryWireCodec",
     "ChaosConfig",
     "Clock",
+    "Counters",
     "DEFAULT_RING_BYTES",
-    "FaultCounters",
     "FaultyTransport",
     "FramedTransport",
     "LocalTransport",

@@ -32,14 +32,14 @@ from repro.runtime.base import Runtime
 from repro.runtime.transports import Transport
 from repro.sim.network import (
     BASE_FAULT_COUNTS,
+    Counters,
     DelayContext,
     DelayModel,
-    FaultCounters,
     NetworkConfig,
     PendingSend,
 )
 
-__all__ = ["BASE_FAULT_COUNTS", "ChaosConfig", "FaultCounters", "FaultyTransport"]
+__all__ = ["BASE_FAULT_COUNTS", "ChaosConfig", "Counters", "FaultyTransport"]
 
 
 # ----------------------------------------------------------------------
@@ -105,9 +105,10 @@ class FaultyTransport(Transport):
     never exists).  With no schedule and zero rates the wrapper is
     transparent: ``send`` delegates verbatim.
 
-    Listener lists and message counters are shared with the inner
-    transport, so ``MetricsCollector.attach_transport`` observes a wrapped
-    transport exactly as an unwrapped one.
+    Listener lists are shared with the inner transport, and its totals
+    (messages sent and delivered, frames) stay there, so
+    ``MetricsCollector.attach_transport`` observes a wrapped transport
+    exactly as an unwrapped one.
     """
 
     def __init__(
@@ -117,7 +118,7 @@ class FaultyTransport(Transport):
         network: Optional[NetworkConfig] = None,
         schedule_seed: int = 0,
         chaos: Optional[ChaosConfig] = None,
-        counters: Optional[FaultCounters] = None,
+        counters: Optional[Counters] = None,
     ) -> None:
         # Deliberately no super().__init__(): counters, listener lists and
         # message ids all belong to the inner transport — one accounting
@@ -134,7 +135,7 @@ class FaultyTransport(Transport):
         self.schedule = schedule
         self.network = network
         self.chaos = chaos if chaos is not None else ChaosConfig()
-        self.counters = counters if counters is not None else FaultCounters()
+        self.counters = counters if counters is not None else Counters()
         self._ctx = DelayContext(random.Random(schedule_seed), self.counters)
         self._injector_rng = random.Random(self.chaos.seed)
         self._send_grouped = getattr(inner, "send_grouped", None)
@@ -164,21 +165,6 @@ class FaultyTransport(Transport):
     def process_ids(self) -> Sequence[int]:
         """The inner transport's membership."""
         return self._inner.process_ids
-
-    @property
-    def messages_sent(self) -> int:
-        """Messages minted (shared with the inner transport)."""
-        return self._inner.messages_sent
-
-    @property
-    def messages_delivered(self) -> int:
-        """Messages delivered (shared with the inner transport)."""
-        return self._inner.messages_delivered
-
-    @property
-    def frames_decoded(self) -> int:
-        """Inbound frames decoded (shared with the inner transport)."""
-        return self._inner.frames_decoded
 
     async def start(self) -> None:
         """Start the inner transport's I/O."""

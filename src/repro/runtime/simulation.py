@@ -60,6 +60,11 @@ class SimRuntime(Runtime):
         """Current virtual time."""
         return self.sim.now
 
+    @property
+    def events_processed(self) -> int:
+        """Events the simulator has executed."""
+        return self.sim.events_processed
+
     def set_timer(
         self, delay: float, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> TimerHandle:

@@ -177,8 +177,8 @@ class FramedTransport(Transport):
         else:
             self.codec = codec
         #: Frames this node lost: a writer that exhausted its connect window
-        #: died holding them, or an outbound ring was full.  Folded into a
-        #: run's fault counts by ``MetricsCollector.attach_transport``, so a
+        #: died holding them, or an outbound ring was full.  Read into a
+        #: run's counts by ``MetricsCollector.attach_transport``, so a
         #: silently lost frame always leaves a trace in ``RunMetrics``.
         self.frames_dropped = 0
         #: Errors surfaced instead of swallowed (``{where}: {error!r}``

@@ -14,10 +14,10 @@ from repro.sim.events import EventHandle, Simulator
 from repro.sim.clock import LocalClock, LocalTimer
 from repro.sim.network import (
     AdversarialDelay,
+    Counters,
     DelayContext,
     DelayModel,
     Envelope,
-    FaultCounters,
     FixedDelay,
     NetworkConfig,
     PreGSTChaos,

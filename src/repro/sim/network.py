@@ -7,7 +7,7 @@ constraint, the adversary (modelled by a :class:`DelayModel`) chooses the
 actual delivery time of every message.
 
 This module is the model only — the timing parameters, the delay models,
-the fault counters and the :class:`Envelope` a message travels in.  The
+the run's counter bag and the :class:`Envelope` a message travels in.  The
 fabric that moves messages under it is a
 :class:`~repro.runtime.transports.Transport`: in virtual time a
 :class:`~repro.runtime.transports.LocalTransport`, wrapped in a
@@ -108,23 +108,41 @@ class NetworkConfig:
         )
 
 
-#: Counters every run reports, even when zero.
+#: Injected-fault counters every run reports, even when zero.
 BASE_FAULT_COUNTS = ("drops", "duplicates", "kills", "partition_epochs", "restarts")
+#: The gateway's flush triggers, each with the counter it bumps.
+FLUSH_COUNTS = {trigger: "flushes." + trigger for trigger in ("view", "size", "deadline")}
+#: The names a run's bag starts at zero: the fault counters, the client
+#: path's and the protocol's, each bumped where it happens.
+BUMPED_COUNTS = BASE_FAULT_COUNTS + (
+    "requests_submitted", "requests_rejected", "requests_redispatched",
+    *FLUSH_COUNTS.values(), "forwards_sent", "qc_count",
+)
+#: Run totals kept by the transports and runtimes themselves (plain attribute
+#: increments on their hot paths), read into a run's counts when the
+#: collector takes a snapshot.
+SOURCE_COUNTS = (
+    "messages_sent", "messages_delivered", "frames_decoded", "frames_dropped",
+    "events_processed",
+)
+#: Every name a run reports, even when zero.
+BASE_COUNTS = BUMPED_COUNTS + SOURCE_COUNTS
 
 
-class FaultCounters:
-    """Injected-fault totals for one run, shared by every injection site.
+class Counters:
+    """A run's one named-counter bag, shared by every site that counts.
 
     A plain named-counter bag (``bump``) plus distinct-key counting
     (``note_epoch``) for window-shaped faults: a partition that defers ten
     thousand messages is still *one* partition epoch.  Each run has one bag
-    (:attr:`repro.metrics.collector.MetricsCollector.faults`): delay
-    schedules, drop/duplicate injectors and replica crash/recovery all count
-    into it at the point the fault happens, on every lane.
+    (:attr:`repro.metrics.collector.MetricsCollector.counters`): delay
+    schedules, drop/duplicate injectors, replica crash/recovery, the client
+    path and the protocol all count into it where the event happens, on
+    every lane, and a merged run adds its shards' snapshots (:meth:`add`).
     """
 
     def __init__(self) -> None:
-        self._counts: dict[str, int] = {name: 0 for name in BASE_FAULT_COUNTS}
+        self._counts: dict[str, int] = dict.fromkeys(BUMPED_COUNTS, 0)
         self._epoch_keys: set[tuple] = set()
 
     def bump(self, name: str, by: int = 1) -> None:
@@ -138,13 +156,18 @@ class FaultCounters:
             self._epoch_keys.add(full_key)
             self.bump(name)
 
+    def add(self, counts: dict[str, int]) -> None:
+        """Add another snapshot (:meth:`as_dict`) name by name."""
+        for name, count in counts.items():
+            self.bump(name, count)
+
     def as_dict(self) -> dict[str, int]:
-        """All counters by name (base counters always present)."""
+        """All counters by name (the bumped base names always present)."""
         return dict(self._counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nonzero = {k: v for k, v in self._counts.items() if v}
-        return f"FaultCounters({nonzero})"
+        return f"Counters({nonzero})"
 
 
 class DelayContext:
@@ -152,15 +175,15 @@ class DelayContext:
 
     ``rng`` is the run's seeded delay stream — nothing else in a run draws
     from it, so a given ``(seed, send order)`` always replays the same draws.
-    ``faults`` is the run's :class:`FaultCounters`: a schedule counts a
+    ``faults`` is the run's :class:`Counters` bag: a schedule counts a
     message in the branch that shaped it.
     """
 
     __slots__ = ("rng", "faults")
 
-    def __init__(self, rng: random.Random, faults: Optional[FaultCounters] = None) -> None:
+    def __init__(self, rng: random.Random, faults: Optional[Counters] = None) -> None:
         self.rng = rng
-        self.faults = faults if faults is not None else FaultCounters()
+        self.faults = faults if faults is not None else Counters()
 
 
 class Envelope(NamedTuple):

@@ -108,7 +108,7 @@ class ReplicatedKV:
     requests and record end-to-end latency.
     """
 
-    __slots__ = ("store", "on_apply", "_applied_entries", "_chain", "_chain_history")
+    __slots__ = ("store", "on_apply", "_applied_entries", "_chain", "_chain_history", "_digest")
 
     def __init__(
         self, on_apply: Optional[Callable[[Command, float], None]] = None
@@ -118,6 +118,7 @@ class ReplicatedKV:
         self._applied_entries = 0
         self._chain = hashlib.sha256(b"genesis").hexdigest()
         self._chain_history: list[str] = []
+        self._digest = (-1, "")  # (cursor, state digest) of the last digest()
 
     @property
     def applied_entries(self) -> int:
@@ -165,8 +166,11 @@ class ReplicatedKV:
         return applied
 
     def digest(self) -> str:
-        """The store's :meth:`KVStore.state_digest`."""
-        return self.store.state_digest()
+        """The store's :meth:`KVStore.state_digest`, computed once per
+        cursor position (:meth:`catch_up` is what moves the store)."""
+        if self._digest[0] != self._applied_entries:
+            self._digest = (self._applied_entries, self.store.state_digest())
+        return self._digest[1]
 
 
 def apply_chains_consistent(chains: Iterable[Iterable[str]]) -> bool:

@@ -24,7 +24,7 @@ from repro.experiments.scenario import (
 from repro.runner.live import run_live_scenario
 from repro.runtime import (
     ChaosConfig,
-    FaultCounters,
+    Counters,
     FaultyTransport,
     LocalTransport,
     RuntimeContext,
@@ -34,7 +34,7 @@ from repro.runtime.chaos import BASE_FAULT_COUNTS
 from repro.runtime.codec import default_binary_codec
 from repro.faults.schedules import PartitionSchedule
 from repro.sim.events import Simulator
-from repro.sim.network import AdversarialDelay, FixedDelay, UniformDelay
+from repro.sim.network import BASE_COUNTS, AdversarialDelay, FixedDelay, UniformDelay
 
 
 def _scenario(seed: int = 0, **overrides) -> ScenarioConfig:
@@ -195,10 +195,15 @@ def test_disabled_faulty_transport_is_transparent_in_a_full_run():
     assert wrapped_sent == bare_sent
     assert wrapped_delivered == bare_delivered
     assert _signature(wrapped) == _signature(bare)
-    assert wrapped.transport.messages_sent == bare.transport.messages_sent
-    assert wrapped.transport.messages_delivered == bare.transport.messages_delivered
-    # No fault ever fired.
-    assert wrapped.fault_counts == dict.fromkeys(BASE_FAULT_COUNTS, 0)
+    wrapped_counts, bare_counts = wrapped.metrics.counts, bare.metrics.counts
+    for name in ("messages_sent", "messages_delivered"):
+        assert wrapped_counts[name] == bare_counts[name]
+    # No fault ever fired: the base fault names read zero and no other
+    # (schedule or injector) name was ever counted.
+    assert set(wrapped_counts) == set(BASE_COUNTS)
+    assert {name: wrapped_counts[name] for name in BASE_FAULT_COUNTS} == dict.fromkeys(
+        BASE_FAULT_COUNTS, 0
+    )
 
 
 def test_transparent_with_jitter_preserves_the_jitter_stream():
@@ -222,12 +227,12 @@ def test_drop_injector_is_deterministic_and_counted():
     first = run_live_scenario(config, chaos=chaos)
     second = run_live_scenario(config, chaos=chaos)
 
-    assert first.fault_counts["drops"] > 0
-    assert first.fault_counts == second.fault_counts
+    counts = first.metrics.counts
+    assert counts["drops"] > 0
+    assert counts == second.metrics.counts
     assert _signature(first) == _signature(second)
     # Dropped messages are minted but never delivered: honest accounting.
-    gap = first.transport.messages_sent - first.transport.messages_delivered
-    assert gap >= first.fault_counts["drops"]
+    assert counts["messages_sent"] - counts["messages_delivered"] >= counts["drops"]
     assert first.ledgers_are_consistent() and second.ledgers_are_consistent()
 
     clean = run_live_scenario(config)
@@ -240,8 +245,8 @@ def test_duplicate_injector_is_deterministic_and_counted():
     first = run_live_scenario(config, chaos=chaos)
     second = run_live_scenario(config, chaos=chaos)
 
-    assert first.fault_counts["duplicates"] > 0
-    assert first.fault_counts == second.fault_counts
+    assert first.metrics.counts["duplicates"] > 0
+    assert first.metrics.counts == second.metrics.counts
     assert _signature(first) == _signature(second)
     # Consensus shrugs duplicates off: safety holds, progress continues.
     assert first.committed_blocks() > 0
@@ -253,7 +258,7 @@ def test_distinct_injector_seeds_give_distinct_fault_patterns():
     a = run_live_scenario(config, chaos=ChaosConfig(drop_rate=0.1, seed=1))
     b = run_live_scenario(config, chaos=ChaosConfig(drop_rate=0.1, seed=2))
     # Same rate, different streams: overwhelmingly different drop sets.
-    assert a.fault_counts != b.fault_counts or _signature(a) != _signature(b)
+    assert a.metrics.counts != b.metrics.counts or _signature(a) != _signature(b)
 
 
 def test_chaos_config_validates_rates():
@@ -299,9 +304,9 @@ def test_partition_schedule_is_deterministic_and_counts_epochs():
     first = run_live_scenario(config_for(0))
     second = run_live_scenario(config_for(0))
     assert _signature(first) == _signature(second)
-    assert first.fault_counts["partition_epochs"] == 1
-    assert first.fault_counts["partitioned_messages"] > 0
-    assert first.fault_counts == second.fault_counts
+    assert first.metrics.counts["partition_epochs"] == 1
+    assert first.metrics.counts["partitioned_messages"] > 0
+    assert first.metrics.counts == second.metrics.counts
     assert first.ledgers_are_consistent()
     assert first.committed_blocks() > 0
 
@@ -333,12 +338,12 @@ def test_adversarial_delay_runs_on_the_deterministic_live_lane():
     sim = run_scenario(config_for())
     assert live.committed_blocks() > 0
     assert _signature(live) == _signature(sim)
-    assert live.fault_counts == sim.fault_counts
-    assert live.fault_counts["partition_epochs"] == 1
+    assert live.metrics.counts == sim.metrics.counts
+    assert live.metrics.counts["partition_epochs"] == 1
 
 
 def test_fault_counters_base_names_and_epoch_idempotence():
-    counters = FaultCounters()
+    counters = Counters()
     assert set(BASE_FAULT_COUNTS) <= set(counters.as_dict())
     counters.note_epoch("partition_epochs", ("a",))
     counters.note_epoch("partition_epochs", ("a",))

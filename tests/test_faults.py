@@ -348,15 +348,16 @@ def test_replica_rejects_a_recovery_that_does_not_follow_its_crash():
 def test_replica_counts_kills_and_restarts_as_they_happen():
     config = ScenarioConfig(n=4, duration=10.0, record_trace=False)
     result = build_scenario(config)
-    replica, faults = result.replicas[2], result.metrics.faults
+    replica, counters = result.replicas[2], result.metrics.counters
     replica.recover()  # not down: nothing restarted
-    assert result.fault_counts["restarts"] == 0
+    assert result.metrics.counts["restarts"] == 0
     replica.crash()
-    assert replica.crashed and faults.as_dict()["kills"] == 1
+    assert replica.crashed and counters.as_dict()["kills"] == 1
     replica.recover()
     replica.recover()
     assert not replica.crashed
-    assert (result.fault_counts["kills"], result.fault_counts["restarts"]) == (1, 1)
+    counts = result.metrics.counts
+    assert (counts["kills"], counts["restarts"]) == (1, 1)
 
 
 def test_replica_recovers_after_a_crash_window():

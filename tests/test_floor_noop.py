@@ -4,8 +4,8 @@ Two checks:
 
 * **Golden fingerprints.**  ``tests/data/floor_fingerprints.json`` was
   captured on the commit *before* the floor existed (``python
-  tests/test_floor_noop.py --capture`` with that commit's ``src`` on the
-  path): decisions, every replica's ledger, ``qc_count``, the honest message
+  tests/test_floor_noop.py --capture`` in that commit's tree): decisions,
+  every replica's ledger, ``qc_count``, the honest message
   count and the eventual communication of all ``repro.faults`` scenarios x
   four pacemakers at n=7 in the simulator, plus every scenario under LP22
   and ``rotating_leader_dos`` under every pacemaker at n=13 — where a
@@ -54,7 +54,7 @@ def fingerprint(result) -> dict:
             + hashlib.sha256("".join(replica.ledger.block_ids).encode()).hexdigest()
             for pid, replica in sorted(result.replicas.items())
         },
-        "qc_count": result.metrics.qc_count,
+        "qc_count": result.metrics.counts["qc_count"],
         "honest_messages": result.metrics.total_honest_messages,
         "eventual_communication": summary.eventual_communication,
     }
@@ -102,7 +102,7 @@ def _protocol_state(replica) -> dict:
         "locked_qc": safety.locked_qc,
         "last_voted_view": safety.last_voted_view,
         "last_committed_view": safety.last_committed_view,
-        "qc_count": replica.metrics.qc_count,
+        "qc_count": replica.metrics.counts["qc_count"],
         "decisions": len(replica.metrics.decisions),
         "messages": replica.metrics.total_honest_messages,
         "view": replica.current_view,

@@ -5,7 +5,7 @@ Two kinds of check:
 * **Golden fingerprints.**  ``tests/data/lane_fingerprints.json`` was
   captured through ``run_scenario`` on the commit *before* the simulated
   ``Network`` fabric was deleted (``python tests/test_live_faults.py
-  --capture`` with that commit's ``src`` on the path): decisions with their
+  --capture`` in that commit's tree): decisions with their
   times, every replica's ledger, the fabric's sent / delivered totals, the
   honest message count and ``fault_counts`` of all twelve ``repro.faults``
   scenarios x three seeds, plus three fault-free seeds.  That fabric
@@ -37,7 +37,7 @@ from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.faults.library import available_scenarios
 from repro.runner import Campaign, Sweep, make_live_cluster, run_live_scenario
 from repro.runtime.chaos import BASE_FAULT_COUNTS
-from repro.sim.network import DelayModel
+from repro.sim.network import BASE_COUNTS, DelayModel
 
 GOLDEN = Path(__file__).parent / "data" / "lane_fingerprints.json"
 SEEDS = (0, 1, 2)
@@ -102,20 +102,20 @@ def _digest(values) -> str:
     return f"{len(values)}:" + hashlib.sha256(repr(values).encode()).hexdigest()
 
 
-def lane_fingerprint(result) -> dict:
-    """Everything a message fabric could disturb, small enough to commit."""
-    # ``result.network``: only the capturing commit's ``run_scenario`` has it.
-    fabric = result.transport if result.transport is not None else result.network
+def lane_fingerprint(result, fault_names) -> dict:
+    """Everything a message fabric could disturb, small enough to commit:
+    the run's counts of ``fault_names`` stand for its injected faults."""
+    counts = result.metrics.counts
     return {
         "decisions": _digest(_decisions(result.metrics)),
         "ledgers": {
             str(pid): _digest(list(replica.ledger.block_ids))
             for pid, replica in sorted(result.replicas.items())
         },
-        "messages_sent": fabric.messages_sent,
-        "messages_delivered": fabric.messages_delivered,
+        "messages_sent": counts["messages_sent"],
+        "messages_delivered": counts["messages_delivered"],
         "honest_messages": result.metrics.total_honest_messages,
-        "fault_counts": result.fault_counts,
+        "fault_counts": {name: counts.get(name, 0) for name in fault_names},
     }
 
 
@@ -131,10 +131,12 @@ def _cells() -> dict[str, ScenarioConfig]:
 
 
 def assert_reproduces_the_captured_fabric(cell: str) -> None:
-    """Run golden cell ``cell`` and compare it with its captured fingerprint."""
+    """Run golden cell ``cell`` and compare it with its captured fingerprint,
+    fault counts on the names the file holds."""
     result = run_scenario(_cells()[cell])
     assert result.ledgers_are_consistent()
-    assert lane_fingerprint(result) == _golden()[cell]
+    golden = _golden()[cell]
+    assert lane_fingerprint(result, golden["fault_counts"]) == golden
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +156,7 @@ def test_scenario_live_run_matches_simulator(name, seed):
 @pytest.mark.parametrize("run", [run_scenario, run_live_scenario])
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_scenario_fault_counters_on_both_deterministic_lanes(name, run):
-    counts = run(_config(name, 0)).fault_counts
+    counts = run(_config(name, 0)).metrics.counts
     # Every scenario run reports the base counters, even at zero.
     assert set(BASE_FAULT_COUNTS) <= set(counts)
     for counter, floor in EXPECTED_COUNTS.get(name, {}).items():
@@ -187,8 +189,8 @@ def test_a_new_delay_model_runs_live_with_no_registration_step():
     assert live.committed_blocks() > 0
     assert _decisions(live.metrics) == _decisions(sim.metrics)
     assert _ledgers(live.replicas) == _ledgers(sim.replicas)
-    assert live.fault_counts == sim.fault_counts
-    assert live.fault_counts["every_third_slowed"] > 0
+    assert live.metrics.counts == sim.metrics.counts
+    assert live.metrics.counts["every_third_slowed"] > 0
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -197,7 +199,7 @@ def test_scenario_live_run_is_deterministic(name):
     second = run_live_scenario(_config(name, 1))
     assert _decisions(first.metrics) == _decisions(second.metrics)
     assert _ledgers(first.replicas) == _ledgers(second.replicas)
-    assert first.fault_counts == second.fault_counts
+    assert first.metrics.counts == second.metrics.counts
 
 
 # ----------------------------------------------------------------------
@@ -221,22 +223,22 @@ def test_every_scenario_runs_under_the_live_campaign_backend(tmp_path):
     assert all(r.key.startswith("live:") for r in result)
     # Fault counters flow into the picklable records.
     partition = result.one(scenario="split_brain_at_gst")
-    assert partition.metrics.fault_count("partition_epochs") >= 1
+    assert partition.metrics.count("partition_epochs") >= 1
     churn = result.one(scenario="crash_churn")
-    assert churn.metrics.fault_count("kills") >= 1
-    assert churn.metrics.fault_count("restarts") >= 1
+    assert churn.metrics.count("kills") >= 1
+    assert churn.metrics.count("restarts") >= 1
 
     # The simulated lane counts the same faults, cell for cell.
     serial = campaign.run(backend="serial")
     for record in result:
         twin = serial.one(scenario=record.params["scenario"])
-        assert twin.metrics.fault_counts == record.metrics.fault_counts
+        assert twin.metrics.counts == record.metrics.counts
 
     # The counters survive the JSON cache round trip.
     again = campaign.run(backend="live", cache=cache)
     assert again.cache_hits == len(ALL_SCENARIOS)
     cached = again.one(scenario="split_brain_at_gst")
-    assert cached.metrics.fault_count("partition_epochs") >= 1
+    assert cached.metrics.count("partition_epochs") >= 1
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +262,7 @@ def test_tcp_cluster_runs_chaotic_scenarios(name):
             if c.min_committed() < 3:
                 return False
             if name == "crash_churn":
-                return c.fault_counters.as_dict()["restarts"] >= 1
+                return c.metrics.counts["restarts"] >= 1
             return True
 
         try:
@@ -269,7 +271,7 @@ def test_tcp_cluster_runs_chaotic_scenarios(name):
             )
             commits = cluster.min_committed()
             consistent = cluster.ledgers_are_consistent()
-            counts = dict(cluster.fault_counters.as_dict())
+            counts = cluster.metrics.counts
         finally:
             await cluster.stop()
         return commits, consistent, counts
@@ -288,6 +290,11 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--capture"]:
         sys.exit("usage: python tests/test_live_faults.py --capture")
     GOLDEN.parent.mkdir(exist_ok=True)
-    cells = {cell: lane_fingerprint(run_scenario(config)) for cell, config in _cells().items()}
+    cells = {}
+    for cell, config in _cells().items():
+        result = run_scenario(config)
+        # The base fault names, and every name a schedule minted.
+        faults = set(BASE_FAULT_COUNTS) | (set(result.metrics.counts) - set(BASE_COUNTS))
+        cells[cell] = lane_fingerprint(result, sorted(faults))
     GOLDEN.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(cells)} cells to {GOLDEN}")

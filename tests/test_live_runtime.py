@@ -129,7 +129,7 @@ def test_live_runs_execute_simulator_adversaries():
     result = run_live_scenario(named)
     assert result.committed_blocks() > 0
     assert result.ledgers_are_consistent()
-    assert result.fault_counts["partition_epochs"] >= 1
+    assert result.metrics.counts["partition_epochs"] >= 1
 
     # Transport jitter on top of a schedule is rejected, not added.
     with pytest.raises(ConfigurationError):
@@ -152,7 +152,7 @@ def test_wall_clock_local_cluster_commits_in_real_time():
     assert result.committed_blocks() >= 3
     assert result.ledgers_are_consistent()
     # The wall lane reports the deterministic lanes' counter names.
-    assert set(result.fault_counts) == set(run_live_scenario(config).fault_counts)
+    assert set(result.metrics.counts) == set(run_live_scenario(config).metrics.counts)
     # Wall timestamps: monotone, non-virtual times recorded by the collector.
     # The WALL_START_GRACE re-anchor may push the very first events a hair
     # before zero, but never out of order.
@@ -171,9 +171,10 @@ def test_wall_clock_local_cluster_counts_each_downtime_window_once():
     result = run_live_scenario(
         config,
         clock=MonotonicClock(),
-        stop_when=lambda r: r.fault_counts["restarts"] >= 2,
+        stop_when=lambda r: r.metrics.counts["restarts"] >= 2,
     )
-    assert (result.fault_counts["kills"], result.fault_counts["restarts"]) == (2, 2)
+    counts = result.metrics.counts
+    assert (counts["kills"], counts["restarts"]) == (2, 2)
     assert result.ledgers_are_consistent()
 
 

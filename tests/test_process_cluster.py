@@ -20,6 +20,7 @@ from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.runner import make_live_cluster
 from repro.runner.process_cluster import partition
 from repro.runtime import default_binary_codec
+from repro.sim.network import BASE_COUNTS
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -55,13 +56,7 @@ def test_inline_and_process_placements_agree():
             )
         finally:
             await cluster.stop()
-        if placement == "process":
-            ledgers = {pid: list(ids) for pid, ids in cluster.ledger_ids.items()}
-        else:
-            ledgers = {
-                pid: node.replica.ledger.block_ids
-                for pid, node in cluster.nodes.items()
-            }
+        ledgers = {pid: list(r.ledger) for pid, r in cluster.result().residues().items()}
         decisions = [(d.view, d.leader) for d in cluster.metrics.honest_decisions()]
         assert cluster.ledgers_are_consistent()
         assert not cluster.teardown_errors, cluster.teardown_errors
@@ -113,7 +108,7 @@ def test_process_cluster_survives_worker_crash():
     # The surviving shards' results still merged: their nodes' ledgers
     # arrived and are mutually consistent.
     survivors = set(range(1, 4))
-    assert survivors <= set(cluster.ledger_ids)
+    assert survivors <= set(cluster.result().residues())
     assert cluster.ledgers_are_consistent()
 
 
@@ -213,25 +208,37 @@ def test_merge_metrics_states_interleaves_onto_one_timeline():
 
 def test_merge_metrics_states_sums_fault_counts():
     collector = MetricsCollector()
-    collector.add_fault_counts({"frames_dropped": 2, "messages_dropped": 1})
-    state_a = collector.state()
+    collector.counters.bump("frames_dropped", 2)
+    collector.counters.bump("drops")
+    collector.counters.bump("only_here")  # a name no other shard bumped
+    collector.counters.note_epoch("partition_epochs", ("split", 1))
+    collector.counters.note_epoch("partition_epochs", ("split", 1))
     other = MetricsCollector()
-    other.add_fault_counts({"frames_dropped": 3})
-    state_b = other.state()
-    merged = merge_metrics_states([state_a, state_b])
-    nonzero = {name: count for name, count in merged.fault_counts.items() if count}
-    assert nonzero == {"frames_dropped": 5, "messages_dropped": 1}
+    other.counters.bump("frames_dropped", 3)
+    other.counters.note_epoch("partition_epochs", ("split", 2))
+    merged = merge_metrics_states([collector.state(), other.state()])
+    nonzero = {name: count for name, count in merged.counts.items() if count}
+    assert nonzero == {
+        "frames_dropped": 5, "drops": 1, "only_here": 1,
+        "partition_epochs": 2,
+    }
+    assert set(merged.counts) == set(BASE_COUNTS) | {"only_here"}
 
 
 def test_merge_metrics_states_sums_flush_triggers_and_forwards():
     collector = MetricsCollector()
     for trigger in ("view", "view", "deadline"):
-        collector.record_flush(0, trigger)
-    collector.record_forward_sent(0)
+        collector.counters.bump("flushes." + trigger)
+    collector.counters.bump("forwards_sent")
     other = MetricsCollector()
-    other.record_flush(1, "size")
-    other.record_forward_sent(1)
-    merged = merge_metrics_states([collector.state(), other.state()])
-    assert merged.flushes == {"view": 2, "size": 1, "deadline": 1}
-    assert merged.forwards_sent == 2
-    assert collector.state()["flushes"] is not collector.flushes  # a snapshot
+    other.counters.bump("flushes.size")
+    other.counters.bump("forwards_sent")
+    state = collector.state()
+    merged = merge_metrics_states([state, other.state()])
+    nonzero = {name: count for name, count in merged.counts.items() if count}
+    assert nonzero == {
+        "flushes.view": 2, "flushes.size": 1, "flushes.deadline": 1,
+        "forwards_sent": 2,
+    }
+    collector.counters.bump("flushes.view")
+    assert state["counts"]["flushes.view"] == 2  # a snapshot

@@ -30,7 +30,7 @@ from repro.experiments.scenario import (
     start_replicas,
 )
 from repro.pacemakers.registry import available_pacemakers
-from repro.runner import WorkloadConfig, kv_state_digests
+from repro.runner import WorkloadConfig
 from repro.runner.workload import make_command
 from repro.statemachine.messages import CommandBatch, CommandForward
 
@@ -160,9 +160,9 @@ def test_every_request_applies_with_almost_no_duplicates(pacemaker, faults):
     assert metrics.requests_applied == 1400
     assert _duplicates_per_replica(result) <= 0.02 * 1400
     if not faults:
-        assert metrics.requests_redispatched == 0
+        assert metrics.counts["requests_redispatched"] == 0
         assert sum(r.mempool.expired for r in result.replicas.values()) == 0
-    assert len(set(kv_state_digests(result.honest_replicas).values())) == 1
+    assert len({r.residue().kv_digest for r in result.honest_replicas}) == 1
     assert all(r.mempool.rejected == 0 for r in result.replicas.values())
 
 
@@ -187,7 +187,8 @@ def test_latency_through_a_silent_leader_is_under_one_rotation():
     assert metrics.request_latency_percentile(0.5) < 24.4
     assert metrics.request_latency_percentile(0.9) < 32.0
     assert _duplicates_per_replica(result) <= 0.02 * 4480
-    assert metrics.flushes["view"] > 0 and metrics.flushes["deadline"] > 0
+    counts = metrics.counts
+    assert counts["flushes.view"] > 0 and counts["flushes.deadline"] > 0
     decided = metrics.honest_decision_times_after(20.0)
     stall_start, stall_end = max(zip(decided, decided[1:]), key=lambda gap: gap[1] - gap[0])
     assert stall_end - stall_start > 20.0
@@ -212,11 +213,12 @@ def _view_paced_run(pacemaker: str, n: int, stop: float, duration: float, **faul
     metrics = result.metrics
     views = max(metrics.max_view_entered(pid) for pid in result.replicas) + 1
     assert metrics.requests_applied == metrics.requests_submitted > 0
-    assert metrics.flushes["size"] == metrics.flushes["deadline"] == 0
-    assert metrics.flushes["view"] > 0
+    counts = metrics.counts
+    assert counts["flushes.size"] == counts["flushes.deadline"] == 0
+    assert counts["flushes.view"] > 0
     # Per view, every replica but the one that will propose forwards at most
     # once (re-dispatches ride the same bound: they leave on a commit).
-    assert metrics.forwards_sent <= (n - 1) * views
+    assert counts["forwards_sent"] <= (n - 1) * views
     assert _duplicates_per_replica(result) == 0
     return result, views
 
@@ -232,7 +234,7 @@ def test_a_request_waits_for_a_proposal_not_for_a_timer(pacemaker, n):
     stop, duration = (33.0, 40.0) if responsive else (100.0, 150.0)
     result, views = _view_paced_run(pacemaker, n, stop, duration)
     metrics = result.metrics
-    assert metrics.requests_redispatched == 0
+    assert metrics.counts["requests_redispatched"] == 0
     latencies = sorted(metrics.request_latencies())
     if responsive:
         assert latencies[-1] <= 2.0  # Delta = 1: network speed, not Delta
@@ -249,9 +251,9 @@ def test_view_paced_batches_under_every_pacemaker(pacemaker, faults):
     stop, duration = (60.0, 150.0) if faults else (40.0, 70.0)
     result, _ = _view_paced_run(pacemaker, 7, stop, duration, **_one_silent_leader(faults))
     if not faults:
-        assert result.metrics.requests_redispatched == 0
+        assert result.metrics.counts["requests_redispatched"] == 0
         assert sum(r.mempool.expired for r in result.replicas.values()) == 0
-    assert len(set(kv_state_digests(result.honest_replicas).values())) == 1
+    assert len({r.residue().kv_digest for r in result.honest_replicas}) == 1
     assert all(r.mempool.rejected == 0 for r in result.replicas.values())
 
 
@@ -297,9 +299,10 @@ def test_buffered_commands_ride_the_proposal_of_the_view_entered_as_leader():
     assert carrier == (target, 3) and target != 3
     assert seen["late"] < late_view <= replica.turn_end(seen["late"] + 2)
     metrics = result.metrics
-    assert metrics.requests_applied == 6 and metrics.requests_redispatched == 0
-    assert metrics.flushes == {"view": 1, "size": 1, "deadline": 0}
-    assert metrics.forwards_sent == 1
+    counts = metrics.counts
+    assert metrics.requests_applied == 6 and counts["requests_redispatched"] == 0
+    assert [counts["flushes." + t] for t in ("view", "size", "deadline")] == [1, 1, 0]
+    assert counts["forwards_sent"] == 1
     assert _duplicates_per_replica(result) == 0
 
 
@@ -343,7 +346,7 @@ def test_a_late_forward_is_refused_and_redispatched_by_its_owner():
     target = result.replicas[late["target"]]
     assert target.mempool.expired == 1
     assert target.mempool.accepted == 0
-    assert result.metrics.requests_redispatched == 8
+    assert result.metrics.counts["requests_redispatched"] == 8
     assert result.metrics.requests_applied == 8
     assert result.replicas[0].gateway.outstanding == 0
     for replica in result.replicas.values():
@@ -391,7 +394,7 @@ def test_a_backlog_over_two_proposals_does_not_wait_a_rotation():
     result = _run_with(_config(duration=14.0, workload=workload), 5.03, submit_backlog)
     replicas = result.replicas
     assert replicas[aimed["proposer"]].mempool.expired == 1
-    assert result.metrics.requests_redispatched == 8
+    assert result.metrics.counts["requests_redispatched"] == 8
     assert result.metrics.requests_applied == 40
     assert _duplicates_per_replica(result) == 0
     carriers = list(_carriers(replicas[0]))

@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments.scenario import RunResult, ScenarioConfig, run_scenario
 from repro.runner import RunRecord, WorkloadConfig, make_live_cluster, run_live_scenario
-from repro.runtime.chaos import BASE_FAULT_COUNTS
+from repro.sim.network import BASE_COUNTS, BASE_FAULT_COUNTS
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -71,16 +71,29 @@ def test_every_lane_returns_the_one_result_type(run):
     assert result.kv_consistent()
     assert sorted(result.kv_digests()) == sorted(result.kv_chains()) == [0, 1, 2, 3]
     assert result.metrics.requests_applied > 0
-    # Every lane reports the same fault-counter names (all zero here).
-    assert set(BASE_FAULT_COUNTS) <= set(result.fault_counts)
-    assert not any(result.fault_counts[name] for name in BASE_FAULT_COUNTS)
+    # Every lane reports the one counter vocabulary, and no fault here.
+    counts = result.metrics.counts
+    assert set(counts) == set(BASE_COUNTS)
+    assert not any(counts[name] for name in BASE_FAULT_COUNTS)
+    # A name reads the same in the bag as in the snapshot (the bag holds a
+    # source total only once a merge has put it there).
+    assert result.metrics.counters.as_dict().items() <= counts.items()
+    assert counts["events_processed"] == result.events_processed
+    assert counts["messages_sent"] > 0 and counts["qc_count"] > 0
+    if result.simulator is not None:
+        assert counts["events_processed"] == result.simulator.events_processed
+        assert counts["frames_decoded"] == 0
+    else:
+        # Frames: co-located replicas share a broadcast's decode, and
+        # loopback deliveries decode nothing.
+        assert counts["messages_delivered"] >= counts["frames_decoded"] > 0
     assert result.summary().decisions == len(result.run_metrics().decision_times) > 0
+    assert result.run_metrics().counts == counts
     assert "lumiere" in result.describe()
-    # Which trigger served the run is on the collector on every lane (worker
+    # Which trigger served the run is in the bag on every lane (worker
     # processes included), and views pace a healthy run on all of them.
-    flushes = result.metrics.flushes
-    assert flushes["view"] > 0 and result.metrics.forwards_sent > 0
-    assert f"flushes=view:{flushes['view']}/" in result.describe()
+    assert counts["flushes.view"] > 0 and counts["forwards_sent"] > 0
+    assert f"flushes=view:{counts['flushes.view']}/" in result.describe()
 
     record = RunRecord.from_result(result, "run", "key", {"n": 4}, wall_time=0.0)
     assert record.committed_blocks == result.committed_blocks()
@@ -99,7 +112,7 @@ def test_safety_queries_ignore_a_corrupted_replica():
         scenario_params={"downtime": 1.0, "period": 3.0, "cycles": 1},
     )
     cluster = _run_cluster(config, placement="inline")
-    assert cluster.fault_counters.as_dict()["kills"] == 1
+    assert cluster.metrics.counts["kills"] == 1
     result = cluster.result()
     (corrupted,) = sorted(set(cluster.replicas) - result.corruption.honest_ids)
     honest = result.honest_replicas[0]

@@ -20,6 +20,7 @@ from repro.runner import (
     ResultCache,
     RunRecord,
     Sweep,
+    WorkloadConfig,
     config_fingerprint,
     execute_cell,
     run_campaign,
@@ -231,6 +232,40 @@ def test_run_record_json_round_trip():
     rebuilt = RunRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
     assert rebuilt.cached
     assert dataclasses.replace(rebuilt, cached=False) == record
+
+
+def build_churn_with_workload(params: dict) -> ScenarioConfig:
+    """A crash/recovery churn cell serving an open-loop client workload."""
+    config = build_plain(params)
+    config.scenario = "crash_churn"
+    config.scenario_params = {"downtime": 4.0, "period": 10.0, "cycles": 2}
+    config.workload = WorkloadConfig(mode="open", rate=20.0, stop=20.0)
+    return config
+
+
+def test_run_record_json_round_trip_keeps_the_whole_run_metrics():
+    params = {"n": 4, "pacemaker": "lumiere", "duration": 40.0, "seed": 0}
+    record = execute_cell(build_churn_with_workload, params, "churn", "key")
+    metrics = record.metrics
+    assert metrics.requests_applied > 0 and metrics.count("requests_submitted") > 0
+    assert metrics.count("kills") > 0
+    rebuilt = RunRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
+    assert rebuilt.metrics == metrics
+
+
+def test_an_old_format_record_at_the_current_key_is_a_removed_miss(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    spec = small_campaign().expand()[0]
+    record = execute_cell(build_plain, spec.params, spec.run_id, spec.key)
+    old = record.to_json_dict()
+    old["metrics"] = {
+        name: value for name, value in old["metrics"].items()
+        if name not in ("counts", "request_latencies")
+    }
+    old["metrics"]["fault_counts"] = []
+    cache.path_for(spec.key).write_text(json.dumps(old), encoding="utf-8")
+    assert cache.get(spec.key) is None
+    assert spec.key not in cache
 
 
 def build_failing(params: dict) -> ScenarioConfig:

@@ -11,7 +11,7 @@ Three layers, mirroring how the transport is built:
   shared-memory segments and UDP doorbells — delivery, overflow surfacing
   through ``frames_dropped``/``last_errors``, teardown and post-stop sends;
 * chaos composition: a :class:`~repro.runtime.chaos.FaultyTransport`
-  wrapping shm counts drops and targeted delays in ``FaultCounters``
+  wrapping shm counts drops and targeted delays in its ``Counters`` bag
   exactly as it does over TCP;
 * the frame memo: transports that share a codec in one process decode a
   broadcast's frame once and hand every local recipient the same payload,
@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.runner import make_live_cluster
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
-from repro.runtime.chaos import ChaosConfig, FaultCounters, FaultyTransport
+from repro.runtime.chaos import ChaosConfig, Counters, FaultyTransport
 from repro.runtime.codec import (
     BinaryWireCodec,
     FrameMemo,
@@ -686,7 +686,7 @@ class TestChaosOverShm:
     def test_drop_injector_counts_in_fault_counters(self):
         token = _token()
         segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
-        counters = FaultCounters()
+        counters = Counters()
 
         async def run():
             (t0, t1), sinks = await _start_pair(
@@ -719,7 +719,7 @@ class TestChaosOverShm:
     def test_targeted_delay_schedule_counts_and_delays(self):
         token = _token()
         segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
-        counters = FaultCounters()
+        counters = Counters()
         network = NetworkConfig(delta=1.0, gst=0.0, actual_delay=0.05)
         schedule = TargetedDelay(
             base=FixedDelay(0.0),
@@ -781,7 +781,7 @@ def test_shm_and_tcp_process_clusters_agree():
         assert commits >= target
         assert cluster.teardown_errors == []
         ledger = min(
-            (list(ids) for ids in cluster.ledger_ids.values()), key=len
+            (list(r.ledger) for r in cluster.result().residues().values()), key=len
         )
         return ledger
 

@@ -285,8 +285,8 @@ def test_send_and_deliver_listeners_fire():
     sim.run()
     assert len(sent) == 1 and len(delivered) == 1
     assert sent[0].payload == "observed"
-    assert net.messages_sent == 1
-    assert net.messages_delivered == 1
+    assert net.inner.messages_sent == 1
+    assert net.inner.messages_delivered == 1
 
 
 def test_envelope_identifies_self_messages():

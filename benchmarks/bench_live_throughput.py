@@ -124,8 +124,7 @@ async def _run_cell(
     seed: int,
 ) -> dict:
     config = ScenarioConfig(
-        n=n, pacemaker="lumiere", delta=delta, duration=timeout,
-        seed=seed, record_trace=False,
+        n=n, pacemaker="lumiere", delta=delta, duration=timeout, seed=seed,
     )
     cluster = make_live_cluster(
         config, placement=placement, codec=codec, transport=transport
@@ -235,7 +234,6 @@ def run_matrix(args: argparse.Namespace) -> dict:
             "python": platform.python_version(),
             # Transport knobs the numbers were taken under — committed
             # results must be self-describing.
-            "coalesce_writes": True,
             "ring_bytes": DEFAULT_RING_BYTES,
             "lanes": [f"{p}-{t}" for p, t in lanes],
         },

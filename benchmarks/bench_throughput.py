@@ -162,7 +162,7 @@ def run_virtual_time_cell(n: int, seed: int) -> dict:
     workload = WorkloadConfig(mode="open", rate=10.0, clients=2, stop=20.0)
     config = ScenarioConfig(
         n=n, pacemaker="lumiere", delta=1.0, actual_delay=0.1,
-        duration=30.0, seed=seed, record_trace=False, workload=workload,
+        duration=30.0, seed=seed, workload=workload,
     )
     result = run_scenario(config)
     counts = result.metrics.counts
@@ -187,7 +187,7 @@ async def _run_matrix_cell(
     workload = _matrix_workload(rate, window)
     config = ScenarioConfig(
         n=n, pacemaker="lumiere", delta=delta, actual_delay=0.02,
-        duration=window + 30.0, seed=seed, record_trace=False, workload=workload,
+        duration=window + 30.0, seed=seed, workload=workload,
     )
     cluster = make_live_cluster(config, placement=placement)
     boot_started = time.perf_counter()
@@ -306,7 +306,7 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
     )
     config = ScenarioConfig(
         n=n, pacemaker="lumiere", delta=delta, actual_delay=0.02,
-        duration=window + 30.0, seed=seed, record_trace=False, workload=workload,
+        duration=window + 30.0, seed=seed, workload=workload,
     )
     cluster = make_live_cluster(
         config, placement="process", processes=1, transport="shm", codec="binary"
@@ -330,8 +330,9 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
         await cluster.stop()
     metrics = cluster.metrics
     counts = metrics.counts
-    started = min(entries[0][0] for entries in metrics.view_entries.values() if entries)
-    per_pid: dict[int, list[float]] = {pid: [] for pid in metrics.view_entries}
+    entered = metrics.events("enter_view")
+    started = entered[0].time
+    per_pid: dict[int, list[float]] = {event.pid: [] for event in entered}
     for commit in metrics.commits:
         per_pid[commit.pid].append(commit.time)
     commits = list(per_pid.values())

@@ -41,7 +41,6 @@ def main() -> None:
         gst=20.0,
         duration=140.0,
         seed=0,
-        record_trace=False,
         scenario="split_brain_at_gst",
     )
     result = run_scenario(config)

@@ -38,7 +38,6 @@ def build_config(params: dict) -> ScenarioConfig:
         gst=params["gst"],
         duration=params["gst"] + 300.0,
         seed=params["seed"],
-        record_trace=False,
     )
     config.corruption = spread_corruption(config.protocol_config(), 2, SilentLeaderBehaviour)
     return config

@@ -37,7 +37,6 @@ def main() -> None:
             actual_delay=0.05,
             gst=0.0,
             duration=DURATION,
-            record_trace=False,
         )
         config.corruption = CorruptionPlan.uniform(
             config.protocol_config(), [N // 2], SilentLeaderBehaviour

@@ -31,7 +31,7 @@ def virtual_time_lane(args: argparse.Namespace) -> bool:
     workload = WorkloadConfig(mode="open", rate=args.rate, clients=2, stop=args.stop)
     config = ScenarioConfig(
         n=args.n, pacemaker="lumiere", delta=1.0, actual_delay=0.1,
-        duration=args.stop + 10.0, seed=args.seed, record_trace=False,
+        duration=args.stop + 10.0, seed=args.seed,
         workload=workload,
     )
     result = run_scenario(config)
@@ -62,7 +62,7 @@ async def tcp_lane(args: argparse.Namespace) -> bool:
     )
     config = ScenarioConfig(
         n=args.n, pacemaker="lumiere", delta=args.delta, actual_delay=0.02,
-        duration=args.stop + 30.0, seed=args.seed, record_trace=False,
+        duration=args.stop + 30.0, seed=args.seed,
         workload=workload,
     )
     placement = "inline" if args.procs is None else "process"

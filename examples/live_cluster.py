@@ -42,7 +42,6 @@ async def run_cluster(args: argparse.Namespace) -> int:
         delta=args.delta,       # the known bound Delta, now in wall-clock seconds
         duration=args.timeout,
         seed=0,
-        record_trace=False,
     )
     placement = "inline" if args.procs is None else "process"
     processes = None if args.procs in (None, 0) else args.procs

@@ -31,7 +31,6 @@ def main() -> None:
         actual_delay=0.1,
         gst=gst,
         duration=gst + 400.0,
-        record_trace=True,
         seed=7,
     )
     protocol_config = config.protocol_config()
@@ -59,9 +58,9 @@ def main() -> None:
         print(f"steady-state worst decision gap      : {max(steady_gaps):.2f}")
     print(f"honest ledgers consistent            : {result.ledgers_are_consistent()}")
     print()
-    print("Epoch synchronisations observed (time, processor, epoch):")
-    for time, pid, epoch in result.metrics.epoch_syncs[:10]:
-        print(f"  t={time:8.2f}  p{pid}  epoch {epoch}")
+    print("Heavy epoch synchronisations observed (value = the epoch):")
+    for event in metrics.events("epoch_sync")[:10]:
+        print(f"  {event}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@
 Builds a 4-processor, fault-free deployment, runs it for 120 time units of
 virtual time, and prints what the system did: how many consensus decisions
 honest leaders produced, how fast they came, how many messages were spent,
-and a short excerpt of the protocol trace around the first epoch boundary.
+and the first rows of processor 0 in the run's event table.
 
 Run with:  python examples/quickstart.py
 """
@@ -22,7 +22,6 @@ def main() -> None:
         actual_delay=0.1,   # the actual network delay delta (unknown to the protocol)
         gst=0.0,            # the network is synchronous from the start
         duration=120.0,     # virtual time to simulate
-        record_trace=True,
     )
     result = run_scenario(config)
     summary = result.summary()
@@ -39,16 +38,13 @@ def main() -> None:
     print(f"honest ledgers consistent      : {result.ledgers_are_consistent()}")
     print()
 
-    # Show the first few pacemaker-level events of processor 0.
-    print("Trace excerpt (processor 0):")
-    shown = 0
-    for event in result.trace.for_pid(0):
-        if event.kind in {"enter_view", "qc_produced", "lumiere_success_criterion",
-                          "lumiere_epoch_view_sent"}:
-            print(f"  {event}")
-            shown += 1
-        if shown >= 12:
-            break
+    # The first pacemaker-level rows of processor 0 in the run's event table.
+    print("Event excerpt (processor 0):")
+    kinds = {"enter_view", "proposal_sent", "lumiere_success_criterion",
+             "lumiere_epoch_view_sent"}
+    rows = [event for event in result.metrics.events(pid=0) if event.kind in kinds]
+    for event in rows[:12]:
+        print(f"  {event}")
 
 
 if __name__ == "__main__":

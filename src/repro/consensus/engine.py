@@ -224,7 +224,7 @@ class ChainedHotStuff(ConsensusEngine):
         self._proposed_views.add(view)
 
         if self.behaviour.suppress_proposal(view):
-            self.replica.trace("proposal_suppressed", view=view)
+            self.replica.trace("proposal_suppressed", view)
             return
 
         delay = self.behaviour.proposal_delay(view)
@@ -241,7 +241,7 @@ class ChainedHotStuff(ConsensusEngine):
         )
         proposal = Proposal(view=view, block=block, justify=justify)
         self._send_after(delay, lambda: replica.broadcast(proposal))
-        replica.trace("proposal_sent", view=view, block=block.block_id[:8])
+        replica.trace("proposal_sent", view)
 
     def _propose_equivocating(
         self, view: int, parent: Block, justify: Optional[QuorumCertificate], delay: float
@@ -273,7 +273,7 @@ class ChainedHotStuff(ConsensusEngine):
                 replica.send(pid, Proposal(view=view, block=block_b, justify=justify))
 
         self._send_after(delay, send)
-        replica.trace("equivocation_sent", view=view)
+        replica.trace("equivocation_sent", view)
 
     def _best_justify(
         self,
@@ -347,13 +347,13 @@ class ChainedHotStuff(ConsensusEngine):
         if qc.view in self._announced_qcs:
             return
         if not replica.pacemaker.may_produce_qc(qc.view):
-            replica.trace("qc_withheld_past_deadline", view=qc.view)
+            replica.trace("qc_withheld_past_deadline", qc.view)
             return
         self._announced_qcs.add(qc.view)
         block = self.tree.get(qc.block_id)
         replica.on_qc_produced(qc)
         if self.behaviour.suppress_qc_broadcast(qc.view):
-            replica.trace("qc_broadcast_suppressed", view=qc.view)
+            replica.trace("qc_broadcast_suppressed", qc.view)
             self._learn_qc(qc)
             return
         delay = self.behaviour.qc_broadcast_delay(qc.view)

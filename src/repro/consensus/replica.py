@@ -7,7 +7,8 @@ A :class:`Replica` composes
 * the replica's signing key and the shared threshold scheme,
 * a :class:`~repro.adversary.behaviours.Behaviour` describing deviations
   (honest by default), and
-* the metrics collector observing the run.
+* the metrics collector observing the run — the run's one record, whose
+  event table :meth:`Replica.trace` writes.
 
 Message routing is type-based — :class:`~repro.consensus.messages.ConsensusMessage`
 instances go to the engine,
@@ -18,7 +19,7 @@ the ``isinstance`` check happens once per *type*, not once per delivery
 (the per-delivery form was a measurable share of large-``n`` runs).
 
 A replica is runtime-agnostic: it talks only to the
-:class:`~repro.runtime.base.Runtime` its context carries, so the same
+:class:`~repro.runtime.base.Runtime` it is built over, so the same
 object runs under the discrete-event simulator or on an asyncio loop over
 a real transport.
 """
@@ -68,7 +69,7 @@ class Replica(Process):
     def __init__(
         self,
         pid: int,
-        ctx: Any,
+        runtime: Any,
         config: ProtocolConfig,
         pki: PKI,
         signing_key: SigningKey,
@@ -79,7 +80,7 @@ class Replica(Process):
         behaviour: Optional[Behaviour] = None,
         mempool: Optional[Mempool] = None,
     ) -> None:
-        super().__init__(pid, ctx)
+        super().__init__(pid, runtime)
         self.config = config
         self.pki = pki
         self.signing_key = signing_key
@@ -128,31 +129,51 @@ class Replica(Process):
 
         A window ``(crash_at, recover_at)`` crashes the replica at its start
         and — when ``recover_at`` is not ``None`` — restarts it at its end,
-        so churn behaviours can take a replica down and up repeatedly.
-        :meth:`crash` and :meth:`recover` count each transition as it
-        happens, into the run's counter bag.
+        so churn behaviours can take a replica down and up repeatedly.  The
+        windows must be in order and disjoint, and a permanent crash
+        (``recover_at=None``) must be the last.  :meth:`crash` and
+        :meth:`recover` count each transition as it happens, into the run's
+        counter bag.
         """
         windows = self.behaviour.downtime_windows()
+        up_again = float("-inf")  # when the previous window ends
         for crash_at, recover_at in windows:
             if recover_at is not None and recover_at <= crash_at:
                 raise ConfigurationError(
                     f"recovery at {recover_at} does not follow crash at {crash_at}"
                 )
+            if up_again is None or crash_at < up_again:
+                raise ConfigurationError(
+                    f"downtime windows {windows} are out of order, overlap or "
+                    "follow a permanent crash"
+                )
+            up_again = recover_at
         for crash_at, recover_at in windows:
             self.runtime.set_timer_at(max(crash_at, self.now), self.crash)
             if recover_at is not None:
                 self.runtime.set_timer_at(max(recover_at, self.now), self.recover)
 
     def crash(self) -> None:
-        """Stop the replica, counting the kill."""
+        """Stop the replica, counting the kill if it was up."""
+        if self.crashed:
+            return
         super().crash()
         self.metrics.counters.bump("kills")
+        self.trace("crash", self.current_view)
 
     def recover(self) -> None:
         """Restart the replica, counting the restart if it was down."""
-        if self.crashed:
-            self.metrics.counters.bump("restarts")
+        if not self.crashed:
+            return
         super().recover()
+        self.metrics.counters.bump("restarts")
+        self.trace("recover", self.current_view)
+
+    def trace(self, kind: str, value: int) -> None:
+        """Record one protocol event of this replica as a row of the run's
+        event table (``value``: the view, or the epoch for epoch-level
+        kinds such as ``epoch_sync``)."""
+        self.metrics.record_event(self.pid, kind, value, self.runtime.now)
 
     # ------------------------------------------------------------------
     # Message routing
@@ -208,8 +229,7 @@ class Replica(Process):
 
     def on_view_entered(self, view: int) -> None:
         """Callback from the pacemaker when this replica enters ``view``."""
-        self.metrics.record_view_entry(self.pid, view, self.now)
-        self.trace("enter_view", view=view, local_clock=round(self.local_time, 3))
+        self.trace("enter_view", view)
         if (
             self.mempool.pending_commands
             and not self.is_leader(view)
@@ -230,13 +250,12 @@ class Replica(Process):
     def on_qc_produced(self, qc: QuorumCertificate) -> None:
         """This replica, as leader, formed a QC for its own view."""
         self.metrics.record_decision(self.now, qc.view, self.pid)
-        self.trace("qc_produced", view=qc.view)
         self.pacemaker.on_local_qc(qc)
 
     def on_qc_observed(self, qc: QuorumCertificate) -> None:
         """This replica learned of a QC (its own or another leader's)."""
         self.metrics.counters.bump("qc_count")
-        self.trace("qc_observed", view=qc.view)
+        self.trace("qc_observed", qc.view)
         self.pacemaker.on_qc(qc)
 
     def commit_block(self, block: Block) -> None:
@@ -251,7 +270,6 @@ class Replica(Process):
             # is already the newest block's while a run of ancestors is
             # still being handed over, oldest first.
             self.gateway.redispatch(block.view)
-        self.trace("commit", view=block.view, block=block.block_id[:8])
         floor = min(self.safety.state.last_committed_view, self.current_view)
         if floor > self.floor:
             self.floor = floor
@@ -289,13 +307,6 @@ class Replica(Process):
                 "store.duplicates_skipped": machine.store.duplicates_skipped,
             },
         )
-
-    # ------------------------------------------------------------------
-    # Epoch-synchronisation accounting (used by epoch-based pacemakers)
-    # ------------------------------------------------------------------
-    def record_epoch_sync(self, epoch: int) -> None:
-        """Record participation in a heavy (all-to-all) epoch synchronisation."""
-        self.metrics.record_epoch_sync(self.pid, epoch, self.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

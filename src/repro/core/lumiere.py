@@ -188,7 +188,7 @@ class LumierePacemaker(Pacemaker):
         # Line 9-11: pause and, if still paused Delta later, start a heavy sync.
         self.clock.pause()
         self._paused_for = view
-        self.trace("lumiere_epoch_pause", view=view, epoch=self.cfg.epoch_of(view))
+        self.trace("lumiere_epoch_pause", view)
         self.replica.runtime.set_timer(
             self.config.delta, self._after_pause_delay, view, label="lumiere-pause-delay"
         )
@@ -228,7 +228,7 @@ class LumierePacemaker(Pacemaker):
         if self.replica.behaviour.suppress_view_sync("vc", view):
             return
         self.broadcast(ViewCertificate(view=view, aggregate=aggregate))
-        self.trace("lumiere_vc_sent", view=view)
+        self.trace("lumiere_vc_sent", view)
 
     def _on_view_certificate(self, msg: ViewCertificate, sender: int) -> None:
         view = msg.view
@@ -298,7 +298,7 @@ class LumierePacemaker(Pacemaker):
         if self.clock.read() < self.clock_time(view) - _EPS:
             self._bump_clock_to(view)
         self._enter(view)
-        self.trace("lumiere_enter_epoch_via_ec", view=view, epoch=self.cfg.epoch_of(view))
+        self.trace("lumiere_enter_epoch_via_ec", view)
         self._schedule_next_clock_event(include_current=True)
 
     # ------------------------------------------------------------------
@@ -311,7 +311,7 @@ class LumierePacemaker(Pacemaker):
         newly_satisfied = self.success.observe_qc(qc)
         if newly_satisfied:
             epoch = self.cfg.epoch_of(view)
-            self.trace("lumiere_success_criterion", epoch=epoch)
+            self.trace("lumiere_success_criterion", epoch)
             self._maybe_unpause(trigger_view=self.cfg.first_view_of_epoch(epoch + 1), kind="success")
         if view in self._qc_handled:
             return  # line 44 "upon first seeing"
@@ -430,7 +430,7 @@ class LumierePacemaker(Pacemaker):
         if view in self._epoch_msgs_sent:
             return
         self._epoch_msgs_sent.add(view)
-        self.replica.record_epoch_sync(self.cfg.epoch_of(view))
+        self.trace("epoch_sync", self.cfg.epoch_of(view))
         if self.replica.behaviour.suppress_view_sync("epoch_view", view):
             return
         payload, digest = self._epoch_payload(view)
@@ -438,7 +438,7 @@ class LumierePacemaker(Pacemaker):
             self.replica.signing_key, payload, message_digest=digest
         )
         self.broadcast(EpochViewMessage(view=view, partial=partial))
-        self.trace("lumiere_epoch_view_sent", view=view, epoch=self.cfg.epoch_of(view))
+        self.trace("lumiere_epoch_view_sent", view)
 
     def _maybe_unpause(self, trigger_view: int, kind: str) -> None:
         """Line 10: resume the paused clock when one of the stated events occurs."""
@@ -456,7 +456,7 @@ class LumierePacemaker(Pacemaker):
             return
         self._paused_for = None
         self.clock.unpause()
-        self.trace("lumiere_unpause", trigger=kind, view=trigger_view)
+        self.trace("lumiere_unpause." + kind, trigger_view)
         if kind == "success":
             # Line 13-14 via the unpause condition: enter the epoch view as a
             # standard initial view and perform its light synchronisation.

@@ -84,7 +84,6 @@ def build_figure1_config(params: dict[str, Any]) -> ScenarioConfig:
         gst=0.0,
         duration=duration,
         seed=params["seed"],
-        record_trace=False,
     )
     config.corruption = CorruptionPlan.uniform(
         config.protocol_config(), [corrupted], SilentLeaderBehaviour

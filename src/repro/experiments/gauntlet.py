@@ -72,7 +72,6 @@ def build_gauntlet_config(params: dict[str, Any]) -> ScenarioConfig:
         gst=params["gst"],
         duration=params["duration"],
         seed=params["seed"],
-        record_trace=False,
         scenario=params["scenario"],
         scenario_params=dict(params.get("scenario_params", {})),
         crypto_backend=params.get("crypto_backend", "hashing"),

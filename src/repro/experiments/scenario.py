@@ -5,7 +5,7 @@ parameters, faults, network adversary, duration); :func:`run_scenario` builds
 the whole system in one process — every replica on one
 :class:`~repro.sim.events.Simulator` over one in-memory transport — runs it
 to the requested virtual time, and returns a :class:`RunResult` wrapping the
-metrics, traces and replicas.
+metrics (the run's one record, protocol events included) and replicas.
 
 The runtime-independent half of that construction — :func:`build_stack`,
 :func:`make_replica` — and the result type are shared with the wall-clock
@@ -42,12 +42,11 @@ from repro.runtime import (
     Clock,
     FaultyTransport,
     LocalTransport,
-    RuntimeContext,
+    Runtime,
     SimRuntime,
 )
 from repro.sim.events import Simulator
 from repro.sim.network import FLUSH_COUNTS, DelayModel, NetworkConfig
-from repro.sim.tracing import TraceRecorder
 from repro.statemachine.kvstore import apply_chains_consistent
 
 
@@ -77,7 +76,10 @@ class ScenarioConfig:
     corruption: Optional[CorruptionPlan] = None
     #: Network delay model; ``None`` means every message takes ``actual_delay``.
     delay_model: Optional[DelayModel] = None
-    #: Whether to record a full protocol trace (costs memory on long runs).
+    #: Accepted and ignored: protocol events are always recorded, in
+    #: ``metrics.events()``.  Kept only because the benchmark harness
+    #: under ``benchmarks/ledger/`` passes it; not part of a run's
+    #: fingerprint.
     record_trace: bool = True
     #: Upper bound on pre-GST delays used when a chaotic pre-GST model is built.
     pre_gst_max_delay: float = 50.0
@@ -138,7 +140,6 @@ class ProtocolStack:
     pki: PKI
     signing_keys: dict
     scheme: ThresholdScheme
-    trace: TraceRecorder
 
 
 @dataclass
@@ -155,7 +156,6 @@ class RunResult:
     config: ScenarioConfig
     protocol_config: ProtocolConfig
     metrics: MetricsCollector
-    trace: TraceRecorder
     replicas: dict[int, Replica]
     corruption: CorruptionPlan
     simulator: Optional[Simulator] = None
@@ -191,8 +191,8 @@ class RunResult:
 
         This is the "lightweight half" of a result: what the campaign
         runner ships between processes and stores in its cache.  The live
-        half (replicas, traces, the simulator or runtime) stays in this
-        object and never crosses a process boundary.
+        half (replicas, the full collector, the simulator or runtime) stays
+        in this object and never crosses a process boundary.
         """
         return extract_run_metrics(self.metrics)
 
@@ -306,7 +306,7 @@ class RunResult:
 def build_spread_fault_config(params: dict[str, Any]) -> ScenarioConfig:
     """Module-level campaign builder for the steady-state cell shape shared
     by the responsiveness, heavy-sync and Table-1 eventual sweeps (and the
-    examples): GST = 0, no trace, and ``f_actual`` silent leaders spread
+    examples): GST = 0 and ``f_actual`` silent leaders spread
     evenly over the id space.
 
     ``params`` must carry ``n``, ``protocol``, ``delta``, ``actual_delay``,
@@ -321,7 +321,6 @@ def build_spread_fault_config(params: dict[str, Any]) -> ScenarioConfig:
         gst=0.0,
         duration=params["duration"],
         seed=params["seed"],
-        record_trace=False,
         crypto_backend=params.get("crypto_backend", "hashing"),
     )
     config.corruption = spread_corruption(
@@ -364,8 +363,8 @@ def resolve_adversary(
 def build_stack(config: ScenarioConfig) -> ProtocolStack:
     """Build everything a lane needs before it has a runtime to hand the
     replicas: the one place an adversary is resolved, a crypto backend
-    installed, keys minted and the trace and the metrics collector — with
-    the run's one counter bag, ``metrics.counters`` — created.
+    installed, keys minted and the metrics collector — the run's one
+    record, with its one counter bag ``metrics.counters`` — created.
     """
     protocol_config, delay_model, corruption = resolve_adversary(config)
     # One fresh backend per run (counting tokens must never cross runs),
@@ -389,12 +388,11 @@ def build_stack(config: ScenarioConfig) -> ProtocolStack:
         pki=pki,
         signing_keys=signing_keys,
         scheme=ThresholdScheme(pki),
-        trace=TraceRecorder(enabled=config.record_trace),
     )
 
 
-def make_replica(stack: ProtocolStack, pid: int, ctx: Any) -> Replica:
-    """Construct replica ``pid`` of ``stack`` on the runtime behind ``ctx``.
+def make_replica(stack: ProtocolStack, pid: int, runtime: Runtime) -> Replica:
+    """Construct replica ``pid`` of ``stack`` over ``runtime``.
 
     Every lane builds its replicas here — the single-runtime cluster and
     every shard of a socket or shared-memory cluster — so the
@@ -403,7 +401,7 @@ def make_replica(stack: ProtocolStack, pid: int, ctx: Any) -> Replica:
     config = stack.config
     replica = Replica(
         pid=pid,
-        ctx=ctx,
+        runtime=runtime,
         config=stack.protocol_config,
         pki=stack.pki,
         signing_key=stack.signing_keys[pid],
@@ -466,7 +464,7 @@ def build_scenario(
     (:func:`repro.runner.live.run_live_scenario` drives that).
     """
     stack = build_stack(config)
-    metrics, trace = stack.metrics, stack.trace
+    metrics = stack.metrics
     if stack.delay_model is not None:
         if jitter:
             raise ConfigurationError(
@@ -492,17 +490,17 @@ def build_scenario(
     simulator = None
     if clock is None:
         simulator = Simulator(seed=config.seed)
-        runtime = SimRuntime(simulator, transport, trace=trace)
+        runtime = SimRuntime(simulator, transport)
     else:
-        runtime = AsyncioRuntime(transport, clock=clock, trace=trace, seed=config.seed)
+        runtime = AsyncioRuntime(transport, clock=clock, seed=config.seed)
     metrics.attach_transport(transport)
-    ctx = RuntimeContext(runtime=runtime, trace=trace)
     return RunResult(
         config=config,
         protocol_config=stack.protocol_config,
         metrics=metrics,
-        trace=trace,
-        replicas={pid: make_replica(stack, pid, ctx) for pid in stack.protocol_config.processor_ids},
+        replicas={
+            pid: make_replica(stack, pid, runtime) for pid in stack.protocol_config.processor_ids
+        },
         corruption=stack.corruption,
         simulator=simulator,
         runtime=runtime,

@@ -70,7 +70,6 @@ def _base_config(params: dict[str, Any], *, gst: float, duration: float) -> Scen
         gst=gst,
         duration=duration,
         seed=params["seed"],
-        record_trace=False,
     )
 
 

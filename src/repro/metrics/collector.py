@@ -1,9 +1,9 @@
-"""Run-time metrics collection.
+"""Run-time metrics collection: the run's one record.
 
 The collector is attached to the transport (to observe sends) and is called by
-replicas when QCs form, views are entered, blocks commit, or heavy epoch
-synchronisations happen.  It never influences the protocols — it only
-observes.
+replicas when QCs form, blocks commit and protocol events happen (views
+entered, heavy epoch synchronisations, pauses, ...).  It never influences
+the protocols — it only observes.
 
 The paper's complexity measures (Section 2):
 
@@ -22,10 +22,13 @@ Storage is **columnar**: the paper's measures only need message *counts and
 times*, so :meth:`MetricsCollector.on_send` appends to parallel primitive
 columns (``array('d')`` times, integer id columns, interned kind tokens)
 instead of allocating a record object per envelope — the dominant
-observation-layer cost of large-``n`` runs.  The record dataclasses
-(:class:`MessageRecord`, :class:`DecisionRecord`, :class:`CommitRecord`)
-still exist and are materialised lazily by the query methods, so the public
-API is unchanged.
+observation-layer cost of large-``n`` runs.  Protocol events are one more
+such table — time, pid, interned kind, one int value (the view, or the
+epoch for epoch-level kinds) — written by :meth:`Replica.trace
+<repro.consensus.replica.Replica.trace>` on every lane, always on.  The
+record dataclasses (:class:`MessageRecord`, :class:`DecisionRecord`,
+:class:`CommitRecord`, :class:`EventRecord`) are materialised lazily by the
+query methods.
 """
 
 from __future__ import annotations
@@ -72,13 +75,29 @@ class CommitRecord:
     block_id: str
 
 
-class MetricsCollector:
-    """Collects message, decision, view-entry, commit and epoch-sync records.
+@dataclass(frozen=True, slots=True)
+class EventRecord:
+    """One protocol event at one replica; ``str()`` renders it as a row."""
 
-    Messages, decisions and commits are stored as parallel primitive columns
-    and materialised into their record dataclasses only when queried (the
-    :attr:`messages`, :attr:`decisions` and :attr:`commits` properties build
-    fresh lists on each access — iterate, don't mutate).  Interval queries
+    time: float
+    pid: int
+    kind: str
+    #: The view, or the epoch for epoch-level kinds (``epoch_sync``,
+    #: ``lumiere_success_criterion``).
+    value: int
+
+    def __str__(self) -> str:
+        return f"[t={self.time:9.3f}] p{self.pid:<3} {self.kind:<28} {self.value}"
+
+
+class MetricsCollector:
+    """Collects message, decision, commit, request and protocol-event records.
+
+    Messages, decisions, commits and events are stored as parallel
+    primitive columns and materialised into their record dataclasses only
+    when queried (the :attr:`messages`, :attr:`decisions` and
+    :attr:`commits` properties and :meth:`events` build fresh lists on each
+    access — iterate, don't mutate).  Interval queries
     (``messages_between``, ``message_kinds_between``, the ``*_after``
     family) bisect sorted time columns instead of scanning every record.
     """
@@ -92,9 +111,18 @@ class MetricsCollector:
         self._message_senders = array("h")
         self._message_recipients = array("h")
         self._message_kind_ids = array("h")
-        # Payload-type interning: kind id <-> name (a handful of entries).
+        # Event columns, appended in recording (= time) order.
+        self._event_times = array("d")
+        self._event_pids = array("h")
+        self._event_kind_ids = array("h")
+        self._event_values = array("q")
+        # Kind interning, shared by both tables: kind id <-> name (payload
+        # type names and event kinds, a few dozen entries).
         self._kind_names: list[str] = []
         self._kind_ids: dict[str, int] = {}
+        # {pid: its latest enter_view row's view}: a replica's views only
+        # rise, so this is the highest view it entered.
+        self._views_entered: dict[int, int] = {}
         # Decision columns, plus the honest-decision index: sorted times of
         # honest-leader decisions and their positions in the full columns.
         self._decision_times = array("d")
@@ -115,8 +143,6 @@ class MetricsCollector:
         self._request_submit_times = array("d")
         self._request_apply_times = array("d")
         self._request_pids = array("q")
-        self.view_entries: dict[int, list[tuple[float, int]]] = {}
-        self.epoch_syncs: list[tuple[float, int, int]] = []  # (time, pid, epoch)
         #: The run's one named-counter bag: faults (delay schedules,
         #: drop/duplicate injectors, replica crash/recovery), the client
         #: path (``requests_*``, ``flushes.<trigger>``, ``forwards_sent``)
@@ -198,7 +224,7 @@ class MetricsCollector:
         self._message_kind_ids.append(kind_id)
 
     def _intern_kind(self, kind: str) -> int:
-        """The id of payload-type name ``kind``, minted on first sight."""
+        """The id of kind name ``kind``, minted on first sight."""
         if kind not in self._kind_ids:
             self._kind_ids[kind] = len(self._kind_names)
             self._kind_names.append(kind)
@@ -225,9 +251,19 @@ class MetricsCollector:
                 times.append(time)
                 self._honest_decision_indices.append(index)
 
-    def record_view_entry(self, pid: int, view: int, time: float) -> None:
-        """Record that processor ``pid`` entered ``view`` at ``time``."""
-        self.view_entries.setdefault(pid, []).append((time, view))
+    def record_event(self, pid: int, kind: str, value: int, time: float) -> None:
+        """Record one protocol event of processor ``pid``: a row of the
+        event table (``value`` is the view, or the epoch for epoch-level
+        kinds)."""
+        kind_id = self._kind_ids.get(kind)
+        if kind_id is None:
+            kind_id = self._intern_kind(kind)
+        self._event_times.append(time)
+        self._event_pids.append(pid)
+        self._event_kind_ids.append(kind_id)
+        self._event_values.append(value)
+        if kind == "enter_view":
+            self._views_entered[pid] = value
 
     def record_commit(self, pid: int, view: int, block_id: str, time: float) -> None:
         """Record a block commit at one replica."""
@@ -253,10 +289,6 @@ class MetricsCollector:
         self._request_submit_times.append(submit_time)
         self._request_apply_times.append(apply_time)
         self._request_pids.append(pid)
-
-    def record_epoch_sync(self, pid: int, epoch: int, time: float) -> None:
-        """Record that ``pid`` participated in a heavy (all-to-all) epoch synchronisation."""
-        self.epoch_syncs.append((time, pid, epoch))
 
     # ------------------------------------------------------------------
     # Lazy record materialisation (the pre-columnar public attributes)
@@ -433,18 +465,46 @@ class MetricsCollector:
         return hi - lo
 
     # ------------------------------------------------------------------
-    # Queries: views and epochs
+    # Queries: protocol events
     # ------------------------------------------------------------------
+    def events(self, kind: Optional[str] = None, pid: Optional[int] = None) -> list[EventRecord]:
+        """Protocol events in time order, optionally of one ``kind`` and/or
+        one ``pid`` (fresh list; ``str()`` of a row renders it)."""
+        names = self._kind_names
+        rows = zip(self._event_times, self._event_pids, self._event_kind_ids, self._event_values)
+        if kind is not None:
+            kind_id = self._kind_ids.get(kind, -1)
+            rows = itertools.compress(rows, map(kind_id.__eq__, self._event_kind_ids))
+        return [
+            EventRecord(time, row_pid, names[kind_id], value)
+            for time, row_pid, kind_id, value in rows
+            if pid is None or row_pid == pid
+        ]
+
     def max_view_entered(self, pid: int) -> int:
         """The highest view ``pid`` has entered (-1 if none recorded)."""
-        entries = self.view_entries.get(pid)
-        if not entries:
-            return -1
-        return max(view for _, view in entries)
+        return self._views_entered.get(pid, -1)
+
+    @property
+    def view_entries(self) -> dict[int, list[tuple[float, int]]]:
+        """``{pid: [(time, view), ...]}`` of the ``enter_view`` rows, built per
+        read (the benchmark harness under ``benchmarks/ledger/`` reads it;
+        everything else reads :meth:`events`)."""
+        entries: dict[int, list[tuple[float, int]]] = {}
+        kind_id = self._kind_ids.get("enter_view", -1)
+        for time, pid, view in itertools.compress(
+            zip(self._event_times, self._event_pids, self._event_values),
+            map(kind_id.__eq__, self._event_kind_ids),
+        ):
+            entries.setdefault(pid, []).append((time, view))
+        return entries
 
     def epoch_syncs_after(self, time: float) -> int:
         """Number of distinct epochs for which any honest processor did a heavy sync after ``time``."""
-        return len({epoch for t, pid, epoch in self.epoch_syncs if t >= time and pid in self.honest_ids})
+        return len({
+            event.value for event in self.events("epoch_sync")
+            if event.time >= time and event.pid in self.honest_ids
+        })
 
     def commits_for(self, pid: int) -> list[CommitRecord]:
         """All commits observed at processor ``pid``."""
@@ -475,11 +535,13 @@ class MetricsCollector:
         """
         return {
             "honest_ids": sorted(self.honest_ids),
-            "message_times": self._message_times,
-            "message_senders": self._message_senders,
-            "message_recipients": self._message_recipients,
-            "message_kind_ids": self._message_kind_ids,
+            **{
+                f"{table}_{name}": getattr(self, f"_{table}_{name}")
+                for table, names in _TABLES.items()
+                for name in names
+            },
             "kind_names": list(self._kind_names),
+            "views_entered": dict(self._views_entered),
             "decision_times": self._decision_times,
             "decision_views": self._decision_views,
             "decision_leaders": self._decision_leaders,
@@ -490,50 +552,63 @@ class MetricsCollector:
             "request_submit_times": self._request_submit_times,
             "request_apply_times": self._request_apply_times,
             "request_pids": self._request_pids,
-            "view_entries": {pid: list(entries) for pid, entries in self.view_entries.items()},
-            "epoch_syncs": list(self.epoch_syncs),
             # Nonzero names only: the merged bag starts every base name at 0.
             "counts": {name: count for name, count in self.counts.items() if count},
         }
 
 
-def _merge_message_columns(merged: "MetricsCollector", states: list[dict]) -> None:
-    """Put the shards' message columns on ``merged`` in send-time order: one
+#: The tables merged as columns, by name: their columns, the time column
+#: first and the interned kind ids last (``_<table>_<column>`` on a
+#: collector, ``<table>_<column>`` in its state).
+_TABLES = {
+    "message": ("times", "senders", "recipients", "kind_ids"),
+    "event": ("times", "pids", "values", "kind_ids"),
+}
+
+
+def _merge_columns(
+    merged: "MetricsCollector", states: list[dict], renumber: list[list[int]], table: str
+) -> None:
+    """Put the shards' ``table`` columns on ``merged`` in time order: one
     shard's are adopted as they are; several are concatenated (kind ids
-    renumbered) and, only if their rows interleave, stably sorted by time."""
+    renumbered through ``renumber``, one map per shard) and, only if their
+    rows interleave, stably sorted by time."""
+    names = _TABLES[table]
     shards = []
-    for s in states:
-        kind_ids = [merged._intern_kind(kind) for kind in s["kind_names"]]
-        columns = [s["message_" + name] for name in ("times", "senders", "recipients", "kind_ids")]
+    for s, kind_ids in zip(states, renumber):
+        columns = [s[f"{table}_{name}"] for name in names]
         if kind_ids != list(range(len(kind_ids))):
-            columns[3] = array("h", map(kind_ids.__getitem__, columns[3]))
+            columns[-1] = array("h", map(kind_ids.__getitem__, columns[-1]))
         shards.append(columns)
     columns = [functools.reduce(operator.add, parts) for parts in zip(*shards)]
     times = columns[0]
     if any(map(operator.gt, times, itertools.islice(times, 1, None))):
         order = sorted(range(len(times)), key=times.__getitem__)
         columns = [array(c.typecode, map(c.__getitem__, order)) for c in columns]
-    (merged._message_times, merged._message_senders,
-     merged._message_recipients, merged._message_kind_ids) = columns
+    for name, column in zip(names, columns):
+        setattr(merged, f"_{table}_{name}", column)
 
 
 def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
     """Rebuild one :class:`MetricsCollector` from shard :meth:`~MetricsCollector.state` snapshots.
 
-    Every time-keyed stream (messages, decisions, commits, epoch syncs) is
-    merged onto one timeline — the shards of a multi-process cluster share
-    a monotonic clock origin, so their timestamps are directly comparable.
-    The message columns, by far the longest, are merged as columns; the
-    short streams are replayed through the ordinary recording methods.  The
-    sorted-column invariants (bisectable message times, the honest-decision
-    index) therefore hold on the merged collector exactly as they do on a
-    single-process one, and every query answers cluster-wide.
+    Every time-keyed stream (messages, events, decisions, commits, requests)
+    is merged onto one timeline — the shards of a multi-process cluster
+    share a monotonic clock origin, so their timestamps are directly
+    comparable.  The message and event tables, by far the longest, are
+    merged as columns; the short streams are replayed through the ordinary
+    recording methods.  The sorted-column invariants (bisectable message
+    times, the honest-decision index) therefore hold on the merged
+    collector exactly as they do on a single-process one, and every query
+    answers cluster-wide.
     """
     states = list(states)
     merged = MetricsCollector()
     merged.set_honest(set().union(*(s["honest_ids"] for s in states)))
     if states:
-        _merge_message_columns(merged, states)
+        renumber = [[merged._intern_kind(kind) for kind in s["kind_names"]] for s in states]
+        for table in _TABLES:
+            _merge_columns(merged, states, renumber, table)
 
     decisions = sorted(
         (time, view, leader)
@@ -569,12 +644,7 @@ def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
         merged.record_request_applied(pid, submit_time, apply_time)
 
     for s in states:
-        for pid, entries in s["view_entries"].items():
-            merged.view_entries.setdefault(pid, []).extend(entries)
+        # Each pid's rows come from the one shard that hosts it.
+        merged._views_entered.update(s["views_entered"])
         merged.counters.add(s["counts"])
-    for entries in merged.view_entries.values():
-        entries.sort()
-    merged.epoch_syncs = sorted(
-        (time, pid, epoch) for s in states for time, pid, epoch in s["epoch_syncs"]
-    )
     return merged

@@ -8,8 +8,9 @@ examples and benchmarks.
 :class:`RunMetrics` is the *serializable* residue of a run: the derived
 time-series (honest decision times, per-gap message counts, heavy-sync
 events) that every experiment module needs, without the live simulator,
-replicas or traces.  It is what crosses process boundaries when a campaign
-runs on the process-pool executor, and what the on-disk result cache stores.
+replicas or per-message rows.  It is what crosses process boundaries when a
+campaign runs on the process-pool executor, and what the on-disk result
+cache stores.
 """
 
 from __future__ import annotations
@@ -155,9 +156,9 @@ def extract_run_metrics(metrics: MetricsCollector) -> RunMetrics:
         decision_times=tuple(times),
         gap_message_counts=tuple(metrics.messages_per_gap(after=0.0)),
         epoch_sync_events=tuple(
-            (t, epoch)
-            for t, pid, epoch in metrics.epoch_syncs
-            if pid in metrics.honest_ids
+            (event.time, event.value)
+            for event in metrics.events("epoch_sync")
+            if event.pid in metrics.honest_ids
         ),
         total_honest_messages=metrics.total_honest_messages,
         counts=metrics.counts,

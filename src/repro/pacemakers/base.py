@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
 from repro.consensus.quorum import QuorumCertificate
@@ -60,7 +60,7 @@ class Pacemaker(ABC):
 
     @property
     def now(self) -> float:
-        """Current simulation time (used only for tracing, never for decisions)."""
+        """Current runtime time (for records and deadlines, never to pick a view)."""
         return self.replica.now
 
     @property
@@ -126,9 +126,10 @@ class Pacemaker(ABC):
         """Send a pacemaker message to all processors (including self)."""
         self.replica.broadcast(msg)
 
-    def trace(self, kind: str, **details: Any) -> None:
-        """Record a trace event attributed to this replica."""
-        self.replica.trace(kind, **details)
+    def trace(self, kind: str, value: int) -> None:
+        """Record a protocol event of this replica (see :meth:`Replica.trace
+        <repro.consensus.replica.Replica.trace>`)."""
+        self.replica.trace(kind, value)
 
     def describe(self) -> str:
         """Human-readable description for reports."""

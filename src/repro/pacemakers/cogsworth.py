@@ -165,7 +165,7 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
             )
             for relay in relays:
                 self.send(relay, WishMessage(view=target_view, partial=partial))
-        self.trace("cogsworth_wish", view=target_view, relays=len(relays))
+        self.trace("cogsworth_wish", target_view)
         # If the relay does not bring us into the view, fall back to the next one.
         self._relay_timer = self.replica.runtime.set_timer(
             self.cfg.relay_patience,

@@ -178,14 +178,14 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
         self._epoch_clock_handled.add(view)
         # Pause the clock and broadcast the epoch-view wish (heavy sync).
         self.clock.pause()
-        self.trace("lp22_epoch_pause", view=view, epoch=self.cfg.epoch_of(view))
+        self.trace("lp22_epoch_pause", view)
         self._send_epoch_view_message(view)
 
     def _send_epoch_view_message(self, view: int) -> None:
         if view in self._epoch_msgs_sent:
             return
         self._epoch_msgs_sent.add(view)
-        self.replica.record_epoch_sync(self.cfg.epoch_of(view))
+        self.trace("epoch_sync", self.cfg.epoch_of(view))
         if self.replica.behaviour.suppress_view_sync("epoch_view", view):
             return
         partial = self.replica.scheme.partial_sign(
@@ -241,7 +241,7 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
         self.clock.bump_to(self.clock_time(view))
         self.clock.unpause()
         self._enter(view)
-        self.trace("lp22_enter_epoch", view=view, epoch=self.cfg.epoch_of(view))
+        self.trace("lp22_enter_epoch", view)
         self._schedule_next_clock_event()
 
     # ------------------------------------------------------------------

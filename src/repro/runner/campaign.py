@@ -169,7 +169,6 @@ def config_fingerprint(config: "ScenarioConfig") -> dict[str, Any]:
         "duration": config.duration,
         "x": config.x,
         "seed": config.seed,
-        "record_trace": config.record_trace,
         "pre_gst_max_delay": config.pre_gst_max_delay,
         "min_delay": config.min_delay,
         "scenario": config.scenario,

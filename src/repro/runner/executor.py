@@ -7,7 +7,7 @@ Two backends run the expanded cells of a :class:`~repro.runner.campaign.Campaign
 * ``"process"`` — a ``concurrent.futures.ProcessPoolExecutor``.  Each worker
   re-builds the scenario from ``(build, params)`` and returns a picklable
   :class:`~repro.runner.record.RunRecord`, so nothing unpicklable (replicas,
-  traces, closure-based delay models) ever crosses the pool boundary.
+  closure-based delay models) ever crosses the pool boundary.
 * ``"live"`` — :mod:`repro.runner.live`: the same cells in virtual time
   with the live executor's knobs (transport jitter, drop/duplicate
   injection), or on a wall-clock process cluster.  Live cache keys are

@@ -60,7 +60,6 @@ from repro.runtime import (
     create_cluster_rings,
     destroy_cluster_rings,
 )
-from repro.sim.tracing import TraceRecorder
 
 #: Extra wall-clock seconds a worker outlives its configured duration before
 #: self-destructing — the orphan guard for a coordinator that died without
@@ -188,9 +187,8 @@ class LiveCluster:
       :meth:`stop` (during the run the parent sees ledger lengths, not
       events), and the queries need :meth:`stop` first;
     * under process placement :meth:`min_committed` refreshes at the
-      status-poll cadence, and protocol traces (``config.record_trace``)
-      stay inside the workers and are discarded — cross-process trace merge
-      is not supported.
+      status-poll cadence; the workers' protocol events arrive with the
+      rest of their collectors at :meth:`stop`, merged onto one timeline.
 
     ``config.n``, ``pacemaker``, ``delta``, ``seed``, ``crypto_backend`` and
     a named ``scenario``/``delay_model`` are honoured (``actual_delay`` is
@@ -450,7 +448,6 @@ class LiveCluster:
                 config=self.config,
                 protocol_config=stack.protocol_config,
                 metrics=stack.metrics,
-                trace=stack.trace,
                 replicas=self.replicas,
                 corruption=stack.corruption,
                 crypto_backend=stack.crypto_backend,
@@ -465,7 +462,6 @@ class LiveCluster:
             config=self.config,
             protocol_config=self.config.protocol_config(),
             metrics=self.metrics,
-            trace=TraceRecorder(enabled=False),
             replicas={},
             corruption=self._corruption,
             shipped=dict(self._shipped),

@@ -5,7 +5,7 @@ A :class:`RunRecord` is everything a campaign keeps from a finished run
 values, the Table-1 :class:`~repro.metrics.summary.ComplexitySummary`, the
 derived :class:`~repro.metrics.summary.RunMetrics` time-series, and a few
 safety/accounting scalars.  It contains no live objects — no simulator,
-replicas or traces — so it crosses process-pool boundaries cheaply and
+replicas or collector — so it crosses process-pool boundaries cheaply and
 round-trips through JSON for the on-disk result cache.
 """
 

@@ -27,7 +27,6 @@ from repro.runtime import (
     AsyncioRuntime,
     FaultyTransport,
     MonotonicClock,
-    RuntimeContext,
     ShmTransport,
     TcpTransport,
     Transport,
@@ -73,7 +72,8 @@ class Node:
 class ShardReport:
     """The picklable residue one shard leaves behind at shutdown."""
 
-    #: The shard's collector, every run total in it (``counts``).
+    #: The shard's collector: every run total in it (``counts``) and its
+    #: replicas' protocol events.
     metrics_state: dict
     replicas: dict[int, ReplicaResidue]
     teardown_errors: tuple[str, ...]
@@ -137,14 +137,9 @@ class Shard:
                     schedule_seed=config.seed + pid,
                     counters=stack.metrics.counters,
                 )
-            runtime = AsyncioRuntime(
-                transport, clock=self.clock, trace=stack.trace, seed=config.seed + pid
-            )
+            runtime = AsyncioRuntime(transport, clock=self.clock, seed=config.seed + pid)
             stack.metrics.attach_transport(transport)
-            replica = make_replica(
-                stack, pid, RuntimeContext(runtime=runtime, trace=stack.trace)
-            )
-            self.nodes[pid] = Node(pid, transport, runtime, replica)
+            self.nodes[pid] = Node(pid, transport, runtime, make_replica(stack, pid, runtime))
         for node in self.nodes.values():
             await node.transport.start()
 

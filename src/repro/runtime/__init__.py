@@ -22,7 +22,7 @@ See ``docs/runtimes.md`` for the interface contract and a
 writing-a-transport guide.
 """
 
-from repro.runtime.base import Clock, Runtime, RuntimeContext, TimerHandle
+from repro.runtime.base import Clock, Runtime, TimerHandle
 from repro.runtime.simulation import SimRuntime
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
 from repro.runtime.transports import FramedTransport, LocalTransport, Transport
@@ -59,7 +59,6 @@ __all__ = [
     "LocalTransport",
     "MonotonicClock",
     "Runtime",
-    "RuntimeContext",
     "ShmTransport",
     "SimRuntime",
     "SpscRing",

@@ -100,8 +100,6 @@ class AsyncioRuntime(Runtime):
         The wall clock; a fresh :class:`MonotonicClock` when omitted.  The
         nodes of one cluster share an instance (or an ``origin``) so their
         metrics live on one timeline.
-    trace:
-        Optional :class:`~repro.sim.tracing.TraceRecorder`.
     seed:
         Seed for :attr:`rng` (protocol-visible randomness).
     """
@@ -110,12 +108,10 @@ class AsyncioRuntime(Runtime):
         self,
         transport: Transport,
         clock: Optional[Clock] = None,
-        trace: Any = None,
         seed: int = 0,
     ) -> None:
         self.transport = transport
         self.clock = clock if clock is not None else MonotonicClock()
-        self.trace = trace
         self.rng = random.Random(seed)
         self.events_processed = 0
         self._processes: dict[int, Any] = {}

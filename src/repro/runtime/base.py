@@ -34,8 +34,7 @@ The contract the protocol core relies on (and every runtime must honour):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 
 @runtime_checkable
@@ -76,12 +75,10 @@ class Clock(ABC):
 class Runtime(ABC):
     """Everything a protocol process may ask of its environment.
 
-    Implementations also expose two conventional attributes the interface
-    does not abstract over:
-
-    * ``rng`` — a seeded :class:`random.Random`; all protocol-visible
-      randomness must flow through it so runs stay reproducible.
-    * ``trace`` — an optional :class:`~repro.sim.tracing.TraceRecorder`.
+    Implementations also expose one conventional attribute the interface
+    does not abstract over: ``rng``, a seeded :class:`random.Random`; all
+    protocol-visible randomness must flow through it so runs stay
+    reproducible.
     """
 
     # ------------------------------------------------------------------
@@ -147,17 +144,3 @@ class Runtime(ABC):
     @abstractmethod
     def process_ids(self) -> Sequence[int]:
         """Sorted ids of every addressable processor (local and remote)."""
-
-
-@dataclass
-class RuntimeContext:
-    """The handles a :class:`~repro.sim.process.Process` needs on any runtime:
-    ``runtime`` and ``trace``."""
-
-    runtime: Runtime
-    trace: Optional[Any] = None
-
-    @property
-    def now(self) -> float:
-        """Current runtime time."""
-        return self.runtime.now

@@ -21,7 +21,6 @@ from repro.runtime.transports import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking only
     from repro.sim.events import Simulator
-    from repro.sim.tracing import TraceRecorder
 
 
 class SimRuntime(Runtime):
@@ -34,21 +33,13 @@ class SimRuntime(Runtime):
     transport:
         The message fabric; bound to this runtime here, so its deliveries
         run on ``sim``.
-    trace:
-        Optional trace recorder, exposed as :attr:`trace` by convention.
     """
 
-    __slots__ = ("sim", "transport", "trace", "rng")
+    __slots__ = ("sim", "transport", "rng")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        transport: Transport,
-        trace: "TraceRecorder" = None,
-    ) -> None:
+    def __init__(self, sim: "Simulator", transport: Transport) -> None:
         self.sim = sim
         self.transport = transport
-        self.trace = trace
         self.rng = sim.rng
         transport.bind(self)
 

@@ -56,14 +56,12 @@ class TcpTransport(FramedTransport):
         respawned by the next ``send`` to that peer, so an outage longer
         than the window delays traffic rather than partitioning the node
         permanently.
-    coalesce_writes:
-        When true (the default), a writer that wakes up with several frames
-        queued flushes them all in **one** ``write()`` + ``drain()`` instead
-        of one per frame.  The byte stream is identical — frames are
-        length-prefixed and concatenated in queue order, untouched — so the
-        receiver cannot tell the difference; only the syscall count drops.
-        ``False`` selects the per-frame reference path (the toggle exists
-        so the equivalence is testable, see ``tests/test_tcp_batching.py``).
+
+    A writer that wakes up with several frames queued flushes them all in
+    **one** ``write()`` + ``drain()``.  The byte stream is exactly the
+    frames' concatenation — length-prefixed, in queue order, untouched — so
+    the receiver cannot tell how they were written; only the syscall count
+    drops (``tests/test_tcp_batching.py`` pins it).
     """
 
     #: Upper bound on frames flushed per coalesced ``write()`` — bounds the
@@ -77,13 +75,11 @@ class TcpTransport(FramedTransport):
         port: int = 0,
         codec: Union[WireCodec, str, None] = None,
         connect_timeout: float = 10.0,
-        coalesce_writes: bool = True,
     ) -> None:
         super().__init__(pid, codec)
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
-        self.coalesce_writes = coalesce_writes
         self._server: Optional[asyncio.AbstractServer] = None
         self._inbox: Optional[asyncio.Queue] = None
         self._outboxes: dict[int, asyncio.Queue] = {}
@@ -257,13 +253,13 @@ class TcpTransport(FramedTransport):
         keeps the unsent frames, reconnects and resends them — the node is
         never silently partitioned from a peer that comes back.
 
-        With :attr:`coalesce_writes` on, every wakeup greedily drains the
-        outbox (up to :attr:`MAX_COALESCED_FRAMES`) and flushes the whole
-        batch as a single ``write()`` + ``drain()``.  Frames are
-        concatenated in queue order and never mutated, so the byte stream —
-        and therefore the peer's decode sequence — is identical to the
-        per-frame reference path; a protocol burst (a broadcast fan-in, a
-        view change) costs one syscall pair instead of one per frame.
+        Every wakeup greedily drains the outbox (up to
+        :attr:`MAX_COALESCED_FRAMES`) and flushes the whole batch as a
+        single ``write()`` + ``drain()``.  Frames are concatenated in queue
+        order and never mutated, so the byte stream — and therefore the
+        peer's decode sequence — is the frames' concatenation; a protocol
+        burst (a broadcast fan-in, a view change) costs one syscall pair
+        instead of one per frame.
 
         A writer that exhausts its connect window gives up *audibly*: the
         frames it was holding are counted in :attr:`frames_dropped` before
@@ -276,12 +272,11 @@ class TcpTransport(FramedTransport):
         while True:
             if not batch:
                 batch.append(await outbox.get())
-                if self.coalesce_writes:
-                    while len(batch) < self.MAX_COALESCED_FRAMES:
-                        try:
-                            batch.append(outbox.get_nowait())
-                        except asyncio.QueueEmpty:
-                            break
+                while len(batch) < self.MAX_COALESCED_FRAMES:
+                    try:
+                        batch.append(outbox.get_nowait())
+                    except asyncio.QueueEmpty:
+                        break
             if writer is None:
                 try:
                     writer = await self._connect(peer)

@@ -25,7 +25,6 @@ from repro.sim.network import (
     UniformDelay,
 )
 from repro.sim.process import Process
-from repro.sim.tracing import TraceEvent, TraceRecorder
 
 __all__ = [
     "AdversarialDelay",
@@ -40,7 +39,5 @@ __all__ = [
     "Process",
     "Simulator",
     "TargetedDelay",
-    "TraceEvent",
-    "TraceRecorder",
     "UniformDelay",
 ]

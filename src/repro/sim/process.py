@@ -5,9 +5,8 @@ messages from its :class:`~repro.runtime.base.Runtime`.  Protocol replicas
 (see :mod:`repro.consensus.replica`) derive from it, as do purpose-built
 Byzantine processes in :mod:`repro.adversary`.
 
-A process is constructed over a :class:`~repro.runtime.base.RuntimeContext`
-(anything exposing ``runtime`` and ``trace``); all messaging, timing and
-scheduling flows through :attr:`Process.runtime`.
+A process is constructed over its :class:`~repro.runtime.base.Runtime`; all
+messaging, timing and scheduling flows through :attr:`Process.runtime`.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ class Process:
     A process that has crashed stops receiving messages and sending anything.
     """
 
-    def __init__(self, pid: int, ctx: Any) -> None:
+    def __init__(self, pid: int, runtime: Any) -> None:
         self.pid = pid
-        self.ctx = ctx
-        self.runtime = ctx.runtime
-        self.clock = LocalClock(self.runtime)
+        self.runtime = runtime
+        self.clock = LocalClock(runtime)
         self.crashed = False
         self.byzantine = False
         self.runtime.register(self)
@@ -55,7 +53,6 @@ class Process:
     def crash(self) -> None:
         """Stop the process: it will neither send nor react to messages."""
         self.crashed = True
-        self.trace("crash")
 
     def recover(self) -> None:
         """Restart a crashed process: it resumes sending and receiving.
@@ -66,10 +63,7 @@ class Process:
         would — alive, but having missed every message sent while it was down
         (delivery to crashed processes is dropped, never queued).
         """
-        if not self.crashed:
-            return
         self.crashed = False
-        self.trace("recover")
 
     # ------------------------------------------------------------------
     # Messaging
@@ -94,16 +88,6 @@ class Process:
 
     def on_message(self, payload: Any, sender: int) -> None:
         """Handle an incoming message.  Subclasses override."""
-
-    # ------------------------------------------------------------------
-    # Tracing
-    # ------------------------------------------------------------------
-    def trace(self, kind: str, **details: Any) -> None:
-        """Record a trace event if a recorder is attached and switched on
-        (a disabled one is not worth a clock read per protocol step)."""
-        recorder = self.ctx.trace
-        if recorder is not None and recorder.enabled:
-            recorder.record(self.now, self.pid, kind, details)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

@@ -7,9 +7,8 @@ import pytest
 from repro.config import ProtocolConfig
 from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
-from repro.runtime import LocalTransport, RuntimeContext, SimRuntime
+from repro.runtime import LocalTransport, SimRuntime
 from repro.sim.events import Simulator
-from repro.sim.tracing import TraceRecorder
 
 
 @pytest.fixture
@@ -30,11 +29,9 @@ def simulator() -> Simulator:
 
 
 @pytest.fixture
-def ctx(simulator: Simulator) -> RuntimeContext:
-    """A virtual-time context: ``ctx.runtime.sim`` is the ``simulator`` fixture."""
-    trace = TraceRecorder()
-    runtime = SimRuntime(simulator, LocalTransport(delay=0.1), trace=trace)
-    return RuntimeContext(runtime=runtime, trace=trace)
+def runtime(simulator: Simulator) -> SimRuntime:
+    """A virtual-time runtime: ``runtime.sim`` is the ``simulator`` fixture."""
+    return SimRuntime(simulator, LocalTransport(delay=0.1))
 
 
 @pytest.fixture

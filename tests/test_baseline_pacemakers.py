@@ -23,7 +23,6 @@ def scenario(pacemaker, n=4, duration=250.0, **kwargs) -> ScenarioConfig:
         actual_delay=0.1,
         gst=0.0,
         duration=duration,
-        record_trace=False,
     )
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
@@ -96,7 +95,7 @@ def test_recovery_after_gst(pacemaker):
 def test_view_monotonicity(pacemaker):
     result = run_scenario(scenario(pacemaker, duration=120.0))
     for pid in result.corruption.honest_ids:
-        views = [view for _, view in result.metrics.view_entries.get(pid, [])]
+        views = [event.value for event in result.metrics.events("enter_view", pid)]
         assert views == sorted(views), f"{pacemaker} violated view monotonicity at p{pid}"
 
 

@@ -234,7 +234,7 @@ def scenario_pair(monkeypatch, model: DelayModel, seed: int):
         return run_scenario(
             ScenarioConfig(
                 n=7, pacemaker="lumiere", delta=1.0, actual_delay=0.5, gst=0.0,
-                duration=40.0, seed=seed, delay_model=model, record_trace=False,
+                duration=40.0, seed=seed, delay_model=model,
             )
         )
 

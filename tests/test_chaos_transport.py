@@ -27,7 +27,6 @@ from repro.runtime import (
     Counters,
     FaultyTransport,
     LocalTransport,
-    RuntimeContext,
     SimRuntime,
 )
 from repro.runtime.chaos import BASE_FAULT_COUNTS
@@ -46,7 +45,6 @@ def _scenario(seed: int = 0, **overrides) -> ScenarioConfig:
         gst=0.0,
         duration=20.0,
         seed=seed,
-        record_trace=False,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
@@ -56,14 +54,14 @@ def _build_over(config, transport):
     """``build_scenario``'s wiring over a transport of the test's choosing."""
     stack = build_stack(config)
     simulator = Simulator(seed=config.seed)
-    runtime = SimRuntime(simulator, transport, trace=stack.trace)
+    runtime = SimRuntime(simulator, transport)
     stack.metrics.attach_transport(transport)
-    ctx = RuntimeContext(runtime=runtime, trace=stack.trace)
     return RunResult(
         config=config, protocol_config=stack.protocol_config, metrics=stack.metrics,
-        trace=stack.trace, corruption=stack.corruption, simulator=simulator,
-        runtime=runtime, transport=transport,
-        replicas={pid: make_replica(stack, pid, ctx) for pid in stack.protocol_config.processor_ids},
+        corruption=stack.corruption, simulator=simulator, runtime=runtime, transport=transport,
+        replicas={
+            pid: make_replica(stack, pid, runtime) for pid in stack.protocol_config.processor_ids
+        },
     )
 
 

@@ -43,7 +43,6 @@ def _config(seed: int = 0, **overrides) -> ScenarioConfig:
         gst=0.0,
         duration=30.0,
         seed=seed,
-        record_trace=False,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)

@@ -218,7 +218,6 @@ def _run(backend_name):
             gst=0.0,
             duration=40.0,
             seed=0,
-            record_trace=False,
             crypto_backend=backend_name,
         )
     )

@@ -29,7 +29,7 @@ def test_build_scenario_does_not_advance_time():
 
 
 def test_run_scenario_runs_to_requested_duration():
-    result = run_scenario(ScenarioConfig(n=4, duration=60.0, record_trace=False))
+    result = run_scenario(ScenarioConfig(n=4, duration=60.0))
     assert result.simulator.now >= 60.0
     assert result.honest_decisions() > 0
 
@@ -42,7 +42,7 @@ def test_scenario_rejects_mismatched_corruption_plan():
 
 
 def test_scenario_describe_and_summary_round_trip():
-    result = run_scenario(ScenarioConfig(n=4, duration=80.0, record_trace=False))
+    result = run_scenario(ScenarioConfig(n=4, duration=80.0))
     summary = result.summary()
     assert summary.n == 4
     assert summary.decisions == result.honest_decisions()
@@ -50,10 +50,13 @@ def test_scenario_describe_and_summary_round_trip():
 
 
 def test_trace_recording_can_be_enabled():
-    result = run_scenario(ScenarioConfig(n=4, duration=30.0, record_trace=True))
-    assert len(result.trace) > 0
-    assert result.trace.first("enter_view") is not None
-    assert result.trace.of_kind("qc_produced")
+    result = run_scenario(ScenarioConfig(n=4, duration=30.0))
+    metrics = result.metrics
+    assert len(metrics.events()) > 0
+    assert metrics.events("enter_view")[0].kind == "enter_view"
+    assert metrics.events("qc_observed")
+    # A QC a leader forms is a decision row, not an event row.
+    assert metrics.decisions and not metrics.events("qc_produced")
 
 
 # ----------------------------------------------------------------------

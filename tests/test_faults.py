@@ -336,7 +336,7 @@ def test_churn_behaviour_validates_windows():
 
 
 def test_replica_rejects_a_recovery_that_does_not_follow_its_crash():
-    config = ScenarioConfig(n=4, duration=10.0, record_trace=False)
+    config = ScenarioConfig(n=4, duration=10.0)
     config.corruption = CorruptionPlan(
         config.protocol_config(), {3: CrashBehaviour(at_time=5.0, recover_at=2.0)}
     )
@@ -346,23 +346,53 @@ def test_replica_rejects_a_recovery_that_does_not_follow_its_crash():
 
 
 def test_replica_counts_kills_and_restarts_as_they_happen():
-    config = ScenarioConfig(n=4, duration=10.0, record_trace=False)
+    config = ScenarioConfig(n=4, duration=10.0)
     result = build_scenario(config)
     replica, counters = result.replicas[2], result.metrics.counters
     replica.recover()  # not down: nothing restarted
     assert result.metrics.counts["restarts"] == 0
     replica.crash()
+    replica.crash()  # already down: nothing killed
     assert replica.crashed and counters.as_dict()["kills"] == 1
     replica.recover()
     replica.recover()
     assert not replica.crashed
     counts = result.metrics.counts
     assert (counts["kills"], counts["restarts"]) == (1, 1)
+    # One row per transition, like the counts.
+    assert [event.kind for event in result.metrics.events(pid=2)] == ["crash", "recover"]
+
+
+@dataclass
+class _DowntimeWindows(Behaviour):
+    windows: tuple = ()
+    is_byzantine: bool = True
+
+    def downtime_windows(self):
+        return list(self.windows)
+
+
+@pytest.mark.parametrize("windows", [
+    ((5.0, None), (10.0, 12.0)),  # a permanently crashed replica would come back up
+    ((5.0, 15.0), (10.0, 12.0)),  # the inner window would end the outer outage at 12
+    ((10.0, 12.0), (5.0, 6.0)),   # out of order
+])
+def test_replica_rejects_downtime_windows_that_overlap_or_follow_a_permanent_crash(windows):
+    config = ScenarioConfig(n=4, duration=20.0)
+    config.corruption = CorruptionPlan(config.protocol_config(), {3: _DowntimeWindows(windows)})
+    with pytest.raises(ConfigurationError, match="overlap"):
+        build_scenario(config)
+    # Back-to-back windows are disjoint: accepted, two kills and two restarts.
+    config.corruption = CorruptionPlan(
+        config.protocol_config(), {3: _DowntimeWindows(((5.0, 10.0), (10.0, 12.0)))}
+    )
+    counts = run_scenario(config).metrics.counts
+    assert (counts["kills"], counts["restarts"]) == (2, 2)
 
 
 def test_replica_recovers_after_a_crash_window():
     result = run_scenario(
-        ScenarioConfig(n=4, duration=80.0, record_trace=False, scenario="crash_churn",
+        ScenarioConfig(n=4, duration=80.0, scenario="crash_churn",
                        scenario_params={"downtime": 5.0, "period": 20.0, "cycles": 2})
     )
     # Every churned replica's last window has closed by t=80: nobody ends down.

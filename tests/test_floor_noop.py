@@ -39,8 +39,7 @@ PACEMAKERS = ("lumiere", "basic_lumiere", "lp22", "fever")
 
 def _config(scenario: str, pacemaker: str, n: int) -> ScenarioConfig:
     return ScenarioConfig(
-        n=n, pacemaker=pacemaker, gst=20.0, duration=300.0, seed=3,
-        record_trace=False, scenario=scenario,
+        n=n, pacemaker=pacemaker, gst=20.0, duration=300.0, seed=3, scenario=scenario,
     )
 
 
@@ -115,7 +114,7 @@ def _protocol_state(replica) -> dict:
 def settled():
     """A fault-free n=4 Lumiere run well into its third epoch."""
     result = run_scenario(
-        ScenarioConfig(n=4, pacemaker="lumiere", duration=45.0, seed=1, record_trace=False)
+        ScenarioConfig(n=4, pacemaker="lumiere", duration=45.0, seed=1)
     )
     replica = result.replicas[0]
     assert replica.pacemaker.current_epoch >= 2 and 0 < replica.floor <= replica.current_view
@@ -169,7 +168,7 @@ def test_a_never_learned_qc_below_the_floor_still_counts_once():
     # and handed to the pacemaker, as it was before the floor, and moves
     # nothing else.  Here v is a view whose silent leader never formed a QC.
     result = run_scenario(ScenarioConfig(
-        n=4, pacemaker="lumiere", gst=5.0, duration=60.0, seed=1, record_trace=False,
+        n=4, pacemaker="lumiere", gst=5.0, duration=60.0, seed=1,
         scenario="silent_spread",
     ))
     replica = result.honest_replicas[0]

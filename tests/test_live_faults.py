@@ -77,7 +77,6 @@ def _config(name: str, seed: int, **overrides) -> ScenarioConfig:
         seed=seed,
         scenario=name,
         scenario_params=dict(SCENARIO_OVERRIDES.get(name, {})),
-        record_trace=False,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
@@ -94,7 +93,7 @@ def _ledgers(replicas):
 def _fault_free_config(seed: int) -> ScenarioConfig:
     return ScenarioConfig(
         n=4, pacemaker="lumiere", delta=1.0, actual_delay=0.1, gst=0.0,
-        duration=30.0, seed=seed, record_trace=False,
+        duration=30.0, seed=seed,
     )
 
 

@@ -38,7 +38,6 @@ def _scenario(seed: int, **overrides) -> ScenarioConfig:
         gst=0.0,
         duration=30.0,
         seed=seed,
-        record_trace=False,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
@@ -204,7 +203,7 @@ def test_a_view_entry_arms_one_clock_timer_and_fires_none_for_an_entered_view(mo
     monkeypatch.setattr(SimRuntime, "set_timer", counting_set_timer)
     monkeypatch.setattr(LumierePacemaker, "_on_clock_target", watching_on_clock_target)
     result = run_live_scenario(_scenario(1, duration=80.0))
-    entries = sum(len(views) for views in result.metrics.view_entries.values())
+    entries = len(result.metrics.events("enter_view"))
     assert result.max_honest_view() >= 200 and entries >= 4 * 200
     # A view entered on a QC cancels the pending boundary timer, bumps, and
     # arms the next boundary: one timer, not re-arm / zero-delay no-op /
@@ -246,7 +245,6 @@ def _build_live_cell(params):
         actual_delay=0.1,
         duration=params["duration"],
         seed=params["seed"],
-        record_trace=False,
     )
 
 
@@ -298,8 +296,7 @@ def test_tcp_cluster_smoke():
     async def scenario():
         cluster = make_live_cluster(
             ScenarioConfig(
-                n=4, pacemaker="lumiere", delta=0.2, duration=25.0,
-                seed=0, record_trace=False,
+                n=4, pacemaker="lumiere", delta=0.2, duration=25.0, seed=0,
             )
         )
         try:

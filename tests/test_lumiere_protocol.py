@@ -32,7 +32,6 @@ def scenario(n=4, duration=250.0, pacemaker="lumiere", **kwargs) -> ScenarioConf
         actual_delay=0.1,
         gst=0.0,
         duration=duration,
-        record_trace=False,
     )
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
@@ -82,10 +81,10 @@ def test_basic_lumiere_heavy_syncs_every_epoch():
 def test_view_monotonicity_at_every_honest_replica():
     result = run_scenario(scenario(duration=120.0))
     for pid in result.corruption.honest_ids:
-        entries = result.metrics.view_entries.get(pid, [])
-        views = [view for _, view in entries]
+        entries = result.metrics.events("enter_view", pid)
+        views = [event.value for event in entries]
         assert views == sorted(views)
-        times = [time for time, _ in entries]
+        times = [event.time for event in entries]
         assert times == sorted(times)
 
 
@@ -193,7 +192,7 @@ def test_recovery_after_gst_with_pre_gst_chaos():
 def test_honest_clock_gap_stays_bounded_in_steady_state():
     """Lemma 5.9-flavoured check: once synchronised, the (f+1)-st honest clock
     gap never exceeds Gamma + Delta again."""
-    config = scenario(duration=250.0, record_trace=False)
+    config = scenario(duration=250.0)
     result = run_scenario(config)
     gamma = 2 * (result.protocol_config.x + 2) * result.config.delta
     clocks = sorted(
@@ -225,7 +224,6 @@ def test_qc_production_deadline_blocks_very_late_qcs():
     config.corruption = CorruptionPlan.uniform(
         config.protocol_config(), [1], lambda: SlowLeaderBehaviour(delay=late)
     )
-    config.record_trace = True
     result = run_scenario(config)
     # The run still makes progress and never forks.
     assert result.honest_decisions() > 20

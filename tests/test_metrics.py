@@ -78,20 +78,27 @@ def test_decision_gaps_and_messages_per_gap():
 
 def test_epoch_sync_counting_only_counts_honest_and_distinct_epochs():
     metrics = collector_with_honest(honest=(0, 1))
-    metrics.record_epoch_sync(pid=0, epoch=1, time=5.0)
-    metrics.record_epoch_sync(pid=1, epoch=1, time=6.0)
-    metrics.record_epoch_sync(pid=0, epoch=2, time=9.0)
-    metrics.record_epoch_sync(pid=3, epoch=7, time=9.0)  # byzantine: ignored
+    metrics.record_event(pid=0, kind="epoch_sync", value=1, time=5.0)
+    metrics.record_event(pid=1, kind="epoch_sync", value=1, time=6.0)
+    metrics.record_event(pid=0, kind="epoch_sync", value=2, time=9.0)
+    metrics.record_event(pid=3, kind="epoch_sync", value=7, time=9.0)  # byzantine: ignored
+    metrics.record_event(pid=0, kind="enter_view", value=9, time=9.5)  # another kind
     assert metrics.epoch_syncs_after(0.0) == 2
     assert metrics.epoch_syncs_after(8.0) == 1
 
 
 def test_view_entries_and_max_view():
     metrics = collector_with_honest()
-    metrics.record_view_entry(pid=0, view=1, time=1.0)
-    metrics.record_view_entry(pid=0, view=4, time=2.0)
+    metrics.record_event(pid=0, kind="enter_view", value=1, time=1.0)
+    metrics.record_event(pid=1, kind="enter_view", value=2, time=1.5)
+    metrics.record_event(pid=0, kind="enter_view", value=4, time=2.0)
+    metrics.record_event(pid=0, kind="qc_observed", value=7, time=2.5)  # another kind
     assert metrics.max_view_entered(0) == 4
     assert metrics.max_view_entered(9) == -1
+    assert metrics.view_entries == {0: [(1.0, 1), (2.0, 4)], 1: [(1.5, 2)]}
+    # The answer follows rows appended after a query.
+    metrics.record_event(pid=1, kind="enter_view", value=5, time=3.0)
+    assert metrics.max_view_entered(1) == 5
 
 
 def test_summary_computes_table1_measures():

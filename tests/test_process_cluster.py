@@ -20,13 +20,13 @@ from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.runner import make_live_cluster
 from repro.runner.process_cluster import partition
 from repro.runtime import default_binary_codec
-from repro.sim.network import BASE_COUNTS
+from repro.sim.network import BASE_COUNTS, Envelope
 
 
 def _config(**overrides) -> ScenarioConfig:
     defaults = dict(
         n=4, pacemaker="lumiere", delta=0.5, duration=30.0,
-        seed=3, record_trace=False,
+        seed=3,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
@@ -204,6 +204,38 @@ def test_merge_metrics_states_interleaves_onto_one_timeline():
     # Commits interleaved; per-pid queries answer cluster-wide.
     assert [c.pid for c in merged.commits] == [0, 2, 0]
     assert [c.block_id for c in merged.commits_for(0)] == ["b0", "b1"]
+
+
+def test_merge_metrics_states_merges_event_tables():
+    shard_a = MetricsCollector()
+    shard_a.set_honest({0, 1})
+    shard_a.on_send(Envelope(0, 0, 1, "vote", 0.1, 0.2))  # a message kind interned first
+    for time, pid, kind, value in [
+        (1.0, 0, "enter_view", 1), (2.0, 0, "epoch_sync", 0),
+        (3.0, 1, "enter_view", 2), (5.0, 1, "qc_observed", 2),
+    ]:
+        shard_a.record_event(pid, kind, value, time)
+    shard_b = MetricsCollector()
+    for time, pid, kind, value in [
+        (0.5, 2, "qc_observed", 0), (2.0, 3, "lumiere_unpause.qc", 4),
+        (4.0, 2, "enter_view", 3),
+    ]:
+        shard_b.record_event(pid, kind, value, time)
+    merged = merge_metrics_states([shard_a.state(), shard_b.state()])
+
+    rows = [(e.time, e.pid, e.kind, e.value) for e in merged.events()]
+    assert rows == [  # time-sorted; the tie at 2.0 keeps shard order
+        (0.5, 2, "qc_observed", 0), (1.0, 0, "enter_view", 1),
+        (2.0, 0, "epoch_sync", 0), (2.0, 3, "lumiere_unpause.qc", 4),
+        (3.0, 1, "enter_view", 2), (4.0, 2, "enter_view", 3), (5.0, 1, "qc_observed", 2),
+    ]
+    # Shard b's kind ids were renumbered into the merged collector's.
+    assert merged._kind_names == [
+        "str", "enter_view", "epoch_sync", "qc_observed", "lumiere_unpause.qc",
+    ]
+    assert [e.pid for e in merged.events("qc_observed")] == [2, 1]
+    assert merged.max_view_entered(2) == 3 and merged.max_view_entered(3) == -1
+    assert merged.message_kinds_between(0.0, 1.0) == {"str": 1}
 
 
 def test_merge_metrics_states_sums_fault_counts():

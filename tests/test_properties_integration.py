@@ -62,13 +62,12 @@ def test_safety_and_monotonicity_under_random_single_fault(
         gst=0.0,
         duration=120.0,
         seed=seed,
-        record_trace=False,
     )
     config.corruption = _build_plan(config.protocol_config(), corrupted_id, behaviour_index)
     result = run_scenario(config)
     assert result.ledgers_are_consistent()
     for pid in result.corruption.honest_ids:
-        views = [view for _, view in result.metrics.view_entries.get(pid, [])]
+        views = [event.value for event in result.metrics.events("enter_view", pid)]
         assert views == sorted(views)
 
 
@@ -91,7 +90,6 @@ def test_liveness_under_random_symmetric_delays(pacemaker, low, spread, seed):
         gst=0.0,
         duration=150.0,
         seed=seed,
-        record_trace=False,
         delay_model=UniformDelay(low, high),
     )
     result = run_scenario(config)
@@ -114,7 +112,6 @@ def test_lumiere_recovers_after_random_gst(gst, pre_max, seed):
         gst=gst,
         duration=gst + 250.0,
         seed=seed,
-        record_trace=False,
         delay_model=PreGSTChaos(FixedDelay(0.1), pre_gst_max_delay=pre_max),
     )
     result = run_scenario(config)
@@ -136,7 +133,6 @@ def test_lumiere_honest_clocks_end_close_together(seed):
         gst=0.0,
         duration=100.0,
         seed=seed,
-        record_trace=False,
     )
     result = run_scenario(config)
     gamma = 2 * (result.protocol_config.x + 2) * result.config.delta

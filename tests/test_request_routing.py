@@ -38,7 +38,7 @@ from repro.statemachine.messages import CommandBatch, CommandForward
 def _config(**overrides) -> ScenarioConfig:
     defaults = dict(
         n=7, pacemaker="lumiere", delta=1.0, actual_delay=0.1, gst=0.0,
-        duration=30.0, seed=1, record_trace=False,
+        duration=30.0, seed=1,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)

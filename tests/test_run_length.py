@@ -39,8 +39,7 @@ def _per_view_tables(replica) -> dict[str, int]:
 def _probe_at(lengths, **config):
     """Run one in-memory cluster; snapshot it as its shortest ledger first
     reaches each of ``lengths``.  Returns ``[(blocks, tables, objects)]``."""
-    config = ScenarioConfig(n=4, delta=1.0, actual_delay=0.1, record_trace=False,
-                            duration=1e9, seed=2, **config)
+    config = ScenarioConfig(n=4, delta=1.0, actual_delay=0.1, duration=1e9, seed=2, **config)
     pending, snapshots = list(lengths), []
 
     def probe(result) -> bool:

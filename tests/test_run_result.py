@@ -23,7 +23,7 @@ from repro.sim.network import BASE_COUNTS, BASE_FAULT_COUNTS
 def _config(**overrides) -> ScenarioConfig:
     defaults = dict(
         n=4, pacemaker="lumiere", delta=0.2, actual_delay=0.02, duration=4.0,
-        seed=1, record_trace=False,
+        seed=1,
         workload=WorkloadConfig(mode="open", rate=20.0, clients=2, stop=2.0),
     )
     defaults.update(overrides)
@@ -94,6 +94,13 @@ def test_every_lane_returns_the_one_result_type(run):
     # processes included), and views pace a healthy run on all of them.
     assert counts["flushes.view"] > 0 and counts["forwards_sent"] > 0
     assert f"flushes=view:{counts['flushes.view']}/" in result.describe()
+    # One event table on every lane (worker processes' rows merged in), in
+    # time order, with rows from every honest replica.
+    events = result.metrics.events()
+    assert [event.time for event in events] == sorted(event.time for event in events)
+    for kind in ("enter_view", "qc_observed", "proposal_sent"):
+        pids = {event.pid for event in result.metrics.events(kind)}
+        assert pids >= result.corruption.honest_ids, kind
 
     record = RunRecord.from_result(result, "run", "key", {"n": 4}, wall_time=0.0)
     assert record.committed_blocks == result.committed_blocks()

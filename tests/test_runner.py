@@ -35,7 +35,6 @@ def build_plain(params: dict) -> ScenarioConfig:
         pacemaker=params["pacemaker"],
         duration=params["duration"],
         seed=params["seed"],
-        record_trace=False,
     )
 
 

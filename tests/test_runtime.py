@@ -17,7 +17,6 @@ from repro.runtime import (
     FaultyTransport,
     LocalTransport,
     MonotonicClock,
-    RuntimeContext,
     SimRuntime,
     WireCodecError,
     default_codec,
@@ -244,7 +243,7 @@ def test_wall_clock_set_timer_at_clamps_past_times():
 def test_wall_clock_run_rejects_max_events():
     from repro.runner import run_live_scenario
 
-    config = ScenarioConfig(n=4, duration=0.05, record_trace=False)
+    config = ScenarioConfig(n=4, duration=0.05)
     with pytest.raises(ConfigurationError, match="max_events"):
         run_live_scenario(config, clock=MonotonicClock(), max_events=10)
 
@@ -274,7 +273,7 @@ def test_wall_clock_runtime_fires_timers_and_delivers():
 def test_codec_roundtrips_a_full_proposal():
     set_default_backend(make_backend("hashing"))
     result = build_scenario(
-        ScenarioConfig(n=4, pacemaker="lumiere", duration=20.0, record_trace=False)
+        ScenarioConfig(n=4, pacemaker="lumiere", duration=20.0)
     )
     for replica in result.replicas.values():
         replica.start()
@@ -353,7 +352,7 @@ def test_codec_rejects_unregistered_and_malformed():
 # ----------------------------------------------------------------------
 def _fresh_replica():
     result = build_scenario(
-        ScenarioConfig(n=4, pacemaker="lumiere", duration=10.0, record_trace=False)
+        ScenarioConfig(n=4, pacemaker="lumiere", duration=10.0)
     )
     return result.replicas[0]
 

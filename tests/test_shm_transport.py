@@ -767,7 +767,7 @@ def test_shm_and_tcp_process_clusters_agree():
     target = 5
     config = ScenarioConfig(
         n=4, pacemaker="lumiere", delta=0.5, duration=30.0,
-        seed=3, record_trace=False,
+        seed=3,
     )
 
     async def run(transport: str):

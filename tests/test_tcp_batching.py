@@ -1,11 +1,10 @@
 """Coalesced TCP writes: byte-stream equivalence, drop accounting, teardown errors.
 
-The writer-coalescing optimisation (``TcpTransport(coalesce_writes=...)``)
-ships with a toggle selecting the per-frame reference path, and a test
-proves the two are
-observationally identical — here, that the *byte stream* a peer receives is
-identical, which is the strongest statement possible for a framed protocol
-(the receiver cannot even in principle distinguish the paths).
+A ``TcpTransport`` writer flushes every frame it finds queued in one
+``write()``.  The test below holds the *byte stream* a peer receives to the
+independent oracle ``b"".join(frames)`` — the strongest statement possible
+for a framed protocol (the receiver cannot even in principle tell how the
+frames were written).
 
 The reader's side of the same economy is the frame memo: nodes that share a
 codec in one process decode a broadcast's frame once (the shm twin of these
@@ -49,10 +48,10 @@ async def _accumulating_server():
     return server, (host, port), received
 
 
-async def _send_frames(address, frames, coalesce: bool) -> bytes:
+async def _send_frames(address, frames) -> bytes:
     """Push ``frames`` through a writer task and return the peer's byte stream."""
     server, addr, received = address
-    transport = TcpTransport(0, coalesce_writes=coalesce, connect_timeout=5.0)
+    transport = TcpTransport(0, connect_timeout=5.0)
     transport.set_peers({1: addr})
     for frame in frames:
         transport._enqueue_frame(1, frame)
@@ -68,7 +67,7 @@ async def _send_frames(address, frames, coalesce: bool) -> bytes:
 @pytest.mark.tcp
 @pytest.mark.parametrize("count", [1, 3, 200, 700])
 def test_coalesced_writes_are_byte_stream_identical(count):
-    """Same frames, both toggle positions, one byte stream.
+    """The peer receives exactly the frames' concatenation.
 
     200 frames enqueued before the writer first wakes exercises real
     batches; 700 crosses MAX_COALESCED_FRAMES, so the cap path (multiple
@@ -77,19 +76,15 @@ def test_coalesced_writes_are_byte_stream_identical(count):
     frames = [_frame(i) for i in range(count)]
     expected = b"".join(frames)
 
-    async def run(coalesce: bool) -> bytes:
+    async def run() -> bytes:
         address = await _accumulating_server()
         try:
-            return await _send_frames(address, frames, coalesce)
+            return await _send_frames(address, frames)
         finally:
             address[0].close()
             await address[0].wait_closed()
 
-    fast = asyncio.run(run(True))
-    reference = asyncio.run(run(False))
-    assert fast == expected
-    assert reference == expected
-    assert fast == reference
+    assert asyncio.run(run()) == expected
 
 
 @pytest.mark.tcp

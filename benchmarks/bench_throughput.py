@@ -308,9 +308,7 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
         n=n, pacemaker="lumiere", delta=delta, actual_delay=0.02,
         duration=window + 30.0, seed=seed, workload=workload,
     )
-    cluster = make_live_cluster(
-        config, placement="process", processes=1, transport="shm", codec="binary"
-    )
+    cluster = make_live_cluster(config, placement="process", processes=1, transport="shm")
     # (cluster-clock seconds, worker RSS, worker CPU seconds)
     samples: list[tuple[float, int, float]] = []
 

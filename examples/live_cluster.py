@@ -4,16 +4,14 @@
 The same protocol objects the simulator executes — replicas, the chained
 HotStuff engine, the Lumiere pacemaker — boot here as asyncio tasks, one
 node per :class:`~repro.runtime.tcp.TcpTransport`, exchanging
-length-prefixed frames (compact binary by default, JSON via
-``--codec json``) over localhost TCP and committing blocks in real
-(wall-clock) time.  The run stops as soon as every node's ledger holds
+length-prefixed binary frames over localhost TCP and committing blocks in
+real (wall-clock) time.  The run stops as soon as every node's ledger holds
 the target number of blocks, then prints wall-clock latency and throughput
 figures recorded by the ordinary metrics collector through the monotonic
 clock behind the :class:`~repro.runtime.base.Clock` seam.
 
 Run with:  python examples/live_cluster.py
            python examples/live_cluster.py --n 4 --blocks 20 --timeout 30
-           python examples/live_cluster.py --codec json   # JSON wire format
            python examples/live_cluster.py --procs 4      # one OS process per node
 
 ``--procs`` switches to process placement: the nodes boot in spawned OS
@@ -32,7 +30,6 @@ import time
 
 from repro.experiments import ScenarioConfig
 from repro.runner import make_live_cluster
-from repro.runtime import available_codecs
 
 
 async def run_cluster(args: argparse.Namespace) -> int:
@@ -45,12 +42,10 @@ async def run_cluster(args: argparse.Namespace) -> int:
     )
     placement = "inline" if args.procs is None else "process"
     processes = None if args.procs in (None, 0) else args.procs
-    cluster = make_live_cluster(
-        config, placement=placement, codec=args.codec, processes=processes
-    )
+    cluster = make_live_cluster(config, placement=placement, processes=processes)
     print(
         f"booting n={args.n} {args.pacemaker} cluster over TCP on localhost "
-        f"({args.codec} codec, {placement} placement)..."
+        f"({placement} placement)..."
     )
     started = time.monotonic()
     await cluster.start()
@@ -76,7 +71,7 @@ async def run_cluster(args: argparse.Namespace) -> int:
     print()
     print(
         f"live cluster run (n={args.n}, {args.pacemaker}, Delta={args.delta}s, "
-        f"{args.codec} codec, {placement} placement)"
+        f"{placement} placement)"
     )
     print("-" * 48)
     print(f"blocks committed (every node)  : {commits}")
@@ -115,8 +110,6 @@ def main() -> int:
                         help="known delay bound Delta in seconds")
     parser.add_argument("--pacemaker", default="lumiere",
                         help="view-synchronisation protocol (default lumiere)")
-    parser.add_argument("--codec", default="binary", choices=available_codecs(),
-                        help="wire format for TCP frames (default binary)")
     parser.add_argument("--procs", type=int, default=None, metavar="N",
                         help="process placement: spawn N node-hosting OS "
                              "processes (0 = one per node); omit for inline")

@@ -12,13 +12,13 @@ Two modes, chosen per call by what the mempool holds:
   :meth:`Mempool.next_batch` pops whole batches up to ``max_batch``
   commands per proposal **without re-encoding them**: the blobs were
   encoded once at the gateway and travel as opaque bytes through the
-  proposal broadcast (the binary codec memcpys them), so proposal cost is
+  proposal broadcast (the wire codec memcpys them), so proposal cost is
   per-batch, not per-command.
 
 * **Synthetic filler.**  With no client workload attached (every run
   before this package existed, and every pure-consensus benchmark), the
   mempool emits ``(owner, seq)`` int-tuple command ids in fixed-size
-  batches — cheap to make, compact under the binary codec, and
+  batches — cheap to make, compact on the wire, and
   payload-shape compatible with everything that inspects ledgers.
 
 Duplicate suppression here is *queue-level* only: a blob is dropped if an

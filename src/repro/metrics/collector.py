@@ -170,9 +170,10 @@ class MetricsCollector:
         The transport (the inner one, under a chaos wrapper) and the runtime
         it is bound to become *sources* of :attr:`counts`: their
         ``messages_sent`` / ``messages_delivered`` / ``frames_decoded`` /
-        ``frames_dropped`` / ``events_processed`` attributes are read when
-        a snapshot is taken, so their hot paths stay plain increments and a
-        writer that died holding unsent frames always leaves a trace in the
+        ``frames_dropped`` / ``frames_rejected`` / ``events_processed``
+        attributes are read when a snapshot is taken, so their hot paths
+        stay plain increments and a writer that died holding unsent frames,
+        or a frame that failed to decode, always leaves a trace in the
         run's :class:`~repro.metrics.summary.RunMetrics`.
         """
         transport.send_listeners.append(self.on_send)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import (
@@ -46,7 +46,7 @@ from repro.experiments.scenario import (
 )
 from repro.runner.process_cluster import LiveCluster
 from repro.runner.record import RunRecord
-from repro.runtime import ChaosConfig, Clock, WireCodec
+from repro.runtime import ChaosConfig, Clock
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +149,7 @@ def make_live_cluster(
     config: ScenarioConfig,
     placement: str = "inline",
     host: str = "127.0.0.1",
-    codec: Union[WireCodec, str, None] = None,
+    codec: Optional[str] = None,
     processes: Optional[int] = None,
     transport: str = "tcp",
     teardown_timeout: float = 30.0,
@@ -169,10 +169,9 @@ def make_live_cluster(
     host:
         Listen address for every node (default localhost).
     codec:
-        Wire codec of every node's transport: a codec name (``"binary"``,
-        the default, or ``"json"``) or — inline only, instances do not
-        survive the spawn pickle — a :class:`~repro.runtime.codec.WireCodec`
-        shared by the whole cluster.
+        Accepted only as ``"binary"``, the name of the one wire format, and
+        otherwise unused: the benchmark harness under ``benchmarks/ledger/``
+        still passes it.  Anything else raises.
     processes:
         Number of worker processes under process placement (inline has
         exactly one); defaults to one per node.  Fewer processes shard the
@@ -193,20 +192,19 @@ def make_live_cluster(
     across process boundaries.
     """
     _check_lane(placement, transport, processes)
-    if placement == "process":
-        if codec is not None and not isinstance(codec, str):
-            raise ConfigurationError(
-                "process placement takes a codec *name* (codec instances do "
-                "not survive the spawn pickle); pass \"binary\" or \"json\""
-            )
-        if config.crypto_backend == "counting":
-            raise ConfigurationError(
-                "the counting crypto backend interns digests per process and "
-                "cannot validate across OS processes; use \"hashing\" for "
-                "process placement"
-            )
+    if codec not in (None, "binary"):
+        raise ConfigurationError(
+            f"codec={codec!r}: the wire has one format; omit codec= (or pass "
+            "\"binary\")"
+        )
+    if placement == "process" and config.crypto_backend == "counting":
+        raise ConfigurationError(
+            "the counting crypto backend interns digests per process and "
+            "cannot validate across OS processes; use \"hashing\" for "
+            "process placement"
+        )
     return LiveCluster(
-        config, placement=placement, host=host, codec=codec, processes=processes,
+        config, placement=placement, host=host, processes=processes,
         transport=transport, teardown_timeout=teardown_timeout,
     )
 

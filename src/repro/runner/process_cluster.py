@@ -46,7 +46,7 @@ import multiprocessing
 import time
 import traceback
 import uuid
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.consensus.replica import ReplicaResidue
@@ -56,7 +56,6 @@ from repro.runner.shard import Node, Shard, ShardReport, ShardSpec
 from repro.runtime import (
     DEFAULT_RING_BYTES,
     MonotonicClock,
-    WireCodec,
     create_cluster_rings,
     destroy_cluster_rings,
 )
@@ -200,7 +199,6 @@ class LiveCluster:
         config: ScenarioConfig,
         placement: str = "inline",
         host: str = "127.0.0.1",
-        codec: Union[WireCodec, str, None] = None,
         processes: Optional[int] = None,
         transport: str = "tcp",
         teardown_timeout: float = 30.0,
@@ -212,7 +210,7 @@ class LiveCluster:
         #: The spec of a shard holding every pid; workers get a slice of it.
         self.spec = ShardSpec(
             config=config, pids=tuple(range(config.n)), clock_origin=time.monotonic(),
-            host=host, codec=codec, transport=transport,
+            host=host, transport=transport,
         )
         #: The cluster's timeline (every shard's clock shares its origin).
         self.clock = MonotonicClock(origin=self.spec.clock_origin)

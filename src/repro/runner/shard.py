@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 import gc
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from repro.consensus.replica import ReplicaResidue
 from repro.experiments.scenario import (
@@ -30,13 +30,12 @@ from repro.runtime import (
     ShmTransport,
     TcpTransport,
     Transport,
-    WireCodec,
 )
 
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything one shard needs (picklable when ``codec`` is a name)."""
+    """Everything one shard needs (picklable)."""
 
     config: ScenarioConfig
     pids: tuple[int, ...]
@@ -44,8 +43,6 @@ class ShardSpec:
     #: it, so metrics merged across workers live on one timeline.
     clock_origin: float
     host: str = "127.0.0.1"
-    #: A codec name, or — within one process — a shared instance.
-    codec: Union[WireCodec, str, None] = None
     #: Inter-node fabric: ``"tcp"`` (localhost sockets) or ``"shm"``
     #: (shared-memory rings; ``shm_token`` names the coordinator-created
     #: segments).
@@ -106,11 +103,9 @@ class Shard:
         for pid in spec.pids:
             if spec.transport == "shm":
                 assert spec.shm_token is not None, "shm transport needs a cluster token"
-                self._transports[pid] = ShmTransport(
-                    pid, token=spec.shm_token, codec=spec.codec, host=spec.host
-                )
+                self._transports[pid] = ShmTransport(pid, token=spec.shm_token, host=spec.host)
             else:
-                self._transports[pid] = TcpTransport(pid, host=spec.host, codec=spec.codec)
+                self._transports[pid] = TcpTransport(pid, host=spec.host)
         addresses = {
             pid: await transport.start_server()
             for pid, transport in self._transports.items()

@@ -12,7 +12,8 @@ the *same* protocol objects execute
 * on an asyncio loop in wall time
   (:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`), in-memory, or
 * over real TCP sockets (:class:`~repro.runtime.tcp.TcpTransport`,
-  length-prefixed binary frames by default, JSON via ``codec="json"``), or
+  length-prefixed frames in the one wire format of
+  :mod:`repro.runtime.codec`), or
 * over shared-memory rings between co-located node processes
   (:class:`~repro.runtime.shm.ShmTransport`, one SPSC ring per directed
   pair — zero syscalls in steady state, frames decoded in place, or once
@@ -27,15 +28,7 @@ from repro.runtime.simulation import SimRuntime
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
 from repro.runtime.transports import FramedTransport, LocalTransport, Transport
 from repro.runtime.chaos import ChaosConfig, Counters, FaultyTransport
-from repro.runtime.codec import (
-    BinaryWireCodec,
-    WireCodec,
-    WireCodecError,
-    available_codecs,
-    default_binary_codec,
-    default_codec,
-    make_codec,
-)
+from repro.runtime.codec import WireCodec, WireCodecError, default_codec
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.shm import (
     DEFAULT_RING_BYTES,
@@ -49,7 +42,6 @@ from repro.runtime.shm import (
 
 __all__ = [
     "AsyncioRuntime",
-    "BinaryWireCodec",
     "ChaosConfig",
     "Clock",
     "Counters",
@@ -68,11 +60,8 @@ __all__ = [
     "WireCodec",
     "WireCodecError",
     "attach_ring",
-    "available_codecs",
     "create_cluster_rings",
     "destroy_cluster_rings",
-    "default_binary_codec",
     "default_codec",
-    "make_codec",
     "ring_segment_name",
 ]

@@ -1,41 +1,32 @@
-"""Wire codecs: protocol payloads <-> length-prefixed frames.
+"""The wire format: protocol payloads <-> length-prefixed frames.
 
 Every wire message in the library is a frozen dataclass tree over a small
 closed vocabulary of value shapes — primitives, tuples, frozensets and
-nested registered dataclasses — so a codec is a structural walk, not
+nested registered dataclasses — so the codec is a structural walk, not
 pickle: only classes explicitly registered (or auto-registered from the
 message modules) can cross a socket, and a frame naming an unknown class is
-rejected.  Tuples and frozensets survive the round trip as themselves
-(JSON has neither), which matters because block payloads are tuples and
-threshold-signature signer sets are frozensets whose cached hash the
-verification fast path relies on.
+rejected.  Tuples and frozensets survive the round trip as themselves,
+which matters because block payloads are tuples and threshold-signature
+signer sets are frozensets whose cached hash the verification fast path
+relies on.
 
-Two codecs ship, selected by name via :func:`make_codec`:
-
-* :class:`WireCodec` (``"json"``) — frames are ``4-byte big-endian length
-  || JSON body``; the body is ``{"s": sender_pid, "p": packed_payload}``.
-  Human-greppable on the wire, the historical format.
-* :class:`BinaryWireCodec` (``"binary"``, the :class:`TcpTransport`
-  default) — same framing, but the body is a compact tag-byte encoding in
-  the ``struct``/msgpack idiom: one tag byte per value, varint lengths and
-  integers, 8-byte IEEE floats, and registered dataclasses as a numeric
-  class id followed by their field values *positionally* (no field names on
-  the wire).  A QC-carrying proposal shrinks to roughly a third of its JSON
-  frame.  Both ends must register the same classes in the same order — the
-  registration order defines the numeric wire ids — which holds by
-  construction for :func:`default_binary_codec`.  Registering a class
-  compiles its *plan*: a packer and an unpacker generated for that class,
-  fields unrolled, built positionally, the common field shapes inline
-  (:func:`_compile_class`).  Plans are built with the codec, so importing
-  this module compiles nothing.
+A frame is ``4-byte big-endian length || body`` and the body is
+``svarint sender || packed payload``, a compact tag-byte encoding in the
+``struct``/msgpack idiom: one tag byte per value, varint lengths and
+integers, 8-byte IEEE floats, and registered dataclasses as a numeric class
+id followed by their field values *positionally* (no field names on the
+wire).  The class id is the registration ordinal, so both ends must
+register the same classes in the same order — which holds by construction
+for :func:`default_codec`.  Registering a class compiles its *plan*: a
+packer and an unpacker generated for that class, fields unrolled, built
+positionally, the common field shapes inline (:func:`_compile_class`).
+Plans are built with the codec, so importing this module compiles nothing.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import functools
-import json
 import struct
 from typing import Any, Callable, Iterable, Optional
 
@@ -47,12 +38,6 @@ LENGTH_PREFIX_BYTES = 4
 #: Upper bound on a single frame body (64 MiB); a peer announcing more is
 #: malformed or hostile and the connection is dropped instead of buffering.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-_TUPLE = "__tuple__"
-_FROZENSET = "__frozenset__"
-_DICT = "__dict__"
-_CLASS = "__class__"
-_BYTES = "__bytes__"
 
 
 class WireCodecError(ConfigurationError):
@@ -127,162 +112,8 @@ class FrameMemo:
         return len(self._young) + len(self._old)
 
 
-class WireCodec:
-    """Encode/decode registered dataclass trees as JSON frames."""
-
-    #: Machine-readable codec name used by :func:`make_codec` and configs.
-    name = "json"
-
-    def __init__(self) -> None:
-        self._by_name: dict[str, type] = {}
-        #: What co-located transports share of this codec's decoding.
-        self.frames = FrameMemo()
-
-    # ------------------------------------------------------------------
-    # Registry
-    # ------------------------------------------------------------------
-    def register(self, cls: type) -> type:
-        """Allow ``cls`` (a dataclass) on the wire.  Returns ``cls`` (decorator-friendly).
-
-        Names must be unique: two registered classes may not share a
-        ``__name__`` even across modules, because the wire format carries
-        the bare class name.
-        """
-        if not dataclasses.is_dataclass(cls):
-            raise WireCodecError(f"{cls!r} is not a dataclass; cannot register")
-        existing = self._by_name.get(cls.__name__)
-        if existing is not None and existing is not cls:
-            raise WireCodecError(
-                f"wire name {cls.__name__!r} already registered for {existing!r}"
-            )
-        self._by_name[cls.__name__] = cls
-        return cls
-
-    def register_all(self, classes: Iterable[type]) -> None:
-        """Register every class in ``classes``."""
-        for cls in classes:
-            self.register(cls)
-
-    @property
-    def registered_names(self) -> list[str]:
-        """Sorted wire names of all registered classes."""
-        return sorted(self._by_name)
-
-    # ------------------------------------------------------------------
-    # Frames
-    # ------------------------------------------------------------------
-    def encode_frame(self, sender: int, payload: Any) -> bytes:
-        """One wire frame: length prefix plus the JSON body."""
-        out = bytearray()
-        self.encode_into(sender, payload, out)
-        return bytes(out)
-
-    def encode_into(self, sender: int, payload: Any, out: bytearray) -> int:
-        """Append one wire frame (prefix + body) to ``out``; return its length.
-
-        The zero-copy twin of :meth:`encode_frame`: the frame bytes land
-        directly in the caller's buffer — a TCP writer's coalesced batch or
-        a shared-memory ring staging area — with no intermediate ``bytes``
-        object.  The appended bytes are identical to ``encode_frame``'s.
-        """
-        body = self.dumps({"s": sender, "p": self.pack(payload)})
-        if len(body) > MAX_FRAME_BYTES:
-            raise WireCodecError(f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES")
-        out += len(body).to_bytes(LENGTH_PREFIX_BYTES, "big")
-        out += body
-        return LENGTH_PREFIX_BYTES + len(body)
-
-    def decode_body(self, body: bytes) -> tuple[int, Any]:
-        """Decode a frame body (without prefix) into ``(sender, payload)``.
-
-        ``body`` may be any bytes-like object — in particular a
-        ``memoryview`` over a shared-memory ring, so frames decode in place
-        without being copied out first.
-        """
-        try:
-            data = self.loads(body)
-            sender = data["s"]
-            payload = self.unpack(data["p"])
-        except WireCodecError:
-            raise
-        except Exception as exc:
-            raise WireCodecError(f"malformed frame body: {exc}") from exc
-        if not isinstance(sender, int):
-            raise WireCodecError(f"frame sender must be an int, got {sender!r}")
-        return sender, payload
-
-    def dumps(self, data: Any) -> bytes:
-        """Serialize a packed structure (the msgpack-swappable seam)."""
-        return json.dumps(data, separators=(",", ":")).encode("utf-8")
-
-    def loads(self, body: bytes) -> Any:
-        """Deserialize a frame body (the msgpack-swappable seam)."""
-        # str(..., "utf-8") accepts any buffer, so memoryviews decode in place.
-        return json.loads(str(body, "utf-8"))
-
-    # ------------------------------------------------------------------
-    # Structural packing
-    # ------------------------------------------------------------------
-    def pack(self, value: Any) -> Any:
-        """Registered-dataclass tree -> JSON-safe structure."""
-        if value is None or isinstance(value, (bool, int, float, str)):
-            return value
-        if isinstance(value, bytes):
-            # JSON has no byte strings; base64 keeps the frame greppable.
-            return {_BYTES: base64.b64encode(value).decode("ascii")}
-        if isinstance(value, tuple):
-            return {_TUPLE: [self.pack(item) for item in value]}
-        if isinstance(value, list):
-            return [self.pack(item) for item in value]
-        if isinstance(value, frozenset):
-            # Sorted where possible so identical sets encode identically.
-            try:
-                items = sorted(value)
-            except TypeError:
-                items = list(value)
-            return {_FROZENSET: [self.pack(item) for item in items]}
-        if isinstance(value, dict):
-            return {_DICT: [[self.pack(k), self.pack(v)] for k, v in value.items()]}
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            name = type(value).__name__
-            if self._by_name.get(name) is not type(value):
-                raise WireCodecError(
-                    f"{type(value)!r} is not registered with this codec; "
-                    "register it before sending it over a wire transport"
-                )
-            fields = {
-                field.name: self.pack(getattr(value, field.name))
-                for field in dataclasses.fields(value)
-            }
-            return {_CLASS: name, "f": fields}
-        raise WireCodecError(f"cannot encode value of type {type(value)!r} for the wire")
-
-    def unpack(self, data: Any) -> Any:
-        """JSON-safe structure -> registered-dataclass tree."""
-        if data is None or isinstance(data, (bool, int, float, str)):
-            return data
-        if isinstance(data, list):
-            return [self.unpack(item) for item in data]
-        if isinstance(data, dict):
-            if _BYTES in data:
-                return base64.b64decode(data[_BYTES])
-            if _TUPLE in data:
-                return tuple(self.unpack(item) for item in data[_TUPLE])
-            if _FROZENSET in data:
-                return frozenset(self.unpack(item) for item in data[_FROZENSET])
-            if _DICT in data:
-                return {self.unpack(k): self.unpack(v) for k, v in data[_DICT]}
-            if _CLASS in data:
-                cls = self._by_name.get(data[_CLASS])
-                if cls is None:
-                    raise WireCodecError(f"unknown wire class {data[_CLASS]!r}")
-                fields = {name: self.unpack(value) for name, value in data["f"].items()}
-                return cls(**fields)
-        raise WireCodecError(f"malformed wire structure: {data!r}")
-
-
 # ----------------------------------------------------------------------
-# Binary codec
+# Value tags
 # ----------------------------------------------------------------------
 # One tag byte per value.  Varints are unsigned LEB128; signed integers are
 # zigzag-mapped first so small negatives stay one byte.
@@ -330,58 +161,82 @@ def _unzigzag(value: int) -> int:
     return value >> 1 if not value & 1 else -(value + 1) >> 1
 
 
-class BinaryWireCodec(WireCodec):
-    """Compact tag-byte binary frames over the same registry and framing.
+class WireCodec:
+    """Encode/decode registered dataclass trees as length-prefixed frames.
 
-    The registry adds a layer on top of :class:`WireCodec`'s name map: each
-    registered class also gets a numeric wire id (its registration ordinal)
-    and a compiled plan — one packer and one unpacker with the fields
-    unrolled (:func:`_compile_class`) — so a dataclass encodes as
-    ``CLASS tag || varint id || field values`` — no field names, no class
-    names, no JSON quoting.  **Registration order is part of the wire
+    The registry is the ordered list of registered classes: a class's index
+    in it is its numeric wire id, and registering it compiles its plan —
+    one packer and one unpacker with the fields unrolled
+    (:func:`_compile_class`) — so a dataclass encodes as ``CLASS tag ||
+    varint id || field values``.  **Registration order is part of the wire
     format**: peers decode ids against their own registration sequence, so
     every node of a cluster must register the same classes in the same
-    order (``default_binary_codec()`` guarantees this for the library's
-    own messages; custom messages must be registered identically on every
-    node, after the defaults).
-
-    Frames keep the ``4-byte big-endian length || body`` envelope of the
-    JSON codec — :class:`TcpTransport` reads both formats' length prefixes
-    identically — but the body is ``svarint sender || packed payload``.
+    order (:func:`default_codec` guarantees this for the library's own
+    messages; custom messages must be registered identically on every node,
+    after the defaults).
     """
 
-    name = "binary"
-
     def __init__(self) -> None:
-        super().__init__()
-        # wire id -> compiled unpacker; ids are registration ordinals.
+        #: What co-located transports share of this codec's decoding.
+        self.frames = FrameMemo()
+        # wire id -> registered class, and -> its compiled unpacker.
+        self._classes: list[type] = []
         self._by_id: list[Callable[[Any, int], tuple[Any, int]]] = []
         # Per-instance exact-type dispatch: primitives from the shared table
         # plus one compiled packer per registered class, so the hottest shape
         # (a registered message) packs without an isinstance ladder.
-        self._packers: dict[type, Callable[["BinaryWireCodec", Any, bytearray], None]] = dict(
-            _BINARY_PACKERS
+        self._packers: dict[type, Callable[["WireCodec", Any, bytearray], None]] = dict(
+            _PACKERS
         )
 
+    # ------------------------------------------------------------------
+    # Registry
+    # ------------------------------------------------------------------
     def register(self, cls: type) -> type:
-        super().register(cls)
+        """Allow ``cls`` (a dataclass) on the wire under the next wire id.
+
+        Returns ``cls`` (decorator-friendly); registering a class twice
+        keeps its first id.
+        """
+        if not dataclasses.is_dataclass(cls):
+            raise WireCodecError(f"{cls!r} is not a dataclass; cannot register")
         if cls not in self._packers:
             packer, unpacker = _compile_class(self, cls, len(self._by_id))
             self._packers[cls] = packer
             self._by_id.append(unpacker)
+            self._classes.append(cls)
         return cls
+
+    def register_all(self, classes: Iterable[type]) -> None:
+        """Register every class in ``classes``, in order."""
+        for cls in classes:
+            self.register(cls)
+
+    @property
+    def registered_classes(self) -> tuple[type, ...]:
+        """Every registered class in wire-id order."""
+        return tuple(self._classes)
+
+    @property
+    def registered_names(self) -> list[str]:
+        """Sorted names of all registered classes."""
+        return sorted(cls.__name__ for cls in self._classes)
 
     # ------------------------------------------------------------------
     # Frames
     # ------------------------------------------------------------------
     def encode_frame(self, sender: int, payload: Any) -> bytes:
+        """One wire frame: length prefix plus body."""
         out = bytearray()
         self.encode_into(sender, payload, out)
         return bytes(out)
 
     def encode_into(self, sender: int, payload: Any, out: bytearray) -> int:
-        """Append one frame to ``out`` with no intermediate body buffer.
+        """Append one frame to ``out``; return its length.
 
+        The zero-copy twin of :meth:`encode_frame`: the frame lands directly
+        in the caller's buffer — a TCP writer's coalesced batch or a
+        shared-memory ring staging area — with no intermediate body buffer.
         Reserves the 4-byte length prefix, packs sender and payload straight
         into ``out``, then patches the prefix in place — the body bytes are
         written exactly once.  Appended bytes are identical to
@@ -399,6 +254,13 @@ class BinaryWireCodec(WireCodec):
         return LENGTH_PREFIX_BYTES + body_len
 
     def decode_body(self, body: bytes) -> tuple[int, Any]:
+        """Decode a frame body (without prefix) into ``(sender, payload)``.
+
+        ``body`` may be any bytes-like object — in particular a
+        ``memoryview`` over a shared-memory ring, so frames decode in place
+        without being copied out first.  Anything but exactly one sender and
+        one value raises :class:`WireCodecError`.
+        """
         try:
             raw_sender = body[0]
             pos = 1
@@ -522,14 +384,14 @@ class BinaryWireCodec(WireCodec):
         raise WireCodecError(f"malformed frame body: unknown tag 0x{tag:02x}")
 
 
-def _pack_str(codec: BinaryWireCodec, value: str, out: bytearray) -> None:
+def _pack_str(codec: WireCodec, value: str, out: bytearray) -> None:
     encoded = value.encode("utf-8")
     out.append(_T_STR)
     _pack_uvarint(len(encoded), out)
     out += encoded
 
 
-def _pack_tuple(codec: BinaryWireCodec, value: tuple, out: bytearray) -> None:
+def _pack_tuple(codec: WireCodec, value: tuple, out: bytearray) -> None:
     out.append(_T_TUPLE)
     _pack_uvarint(len(value), out)
     pack = codec._pack_value
@@ -537,7 +399,7 @@ def _pack_tuple(codec: BinaryWireCodec, value: tuple, out: bytearray) -> None:
         pack(item, out)
 
 
-def _pack_list(codec: BinaryWireCodec, value: list, out: bytearray) -> None:
+def _pack_list(codec: WireCodec, value: list, out: bytearray) -> None:
     out.append(_T_LIST)
     _pack_uvarint(len(value), out)
     pack = codec._pack_value
@@ -545,9 +407,9 @@ def _pack_list(codec: BinaryWireCodec, value: list, out: bytearray) -> None:
         pack(item, out)
 
 
-def _pack_fset(codec: BinaryWireCodec, value: frozenset, out: bytearray) -> None:
-    # Sorted where possible so identical sets encode identically (matching
-    # the JSON codec's convention); decode order is irrelevant to equality.
+def _pack_fset(codec: WireCodec, value: frozenset, out: bytearray) -> None:
+    # Sorted where possible so identical sets encode identically; decode
+    # order is irrelevant to equality.
     try:
         items = sorted(value)
     except TypeError:
@@ -559,7 +421,7 @@ def _pack_fset(codec: BinaryWireCodec, value: frozenset, out: bytearray) -> None
         pack(item, out)
 
 
-def _pack_dict(codec: BinaryWireCodec, value: dict, out: bytearray) -> None:
+def _pack_dict(codec: WireCodec, value: dict, out: bytearray) -> None:
     out.append(_T_DICT)
     _pack_uvarint(len(value), out)
     pack = codec._pack_value
@@ -571,7 +433,7 @@ def _pack_dict(codec: BinaryWireCodec, value: dict, out: bytearray) -> None:
 # Exact-type dispatch for the hot shapes; subclasses fall through to the
 # isinstance ladder in ``_pack_other`` (same trick as the canonicaliser in
 # ``repro.crypto.backend``).
-_BINARY_PACKERS: dict[type, Callable[[BinaryWireCodec, Any, bytearray], None]] = {
+_PACKERS: dict[type, Callable[[WireCodec, Any, bytearray], None]] = {
     type(None): lambda codec, value, out: out.append(_T_NONE),
     bool: lambda codec, value, out: out.append(_T_TRUE if value else _T_FALSE),
     int: lambda codec, value, out: (
@@ -593,7 +455,7 @@ _BINARY_PACKERS: dict[type, Callable[[BinaryWireCodec, Any, bytearray], None]] =
 # ----------------------------------------------------------------------
 # Compiled class plans
 # ----------------------------------------------------------------------
-# ``BinaryWireCodec.register`` turns each class into one packer and one
+# ``WireCodec.register`` turns each class into one packer and one
 # unpacker with its fields unrolled, generated from the templates below the
 # way ``dataclasses`` generates ``__init__``.  Each field gets the one inline
 # fast path its annotation suggests — an exact ``int`` (views, signer ids),
@@ -679,9 +541,9 @@ def _plan_code(source: str) -> Any:
 
 
 def _compile_class(
-    codec: BinaryWireCodec, cls: type, wire_id: int
+    codec: WireCodec, cls: type, wire_id: int
 ) -> tuple[
-    Callable[[BinaryWireCodec, Any, bytearray], None],
+    Callable[[WireCodec, Any, bytearray], None],
     Callable[[Any, int], tuple[Any, int]],
 ]:
     """The ``(packer, unpacker)`` pair of ``cls`` under ``codec``.
@@ -760,7 +622,7 @@ def _register_library_messages(codec: WireCodec) -> WireCodec:
     dataclasses exist), then registers the crypto/block value types followed
     by every dataclass reachable from the two message roots, sorted by name.
     The order is deterministic across processes — which is what lets
-    :class:`BinaryWireCodec` use registration ordinals as wire ids.
+    :class:`WireCodec` use registration ordinals as wire ids.
     """
     # The message modules: importing them defines every wire dataclass.
     import repro.consensus.messages  # noqa: F401
@@ -795,15 +657,17 @@ def _register_library_messages(codec: WireCodec) -> WireCodec:
 
 
 _default: Optional[WireCodec] = None
-_default_binary: Optional[BinaryWireCodec] = None
 
 
 def default_codec() -> WireCodec:
-    """The shared JSON codec knowing every message type the library defines.
+    """The shared codec knowing every message type the library defines.
 
-    Built once per process; custom protocols with their own wire messages
-    should build a :class:`WireCodec` and register on top (``default_codec()``
-    returns the shared instance, so registering on it works too).
+    Built once per process.  The canonical registration order of
+    :func:`_register_library_messages` assigns every message class the same
+    wire id in every process, so any two nodes using ``default_codec()``
+    interoperate.  Custom messages must be registered on top, *after* the
+    defaults, identically on every node (``default_codec()`` returns the
+    shared instance, so registering on it works too).
     """
     global _default
     if _default is None:
@@ -811,37 +675,20 @@ def default_codec() -> WireCodec:
     return _default
 
 
-def default_binary_codec() -> BinaryWireCodec:
-    """The shared binary codec over the same library-wide registry.
-
-    The canonical registration order of :func:`_register_library_messages`
-    assigns every message class the same numeric wire id in every process,
-    so any two nodes using ``default_binary_codec()`` interoperate.  Custom
-    messages must be registered *after* the defaults, identically on every
-    node.
-    """
-    global _default_binary
-    if _default_binary is None:
-        _default_binary = _register_library_messages(BinaryWireCodec())
-    return _default_binary
-
-
-def available_codecs() -> tuple[str, ...]:
-    """Names accepted by :func:`make_codec` (and the ``codec=`` knobs)."""
-    return ("binary", "json")
+# The benchmark harness under ``benchmarks/ledger/`` still names the format
+# (``make_codec("binary")``) and patches the codec's methods per class,
+# ``BinaryWireCodec`` included; an alias would have them wrapped twice.
+class BinaryWireCodec(WireCodec):
+    """:class:`WireCodec` under its former name, adding nothing."""
 
 
 def make_codec(name: str) -> WireCodec:
-    """The shared codec instance registered for ``name``.
+    """:func:`default_codec`, by the name of the one wire format, ``"binary"``.
 
-    ``"binary"`` is the :class:`TcpTransport` default; ``"json"`` selects
-    the length-prefixed JSON format.  Raises :class:`WireCodecError` for
-    unknown names.
+    Raises :class:`WireCodecError` for any other name.
     """
-    if name == "binary":
-        return default_binary_codec()
-    if name == "json":
-        return default_codec()
-    raise WireCodecError(
-        f"unknown wire codec {name!r}; available: {', '.join(available_codecs())}"
-    )
+    if name != "binary":
+        raise WireCodecError(
+            f"unknown wire codec {name!r}; the wire has one format, \"binary\""
+        )
+    return default_codec()

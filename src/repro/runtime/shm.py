@@ -109,7 +109,7 @@ class SpscRing:
     monotonic read index, consumer-sleeping flag — the indices never wrap,
     so ``write - read`` is always the exact number of unread bytes) followed
     by ``capacity`` data bytes addressed modulo ``capacity``.  Frames are
-    stored exactly as the codecs emit them — 4-byte big-endian length prefix
+    stored exactly as the codec emits them — 4-byte big-endian length prefix
     plus body — and either part may wrap around the end of the data region.
 
     One process may call :meth:`try_push`; a different (or the same) process
@@ -297,10 +297,10 @@ class ShmTransport(FramedTransport):
     that share a machine: the same ``send``/``broadcast``/listener surface,
     the same ``start_server``/``set_peers`` bootstrap dance (the address
     exchanged is the node's UDP doorbell instead of a TCP listen port), the
-    same ``frames_dropped``/``last_errors`` accounting — so
-    :class:`~repro.runtime.chaos.FaultyTransport` and the metrics layer
-    wrap it unchanged.  Only meaningful under a wall clock (it is built for
-    :class:`~repro.runner.process_cluster.LiveCluster` workers).
+    same ``frames_dropped``/``frames_rejected``/``last_errors`` accounting
+    — so :class:`~repro.runtime.chaos.FaultyTransport` and the metrics
+    layer wrap it unchanged.  Only meaningful under a wall clock (it is
+    built for :class:`~repro.runner.process_cluster.LiveCluster` workers).
 
     Parameters
     ----------
@@ -338,7 +338,7 @@ class ShmTransport(FramedTransport):
         self,
         pid: int,
         token: str,
-        codec: Union[WireCodec, str, None] = None,
+        codec: Optional[WireCodec] = None,
         ring_bytes: int = DEFAULT_RING_BYTES,
         host: str = "127.0.0.1",
     ) -> None:
@@ -564,7 +564,7 @@ class ShmTransport(FramedTransport):
                 try:
                     sender, payload = self._decode(body)
                 except WireCodecError as exc:
-                    self.last_errors.append(f"shm-decode-{peer}->{self.pid}: {exc!r}")
+                    self._reject(f"shm-decode-{peer}", exc)
                     ring.consume()
                     continue
                 finally:

@@ -13,7 +13,7 @@ lives here.  Each node runs
   ``process.deliver`` one message at a time, which serialises the replica's
   protocol callbacks exactly like the simulator does.
 
-Frames are ``4-byte big-endian length || JSON body`` (see
+Frames are ``4-byte big-endian length || body`` (see
 :mod:`repro.runtime.codec`).  Ports may be ephemeral: start the server
 first (:meth:`TcpTransport.start_server`), read the bound
 :attr:`TcpTransport.address`, then exchange the address map via
@@ -42,9 +42,7 @@ class TcpTransport(FramedTransport):
     Parameters
     ----------
     pid, codec:
-        As for :class:`~repro.runtime.transports.FramedTransport`; the
-        default codec is the compact binary format over every message type
-        the library defines.
+        As for :class:`~repro.runtime.transports.FramedTransport`.
     host, port:
         Listen address.  ``port=0`` binds an ephemeral port; read
         :attr:`address` after :meth:`start_server`.
@@ -73,7 +71,7 @@ class TcpTransport(FramedTransport):
         pid: int,
         host: str = "127.0.0.1",
         port: int = 0,
-        codec: Union[WireCodec, str, None] = None,
+        codec: Optional[WireCodec] = None,
         connect_timeout: float = 10.0,
     ) -> None:
         super().__init__(pid, codec)
@@ -312,12 +310,19 @@ class TcpTransport(FramedTransport):
                 prefix = await reader.readexactly(LENGTH_PREFIX_BYTES)
                 length = int.from_bytes(prefix, "big")
                 if length > MAX_FRAME_BYTES:
-                    break  # malformed or hostile peer; drop the connection
+                    # Malformed or hostile peer: the body is never read, so
+                    # the framing is lost with it.
+                    self._reject("tcp-frame", WireCodecError(
+                        f"frame of {length} bytes exceeds MAX_FRAME_BYTES"
+                    ))
+                    break
                 body = await reader.readexactly(length)
                 try:
                     sender, payload = self._decode(body)
-                except WireCodecError:
-                    break  # malformed or version-skewed peer; drop cleanly
+                except WireCodecError as exc:
+                    # Malformed or version-skewed peer: drop the connection.
+                    self._reject("tcp-decode", exc)
+                    break
                 assert self._inbox is not None
                 self._inbox.put_nowait((sender, payload))
         except (asyncio.IncompleteReadError, ConnectionError):

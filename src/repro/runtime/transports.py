@@ -18,13 +18,14 @@ Two implementations ship:
   (:class:`~repro.runtime.simulation.SimRuntime`) — the virtual-time lane —
   and one broadcast costs one runtime event per distinct delivery time.
 * :class:`~repro.runtime.tcp.TcpTransport` — one node of a real cluster,
-  length-prefixed frames (binary by default, JSON via ``codec="json"``)
-  over ``asyncio`` TCP streams.
+  length-prefixed frames (:mod:`repro.runtime.codec`) over ``asyncio`` TCP
+  streams.
 
 :class:`FramedTransport` (here) is what the frame-moving transports — TCP
 and the shared-memory :class:`~repro.runtime.shm.ShmTransport` — have in
-common, including the one place an inbound frame is decoded: once per
-process for the transports that share a codec there.
+common, including the one place an inbound frame is decoded (once per
+process for the transports that share a codec there) and the one place a
+frame that fails to decode is counted.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.base import Runtime
-from repro.runtime.codec import WireCodec, default_binary_codec, make_codec
+from repro.runtime.codec import WireCodec, WireCodecError, default_codec
 from repro.sim.network import Envelope
 
 
@@ -152,35 +153,33 @@ class FramedTransport(Transport):
     The half :class:`~repro.runtime.tcp.TcpTransport` and
     :class:`~repro.runtime.shm.ShmTransport` share: the wire codec, the one
     hosted process and the peer map, loopback delivery, the
-    ``frames_dropped`` / ``last_errors`` accounting the metrics layer and
-    :class:`~repro.runtime.chaos.FaultyTransport` read, and the decode of an
-    inbound frame body (:meth:`_decode`).
+    ``frames_dropped`` / ``frames_rejected`` / ``last_errors`` accounting
+    the metrics layer and :class:`~repro.runtime.chaos.FaultyTransport`
+    read, the decode of an inbound frame body (:meth:`_decode`) and the
+    rejection of one that fails to decode (:meth:`_reject`).
 
     Parameters
     ----------
     pid:
         The processor id of the (single) local process this node hosts.
     codec:
-        A :class:`~repro.runtime.codec.WireCodec` instance or a codec name
-        (``"binary"`` / ``"json"``, see
-        :func:`~repro.runtime.codec.make_codec`); the shared binary codec
-        when omitted.  All nodes of one cluster must use the same codec.
+        The :class:`~repro.runtime.codec.WireCodec` frames are encoded and
+        decoded with; the shared :func:`~repro.runtime.codec.default_codec`
+        when omitted.  All nodes of one cluster must register the same
+        classes in the same order.
     """
 
-    def __init__(self, pid: int, codec: Union[WireCodec, str, None] = None) -> None:
+    def __init__(self, pid: int, codec: Optional[WireCodec] = None) -> None:
         super().__init__()
         self.pid = pid
-        if codec is None:
-            self.codec = default_binary_codec()
-        elif isinstance(codec, str):
-            self.codec = make_codec(codec)
-        else:
-            self.codec = codec
+        self.codec = codec if codec is not None else default_codec()
         #: Frames this node lost: a writer that exhausted its connect window
         #: died holding them, or an outbound ring was full.  Read into a
         #: run's counts by ``MetricsCollector.attach_transport``, so a
         #: silently lost frame always leaves a trace in ``RunMetrics``.
         self.frames_dropped = 0
+        #: Inbound frames that failed to decode (:meth:`_reject`).
+        self.frames_rejected = 0
         #: Errors surfaced instead of swallowed (``{where}: {error!r}``
         #: strings); clusters aggregate them into ``teardown_errors``.
         self.last_errors: list[str] = []
@@ -244,8 +243,8 @@ class FramedTransport(Transport):
         process one decode and its ``Block`` one ``block_id`` hash.  A
         transport alone on its codec decodes ``body`` where it lies (a
         ``memoryview`` into a ring is never copied) and never sees the memo.
-        A body that fails to decode raises for each recipient and is not
-        remembered.
+        A body that fails to decode raises :class:`WireCodecError` for each
+        recipient, which rejects it (:meth:`_reject`), and is not remembered.
         """
         frames = self.codec.frames
         if frames.sharers < 2:
@@ -258,6 +257,17 @@ class FramedTransport(Transport):
             decoded = self.codec.decode_body(body)
             frames.put(body, decoded)
         return decoded
+
+    def _reject(self, where: str, error: WireCodecError) -> None:
+        """Count and record one inbound frame that failed to decode.
+
+        Every framed lane ends a malformed frame here: in ``frames_rejected``
+        (a run's ``counts``) and in :attr:`last_errors`.  What happens to the
+        stream is the lane's call — TCP drops the connection, a ring consumes
+        the frame and reads on.
+        """
+        self.frames_rejected += 1
+        self.last_errors.append(f"{where}->{self.pid}: {error!r}")
 
     def _receive(self, sender: int, payload: Any) -> None:
         """Hand one decoded inbound frame to the hosted process."""

@@ -123,7 +123,7 @@ BUMPED_COUNTS = BASE_FAULT_COUNTS + (
 #: collector takes a snapshot.
 SOURCE_COUNTS = (
     "messages_sent", "messages_delivered", "frames_decoded", "frames_dropped",
-    "events_processed",
+    "frames_rejected", "events_processed",
 )
 #: Every name a run reports, even when zero.
 BASE_COUNTS = BUMPED_COUNTS + SOURCE_COUNTS

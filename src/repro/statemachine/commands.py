@@ -10,7 +10,7 @@ leader after a failed view, a retry racing an in-flight proposal) are the
 Batches cross the wire many times (proposal broadcast, QC announce,
 forward, re-forward), so commands are encoded **once**, at batch-build
 time, into a single varint-packed blob; every later hop memcpys the blob
-(the binary codec's bytes tag), and decoding happens exactly once per
+(the wire codec's bytes tag), and decoding happens exactly once per
 replica — at apply time.  The format is LEB128 uvarints for ``client``,
 ``seq`` and string lengths, one op byte, and UTF-8 key/value bytes:
 
@@ -18,8 +18,8 @@ replica — at apply time.  The format is LEB128 uvarints for ``client``,
 uvarint len || key, uvarint len || value)*``
 
 The blob is deliberately independent of the wire codec: the same bytes
-ride inside JSON frames (base64), binary frames (bytes tag) and block
-digests (``canonical_bytes`` passes ``bytes`` through untouched).
+ride inside wire frames (bytes tag) and block digests
+(``canonical_bytes`` passes ``bytes`` through untouched).
 """
 
 from __future__ import annotations

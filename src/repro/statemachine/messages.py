@@ -1,6 +1,6 @@
 """Client-path wire messages.
 
-These ride the same transports and wire codecs as consensus traffic, but
+These ride the same transports and wire codec as consensus traffic, but
 the replica routes them to the client path (mempool ingest), never to the
 consensus engine or pacemaker — see ``Replica.on_message``.
 """

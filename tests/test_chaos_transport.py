@@ -30,7 +30,7 @@ from repro.runtime import (
     SimRuntime,
 )
 from repro.runtime.chaos import BASE_FAULT_COUNTS
-from repro.runtime.codec import default_binary_codec
+from repro.runtime.codec import default_codec
 from repro.faults.schedules import PartitionSchedule
 from repro.sim.events import Simulator
 from repro.sim.network import BASE_COUNTS, AdversarialDelay, FixedDelay, UniformDelay
@@ -127,12 +127,11 @@ def _drive_script(transport):
 
     The payloads are caller-controlled bytes, so the comparison between a
     bare and a wrapped transport is literally byte-for-byte: same envelope
-    stream (ids, timings, payload bytes), same deliveries, same wire frames
-    under the binary codec.
+    stream (ids, timings, payload bytes), same deliveries, same wire frames.
     """
     simulator = Simulator(seed=0)
     runtime = SimRuntime(simulator, transport)
-    codec = default_binary_codec()
+    codec = default_codec()
     received: list = []
     sent: list = []
     delivered: list = []

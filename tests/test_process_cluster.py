@@ -19,7 +19,7 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.runner import make_live_cluster
 from repro.runner.process_cluster import partition
-from repro.runtime import default_binary_codec
+from repro.runtime import default_codec
 from repro.sim.network import BASE_COUNTS, Envelope
 
 
@@ -121,8 +121,17 @@ def test_counting_backend_is_rejected():
 
 
 def test_codec_instances_are_rejected():
-    with pytest.raises(ConfigurationError, match="codec"):
-        make_live_cluster(_config(), placement="process", codec=default_binary_codec())
+    # codec= survives only as the name of the one wire format.
+    for placement in ("inline", "process"):
+        with pytest.raises(ConfigurationError, match="one format"):
+            make_live_cluster(_config(), placement=placement, codec=default_codec())
+        assert make_live_cluster(_config(), placement=placement, codec="binary").spec
+
+
+def test_the_json_codec_name_is_rejected():
+    retired = "json"
+    with pytest.raises(ConfigurationError, match="codec='json'"):
+        make_live_cluster(_config(), codec=retired)
 
 
 def test_invalid_process_counts_are_rejected():

@@ -332,19 +332,21 @@ def test_codec_rejects_unregistered_and_malformed():
     class Unregistered:
         x: int
 
-    with pytest.raises(WireCodecError):
-        codec.pack(Unregistered(1))
-    with pytest.raises(WireCodecError):
-        codec.pack(object())
-    with pytest.raises(WireCodecError):
-        codec.unpack({"__class__": "Nope", "f": {}})
-    with pytest.raises(WireCodecError):
-        codec.decode_body(b"not json")
+    with pytest.raises(WireCodecError, match="not registered"):
+        codec.encode_frame(0, Unregistered(1))
+    with pytest.raises(WireCodecError, match="cannot encode"):
+        codec.encode_frame(0, object())
+    with pytest.raises(WireCodecError, match="unknown wire class id"):
+        codec.decode_body(bytes([0, 0x0B, 0]))  # sender 0, class id 0: none yet
+    with pytest.raises(WireCodecError, match="malformed frame body"):
+        codec.decode_body(b"not a frame")
 
     codec.register(Unregistered)
-    assert codec.unpack(codec.pack(Unregistered(5))) == Unregistered(5)
-    with pytest.raises(WireCodecError):
-        codec.register(type("Unregistered", (), {}))  # name collision, not a dataclass
+    frame = codec.encode_frame(3, Unregistered(5))
+    assert codec.decode_body(frame[4:]) == (3, Unregistered(5))
+    assert codec.registered_classes == (Unregistered,)
+    with pytest.raises(WireCodecError, match="not a dataclass"):
+        codec.register(type("Plain", (), {}))
 
 
 # ----------------------------------------------------------------------

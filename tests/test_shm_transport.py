@@ -9,7 +9,8 @@ Three layers, mirroring how the transport is built:
   exactly as two processes would see it;
 * in-process :class:`~repro.runtime.shm.ShmTransport` pairs over real
   shared-memory segments and UDP doorbells — delivery, overflow surfacing
-  through ``frames_dropped``/``last_errors``, teardown and post-stop sends;
+  through ``frames_dropped``/``last_errors``, a malformed frame through
+  ``frames_rejected``/``last_errors``, teardown and post-stop sends;
 * chaos composition: a :class:`~repro.runtime.chaos.FaultyTransport`
   wrapping shm counts drops and targeted delays in its ``Counters`` bag
   exactly as it does over TCP;
@@ -39,11 +40,12 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.runner import make_live_cluster
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
 from repro.runtime.chaos import ChaosConfig, Counters, FaultyTransport
+from repro.metrics.collector import MetricsCollector
 from repro.runtime.codec import (
-    BinaryWireCodec,
     FrameMemo,
+    WireCodec,
     _register_library_messages,
-    default_binary_codec,
+    default_codec,
 )
 from repro.runtime.shm import (
     DEFAULT_RING_BYTES,
@@ -60,7 +62,7 @@ from repro.sim.network import FixedDelay, NetworkConfig, TargetedDelay
 
 
 def _frame(body: bytes) -> bytes:
-    """A wire frame exactly as the codecs emit one: 4-byte BE prefix + body."""
+    """A wire frame exactly as the codec emits one: 4-byte BE prefix + body."""
     return len(body).to_bytes(4, "big") + body
 
 
@@ -149,7 +151,7 @@ class TestSpscRing:
         assert not consumer.consumer_sleeping()
 
     def test_codec_frames_decode_in_place_from_the_ring(self):
-        codec = default_binary_codec()
+        codec = default_codec()
         ring = _ring(4096)
         scratch = bytearray()
         payloads = ["ping", {"k": (1, 2)}, 12345]
@@ -447,6 +449,35 @@ class TestShmTransportPair:
         assert "ring full" in t0.last_errors[0]
         destroy_cluster_rings(segments)
 
+    def test_a_malformed_frame_is_counted_as_rejected(self):
+        """The frame is consumed, counted in ``frames_rejected`` (and so in
+        the run's counts) and recorded in ``last_errors``; the ring reads on."""
+        token = _token()
+        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+
+        async def run():
+            (t0, t1), sinks = await _start_pair(token, MIN_RING_BYTES)
+            metrics = MetricsCollector()
+            metrics.attach_transport(t1)
+            try:
+                t0._push(1, _frame(b"\x00\xff"))  # sender 0, then an unknown tag
+                t0.send(0, 1, "after")
+                await _wait_until(lambda: sinks[1].received)
+            finally:
+                await t0.stop()
+                await t1.stop()
+            return t1, sinks[1], metrics.counts
+
+        try:
+            t1, sink, counts = asyncio.run(run())
+        finally:
+            destroy_cluster_rings(segments)
+        assert t1.frames_rejected == counts["frames_rejected"] == 1
+        assert sink.received == [(0, "after")]
+        assert len(t1.last_errors) == 1
+        assert t1.last_errors[0].startswith("shm-decode-0->1: ")
+        assert "unknown tag" in t1.last_errors[0]
+
     def test_sends_after_stop_are_silently_swallowed(self):
         token = _token()
         segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
@@ -470,8 +501,8 @@ class TestShmTransportPair:
 # ----------------------------------------------------------------------
 # The frame memo: one decode per frame per process
 # ----------------------------------------------------------------------
-class _SpyCodec(BinaryWireCodec):
-    """The binary codec, recording what ``decode_body`` was handed."""
+class _SpyCodec(WireCodec):
+    """The codec, recording what ``decode_body`` was handed."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -639,7 +670,7 @@ class TestFrameMemo:
 
         transports, remembered = asyncio.run(run())
         for transport in transports[1:]:
-            assert len(transport.last_errors) == 1
+            assert len(transport.last_errors) == 1 and transport.frames_rejected == 1
             assert "unknown tag" in transport.last_errors[0]
         # Both recipients tried the bad frame; only the good one is kept.
         assert len(codec.decoded) == 3 and remembered == 1
@@ -653,7 +684,7 @@ class TestFrameMemo:
 
         async def run():
             transports, sinks = await _start_nodes(
-                token, [default_binary_codec()] * 2, clock=clock
+                token, [default_codec()] * 2, clock=clock
             )
             transports[0].send_listeners.append(minted.append)
             transports[1].deliver_listeners.append(delivered.append)

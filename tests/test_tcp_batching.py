@@ -20,8 +20,9 @@ import pytest
 
 from repro.consensus.blocks import Block
 from repro.consensus.messages import Proposal
+from repro.metrics.collector import MetricsCollector
 from repro.runtime import AsyncioRuntime, MonotonicClock, TcpTransport
-from repro.runtime.codec import BinaryWireCodec, _register_library_messages
+from repro.runtime.codec import MAX_FRAME_BYTES, WireCodec, _register_library_messages
 
 
 def _frame(index: int, size: int = 40) -> bytes:
@@ -140,8 +141,8 @@ def test_stop_collects_task_errors_instead_of_swallowing():
 # ----------------------------------------------------------------------
 # The frame memo on the reader side
 # ----------------------------------------------------------------------
-class _SpyCodec(BinaryWireCodec):
-    """The binary codec, counting ``decode_body`` calls."""
+class _SpyCodec(WireCodec):
+    """The codec, counting ``decode_body`` calls."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -257,3 +258,36 @@ def test_a_malformed_tcp_frame_drops_each_connection_and_is_never_cached():
 
     decodes, remembered = asyncio.run(run())
     assert decodes == 2 and remembered == 0
+
+
+@pytest.mark.tcp
+def test_a_malformed_tcp_frame_is_counted_as_rejected():
+    """A frame that fails to decode, or announces more than MAX_FRAME_BYTES,
+    is counted in ``frames_rejected`` (and so in the run's counts), recorded
+    in ``last_errors`` and hangs up the connection it came on."""
+    garbage = (2).to_bytes(4, "big") + b"\x00\xff"  # sender 0, then an unknown tag
+    oversized = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+
+    async def run():
+        transports, sinks = await _start_nodes([None])
+        metrics = MetricsCollector()
+        metrics.attach_transport(transports[0])
+        try:
+            for frame in (garbage, oversized):
+                reader, writer = await asyncio.open_connection(*transports[0].address)
+                writer.write(frame)
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""  # hung up on
+                writer.close()
+        finally:
+            await transports[0].stop()
+        return transports[0], sinks[0], metrics.counts
+
+    transport, sink, counts = asyncio.run(run())
+    assert transport.frames_rejected == counts["frames_rejected"] == 2
+    assert transport.frames_decoded == 1 and not sink.received
+    assert [error.split(": ")[0] for error in transport.last_errors] == [
+        "tcp-decode->0", "tcp-frame->0",
+    ]
+    assert "unknown tag" in transport.last_errors[0]
+    assert "MAX_FRAME_BYTES" in transport.last_errors[1]

@@ -1,26 +1,22 @@
-"""Codec equivalence suite: every registered message, both wire formats.
+"""Wire format suite: every registered message, byte for byte.
 
-``tests/test_runtime.py`` covers the JSON codec's behaviour on a handful of
-representative messages; this module is the systematic counterpart added
-with the binary codec:
+``tests/test_runtime.py`` covers the codec's behaviour on a handful of
+representative messages; this module is the systematic counterpart:
 
 * a message *zoo* with one instance of **every** registered wire class —
   with a guard test that fails when a new message type is registered without
-  being added to the zoo — round-tripped through both codecs;
-* cross-codec agreement (both formats decode to equal values);
-* frame-size comparison (binary frames are strictly smaller than JSON
-  frames for every zoo message);
+  being added to the zoo — round-tripped through the codec;
 * edge values (negative/huge ints, unicode, empty containers, bytes) and
-  the binary format's error paths (unknown class id, unknown tag, trailing
-  bytes, truncated values);
+  the format's error paths (unknown class id, unknown tag, trailing bytes,
+  truncated values);
 * the wire itself: ``tests/data/wire_frames.json`` holds the hex of every
-  zoo frame under both codecs as the commit *before* the compiled class
-  plans produced it (``python tests/test_wire_codecs.py --capture`` with
-  that commit's ``src`` on the path), and every frame must come out byte for
-  byte; random trees that leave the plans' inline paths must match a
-  reference packer written out here and decode to what the JSON codec
-  decodes; and every zoo frame cut short at every offset must be rejected
-  with :class:`WireCodecError`, from ``bytes`` and from a ``memoryview``.
+  zoo frame as the commit *before* the compiled class plans produced it
+  (``python tests/test_wire_codecs.py --capture`` with that commit's
+  ``src`` on the path), and every frame must come out byte for byte; random
+  trees that leave the plans' inline paths must match a reference packer
+  written out here; and every zoo frame cut short at every offset must be
+  rejected with :class:`WireCodecError`, from ``bytes`` and from a
+  ``memoryview``.
 """
 
 from __future__ import annotations
@@ -56,12 +52,9 @@ from repro.pacemakers.lp22 import LP22EpochCertificate, LP22EpochViewMessage
 from repro.statemachine.commands import Command, encode_commands
 from repro.statemachine.messages import ClientMessage, CommandBatch, CommandForward
 from repro.runtime.codec import (
-    BinaryWireCodec,
     WireCodec,
     WireCodecError,
     _register_library_messages,
-    available_codecs,
-    default_binary_codec,
     default_codec,
     make_codec,
 )
@@ -152,9 +145,9 @@ EDGE_VALUES = [
 ]
 
 
-@pytest.fixture(params=available_codecs())
+@pytest.fixture(params=["binary"])  # the format's name, in each test id
 def codec(request):
-    return make_codec(request.param)
+    return default_codec()
 
 
 def roundtrip(codec, sender, payload):
@@ -168,18 +161,14 @@ class TestMessageZoo:
     def test_zoo_covers_every_registered_class(self):
         # The comparison set is the registry filtered to classes the library
         # itself defines: other tests legitimately register their own fake
-        # message types (from tests.* modules) on the shared codecs, and a
+        # message types (from tests.* modules) on the shared codec, and a
         # fresh registration sweep would pick those subclasses up too.
         zoo_names = {type(message).__name__ for message in message_zoo()}
-        for codec in (
-            _register_library_messages(WireCodec()),
-            default_codec(),
-            default_binary_codec(),
-        ):
+        for codec in (_register_library_messages(WireCodec()), default_codec()):
             library_names = {
-                name
-                for name in codec.registered_names
-                if codec._by_name[name].__module__.startswith("repro.")
+                cls.__name__
+                for cls in codec.registered_classes
+                if cls.__module__.startswith("repro.")
             }
             assert zoo_names == library_names
 
@@ -197,38 +186,6 @@ class TestMessageZoo:
         assert type(decoded.justify.aggregate.signers) is frozenset
         assert decoded.justify.aggregate.signers == frozenset({1, 3, 5, 9})
 
-    def test_codecs_agree_on_decoded_value(self):
-        json_codec = make_codec("json")
-        binary_codec = make_codec("binary")
-        for message in message_zoo():
-            _, from_json = json_codec.decode_body(
-                json_codec.encode_frame(2, message)[4:]
-            )
-            _, from_binary = binary_codec.decode_body(
-                binary_codec.encode_frame(2, message)[4:]
-            )
-            assert from_json == from_binary == message
-
-    def test_binary_frames_strictly_smaller_for_every_message(self):
-        json_codec = make_codec("json")
-        binary_codec = make_codec("binary")
-        for message in message_zoo():
-            json_size = len(json_codec.encode_frame(7, message))
-            binary_size = len(binary_codec.encode_frame(7, message))
-            assert binary_size < json_size, (
-                f"{type(message).__name__}: binary {binary_size} >= json {json_size}"
-            )
-
-    def test_binary_shrinks_qc_carrying_messages_substantially(self):
-        json_codec = make_codec("json")
-        binary_codec = make_codec("binary")
-        for message in message_zoo():
-            if not isinstance(message, (Vote, Proposal, QCAnnounce)):
-                continue
-            json_size = len(json_codec.encode_frame(7, message))
-            binary_size = len(binary_codec.encode_frame(7, message))
-            assert binary_size < json_size // 2
-
 
 class TestEdgeValues:
     def test_edge_values_roundtrip(self, codec):
@@ -238,7 +195,7 @@ class TestEdgeValues:
             assert type(decoded) is type(value)
 
     def test_bytes_roundtrip_binary_only(self):
-        binary_codec = make_codec("binary")
+        binary_codec = default_codec()
         for blob in (b"", b"\x00\xff" * 40):
             _, decoded = roundtrip(binary_codec, 1, blob)
             assert decoded == blob
@@ -253,13 +210,12 @@ class TestEdgeValues:
 
 class TestErrorPaths:
     def test_make_codec_rejects_unknown_name(self):
-        with pytest.raises(WireCodecError, match="unknown wire codec"):
-            make_codec("msgpack")
+        for name in ("msgpack", "json"):
+            with pytest.raises(WireCodecError, match="unknown wire codec"):
+                make_codec(name)
 
     def test_make_codec_returns_shared_instances(self):
-        assert make_codec("json") is default_codec()
-        assert make_codec("binary") is default_binary_codec()
-        assert isinstance(make_codec("binary"), BinaryWireCodec)
+        assert make_codec("binary") is default_codec()
 
     def test_unregistered_dataclass_rejected(self, codec):
         @dataclasses.dataclass(frozen=True)
@@ -274,7 +230,7 @@ class TestErrorPaths:
             codec.encode_frame(0, object())
 
     def test_binary_rejects_unknown_class_id(self):
-        binary_codec = make_codec("binary")
+        binary_codec = default_codec()
         bogus_id = len(binary_codec._by_id) + 5
         body = bytes([0, 0x0B]) + bytes([bogus_id])  # sender 0, CLASS tag
         with pytest.raises(WireCodecError, match="unknown wire class id"):
@@ -282,16 +238,16 @@ class TestErrorPaths:
 
     def test_binary_rejects_unknown_tag(self):
         with pytest.raises(WireCodecError, match="unknown tag"):
-            make_codec("binary").decode_body(bytes([0, 0xFF]))
+            default_codec().decode_body(bytes([0, 0xFF]))
 
     def test_binary_rejects_trailing_bytes(self):
-        binary_codec = make_codec("binary")
+        binary_codec = default_codec()
         body = binary_codec.encode_frame(1, "ok")[4:] + b"\x00"
         with pytest.raises(WireCodecError, match="trailing bytes"):
             binary_codec.decode_body(body)
 
     def test_binary_rejects_truncated_values(self):
-        binary_codec = make_codec("binary")
+        binary_codec = default_codec()
         for payload in ("a long enough string", 3.14, b"some bytes"):
             body = binary_codec.encode_frame(1, payload)[4:]
             with pytest.raises(WireCodecError, match="malformed frame body"):
@@ -299,11 +255,7 @@ class TestErrorPaths:
 
     def test_binary_rejects_empty_body(self):
         with pytest.raises(WireCodecError, match="malformed frame body"):
-            make_codec("binary").decode_body(b"")
-
-    def test_json_rejects_garbage_body(self):
-        with pytest.raises(WireCodecError, match="malformed frame body"):
-            make_codec("json").decode_body(b"\x01\x02not json")
+            default_codec().decode_body(b"")
 
 
 class TestZeroCopyPaths:
@@ -354,48 +306,32 @@ GOLDEN_FRAMES = Path(__file__).parent / "data" / "wire_frames.json"
 GOLDEN_SENDER = 5
 
 
-class _Recorder(WireCodec):
-    """Records first-registration order, nothing else."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.order: list[type] = []
-
-    def register(self, cls: type) -> type:
-        if cls not in self.order:
-            self.order.append(cls)
-        return super().register(cls)
-
-
 def _library_classes() -> list[type]:
     """The library's own wire classes in canonical registration order.  A
     registration sweep in a test process also finds the fake messages other
     test modules define (and a shared codec may hold them already), which
     would shift every later wire id."""
-    swept = _register_library_messages(_Recorder()).order
+    swept = _register_library_messages(WireCodec()).registered_classes
     return [cls for cls in swept if cls.__module__.startswith("repro.")]
 
 
-def _zoo_frames() -> dict[str, dict[str, str]]:
-    """``{codec name: {class name: frame hex}}`` for the whole zoo."""
-    frames = {}
-    for codec in (BinaryWireCodec(), WireCodec()):
-        codec.register_all(_library_classes())
-        frames[codec.name] = {
-            type(message).__name__: codec.encode_frame(GOLDEN_SENDER, message).hex()
-            for message in message_zoo()
-        }
-    return frames
+def _zoo_frames() -> dict[str, str]:
+    """``{class name: frame hex}`` for the whole zoo."""
+    codec = WireCodec()
+    codec.register_all(_library_classes())
+    return {
+        type(message).__name__: codec.encode_frame(GOLDEN_SENDER, message).hex()
+        for message in message_zoo()
+    }
 
 
 def test_every_zoo_frame_is_byte_identical_to_the_captured_wire():
     golden = json.loads(GOLDEN_FRAMES.read_text())
-    assert sorted(golden) == sorted(available_codecs())
+    assert sorted(golden) == ["binary"]
     frames = _zoo_frames()
-    for name in available_codecs():
-        assert sorted(frames[name]) == sorted(golden[name]) and len(golden[name]) == 24
-        for kind, frame in frames[name].items():
-            assert frame == golden[name][kind], f"{name} frame of {kind} changed on the wire"
+    assert sorted(frames) == sorted(golden["binary"]) and len(frames) == 24
+    for kind, frame in frames.items():
+        assert frame == golden["binary"][kind], f"frame of {kind} changed on the wire"
 
 
 # A packer for the binary format written straight from its description — one
@@ -459,17 +395,15 @@ class LateComer:
     body: Any = None
 
 
-def _fresh_codecs() -> tuple[BinaryWireCodec, WireCodec, dict[type, int]]:
-    """Both codecs over the library registry plus :class:`LateComer`, and the
+def _fresh_codec() -> tuple[WireCodec, dict[type, int]]:
+    """A codec over the library registry plus :class:`LateComer`, and the
     wire id of every class (registration order *is* the id)."""
-    order = _library_classes() + [LateComer]
-    binary, jsonc = BinaryWireCodec(), WireCodec()
-    binary.register_all(order)
-    jsonc.register_all(order)
-    return binary, jsonc, {cls: wire_id for wire_id, cls in enumerate(order)}
+    codec = WireCodec()
+    codec.register_all(_library_classes() + [LateComer])
+    return codec, {cls: wire_id for wire_id, cls in enumerate(codec.registered_classes)}
 
 
-FUZZ_BINARY, FUZZ_JSON, FUZZ_IDS = _fresh_codecs()
+FUZZ_CODEC, FUZZ_IDS = _fresh_codec()
 
 # Leaves that leave every inline path: integers past one varint byte, past 63
 # bits and negative; strings of 128 bytes and more, and non-ASCII ones.
@@ -527,16 +461,14 @@ def _messages(trees):
 @settings(max_examples=300, deadline=None)
 @given(sender=st.integers(-(2**40), 2**40), payload=_messages(_trees))
 def test_random_trees_match_the_reference_packer_and_the_json_oracle(sender, payload):
-    frame = FUZZ_BINARY.encode_frame(sender, payload)
+    frame = FUZZ_CODEC.encode_frame(sender, payload)
     assert frame == reference_frame(FUZZ_IDS, sender, payload)
-    decoded = FUZZ_BINARY.decode_body(frame[4:])
+    decoded = FUZZ_CODEC.decode_body(frame[4:])
     assert decoded == (sender, payload)
-    assert FUZZ_BINARY.decode_body(memoryview(frame)[4:]) == decoded
-    # The JSON codec decodes the same value from its own frame of it.
-    assert FUZZ_JSON.decode_body(FUZZ_JSON.encode_frame(sender, payload)[4:]) == decoded
+    assert FUZZ_CODEC.decode_body(memoryview(frame)[4:]) == decoded
 
 
-def _rejected(codec: BinaryWireCodec, body: bytes) -> None:
+def _rejected(codec: WireCodec, body: bytes) -> None:
     for view in (body, memoryview(body)):
         with pytest.raises(WireCodecError):
             codec.decode_body(view)
@@ -547,21 +479,21 @@ class TestCompiledPlanRejections:
     always :class:`WireCodecError`, never a bare ``IndexError``."""
 
     def test_every_zoo_frame_truncated_at_every_offset(self):
-        codec = make_codec("binary")
+        codec = default_codec()
         for message in message_zoo():
             body = codec.encode_frame(1, message)[4:]
             for cut in range(len(body)):
                 _rejected(codec, body[:cut])
 
     def test_trailing_bytes_after_every_zoo_frame(self):
-        codec = make_codec("binary")
+        codec = default_codec()
         for message in message_zoo():
             body = codec.encode_frame(1, message)[4:]
             with pytest.raises(WireCodecError, match="trailing bytes"):
                 codec.decode_body(body + b"\x00")
 
     def test_unknown_tag_inside_a_class(self):
-        codec = make_codec("binary")
+        codec = default_codec()
         vote = next(m for m in message_zoo() if isinstance(m, Vote))
         body = bytearray(codec.encode_frame(1, vote)[4:])
         # sender, CLASS tag, class id, then the first field's tag byte.
@@ -572,7 +504,7 @@ class TestCompiledPlanRejections:
         _rejected(codec, bytes(body))
 
     def test_unknown_class_id_inside_a_class(self):
-        codec = make_codec("binary")
+        codec = default_codec()
         forward = next(m for m in message_zoo() if isinstance(m, CommandForward))
         body = bytearray(codec.encode_frame(1, forward)[4:])
         # sender, CLASS, CommandForward's id, CLASS, CommandBatch's id.
@@ -584,7 +516,7 @@ class TestCompiledPlanRejections:
             _rejected(codec, forged)
 
     def test_empty_and_sender_only_bodies(self):
-        codec = make_codec("binary")
+        codec = default_codec()
         _rejected(codec, b"")
         _rejected(codec, b"\x02")
         _rejected(codec, b"\x80")
@@ -595,5 +527,5 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_wire_codecs.py --capture")
     GOLDEN_FRAMES.parent.mkdir(exist_ok=True)
     frames = _zoo_frames()
-    GOLDEN_FRAMES.write_text(json.dumps(frames, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {sum(len(v) for v in frames.values())} frames to {GOLDEN_FRAMES}")
+    GOLDEN_FRAMES.write_text(json.dumps({"binary": frames}, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(frames)} frames to {GOLDEN_FRAMES}")

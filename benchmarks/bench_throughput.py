@@ -48,7 +48,7 @@ Correctness gates (``--check``; non-zero exit if any fails):
   per applied request on its worst replica — the commit-frontier retry
   orders a command once;
 * the run-length row's late/early blocks-per-second ratio is at least
-  0.85 and its worker grew by at most 2 KB resident per block per replica
+  0.85 and its worker grew by at most 400 B resident per block per replica
   between the two slices, net of 160 B per applied request per replica;
 * request p50 on both run-length slices is at most 7 views;
 * the run-length row decodes at most 0.8 frames per frame sent (a count:
@@ -248,16 +248,17 @@ async def _run_matrix_cell(
 _PAGE_BYTES = os.sysconf("SC_PAGE_SIZE")
 #: The two run-length gates: blocks per second over the last fifth of the run
 #: against the first fifth's, and resident bytes the worker may grow by per
-#: block per replica in between (block, ledger entry, metrics rows), net of
-#: what the requests themselves leave.
+#: block per replica in between (packed ledger and KV chain bytes, metrics
+#: rows), net of what the requests themselves leave.
 MIN_LATE_OVER_EARLY = 0.85
-MAX_BYTES_PER_BLOCK = 2048
+MAX_BYTES_PER_BLOCK = 400
 #: Resident bytes one applied request leaves per replica (its command in each
 #: ledger, its request rows).  Requests arrive at a fixed rate, so a slow host
 #: that commits a third of the blocks charges each with three times the
 #: requests: 1644 B per block at 800 blocks/s, 2404 B at 250 blocks/s, which
 #: solve to 1.2 KB per block and this much per request.  Net of it the row
-#: reads 1.2-1.3 KB at either speed, and 2.4-2.5 KB with the floor disabled.
+#: read 1.2-1.3 KB at either speed while the ledger kept every block, and
+#: 2.4-2.5 KB with the floor disabled.
 REQUEST_BYTES = 160
 #: Frame decodes per frame sent the row may show: co-located replicas share
 #: a broadcast's decode, so one worker holding all of n=4 reads 0.71.

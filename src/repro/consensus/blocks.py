@@ -1,9 +1,10 @@
 """Blocks and the block tree.
 
 A block is proposed by the leader of a view and extends a parent block via
-the parent's QC.  The block tree tracks every block a replica has seen,
-answers ancestry queries, and exposes the chain from genesis to any block —
-which is what the 3-chain commit rule and the safety tests need.
+the parent's QC.  The block tree tracks the blocks a replica has seen at
+or above its committed-view floor (and genesis), answers ancestry queries,
+and walks a block's chain down to the last committed block — which is what
+the 3-chain commit rule and the voting rule need.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ GENESIS = Block(view=-1, parent_id=GENESIS_ID, proposer=-1, payload=(), justify_
 
 
 class BlockTree:
-    """Per-replica store of all known blocks, rooted at genesis."""
+    """Per-replica store of the known blocks at or above the committed-view
+    floor (:meth:`release_below`), rooted at genesis."""
 
     def __init__(self) -> None:
         self._blocks: dict[str, Block] = {GENESIS.block_id: GENESIS}
@@ -119,6 +121,19 @@ class BlockTree:
     def blocks(self) -> Iterable[Block]:
         """All known blocks (unordered)."""
         return self._blocks.values()
+
+    def release_below(self, floor: int) -> None:
+        """Forget every block of a view below the replica's committed-view
+        floor but genesis.  The last committed block is at or above the
+        floor, so the commit walk still ends on it, and the lock, the high
+        QC and every justify a leader picks are above it; a QC for a
+        forgotten block misses the tree, which is the no-op its view
+        check gave."""
+        self._blocks = {
+            block_id: block
+            for block_id, block in self._blocks.items()
+            if block.view >= floor or block.view < 0
+        }
 
     # ------------------------------------------------------------------
     # Ancestry

@@ -4,90 +4,81 @@ The ledger is the externally visible output of SMR: an ordered sequence of
 committed blocks (and hence commands).  Safety means the ledgers of any two
 honest replicas are always prefixes of one another; the integration tests
 assert exactly that via :func:`ledgers_consistent`.
+
+The ledger keeps its history as packed columns — the committed ids in the
+:class:`~repro.crypto.backend.PackedDigests` byte format, the views and the
+commit times as ``array`` columns — so a replica's memory grows by a few
+bytes per committed block.  A :class:`~repro.consensus.blocks.Block` itself
+is held only while a state machine has yet to apply it (:meth:`Ledger.take`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from array import array
+from typing import Iterable
 
 from repro.consensus.blocks import Block
 from repro.crypto.backend import PackedDigests
 from repro.errors import SafetyViolation
 
 
-@dataclass(frozen=True)
-class CommittedEntry:
-    """One committed block together with the commit (simulation) time."""
-
-    block: Block
-    commit_time: float
-
-
 class Ledger:
-    """Append-only committed chain of one replica."""
+    """Append-only committed chain of one replica, as packed columns."""
+
+    __slots__ = ("owner", "_ids", "views", "commit_times", "_held")
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
-        self._entries: list[CommittedEntry] = []
-        self._committed_ids: set[str] = set()
+        # Committed ids, each followed by a newline (the PackedDigests format).
+        self._ids = bytearray()
+        #: Committed views, in commit order (strictly increasing).
+        self.views = array("q")
+        #: Commit times, in commit order.
+        self.commit_times = array("d")
+        # {position: block} of committed blocks a state machine has yet to take.
+        self._held: dict[int, Block] = {}
 
-    def commit(self, block: Block, time: float) -> None:
-        """Append a committed block.  Views must strictly increase."""
-        if block.block_id in self._committed_ids:
-            return
-        if self._entries and block.view <= self._entries[-1].block.view:
+    def commit(self, block: Block, time: float, hold: bool = False) -> bool:
+        """Append a committed block; ``False`` if it is already committed.
+        Views must strictly increase.  With ``hold`` the block stays until
+        :meth:`take` hands it over (a state machine will apply it)."""
+        views = self.views
+        if views and block.view <= views[-1]:
+            if block.block_id in self.block_ids:
+                return False
             raise SafetyViolation(
-                f"replica {self.owner} committed view {block.view} after "
-                f"view {self._entries[-1].block.view}"
+                f"replica {self.owner} committed view {block.view} after view {views[-1]}"
             )
-        self._entries.append(CommittedEntry(block=block, commit_time=time))
-        self._committed_ids.add(block.block_id)
+        if hold:
+            self._held[len(views)] = block
+        self._ids += block.block_id.encode("ascii")
+        self._ids += b"\n"
+        views.append(block.view)
+        self.commit_times.append(time)
+        return True
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.views)
 
-    def __getitem__(self, index: int) -> CommittedEntry:
-        """The ``index``-th committed entry — the non-copying read the commit
-        path uses (``ReplicatedKV.catch_up`` walks on from its cursor)."""
-        return self._entries[index]
+    def take(self, index: int) -> Block:
+        """The held block at position ``index``, handed over once: the ledger
+        forgets it (``ReplicatedKV.catch_up`` walks on from its cursor)."""
+        return self._held.pop(index)
 
     @property
-    def entries(self) -> Sequence[CommittedEntry]:
-        """All committed entries in commit order (O(len) snapshot, not for
-        hot paths: index the ledger instead)."""
-        return tuple(self._entries)
+    def packed_ids(self) -> PackedDigests:
+        """Committed block ids in commit order, as one packed copy."""
+        return PackedDigests.from_bytes(bytes(self._ids))
 
     @property
     def block_ids(self) -> list[str]:
         """Committed block ids in commit order (O(len) snapshot, not for hot paths)."""
-        return [entry.block.block_id for entry in self._entries]
-
-    @property
-    def commands(self) -> list:
-        """Flattened committed command sequence (O(len) snapshot that decodes
-        every batch — not for hot paths).
-
-        Client batches are expanded into their decoded
-        :class:`~repro.statemachine.commands.Command` tuples; synthetic
-        filler ids and any other payload items pass through unchanged.
-        """
-        from repro.statemachine.commands import decode_commands
-        from repro.statemachine.messages import CommandBatch
-
-        flat: list = []
-        for entry in self._entries:
-            for item in entry.block.payload:
-                if isinstance(item, CommandBatch):
-                    flat.extend(decode_commands(item.data))
-                else:
-                    flat.append(item)
-        return flat
+        return self._ids.decode("ascii").splitlines()
 
 
 def ledgers_consistent(ledgers: Iterable[Ledger]) -> bool:
     """Whether every pair of ledgers is prefix-consistent (the safety property)."""
-    return sequences_consistent(ledger.block_ids for ledger in ledgers)
+    return sequences_consistent(ledger.packed_ids for ledger in ledgers)
 
 
 def sequences_consistent(id_sequences: Iterable[Iterable[str]]) -> bool:

@@ -95,9 +95,10 @@ class Replica(Process):
         self.engine = (engine_factory or ChainedHotStuff)(self)
         self.pacemaker = pacemaker_factory(self)
         #: The committed-view floor, ``min(last committed view, current
-        #: view)``: every view below it is decided and left, so engine and
-        #: pacemaker free its state and its messages are no-ops — all but the
-        #: first sight of a QC, which still counts (``_learn_qc``).
+        #: view)``: every view below it is decided and left, so the block
+        #: tree, engine and pacemaker free its state and its messages are
+        #: no-ops — all but the first sight of a QC, which still counts
+        #: (``_learn_qc``).
         self.floor = -1
         # Client-workload attachments (set by repro.runner.workload when a
         # ScenarioConfig carries a workload; None for pure-consensus runs).
@@ -261,10 +262,12 @@ class Replica(Process):
     def commit_block(self, block: Block) -> None:
         """A block became committed under the 3-chain rule."""
         now = self.now
-        self.ledger.commit(block, now)
+        machine = self.state_machine
+        if not self.ledger.commit(block, now, hold=machine is not None):
+            return  # committed before: nothing new to record, apply or redispatch
         self.metrics.record_commit(self.pid, block.view, block.block_id, now)
-        if self.state_machine is not None:
-            self.state_machine.catch_up(self.ledger, now)
+        if machine is not None:
+            machine.catch_up(self.ledger, now)
         if self.gateway is not None:
             # This block's view, not safety.state.last_committed_view: that
             # is already the newest block's while a run of ancestors is
@@ -273,6 +276,7 @@ class Replica(Process):
         floor = min(self.safety.state.last_committed_view, self.current_view)
         if floor > self.floor:
             self.floor = floor
+            self.tree.release_below(floor)
             self.pacemaker.release_below(floor)
             self.engine.release_below(floor)
 
@@ -294,14 +298,14 @@ class Replica(Process):
 
     def residue(self) -> ReplicaResidue:
         """This replica's :class:`ReplicaResidue`, as of now."""
-        ledger = PackedDigests(self.ledger.block_ids)
+        ledger = self.ledger.packed_ids
         machine = self.state_machine
         if machine is None:
             return ReplicaResidue(ledger, None, PackedDigests(), {})
         return ReplicaResidue(
             ledger,
             machine.digest(),
-            PackedDigests(machine.apply_chain),
+            machine.apply_chain,
             {
                 "mempool.expired": self.mempool.expired,
                 "store.duplicates_skipped": machine.store.duplicates_skipped,

@@ -181,6 +181,14 @@ class PackedDigests:
         # One join; the trailing "" puts a newline after the last digest.
         self.data = "\n".join(itertools.chain(digests, ("",))).encode("ascii")
 
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "PackedDigests":
+        """Wrap bytes already in this format (what a ledger or an apply
+        chain appends to) without decoding them."""
+        packed = cls.__new__(cls)
+        packed.data = data
+        return packed
+
     def __len__(self) -> int:
         return self.data.count(b"\n")
 

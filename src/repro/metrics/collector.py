@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.crypto.backend import PackedDigests
-from repro.sim.network import SOURCE_COUNTS, Counters, Envelope
+from repro.sim.network import BASE_COUNTS, SOURCE_COUNTS, Counters, Envelope
 
 
 @dataclass(frozen=True, slots=True)
@@ -530,9 +530,10 @@ class MetricsCollector:
         of a :class:`~repro.runner.process_cluster.LiveCluster` ships its
         collector's state over the control channel at shutdown, and the
         coordinator rebuilds one cluster-wide collector with
-        :func:`merge_metrics_states`.  ``array`` columns pickle natively;
-        the counter bag and its sources ship as one :attr:`counts` snapshot
-        (its nonzero names).
+        :func:`merge_metrics_states`.  ``array`` columns ship as they are
+        (a worker sends their raw bytes), commit ids packed; the counter bag
+        and its sources ship as one :attr:`counts` snapshot (its nonzero
+        names, and any name beyond the base ones).
         """
         return {
             "honest_ids": sorted(self.honest_ids),
@@ -541,108 +542,87 @@ class MetricsCollector:
                 for table, names in _TABLES.items()
                 for name in names
             },
+            "commit_block_ids": PackedDigests(self._commit_block_ids),
             "kind_names": list(self._kind_names),
             "views_entered": dict(self._views_entered),
-            "decision_times": self._decision_times,
-            "decision_views": self._decision_views,
-            "decision_leaders": self._decision_leaders,
-            "commit_times": self._commit_times,
-            "commit_pids": self._commit_pids,
-            "commit_views": self._commit_views,
-            "commit_block_ids": PackedDigests(self._commit_block_ids),
-            "request_submit_times": self._request_submit_times,
-            "request_apply_times": self._request_apply_times,
-            "request_pids": self._request_pids,
-            # Nonzero names only: the merged bag starts every base name at 0.
-            "counts": {name: count for name, count in self.counts.items() if count},
+            # The merged bag starts every base name at 0; other names are
+            # reported even at zero.
+            "counts": {
+                name: count for name, count in self.counts.items()
+                if count or name not in BASE_COUNTS
+            },
         }
 
 
 #: The tables merged as columns, by name: their columns, the time column
-#: first and the interned kind ids last (``_<table>_<column>`` on a
-#: collector, ``<table>_<column>`` in its state).
+#: first (``_<table>_<column>`` on a collector, ``<table>_<column>`` in its
+#: state).  The message and event tables end in interned kind ids, the
+#: commit table in block ids.
 _TABLES = {
     "message": ("times", "senders", "recipients", "kind_ids"),
     "event": ("times", "pids", "values", "kind_ids"),
+    "decision": ("times", "views", "leaders"),
+    "commit": ("times", "pids", "views", "block_ids"),
+    "request": ("apply_times", "submit_times", "pids"),
 }
 
 
-def _merge_columns(
-    merged: "MetricsCollector", states: list[dict], renumber: list[list[int]], table: str
-) -> None:
+def _merge_columns(merged: "MetricsCollector", table: str, shards: list[list]) -> None:
     """Put the shards' ``table`` columns on ``merged`` in time order: one
-    shard's are adopted as they are; several are concatenated (kind ids
-    renumbered through ``renumber``, one map per shard) and, only if their
-    rows interleave, stably sorted by time."""
-    names = _TABLES[table]
-    shards = []
-    for s, kind_ids in zip(states, renumber):
-        columns = [s[f"{table}_{name}"] for name in names]
-        if kind_ids != list(range(len(kind_ids))):
-            columns[-1] = array("h", map(kind_ids.__getitem__, columns[-1]))
-        shards.append(columns)
+    shard's are adopted as they are; several are concatenated and, only if
+    their rows interleave, stably sorted by time."""
     columns = [functools.reduce(operator.add, parts) for parts in zip(*shards)]
     times = columns[0]
     if any(map(operator.gt, times, itertools.islice(times, 1, None))):
         order = sorted(range(len(times)), key=times.__getitem__)
-        columns = [array(c.typecode, map(c.__getitem__, order)) for c in columns]
-    for name, column in zip(names, columns):
+        columns = [
+            array(c.typecode, map(c.__getitem__, order)) if isinstance(c, array)
+            else list(map(c.__getitem__, order))
+            for c in columns
+        ]
+    for name, column in zip(_TABLES[table], columns):
         setattr(merged, f"_{table}_{name}", column)
 
 
 def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
     """Rebuild one :class:`MetricsCollector` from shard :meth:`~MetricsCollector.state` snapshots.
 
-    Every time-keyed stream (messages, events, decisions, commits, requests)
-    is merged onto one timeline — the shards of a multi-process cluster
-    share a monotonic clock origin, so their timestamps are directly
-    comparable.  The message and event tables, by far the longest, are
-    merged as columns; the short streams are replayed through the ordinary
-    recording methods.  The sorted-column invariants (bisectable message
-    times, the honest-decision index) therefore hold on the merged
-    collector exactly as they do on a single-process one, and every query
-    answers cluster-wide.
+    Every time-keyed table (messages, events, decisions, commits, requests)
+    is merged as columns onto one timeline — the shards of a multi-process
+    cluster share a monotonic clock origin, so their timestamps are
+    directly comparable.  Kind ids are renumbered into the merged
+    collector's, commit ids become one ``str`` per block however many
+    replicas committed it, and the honest-decision index is rebuilt in one
+    pass.  The sorted-column invariants (bisectable times, the
+    honest-decision index) therefore hold on the merged collector exactly as
+    they do on a single-process one, and every query answers cluster-wide.
     """
     states = list(states)
     merged = MetricsCollector()
     merged.set_honest(set().union(*(s["honest_ids"] for s in states)))
     if states:
         renumber = [[merged._intern_kind(kind) for kind in s["kind_names"]] for s in states]
-        for table in _TABLES:
-            _merge_columns(merged, states, renumber, table)
-
-    decisions = sorted(
-        (time, view, leader)
-        for s in states
-        for time, view, leader in zip(
-            s["decision_times"], s["decision_views"], s["decision_leaders"]
+        block_ids: dict[str, str] = {}
+        for table, names in _TABLES.items():
+            shards = []
+            for s, kind_ids in zip(states, renumber):
+                columns = [s[f"{table}_{name}"] for name in names]
+                if names[-1] == "kind_ids" and kind_ids != list(range(len(kind_ids))):
+                    columns[-1] = array("h", map(kind_ids.__getitem__, columns[-1]))
+                elif names[-1] == "block_ids":
+                    columns[-1] = [block_ids.setdefault(b, b) for b in columns[-1]]
+                shards.append(columns)
+            _merge_columns(merged, table, shards)
+        honest = merged.honest_ids
+        merged._decision_honest = array(
+            "b", [leader in honest for leader in merged._decision_leaders]
         )
-    )
-    for time, view, leader in decisions:
-        merged.record_decision(time, view, leader)
-
-    block_ids: dict[str, str] = {}  # one str per block, however many replicas committed it
-    commits = sorted(
-        (time, pid, view, block_ids.setdefault(block_id, block_id))
-        for s in states
-        for time, pid, view, block_id in zip(
-            s["commit_times"], s["commit_pids"], s["commit_views"], s["commit_block_ids"]
+        merged._honest_decision_indices = array(
+            "q", itertools.compress(itertools.count(), merged._decision_honest)
         )
-    )
-    for time, pid, view, block_id in commits:
-        merged.record_commit(pid, view, block_id, time)
-
-    # Sorted by apply time so the merged apply-time column stays bisectable
-    # (shards share one clock origin, exactly like the commit columns).
-    requests = sorted(
-        (apply_time, submit_time, pid)
-        for s in states
-        for submit_time, apply_time, pid in zip(
-            s["request_submit_times"], s["request_apply_times"], s["request_pids"]
+        merged._honest_decision_times = array(
+            "d", map(merged._decision_times.__getitem__, merged._honest_decision_indices)
         )
-    )
-    for apply_time, submit_time, pid in requests:
-        merged.record_request_applied(pid, submit_time, apply_time)
 
     for s in states:
         # Each pid's rows come from the one shard that hosts it.

@@ -23,7 +23,11 @@ by one cluster class in one of two placements:
      rather than interpreter-boot latency;
   5. during the run the parent polls ``("status",)`` → per-pid ledger
      lengths; at shutdown it sends ``("stop",)`` and each worker ships back
-     its :class:`~repro.runner.shard.ShardReport`.
+     its :class:`~repro.runner.shard.ShardReport`: a pickled head, then
+     each metrics column's raw bytes.
+
+Both sides wait on the control pipe's file descriptor (the parent also on
+the worker's process sentinel), never on a polling sleep.
 
 Either way the run reduces to one
 :class:`~repro.experiments.scenario.RunResult` (:meth:`LiveCluster.result`).
@@ -41,12 +45,15 @@ unexplainable signature-verification storm.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
+import gc
 import multiprocessing
 import time
 import traceback
 import uuid
-from typing import Any, Callable, Optional, Sequence
+from array import array
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.consensus.replica import ReplicaResidue
@@ -64,9 +71,6 @@ from repro.runtime import (
 #: self-destructing — the orphan guard for a coordinator that died without
 #: sending ``("stop",)``.
 WORKER_LIFETIME_MARGIN = 120.0
-#: How often a worker looks at its control pipe, and the coordinator at a
-#: worker's, while waiting for a message.
-PIPE_POLL = 0.02
 #: Minimum spacing of the coordinator's status rounds during a run.
 STATUS_INTERVAL = 0.05
 #: Wall seconds a worker may take to boot its interpreter and answer each
@@ -74,19 +78,97 @@ STATUS_INTERVAL = 0.05
 BOOTSTRAP_TIMEOUT = 120.0
 
 
+async def _readable(fds: Sequence[int], timeout: float) -> None:
+    """Return once any of ``fds`` is readable (a control pipe with a
+    message or at EOF, a process sentinel of a worker that exited), or
+    after ``timeout`` seconds, without blocking the event loop."""
+    loop = asyncio.get_running_loop()
+    ready = loop.create_future()
+
+    def wake() -> None:
+        if not ready.done():
+            ready.set_result(None)
+
+    for fd in fds:
+        loop.add_reader(fd, wake)
+    try:
+        await asyncio.wait((ready,), timeout=max(timeout, 0.0))
+    finally:
+        for fd in fds:
+            loop.remove_reader(fd)
+
+
+class _Column(NamedTuple):
+    """An ``array`` column of a report head: its bytes follow the head."""
+
+    typecode: str
+    length: int
+
+
+def _send_report(conn, report: ShardReport) -> None:
+    """Send ``report`` as its head — the report with each ``array`` column
+    of its metrics state swapped for a :class:`_Column` — and then every
+    column's raw bytes, in order, so no pickled copy of them is built."""
+    state = report.metrics_state
+    columns = [column for column in state.values() if isinstance(column, array)]
+    head = dataclasses.replace(report, metrics_state={
+        name: _Column(value.typecode, len(value)) if isinstance(value, array) else value
+        for name, value in state.items()
+    })
+    conn.send(("result", head))
+    for column in columns:
+        conn.send_bytes(column)
+
+
+def _receive_columns(conn, head: ShardReport) -> ShardReport:
+    """The report ``head`` announces, its columns read back off ``conn``."""
+    state = head.metrics_state
+    for name, value in state.items():
+        if isinstance(value, _Column):
+            column = array(value.typecode)
+            column.frombytes(conn.recv_bytes())
+            if len(column) != value.length:
+                raise EOFError(f"column {name}: {len(column)} of {value.length} rows")
+            state[name] = column
+    return head
+
+
+@contextlib.contextmanager
+def _full_gc_counted(counters):
+    """While open, count every full (generation 2) collection and its
+    microseconds into ``counters`` as ``gc_full_passes`` / ``gc_full_us``
+    (both reported, even at zero)."""
+    started = 0.0
+
+    def hook(phase: str, info: dict) -> None:
+        nonlocal started
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            counters.bump("gc_full_passes")
+            counters.bump("gc_full_us", round((time.perf_counter() - started) * 1e6))
+
+    counters.bump("gc_full_passes", 0)
+    counters.bump("gc_full_us", 0)
+    gc.callbacks.append(hook)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(hook)
+
+
 # ----------------------------------------------------------------------
 # Worker side (runs in the spawned process)
 # ----------------------------------------------------------------------
 async def _pipe_recv(conn, timeout: float):
     """Await the next control message without blocking the event loop."""
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
-    while True:
-        if conn.poll():
-            return conn.recv()
-        if loop.time() >= deadline:
+    if not conn.poll():
+        await _readable((conn.fileno(),), timeout)
+        if not conn.poll():
             raise TimeoutError("control-channel message timed out")
-        await asyncio.sleep(PIPE_POLL)
+    return conn.recv()
 
 
 async def _serve_shard(spec: ShardSpec, conn) -> None:
@@ -108,22 +190,23 @@ async def _serve_shard(spec: ShardSpec, conn) -> None:
     loop = asyncio.get_running_loop()
     deadline = loop.time() + lifetime
     stopping = False
-    while not stopping and loop.time() < deadline:
-        await asyncio.sleep(PIPE_POLL)
-        try:
-            while conn.poll():
-                message = conn.recv()
-                if message[0] == "status":
-                    conn.send(("status", shard.commits()))
-                elif message[0] == "stop":
-                    stopping = True
-                    break
-        except (EOFError, OSError):
-            stopping = True  # coordinator went away: tear down and exit
+    with _full_gc_counted(shard.stack.metrics.counters):
+        while not stopping and loop.time() < deadline:
+            await _readable((conn.fileno(),), deadline - loop.time())
+            try:
+                while conn.poll():
+                    message = conn.recv()
+                    if message[0] == "status":
+                        conn.send(("status", shard.commits()))
+                    elif message[0] == "stop":
+                        stopping = True
+                        break
+            except (EOFError, OSError):
+                stopping = True  # coordinator went away: tear down and exit
 
     report = await shard.stop()
     try:
-        conn.send(("result", report))
+        _send_report(conn, report)
     except (BrokenPipeError, OSError):
         pass  # coordinator already gone; nothing left to report to
 
@@ -484,9 +567,7 @@ class LiveCluster:
         """Next message from a worker, or ``None`` if it died/timed out."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        while True:
-            if not worker.alive:
-                return None
+        while worker.alive:
             try:
                 if worker.conn.poll():
                     return worker.conn.recv()
@@ -497,9 +578,11 @@ class LiveCluster:
             except (EOFError, OSError):
                 worker.alive = False
                 return None
-            if loop.time() >= deadline:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
                 return None
-            await asyncio.sleep(PIPE_POLL)
+            await _readable((worker.conn.fileno(), worker.process.sentinel), remaining)
+        return None
 
     async def _refresh_status(self) -> None:
         """One status round across the alive workers, rate-limited."""
@@ -544,7 +627,12 @@ class LiveCluster:
             if message is None:
                 break
             if message[0] == "result":
-                return message[1]
+                try:
+                    return _receive_columns(worker.conn, message[1])
+                except (EOFError, OSError) as error:
+                    worker.alive = False
+                    self.teardown_errors.append(f"{worker}: report cut short ({error})")
+                    return None
             if message[0] == "error":
                 self.teardown_errors.append(f"{worker}: {message[1]}")
                 return None

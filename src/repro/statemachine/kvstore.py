@@ -14,8 +14,9 @@ into the ledger; this module turns that order into state.  Two layers:
 
 * :class:`ReplicatedKV` — the ledger adapter: tracks how many ledger
   entries have been applied and catches up to the current length on each
-  commit.  ``Ledger.commit`` silently dedupes re-committed block ids, so
-  progress is tracked by *position*, never by counting commit callbacks.
+  commit, taking each block from the ledger as it applies it (the ledger
+  holds a block only until then).  Progress is tracked by *position*,
+  never by counting commit callbacks.
 
 Determinism is checkable two ways.  :meth:`KVStore.state_digest` hashes
 the full state (for runs that stop at the same ledger length, e.g. sim vs
@@ -117,7 +118,9 @@ class ReplicatedKV:
         self.on_apply = on_apply
         self._applied_entries = 0
         self._chain = hashlib.sha256(b"genesis").hexdigest()
-        self._chain_history: list[str] = []
+        # Every hash of the chain, each followed by a newline (the
+        # PackedDigests format).
+        self._chain_history = bytearray()
         self._digest = (-1, "")  # (cursor, state digest) of the last digest()
 
     @property
@@ -126,14 +129,14 @@ class ReplicatedKV:
         return self._applied_entries
 
     @property
-    def apply_chain(self) -> tuple[str, ...]:
-        """Running state hash after each applied ledger entry.
+    def apply_chain(self) -> PackedDigests:
+        """Running state hash after each applied ledger entry, packed.
 
         Chained per block, so replicas stopped at different ledger lengths
-        are comparable over the common prefix.  O(len) snapshot, not for hot
+        are comparable over the common prefix.  O(len) copy, not for hot
         paths: :attr:`last_chain` reads the newest hash.
         """
-        return tuple(self._chain_history)
+        return PackedDigests.from_bytes(bytes(self._chain_history))
 
     @property
     def last_chain(self) -> str:
@@ -141,11 +144,12 @@ class ReplicatedKV:
         return self._chain
 
     def catch_up(self, ledger, now: float) -> int:
-        """Apply every ledger entry past the cursor (read as ``ledger[i]``, so
-        the cost is the new entries'); return commands applied."""
+        """Apply every ledger entry past the cursor (taken as
+        ``ledger.take(i)``, so the cost is the new entries'); return
+        commands applied."""
         applied = 0
         while self._applied_entries < len(ledger):
-            block = ledger[self._applied_entries].block
+            block = ledger.take(self._applied_entries)
             self._applied_entries += 1
             hasher = hashlib.sha256(self._chain.encode("ascii"))
             for item in block.payload:
@@ -162,7 +166,8 @@ class ReplicatedKV:
                         if self.on_apply is not None:
                             self.on_apply(command, now)
             self._chain = hasher.hexdigest()
-            self._chain_history.append(self._chain)
+            self._chain_history += self._chain.encode("ascii")
+            self._chain_history += b"\n"
         return applied
 
     def digest(self) -> str:

@@ -229,11 +229,16 @@ def test_ledger_orders_blocks_and_flattens_commands():
     ledger = Ledger(owner=0)
     a = Block(view=0, parent_id=GENESIS.block_id, proposer=0, payload=("a1", "a2"))
     b = Block(view=1, parent_id=a.block_id, proposer=1, payload=("b1",))
-    ledger.commit(a, time=1.0)
-    ledger.commit(b, time=2.0)
+    assert ledger.commit(a, time=1.0, hold=True)
+    assert ledger.commit(b, time=2.0)
     assert len(ledger) == 2
-    assert ledger.commands == ["a1", "a2", "b1"]
-    assert ledger.entries[0].commit_time == 1.0
+    assert ledger.block_ids == [a.block_id, b.block_id]
+    assert list(ledger.views) == [0, 1] and list(ledger.commit_times) == [1.0, 2.0]
+    # Only a held block is kept, and only until it is taken.
+    assert ledger.take(0).payload == ("a1", "a2")
+    for index in (0, 1):
+        with pytest.raises(KeyError):
+            ledger.take(index)
 
 
 def test_ledger_rejects_out_of_order_commits():
@@ -248,9 +253,23 @@ def test_ledger_rejects_out_of_order_commits():
 def test_ledger_ignores_duplicate_commits():
     ledger = Ledger(owner=0)
     a = Block(view=0, parent_id=GENESIS.block_id, proposer=0)
-    ledger.commit(a, time=1.0)
-    ledger.commit(a, time=2.0)
+    assert ledger.commit(a, time=1.0)
+    assert not ledger.commit(a, time=2.0)
     assert len(ledger) == 1
+
+
+def test_a_recommitted_block_is_recorded_once():
+    from repro.experiments.scenario import ScenarioConfig, build_scenario
+    from repro.runner import WorkloadConfig
+
+    result = build_scenario(ScenarioConfig(n=4, workload=WorkloadConfig()))
+    replica = result.replicas[0]
+    block = Block(view=0, parent_id=GENESIS.block_id, proposer=0)
+    replica.commit_block(block)
+    replica.commit_block(block)
+    assert len(replica.ledger) == 1
+    assert [c.view for c in replica.metrics.commits_for(0)] == [0]
+    assert replica.state_machine.applied_entries == 1
 
 
 def test_ledgers_consistent_detects_prefix_relation():

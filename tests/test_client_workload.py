@@ -209,16 +209,15 @@ def test_a_batch_committed_by_two_leaders_applies_once():
             assert replicas[leader].mempool.ingest(batch)
             handed.append(leader)
 
+    committed = []  # replica 0's committed blocks, from a hook on its commit path
+    commit = replicas[0].commit_block
+    replicas[0].commit_block = lambda block: (committed.append(block), commit(block))
     result.simulator.schedule_at(5.03, hand_over)
     start_replicas(replicas)
     result.simulator.run(until=10.0)
 
     assert len(set(handed)) == 2
-    carriers = [
-        entry.block
-        for entry in replicas[0].ledger.entries
-        if batch in entry.block.payload
-    ]
+    carriers = [block for block in committed if batch in block.payload]
     assert sorted(block.proposer for block in carriers) == sorted(handed)
     for replica in replicas.values():
         store = replica.state_machine.store

@@ -136,16 +136,13 @@ def test_frames_below_the_floor_are_no_ops(settled, recent):
     replica = settled.replicas[0]
     led = [v for v in range(1, replica.floor) if replica.leader_of(v) == 0]
     view = led[-1] if recent else led[0]
-    committed = next(
-        replica.ledger[i].block for i in range(len(replica.ledger))
-        if replica.ledger[i].block.view == view
-    )
-    seen_qc = _quorum_qc(settled, view, committed.block_id)  # learned when the view ran
+    committed = replica.ledger.block_ids[list(replica.ledger.views).index(view)]
+    seen_qc = _quorum_qc(settled, view, committed)  # learned when the view ran
     stale_block = Block(view=view, parent_id="unknown-parent", proposer=0, payload=("stale",))
     vote = Vote(
-        view=view, block_id=committed.block_id,
+        view=view, block_id=committed,
         partial=replica.scheme.partial_sign(
-            settled.replicas[1].signing_key, ("qc", view, committed.block_id)
+            settled.replicas[1].signing_key, ("qc", view, committed)
         ),
     )
     before = _protocol_state(replica)

@@ -122,8 +122,9 @@ def test_every_commit_was_previously_certified():
     result = run_scenario(ScenarioConfig(n=4, pacemaker="lumiere", duration=50.0))
     decided_views = {d.view for d in result.metrics.decisions}
     for replica in result.honest_replicas:
-        for index in range(len(replica.ledger)):
-            assert replica.ledger[index].block.view in decided_views
+        assert len(replica.ledger.views) == len(replica.ledger) > 0
+        for view in replica.ledger.views:
+            assert view in decided_views
 
 
 def test_all_honest_replicas_observe_the_same_committed_prefix():

@@ -11,6 +11,7 @@ protocol input.
 from __future__ import annotations
 
 import asyncio
+import gc
 
 import pytest
 
@@ -213,6 +214,65 @@ def test_merge_metrics_states_interleaves_onto_one_timeline():
     # Commits interleaved; per-pid queries answer cluster-wide.
     assert [c.pid for c in merged.commits] == [0, 2, 0]
     assert [c.block_id for c in merged.commits_for(0)] == ["b0", "b1"]
+
+
+def test_merge_metrics_states_sorts_interleaved_decisions_commits_and_requests():
+    def shard(honest, decisions, commits, requests):
+        collector = MetricsCollector()
+        collector.set_honest(honest)
+        for time, view, leader in decisions:
+            collector.record_decision(time, view, leader)
+        for time, pid, view, block_id in commits:
+            collector.record_commit(pid, view, block_id, time)
+        for submit, applied, pid in requests:
+            collector.record_request_applied(pid, submit, applied)
+        return collector.state()
+
+    shard_a = shard(
+        {0, 1},
+        decisions=[(0.1, 0, 0), (0.5, 2, 1), (0.9, 4, 5)],  # leader 5 is not honest
+        commits=[(0.2, 0, 0, "b0"), (0.6, 1, 0, "b0"), (1.0, 0, 2, "b2")],
+        requests=[(0.0, 0.3, 0), (0.1, 0.7, 1)],
+    )
+    shard_b = shard(
+        {2, 3},
+        decisions=[(0.3, 1, 2), (0.7, 3, 3)],
+        commits=[(0.4, 2, 0, "b0"), (0.8, 3, 2, "b2")],
+        requests=[(0.2, 0.5, 2), (0.6, 0.9, 3)],
+    )
+    merged = merge_metrics_states([shard_a, shard_b])
+
+    assert [(d.time, d.view, d.leader_honest) for d in merged.decisions] == [
+        (0.1, 0, True), (0.3, 1, True), (0.5, 2, True), (0.7, 3, True), (0.9, 4, False),
+    ]
+    assert [d.view for d in merged.honest_decisions()] == [0, 1, 2, 3]
+    assert merged.first_honest_decision_after(0.6).view == 3
+    assert merged.first_honest_decision_after(0.8) is None
+    assert merged.decision_gaps() == pytest.approx([0.2, 0.2, 0.2])
+    assert [(c.time, c.pid, c.block_id) for c in merged.commits] == [
+        (0.2, 0, "b0"), (0.4, 2, "b0"), (0.6, 1, "b0"), (0.8, 3, "b2"), (1.0, 0, "b2"),
+    ]
+    # One str per block, however many replicas committed it.
+    assert len({id(c.block_id) for c in merged.commits}) == 2
+    assert merged.requests_applied_between(0.4, 0.8) == 2
+    assert merged.request_latencies() == pytest.approx([0.3, 0.3, 0.6, 0.3])
+
+
+def test_a_worker_counts_its_full_gc_passes_only_while_serving():
+    from repro.runner.process_cluster import _full_gc_counted
+    from repro.sim.network import Counters
+
+    hooks = list(gc.callbacks)
+    counters = Counters()
+    with _full_gc_counted(counters):
+        gc.collect(1)
+        assert counters.as_dict()["gc_full_passes"] == 0
+        gc.collect()
+        gc.collect()
+    assert gc.callbacks == hooks  # no hook outlives the serve loop
+    gc.collect()
+    counts = counters.as_dict()
+    assert counts["gc_full_passes"] == 2 and counts["gc_full_us"] > 0
 
 
 def test_merge_metrics_states_merges_event_tables():

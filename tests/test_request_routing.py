@@ -51,15 +51,29 @@ def _one_silent_leader(faults: int) -> dict:
     return {"scenario": "silent_spread", "scenario_params": {"faults": 1}}
 
 
-def _carriers(replica) -> dict:
-    """``{view: (proposer, commands)}`` of the committed blocks carrying
+def _record_commits(replica) -> list:
+    """The blocks ``replica`` commits from now on, in commit order (a hook
+    on its commit path: the ledger keeps their ids, not the blocks)."""
+    blocks = []
+    commit = replica.commit_block
+
+    def record(block):
+        blocks.append(block)
+        commit(block)
+
+    replica.commit_block = record
+    return blocks
+
+
+def _carriers(blocks) -> dict:
+    """``{view: (proposer, commands)}`` of the committed ``blocks`` carrying
     client batches, in ledger order."""
     return {
-        entry.block.view: (entry.block.proposer, sum(
-            item.count for item in entry.block.payload if isinstance(item, CommandBatch)
+        block.view: (block.proposer, sum(
+            item.count for item in block.payload if isinstance(item, CommandBatch)
         ))
-        for entry in replica.ledger.entries
-        if any(isinstance(item, CommandBatch) for item in entry.block.payload)
+        for block in blocks
+        if any(isinstance(item, CommandBatch) for item in block.payload)
     }
 
 
@@ -288,9 +302,10 @@ def test_buffered_commands_ride_the_proposal_of_the_view_entered_as_leader():
             assert replica.mempool.accepted == accepted
 
     replica.on_view_entered = on_view_entered
+    committed = _record_commits(replica)
     start_replicas(result.replicas)
     result.simulator.run(until=result.config.duration)
-    carriers = _carriers(replica)
+    carriers = _carriers(committed)
     assert carriers.pop(seen["own"]) == (3, 3)
     # The late three went to the leader of the view after next, which proposed
     # them in its turn.
@@ -387,6 +402,7 @@ def test_a_backlog_over_two_proposals_does_not_wait_a_rotation():
 
     def submit_backlog(replicas):
         owner = replicas[0]
+        aimed["committed"] = _record_commits(owner)
         aimed["proposer"], aimed["turn_end"] = owner.gateway._route()
         for seq in range(40):
             assert owner.gateway.submit(make_command(workload, client=0, seq=seq))
@@ -397,7 +413,7 @@ def test_a_backlog_over_two_proposals_does_not_wait_a_rotation():
     assert result.metrics.counts["requests_redispatched"] == 8
     assert result.metrics.requests_applied == 40
     assert _duplicates_per_replica(result) == 0
-    carriers = list(_carriers(replicas[0]))
+    carriers = list(_carriers(aimed["committed"]))
     # Three proposals carried it, the last one within half a rotation (2n =
     # 14 views) of the turn first aimed at: the next proposer reachable once
     # the frontier had passed, not the same leader a rotation later.

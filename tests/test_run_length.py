@@ -24,7 +24,9 @@ _NOT_PER_VIEW = {"_handlers", "_routes", "_vkeys", "honest_ids"}
 def _per_view_tables(replica) -> dict[str, int]:
     """Size of every dict/set the engine, its aggregator, the pacemaker with
     its collectors and tracker, and the shared scheme hold."""
-    owners = [replica.engine, replica.engine.aggregator, replica.pacemaker, replica.scheme]
+    owners = [
+        replica.engine, replica.engine.aggregator, replica.pacemaker, replica.scheme, replica.tree,
+    ]
     for name in ("success", "_vc_collector", "_epoch_collector"):
         if hasattr(replica.pacemaker, name):
             owners.append(getattr(replica.pacemaker, name))
@@ -33,6 +35,7 @@ def _per_view_tables(replica) -> dict[str, int]:
         for name, value in vars(owner).items():
             if isinstance(value, (dict, set)) and name not in _NOT_PER_VIEW:
                 sizes[f"{type(owner).__name__}.{name}"] = len(value)
+    sizes["Ledger._held"] = len(replica.ledger._held)
     return sizes
 
 
@@ -101,25 +104,33 @@ def test_engine_tables_do_not_grow_under_another_pacemaker():
 
 def test_live_objects_grow_by_a_constant_per_block(lumiere_kv):
     (b0, _, objects0), (b1, _, objects1) = lumiere_kv
-    # What a block legitimately leaves behind across the four replicas: the
-    # block (shared in this lane), one ledger entry each, and the client
-    # batches — about 9 collector-tracked objects; before the floor it was 22.
-    assert (objects1 - objects0) / (b1 - b0) < 14
+    # A committed block leaves packed bytes behind, not objects: ledger ids,
+    # views and times, KV chain hashes and metrics rows are columns (about
+    # 0.5 collector-tracked objects a block; 9 while the ledger held blocks,
+    # 22 before the floor).
+    assert (objects1 - objects0) / (b1 - b0) < 1
+
+
+def test_the_tree_and_the_ledger_keep_no_committed_history(lumiere_kv):
+    (_, _, _), (blocks, long, _) = lumiere_kv
+    assert blocks >= 3000
+    assert long["BlockTree._blocks"] <= 2 * 4
+    assert long["Ledger._held"] == 0
 
 
 class _CountingLedger:
     def __init__(self):
-        self.entries, self.reads = [], 0
+        self.blocks, self.reads = [], 0
 
     def add(self):
-        self.entries.append(type("Entry", (), {"block": type("Block", (), {"payload": ()})()})())
+        self.blocks.append(type("Block", (), {"payload": ()})())
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.blocks)
 
-    def __getitem__(self, index):
+    def take(self, index):
         self.reads += 1
-        return self.entries[index]
+        return self.blocks[index]
 
 
 def test_catch_up_touches_only_the_new_entries():

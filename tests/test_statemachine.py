@@ -116,30 +116,25 @@ class TestKVStore:
 # ----------------------------------------------------------------------
 # ReplicatedKV: ledger catch-up and apply chains
 # ----------------------------------------------------------------------
-class _Entry:
-    def __init__(self, block):
-        self.block = block
-
-
 class _Block:
     def __init__(self, payload):
         self.payload = payload
 
 
 class _FakeLedger:
-    """Just enough of Ledger for catch_up: ``len`` and indexing."""
+    """Just enough of Ledger for catch_up: ``len`` and ``take``."""
 
     def __init__(self):
-        self._entries = []
+        self._blocks = []
 
     def add(self, payload):
-        self._entries.append(_Entry(_Block(tuple(payload))))
+        self._blocks.append(_Block(tuple(payload)))
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._blocks)
 
-    def __getitem__(self, index):
-        return self._entries[index]
+    def take(self, index):
+        return self._blocks[index]
 
 
 class TestReplicatedKV:
@@ -155,7 +150,7 @@ class TestReplicatedKV:
         assert kv.catch_up(ledger, now=3.0) == 1
         assert kv.store.get("a") == "1" and kv.store.get("b") == "2"
         assert len(kv.apply_chain) == 2
-        assert kv.last_chain == kv.apply_chain[-1]
+        assert kv.last_chain == list(kv.apply_chain)[-1]
 
     def test_synthetic_payload_items_are_skipped(self):
         ledger = _FakeLedger()

@@ -3,7 +3,7 @@
 
 Boots real live clusters at n in {4, 8, 16, 32} across three lanes —
 ``inline-tcp`` (every node in one Python process), ``process-tcp`` (one
-spawned OS process per node over localhost sockets) and ``process-shm``
+forked OS process per node over localhost sockets) and ``process-shm``
 (the same process placement over shared-memory rings, as
 :class:`~repro.runtime.shm.ShmTransport`), all one
 :class:`~repro.runner.process_cluster.LiveCluster` behind

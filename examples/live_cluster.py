@@ -14,10 +14,12 @@ Run with:  python examples/live_cluster.py
            python examples/live_cluster.py --n 4 --blocks 20 --timeout 30
            python examples/live_cluster.py --procs 4      # one OS process per node
 
-``--procs`` switches to process placement: the nodes boot in spawned OS
-processes (``--procs N`` workers; ``--procs 0`` means one per node) with
-the parent coordinating over control pipes — the multicore deployment
-shape.  Exits non-zero if the cluster fails to commit the target within
+``--procs`` switches to process placement: the nodes run in OS processes
+forked from this one (``--procs N`` workers; ``--procs 0`` means one per
+node) with the parent coordinating over control pipes — the multicore
+deployment shape.  A worker inherits this interpreter's imports, so it
+boots in a fork plus a socket bind, and the parent must be single-threaded
+when it forks.  Exits non-zero if the cluster fails to commit the target within
 the timeout (the CI live-smoke job relies on this).
 """
 
@@ -111,7 +113,7 @@ def main() -> int:
     parser.add_argument("--pacemaker", default="lumiere",
                         help="view-synchronisation protocol (default lumiere)")
     parser.add_argument("--procs", type=int, default=None, metavar="N",
-                        help="process placement: spawn N node-hosting OS "
+                        help="process placement: fork N node-hosting OS "
                              "processes (0 = one per node); omit for inline")
     args = parser.parse_args()
     return asyncio.run(run_cluster(args))

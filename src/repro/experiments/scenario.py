@@ -105,7 +105,7 @@ class ScenarioConfig:
     #: every replica applies committed blocks to a replicated KV store and
     #: the selected replicas run load generators — in this simulated lane
     #: and in every live lane, since the field rides the config into
-    #: :func:`make_replica` and the spawned workers of a process cluster.
+    #: :func:`make_replica` and the forked workers of a process cluster.
     workload: Optional[Any] = None
 
     def protocol_config(self) -> ProtocolConfig:

@@ -157,9 +157,9 @@ def make_live_cluster(
     """Build a wall-clock cluster with the requested process placement.
 
     ``placement="inline"`` runs every node in the calling process — one
-    event loop, real sockets.  ``placement="process"`` spawns one OS process
+    event loop, real sockets.  ``placement="process"`` forks one OS process
     per node (or per shard of ``processes`` workers), which is the multicore
-    lane.  Both are one :class:`~repro.runner.process_cluster.LiveCluster`
+    lane; the calling process must be single-threaded when it starts one.  Both are one :class:`~repro.runner.process_cluster.LiveCluster`
     with the same ``start`` / ``run`` / ``run_until_commits`` / ``stop`` /
     ``min_committed`` / ``result`` surface, so benchmarks and examples
     switch placement with this one knob.

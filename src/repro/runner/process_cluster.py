@@ -7,20 +7,25 @@ by one cluster class in one of two placements:
 * ``"inline"`` — one shard holding every pid, called directly in the
   caller's loop: real sockets, but one GIL, so n nodes' crypto, codec and
   protocol work serialise onto one core.
-* ``"process"`` — the multicore lane: one **spawned OS process** per shard,
+* ``"process"`` — the multicore lane: one **forked OS process** per shard,
   each with its own asyncio loop and crypto backend, the same calls
   stretched over a control pipe while the parent acts purely as coordinator:
 
-  1. the parent spawns one worker per shard (``spawn`` context — fresh
-     interpreters, see the key-determinism note below) with a duplex
-     :func:`multiprocessing.Pipe` each;
+  1. the parent forks one worker per shard (``fork`` is the only start
+     method: a worker inherits the coordinator's imports and its
+     :class:`~repro.runner.shard.ShardSpec` as live objects, so nothing is
+     re-imported or pickled on the way in) with a duplex
+     :func:`multiprocessing.Pipe` each; the worker first closes every
+     coordinator-side pipe end it inherited (its own and each earlier
+     worker's), so that control-pipe EOF stays every worker's signal that
+     its coordinator is gone;
   2. each worker binds and reports ``("addresses", {pid: (host, port)},
      key fingerprint)``;
   3. the parent assembles the full address map and broadcasts it back;
      workers connect and report ``("ready",)``;
   4. the parent broadcasts ``("go",)`` and every worker starts its
      replicas — the barrier keeps cross-process start skew at pipe latency
-     rather than interpreter-boot latency;
+     rather than fork-and-bind latency;
   5. during the run the parent polls ``("status",)`` → per-pid ledger
      lengths; at shutdown it sends ``("stop",)`` and each worker ships back
      its :class:`~repro.runner.shard.ShardReport`: a pickled head, then
@@ -29,17 +34,28 @@ by one cluster class in one of two placements:
 Both sides wait on the control pipe's file descriptor (the parent also on
 the worker's process sentinel), never on a polling sleep.
 
+The coordinator must be single-threaded when it forks: a thread of the
+parent does not exist in the child, and a lock it held stays held there
+forever.  Nothing under ``repro`` starts a thread; :meth:`LiveCluster.start`
+refuses with a configuration error when another :mod:`threading` thread
+is alive (a caller's thread pool, say), and CI runs the process-cluster
+tests on Python 3.12 with its fork-while-threaded ``DeprecationWarning``
+as an error.
+
 Either way the run reduces to one
 :class:`~repro.experiments.scenario.RunResult` (:meth:`LiveCluster.result`).
 
 **Key determinism.**  Signing keys draw their secrets from a per-process
-monotonic counter, so two processes agree on the whole key ceremony exactly
-when they mint the same keys in the same order starting from a fresh
-counter.  Spawned workers satisfy this by construction (fresh interpreter,
-``PKI.setup`` is the first key-creating act), and the coordinator verifies
-it anyway: every worker reports a key fingerprint with its addresses, and a
-mismatch aborts the bootstrap with a configuration error instead of an
-unexplainable signature-verification storm.
+monotonic counter (``_SECRET_COUNTER``), so two processes agree on the
+whole key ceremony exactly when they mint the same keys in the same order
+from the same counter value.  Forked workers satisfy this by construction:
+each inherits the counter's value at the fork, the coordinator mints no
+keys for the cluster (it resolves the config without building a stack)
+and so forks every worker at one value, and ``PKI.setup`` is each worker's
+first key-creating act.  The coordinator verifies it anyway: every worker
+reports a key fingerprint with its addresses, and a mismatch aborts the
+bootstrap with a configuration error instead of an unexplainable
+signature-verification storm.
 """
 
 from __future__ import annotations
@@ -49,6 +65,8 @@ import contextlib
 import dataclasses
 import gc
 import multiprocessing
+import signal
+import threading
 import time
 import traceback
 import uuid
@@ -73,8 +91,7 @@ from repro.runtime import (
 WORKER_LIFETIME_MARGIN = 120.0
 #: Minimum spacing of the coordinator's status rounds during a run.
 STATUS_INTERVAL = 0.05
-#: Wall seconds a worker may take to boot its interpreter and answer each
-#: bootstrap step.
+#: Wall seconds a worker may take to answer each bootstrap step.
 BOOTSTRAP_TIMEOUT = 120.0
 
 
@@ -160,7 +177,7 @@ def _full_gc_counted(counters):
 
 
 # ----------------------------------------------------------------------
-# Worker side (runs in the spawned process)
+# Worker side (runs in the forked process)
 # ----------------------------------------------------------------------
 async def _pipe_recv(conn, timeout: float):
     """Await the next control message without blocking the event loop."""
@@ -211,8 +228,19 @@ async def _serve_shard(spec: ShardSpec, conn) -> None:
         pass  # coordinator already gone; nothing left to report to
 
 
-def _shard_worker(spec: ShardSpec, conn) -> None:
-    """Spawn target: run the shard, ship errors instead of dying silently."""
+def _shard_worker(spec: ShardSpec, conn, inherited: Sequence) -> None:
+    """Fork target: run the shard, ship errors instead of dying silently.
+
+    ``inherited`` are the coordinator-side pipe ends the fork copied into
+    this process (this worker's own and every earlier worker's).  They are
+    closed first: while any copy stays open, a coordinator that dies or
+    closes its end leaves that worker's pipe without EOF.  SIGINT goes back
+    to the interpreter's default handler: the inherited one may be bound to
+    the coordinator's event loop (``asyncio.run`` installs such a handler).
+    """
+    for end in inherited:
+        end.close()
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         asyncio.run(_serve_shard(spec, conn))
     except Exception:  # noqa: BLE001 - crossing a process boundary
@@ -229,7 +257,7 @@ def _shard_worker(spec: ShardSpec, conn) -> None:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class _Worker:
-    """Coordinator-side handle for one spawned shard."""
+    """Coordinator-side handle for one forked shard."""
 
     index: int
     pids: tuple[int, ...]
@@ -336,12 +364,20 @@ class LiveCluster:
             # The coordinator holds no replicas, so it resolves the config
             # (for summaries and the honest set) without minting any keys.
             _, _, self._corruption = resolve_adversary(self.config)
-            await self._spawn_workers(self.spec.pids)
+            await self._fork_workers(self.spec.pids)
         self._started = True
 
-    async def _spawn_workers(self, pids: Sequence[int]) -> None:
-        """Spawn one worker per shard and run the address/ready/go dance."""
-        ctx = multiprocessing.get_context("spawn")
+    async def _fork_workers(self, pids: Sequence[int]) -> None:
+        """Fork one worker per shard and run the address/ready/go dance."""
+        if threading.active_count() > 1:
+            raise ConfigurationError(
+                "process placement forks its workers, but this process runs "
+                f"{threading.active_count() - 1} other thread(s): a fork copies "
+                "only the calling thread, so a lock another thread holds would "
+                "stay held in every worker — start the cluster from a "
+                "single-threaded process"
+            )
+        ctx = multiprocessing.get_context("fork")
         shm_token = None
         if self.spec.transport == "shm":
             # The parent creates every directed-pair ring segment before the
@@ -353,8 +389,9 @@ class LiveCluster:
             for index, shard in enumerate(partition(pids, self.processes)):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 spec = dataclasses.replace(self.spec, pids=tuple(shard), shm_token=shm_token)
+                inherited = (parent_conn, *(worker.conn for worker in self._workers))
                 process = ctx.Process(
-                    target=_shard_worker, args=(spec, child_conn), daemon=True,
+                    target=_shard_worker, args=(spec, child_conn, inherited), daemon=True,
                     name=f"repro-shard-{index}",
                 )
                 process.start()
@@ -365,9 +402,10 @@ class LiveCluster:
             bound = [await self._expect(w, "addresses", "during bootstrap") for w in self._workers]
             if any(message[2] != bound[0][2] for message in bound[1:]):
                 raise ConfigurationError(
-                    "spawned workers derived different signing keys — the key "
-                    "ceremony is no longer deterministic under a fresh "
-                    "interpreter (did module import start minting keys?)"
+                    "forked workers derived different signing keys — the key "
+                    "ceremony is no longer deterministic from the inherited "
+                    "key counter (did the coordinator or a worker mint keys "
+                    "before PKI.setup?)"
                 )
             addresses: dict[int, tuple[str, int]] = {}
             for message in bound:

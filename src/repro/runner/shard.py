@@ -1,11 +1,14 @@
 """``Shard``: the replicas that share one event loop, on every wall-clock lane.
 
-A :class:`Shard` is built from a picklable :class:`ShardSpec` and lives
-through five calls: ``bind``, ``connect``, ``go``, ``commits`` and ``stop``,
-which reduces it to a picklable :class:`ShardReport`.  A
+A :class:`Shard` is built from a :class:`ShardSpec` and lives through five
+calls: ``bind``, ``connect``, ``go``, ``commits`` and ``stop``, which
+reduces it to a picklable :class:`ShardReport`.  A
 :class:`~repro.runner.process_cluster.LiveCluster` makes those calls
-directly (inline placement: one shard holding every pid) or from a spawned
-worker answering its control pipe (process placement: one worker per shard).
+directly (inline placement: one shard holding every pid) or from a forked
+worker answering its control pipe (process placement: one worker per
+shard).  A forked worker inherits its spec as a live object, so nothing in
+it (a lambda inside a delay model included) has to survive a pickle; only
+the report crosses the pipe pickled.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.runtime import (
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything one shard needs (picklable)."""
+    """Everything one shard needs (inherited by a forked worker, never pickled)."""
 
     config: ScenarioConfig
     pids: tuple[int, ...]

@@ -44,13 +44,15 @@ same counter the metrics layer folds into a run's fault counts for TCP) and
 surfaced once per peer in :attr:`ShmTransport.last_errors`.
 
 Lifecycle: the **parent** (the ``LiveCluster`` coordinator) creates every
-segment before spawning workers (:func:`create_cluster_rings`) and is the
+segment before forking workers (:func:`create_cluster_rings`) and is the
 only process that ever unlinks them (:func:`destroy_cluster_rings`).  Workers
-attach by deterministic name (:func:`attach_ring`); spawned workers inherit the
-parent's :mod:`multiprocessing.resource_tracker` process, so attach-side
-registrations deduplicate against the parent's and the parent's ``unlink``
-retires them — workers must *not* unregister, which would yank the
-parent's own registration out of the shared tracker.
+attach by deterministic name (:func:`attach_ring`).  Creating the first
+segment starts the parent's :mod:`multiprocessing.resource_tracker`
+process before any fork, so every forked worker inherits its connection
+to that one tracker: attach-side registrations deduplicate against the
+parent's and the parent's ``unlink`` retires them — workers must *not*
+unregister, which would yank the parent's own registration out of the
+shared tracker.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ def create_cluster_rings(
 ) -> list[SharedMemory]:
     """Create one segment per directed node pair (parent side).
 
-    The parent calls this before spawning workers and keeps the returned
+    The parent calls this before forking workers and keeps the returned
     handles; it is the sole owner of the segments' lifetime
     (:func:`destroy_cluster_rings`).
     """
@@ -279,8 +281,10 @@ def attach_ring(name: str) -> SharedMemory:
     """Attach an existing segment without adopting its lifetime (worker side).
 
     CPython's :mod:`multiprocessing.resource_tracker` registers shared
-    memory on *attach* as well as on create — but spawned workers inherit
-    the *parent's* tracker process, whose registration cache is a set:
+    memory on *attach* as well as on create — but a worker forked after
+    :func:`create_cluster_rings` inherits the *parent's* tracker
+    connection (the create started the tracker), whose registration cache
+    is a set:
     the attach-side register deduplicates against the parent's create-side
     one, and the parent's ``unlink()`` retires it.  Unregistering here
     would remove the parent's registration from the shared tracker (and a

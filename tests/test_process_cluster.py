@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import threading
 
 import pytest
 
+from repro.crypto.signatures import SigningKey
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.runner import make_live_cluster
 from repro.runner.process_cluster import partition
 from repro.runtime import default_codec
-from repro.sim.network import BASE_COUNTS, Envelope
+from repro.sim.network import BASE_COUNTS, AdversarialDelay, Envelope
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -111,6 +113,73 @@ def test_process_cluster_survives_worker_crash():
     survivors = set(range(1, 4))
     assert survivors <= set(cluster.result().residues())
     assert cluster.ledgers_are_consistent()
+
+
+# ----------------------------------------------------------------------
+# Fork: parent death, and a config that never crosses a pickle
+# ----------------------------------------------------------------------
+def test_every_worker_sees_its_coordinator_end_close():
+    """Closing the coordinator's end of a worker's control pipe is that
+    worker's parent-death signal: it exits, whichever worker it is.  A
+    worker that kept a forked copy of any coordinator-side end (its own,
+    or an earlier worker's) would never see the EOF."""
+
+    async def run():
+        cluster = make_live_cluster(
+            _config(), placement="process", processes=2, transport="shm",
+            teardown_timeout=5.0,
+        )
+        await cluster.start()
+        try:
+            for worker in cluster._workers:
+                worker.conn.close()
+                worker.process.join(timeout=2.0)
+                assert not worker.process.is_alive(), f"{worker} outlived its coordinator end"
+        finally:
+            await cluster.stop()
+
+    asyncio.run(run())
+
+
+def test_a_coordinator_with_another_thread_refuses_to_fork():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    cluster = make_live_cluster(_config(), placement="process", transport="shm")
+    try:
+        with pytest.raises(ConfigurationError, match="single-threaded"):
+            asyncio.run(cluster.start())
+    finally:
+        release.set()
+        thread.join()
+    assert not cluster._workers and not cluster._segments  # nothing forked or left in /dev/shm
+
+
+def test_a_lambda_delay_model_runs_on_the_process_lane():
+    """A worker is forked with its spec, so a config holding a lambda runs
+    there, and the workers agree on the key ceremony even though the
+    coordinator minted keys before forking them."""
+    for owner in range(3):
+        SigningKey(owner)
+    config = _config(
+        delta=0.3,
+        delay_model=AdversarialDelay(lambda send, ctx: 0.001, name="one-ms"),
+    )
+
+    async def run():
+        cluster = make_live_cluster(config, placement="process", processes=2, transport="shm")
+        try:
+            commits = await asyncio.wait_for(
+                cluster.run_until_commits(5, timeout=30.0), timeout=40.0
+            )
+        finally:
+            await cluster.stop()
+        return cluster, commits
+
+    cluster, commits = asyncio.run(run())
+    assert commits >= 5
+    assert cluster.ledgers_are_consistent()
+    assert not cluster.teardown_errors, cluster.teardown_errors
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,11 @@ Two tiers, one report (``BENCH_throughput.json`` at the repository root):
   ``--quick``): committed blocks per second, request p50 and the worker's
   resident set over the first and the last fifth of the run.  A view must
   cost and keep the same at second 25 as at second 5.  The row also counts
-  what a view costs: worker CPU per committed block, and frame decodes per
+  what a view costs: worker CPU per committed block, frame decodes per
   frame sent — the four replicas share one process, so a broadcast's frame
-  reaches three of them and is decoded once.
+  reaches three of them and is decoded once — and the worker's ring pushes
+  and doorbells per committed block (one push per broadcast, one doorbell
+  per burst).
 
 Request latency is also reported in the unit the protocol works in:
 ``request_latency_p50_views`` is request p50 times blocks per second of the
@@ -52,7 +54,7 @@ Correctness gates (``--check``; non-zero exit if any fails):
   between the two slices, net of 160 B per applied request per replica;
 * request p50 on both run-length slices is at most 7 views;
 * the run-length row decodes at most 0.8 frames per frame sent (a count:
-  9.5 of a block's 13.5 frames at n=4 in one process, 0.71; 1.0 means every
+  one decode per ring push at n=4 in one worker, about 0.5; 1.0 means every
   co-located recipient decoded its own copy);
 * the committed ``--output`` JSON (if present) was generated by the
   current repro version (``--check-output-version`` runs only this).
@@ -351,6 +353,7 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
     between = _slice_numbers(metrics, commits, started + fifth, started + window)["blocks"]
     requests = metrics.requests_applied_between(started + fifth, started + window)
     grown = rss_at(started + window) - rss_at(started + fifth)
+    committed = cluster.result().committed_blocks()
     return {
         "n": n,
         "lane": "process+shm, one worker",
@@ -375,6 +378,13 @@ async def _run_length_cell(window: float, delta: float, seed: int) -> dict:
         "decodes_per_frame": round(
             counts["frames_decoded"] / metrics.total_honest_messages, 3
         ) if metrics.total_honest_messages else None,
+        # Frames copied into the worker's rings, and pushes that woke it, per
+        # block committed over the whole run (one worker: one push per
+        # broadcast, one doorbell per burst).
+        "shm_pushes_per_block": round(counts["shm_pushes"] / committed, 2) if committed else None,
+        "shm_doorbells_per_block": round(
+            counts["shm_doorbells"] / committed, 2
+        ) if committed else None,
         "requests_submitted": counts["requests_submitted"],
         "requests_applied": metrics.requests_applied,
         "requests_redispatched": counts["requests_redispatched"],
@@ -406,7 +416,9 @@ def run_report(args: argparse.Namespace) -> dict:
         f"({run_length['rss_bytes_per_block_per_replica']} B/block/replica, "
         f"{run_length['rss_bytes_per_block_per_replica_net_of_requests']} net of requests), "
         f"worker CPU {run_length['worker_cpu_ms_per_block']} ms/block, "
-        f"{run_length['decodes_per_frame']} decodes/frame",
+        f"{run_length['decodes_per_frame']} decodes/frame, "
+        f"{run_length['shm_pushes_per_block']} ring pushes and "
+        f"{run_length['shm_doorbells_per_block']} doorbells per block",
         flush=True,
     )
     virtual_time, cells = [], []

@@ -83,6 +83,9 @@ class ChainedHotStuff(ConsensusEngine):
         # has one QC: two would share an honest voter).
         self._learned_below = 0
         self._voted_views: set[int] = set()
+        # The floor the int-keyed tables above were last released below
+        # (None before the first release).
+        self._released: Optional[int] = None
         # Exact-type dispatch table for on_message; subclasses of the four
         # wire messages are resolved (and cached) on first sight.
         self._handlers: dict[type, Optional[Callable[[Any, int], None]]] = {
@@ -132,7 +135,9 @@ class ChainedHotStuff(ConsensusEngine):
         release_below(
             floor, self._pending_proposals, self._new_view_qcs,
             self._proposed_views, self._announced_qcs, self._voted_views,
+            lowest=self._released,
         )
+        self._released = floor
         for view, _ in self._learned_qcs:
             if view < floor:
                 self._learned_below |= 1 << view

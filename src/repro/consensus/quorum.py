@@ -38,29 +38,49 @@ class QuorumCertificate:
         return f"QC(view={self.view}, block={self.block_id[:8]}…, signers={len(self.signers)})"
 
 
-def release_below(floor, *tables) -> None:
+def release_below(floor, *tables, lowest: Optional[int] = None) -> None:
     """Forget every key below ``floor`` in per-view dicts and sets: the one
     primitive of the committed-view floor (``Replica.commit_block``).  Pass
     ``(view,)`` for tables keyed ``(view, block_id)`` — it sorts first.
 
     Called for every table on every commit, with the floor a view higher
-    than last time: most tables are empty or hold nothing that old, and the
-    rest one such key.  So an empty table costs its truth test, one with
-    nothing to free a ``min``, and only a floor that jumped (a replica that
-    was cut off and caught up) walks a table to collect what went stale.
+    than last time.  ``lowest`` is the owner's one remembered lowest key:
+    the floor it released its int-keyed tables below last time.  Such a
+    table never gains a key below its owner's floor (every handler returns
+    on an older view first), so only the keys from ``lowest`` up to
+    ``floor`` can be there: each is looked up, an empty table costs its
+    truth test, and no ``min`` is taken.  A floor that jumped past a
+    table's size (a replica that was cut off and caught up) walks that
+    table instead.
+
+    Without ``lowest`` (an owner's first release, and ``(view, block_id)``
+    keys) a table's ``min`` says whether anything is that old, and only
+    then is the table walked.
     """
+    if lowest is not None:
+        span = floor - lowest
+        for table in tables:
+            if not table:
+                continue
+            if span > len(table):
+                _walk_below(floor, table)
+            elif isinstance(table, dict):
+                for key in range(lowest, floor):
+                    table.pop(key, None)
+            else:
+                for key in range(lowest, floor):
+                    table.discard(key)
+        return
     for table in tables:
-        if not table:
-            continue
-        lowest = min(table)
-        if lowest >= floor:
-            continue
-        # dict.pop(key) and set.remove(key): drop one key that is there.
-        discard = table.pop if isinstance(table, dict) else table.remove
-        discard(lowest)
         if table and min(table) < floor:
-            for key in [key for key in table if key < floor]:
-                discard(key)
+            _walk_below(floor, table)
+
+
+def _walk_below(floor, table) -> None:
+    """Drop every key below ``floor`` from ``table``, one pass over it."""
+    discard = table.pop if isinstance(table, dict) else table.remove
+    for key in [key for key in table if key < floor]:
+        discard(key)
 
 
 class VoteAggregator:

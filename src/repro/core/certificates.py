@@ -30,6 +30,9 @@ class CertificateCollector:
         self._partials: dict[int, dict[int, PartialSignature]] = {}
         self._formed: set[int] = set()
         self._payloads: dict[int, tuple] = {}
+        # The floor these tables were last released below (None before the
+        # first release).
+        self._released: Optional[int] = None
         # Sender -> VerifyingKey, resolved once: ``PKI.is_valid_digest``
         # re-derives the key (dict lookup behind a try/except) on every
         # share, and a leader sees each sender once per view.
@@ -84,7 +87,8 @@ class CertificateCollector:
 
     def release_below(self, floor: int) -> None:
         """Forget every view below ``floor``."""
-        release_below(floor, self._partials, self._formed, self._payloads)
+        release_below(floor, self._partials, self._formed, self._payloads, lowest=self._released)
+        self._released = floor
 
     def _verifying_key(self, sender: int):
         key = self._vkeys.get(sender)
@@ -124,6 +128,9 @@ class EpochMessageCollector:
         # every processor runs one of these, and every broadcast epoch-view
         # message used to re-digest the per-view payload on arrival.
         self._payloads: dict[int, tuple] = {}
+        # The floor these tables were last released below (None before the
+        # first release).
+        self._released: Optional[int] = None
         # Sender -> VerifyingKey, resolved once (see CertificateCollector).
         self._vkeys: dict[int, Any] = {}
 
@@ -171,7 +178,11 @@ class EpochMessageCollector:
 
     def release_below(self, floor: int) -> None:
         """Forget every view below ``floor``."""
-        release_below(floor, self._signers, self._tc_reported, self._ec_reported, self._payloads)
+        release_below(
+            floor, self._signers, self._tc_reported, self._ec_reported, self._payloads,
+            lowest=self._released,
+        )
+        self._released = floor
 
     def count(self, view: int) -> int:
         """Distinct signers seen for ``view``."""

@@ -95,6 +95,11 @@ class LumierePacemaker(Pacemaker):
         # per view makes it O(views) instead of O(messages).
         self._view_payloads: dict[int, tuple] = {}
         self._epoch_payloads: dict[int, tuple] = {}
+        # The lowest key the per-view and per-epoch tables can hold: the
+        # floor they were last released below (None before the first
+        # release), or a late QC's view below it.
+        self._released: Optional[int] = None
+        self._epoch_released: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Shorthands
@@ -316,6 +321,10 @@ class LumierePacemaker(Pacemaker):
         if view in self._qc_handled:
             return  # line 44 "upon first seeing"
         self._qc_handled.add(view)
+        if self._released is not None and view < self._released:
+            # A QC first seen below the floor (a replica that was cut off):
+            # the one key a handler files under it, swept next release.
+            self._released = view
         self._maybe_unpause(trigger_view=view, kind="qc")
         if view < self._current_view:
             return
@@ -354,9 +363,11 @@ class LumierePacemaker(Pacemaker):
         epoch = self.cfg.epoch_of(floor)
         epoch_view = self.cfg.first_view_of_epoch(epoch)
         release_below(floor, self._view_msgs_sent, self._vc_handled, self._qc_handled,
-                      self._deadline_start, self._view_payloads)
+                      self._deadline_start, self._view_payloads, lowest=self._released)
         release_below(epoch_view, self._epoch_msgs_sent, self._tc_handled, self._ec_handled,
-                      self._epoch_clock_handled, self._epoch_payloads)
+                      self._epoch_clock_handled, self._epoch_payloads,
+                      lowest=self._epoch_released)
+        self._released, self._epoch_released = floor, epoch_view
         self._vc_collector.release_below(floor)
         self._epoch_collector.release_below(epoch_view)
         self.success.release_below(epoch)

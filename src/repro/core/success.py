@@ -63,8 +63,10 @@ class SuccessTracker:
     def release_below(self, epoch: int) -> None:
         """Forget every epoch before ``epoch``: the replica is past the first
         view of ``epoch``, the last place their criterion was read."""
+        release_below(
+            epoch, self._qc_views, self._qualified, self._satisfied, lowest=self._released
+        )
         self._released = epoch
-        release_below(epoch, self._qc_views, self._qualified, self._satisfied)
 
     def satisfied(self, epoch: int) -> bool:
         """The local variable ``success(epoch)``."""

@@ -39,7 +39,7 @@ import itertools
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.crypto.backend import PackedDigests
 from repro.sim.network import BASE_COUNTS, SOURCE_COUNTS, Counters, Envelope
@@ -323,17 +323,13 @@ class MetricsCollector:
         return [self._decision_record(i) for i in range(len(self._decision_times))]
 
     @property
-    def commits(self) -> list[CommitRecord]:
-        """All commit records, in recording order (fresh list)."""
-        return [
-            CommitRecord(time=time, pid=pid, view=view, block_id=block_id)
-            for time, pid, view, block_id in zip(
-                self._commit_times,
-                self._commit_pids,
-                self._commit_views,
-                self._commit_block_ids,
-            )
-        ]
+    def commits(self) -> Iterator[CommitRecord]:
+        """All commit records, in recording order: a fresh iterator that
+        builds each record as it is read, never a list of every row."""
+        return map(
+            CommitRecord,
+            self._commit_times, self._commit_pids, self._commit_views, self._commit_block_ids,
+        )
 
     # ------------------------------------------------------------------
     # Queries: messages
@@ -531,10 +527,14 @@ class MetricsCollector:
         collector's state over the control channel at shutdown, and the
         coordinator rebuilds one cluster-wide collector with
         :func:`merge_metrics_states`.  ``array`` columns ship as they are
-        (a worker sends their raw bytes), commit ids packed; the counter bag
-        and its sources ship as one :attr:`counts` snapshot (its nonzero
-        names, and any name beyond the base ones).
+        (a worker sends their raw bytes), commit ids as one packed copy of
+        each distinct id (``commit_ids``) and an ``array("I")`` column of
+        row → id index (``commit_block_ids``); the counter bag and its
+        sources ship as one :attr:`counts` snapshot (its nonzero names, and
+        any name beyond the base ones).
         """
+        ids: dict[str, int] = {}
+        rows = array("I", [ids.setdefault(b, len(ids)) for b in self._commit_block_ids])
         return {
             "honest_ids": sorted(self.honest_ids),
             **{
@@ -542,7 +542,8 @@ class MetricsCollector:
                 for table, names in _TABLES.items()
                 for name in names
             },
-            "commit_block_ids": PackedDigests(self._commit_block_ids),
+            "commit_block_ids": rows,
+            "commit_ids": PackedDigests(ids),
             "kind_names": list(self._kind_names),
             "views_entered": dict(self._views_entered),
             # The merged bag starts every base name at 0; other names are
@@ -592,7 +593,8 @@ def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
     cluster share a monotonic clock origin, so their timestamps are
     directly comparable.  Kind ids are renumbered into the merged
     collector's, commit ids become one ``str`` per block however many
-    replicas committed it, and the honest-decision index is rebuilt in one
+    replicas committed it (read once per distinct id a shard packed, never
+    once per commit row), and the honest-decision index is rebuilt in one
     pass.  The sorted-column invariants (bisectable times, the
     honest-decision index) therefore hold on the merged collector exactly as
     they do on a single-process one, and every query answers cluster-wide.
@@ -610,7 +612,8 @@ def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
                 if names[-1] == "kind_ids" and kind_ids != list(range(len(kind_ids))):
                     columns[-1] = array("h", map(kind_ids.__getitem__, columns[-1]))
                 elif names[-1] == "block_ids":
-                    columns[-1] = [block_ids.setdefault(b, b) for b in columns[-1]]
+                    ids = [block_ids.setdefault(b, b) for b in s["commit_ids"]]
+                    columns[-1] = list(map(ids.__getitem__, columns[-1]))
                 shards.append(columns)
             _merge_columns(merged, table, shards)
         honest = merged.honest_ids

@@ -29,7 +29,8 @@ by one cluster class in one of two placements:
   5. during the run the parent polls ``("status",)`` → per-pid ledger
      lengths; at shutdown it sends ``("stop",)`` and each worker ships back
      its :class:`~repro.runner.shard.ShardReport`: a pickled head, then
-     each metrics column's raw bytes.
+     the raw bytes of each bulk value — every metrics column and every
+     packed digest sequence (commit ids, ledgers, KV apply chains).
 
 Both sides wait on the control pipe's file descriptor (the parent also on
 the worker's process sentinel), never on a polling sleep.
@@ -75,6 +76,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.consensus.replica import ReplicaResidue
+from repro.crypto.backend import PackedDigests
 from repro.experiments.scenario import RunResult, ScenarioConfig, resolve_adversary
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.runner.shard import Node, Shard, ShardReport, ShardSpec
@@ -116,38 +118,72 @@ async def _readable(fds: Sequence[int], timeout: float) -> None:
 
 
 class _Column(NamedTuple):
-    """An ``array`` column of a report head: its bytes follow the head."""
+    """A bulk value of a report head — an ``array`` column, or packed
+    digests (typecode :data:`_DIGESTS`) — whose raw bytes follow the head."""
 
     typecode: str
+    #: Items of an ``array``; bytes of packed digests.
     length: int
 
 
+#: The :class:`_Column` typecode of a :class:`~repro.crypto.backend.PackedDigests`.
+_DIGESTS = "digests"
+
+
 def _send_report(conn, report: ShardReport) -> None:
-    """Send ``report`` as its head — the report with each ``array`` column
-    of its metrics state swapped for a :class:`_Column` — and then every
-    column's raw bytes, in order, so no pickled copy of them is built."""
-    state = report.metrics_state
-    columns = [column for column in state.values() if isinstance(column, array)]
-    head = dataclasses.replace(report, metrics_state={
-        name: _Column(value.typecode, len(value)) if isinstance(value, array) else value
-        for name, value in state.items()
-    })
-    conn.send(("result", head))
-    for column in columns:
-        conn.send_bytes(column)
+    """Send ``report`` as its head — the report with every bulk value (each
+    ``array`` column of its metrics state, each ``PackedDigests`` there and
+    in its replicas' residues) swapped for a :class:`_Column` — and then
+    every bulk value's raw bytes, in order, so no pickled copy of them is
+    built."""
+    bulk: list = []
+
+    def head(value):
+        if isinstance(value, array):
+            bulk.append(value)
+            return _Column(value.typecode, len(value))
+        if isinstance(value, PackedDigests):
+            bulk.append(value.data)
+            return _Column(_DIGESTS, len(value.data))
+        return value
+
+    conn.send(("result", dataclasses.replace(
+        report,
+        metrics_state={name: head(value) for name, value in report.metrics_state.items()},
+        replicas={pid: type(r)(*map(head, r)) for pid, r in report.replicas.items()},
+    )))
+    for data in bulk:
+        conn.send_bytes(data)
 
 
 def _receive_columns(conn, head: ShardReport) -> ShardReport:
-    """The report ``head`` announces, its columns read back off ``conn``."""
-    state = head.metrics_state
-    for name, value in state.items():
-        if isinstance(value, _Column):
-            column = array(value.typecode)
-            column.frombytes(conn.recv_bytes())
-            if len(column) != value.length:
-                raise EOFError(f"column {name}: {len(column)} of {value.length} rows")
-            state[name] = column
-    return head
+    """The report ``head`` announces, its bulk values read back off ``conn``
+    in the order :func:`_send_report` sent them."""
+
+    def fill(where: str, value):
+        if not isinstance(value, _Column):
+            return value
+        if value.typecode == _DIGESTS:
+            column = PackedDigests.from_bytes(conn.recv_bytes())
+            length = len(column.data)
+        else:
+            # Received straight into the column: no transient bytes copy.
+            column = array(value.typecode, [0]) * value.length
+            length = conn.recv_bytes_into(column) // column.itemsize
+        if length != value.length:
+            raise EOFError(f"{where}: {length} of {value.length}")
+        return column
+
+    return dataclasses.replace(
+        head,
+        metrics_state={
+            name: fill(f"column {name}", value) for name, value in head.metrics_state.items()
+        },
+        replicas={
+            pid: type(r)(*(fill(f"replica {pid}", value) for value in r))
+            for pid, r in head.replicas.items()
+        },
+    )
 
 
 @contextlib.contextmanager
@@ -379,16 +415,19 @@ class LiveCluster:
             )
         ctx = multiprocessing.get_context("fork")
         shm_token = None
+        shards = tuple(tuple(shard) for shard in partition(pids, self.processes))
         if self.spec.transport == "shm":
-            # The parent creates every directed-pair ring segment before the
-            # first worker exists and remains their sole owner; workers only
-            # attach by the deterministic names the token implies.
+            # The parent creates every (sender, reading worker) ring segment
+            # before the first worker exists and remains their sole owner;
+            # workers only attach by the deterministic names the token implies.
             shm_token = uuid.uuid4().hex[:12]
-            self._segments = create_cluster_rings(shm_token, pids, DEFAULT_RING_BYTES)
+            self._segments = create_cluster_rings(shm_token, shards, DEFAULT_RING_BYTES)
         try:
-            for index, shard in enumerate(partition(pids, self.processes)):
+            for index, shard in enumerate(shards):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
-                spec = dataclasses.replace(self.spec, pids=tuple(shard), shm_token=shm_token)
+                spec = dataclasses.replace(
+                    self.spec, pids=shard, shm_token=shm_token, shards=shards
+                )
                 inherited = (parent_conn, *(worker.conn for worker in self._workers))
                 process = ctx.Process(
                     target=_shard_worker, args=(spec, child_conn, inherited), daemon=True,
@@ -397,7 +436,7 @@ class LiveCluster:
                 process.start()
                 child_conn.close()
                 self._workers.append(
-                    _Worker(index=index, pids=tuple(shard), process=process, conn=parent_conn)
+                    _Worker(index=index, pids=shard, process=process, conn=parent_conn)
                 )
             bound = [await self._expect(w, "addresses", "during bootstrap") for w in self._workers]
             if any(message[2] != bound[0][2] for message in bound[1:]):
@@ -667,7 +706,7 @@ class LiveCluster:
             if message[0] == "result":
                 try:
                     return _receive_columns(worker.conn, message[1])
-                except (EOFError, OSError) as error:
+                except (EOFError, OSError, multiprocessing.BufferTooShort) as error:
                     worker.alive = False
                     self.teardown_errors.append(f"{worker}: report cut short ({error})")
                     return None

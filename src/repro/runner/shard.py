@@ -30,6 +30,7 @@ from repro.runtime import (
     AsyncioRuntime,
     FaultyTransport,
     MonotonicClock,
+    ShmEndpoint,
     ShmTransport,
     TcpTransport,
     Transport,
@@ -48,9 +49,11 @@ class ShardSpec:
     host: str = "127.0.0.1"
     #: Inter-node fabric: ``"tcp"`` (localhost sockets) or ``"shm"``
     #: (shared-memory rings; ``shm_token`` names the coordinator-created
-    #: segments).
+    #: segments and ``shards`` is the topology they were created for: every
+    #: worker's pids, in worker order, ``pids`` among them).
     transport: str = "tcp"
     shm_token: Optional[str] = None
+    shards: tuple[tuple[int, ...], ...] = ()
 
 
 @dataclass
@@ -98,16 +101,21 @@ class Shard:
         """Build the protocol stack and open every node's server.
 
         Returns this shard's ``{pid: address}`` (for shm the "address" is
-        the node's UDP doorbell; the exchange is the same dance either way)
-        and a cross-process comparable fingerprint of its key ceremony.
+        the shard's one UDP doorbell, which every pid of it reports; the
+        exchange is the same dance either way) and a cross-process
+        comparable fingerprint of its key ceremony.
         """
         spec = self.spec
         self.stack = build_stack(spec.config)
-        for pid in spec.pids:
-            if spec.transport == "shm":
-                assert spec.shm_token is not None, "shm transport needs a cluster token"
-                self._transports[pid] = ShmTransport(pid, token=spec.shm_token, host=spec.host)
-            else:
+        if spec.transport == "shm":
+            assert spec.shm_token is not None, "shm transport needs a cluster token"
+            endpoint = ShmEndpoint(
+                spec.shm_token, spec.shards, spec.shards.index(spec.pids), host=spec.host
+            )
+            for pid in spec.pids:
+                self._transports[pid] = ShmTransport(pid, endpoint)
+        else:
+            for pid in spec.pids:
                 self._transports[pid] = TcpTransport(pid, host=spec.host)
         addresses = {
             pid: await transport.start_server()

@@ -15,9 +15,10 @@ the *same* protocol objects execute
   length-prefixed frames in the one wire format of
   :mod:`repro.runtime.codec`), or
 * over shared-memory rings between co-located node processes
-  (:class:`~repro.runtime.shm.ShmTransport`, one SPSC ring per directed
-  pair — zero syscalls in steady state, frames decoded in place, or once
-  for all the nodes a process hosts).
+  (:class:`~repro.runtime.shm.ShmTransport`, one SPSC ring per sender
+  and reading worker — zero syscalls in steady state, one drain and one
+  doorbell per worker, each frame decoded once in place for every node
+  the worker hosts).
 
 See ``docs/runtimes.md`` for the interface contract and a
 writing-a-transport guide.
@@ -32,6 +33,7 @@ from repro.runtime.codec import WireCodec, WireCodecError, default_codec
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.shm import (
     DEFAULT_RING_BYTES,
+    ShmEndpoint,
     ShmTransport,
     SpscRing,
     attach_ring,
@@ -51,6 +53,7 @@ __all__ = [
     "LocalTransport",
     "MonotonicClock",
     "Runtime",
+    "ShmEndpoint",
     "ShmTransport",
     "SimRuntime",
     "SpscRing",

@@ -49,8 +49,9 @@ class FrameMemo:
     process that decode with one codec.
 
     A codec never consults it — :meth:`WireCodec.decode_body` always
-    decodes.  The transports do
-    (:meth:`~repro.runtime.transports.FramedTransport._decode`), and only
+    decodes.  The TCP transports do
+    (:meth:`~repro.runtime.transports.FramedTransport._decode`; a shm
+    worker's drain decodes each frame once for all its recipients), and only
     while :attr:`sharers` says more than one of them is running on this
     codec in this process: then the frame of a broadcast arrives once per
     co-located recipient and all of them can be handed one decoded,

@@ -23,9 +23,10 @@ Two implementations ship:
 
 :class:`FramedTransport` (here) is what the frame-moving transports — TCP
 and the shared-memory :class:`~repro.runtime.shm.ShmTransport` — have in
-common, including the one place an inbound frame is decoded (once per
-process for the transports that share a codec there) and the one place a
-frame that fails to decode is counted.
+common, including the TCP readers' decode (once per process for the
+transports that share a codec there; a shm worker's one drain decodes each
+frame once by construction) and the one place a frame that fails to decode
+is counted.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class Transport(ABC):
         #: Inbound frame bodies run through a codec: stays zero on a
         #: transport that moves objects, and below the frames received
         #: wherever co-located transports share a decode
-        #: (:meth:`FramedTransport._decode`).
+        #: (:meth:`FramedTransport._decode`, a shm worker's drain).
         self.frames_decoded = 0
         self._msg_ids = itertools.count()
         self._runtime: Optional[Runtime] = None
@@ -155,7 +156,7 @@ class FramedTransport(Transport):
     hosted process and the peer map, loopback delivery, the
     ``frames_dropped`` / ``frames_rejected`` / ``last_errors`` accounting
     the metrics layer and :class:`~repro.runtime.chaos.FaultyTransport`
-    read, the decode of an inbound frame body (:meth:`_decode`) and the
+    read, the decode of an inbound TCP frame body (:meth:`_decode`) and the
     rejection of one that fails to decode (:meth:`_reject`).
 
     Parameters
@@ -233,7 +234,7 @@ class FramedTransport(Transport):
         self.runtime.call_after(0.0, self._delivered, envelope, self._process)
 
     def _decode(self, body: Any) -> tuple[int, Any]:
-        """``(sender, payload)`` of one inbound frame body.
+        """``(sender, payload)`` of one inbound TCP frame body.
 
         A process hosting several transports on one codec — every replica
         of a shard — sees a broadcast's frame once per local recipient, byte
@@ -241,10 +242,11 @@ class FramedTransport(Transport):
         immutable payload from the codec's
         :class:`~repro.runtime.codec.FrameMemo`, so the frame costs the
         process one decode and its ``Block`` one ``block_id`` hash.  A
-        transport alone on its codec decodes ``body`` where it lies (a
-        ``memoryview`` into a ring is never copied) and never sees the memo.
-        A body that fails to decode raises :class:`WireCodecError` for each
-        recipient, which rejects it (:meth:`_reject`), and is not remembered.
+        transport alone on its codec decodes ``body`` where it lies and
+        never sees the memo.  A body that fails to decode raises
+        :class:`WireCodecError` for each recipient, which rejects it
+        (:meth:`_reject`), and is not remembered.  (A shm worker needs no
+        memo: its drain decodes each frame once for all its recipients.)
         """
         frames = self.codec.frames
         if frames.sharers < 2:

@@ -120,10 +120,12 @@ BUMPED_COUNTS = BASE_FAULT_COUNTS + (
 )
 #: Run totals kept by the transports and runtimes themselves (plain attribute
 #: increments on their hot paths), read into a run's counts when the
-#: collector takes a snapshot.
+#: collector takes a snapshot.  ``shm_pushes`` / ``shm_doorbells`` (frames
+#: copied into a shared-memory ring, and the pushes that woke its reader)
+#: stay zero off the shm lane.
 SOURCE_COUNTS = (
     "messages_sent", "messages_delivered", "frames_decoded", "frames_dropped",
-    "frames_rejected", "events_processed",
+    "frames_rejected", "events_processed", "shm_pushes", "shm_doorbells",
 )
 #: Every name a run reports, even when zero.
 BASE_COUNTS = BUMPED_COUNTS + SOURCE_COUNTS

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import pytest
 
 from repro.consensus.blocks import Block
 from repro.consensus.messages import NewView, Proposal, QCAnnounce, Vote
-from repro.consensus.quorum import QuorumCertificate
+from repro.consensus.quorum import QuorumCertificate, release_below
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.faults import available_scenarios
 
@@ -185,6 +186,77 @@ def test_a_never_learned_qc_below_the_floor_still_counts_once():
     assert str(late_qc.view) in after["tables"].pop(counted)
     assert str(late_qc.view) not in before["tables"].pop(counted)
     assert after == before
+
+
+# ----------------------------------------------------------------------
+# The O(1) sweep against the min-based one it replaced
+# ----------------------------------------------------------------------
+def _reference_release_below(floor, *tables) -> None:
+    """``release_below`` before owners remembered their lowest key."""
+    for table in tables:
+        if not table:
+            continue
+        lowest = min(table)
+        if lowest >= floor:
+            continue
+        discard = table.pop if isinstance(table, dict) else table.remove
+        discard(lowest)
+        if table and min(table) < floor:
+            for key in [key for key in table if key < floor]:
+                discard(key)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_release_below_matches_the_min_sweep_it_replaced(seed):
+    """An owner that remembers its lowest key leaves its tables exactly as
+    the min-based sweep did, dict order included: keys are filed at or above
+    the floor, or below it with the owner lowering its remembered key (a
+    late QC in ``LumierePacemaker.on_qc``); keys are dropped at random; the
+    floor stays, steps or jumps."""
+    rng = random.Random(seed)
+    fast: list = [{}, set(), {}, set()]
+    slow: list = [{}, set(), {}, set()]
+    floor, lowest = rng.randrange(-3, 5), None
+    for step in range(300):
+        for _ in range(rng.randrange(6)):
+            index = rng.randrange(len(fast))
+            key = floor + rng.randrange(12)
+            if lowest is not None and rng.random() < 0.05:
+                key = floor - rng.randrange(1, 40)
+                lowest = min(lowest, key)
+            for tables in (fast, slow):
+                if isinstance(tables[index], dict):
+                    tables[index][key] = step
+                else:
+                    tables[index].add(key)
+        if rng.random() < 0.3:
+            index = rng.randrange(len(fast))
+            if fast[index]:
+                key = rng.choice(sorted(fast[index]))
+                for tables in (fast, slow):
+                    if isinstance(tables[index], dict):
+                        tables[index].pop(key)
+                    else:
+                        tables[index].discard(key)
+        floor += rng.choice((0, 1, 1, 1, 1, 2, 3, 25))
+        release_below(floor, *fast, lowest=lowest)
+        _reference_release_below(floor, *slow)
+        lowest = floor  # what the owner remembers after a release
+        assert [list(t.items()) if isinstance(t, dict) else sorted(t) for t in fast] == [
+            list(t.items()) if isinstance(t, dict) else sorted(t) for t in slow
+        ], f"step {step}"
+
+
+def test_release_below_without_a_remembered_key_is_the_min_sweep():
+    rng = random.Random(7)
+    for _ in range(200):
+        keys = [(rng.randrange(30), rng.choice("ab")) for _ in range(rng.randrange(8))]
+        fast, slow = dict.fromkeys(keys, 0), dict.fromkeys(keys, 0)
+        fast_set, slow_set = set(keys), set(keys)
+        floor = (rng.randrange(35),)
+        release_below(floor, fast, fast_set)
+        _reference_release_below(floor, slow, slow_set)
+        assert list(fast.items()) == list(slow.items()) and fast_set == slow_set
 
 
 if __name__ == "__main__":

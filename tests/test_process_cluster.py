@@ -12,16 +12,21 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import multiprocessing
+import pickle
 import threading
 
 import pytest
 
+from repro.consensus.replica import ReplicaResidue
+from repro.crypto.backend import PackedDigests
 from repro.crypto.signatures import SigningKey
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.runner import make_live_cluster
-from repro.runner.process_cluster import partition
+from repro.runner.process_cluster import _receive_columns, _send_report, partition
+from repro.runner.shard import ShardReport
 from repro.runtime import default_codec
 from repro.sim.network import BASE_COUNTS, AdversarialDelay, Envelope
 
@@ -325,6 +330,38 @@ def test_merge_metrics_states_sorts_interleaved_decisions_commits_and_requests()
     assert len({id(c.block_id) for c in merged.commits}) == 2
     assert merged.requests_applied_between(0.4, 0.8) == 2
     assert merged.request_latencies() == pytest.approx([0.3, 0.3, 0.6, 0.3])
+
+
+def test_a_report_ships_packed_digests_as_raw_bytes_after_its_head():
+    """Every ``array`` column and ``PackedDigests`` of a ``ShardReport`` —
+    commit ids deduplicated, residue ledgers and apply chains — crosses the
+    pipe as raw bytes after a small pickled head, and comes back equal."""
+    ids = [f"{i:064x}" for i in range(100)]
+    collector = MetricsCollector()
+    for view, block_id in enumerate(ids):
+        for pid in range(4):
+            collector.record_commit(pid, view, block_id, float(view))
+    state = collector.state()
+    assert len(state["commit_block_ids"]) == 400 and len(state["commit_ids"]) == 100
+    residue = ReplicaResidue(PackedDigests(ids), "kv", PackedDigests(ids[:60]), {"n": 1})
+    report = ShardReport(
+        metrics_state=state,
+        replicas={0: residue, 1: residue._replace(kv_digest=None, kv_chain=PackedDigests())},
+        teardown_errors=("late",),
+    )
+    ours, theirs = multiprocessing.Pipe()
+    try:
+        _send_report(ours, report)
+        kind, head = theirs.recv()
+        assert kind == "result" and len(pickle.dumps(head)) < 2048
+        back = _receive_columns(theirs, head)
+    finally:
+        ours.close()
+        theirs.close()
+    assert back.replicas == report.replicas and back.teardown_errors == ("late",)
+    merged = merge_metrics_states([back.metrics_state])
+    assert [c.block_id for c in merged.commits] == [b for b in ids for _ in range(4)]
+    assert len({id(c.block_id) for c in merged.commits}) == 100
 
 
 def test_a_worker_counts_its_full_gc_passes_only_while_serving():

@@ -1,22 +1,27 @@
 """Shared-memory transport tests: ring mechanics, live delivery, chaos.
 
-Three layers, mirroring how the transport is built:
+Layers, mirroring how the transport is built:
 
 * :class:`~repro.runtime.shm.SpscRing` unit tests over a plain bytearray —
   wraparound (prefix and body split across the ring edge), overflow
   accounting, monotonic never-wrapping indices, and the producer/consumer
   sleep-flag handshake, exercised through *two* ring views over one buffer
   exactly as two processes would see it;
-* in-process :class:`~repro.runtime.shm.ShmTransport` pairs over real
-  shared-memory segments and UDP doorbells — delivery, overflow surfacing
-  through ``frames_dropped``/``last_errors``, a malformed frame through
-  ``frames_rejected``/``last_errors``, teardown and post-stop sends;
+* the ring topology: one segment per (sender pid, reading worker);
+* in-process :class:`~repro.runtime.shm.ShmTransport` nodes over real
+  shared-memory segments and UDP doorbells, one
+  :class:`~repro.runtime.shm.ShmEndpoint` per worker — delivery, overflow
+  surfacing through ``frames_dropped``/``last_errors``, a malformed frame
+  through ``frames_rejected``/``last_errors``, teardown and post-stop sends;
 * chaos composition: a :class:`~repro.runtime.chaos.FaultyTransport`
   wrapping shm counts drops and targeted delays in its ``Counters`` bag
   exactly as it does over TCP;
-* the frame memo: transports that share a codec in one process decode a
-  broadcast's frame once and hand every local recipient the same payload,
-  a transport alone on its codec decodes in place and never sees the memo.
+* one decode per frame: a worker decodes each frame once, in place, and
+  hands every local recipient the same payload without a frame memo (the
+  memo is the TCP transports' and is pinned here too);
+* clusters: one worker pushes once per broadcast and rings about once per
+  burst, two workers use 2n segments and agree with TCP, and a killed
+  coordinator leaves no worker and no segment behind.
 
 The wall-clock tests (everything touching real segments or sockets) are
 ``tcp``-marked so CI's tier-1 matrix skips them; the live-smoke job runs
@@ -27,8 +32,14 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 import uuid
+from pathlib import Path
 
 import pytest
 
@@ -49,8 +60,10 @@ from repro.runtime.codec import (
 )
 from repro.runtime.shm import (
     DEFAULT_RING_BYTES,
+    EVERY_LOCAL,
     MIN_RING_BYTES,
     RING_HEADER_BYTES,
+    ShmEndpoint,
     ShmTransport,
     SpscRing,
     attach_ring,
@@ -58,12 +71,18 @@ from repro.runtime.shm import (
     destroy_cluster_rings,
     ring_segment_name,
 )
+from repro.runtime.tcp import TcpTransport
 from repro.sim.network import FixedDelay, NetworkConfig, TargetedDelay
 
 
 def _frame(body: bytes) -> bytes:
     """A wire frame exactly as the codec emits one: 4-byte BE prefix + body."""
     return len(body).to_bytes(4, "big") + body
+
+
+def _tagged(tag: int, frame: bytes) -> bytes:
+    """A ring frame: the ring's prefix, the recipient tag, the codec frame."""
+    return (len(frame) + 2).to_bytes(4, "big") + tag.to_bytes(2, "big") + frame
 
 
 def _ring(capacity: int) -> SpscRing:
@@ -174,9 +193,9 @@ class TestSegmentLifecycle:
     @pytest.mark.tcp
     def test_create_attach_destroy(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, [[0], [1]], MIN_RING_BYTES)
         try:
-            assert len(segments) == 2  # one per directed pair
+            assert len(segments) == 2  # one per (sender, reading worker)
             attached = attach_ring(ring_segment_name(token, 0, 1))
             assert attached.size >= RING_HEADER_BYTES + MIN_RING_BYTES
             attached.close()
@@ -185,20 +204,45 @@ class TestSegmentLifecycle:
         with pytest.raises(FileNotFoundError):
             attach_ring(ring_segment_name(token, 0, 1))
 
+    @pytest.mark.tcp
+    @pytest.mark.parametrize("shards,count", [
+        ([[0, 1, 2, 3]], 4),  # every replica in one worker: one ring each
+        ([[0, 1], [2, 3]], 8),
+        ([[0, 1, 2], [3]], 7),  # pid 3 alone: no ring into its own worker
+        ([[0], [1], [2], [3]], 12),  # a worker per pid: n(n - 1)
+    ])
+    def test_one_ring_per_sender_and_reading_worker(self, shards, count):
+        token = _token()
+        segments = create_cluster_rings(token, shards, MIN_RING_BYTES)
+        try:
+            names = {segment.name.lstrip("/") for segment in segments}
+            assert len(names) == len(segments) == count
+            for worker, pids in enumerate(shards):
+                for src in range(4):
+                    hosts_another = any(pid != src for pid in pids)
+                    assert (ring_segment_name(token, src, worker) in names) == hosts_another
+        finally:
+            destroy_cluster_rings(segments)
+
     def test_tiny_rings_are_rejected(self):
         with pytest.raises(ConfigurationError):
-            create_cluster_rings(_token(), [0, 1], MIN_RING_BYTES - 1)
+            create_cluster_rings(_token(), [[0], [1]], MIN_RING_BYTES - 1)
         with pytest.raises(ConfigurationError):
-            ShmTransport(0, _token(), ring_bytes=MIN_RING_BYTES - 1)
+            ShmEndpoint(_token(), [[0, 1]], 0, ring_bytes=MIN_RING_BYTES - 1)
 
     def test_transport_hosts_exactly_its_own_pid(self):
-        transport = ShmTransport(2, _token())
+        endpoint = ShmEndpoint(_token(), [[2], [3]], 0)
+        transport = ShmTransport(2, endpoint)
 
         class Proc:
             pid = 3
 
         with pytest.raises(ConfigurationError):
             transport.register(Proc())
+        with pytest.raises(ConfigurationError):
+            ShmTransport(3, endpoint)  # another worker's pid
+        with pytest.raises(ConfigurationError):
+            ShmTransport(2, endpoint)  # one transport per pid
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +372,7 @@ class TestRingAcrossProcesses:
 
 
 # ----------------------------------------------------------------------
-# Live in-process transport pairs over real segments and doorbells
+# Live in-process nodes over real segments and doorbells
 # ----------------------------------------------------------------------
 class _Sink:
     def __init__(self, pid: int) -> None:
@@ -348,33 +392,51 @@ async def _wait_until(predicate, timeout: float = 8.0) -> None:
         await asyncio.sleep(0.005)
 
 
-async def _start_pair(token, ring_bytes=DEFAULT_RING_BYTES, wrap0=None):
-    """Two ShmTransports (pids 0, 1) on one loop, started and peered.
+#: Two pids in a worker each (the pair tests), and in one worker.
+APART = ((0,), (1,))
+TOGETHER = ((0, 1),)
 
-    ``wrap0`` optionally decorates pid 0's transport (chaos tests) before
-    the runtime binds it.
+
+async def _start_nodes(token, shards, ring_bytes=MIN_RING_BYTES, codecs=None,
+                       clock=None, wrap0=None):
+    """A started, peered ShmTransport for every pid of ``shards`` (pid order),
+    one ShmEndpoint per worker — every worker on this one loop — and their sinks.
+
+    ``codecs`` optionally gives each worker its codec; ``wrap0`` optionally
+    decorates pid 0's transport (chaos tests) before the runtime binds it.
     """
-    t0 = ShmTransport(0, token, ring_bytes=ring_bytes)
-    t1 = ShmTransport(1, token, ring_bytes=ring_bytes)
-    outer0 = wrap0(t0) if wrap0 is not None else t0
-    r0 = AsyncioRuntime(outer0, clock=MonotonicClock())
-    r1 = AsyncioRuntime(t1, clock=MonotonicClock())
-    sinks = (_Sink(0), _Sink(1))
-    r0.register(sinks[0])
-    r1.register(sinks[1])
-    peers = {0: await t0.start_server(), 1: await t1.start_server()}
-    t0.set_peers(peers)
-    t1.set_peers(peers)
-    await t0.start()
-    await t1.start()
-    return (outer0, t1), sinks
+    endpoints = [
+        ShmEndpoint(token, shards, worker, ring_bytes=ring_bytes,
+                    codec=codecs[worker] if codecs is not None else None)
+        for worker in range(len(shards))
+    ]
+    inner = {
+        pid: ShmTransport(pid, endpoints[worker])
+        for worker, pids in enumerate(shards) for pid in pids
+    }
+    outer = {pid: wrap0(t) if wrap0 is not None and pid == 0 else t for pid, t in inner.items()}
+    sinks = [_Sink(pid) for pid in sorted(inner)]
+    for sink in sinks:
+        AsyncioRuntime(outer[sink.pid], clock=clock or MonotonicClock()).register(sink)
+    peers = {pid: await t.start_server() for pid, t in inner.items()}
+    for transport in inner.values():
+        transport.set_peers(peers)
+    for pid in sorted(outer):
+        await outer[pid].start()
+    return [outer[pid] for pid in sorted(outer)], sinks
+
+
+async def _start_pair(token, ring_bytes=DEFAULT_RING_BYTES, wrap0=None):
+    """Pids 0 and 1, a worker each, on one loop, started and peered."""
+    transports, sinks = await _start_nodes(token, APART, ring_bytes, wrap0=wrap0)
+    return tuple(transports), sinks
 
 
 @pytest.mark.tcp
 class TestShmTransportPair:
     def test_send_and_broadcast_deliver_across_segments(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, APART, MIN_RING_BYTES)
 
         async def run():
             (t0, t1), sinks = await _start_pair(token, MIN_RING_BYTES)
@@ -401,7 +463,7 @@ class TestShmTransportPair:
         # MIN_RING_BYTES is far smaller than 400 frames' worth of bytes, so
         # the ring wraps many times while the consumer keeps draining.
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, APART, MIN_RING_BYTES)
 
         async def run():
             (t0, t1), sinks = await _start_pair(token, MIN_RING_BYTES)
@@ -426,11 +488,11 @@ class TestShmTransportPair:
 
     def test_overflow_counts_frames_and_surfaces_one_error(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, APART, MIN_RING_BYTES)
 
         async def run():
-            # Only the producer runs: nothing ever drains ring 0 -> 1.
-            t0 = ShmTransport(0, token, ring_bytes=MIN_RING_BYTES)
+            # Only the producer runs: nothing ever drains ring 0 -> worker 1.
+            t0 = ShmTransport(0, ShmEndpoint(token, APART, 0, ring_bytes=MIN_RING_BYTES))
             AsyncioRuntime(t0, clock=MonotonicClock())
             peers = {0: await t0.start_server(), 1: ("127.0.0.1", 9)}
             t0.set_peers(peers)
@@ -453,14 +515,15 @@ class TestShmTransportPair:
         """The frame is consumed, counted in ``frames_rejected`` (and so in
         the run's counts) and recorded in ``last_errors``; the ring reads on."""
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, APART, MIN_RING_BYTES)
 
         async def run():
             (t0, t1), sinks = await _start_pair(token, MIN_RING_BYTES)
             metrics = MetricsCollector()
             metrics.attach_transport(t1)
             try:
-                t0._push(1, _frame(b"\x00\xff"))  # sender 0, then an unknown tag
+                # Sender 0, then an unknown wire tag, for pid 1.
+                t0._push(*t0._ring_to[1], _tagged(1, _frame(b"\x00\xff")))
                 t0.send(0, 1, "after")
                 await _wait_until(lambda: sinks[1].received)
             finally:
@@ -480,7 +543,7 @@ class TestShmTransportPair:
 
     def test_sends_after_stop_are_silently_swallowed(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, APART, MIN_RING_BYTES)
 
         async def run():
             (t0, t1), _ = await _start_pair(token, MIN_RING_BYTES)
@@ -497,9 +560,44 @@ class TestShmTransportPair:
         assert t0.last_errors == []
         destroy_cluster_rings(segments)
 
+    def test_one_worker_reads_its_own_replicas_without_a_datagram(self):
+        """Both pids in one worker: each pushes into the ring of the worker
+        it lives in, a broadcast is one push, and a wake-up is a scheduled
+        drain of the worker's own endpoint, never a datagram."""
+        token = _token()
+        segments = create_cluster_rings(token, TOGETHER, MIN_RING_BYTES)
+        assert len(segments) == 2
+
+        async def run():
+            (t0, t1), sinks = await _start_nodes(token, TOGETHER)
+            endpoint = t0.endpoint
+            assert t1.endpoint is endpoint
+            datagrams = []
+            loop = asyncio.get_running_loop()
+            loop.remove_reader(endpoint._sock.fileno())
+            loop.add_reader(endpoint._sock.fileno(), lambda: datagrams.append(
+                endpoint._sock.recv(64)))
+            try:
+                t0.send(0, 1, "unicast")
+                t1.broadcast(1, "fanout")
+                await _wait_until(lambda: len(sinks[0].received) == 1
+                                  and len(sinks[1].received) == 2)
+            finally:
+                await t0.stop()
+            assert t1._stopped  # the worker stops as one
+            return (t0, t1), sinks, datagrams
+
+        (t0, t1), sinks, datagrams = asyncio.run(run())
+        destroy_cluster_rings(segments)
+        assert sinks[1].received == [(0, "unicast"), (1, "fanout")]
+        assert sinks[0].received == [(1, "fanout")]
+        assert t0.shm_pushes == t1.shm_pushes == 1 and datagrams == []
+        assert t0.shm_doorbells + t1.shm_doorbells >= 1
+        assert t0.frames_decoded + t1.frames_decoded == 2
+
 
 # ----------------------------------------------------------------------
-# The frame memo: one decode per frame per process
+# One decode per frame per worker
 # ----------------------------------------------------------------------
 class _SpyCodec(WireCodec):
     """The codec, recording what ``decode_body`` was handed."""
@@ -532,30 +630,16 @@ class _CountingClock(MonotonicClock):
         return super().now
 
 
-async def _start_nodes(token, codecs, ring_bytes=MIN_RING_BYTES, clock=None):
-    """One started, peered ShmTransport per entry of ``codecs`` (pid = index)."""
-    transports = [
-        ShmTransport(pid, token, codec=codec, ring_bytes=ring_bytes)
-        for pid, codec in enumerate(codecs)
-    ]
-    sinks = [_Sink(pid) for pid in range(len(codecs))]
-    for transport, sink in zip(transports, sinks):
-        AsyncioRuntime(transport, clock=clock or MonotonicClock()).register(sink)
-    peers = {t.pid: await t.start_server() for t in transports}
-    for transport in transports:
-        transport.set_peers(peers)
-        await transport.start()
-    return transports, sinks
-
-
 def _proposal(view: int, tag: str = "") -> Proposal:
     block = Block(view=view, parent_id="genesis", proposer=0, payload=("tx", tag))
     return Proposal(view=view, block=block, justify=None)
 
 
 def test_memo_never_grows_past_its_bound():
+    # The memo is the TCP transports' (a shm worker decodes each frame once
+    # by construction and never consults it).
     codec = _spy_codec()
-    first, second = (ShmTransport(pid, "unused", codec=codec) for pid in (0, 1))
+    first, second = (TcpTransport(pid, codec=codec) for pid in (0, 1))
     first._share_frames(True)
     second._share_frames(True)
     for i in range(10_000):
@@ -576,12 +660,12 @@ def test_memo_never_grows_past_its_bound():
 class TestFrameMemo:
     def test_co_located_recipients_share_one_decode_and_one_block_id(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1, 2], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, [[0, 1, 2]], MIN_RING_BYTES)
         codec = _spy_codec()
         proposal = _proposal(3)
 
         async def run():
-            transports, sinks = await _start_nodes(token, [codec] * 3)
+            transports, sinks = await _start_nodes(token, [[0, 1, 2]], codecs=[codec])
             try:
                 transports[0].broadcast(0, proposal)
                 await _wait_until(lambda: all(len(sink.received) == 1 for sink in sinks))
@@ -595,8 +679,10 @@ class TestFrameMemo:
             (_, own), (_, first), (_, second) = (sink.received[0] for sink in sinks)
             assert own is proposal  # loopback never meets the codec
             assert first == proposal and first is second and first is not proposal
-            assert len(codec.decoded) == 1
+            assert codec.decoded == [memoryview]  # once, in place in the ring
+            assert codec.frames.lookups == 0 and codec.frames.sharers == 0
             assert sorted(t.frames_decoded for t in transports) == [0, 0, 1]
+            assert [t.shm_pushes for t in transports] == [1, 0, 0]
             assert [t.messages_delivered for t in transports] == [1, 1, 1]
             before = backend.digest_calls
             assert first.block.block_id == second.block.block_id
@@ -605,11 +691,11 @@ class TestFrameMemo:
 
     def test_an_equivocating_senders_frames_decode_separately(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1, 2], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, [[0, 1, 2]], MIN_RING_BYTES)
         codec = _spy_codec()
 
         async def run():
-            transports, sinks = await _start_nodes(token, [codec] * 3)
+            transports, sinks = await _start_nodes(token, [[0, 1, 2]], codecs=[codec])
             try:
                 transports[0].send(0, 1, _proposal(3, "a"))
                 transports[0].send(0, 2, _proposal(3, "b"))
@@ -626,14 +712,14 @@ class TestFrameMemo:
         destroy_cluster_rings(segments)
 
     def test_a_transport_alone_on_its_codec_decodes_in_place(self):
-        # One replica per process: nothing to share with, so a frame is
-        # decoded where it lies in the ring and the memo is never asked.
+        # One replica per worker: a frame is decoded where it lies in the
+        # ring, as in a worker hosting several, and the memo is never asked.
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], DEFAULT_RING_BYTES)
+        segments = create_cluster_rings(token, APART, DEFAULT_RING_BYTES)
         codecs = [_spy_codec(), _spy_codec()]
 
         async def run():
-            transports, sinks = await _start_nodes(token, codecs, DEFAULT_RING_BYTES)
+            transports, sinks = await _start_nodes(token, APART, DEFAULT_RING_BYTES, codecs)
             try:
                 for view in range(20):
                     transports[0].send(0, 1, _proposal(view))
@@ -651,16 +737,18 @@ class TestFrameMemo:
 
     def test_a_malformed_frame_is_reported_per_recipient_and_never_cached(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1, 2], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, [[0, 1, 2]], MIN_RING_BYTES)
         codec = _spy_codec()
         garbage = _frame(b"\x00\xff")  # sender 0, then an unknown tag
 
         async def run():
-            transports, sinks = await _start_nodes(token, [codec] * 3)
+            transports, sinks = await _start_nodes(token, [[0, 1, 2]], codecs=[codec])
             try:
-                transports[0]._push(1, garbage)
-                transports[0]._push(2, garbage)
-                transports[0].broadcast(0, "after", include_self=False)
+                sender = transports[0]
+                # One bad frame for every local pid but its sender, one for pid 1.
+                sender._push(*sender._ring_to[1], _tagged(EVERY_LOCAL, garbage))
+                sender._push(*sender._ring_to[1], _tagged(1, garbage))
+                sender.broadcast(0, "after", include_self=False)
                 await _wait_until(lambda: sinks[1].received and sinks[2].received)
                 remembered = len(codec.frames)
             finally:
@@ -669,23 +757,23 @@ class TestFrameMemo:
             return transports, remembered
 
         transports, remembered = asyncio.run(run())
+        assert [t.frames_rejected for t in transports] == [0, 2, 1]
         for transport in transports[1:]:
-            assert len(transport.last_errors) == 1 and transport.frames_rejected == 1
-            assert "unknown tag" in transport.last_errors[0]
-        # Both recipients tried the bad frame; only the good one is kept.
-        assert len(codec.decoded) == 3 and remembered == 1
+            assert len(transport.last_errors) == transport.frames_rejected
+            assert all("unknown tag" in error for error in transport.last_errors)
+        # Each bad frame was tried once, whoever it was for; nothing is kept.
+        assert len(codec.decoded) == 3 and remembered == 0
+        assert sum(t.frames_decoded for t in transports) == 1
         destroy_cluster_rings(segments)
 
     def test_one_clock_read_stamps_each_envelope(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, APART, MIN_RING_BYTES)
         clock = _CountingClock()
         minted, delivered = [], []
 
         async def run():
-            transports, sinks = await _start_nodes(
-                token, [default_codec()] * 2, clock=clock
-            )
+            transports, sinks = await _start_nodes(token, APART, clock=clock)
             transports[0].send_listeners.append(minted.append)
             transports[1].deliver_listeners.append(delivered.append)
             try:
@@ -716,7 +804,7 @@ class TestFrameMemo:
 class TestChaosOverShm:
     def test_drop_injector_counts_in_fault_counters(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, APART, MIN_RING_BYTES)
         counters = Counters()
 
         async def run():
@@ -749,7 +837,7 @@ class TestChaosOverShm:
 
     def test_targeted_delay_schedule_counts_and_delays(self):
         token = _token()
-        segments = create_cluster_rings(token, [0, 1], MIN_RING_BYTES)
+        segments = create_cluster_rings(token, APART, MIN_RING_BYTES)
         counters = Counters()
         network = NetworkConfig(delta=1.0, gst=0.0, actual_delay=0.05)
         schedule = TargetedDelay(
@@ -821,3 +909,145 @@ def test_shm_and_tcp_process_clusters_agree():
     prefix = min(len(shm_chain), len(tcp_chain))
     assert prefix >= target
     assert shm_chain[:prefix] == tcp_chain[:prefix]
+
+
+# ----------------------------------------------------------------------
+# Clusters: one drain and one doorbell per worker
+# ----------------------------------------------------------------------
+def _counting_sends(monkeypatch) -> None:
+    """Count each ShmTransport broadcast and remote unicast that reaches the
+    rings into its replica's counter bag (forked workers inherit the patch,
+    and the bag ships home in the run's counts)."""
+    broadcast, send = ShmTransport.broadcast, ShmTransport.send
+
+    def counting_broadcast(self, sender, payload, include_self=True):
+        if not self._stopped:
+            self._process.metrics.counters.bump("test.broadcasts")
+        broadcast(self, sender, payload, include_self)
+
+    def counting_send(self, sender, recipient, payload):
+        if not self._stopped and recipient != self.pid:
+            self._process.metrics.counters.bump("test.unicasts")
+        send(self, sender, recipient, payload)
+
+    monkeypatch.setattr(ShmTransport, "broadcast", counting_broadcast)
+    monkeypatch.setattr(ShmTransport, "send", counting_send)
+
+
+@pytest.mark.tcp
+def test_one_worker_pushes_once_per_broadcast_and_rings_once_per_burst(monkeypatch):
+    """n = 4 in one worker: a broadcast is one push, a burst of frames wakes
+    the worker once (not once per push), and each frame is decoded once."""
+    _counting_sends(monkeypatch)
+    config = ScenarioConfig(n=4, pacemaker="lumiere", delta=0.5, duration=30.0, seed=3)
+
+    async def run():
+        cluster = make_live_cluster(config, placement="process", processes=1, transport="shm")
+        try:
+            await asyncio.wait_for(cluster.run_until_commits(100, timeout=20.0), timeout=30.0)
+        finally:
+            await cluster.stop()
+        return cluster
+
+    cluster = asyncio.run(run())
+    assert cluster.teardown_errors == [] and cluster.ledgers_are_consistent()
+    counts = cluster.metrics.counts
+    blocks = cluster.result().committed_blocks()
+    assert blocks >= 100 and counts["frames_dropped"] == 0
+    assert counts["test.broadcasts"] > 0 and counts["test.unicasts"] > 0
+    # Pushes per broadcast == 1 (and one per remote unicast).
+    assert counts["shm_pushes"] == counts["test.broadcasts"] + counts["test.unicasts"]
+    # One wake-up per burst: the pair rings rang 11.2 times per view.
+    assert counts["shm_doorbells"] <= 3 * blocks
+    # One decode per pushed frame (all but those still in a ring at stop).
+    assert counts["shm_pushes"] - 8 <= counts["frames_decoded"] <= counts["shm_pushes"]
+    assert counts["frames_rejected"] == 0
+
+
+def _dev_shm() -> set[str]:
+    return set(os.listdir("/dev/shm"))
+
+
+@pytest.mark.tcp
+def test_two_workers_use_eight_segments_and_agree_with_tcp():
+    """n = 4 in two workers: 2 × 4 segments (n(n − 1) = 12 before), and the
+    same committed chain as the TCP lane."""
+    target = 5
+    config = ScenarioConfig(n=4, pacemaker="lumiere", delta=0.5, duration=30.0, seed=3)
+    created = []
+
+    async def run(transport: str):
+        cluster = make_live_cluster(config, placement="process", processes=2, transport=transport)
+        before = _dev_shm()
+        try:
+            await cluster.start()
+            created.append({name for name in _dev_shm() - before if name.startswith("repro-")})
+            commits = await asyncio.wait_for(
+                cluster.run_until_commits(target, timeout=30.0), timeout=40.0
+            )
+        finally:
+            await cluster.stop()
+        assert commits >= target
+        assert cluster.teardown_errors == []
+        return min((list(r.ledger) for r in cluster.result().residues().values()), key=len)
+
+    shm_chain = asyncio.run(run("shm"))
+    tcp_chain = asyncio.run(run("tcp"))
+    assert len(created[0]) == 8 and created[1] == set()
+    assert not created[0] & _dev_shm()  # unlinked at stop
+    prefix = min(len(shm_chain), len(tcp_chain))
+    assert prefix >= target
+    assert shm_chain[:prefix] == tcp_chain[:prefix]
+
+
+_COORDINATOR = textwrap.dedent("""
+    import asyncio, os
+    from repro.experiments.scenario import ScenarioConfig
+    from repro.runner import make_live_cluster
+
+    async def main():
+        config = ScenarioConfig(n=4, pacemaker="lumiere", delta=0.5, duration=60.0, seed=3)
+        cluster = make_live_cluster(config, placement="process", processes=2, transport="shm")
+        await cluster.run_until_commits(3, timeout=30.0)
+        print(*(worker.process.pid for worker in cluster._workers), flush=True)
+        await asyncio.sleep(60.0)
+
+    asyncio.run(main())
+""")
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie nobody has reaped yet does not)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.tcp
+def test_a_killed_coordinator_leaves_no_worker_and_no_segment():
+    """SIGKILL the coordinator of a two-worker shm cluster mid-run: within
+    2 s no worker is alive and none of its segments is left in /dev/shm."""
+    before = _dev_shm()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR], stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        workers = [int(pid) for pid in coordinator.stdout.readline().split()]
+        segments = {name for name in _dev_shm() - before if name.startswith("repro-")}
+        assert len(workers) == 2 and len(segments) == 8
+        os.kill(coordinator.pid, signal.SIGKILL)
+        coordinator.wait(timeout=5.0)
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline:
+            if not any(map(_alive, workers)) and not segments & _dev_shm():
+                break
+            time.sleep(0.02)
+        assert [pid for pid in workers if _alive(pid)] == []
+        assert sorted(segments & _dev_shm()) == []
+    finally:
+        if coordinator.poll() is None:
+            coordinator.kill()
+        coordinator.stdout.close()

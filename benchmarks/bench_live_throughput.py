@@ -66,9 +66,9 @@ from typing import Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.scenario import ScenarioConfig
+from repro.metrics.counters import BASE_FAULT_COUNTS
 from repro.runner.live import make_live_cluster
 from repro.runtime import DEFAULT_RING_BYTES
-from repro.sim.network import BASE_FAULT_COUNTS
 from repro.version import __version__
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -84,9 +84,9 @@ from typing import Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.metrics.counters import FLUSH_COUNTS
 from repro.runner.live import make_live_cluster
 from repro.runner.workload import WorkloadConfig
-from repro.sim.network import FLUSH_COUNTS
 from repro.version import __version__
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -39,9 +39,14 @@ REFERENCE_PAGES = {
         "repro.faults",
         [
             "repro.faults",
-            "repro.sim.network",
-            "repro.faults.schedules",
+            "repro.faults.delays",
+            "repro.faults.transport",
+            "repro.faults.corruption",
+            "repro.faults.behaviours",
+            "repro.faults.attacks",
             "repro.faults.library",
+            "repro.consensus.behaviour",
+            "repro.metrics.counters",
         ],
     ),
     "reference/crypto.md": (
@@ -64,7 +69,6 @@ REFERENCE_PAGES = {
             "repro.runtime.transports",
             "repro.runtime.tcp",
             "repro.runtime.codec",
-            "repro.runtime.chaos",
             "repro.runner.live",
             "repro.runner.shard",
             "repro.runner.process_cluster",
@@ -89,7 +93,7 @@ _ROLE = re.compile(r":(?:class|mod|func|meth|attr|data|exc):`~?([^`]+)`")
 def clean(text: str) -> str:
     """Docstring -> markdown: resolve rST roles, normalise literals."""
     text = inspect.cleandoc(text)
-    # :class:`~repro.sim.network.DelayModel` -> `DelayModel`
+    # :class:`~repro.faults.delays.DelayModel` -> `DelayModel`
     text = _ROLE.sub(lambda match: f"`{match.group(1).rsplit('.', 1)[-1]}`", text)
     text = text.replace("``", "`")
     return text
@@ -239,7 +243,10 @@ def generate_catalogue() -> None:
         "Every entry runs on **every lane**: a `FaultyTransport` imposes the",
         "scenario's schedule on the in-memory transport of the virtual-time lane",
         "and on the socket and shared-memory transports of a live cluster alike —",
-        "see the chaos section of [runtimes](runtimes.md).  In virtual time a run",
+        "see the chaos section of [runtimes](runtimes.md).  Loss is a delay model",
+        "too (`Lossy`): to add it to an entry, build the entry's corruption plan",
+        "(`get_scenario(name).build(config, params)`) and pass `corruption=` plus",
+        "`delay_model=Lossy(base=<the entry's delay model>, drop_rate=...)`.  In virtual time a run",
         "replays exactly; the conformance suite (`tests/test_live_faults.py`) holds",
         "the whole catalogue, across three seeds, to decisions, ledgers, wire totals",
         "and fault counts captured on the `Network` fabric the transport stack",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 
-from repro.adversary import SilentLeaderBehaviour, spread_corruption
+from repro.faults import SilentLeaderBehaviour, spread_corruption
 from repro.experiments import ScenarioConfig
 from repro.runner import Campaign, Sweep
 

@@ -16,7 +16,7 @@ Run with:  python examples/fault_tolerance.py
 
 from __future__ import annotations
 
-from repro.adversary import CorruptionPlan, SilentLeaderBehaviour
+from repro.faults import CorruptionPlan, SilentLeaderBehaviour
 from repro.experiments import ScenarioConfig, run_scenario
 
 PROTOCOLS = ("lumiere", "lp22", "fever", "cogsworth", "backoff")

@@ -14,7 +14,7 @@ Run with:  python examples/partial_synchrony_recovery.py
 
 from __future__ import annotations
 
-from repro.adversary import (
+from repro.faults import (
     SilentLeaderBehaviour,
     spread_corruption,
     worst_case_clock_dispersion_model,

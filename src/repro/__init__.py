@@ -5,12 +5,13 @@ synchrony model (:mod:`repro.sim`), a simulated cryptography layer
 (:mod:`repro.crypto`), a chained-HotStuff consensus substrate
 (:mod:`repro.consensus`), the Lumiere view-synchronisation protocol that is
 the paper's contribution (:mod:`repro.core`), the baseline pacemakers it is
-compared against (:mod:`repro.pacemakers`), adversary models
-(:mod:`repro.adversary`), metrics (:mod:`repro.metrics`) and the experiment
-harness that regenerates the paper's table and figure
-(:mod:`repro.experiments`), and the campaign runner that executes
-declarative sweeps over it — serially or on a process pool, with an
-on-disk result cache (:mod:`repro.runner`).
+compared against (:mod:`repro.pacemakers`), the adversary
+(:mod:`repro.faults`: delay models, loss, corruptions and named fault
+scenarios), metrics (:mod:`repro.metrics`) and the experiment harness
+that regenerates the paper's table and figure (:mod:`repro.experiments`),
+and the campaign runner that executes declarative sweeps over it —
+serially or on a process pool, with an on-disk result cache
+(:mod:`repro.runner`).
 
 The protocol core is runtime-agnostic (:mod:`repro.runtime`): the same
 replicas run under the simulator, on an asyncio loop in-memory, or over

@@ -5,7 +5,7 @@ A :class:`Replica` composes
 * the chained-HotStuff engine (:mod:`repro.consensus.engine`),
 * a pluggable pacemaker (any :class:`repro.pacemakers.base.Pacemaker`),
 * the replica's signing key and the shared threshold scheme,
-* a :class:`~repro.adversary.behaviours.Behaviour` describing deviations
+* a :class:`~repro.consensus.behaviour.Behaviour` describing deviations
   (honest by default), and
 * the metrics collector observing the run — the run's one record, whose
   event table :meth:`Replica.trace` writes.
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, NamedTuple, Optional
 
-from repro.adversary.behaviours import Behaviour, HonestBehaviour
 from repro.config import ProtocolConfig
+from repro.consensus.behaviour import Behaviour, HonestBehaviour
 from repro.errors import ConfigurationError
 from repro.consensus.blocks import Block, BlockTree
 from repro.consensus.engine import ChainedHotStuff, ConsensusEngine

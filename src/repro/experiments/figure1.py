@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Union
 
-from repro.adversary.behaviours import SilentLeaderBehaviour
-from repro.adversary.corruption import CorruptionPlan
 from repro.config import ProtocolConfig
 from repro.experiments.scenario import ScenarioConfig
+from repro.faults.behaviours import SilentLeaderBehaviour
+from repro.faults.corruption import CorruptionPlan
 from repro.runner.cache import ResultCache
 from repro.runner.campaign import Campaign, Sweep
 

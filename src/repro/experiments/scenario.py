@@ -18,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from repro.adversary.attacks import spread_corruption
-from repro.adversary.behaviours import Behaviour, SilentLeaderBehaviour
-from repro.adversary.corruption import CorruptionPlan
 from repro.config import ProtocolConfig
 from repro.consensus.ledger import sequences_consistent
 from repro.consensus.replica import Replica, ReplicaResidue
@@ -28,7 +25,13 @@ from repro.crypto.backend import CryptoBackend, make_backend, set_default_backen
 from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError
+from repro.faults.attacks import spread_corruption
+from repro.faults.behaviours import SilentLeaderBehaviour
+from repro.faults.corruption import CorruptionPlan
+from repro.faults.delays import DelayModel, NetworkConfig
+from repro.faults.transport import FaultyTransport
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.counters import FLUSH_COUNTS
 from repro.metrics.summary import (
     ComplexitySummary,
     RunMetrics,
@@ -36,17 +39,8 @@ from repro.metrics.summary import (
     summarize_run,
 )
 from repro.pacemakers.registry import make_pacemaker_factory
-from repro.runtime import (
-    AsyncioRuntime,
-    ChaosConfig,
-    Clock,
-    FaultyTransport,
-    LocalTransport,
-    Runtime,
-    SimRuntime,
-)
+from repro.runtime import AsyncioRuntime, Clock, LocalTransport, Runtime, SimRuntime
 from repro.sim.events import Simulator
-from repro.sim.network import FLUSH_COUNTS, DelayModel, NetworkConfig
 from repro.statemachine.kvstore import apply_chains_consistent
 
 
@@ -74,7 +68,9 @@ class ScenarioConfig:
     seed: int = 0
     #: Explicit corruption plan; ``None`` means no faults.
     corruption: Optional[CorruptionPlan] = None
-    #: Network delay model; ``None`` means every message takes ``actual_delay``.
+    #: Network delay model deciding each message's fate (its delay, or a
+    #: drop or duplicate under :class:`~repro.faults.delays.Lossy`); ``None``
+    #: means every message takes ``actual_delay``.
     delay_model: Optional[DelayModel] = None
     #: Accepted and ignored: protocol events are always recorded, in
     #: ``metrics.events()``.  Kept only because the benchmark harness
@@ -84,7 +80,7 @@ class ScenarioConfig:
     #: Upper bound on pre-GST delays used when a chaotic pre-GST model is built.
     pre_gst_max_delay: float = 50.0
     #: Floor on every proposed message delay (see
-    #: :attr:`repro.sim.network.NetworkConfig.min_delay`); guards zero-delay
+    #: :attr:`repro.faults.delays.NetworkConfig.min_delay`); guards zero-delay
     #: models against the same-timestamp event budget.
     min_delay: float = 0.0
     #: Named fault scenario from :mod:`repro.faults.library`.  When set, the
@@ -132,7 +128,7 @@ class ProtocolStack:
     config: ScenarioConfig
     protocol_config: ProtocolConfig
     corruption: CorruptionPlan
-    #: The schedule a :class:`~repro.runtime.chaos.FaultyTransport` must
+    #: The schedule a :class:`~repro.faults.transport.FaultyTransport` must
     #: impose; ``None`` for fault-free and corruption-only configs.
     delay_model: Optional[DelayModel]
     crypto_backend: CryptoBackend
@@ -441,18 +437,19 @@ def build_scenario(
     config: ScenarioConfig,
     jitter: float = 0.0,
     clock: Optional[Clock] = None,
-    chaos: Optional[ChaosConfig] = None,
 ) -> RunResult:
     """Construct the whole system for ``config`` on one runtime, without
     running it.
 
-    Fault-free configs get a bare :class:`LocalTransport` (base delay
+    The fabric is one :class:`LocalTransport` (base delay
     ``config.actual_delay``, jitter RNG seeded ``config.seed``).  A
-    ``delay_model`` or named ``scenario`` wraps a zero-delay transport in a
-    :class:`~repro.runtime.chaos.FaultyTransport` imposing the schedule
-    under the config's partial-synchrony envelope; ``chaos`` adds
-    drop/duplicate injectors either way.  Everything injected is counted
-    in the run's one bag, ``metrics.counters``.
+    ``delay_model`` or named ``scenario`` wraps it in a
+    :class:`~repro.faults.transport.FaultyTransport` imposing the model
+    under the config's partial-synchrony envelope; the model decides every
+    non-self message's fate, so the fabric's own delay is read only where
+    the model asks for it (:class:`~repro.faults.delays.Lossy` with no
+    base).  Everything injected is counted in the run's one bag,
+    ``metrics.counters``.
 
     ``clock=None`` (the default) puts the cluster in virtual time on a
     :class:`~repro.sim.events.Simulator` (``result.simulator``), returned
@@ -465,28 +462,20 @@ def build_scenario(
     """
     stack = build_stack(config)
     metrics = stack.metrics
+    transport = LocalTransport(delay=config.actual_delay, jitter=jitter, seed=config.seed)
     if stack.delay_model is not None:
         if jitter:
             raise ConfigurationError(
                 "a delay model/scenario fully determines latency; transport "
                 "jitter must stay 0 (it would add on top of the schedule)"
             )
-        # The schedule proposes every non-self latency, so the inner
-        # transport contributes none of its own.
         transport = FaultyTransport(
-            LocalTransport(delay=0.0, jitter=0.0, seed=config.seed),
-            schedule=stack.delay_model,
-            network=config.network_config(),
+            transport,
+            stack.delay_model,
+            config.network_config(),
             schedule_seed=config.seed,
-            chaos=chaos,
             counters=metrics.counters,
         )
-    else:
-        transport = LocalTransport(
-            delay=config.actual_delay, jitter=jitter, seed=config.seed
-        )
-        if chaos is not None and chaos.active:
-            transport = FaultyTransport(transport, chaos=chaos, counters=metrics.counters)
     simulator = None
     if clock is None:
         simulator = Simulator(seed=config.seed)

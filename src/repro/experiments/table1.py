@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
 
-from repro.adversary.attacks import spread_corruption, worst_case_clock_dispersion_model
-from repro.adversary.behaviours import SilentLeaderBehaviour
 from repro.experiments.scenario import ScenarioConfig, build_spread_fault_config
+from repro.faults.attacks import spread_corruption, worst_case_clock_dispersion_model
+from repro.faults.behaviours import SilentLeaderBehaviour
 # Submodule imports (not ``repro.runner``) keep the experiments <-> runner
 # import graph acyclic; see the note in repro/runner/campaign.py.
 from repro.runner.cache import ResultCache

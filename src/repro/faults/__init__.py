@@ -1,22 +1,53 @@
-"""Fault injection: composable network schedules and the named scenario library.
+"""The adversary: which processors are corrupt, GST, and each message's fate.
 
-This package is the adversarial half of the reproduction's workload surface:
-
-* :mod:`repro.faults.schedules` — composable
-  :class:`~repro.sim.network.DelayModel` subclasses shaping delays by time
-  (intermittent synchrony), topology (partitions), target (rotating
-  leader-DoS) or traffic class (view-sync vs. consensus throttling);
-* :mod:`repro.faults.library` — a registry of named, parameterised scenarios
-  combining schedules with corruption plans.  A scenario name is a valid
-  :class:`~repro.runner.campaign.Sweep` axis value via
-  ``ScenarioConfig(scenario=...)``, so campaigns sweep the adversarial design
-  space the same way they sweep system sizes or seeds.
-
-Everything here proposes delays *within* the partial-synchrony envelope: the
-network still clamps every delivery to ``max(GST, send_time) + Delta``, so no
-schedule can break the model — only fill it.
+* :mod:`repro.faults.delays` — the partial-synchrony envelope
+  (:class:`NetworkConfig`, GST included) and the composable
+  :class:`DelayModel` family deciding each message's delay, or its loss
+  (:class:`Lossy`), within it;
+* :mod:`repro.faults.transport` — :class:`FaultyTransport`, the one place a
+  delay model is imposed, over any transport on every lane;
+* :mod:`repro.faults.corruption`, :mod:`repro.faults.behaviours` and
+  :mod:`repro.faults.attacks` — corruption plans of up to ``f`` Byzantine
+  behaviours (whose hooks are :mod:`repro.consensus.behaviour`'s) and the
+  pre-packaged attacks the benchmarks use;
+* :mod:`repro.faults.library` — named, parameterised scenarios combining
+  the two.  A scenario name is a :class:`~repro.runner.campaign.Sweep`
+  axis value via ``ScenarioConfig(scenario=...)``.
 """
 
+from repro.faults.attacks import (
+    epoch_tail_corruption,
+    lp22_tail_attack_plan,
+    spread_corruption,
+    worst_case_clock_dispersion_model,
+)
+from repro.faults.behaviours import (
+    ChurnBehaviour,
+    CrashBehaviour,
+    EquivocatingBehaviour,
+    MuteViewSyncBehaviour,
+    SilentLeaderBehaviour,
+    SlowLeaderBehaviour,
+    WithholdQCBehaviour,
+)
+from repro.faults.corruption import CorruptionPlan
+from repro.faults.delays import (
+    MESSAGE_CLASSES,
+    AdversarialDelay,
+    DelayContext,
+    DelayModel,
+    FixedDelay,
+    IntermittentSynchrony,
+    Lossy,
+    MessageClassDelay,
+    NetworkConfig,
+    PartitionSchedule,
+    PendingSend,
+    PreGSTChaos,
+    RotatingLeaderDelay,
+    TargetedDelay,
+    UniformDelay,
+)
 from repro.faults.library import (
     FaultScenario,
     ScenarioParameter,
@@ -25,24 +56,41 @@ from repro.faults.library import (
     scenario,
     scenario_catalogue,
 )
-from repro.faults.schedules import (
-    MESSAGE_CLASSES,
-    IntermittentSynchrony,
-    MessageClassDelay,
-    PartitionSchedule,
-    RotatingLeaderDelay,
-)
+from repro.faults.transport import FaultyTransport
 
 __all__ = [
     "MESSAGE_CLASSES",
+    "AdversarialDelay",
+    "ChurnBehaviour",
+    "CorruptionPlan",
+    "CrashBehaviour",
+    "DelayContext",
+    "DelayModel",
+    "EquivocatingBehaviour",
     "FaultScenario",
+    "FaultyTransport",
+    "FixedDelay",
     "IntermittentSynchrony",
+    "Lossy",
     "MessageClassDelay",
+    "MuteViewSyncBehaviour",
+    "NetworkConfig",
     "PartitionSchedule",
+    "PendingSend",
+    "PreGSTChaos",
     "RotatingLeaderDelay",
     "ScenarioParameter",
+    "SilentLeaderBehaviour",
+    "SlowLeaderBehaviour",
+    "TargetedDelay",
+    "UniformDelay",
+    "WithholdQCBehaviour",
     "available_scenarios",
+    "epoch_tail_corruption",
     "get_scenario",
+    "lp22_tail_attack_plan",
     "scenario",
     "scenario_catalogue",
+    "spread_corruption",
+    "worst_case_clock_dispersion_model",
 ]

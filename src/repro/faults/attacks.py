@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.adversary.behaviours import Behaviour, SilentLeaderBehaviour
-from repro.adversary.corruption import CorruptionPlan
 from repro.config import ProtocolConfig
-from repro.sim.network import DelayModel, FixedDelay, PreGSTChaos
+from repro.consensus.behaviour import Behaviour
+from repro.faults.behaviours import SilentLeaderBehaviour
+from repro.faults.corruption import CorruptionPlan
+from repro.faults.delays import DelayModel, FixedDelay, PreGSTChaos
 
 
 def spread_corruption(
@@ -40,19 +41,10 @@ def spread_corruption(
         f_actual = len(candidates)
     if f_actual <= 0:
         return CorruptionPlan.none(config)
-    stride = max(1, len(candidates) // f_actual)
-    corrupted = [candidates[(i * stride) % len(candidates)] for i in range(f_actual)]
-    # Deduplicate while preserving order, then top up if collisions occurred.
-    unique: list[int] = []
-    for pid in corrupted:
-        if pid not in unique:
-            unique.append(pid)
-    for pid in candidates:
-        if len(unique) >= f_actual:
-            break
-        if pid not in unique:
-            unique.append(pid)
-    return CorruptionPlan.uniform(config, unique[:f_actual], behaviour_factory)
+    # i * stride < len(candidates) for every i < f_actual: distinct picks.
+    stride = len(candidates) // f_actual
+    corrupted = [candidates[i * stride] for i in range(f_actual)]
+    return CorruptionPlan.uniform(config, corrupted, behaviour_factory)
 
 
 def epoch_tail_corruption(

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from repro.adversary.behaviours import Behaviour, HonestBehaviour
 from repro.config import ProtocolConfig
+from repro.consensus.behaviour import Behaviour, HonestBehaviour
 from repro.errors import ConfigurationError
 
 

@@ -26,21 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
-from repro.adversary.attacks import lp22_tail_attack_plan, spread_corruption
-from repro.adversary.behaviours import (
-    ChurnBehaviour,
-    EquivocatingBehaviour,
-    SilentLeaderBehaviour,
-)
-from repro.adversary.corruption import CorruptionPlan
 from repro.errors import ConfigurationError
-from repro.faults.schedules import (
+from repro.faults.attacks import lp22_tail_attack_plan, spread_corruption
+from repro.faults.behaviours import ChurnBehaviour, EquivocatingBehaviour, SilentLeaderBehaviour
+from repro.faults.corruption import CorruptionPlan
+from repro.faults.delays import (
+    DelayModel,
+    FixedDelay,
     IntermittentSynchrony,
     MessageClassDelay,
     PartitionSchedule,
+    PreGSTChaos,
     RotatingLeaderDelay,
+    TargetedDelay,
+    UniformDelay,
 )
-from repro.sim.network import DelayModel, FixedDelay, PreGSTChaos, TargetedDelay, UniformDelay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.experiments.scenario import ScenarioConfig

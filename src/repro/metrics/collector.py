@@ -39,10 +39,13 @@ import itertools
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.crypto.backend import PackedDigests
-from repro.sim.network import BASE_COUNTS, SOURCE_COUNTS, Counters, Envelope
+from repro.metrics.counters import BASE_COUNTS, SOURCE_COUNTS, Counters
+
+if TYPE_CHECKING:  # pragma: no cover - types only: the runtime package loads transports
+    from repro.runtime.transports import Envelope
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,7 +170,7 @@ class MetricsCollector:
         whatever the run's clock reports (virtual seconds on the simulator
         kernel, monotonic seconds since cluster start for live clusters).
 
-        The transport (the inner one, under a chaos wrapper) and the runtime
+        The transport (the inner one, under a fault wrapper) and the runtime
         it is bound to become *sources* of :attr:`counts`: their
         ``messages_sent`` / ``messages_delivered`` / ``frames_decoded`` /
         ``frames_dropped`` / ``frames_rejected`` / ``events_processed``
@@ -531,7 +534,8 @@ class MetricsCollector:
         each distinct id (``commit_ids``) and an ``array("I")`` column of
         row → id index (``commit_block_ids``); the counter bag and its
         sources ship as one :attr:`counts` snapshot (its nonzero names, and
-        any name beyond the base ones).
+        any name beyond the base ones) plus the keys of the names counted
+        once per key (``epoch_keys``), which the merge unites.
         """
         ids: dict[str, int] = {}
         rows = array("I", [ids.setdefault(b, len(ids)) for b in self._commit_block_ids])
@@ -552,6 +556,7 @@ class MetricsCollector:
                 name: count for name, count in self.counts.items()
                 if count or name not in BASE_COUNTS
             },
+            "epoch_keys": self.counters.epoch_keys,
         }
 
 
@@ -628,7 +633,8 @@ def merge_metrics_states(states: Iterable[dict]) -> "MetricsCollector":
         )
 
     for s in states:
-        # Each pid's rows come from the one shard that hosts it.
+        # Each pid's rows come from the one shard that hosts it; a fault
+        # window two shards saw (the same epoch key) counts once.
         merged._views_entered.update(s["views_entered"])
-        merged.counters.add(s["counts"])
+        merged.counters.add(s["counts"], s["epoch_keys"])
     return merged

@@ -16,7 +16,7 @@ Design constraints that shaped this module:
 * **Picklability by construction.**  Workers receive ``(build, params)`` —
   a module-level function (pickled by reference) and plain parameter values
   — and construct the ``ScenarioConfig`` *inside* the worker.  Configs may
-  therefore contain closures (e.g. :class:`~repro.sim.network.AdversarialDelay`)
+  therefore contain closures (e.g. :class:`~repro.faults.delays.AdversarialDelay`)
   without breaking the process-pool backend.
 * **Content-addressed caching.**  Each cell's cache key is a hash of the
   *expanded* configuration (including corruption plan and delay-model
@@ -136,7 +136,7 @@ def config_fingerprint(config: "ScenarioConfig") -> dict[str, Any]:
 
     Nested strategy objects are described rather than serialized: corruption
     plans by their corrupted ids and per-behaviour ``describe()`` strings,
-    delay models by their :meth:`~repro.sim.network.DelayModel.describe`
+    delay models by their :meth:`~repro.faults.delays.DelayModel.describe`
     string.  Custom behaviours and delay models must therefore make
     ``describe()`` faithful to their parameters for caching to be sound.
 

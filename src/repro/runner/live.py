@@ -7,8 +7,7 @@ and :class:`~repro.experiments.scenario.RunResult`:
   plus the wall-clock branch.  By default the whole in-memory cluster runs
   on the discrete-event kernel, exactly as
   :func:`~repro.experiments.scenario.run_scenario` runs it (this entry
-  point adds transport ``jitter``, ``chaos`` injectors and a ``stop_when``
-  predicate); pass a
+  point adds transport ``jitter`` and a ``stop_when`` predicate); pass a
   :class:`~repro.runtime.asyncio_runtime.MonotonicClock` for wall-clock
   pacing on an :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`.
 * :func:`make_live_cluster` — n nodes on the wall clock over real sockets
@@ -18,16 +17,16 @@ and :class:`~repro.experiments.scenario.RunResult`:
   campaign backend: a :class:`~repro.runner.campaign.Campaign` sweeps
   live-cluster cells exactly like simulated ones, producing the same
   picklable :class:`~repro.runner.record.RunRecord` rows (cache keys are
-  salted with ``live:`` so records made under jitter, chaos or a process
+  salted with ``live:`` so records made under jitter or a process
   placement never answer for plain ones).
 
 Every lane supports the full adversarial surface: crash/recovery behaviours
-(timer-driven, runtime-agnostic), delay models and the named
-``repro.faults`` scenarios.  A config with a ``delay_model`` or ``scenario``
-is executed under a :class:`~repro.runtime.chaos.FaultyTransport` (see
-:mod:`repro.runtime.chaos`), and injected-fault counters (drops,
-duplicates, partition epochs, kills/restarts) surface through the run's
-:class:`~repro.metrics.collector.MetricsCollector`.
+(timer-driven, runtime-agnostic), delay models (loss included) and the
+named ``repro.faults`` scenarios.  A config with a ``delay_model`` or
+``scenario`` is executed under a
+:class:`~repro.faults.transport.FaultyTransport`, and injected-fault
+counters (drops, duplicates, partition epochs, kills/restarts) surface
+through the run's :class:`~repro.metrics.collector.MetricsCollector`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from repro.experiments.scenario import (
 )
 from repro.runner.process_cluster import LiveCluster
 from repro.runner.record import RunRecord
-from repro.runtime import ChaosConfig, Clock
+from repro.runtime import Clock
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +57,6 @@ async def run_live_scenario_async(
     clock: Optional[Clock] = None,
     max_events: Optional[int] = None,
     stop_when: Optional[Callable[[RunResult], bool]] = None,
-    chaos: Optional[ChaosConfig] = None,
 ) -> RunResult:
     """Build and run an in-memory live cluster to ``config.duration``.
 
@@ -68,7 +66,7 @@ async def run_live_scenario_async(
     way.  ``max_events`` is a replay budget of the virtual-time lane and is
     rejected on a wall clock rather than ignored.
     """
-    result = build_scenario(config, jitter=jitter, clock=clock, chaos=chaos)
+    result = build_scenario(config, jitter=jitter, clock=clock)
     simulator = result.simulator
     if simulator is None and max_events is not None:
         raise ConfigurationError(
@@ -99,13 +97,12 @@ def run_live_scenario(
     clock: Optional[Clock] = None,
     max_events: Optional[int] = None,
     stop_when: Optional[Callable[[RunResult], bool]] = None,
-    chaos: Optional[ChaosConfig] = None,
 ) -> RunResult:
     """Blocking wrapper over :func:`run_live_scenario_async` (owns the loop)."""
     return asyncio.run(
         run_live_scenario_async(
             config, jitter=jitter, clock=clock, max_events=max_events,
-            stop_when=stop_when, chaos=chaos,
+            stop_when=stop_when,
         )
     )
 
@@ -231,7 +228,6 @@ def execute_live_cell(
     max_events: Optional[int] = None,
     config: Optional[ScenarioConfig] = None,
     jitter: float = 0.0,
-    chaos: Optional[ChaosConfig] = None,
     placement: str = "inline",
     transport: str = "tcp",
 ) -> RunRecord:
@@ -240,15 +236,15 @@ def execute_live_cell(
     The live twin of :func:`repro.runner.executor.execute_cell`: same
     picklable :class:`RunRecord` shape, with ``events_processed`` counted
     by the kernel or the node runtimes.  ``key`` arrives already salted by
-    the campaign layer (``live:`` prefix, plus jitter/chaos/placement/
-    transport knobs when set) so cached live records never shadow simulated
-    ones.
+    the campaign layer (``live:`` prefix, plus jitter/placement/transport
+    knobs when set) so cached live records never shadow simulated ones.
 
     ``placement="inline"`` (the default) runs the cell in-memory in virtual
     time; ``placement="process"`` runs it for ``config.duration`` wall seconds on a
-    :func:`make_live_cluster` cluster over ``transport``.  Jitter and chaos
-    are inline-transport knobs and are rejected under process placement (a
-    process cell's noise is the real network's).
+    :func:`make_live_cluster` cluster over ``transport``.  Jitter is an
+    inline-transport knob and is rejected under process placement (a
+    process cell's noise is the real network's); loss is a delay model and
+    runs on either.
     """
     _check_lane(placement, transport)
     if config is None:
@@ -260,17 +256,9 @@ def execute_live_cell(
                 "jitter is an inline-transport knob; process placement runs "
                 "over real sockets whose latency is not simulated"
             )
-        if chaos is not None and chaos.active:
-            raise ConfigurationError(
-                "chaos injection applies to inline transports; process "
-                "placement does not support it (use a scenario/delay_model, "
-                "which the node processes impose themselves)"
-            )
         result = asyncio.run(_run_process_cell(config, transport))
     else:
-        result = run_live_scenario(
-            config, jitter=jitter, max_events=max_events, chaos=chaos
-        )
+        result = run_live_scenario(config, jitter=jitter, max_events=max_events)
     return RunRecord.from_result(
         result, run_id, key, params, wall_time=time.perf_counter() - started
     )
@@ -288,8 +276,6 @@ class LiveExecutor:
 
     #: Uniform jitter band added to every cell's transport latency.
     jitter: float = 0.0
-    #: Drop/duplicate injection applied to every cell's transport.
-    chaos: Optional[ChaosConfig] = None
     #: Where each cell's nodes run: ``"inline"`` (one process, virtual
     #: time) or ``"process"`` (one OS process per node, wall clock).
     placement: str = "inline"
@@ -300,17 +286,16 @@ class LiveExecutor:
     def cache_salt(self) -> str:
         """Cache-key prefix binding everything this executor changes about a run.
 
-        ``live:`` alone for the canonical zero-jitter, fault-free, inline
-        executor; the jitter value, chaos knobs, non-default placement and
-        non-default transport are folded in otherwise, so records produced
-        under different latency noise, injected faults, process placement
-        or message fabric never answer for each other from a shared cache.
+        ``live:`` alone for the canonical zero-jitter, inline executor; the
+        jitter value, non-default placement and non-default transport are
+        folded in otherwise, so records produced under different latency
+        noise, process placement or message fabric never answer for each
+        other from a shared cache.  (Injected faults are the config's delay
+        model, which the campaign key already covers.)
         """
         knobs = []
         if self.jitter != 0.0:
             knobs.append(f"jitter={self.jitter!r}")
-        if self.chaos is not None and self.chaos.active:
-            knobs.append(self.chaos.describe())
         if self.placement != "inline":
             knobs.append(f"placement={self.placement}")
         if self.transport != "tcp":
@@ -330,6 +315,6 @@ class LiveExecutor:
     ) -> RunRecord:
         return execute_live_cell(
             build, params, run_id, key, max_events=max_events, config=config,
-            jitter=self.jitter, chaos=self.chaos, placement=self.placement,
+            jitter=self.jitter, placement=self.placement,
             transport=self.transport,
         )

@@ -26,9 +26,9 @@ from repro.experiments.scenario import (
     make_replica,
     start_replicas,
 )
+from repro.faults.transport import FaultyTransport
 from repro.runtime import (
     AsyncioRuntime,
-    FaultyTransport,
     MonotonicClock,
     ShmEndpoint,
     ShmTransport,
@@ -61,8 +61,8 @@ class Node:
     """One replica of a :class:`Shard` with its runtime and transport.
 
     ``transport`` is the node's socket or ring transport, or a
-    :class:`~repro.runtime.chaos.FaultyTransport` wrapping it when the
-    cluster runs a chaotic scenario.
+    :class:`~repro.faults.transport.FaultyTransport` wrapping it when the
+    config sets a delay model (a scenario's, or loss).
     """
 
     pid: int
@@ -135,11 +135,12 @@ class Shard:
                 # latency (the real fabric adds its own small delay on top,
                 # so — unlike the single-runtime virtual-time lane — this
                 # lane makes no bit-exact parity claim).  Per-node seed
-                # offsets mirror the runtimes' seeds.
+                # offsets mirror the runtimes' seeds (and the node's pid
+                # offsets a loss model's stream the same way).
                 transport = FaultyTransport(
                     transport,
-                    schedule=stack.delay_model,
-                    network=config.network_config(),
+                    stack.delay_model,
+                    config.network_config(),
                     schedule_seed=config.seed + pid,
                     counters=stack.metrics.counters,
                 )

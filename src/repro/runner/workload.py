@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.consensus.mempool import Mempool
-from repro.sim.network import FLUSH_COUNTS
+from repro.metrics.counters import FLUSH_COUNTS
 from repro.statemachine.commands import OP_DELETE, OP_PUT, Command, encode_commands
 from repro.statemachine.kvstore import ReplicatedKV
 from repro.statemachine.messages import CommandBatch, CommandForward

@@ -28,7 +28,6 @@ from repro.runtime.base import Clock, Runtime, TimerHandle
 from repro.runtime.simulation import SimRuntime
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
 from repro.runtime.transports import FramedTransport, LocalTransport, Transport
-from repro.runtime.chaos import ChaosConfig, Counters, FaultyTransport
 from repro.runtime.codec import WireCodec, WireCodecError, default_codec
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.shm import (
@@ -44,11 +43,8 @@ from repro.runtime.shm import (
 
 __all__ = [
     "AsyncioRuntime",
-    "ChaosConfig",
     "Clock",
-    "Counters",
     "DEFAULT_RING_BYTES",
-    "FaultyTransport",
     "FramedTransport",
     "LocalTransport",
     "MonotonicClock",

@@ -671,7 +671,7 @@ class ShmTransport(FramedTransport):
     the same ``start_server``/``set_peers`` bootstrap dance (the address
     exchanged is the node's worker's UDP doorbell instead of a TCP listen
     port), the same ``frames_dropped``/``frames_rejected``/``last_errors``
-    accounting — so :class:`~repro.runtime.chaos.FaultyTransport` and the
+    accounting — so :class:`~repro.faults.transport.FaultyTransport` and the
     metrics layer wrap it unchanged.  Only meaningful under a wall clock (it
     is built for :class:`~repro.runner.process_cluster.LiveCluster`
     workers).  Sending is the node's own; receiving is its worker's

@@ -6,7 +6,7 @@ kernel, and this adapter is deliberately nothing but pass-throughs:
 ``call_after`` *is* ``schedule_fired``, and ``send`` / ``broadcast`` /
 ``register`` go to the :class:`~repro.runtime.transports.Transport` the
 runtime was built over — a :class:`~repro.runtime.transports.LocalTransport`,
-bare or under a :class:`~repro.runtime.chaos.FaultyTransport`, which
+bare or under a :class:`~repro.faults.transport.FaultyTransport`, which
 schedules its deliveries back through :meth:`SimRuntime.call_after`.  This
 is the virtual-time lane (``run_scenario``): seeded, replayable event for
 event, and the oracle the wall-clock lanes' transport stack is tested on.

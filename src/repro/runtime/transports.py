@@ -4,7 +4,7 @@ A :class:`Transport` owns addressing (``process_ids``), endpoint
 registration and the actual movement of payloads; the runtime delegates
 :meth:`~repro.runtime.base.Runtime.send` / ``broadcast`` here.  Every
 transport has one observation surface — ``send_listeners`` /
-``deliver_listeners`` called with an :class:`~repro.sim.network.Envelope`
+``deliver_listeners`` called with an :class:`Envelope`
 per message, plus ``messages_sent`` / ``messages_delivered`` counters —
 which is what the metrics layer attaches to
 (:meth:`~repro.metrics.collector.MetricsCollector.attach_transport`).
@@ -34,12 +34,49 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.base import Runtime
 from repro.runtime.codec import WireCodec, WireCodecError, default_codec
-from repro.sim.network import Envelope
+
+
+class Envelope(NamedTuple):
+    """A single point-to-point message in flight.
+
+    Tuple-backed (``NamedTuple``) rather than a frozen dataclass: one
+    envelope is allocated per delivery, and the frozen-dataclass ``__init__``
+    (one guarded ``object.__setattr__`` per field) was the single largest
+    allocation cost of the send path — tuple construction is one C call,
+    ~4x cheaper, while staying immutable with named-field access.
+
+    Attributes
+    ----------
+    msg_id:
+        Unique, monotonically increasing id assigned by the transport.
+    sender, recipient:
+        Processor ids of the two endpoints.
+    payload:
+        The message content, delivered verbatim.
+    send_time:
+        Time the message was sent, on the runtime's clock.
+    deliver_time:
+        Time the message is scheduled to be delivered — the send time on
+        the socket and shared-memory transports, whose latency is not known
+        when the envelope is minted.
+    """
+
+    msg_id: int
+    sender: int
+    recipient: int
+    payload: Any
+    send_time: float
+    deliver_time: float
+
+    @property
+    def is_self_message(self) -> bool:
+        """Whether the message was sent by a processor to itself."""
+        return self.sender == self.recipient
 
 
 class Transport(ABC):
@@ -155,7 +192,7 @@ class FramedTransport(Transport):
     :class:`~repro.runtime.shm.ShmTransport` share: the wire codec, the one
     hosted process and the peer map, loopback delivery, the
     ``frames_dropped`` / ``frames_rejected`` / ``last_errors`` accounting
-    the metrics layer and :class:`~repro.runtime.chaos.FaultyTransport`
+    the metrics layer and :class:`~repro.faults.transport.FaultyTransport`
     read, the decode of an inbound TCP frame body (:meth:`_decode`) and the
     rejection of one that fails to decode (:meth:`_reject`).
 
@@ -344,12 +381,12 @@ class LocalTransport(Transport):
     ) -> None:
         """Send ``payload`` once per ``(recipient, delay, deliver)`` entry.
 
-        The transport's one send primitive, and the chaos-layer seam: each
+        The transport's one send primitive, and the fault layer's seam: each
         entry mints an envelope in ``sends`` order (counters and send
         listeners fire as usual, with the true ``deliver_time``) that
         arrives exactly ``delay`` seconds out.  ``deliver=False`` mints
         without delivering — the message was sent but never arrives, which
-        is how a drop injector keeps the sender-side accounting honest.
+        is how a dropped copy keeps the sender-side accounting honest.
 
         Entries that share a delay share one runtime event, whose callback
         hands the payload to each recipient in ``sends`` order.  That is

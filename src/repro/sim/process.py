@@ -3,7 +3,7 @@
 A :class:`Process` owns a :class:`~repro.sim.clock.LocalClock` and receives
 messages from its :class:`~repro.runtime.base.Runtime`.  Protocol replicas
 (see :mod:`repro.consensus.replica`) derive from it, as do purpose-built
-Byzantine processes in :mod:`repro.adversary`.
+Byzantine processes.
 
 A process is constructed over its :class:`~repro.runtime.base.Runtime`; all
 messaging, timing and scheduling flows through :attr:`Process.runtime`.

@@ -2,28 +2,32 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.adversary.attacks import (
+from repro.consensus.behaviour import Behaviour, HonestBehaviour
+from repro.faults.attacks import (
     epoch_tail_corruption,
     lp22_tail_attack_plan,
     spread_corruption,
     worst_case_clock_dispersion_model,
 )
-from repro.adversary.behaviours import (
-    Behaviour,
+from repro.faults.behaviours import (
     CrashBehaviour,
     EquivocatingBehaviour,
-    HonestBehaviour,
     MuteViewSyncBehaviour,
     SilentLeaderBehaviour,
     SlowLeaderBehaviour,
     WithholdQCBehaviour,
 )
-from repro.adversary.corruption import CorruptionPlan
+from repro.faults.corruption import CorruptionPlan
 from repro.config import ProtocolConfig
 from repro.errors import ConfigurationError
-from repro.sim.network import PreGSTChaos
+from repro.faults.delays import PreGSTChaos
 
 
 def test_honest_behaviour_never_deviates():
@@ -143,3 +147,20 @@ def test_custom_behaviour_subclass_hooks_are_picked_up():
     behaviour = OnlyViewFive()
     assert behaviour.suppress_vote(5)
     assert not behaviour.suppress_vote(6)
+
+
+def test_the_protocol_core_loads_no_adversary_runner_or_runtime():
+    # The hooks a replica consults live in repro.consensus.behaviour; the
+    # adversary, the lanes and the fabrics are layered on top of the core.
+    probe = (
+        "import sys; import repro.consensus, repro.core, repro.pacemakers; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['repro', 'faults'], ['repro', 'runner'], ['repro', 'experiments'], "
+        "['repro', 'runtime'])))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ).stdout
+    assert loaded.strip() == "[]"

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary.attacks import spread_corruption, worst_case_clock_dispersion_model
-from repro.adversary.behaviours import SilentLeaderBehaviour
-from repro.adversary.corruption import CorruptionPlan
+from repro.faults.attacks import spread_corruption, worst_case_clock_dispersion_model
+from repro.faults.behaviours import SilentLeaderBehaviour
+from repro.faults.corruption import CorruptionPlan
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.pacemakers.registry import available_pacemakers, make_pacemaker_factory
 from repro.config import ProtocolConfig

@@ -2,7 +2,7 @@
 
 The virtual-time fabric groups a broadcast's deliveries:
 :meth:`LocalTransport.broadcast <repro.runtime.transports.LocalTransport.broadcast>`
-and :meth:`FaultyTransport.broadcast <repro.runtime.chaos.FaultyTransport.broadcast>`
+and :meth:`FaultyTransport.broadcast <repro.faults.transport.FaultyTransport.broadcast>`
 decide every recipient's delay up front and schedule one runtime event per
 distinct delay (:meth:`~repro.runtime.transports.LocalTransport.send_grouped`).
 The reference is the inherited per-recipient loop every socket lane runs —
@@ -25,24 +25,19 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.runtime import (
-    AsyncioRuntime,
-    ChaosConfig,
-    FaultyTransport,
-    LocalTransport,
-    SimRuntime,
-    Transport,
-)
-from repro.sim.events import Simulator
-from repro.sim.network import (
+from repro.faults import (
     AdversarialDelay,
     DelayModel,
+    FaultyTransport,
     FixedDelay,
+    Lossy,
     NetworkConfig,
     PreGSTChaos,
     TargetedDelay,
     UniformDelay,
 )
+from repro.runtime import AsyncioRuntime, LocalTransport, SimRuntime, Transport
+from repro.sim.events import Simulator
 
 CONFIG = NetworkConfig(delta=1.0, gst=2.0, actual_delay=0.9, pre_gst_max_delay=10.0)
 
@@ -86,7 +81,9 @@ def delay_models() -> dict[str, DelayModel]:
 def fabrics() -> dict:
     """``name -> (seed -> transport)``: every delay model under a
     :class:`FaultyTransport`, plus the fabrics no delay model reaches."""
-    lossy = lambda seed: ChaosConfig(drop_rate=0.2, duplicate_rate=0.25, seed=seed + 1)
+    lossy = lambda seed, base=None: Lossy(
+        base, drop_rate=0.2, duplicate_rate=0.25, seed=seed + 1
+    )
     made = {
         name: lambda seed, name=name: FaultyTransport(
             LocalTransport(seed=seed),
@@ -97,15 +94,15 @@ def fabrics() -> dict:
     made["bare-fixed"] = lambda seed: LocalTransport(delay=0.25, seed=seed)
     made["bare-jitter"] = lambda seed: LocalTransport(delay=0.1, jitter=0.6, seed=seed)
     made["uniform-lossy"] = lambda seed: FaultyTransport(
-        LocalTransport(seed=seed), schedule=UniformDelay(0.05, 0.8), network=CONFIG,
-        schedule_seed=seed, chaos=lossy(seed),
+        LocalTransport(seed=seed), schedule=lossy(seed, UniformDelay(0.05, 0.8)),
+        network=CONFIG, schedule_seed=seed,
     )
     made["lattice-lossy"] = lambda seed: FaultyTransport(
-        LocalTransport(seed=seed), schedule=delay_models()["adversarial"], network=CONFIG,
-        schedule_seed=seed, chaos=lossy(seed),
+        LocalTransport(seed=seed), schedule=lossy(seed, delay_models()["adversarial"]),
+        network=CONFIG, schedule_seed=seed,
     )
     made["jitter-lossy"] = lambda seed: FaultyTransport(
-        LocalTransport(delay=0.1, jitter=0.6, seed=seed), chaos=lossy(seed)
+        LocalTransport(delay=0.1, jitter=0.6, seed=seed), lossy(seed), CONFIG
     )
     return made
 
@@ -115,7 +112,8 @@ def rng_probes(transport: Transport) -> list[float]:
     both paths drew the same numbers (delays, jitter, drops, duplicates)."""
     probes = []
     if isinstance(transport, FaultyTransport):
-        probes += [transport._ctx.rng.random(), transport._injector_rng.random()]
+        ctx = transport._ctx
+        probes += [ctx.rng.random(), *(rng.random() for rng in ctx._streams.values())]
         transport = transport.inner
     return probes + [transport._rng.random()]
 
@@ -193,11 +191,14 @@ def test_grouped_and_per_recipient_broadcast_agree_on_an_asyncio_loop():
     def make_transport() -> FaultyTransport:
         return FaultyTransport(
             LocalTransport(),
-            schedule=AdversarialDelay(
-                lambda info, ctx: 0.05 * ((info.sender + info.recipient) % 3), name="lattice"
+            schedule=Lossy(
+                AdversarialDelay(
+                    lambda info, ctx: 0.05 * ((info.sender + info.recipient) % 3),
+                    name="lattice",
+                ),
+                drop_rate=0.2, duplicate_rate=0.25, seed=3,
             ),
             network=NetworkConfig(delta=1.0, actual_delay=0.2),
-            chaos=ChaosConfig(drop_rate=0.2, duplicate_rate=0.25, seed=3),
         )
 
     async def run(grouped: bool) -> dict:

@@ -1,14 +1,17 @@
-"""Unit tests for the chaos layer: injectors and schedules on a transport.
+"""Unit tests for the fault layer: delay models, loss among them, on a transport.
 
-Each injector is exercised on its own — seeded determinism for drop,
-delay, duplicate and partition shaping — plus the transparency property: a
-fully-disabled :class:`~repro.runtime.chaos.FaultyTransport` is byte-for-byte invisible
-over a :class:`~repro.runtime.transports.LocalTransport` (identical
-envelope streams, wire-encoded payloads included).  Whole-scenario
-conformance lives in ``tests/test_live_faults.py``.
+Each fault is exercised on its own — seeded determinism for drop, delay,
+duplicate and partition shaping — plus the transparency property: a
+:class:`~repro.faults.transport.FaultyTransport` under a loss-free
+:class:`~repro.faults.delays.Lossy` is byte-for-byte invisible over a
+:class:`~repro.runtime.transports.LocalTransport` (identical envelope
+streams, wire-encoded payloads included).  Whole-scenario conformance lives
+in ``tests/test_live_faults.py``.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -21,19 +24,24 @@ from repro.experiments.scenario import (
     make_replica,
     run_scenario,
 )
-from repro.runner.live import run_live_scenario
-from repro.runtime import (
-    ChaosConfig,
-    Counters,
+from repro.faults import (
+    AdversarialDelay,
+    DelayContext,
     FaultyTransport,
-    LocalTransport,
-    SimRuntime,
+    FixedDelay,
+    Lossy,
+    NetworkConfig,
+    PartitionSchedule,
+    PendingSend,
+    UniformDelay,
 )
-from repro.runtime.chaos import BASE_FAULT_COUNTS
+from repro.metrics.collector import MetricsCollector, merge_metrics_states
+from repro.metrics.counters import BASE_COUNTS, BASE_FAULT_COUNTS, Counters
+from repro.runner import spec_key
+from repro.runner.live import run_live_scenario
+from repro.runtime import LocalTransport, SimRuntime, TcpTransport
 from repro.runtime.codec import default_codec
-from repro.faults.schedules import PartitionSchedule
 from repro.sim.events import Simulator
-from repro.sim.network import BASE_COUNTS, AdversarialDelay, FixedDelay, UniformDelay
 
 
 def _scenario(seed: int = 0, **overrides) -> ScenarioConfig:
@@ -108,7 +116,7 @@ def _signature(result):
 
 
 # ----------------------------------------------------------------------
-# Transparency: disabled chaos is byte-for-byte invisible
+# Transparency: a loss-free Lossy is byte-for-byte invisible
 # ----------------------------------------------------------------------
 class _Sink:
     """A registered endpoint that logs exactly what it receives, when."""
@@ -167,8 +175,7 @@ def _drive_script(transport):
 
 def test_disabled_faulty_transport_is_byte_for_byte_transparent():
     bare = _drive_script(LocalTransport(delay=0.1, jitter=0.3, seed=5))
-    wrapper = FaultyTransport(LocalTransport(delay=0.1, jitter=0.3, seed=5))
-    assert wrapper.transparent
+    wrapper = FaultyTransport(LocalTransport(delay=0.1, jitter=0.3, seed=5), Lossy(), NetworkConfig())
     wrapped = _drive_script(wrapper)
     # Identical envelope streams — payload bytes and wire frames included —
     # identical deliveries at identical times, even through the seeded
@@ -181,9 +188,10 @@ def test_disabled_faulty_transport_is_transparent_in_a_full_run():
     config = _scenario(0)
     bare, bare_sent, bare_delivered = _run_built(config)
     wrapped_transport = FaultyTransport(
-        LocalTransport(delay=config.actual_delay, jitter=0.0, seed=config.seed)
+        LocalTransport(delay=config.actual_delay, jitter=0.0, seed=config.seed),
+        Lossy(),
+        config.network_config(),
     )
-    assert wrapped_transport.transparent
     wrapped, wrapped_sent, wrapped_delivered = _run_built(
         config, transport=wrapped_transport
     )
@@ -204,25 +212,28 @@ def test_disabled_faulty_transport_is_transparent_in_a_full_run():
 
 
 def test_transparent_with_jitter_preserves_the_jitter_stream():
-    # The wrapper delegates verbatim, so even the seeded jitter draws of the
-    # inner transport land identically.
+    # Every copy takes the fabric's own latency, drawn once per message, so
+    # even the seeded jitter draws of the inner transport land identically.
     config = _scenario(1, duration=10.0)
     bare = run_live_scenario(config, jitter=0.25)
     wrapped_transport = FaultyTransport(
-        LocalTransport(delay=config.actual_delay, jitter=0.25, seed=config.seed)
+        LocalTransport(delay=config.actual_delay, jitter=0.25, seed=config.seed),
+        Lossy(),
+        config.network_config(),
     )
     wrapped, _, _ = _run_built(config, transport=wrapped_transport)
     assert _signature(wrapped) == _signature(bare)
 
 
 # ----------------------------------------------------------------------
-# Drop / duplicate injectors: seeded determinism
+# Drop / duplicate (Lossy): seeded determinism
 # ----------------------------------------------------------------------
 def test_drop_injector_is_deterministic_and_counted():
-    config = _scenario(0)
-    chaos = ChaosConfig(drop_rate=0.1, seed=7)
-    first = run_live_scenario(config, chaos=chaos)
-    second = run_live_scenario(config, chaos=chaos)
+    # One model object serves both runs: its stream lives in each run's
+    # transport, not in the model.
+    config = _scenario(0, delay_model=Lossy(drop_rate=0.1, seed=7))
+    first = run_live_scenario(config)
+    second = run_live_scenario(config)
 
     counts = first.metrics.counts
     assert counts["drops"] > 0
@@ -232,15 +243,14 @@ def test_drop_injector_is_deterministic_and_counted():
     assert counts["messages_sent"] - counts["messages_delivered"] >= counts["drops"]
     assert first.ledgers_are_consistent() and second.ledgers_are_consistent()
 
-    clean = run_live_scenario(config)
+    clean = run_live_scenario(_scenario(0))
     assert _signature(first) != _signature(clean)
 
 
 def test_duplicate_injector_is_deterministic_and_counted():
-    config = _scenario(0)
-    chaos = ChaosConfig(duplicate_rate=0.15, seed=3)
-    first = run_live_scenario(config, chaos=chaos)
-    second = run_live_scenario(config, chaos=chaos)
+    config = _scenario(0, delay_model=Lossy(duplicate_rate=0.15, seed=3))
+    first = run_live_scenario(config)
+    second = run_live_scenario(config)
 
     assert first.metrics.counts["duplicates"] > 0
     assert first.metrics.counts == second.metrics.counts
@@ -251,20 +261,44 @@ def test_duplicate_injector_is_deterministic_and_counted():
 
 
 def test_distinct_injector_seeds_give_distinct_fault_patterns():
-    config = _scenario(0)
-    a = run_live_scenario(config, chaos=ChaosConfig(drop_rate=0.1, seed=1))
-    b = run_live_scenario(config, chaos=ChaosConfig(drop_rate=0.1, seed=2))
+    a = run_live_scenario(_scenario(0, delay_model=Lossy(drop_rate=0.1, seed=1)))
+    b = run_live_scenario(_scenario(0, delay_model=Lossy(drop_rate=0.1, seed=2)))
     # Same rate, different streams: overwhelmingly different drop sets.
     assert a.metrics.counts != b.metrics.counts or _signature(a) != _signature(b)
 
 
 def test_chaos_config_validates_rates():
     with pytest.raises(ConfigurationError):
-        ChaosConfig(drop_rate=1.0)
+        Lossy(drop_rate=1.0)
     with pytest.raises(ConfigurationError):
-        ChaosConfig(duplicate_rate=-0.1)
-    assert not ChaosConfig().active
-    assert ChaosConfig(drop_rate=0.5).active
+        Lossy(duplicate_rate=-0.1)
+
+
+def test_loss_seeds_and_no_loss_give_distinct_campaign_keys():
+    # Loss is a value of the config's delay model, so it enters the
+    # campaign key through describe() — no executor salt needed.
+    keys = {
+        spec_key(_scenario(0, delay_model=model))
+        for model in (Lossy(drop_rate=0.1, seed=1), Lossy(drop_rate=0.1, seed=2), None)
+    }
+    assert len(keys) == 3
+
+
+def test_two_nodes_draw_different_drop_streams():
+    # One model shared by two socket nodes (as a worker shares it): each
+    # node's transport offsets the stream by its pid.
+    model = Lossy(drop_rate=0.5, seed=9)
+    network = NetworkConfig()
+
+    def drops(pid):
+        ctx = FaultyTransport(TcpTransport(pid), model, network)._ctx
+        return [
+            model.propose_delay(PendingSend(pid, 0, b"m", 0.0, True), ctx)[0][1]
+            for _ in range(64)
+        ]
+
+    assert drops(1) != drops(2)
+    assert drops(1) == drops(1)
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +346,8 @@ def test_partition_schedule_is_deterministic_and_counts_epochs():
 # Construction
 # ----------------------------------------------------------------------
 def test_faulty_transport_schedule_needs_its_network_envelope():
-    with pytest.raises(ConfigurationError):
-        FaultyTransport(LocalTransport(), schedule=FixedDelay(0.1), network=None)
+    with pytest.raises(TypeError):
+        FaultyTransport(LocalTransport(), schedule=FixedDelay(0.1))
 
 
 def test_adversarial_delay_runs_on_the_deterministic_live_lane():
@@ -346,3 +380,19 @@ def test_fault_counters_base_names_and_epoch_idempotence():
     counters.note_epoch("partition_epochs", ("a",))
     counters.note_epoch("partition_epochs", ("b",))
     assert counters.as_dict()["partition_epochs"] == 2
+
+
+def test_one_partition_seen_by_two_shards_merges_into_one_epoch():
+    # Each worker of a process cluster counts into its own collector; the
+    # epoch key is the schedule's description (stable across processes),
+    # and the merge unites the keys instead of summing the counts.
+    partition = PartitionSchedule(
+        base=FixedDelay(0.1), groups=[(0, 1), (2, 3)], split_at=1.0, heal_at=5.0
+    )
+    shards = [MetricsCollector(), MetricsCollector()]
+    for sender, collector in enumerate(shards):
+        ctx = DelayContext(random.Random(0), collector.counters)
+        partition.propose_delay(PendingSend(sender, 3, b"m", 2.0, False), ctx)
+    merged = merge_metrics_states([shard.state() for shard in shards])
+    assert merged.counts["partition_epochs"] == 1
+    assert merged.counts["partitioned_messages"] == 2

@@ -25,10 +25,10 @@ from repro.experiments.scenario import (
     run_scenario,
     start_replicas,
 )
+from repro.faults import Lossy, get_scenario
 from repro.runner import WorkloadConfig
 from repro.runner.live import run_live_scenario
 from repro.runner.workload import make_command
-from repro.runtime.chaos import ChaosConfig
 from repro.statemachine import apply_chains_consistent
 from repro.statemachine.commands import encode_commands
 from repro.statemachine.messages import CommandBatch
@@ -141,14 +141,14 @@ def test_sim_matches_zero_jitter_live_with_workload():
 # Exactly-once under leader churn + transport drops
 # ----------------------------------------------------------------------
 def test_exactly_once_under_churn_and_drops():
-    # Clients must sit on replicas that never crash: build the chaos
-    # scenario's corruption plan once (without running) to learn them.
-    chaos_config = _config(
-        duration=70.0,
-        scenario="crash_churn",
-        scenario_params={"faults": 1, "downtime": 6.0, "period": 12.0, "cycles": 2},
+    # A named scenario fully determines the adversary, so loss rides on the
+    # churn scenario's corruption plan plus a Lossy delay model.  Clients
+    # must sit on replicas that never crash: the plan names them.
+    chaos_config = _config(duration=70.0, delay_model=Lossy(drop_rate=0.08, seed=7))
+    _, chaos_config.corruption = get_scenario("crash_churn").build(
+        chaos_config, {"faults": 1, "downtime": 6.0, "period": 12.0, "cycles": 2}
     )
-    honest = tuple(sorted(build_scenario(chaos_config).corruption.honest_ids))
+    honest = tuple(sorted(chaos_config.corruption.honest_ids))
     assert len(honest) == 3
     # key_space must exceed the sequences per client (125 here): chaos
     # reorders commits, and a key written by two different seqs would make
@@ -160,9 +160,7 @@ def test_exactly_once_under_churn_and_drops():
     )
     chaos_config.workload = workload
 
-    chaotic = run_live_scenario(
-        chaos_config, chaos=ChaosConfig(drop_rate=0.08, seed=7)
-    )
+    chaotic = run_live_scenario(chaos_config)
     assert chaotic.metrics.counts["drops"] > 0
 
     submitted = chaotic.metrics.requests_submitted

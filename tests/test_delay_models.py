@@ -18,9 +18,7 @@ import random
 
 import pytest
 
-from repro.runtime import FaultyTransport, LocalTransport, SimRuntime, Transport
-from repro.sim.events import Simulator
-from repro.sim.network import (
+from repro.faults.delays import (
     AdversarialDelay,
     DelayContext,
     FixedDelay,
@@ -29,6 +27,9 @@ from repro.sim.network import (
     PreGSTChaos,
     TargetedDelay,
 )
+from repro.faults.transport import FaultyTransport
+from repro.runtime import LocalTransport, SimRuntime, Transport
+from repro.sim.events import Simulator
 
 
 class Sink:

@@ -15,7 +15,7 @@ from repro.experiments.scenario import ScenarioConfig, build_scenario, run_scena
 from repro.experiments.steady_state import heavy_sync_count
 from repro.experiments.table1 import Table1Row, eventual_complexity_sweep, format_rows
 from repro.errors import ConfigurationError
-from repro.adversary.corruption import CorruptionPlan
+from repro.faults.corruption import CorruptionPlan
 from repro.config import ProtocolConfig
 
 

@@ -7,16 +7,23 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.adversary.behaviours import Behaviour, ChurnBehaviour, CrashBehaviour
-from repro.adversary.corruption import CorruptionPlan
+from repro.consensus.behaviour import Behaviour
 from repro.consensus.messages import ConsensusMessage
 from repro.errors import ConfigurationError
 from repro.experiments.gauntlet import build_gauntlet_config
 from repro.experiments.scenario import ScenarioConfig, build_scenario, run_scenario
 from repro.faults import (
+    ChurnBehaviour,
+    CorruptionPlan,
+    CrashBehaviour,
+    DelayContext,
+    FaultyTransport,
+    FixedDelay,
     IntermittentSynchrony,
     MessageClassDelay,
+    NetworkConfig,
     PartitionSchedule,
+    PendingSend,
     RotatingLeaderDelay,
     available_scenarios,
     get_scenario,
@@ -24,9 +31,8 @@ from repro.faults import (
 )
 from repro.pacemakers.base import PacemakerMessage
 from repro.runner import Campaign, Sweep, run_live_scenario, spec_key
-from repro.runtime import FaultyTransport, LocalTransport, SimRuntime
+from repro.runtime import LocalTransport, SimRuntime
 from repro.sim.events import Simulator
-from repro.sim.network import DelayContext, FixedDelay, NetworkConfig, PendingSend
 
 
 class Sink:

@@ -12,7 +12,7 @@ Two kinds of check:
   survives only as this file; the transport stack — a
   :class:`~repro.runtime.transports.LocalTransport` on the simulator
   kernel, schedules imposed by a
-  :class:`~repro.runtime.chaos.FaultyTransport` — must reproduce every cell
+  :class:`~repro.faults.transport.FaultyTransport` — must reproduce every cell
   exactly (:func:`assert_reproduces_the_captured_fabric`, also run by
   ``tests/test_live_runtime.py`` on the fault-free cells).
 * **Counters and campaigns.**  Every scenario reports the injected-fault
@@ -36,8 +36,8 @@ import pytest
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.faults.library import available_scenarios
 from repro.runner import Campaign, Sweep, make_live_cluster, run_live_scenario
-from repro.runtime.chaos import BASE_FAULT_COUNTS
-from repro.sim.network import BASE_COUNTS, DelayModel
+from repro.faults.delays import DelayModel
+from repro.metrics.counters import BASE_COUNTS, BASE_FAULT_COUNTS
 
 GOLDEN = Path(__file__).parent / "data" / "lane_fingerprints.json"
 SEEDS = (0, 1, 2)

@@ -13,10 +13,9 @@ import asyncio
 
 import pytest
 
-from repro.adversary.attacks import spread_corruption
-from repro.adversary.behaviours import SilentLeaderBehaviour
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.faults import FixedDelay, SilentLeaderBehaviour, spread_corruption
 from repro.runner import (
     Campaign,
     LiveExecutor,
@@ -25,7 +24,6 @@ from repro.runner import (
     run_live_scenario,
 )
 from repro.runtime import MonotonicClock
-from repro.sim.network import FixedDelay
 from test_live_faults import assert_reproduces_the_captured_fabric
 
 

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary.behaviours import (
+from repro.faults.behaviours import (
     CrashBehaviour,
     EquivocatingBehaviour,
     MuteViewSyncBehaviour,
     SilentLeaderBehaviour,
     SlowLeaderBehaviour,
 )
-from repro.adversary.corruption import CorruptionPlan
-from repro.adversary.attacks import spread_corruption, worst_case_clock_dispersion_model
+from repro.faults.corruption import CorruptionPlan
+from repro.faults.attacks import spread_corruption, worst_case_clock_dispersion_model
 from repro.core.config import LumiereConfig
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import summarize_run
-from repro.sim.network import Envelope
+from repro.runtime.transports import Envelope
 
 
 def envelope(sender: int, recipient: int, time: float, payload: object = "m") -> Envelope:

@@ -28,7 +28,9 @@ from repro.runner import make_live_cluster
 from repro.runner.process_cluster import _receive_columns, _send_report, partition
 from repro.runner.shard import ShardReport
 from repro.runtime import default_codec
-from repro.sim.network import BASE_COUNTS, AdversarialDelay, Envelope
+from repro.faults.delays import AdversarialDelay
+from repro.metrics.counters import BASE_COUNTS
+from repro.runtime.transports import Envelope
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -366,7 +368,7 @@ def test_a_report_ships_packed_digests_as_raw_bytes_after_its_head():
 
 def test_a_worker_counts_its_full_gc_passes_only_while_serving():
     from repro.runner.process_cluster import _full_gc_counted
-    from repro.sim.network import Counters
+    from repro.metrics.counters import Counters
 
     hooks = list(gc.callbacks)
     counters = Counters()

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.adversary.behaviours import (
+from repro.faults.behaviours import (
     CrashBehaviour,
     EquivocatingBehaviour,
     MuteViewSyncBehaviour,
     SilentLeaderBehaviour,
     SlowLeaderBehaviour,
 )
-from repro.adversary.corruption import CorruptionPlan
+from repro.faults.corruption import CorruptionPlan
 from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.sim.network import FixedDelay, PreGSTChaos, UniformDelay
+from repro.faults.delays import FixedDelay, PreGSTChaos, UniformDelay
 
 
 _BEHAVIOURS = [

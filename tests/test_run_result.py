@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments.scenario import RunResult, ScenarioConfig, run_scenario
 from repro.runner import RunRecord, WorkloadConfig, make_live_cluster, run_live_scenario
-from repro.sim.network import BASE_COUNTS, BASE_FAULT_COUNTS
+from repro.metrics.counters import BASE_COUNTS, BASE_FAULT_COUNTS
 
 
 def _config(**overrides) -> ScenarioConfig:

@@ -11,10 +11,10 @@ import json
 
 import pytest
 
-from repro.adversary.behaviours import SilentLeaderBehaviour
-from repro.adversary.corruption import CorruptionPlan
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig
+from repro.faults.behaviours import SilentLeaderBehaviour
+from repro.faults.corruption import CorruptionPlan
 from repro.runner import (
     Campaign,
     ResultCache,
@@ -301,7 +301,7 @@ def test_completed_cells_are_cached_even_if_a_later_cell_fails(tmp_path):
 
 def test_fingerprint_distinguishes_behaviour_parameters():
     """Cache keys must separate same-class behaviours with different params."""
-    from repro.adversary.behaviours import SlowLeaderBehaviour
+    from repro.faults.behaviours import SlowLeaderBehaviour
 
     def with_delay(delay: float) -> ScenarioConfig:
         config = build_plain({"n": 4, "pacemaker": "lumiere", "duration": 40.0, "seed": 0})
@@ -374,7 +374,7 @@ def _delay_schedule_b(pending, sim):
 
 def test_fingerprint_distinguishes_adversarial_delay_callables():
     """Two different schedules with the default name must not share a key."""
-    from repro.sim.network import AdversarialDelay
+    from repro.faults.delays import AdversarialDelay
 
     def with_model(fn) -> ScenarioConfig:
         config = build_plain({"n": 4, "pacemaker": "lumiere", "duration": 40.0, "seed": 0})
@@ -408,7 +408,7 @@ def test_clear_sweeps_tmp_debris(tmp_path):
 
 def test_fingerprint_rejects_closure_derived_delay_descriptions():
     """Closures from the same factory share a qualname; require a name."""
-    from repro.sim.network import AdversarialDelay
+    from repro.faults.delays import AdversarialDelay
 
     def make(delay):
         return AdversarialDelay(lambda p, s: delay)

@@ -12,9 +12,9 @@ from repro.core.messages import ViewMessage
 from repro.crypto.backend import make_backend, set_default_backend
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.faults import AdversarialDelay, FaultyTransport, FixedDelay, NetworkConfig
 from repro.runtime import (
     AsyncioRuntime,
-    FaultyTransport,
     LocalTransport,
     MonotonicClock,
     SimRuntime,
@@ -24,7 +24,7 @@ from repro.runtime import (
 from repro.runtime.codec import WireCodec
 from repro.sim.clock import LocalClock
 from repro.sim.events import Simulator
-from repro.sim.network import AdversarialDelay, Envelope, FixedDelay, NetworkConfig
+from repro.runtime.transports import Envelope
 
 
 # ----------------------------------------------------------------------

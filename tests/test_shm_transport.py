@@ -13,7 +13,7 @@ Layers, mirroring how the transport is built:
   :class:`~repro.runtime.shm.ShmEndpoint` per worker — delivery, overflow
   surfacing through ``frames_dropped``/``last_errors``, a malformed frame
   through ``frames_rejected``/``last_errors``, teardown and post-stop sends;
-* chaos composition: a :class:`~repro.runtime.chaos.FaultyTransport`
+* chaos composition: a :class:`~repro.faults.transport.FaultyTransport`
   wrapping shm counts drops and targeted delays in its ``Counters`` bag
   exactly as it does over TCP;
 * one decode per frame: a worker decodes each frame once, in place, and
@@ -50,8 +50,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.runner import make_live_cluster
 from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
-from repro.runtime.chaos import ChaosConfig, Counters, FaultyTransport
+from repro.faults import FaultyTransport, FixedDelay, Lossy, NetworkConfig, TargetedDelay
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.counters import Counters
 from repro.runtime.codec import (
     FrameMemo,
     WireCodec,
@@ -72,7 +73,6 @@ from repro.runtime.shm import (
     ring_segment_name,
 )
 from repro.runtime.tcp import TcpTransport
-from repro.sim.network import FixedDelay, NetworkConfig, TargetedDelay
 
 
 def _frame(body: bytes) -> bytes:
@@ -813,7 +813,8 @@ class TestChaosOverShm:
                 MIN_RING_BYTES,
                 wrap0=lambda inner: FaultyTransport(
                     inner,
-                    chaos=ChaosConfig(drop_rate=0.5, seed=11),
+                    Lossy(drop_rate=0.5, seed=11),
+                    NetworkConfig(),
                     counters=counters,
                 ),
             )
@@ -962,6 +963,47 @@ def test_one_worker_pushes_once_per_broadcast_and_rings_once_per_burst(monkeypat
     # One decode per pushed frame (all but those still in a ring at stop).
     assert counts["shm_pushes"] - 8 <= counts["frames_decoded"] <= counts["shm_pushes"]
     assert counts["frames_rejected"] == 0
+
+
+def _run_two_shm_workers(config: ScenarioConfig, seconds: float):
+    """Run ``config`` on n = 4 in two shm workers for ``seconds`` wall seconds."""
+
+    async def run():
+        cluster = make_live_cluster(config, placement="process", processes=2, transport="shm")
+        try:
+            await cluster.run(seconds)
+        finally:
+            await cluster.stop()
+        return cluster
+
+    return asyncio.run(run())
+
+
+def test_loss_runs_on_the_process_lane():
+    """Loss is a delay model, so each worker's nodes impose it on their own
+    sends.  Progress is not asserted: nothing retransmits a dropped frame."""
+    config = ScenarioConfig(
+        n=4, pacemaker="lumiere", delta=0.5, duration=30.0, seed=3,
+        delay_model=Lossy(drop_rate=0.05, seed=1),
+    )
+    cluster = _run_two_shm_workers(config, 2.0)
+    assert cluster.teardown_errors == []
+    assert cluster.metrics.counts["drops"] > 0
+    assert cluster.ledgers_are_consistent()
+
+
+def test_one_partition_counts_one_epoch_across_two_workers():
+    """Both workers defer messages across the same split window; the merged
+    run still reports one partition epoch."""
+    config = ScenarioConfig(
+        n=4, pacemaker="lumiere", delta=0.3, gst=2.0, duration=30.0, seed=0,
+        scenario="split_brain_at_gst",
+    )
+    cluster = _run_two_shm_workers(config, 3.0)
+    assert cluster.teardown_errors == []
+    counts = cluster.metrics.counts
+    assert counts["partitioned_messages"] > 0
+    assert counts["partition_epochs"] == 1
 
 
 def _dev_shm() -> set[str]:

@@ -1,24 +1,25 @@
 """Unit tests for the partial-synchrony network model, as the virtual-time
 fabric applies it: a :class:`~repro.runtime.transports.LocalTransport` on the
 simulator kernel, the delay model imposed by a
-:class:`~repro.runtime.chaos.FaultyTransport`."""
+:class:`~repro.faults.transport.FaultyTransport`."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.runtime import FaultyTransport, LocalTransport, SimRuntime
-from repro.sim.events import Simulator
-from repro.sim.network import (
+from repro.faults.delays import (
     AdversarialDelay,
-    Envelope,
     FixedDelay,
     NetworkConfig,
     PreGSTChaos,
     TargetedDelay,
     UniformDelay,
 )
+from repro.faults.transport import FaultyTransport
+from repro.runtime import LocalTransport, SimRuntime
+from repro.runtime.transports import Envelope
+from repro.sim.events import Simulator
 
 
 class Sink:

@@ -39,7 +39,7 @@ from repro.metrics.summary import (
     summarize_run,
 )
 from repro.pacemakers.registry import make_pacemaker_factory
-from repro.runtime import AsyncioRuntime, Clock, LocalTransport, Runtime, SimRuntime
+from repro.runtime import LocalTransport, Runtime, SimRuntime
 from repro.sim.events import Simulator
 from repro.statemachine.kvstore import apply_chains_consistent
 
@@ -142,11 +142,12 @@ class ProtocolStack:
 class RunResult:
     """The outcome of one run, on any lane.
 
-    Single-runtime runs carry their ``runtime`` and ``transport``, and in
-    virtual time their ``simulator`` too.  Runs whose replicas lived in
-    worker processes hold no replicas at all: the coordinator fills
-    ``shipped`` with each replica's :class:`ReplicaResidue` from the shard
-    reports, and every per-replica query answers from those.
+    A virtual-time run carries its ``simulator``, ``runtime`` and
+    ``transport``; a wall-clock cluster's result carries none of them.
+    Runs whose replicas lived in worker processes hold no replicas at all:
+    the coordinator fills ``shipped`` with each replica's
+    :class:`ReplicaResidue` from the shard reports, and every per-replica
+    query answers from those.
     """
 
     config: ScenarioConfig
@@ -155,9 +156,8 @@ class RunResult:
     replicas: dict[int, Replica]
     corruption: CorruptionPlan
     simulator: Optional[Simulator] = None
-    #: The runtime (:class:`~repro.runtime.simulation.SimRuntime`, or
-    #: :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` on a wall clock)
-    #: and transport of a single-runtime run.
+    #: The :class:`~repro.runtime.simulation.SimRuntime` and transport of a
+    #: virtual-time run.
     runtime: Optional[Any] = None
     transport: Optional[Any] = None
     #: The run's crypto backend instance (its counters expose how much digest
@@ -433,16 +433,12 @@ def start_replicas(replicas: dict[int, Replica], wall: bool = False) -> None:
         replicas[pid].start()
 
 
-def build_scenario(
-    config: ScenarioConfig,
-    jitter: float = 0.0,
-    clock: Optional[Clock] = None,
-) -> RunResult:
-    """Construct the whole system for ``config`` on one runtime, without
+def build_scenario(config: ScenarioConfig) -> RunResult:
+    """Construct the whole system for ``config`` in virtual time, without
     running it.
 
-    The fabric is one :class:`LocalTransport` (base delay
-    ``config.actual_delay``, jitter RNG seeded ``config.seed``).  A
+    The fabric is one :class:`LocalTransport` (delay
+    ``config.actual_delay``) on a :class:`~repro.sim.events.Simulator`.  A
     ``delay_model`` or named ``scenario`` wraps it in a
     :class:`~repro.faults.transport.FaultyTransport` imposing the model
     under the config's partial-synchrony envelope; the model decides every
@@ -451,24 +447,15 @@ def build_scenario(
     base).  Everything injected is counted in the run's one bag,
     ``metrics.counters``.
 
-    ``clock=None`` (the default) puts the cluster in virtual time on a
-    :class:`~repro.sim.events.Simulator` (``result.simulator``), returned
-    with time still at zero: callers that need to perturb initial state
-    (e.g. desynchronise local clocks) can do so before calling
-    ``result.simulator.run(...)`` themselves — most should use
-    :func:`run_scenario`.  A wall clock puts it on an
-    :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`
-    (:func:`repro.runner.live.run_live_scenario` drives that).
+    The result comes back with time still at zero: callers that need to
+    perturb initial state (e.g. desynchronise local clocks) or to stop on a
+    condition can :func:`start_replicas` and step ``result.simulator``
+    themselves — most should use :func:`run_scenario`.
     """
     stack = build_stack(config)
     metrics = stack.metrics
-    transport = LocalTransport(delay=config.actual_delay, jitter=jitter, seed=config.seed)
+    transport = LocalTransport(delay=config.actual_delay)
     if stack.delay_model is not None:
-        if jitter:
-            raise ConfigurationError(
-                "a delay model/scenario fully determines latency; transport "
-                "jitter must stay 0 (it would add on top of the schedule)"
-            )
         transport = FaultyTransport(
             transport,
             stack.delay_model,
@@ -476,12 +463,8 @@ def build_scenario(
             schedule_seed=config.seed,
             counters=metrics.counters,
         )
-    simulator = None
-    if clock is None:
-        simulator = Simulator(seed=config.seed)
-        runtime = SimRuntime(simulator, transport)
-    else:
-        runtime = AsyncioRuntime(transport, clock=clock, seed=config.seed)
+    simulator = Simulator(seed=config.seed)
+    runtime = SimRuntime(simulator, transport)
     metrics.attach_transport(transport)
     return RunResult(
         config=config,

@@ -12,7 +12,7 @@ Determinism contract: the context's delay stream
 ``propose_delay`` per non-self send, in send order, ascending recipient
 within a broadcast — and a model's other coins come from its own
 :meth:`~repro.faults.delays.DelayContext.stream`.  On the simulator kernel
-(:class:`~repro.runtime.simulation.SimRuntime` over a zero-jitter
+(:class:`~repro.runtime.simulation.SimRuntime` over a
 :class:`~repro.runtime.transports.LocalTransport`) a scenario therefore
 replays event for event (``tests/data/lane_fingerprints.json`` pins 39 runs
 captured on the fabric this stack replaced).  Wall clocks (and real TCP
@@ -81,7 +81,10 @@ class FaultyTransport(Transport):
             random.Random(schedule_seed), self.counters, getattr(inner, "pid", 0)
         )
         self._send_grouped = getattr(inner, "send_grouped", None)
-        self._draw_delay = getattr(inner, "draw_delay", None)
+        #: The fabric's own latency, for copies a model leaves at ``None``:
+        #: the in-memory transport's constant delay; ``None`` (forward now)
+        #: on a socket or ring, whose latency is real.
+        self._fabric_delay = None if self._send_grouped is None else inner.delay
 
     # -- wiring --------------------------------------------------------
     @property
@@ -158,9 +161,7 @@ class FaultyTransport(Transport):
     ) -> None:
         """Ask the schedule for one non-self message's fate and append its
         copies to ``sends`` as ``(recipient, delay, arrives)``.  A copy's
-        ``None`` delay is the fabric's own latency: drawn once per message
-        from a transport that has one, left ``None`` (forward now) on one
-        that does not."""
+        ``None`` delay is the fabric's own latency."""
         config = self.network
         now = self.runtime.now
         pending = PendingSend(sender, recipient, payload, now, now >= config.gst)
@@ -168,12 +169,9 @@ class FaultyTransport(Transport):
         if not isinstance(fate, tuple):
             sends.append((recipient, config.delivery_time(now, fate) - now, True))
             return
-        fabric = None
         for delay, arrives in fate:
             if delay is None:
-                if fabric is None and self._draw_delay is not None:
-                    fabric = self._draw_delay(sender, recipient)
-                delay = fabric
+                delay = self._fabric_delay
             else:
                 delay = config.delivery_time(now, delay) - now
             sends.append((recipient, delay, arrives))

@@ -21,10 +21,8 @@ Typical use::
     for record in result:
         print(record.run_id, record.summary.eventual_latency)
 
-The same grid can execute on the *live* transport stack (in-memory
-transport, deterministic virtual time) with
-``campaign.run(backend="live")``; see :mod:`repro.runner.live` for the
-live scenario API (``run_live_scenario``, ``make_live_cluster``).
+Wall-clock clusters over real sockets or shared-memory rings are
+:func:`~repro.runner.live.make_live_cluster`.
 """
 
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -44,11 +42,7 @@ from repro.runner.workload import (
 #: which simulated campaigns never need — importing the package root must
 #: stay as cheap as it was.
 _LAZY_EXPORTS = {
-    "LiveExecutor": "live",
-    "execute_live_cell": "live",
     "make_live_cluster": "live",
-    "run_live_scenario": "live",
-    "run_live_scenario_async": "live",
     "LiveCluster": "process_cluster",
     "ShardReport": "shard",
 }
@@ -72,7 +66,6 @@ __all__ = [
     "ClosedLoopLoad",
     "DEFAULT_CACHE_DIR",
     "LiveCluster",
-    "LiveExecutor",
     "OpenLoopLoad",
     "RequestGateway",
     "ResultCache",
@@ -84,10 +77,7 @@ __all__ = [
     "attach_workload",
     "config_fingerprint",
     "execute_cell",
-    "execute_live_cell",
     "make_live_cluster",
     "run_campaign",
-    "run_live_scenario",
-    "run_live_scenario_async",
     "spec_key",
 ]

@@ -337,27 +337,20 @@ class Campaign:
         backend: str = "serial",
         workers: Optional[int] = None,
         cache: Optional["ResultCache | str"] = None,
-        live_executor: Optional[Any] = None,
     ) -> "CampaignResult":
         """Execute every cell and return the campaign's records.
 
         Parameters
         ----------
         backend:
-            ``"serial"`` (deterministic, in-process; the default),
-            ``"process"`` (a ``concurrent.futures`` process pool), or
-            ``"live"`` (the transport stack in deterministic virtual
-            time; see :mod:`repro.runner.live`).
+            ``"serial"`` (deterministic, in-process; the default) or
+            ``"process"`` (a ``concurrent.futures`` process pool).
         workers:
             Worker count for the process backend (``None`` = executor
-            default, i.e. the CPU count).
+            default, i.e. the CPU count); rejected on the serial backend.
         cache:
             A :class:`ResultCache`, a directory path, or ``None`` to
-            disable caching.  Live cells are cached under ``live:``-salted
-            keys, separate from simulated cells of the same parameters.
-        live_executor:
-            Optional :class:`~repro.runner.live.LiveExecutor` customising
-            the live backend (e.g. transport jitter).
+            disable caching.
 
         Returns
         -------
@@ -366,7 +359,4 @@ class Campaign:
         """
         from repro.runner.executor import run_campaign
 
-        return run_campaign(
-            self, backend=backend, workers=workers, cache=cache,
-            live_executor=live_executor,
-        )
+        return run_campaign(self, backend=backend, workers=workers, cache=cache)

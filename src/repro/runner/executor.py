@@ -8,11 +8,6 @@ Two backends run the expanded cells of a :class:`~repro.runner.campaign.Campaign
   re-builds the scenario from ``(build, params)`` and returns a picklable
   :class:`~repro.runner.record.RunRecord`, so nothing unpicklable (replicas,
   closure-based delay models) ever crosses the pool boundary.
-* ``"live"`` — :mod:`repro.runner.live`: the same cells in virtual time
-  with the live executor's knobs (transport jitter, drop/duplicate
-  injection), or on a wall-clock process cluster.  Live cache keys are
-  salted with a ``live:`` prefix (plus the knobs) so records made under
-  different knobs never answer for each other from a shared cache.
 
 Because every simulation is seeded from its config alone, the serial and
 process backends produce identical records for the same campaign — a
@@ -33,7 +28,7 @@ from repro.runner.campaign import Campaign, ConfigBuilder, RunSpec
 from repro.runner.record import RunRecord
 
 #: Names accepted by the ``backend`` argument.
-BACKENDS = ("serial", "process", "live")
+BACKENDS = ("serial", "process")
 
 
 def execute_cell(
@@ -116,7 +111,6 @@ def run_campaign(
     backend: str = "serial",
     workers: Optional[int] = None,
     cache: Union[ResultCache, str, None] = None,
-    live_executor: Optional[Any] = None,
 ) -> CampaignResult:
     """Execute ``campaign`` on the chosen backend, consulting ``cache`` first.
 
@@ -125,38 +119,18 @@ def run_campaign(
     campaign name still hits).  Only missing cells are executed; fresh
     records are written back to the cache as they complete.
 
-    ``live_executor`` customises the ``"live"`` backend (e.g.
-    ``LiveExecutor(jitter=0.05)``); it is rejected for the simulated
-    backends so a configured-but-unused executor cannot pass silently.
+    ``workers`` sizes the process pool and is rejected on the serial
+    backend, so a worker count that would be ignored cannot pass silently.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown campaign backend {backend!r}; expected one of {BACKENDS}"
         )
-    if live_executor is not None and backend != "live":
+    if workers is not None and backend != "process":
         raise ConfigurationError(
-            f"live_executor is only meaningful with backend='live', got {backend!r}"
+            f"the {backend} backend runs cells one after another in this "
+            "process; workers is only meaningful with backend='process'"
         )
-    if workers is not None and backend == "live":
-        raise ConfigurationError(
-            "the live backend runs cells serially on one event loop; "
-            "workers is only meaningful with backend='process'"
-        )
-
-    # Live records describe a different execution substrate than simulated
-    # ones, so their cache identity is salted with the executor's prefix
-    # (which also folds in its jitter): the same parameter point under
-    # "serial"/"process" and under differently configured live executors
-    # occupies distinct cache entries.
-    executor = None
-    key_prefix = ""
-    if backend == "live":
-        # Lazy import: the live module pulls the asyncio runtime stack,
-        # which simulated campaigns never need.
-        from repro.runner.live import LiveExecutor
-
-        executor = live_executor if live_executor is not None else LiveExecutor()
-        key_prefix = executor.cache_salt
 
     store = _resolve_cache(cache)
     started = time.perf_counter()
@@ -166,8 +140,7 @@ def run_campaign(
     slots: list[Optional[RunRecord]] = [None] * len(specs)
     todo: list[tuple[int, RunSpec]] = []
     for index, spec in enumerate(specs):
-        cell_key = key_prefix + spec.key
-        hit = store.get(cell_key) if store is not None else None
+        hit = store.get(spec.key) if store is not None else None
         if hit is not None:
             slots[index] = hit.rebound(spec.run_id, spec.params)
             result.cache_hits += 1
@@ -185,20 +158,7 @@ def run_campaign(
     # The process backend is used even for a single missing cell: falling
     # back to in-process execution would mask pickling errors (and mislabel
     # the result) until the first cold-cache run on another machine.
-    if backend == "live":
-        for index, spec in todo:
-            finish(
-                index,
-                executor(
-                    campaign.build,
-                    spec.params,
-                    spec.run_id,
-                    key_prefix + spec.key,
-                    campaign.max_events,
-                    config=spec.config,
-                ),
-            )
-    elif backend == "serial" or not todo:
+    if backend == "serial" or not todo:
         for index, spec in todo:
             finish(
                 index,

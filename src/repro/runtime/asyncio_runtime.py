@@ -1,12 +1,12 @@
 """``AsyncioRuntime``: the protocol core on an asyncio event loop, in wall time.
 
-One runtime hosts any number of local processes (a whole in-memory cluster
-over :class:`~repro.runtime.transports.LocalTransport`, or a single node of
-a socket or shared-memory cluster) against a :class:`MonotonicClock`:
-timers are ``loop.call_later`` callbacks, transports run real I/O tasks, and
-:meth:`AsyncioRuntime.run` sleeps until the requested wall duration (or a
-stop predicate) is reached.  The clock is re-zeroed at construction so live
-metrics share the "runs start near 0.0" convention of simulated ones.
+One runtime hosts the local processes of one node of a socket or
+shared-memory cluster (:class:`~repro.runner.shard.Shard`) against a
+:class:`MonotonicClock`: timers are ``loop.call_later`` callbacks and
+transports run real I/O tasks; the cluster decides how long the loop runs
+(:meth:`~repro.runner.process_cluster.LiveCluster.run`).  The clock is
+re-zeroed at construction so live metrics share the "runs start near 0.0"
+convention of simulated ones.
 
 Virtual time is not this module's business: the virtual-time lane runs the
 same transports on the discrete-event kernel
@@ -115,7 +115,6 @@ class AsyncioRuntime(Runtime):
         self.rng = random.Random(seed)
         self.events_processed = 0
         self._processes: dict[int, Any] = {}
-        self._stopping = False
         transport.bind(self)
 
     # ------------------------------------------------------------------
@@ -193,36 +192,10 @@ class AsyncioRuntime(Runtime):
         return self._processes[pid]
 
     # ------------------------------------------------------------------
-    # Execution
+    # Shutdown
     # ------------------------------------------------------------------
-    async def run(
-        self,
-        until: Optional[float] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-        poll: float = 0.02,
-    ) -> None:
-        """Drive the runtime inside a coroutine.
-
-        Starts the transport's I/O tasks (if not already started) and
-        sleeps in ``poll``-second steps until ``until`` wall seconds elapsed
-        or ``stop_when()`` turns true.
-        """
-        await self.transport.start()
-        deadline = None if until is None else self.now + until
-        while not self._stopping:
-            if stop_when is not None and stop_when():
-                return
-            if deadline is not None:
-                remaining = deadline - self.now
-                if remaining <= 0:
-                    return
-                await asyncio.sleep(min(poll, remaining))
-            else:
-                await asyncio.sleep(poll)
-
     async def stop(self) -> None:
-        """Stop the run loop and shut the transport down."""
-        self._stopping = True
+        """Shut the transport down."""
         await self.transport.stop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,11 +12,12 @@ which is what the metrics layer attaches to
 Two implementations ship:
 
 * :class:`LocalTransport` (here) — in-memory, single-runtime: the whole
-  cluster lives on one runtime.  Per-message latency is
-  ``delay + U(0, jitter)`` drawn from a transport-local seeded RNG, so runs
-  are deterministic on the simulator kernel
-  (:class:`~repro.runtime.simulation.SimRuntime`) — the virtual-time lane —
-  and one broadcast costs one runtime event per distinct delivery time.
+  cluster lives on one runtime, every message between distinct processors
+  takes one constant ``delay`` (noise is a delay model's business:
+  :class:`~repro.faults.transport.FaultyTransport`).  On the simulator
+  kernel (:class:`~repro.runtime.simulation.SimRuntime`) this is the
+  virtual-time lane, and one broadcast costs one runtime event per distinct
+  delivery time.
 * :class:`~repro.runtime.tcp.TcpTransport` — one node of a real cluster,
   length-prefixed frames (:mod:`repro.runtime.codec`) over ``asyncio`` TCP
   streams.
@@ -32,7 +33,6 @@ is counted.
 from __future__ import annotations
 
 import itertools
-import random
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -324,27 +324,17 @@ class LocalTransport(Transport):
     Parameters
     ----------
     delay:
-        Base latency applied to every message between *distinct* processors
-        (self-messages are always immediate, the paper's convention).
-    jitter:
-        Width of the uniform jitter band added to ``delay``; each message
-        draws ``U(0, jitter)`` from the transport's own seeded RNG, so a
-        given ``(seed, send order)`` always yields the same latencies —
-        deterministic replay on the simulator kernel, reproducible noise
-        under a wall clock.
-    seed:
-        Seed of the jitter RNG.
+        Latency of every message between *distinct* processors
+        (self-messages are always immediate, the paper's convention).  A
+        :class:`~repro.faults.transport.FaultyTransport` reads it as the
+        fabric's own latency.
     """
 
-    def __init__(self, delay: float = 0.0, jitter: float = 0.0, seed: int = 0) -> None:
+    def __init__(self, delay: float = 0.0) -> None:
         super().__init__()
         if delay < 0:
             raise ConfigurationError(f"delay must be non-negative, got {delay}")
-        if jitter < 0:
-            raise ConfigurationError(f"jitter must be non-negative, got {jitter}")
         self.delay = delay
-        self.jitter = jitter
-        self._rng = random.Random(seed)
         self._processes: dict[int, Any] = {}
         self._sorted_ids: tuple[int, ...] = ()
 
@@ -360,21 +350,6 @@ class LocalTransport(Transport):
     def process_ids(self) -> Sequence[int]:
         """Sorted ids of all registered processes."""
         return self._sorted_ids
-
-    def draw_delay(self, sender: int, recipient: int) -> float:
-        """The latency this transport would apply to one message, drawn now.
-
-        Consumes one jitter draw when jitter is configured, exactly as
-        :meth:`send` would — callers that hand the returned value to
-        :meth:`send_grouped` keep the RNG stream identical to an unwrapped
-        transport.
-        """
-        if sender == recipient:
-            return 0.0
-        delay = self.delay
-        if self.jitter:
-            delay += self._rng.uniform(0.0, self.jitter)
-        return delay
 
     def send_grouped(
         self, sender: int, payload: Any, sends: Iterable[tuple[int, float, bool]]
@@ -422,20 +397,19 @@ class LocalTransport(Transport):
 
     def send(self, sender: int, recipient: int, payload: Any) -> None:
         """Schedule an in-memory delivery through the runtime's timer lane."""
-        self.send_grouped(
-            sender, payload, ((recipient, self.draw_delay(sender, recipient), True),)
-        )
+        delay = 0.0 if sender == recipient else self.delay
+        self.send_grouped(sender, payload, ((recipient, delay, True),))
 
     def broadcast(self, sender: int, payload: Any, include_self: bool = True) -> None:
         """Send to every processor in ascending id order, grouping the
-        deliveries: one delay draw per recipient as the per-recipient loop
-        makes them, one runtime event per distinct delay."""
-        draw_delay = self.draw_delay
+        deliveries: one runtime event per distinct delay (the self-copy's
+        and the peers')."""
+        delay = self.delay
         self.send_grouped(
             sender,
             payload,
             [
-                (pid, draw_delay(sender, pid), True)
+                (pid, 0.0 if pid == sender else delay, True)
                 for pid in self._sorted_ids
                 if include_self or pid != sender
             ],
@@ -444,5 +418,5 @@ class LocalTransport(Transport):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LocalTransport(n={len(self._processes)}, delay={self.delay}, "
-            f"jitter={self.jitter}, sent={self.messages_sent})"
+            f"sent={self.messages_sent})"
         )

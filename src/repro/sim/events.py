@@ -246,37 +246,6 @@ class Simulator:
             "— give NetworkConfig a min_delay floor)"
         )
 
-    def step(self) -> bool:
-        """Execute the next non-cancelled event.
-
-        Returns ``True`` if an event was executed and ``False`` if the queue
-        is empty.
-
-        Raises
-        ------
-        SimulationError
-            If more than :attr:`MAX_EVENTS_PER_TIMESTAMP` events execute
-            without virtual time advancing (a zero-delay event chain).
-        """
-        queue = self._queue
-        while queue:
-            time, _, handle, callback, args = heapq.heappop(queue)
-            if handle is not None:
-                if handle.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                handle.fired = True
-            if time != self._now:
-                self._now = time
-                self._events_at_now = 0
-            self._events_at_now += 1
-            if self._events_at_now > self.MAX_EVENTS_PER_TIMESTAMP:
-                raise self._budget_exceeded()
-            self._events_processed += 1
-            callback(*args)
-            return True
-        return False
-
     def run(
         self,
         until: Optional[float] = None,
@@ -289,10 +258,9 @@ class Simulator:
         ``until`` even if the queue drained earlier, so callers can treat it
         as "advance virtual time to this point".
         """
-        # The pop loop is inlined rather than composed from _peek_time() +
-        # step(): the composed form peeked and re-popped the heap root for
-        # every event, which profiling showed was the single largest
-        # kernel-side cost of large-n runs.
+        # The heap root is read in place and popped once: peeking and then
+        # re-popping it for every event was, by profile, the single largest
+        # kernel-side cost of large-n runs.  ``max_events=1`` is one step.
         queue = self._queue
         budget = max_events if max_events is not None else -1
         if max_events is not None and budget <= 0:

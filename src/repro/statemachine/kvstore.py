@@ -19,8 +19,8 @@ into the ledger; this module turns that order into state.  Two layers:
   never by counting commit callbacks.
 
 Determinism is checkable two ways.  :meth:`KVStore.state_digest` hashes
-the full state (for runs that stop at the same ledger length, e.g. sim vs
-zero-jitter live).  :attr:`ReplicatedKV.apply_chain` is a running hash
+the full state (for runs that stop at the same ledger length, e.g. the
+replicas of one virtual-time run).  :attr:`ReplicatedKV.apply_chain` is a running hash
 chained per applied block, so two replicas stopped at *different* ledger
 lengths — normal for wall-clock clusters — are still comparable over
 their common prefix (:func:`apply_chains_consistent`).  Digests use

@@ -11,8 +11,8 @@ envelope — so no toggle and no second implementation is needed to compare
 them.  These property-style tests assert the two are *observationally
 identical* — same envelopes, same delivery times, same delivery order, same
 RNG streams afterwards, same decision sequences, commit ledgers and metrics
-totals — across seeds, every shipped delay model, transport jitter and drop
-/ duplicate injection, in virtual time and once on an asyncio loop; plus
+totals — across seeds, every shipped delay model (latency noise included)
+and drop / duplicate injection, in virtual time and once on an asyncio loop; plus
 regression tests that the handle-free ``schedule_fired`` lane respects the
 same-timestamp event budget.
 """
@@ -86,36 +86,43 @@ def fabrics() -> dict:
     )
     made = {
         name: lambda seed, name=name: FaultyTransport(
-            LocalTransport(seed=seed),
+            LocalTransport(),
             schedule=delay_models()[name], network=CONFIG, schedule_seed=seed,
         )
         for name in delay_models()
     }
-    made["bare-fixed"] = lambda seed: LocalTransport(delay=0.25, seed=seed)
-    made["bare-jitter"] = lambda seed: LocalTransport(delay=0.1, jitter=0.6, seed=seed)
+    made["bare-fixed"] = lambda seed: LocalTransport(delay=0.25)
+    # Latency noise is a delay model: a constant fabric plus a uniform band,
+    # alone and under loss.
+    made["bare-jitter"] = lambda seed: FaultyTransport(
+        LocalTransport(), schedule=UniformDelay(0.1, 0.7), network=CONFIG,
+        schedule_seed=seed,
+    )
     made["uniform-lossy"] = lambda seed: FaultyTransport(
-        LocalTransport(seed=seed), schedule=lossy(seed, UniformDelay(0.05, 0.8)),
+        LocalTransport(), schedule=lossy(seed, UniformDelay(0.05, 0.8)),
         network=CONFIG, schedule_seed=seed,
     )
     made["lattice-lossy"] = lambda seed: FaultyTransport(
-        LocalTransport(seed=seed), schedule=lossy(seed, delay_models()["adversarial"]),
+        LocalTransport(), schedule=lossy(seed, delay_models()["adversarial"]),
         network=CONFIG, schedule_seed=seed,
     )
     made["jitter-lossy"] = lambda seed: FaultyTransport(
-        LocalTransport(delay=0.1, jitter=0.6, seed=seed), lossy(seed), CONFIG
+        LocalTransport(), lossy(seed, UniformDelay(0.1, 0.7)), CONFIG, schedule_seed=seed
+    )
+    # Loss with no base: every copy takes the fabric's own constant delay.
+    made["fabric-lossy"] = lambda seed: FaultyTransport(
+        LocalTransport(delay=0.1), lossy(seed), CONFIG, schedule_seed=seed
     )
     return made
 
 
 def rng_probes(transport: Transport) -> list[float]:
     """The next draw of every RNG a send path consumes: equal probes mean
-    both paths drew the same numbers (delays, jitter, drops, duplicates)."""
-    probes = []
-    if isinstance(transport, FaultyTransport):
-        ctx = transport._ctx
-        probes += [ctx.rng.random(), *(rng.random() for rng in ctx._streams.values())]
-        transport = transport.inner
-    return probes + [transport._rng.random()]
+    both paths drew the same numbers (delays, drops, duplicates)."""
+    if not isinstance(transport, FaultyTransport):
+        return []
+    ctx = transport._ctx
+    return [ctx.rng.random(), *(rng.random() for rng in ctx._streams.values())]
 
 
 def observe(transport: Transport, runtime) -> dict:
@@ -209,7 +216,9 @@ def test_grouped_and_per_recipient_broadcast_agree_on_an_asyncio_loop():
             burst(transport, grouped, round_index)
         inner = transport.inner
         sent = inner.messages_sent - transport.counters.as_dict()["drops"]
-        await runtime.run(until=2.0, stop_when=lambda: inner.messages_delivered == sent)
+        deadline = runtime.now + 2.0
+        while inner.messages_delivered != sent and runtime.now < deadline:
+            await asyncio.sleep(0.02)
         await runtime.stop()
         assert inner.messages_delivered == sent
         return {

@@ -38,7 +38,6 @@ from repro.faults import (
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.metrics.counters import BASE_COUNTS, BASE_FAULT_COUNTS, Counters
 from repro.runner import spec_key
-from repro.runner.live import run_live_scenario
 from repro.runtime import LocalTransport, SimRuntime, TcpTransport
 from repro.runtime.codec import default_codec
 from repro.sim.events import Simulator
@@ -174,12 +173,12 @@ def _drive_script(transport):
 
 
 def test_disabled_faulty_transport_is_byte_for_byte_transparent():
-    bare = _drive_script(LocalTransport(delay=0.1, jitter=0.3, seed=5))
-    wrapper = FaultyTransport(LocalTransport(delay=0.1, jitter=0.3, seed=5), Lossy(), NetworkConfig())
+    bare = _drive_script(LocalTransport(delay=0.1))
+    wrapper = FaultyTransport(LocalTransport(delay=0.1), Lossy(), NetworkConfig())
     wrapped = _drive_script(wrapper)
     # Identical envelope streams — payload bytes and wire frames included —
-    # identical deliveries at identical times, even through the seeded
-    # jitter draws of the inner transport.
+    # identical deliveries at identical times: every copy takes the inner
+    # transport's own delay.
     assert wrapped == bare
     assert bare[0]  # the script really sent something
 
@@ -188,7 +187,7 @@ def test_disabled_faulty_transport_is_transparent_in_a_full_run():
     config = _scenario(0)
     bare, bare_sent, bare_delivered = _run_built(config)
     wrapped_transport = FaultyTransport(
-        LocalTransport(delay=config.actual_delay, jitter=0.0, seed=config.seed),
+        LocalTransport(delay=config.actual_delay),
         Lossy(),
         config.network_config(),
     )
@@ -212,17 +211,14 @@ def test_disabled_faulty_transport_is_transparent_in_a_full_run():
 
 
 def test_transparent_with_jitter_preserves_the_jitter_stream():
-    # Every copy takes the fabric's own latency, drawn once per message, so
-    # even the seeded jitter draws of the inner transport land identically.
-    config = _scenario(1, duration=10.0)
-    bare = run_live_scenario(config, jitter=0.25)
-    wrapped_transport = FaultyTransport(
-        LocalTransport(delay=config.actual_delay, jitter=0.25, seed=config.seed),
-        Lossy(),
-        config.network_config(),
+    # Latency noise is a delay model; a loss-free Lossy over it draws no
+    # coin of its own, so every noisy delay lands exactly as without it.
+    bare = run_scenario(_scenario(1, duration=10.0, delay_model=UniformDelay(0.1, 0.35)))
+    wrapped = run_scenario(
+        _scenario(1, duration=10.0, delay_model=Lossy(base=UniformDelay(0.1, 0.35)))
     )
-    wrapped, _, _ = _run_built(config, transport=wrapped_transport)
     assert _signature(wrapped) == _signature(bare)
+    assert bare.committed_blocks() > 0
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +228,8 @@ def test_drop_injector_is_deterministic_and_counted():
     # One model object serves both runs: its stream lives in each run's
     # transport, not in the model.
     config = _scenario(0, delay_model=Lossy(drop_rate=0.1, seed=7))
-    first = run_live_scenario(config)
-    second = run_live_scenario(config)
+    first = run_scenario(config)
+    second = run_scenario(config)
 
     counts = first.metrics.counts
     assert counts["drops"] > 0
@@ -243,14 +239,14 @@ def test_drop_injector_is_deterministic_and_counted():
     assert counts["messages_sent"] - counts["messages_delivered"] >= counts["drops"]
     assert first.ledgers_are_consistent() and second.ledgers_are_consistent()
 
-    clean = run_live_scenario(_scenario(0))
+    clean = run_scenario(_scenario(0))
     assert _signature(first) != _signature(clean)
 
 
 def test_duplicate_injector_is_deterministic_and_counted():
     config = _scenario(0, delay_model=Lossy(duplicate_rate=0.15, seed=3))
-    first = run_live_scenario(config)
-    second = run_live_scenario(config)
+    first = run_scenario(config)
+    second = run_scenario(config)
 
     assert first.metrics.counts["duplicates"] > 0
     assert first.metrics.counts == second.metrics.counts
@@ -261,8 +257,8 @@ def test_duplicate_injector_is_deterministic_and_counted():
 
 
 def test_distinct_injector_seeds_give_distinct_fault_patterns():
-    a = run_live_scenario(_scenario(0, delay_model=Lossy(drop_rate=0.1, seed=1)))
-    b = run_live_scenario(_scenario(0, delay_model=Lossy(drop_rate=0.1, seed=2)))
+    a = run_scenario(_scenario(0, delay_model=Lossy(drop_rate=0.1, seed=1)))
+    b = run_scenario(_scenario(0, delay_model=Lossy(drop_rate=0.1, seed=2)))
     # Same rate, different streams: overwhelmingly different drop sets.
     assert a.metrics.counts != b.metrics.counts or _signature(a) != _signature(b)
 
@@ -308,16 +304,16 @@ def test_scheduled_delay_is_deterministic_per_seed():
     model = UniformDelay(0.05, 0.4)
     base = _scenario(0, gst=2.0, duration=15.0)
     base.delay_model = model
-    first = run_live_scenario(base)
+    first = run_scenario(base)
 
     again = _scenario(0, gst=2.0, duration=15.0)
     again.delay_model = UniformDelay(0.05, 0.4)
-    second = run_live_scenario(again)
+    second = run_scenario(again)
     assert _signature(first) == _signature(second)
 
     other = _scenario(1, gst=2.0, duration=15.0)
     other.delay_model = UniformDelay(0.05, 0.4)
-    third = run_live_scenario(other)
+    third = run_scenario(other)
     assert _signature(first) != _signature(third)
 
 
@@ -332,8 +328,8 @@ def test_partition_schedule_is_deterministic_and_counts_epochs():
         )
         return cfg
 
-    first = run_live_scenario(config_for(0))
-    second = run_live_scenario(config_for(0))
+    first = run_scenario(config_for(0))
+    second = run_scenario(config_for(0))
     assert _signature(first) == _signature(second)
     assert first.metrics.counts["partition_epochs"] == 1
     assert first.metrics.counts["partitioned_messages"] > 0
@@ -351,8 +347,8 @@ def test_faulty_transport_schedule_needs_its_network_envelope():
 
 
 def test_adversarial_delay_runs_on_the_deterministic_live_lane():
-    # The callable sees the same (pending, ctx) on both lanes, so nothing
-    # about it is simulator-only any more — including inside a composed tree.
+    # A callable is a whole schedule, like any model — including inside a
+    # composed tree.
     def config_for():
         cfg = _scenario(0, gst=5.0, duration=20.0)
         cfg.delay_model = PartitionSchedule(
@@ -365,12 +361,9 @@ def test_adversarial_delay_runs_on_the_deterministic_live_lane():
         )
         return cfg
 
-    live = run_live_scenario(config_for())
-    sim = run_scenario(config_for())
-    assert live.committed_blocks() > 0
-    assert _signature(live) == _signature(sim)
-    assert live.metrics.counts == sim.metrics.counts
-    assert live.metrics.counts["partition_epochs"] == 1
+    result = run_scenario(config_for())
+    assert result.committed_blocks() > 0
+    assert result.metrics.counts["partition_epochs"] == 1
 
 
 def test_fault_counters_base_names_and_epoch_idempotence():

@@ -47,7 +47,7 @@ class Fabric:
 
     def __init__(self, sim: Simulator, config: NetworkConfig, model, n: int = 3) -> None:
         self.transport = FaultyTransport(
-            LocalTransport(seed=sim.seed), schedule=model, network=config, schedule_seed=sim.seed
+            LocalTransport(), schedule=model, network=config, schedule_seed=sim.seed
         )
         SimRuntime(sim, self.transport)
         self.sent = []

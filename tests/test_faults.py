@@ -30,7 +30,7 @@ from repro.faults import (
     scenario_catalogue,
 )
 from repro.pacemakers.base import PacemakerMessage
-from repro.runner import Campaign, Sweep, run_live_scenario, spec_key
+from repro.runner import Campaign, Sweep, spec_key
 from repro.runtime import LocalTransport, SimRuntime
 from repro.sim.events import Simulator
 
@@ -50,7 +50,7 @@ class Sink:
 def build_network(n=4, gst=0.0, delta=1.0, actual=0.1, model=None):
     sim = Simulator(seed=1)
     net = FaultyTransport(
-        LocalTransport(seed=1),
+        LocalTransport(),
         schedule=model or FixedDelay(actual),
         network=NetworkConfig(delta=delta, gst=gst, actual_delay=actual),
         schedule_seed=1,
@@ -346,9 +346,8 @@ def test_replica_rejects_a_recovery_that_does_not_follow_its_crash():
     config.corruption = CorruptionPlan(
         config.protocol_config(), {3: CrashBehaviour(at_time=5.0, recover_at=2.0)}
     )
-    for run in (run_scenario, run_live_scenario):
-        with pytest.raises(ConfigurationError, match="does not follow"):
-            run(config)
+    with pytest.raises(ConfigurationError, match="does not follow"):
+        run_scenario(config)
 
 
 def test_replica_counts_kills_and_restarts_as_they_happen():

@@ -16,8 +16,8 @@ Two kinds of check:
   exactly (:func:`assert_reproduces_the_captured_fabric`, also run by
   ``tests/test_live_runtime.py`` on the fault-free cells).
 * **Counters and campaigns.**  Every scenario reports the injected-fault
-  counters it implies, replays deterministically, and runs under the
-  ``live`` campaign backend.  A TCP wall-clock subset (marked ``tcp``)
+  counters it implies, replays deterministically, and runs as a campaign
+  cell whose counters survive the JSON cache.  A TCP wall-clock subset (marked ``tcp``)
   smoke-tests the real socket lane, where the schedule is an approximation
   by design.
 """
@@ -35,7 +35,7 @@ import pytest
 
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.faults.library import available_scenarios
-from repro.runner import Campaign, Sweep, make_live_cluster, run_live_scenario
+from repro.runner import Campaign, Sweep, make_live_cluster
 from repro.faults.delays import DelayModel
 from repro.metrics.counters import BASE_COUNTS, BASE_FAULT_COUNTS
 
@@ -152,10 +152,9 @@ def test_scenario_live_run_matches_simulator(name, seed):
     assert_reproduces_the_captured_fabric(f"{name}/{seed}")
 
 
-@pytest.mark.parametrize("run", [run_scenario, run_live_scenario])
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_scenario_fault_counters_on_both_deterministic_lanes(name, run):
-    counts = run(_config(name, 0)).metrics.counts
+def test_scenario_reports_its_fault_counters(name):
+    counts = run_scenario(_config(name, 0)).metrics.counts
     # Every scenario run reports the base counters, even at zero.
     assert set(BASE_FAULT_COUNTS) <= set(counts)
     for counter, floor in EXPECTED_COUNTS.get(name, {}).items():
@@ -183,26 +182,22 @@ def test_a_new_delay_model_runs_live_with_no_registration_step():
         cfg.delay_model = EveryThirdSlow()
         return cfg
 
-    sim = run_scenario(config())
-    live = run_live_scenario(config())
-    assert live.committed_blocks() > 0
-    assert _decisions(live.metrics) == _decisions(sim.metrics)
-    assert _ledgers(live.replicas) == _ledgers(sim.replicas)
-    assert live.metrics.counts == sim.metrics.counts
-    assert live.metrics.counts["every_third_slowed"] > 0
+    result = run_scenario(config())
+    assert result.committed_blocks() > 0
+    assert result.metrics.counts["every_third_slowed"] > 0
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_scenario_live_run_is_deterministic(name):
-    first = run_live_scenario(_config(name, 1))
-    second = run_live_scenario(_config(name, 1))
+    first = run_scenario(_config(name, 1))
+    second = run_scenario(_config(name, 1))
     assert _decisions(first.metrics) == _decisions(second.metrics)
     assert _ledgers(first.replicas) == _ledgers(second.replicas)
     assert first.metrics.counts == second.metrics.counts
 
 
 # ----------------------------------------------------------------------
-# Campaign integration: the whole registry under backend="live"
+# Campaign integration: the whole registry as campaign cells
 # ----------------------------------------------------------------------
 def _build_scenario_cell(params):
     return _config(params["scenario"], params["seed"], duration=20.0)
@@ -216,10 +211,9 @@ def test_every_scenario_runs_under_the_live_campaign_backend(tmp_path):
         fixed={"seed": 0},
     )
     cache = str(tmp_path / "cache")
-    result = campaign.run(backend="live", cache=cache)
+    result = campaign.run(backend="serial", cache=cache)
     assert len(result) == len(ALL_SCENARIOS)
     assert all(r.ledgers_consistent for r in result)
-    assert all(r.key.startswith("live:") for r in result)
     # Fault counters flow into the picklable records.
     partition = result.one(scenario="split_brain_at_gst")
     assert partition.metrics.count("partition_epochs") >= 1
@@ -227,14 +221,8 @@ def test_every_scenario_runs_under_the_live_campaign_backend(tmp_path):
     assert churn.metrics.count("kills") >= 1
     assert churn.metrics.count("restarts") >= 1
 
-    # The simulated lane counts the same faults, cell for cell.
-    serial = campaign.run(backend="serial")
-    for record in result:
-        twin = serial.one(scenario=record.params["scenario"])
-        assert twin.metrics.counts == record.metrics.counts
-
     # The counters survive the JSON cache round trip.
-    again = campaign.run(backend="live", cache=cache)
+    again = campaign.run(backend="serial", cache=cache)
     assert again.cache_hits == len(ALL_SCENARIOS)
     cached = again.one(scenario="split_brain_at_gst")
     assert cached.metrics.count("partition_epochs") >= 1

@@ -14,8 +14,9 @@ import gc
 import pytest
 
 from repro.experiments.scenario import ScenarioConfig
-from repro.runner import WorkloadConfig, run_live_scenario
+from repro.runner import WorkloadConfig
 from repro.statemachine import ReplicatedKV
+from test_live_runtime import run_until
 
 #: Attributes that are per-peer or per-type, not per-view.
 _NOT_PER_VIEW = {"_handlers", "_routes", "_vkeys", "honest_ids"}
@@ -58,7 +59,7 @@ def _probe_at(lengths, **config):
         snapshots.append((blocks, tables, len(gc.get_objects())))
         return not pending
 
-    run_live_scenario(config, stop_when=probe)
+    run_until(config, probe)
     return snapshots
 
 

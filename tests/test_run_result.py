@@ -1,8 +1,8 @@
 """One result surface on every lane.
 
-The same n=4 Lumiere + KV-workload config runs in the simulator, on the
-deterministic in-memory live lane, on an inline TCP cluster and on a
-process cluster over shared-memory rings; each must hand back the one
+The same n=4 Lumiere + KV-workload config runs in the simulator, on an
+inline TCP cluster and on a process cluster over shared-memory rings;
+each must hand back the one
 :class:`~repro.experiments.scenario.RunResult` type answering the same
 queries, and :meth:`~repro.runner.record.RunRecord.from_result` must agree
 with them.  Safety is the paper's — honest replicas only — on the cluster
@@ -16,7 +16,7 @@ import asyncio
 import pytest
 
 from repro.experiments.scenario import RunResult, ScenarioConfig, run_scenario
-from repro.runner import RunRecord, WorkloadConfig, make_live_cluster, run_live_scenario
+from repro.runner import RunRecord, WorkloadConfig, make_live_cluster
 from repro.metrics.counters import BASE_COUNTS, BASE_FAULT_COUNTS
 
 
@@ -45,7 +45,6 @@ def _run_cluster(config: ScenarioConfig, **lane):
 
 LANES = [
     pytest.param(run_scenario, id="sim"),
-    pytest.param(run_live_scenario, id="deterministic-live"),
     pytest.param(
         lambda config: _run_cluster(config, placement="inline").result(),
         id="inline-tcp", marks=pytest.mark.tcp,

@@ -160,6 +160,14 @@ def test_unknown_backend_rejected():
         run_campaign(small_campaign(), backend="threads")
 
 
+def test_workers_is_rejected_off_the_process_backend():
+    # A pool size the serial backend would ignore must not pass silently.
+    with pytest.raises(ConfigurationError, match="workers"):
+        run_campaign(small_campaign(), backend="serial", workers=4)
+    with pytest.raises(ConfigurationError, match="workers"):
+        small_campaign().run(workers=2)
+
+
 def test_select_and_one():
     result = run_campaign(small_campaign())
     assert len(result.select(pacemaker="lumiere")) == 2

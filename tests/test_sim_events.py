@@ -117,7 +117,8 @@ def test_events_scheduled_during_execution_run_later():
 
 def test_step_returns_false_on_empty_queue():
     sim = Simulator()
-    assert sim.step() is False
+    sim.run(max_events=1)
+    assert sim.events_processed == 0
 
 
 def test_rng_is_deterministic_per_seed():

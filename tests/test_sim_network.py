@@ -37,7 +37,7 @@ class Sink:
 def fabric(sim, config, model):
     """``model`` imposed under ``config`` on ``sim``, as ``build_scenario`` wires it."""
     net = FaultyTransport(
-        LocalTransport(seed=sim.seed), schedule=model, network=config, schedule_seed=sim.seed
+        LocalTransport(), schedule=model, network=config, schedule_seed=sim.seed
     )
     SimRuntime(sim, net)
     return net

@@ -33,6 +33,34 @@ Sweeps::
     records = campaign.run(backend="process", cache=".repro-cache").records
 """
 
+import importlib
+import sys
+
 from repro.version import __version__
 
 __all__ = ["__version__"]
+
+
+def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 ``__getattr__``, ``__dir__`` and ``__all__`` for a package root.
+
+    ``exports`` maps each submodule of ``package`` to the public names it
+    defines.  Importing the root imports none of them: a name is imported
+    from its submodule on first access and cached in the root's globals, so
+    ``__getattr__`` runs once per name and a lane loads only the modules it
+    uses.
+    """
+    homes = {name: module for module, names in exports.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        module = homes.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(f"{package}.{module}"), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *homes})
+
+    return __getattr__, __dir__, sorted(homes)

@@ -14,41 +14,18 @@ build campaigns that regenerate the corresponding artefacts from the paper;
 library (:mod:`repro.faults`).
 """
 
-from repro.experiments.scenario import RunResult, ScenarioConfig, run_scenario
-from repro.experiments.table1 import (
-    Table1Row,
-    eventual_complexity_sweep,
-    table1_rows,
-    worst_case_complexity_sweep,
-)
-from repro.experiments.figure1 import Figure1Result, figure1_sweep, run_figure1
-from repro.experiments.gauntlet import (
-    DEFAULT_GAUNTLET_SCENARIOS,
-    GauntletCell,
-    gauntlet_table,
-    scenario_gauntlet,
-)
-from repro.experiments.responsiveness import ResponsivenessPoint, responsiveness_sweep
-from repro.experiments.steady_state import HeavySyncResult, heavy_sync_count, heavy_sync_sweep
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_GAUNTLET_SCENARIOS",
-    "Figure1Result",
-    "GauntletCell",
-    "HeavySyncResult",
-    "ResponsivenessPoint",
-    "RunResult",
-    "ScenarioConfig",
-    "Table1Row",
-    "eventual_complexity_sweep",
-    "figure1_sweep",
-    "gauntlet_table",
-    "heavy_sync_count",
-    "heavy_sync_sweep",
-    "responsiveness_sweep",
-    "run_figure1",
-    "run_scenario",
-    "scenario_gauntlet",
-    "table1_rows",
-    "worst_case_complexity_sweep",
-]
+# Resolved on first access: a run imports none of the sweep modules.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "scenario": ("RunResult", "ScenarioConfig", "run_scenario"),
+    "table1": (
+        "Table1Row", "eventual_complexity_sweep", "table1_rows", "worst_case_complexity_sweep",
+    ),
+    "figure1": ("Figure1Result", "figure1_sweep", "run_figure1"),
+    "gauntlet": (
+        "DEFAULT_GAUNTLET_SCENARIOS", "GauntletCell", "gauntlet_table", "scenario_gauntlet",
+    ),
+    "responsiveness": ("ResponsivenessPoint", "responsiveness_sweep"),
+    "steady_state": ("HeavySyncResult", "heavy_sync_count", "heavy_sync_sweep"),
+})

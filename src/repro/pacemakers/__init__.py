@@ -7,31 +7,16 @@ harness treat them interchangeably.  The paper's own protocol lives in
 classical exponential-backoff pacemaker used as a control.
 """
 
-from repro.pacemakers.base import Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
-from repro.pacemakers.backoff import ExponentialBackoffConfig, ExponentialBackoffPacemaker
-from repro.pacemakers.cogsworth import CogsworthConfig, CogsworthPacemaker
-from repro.pacemakers.fever import FeverConfig, FeverPacemaker
-from repro.pacemakers.lp22 import LP22Config, LP22Pacemaker
-from repro.pacemakers.naor_keidar import NaorKeidarConfig, NaorKeidarPacemaker
-from repro.pacemakers.raresync import RareSyncConfig, RareSyncPacemaker
-from repro.pacemakers.registry import available_pacemakers, make_pacemaker_factory
+from repro import lazy_exports
 
-__all__ = [
-    "CogsworthConfig",
-    "CogsworthPacemaker",
-    "ExponentialBackoffConfig",
-    "ExponentialBackoffPacemaker",
-    "FeverConfig",
-    "FeverPacemaker",
-    "LP22Config",
-    "LP22Pacemaker",
-    "NaorKeidarConfig",
-    "NaorKeidarPacemaker",
-    "Pacemaker",
-    "PacemakerMessage",
-    "RareSyncConfig",
-    "RareSyncPacemaker",
-    "RoundRobinLeaderMixin",
-    "available_pacemakers",
-    "make_pacemaker_factory",
-]
+# Resolved on first access: a run imports only the pacemaker it runs.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("Pacemaker", "PacemakerMessage", "RoundRobinLeaderMixin"),
+    "backoff": ("ExponentialBackoffConfig", "ExponentialBackoffPacemaker"),
+    "cogsworth": ("CogsworthConfig", "CogsworthPacemaker"),
+    "fever": ("FeverConfig", "FeverPacemaker"),
+    "lp22": ("LP22Config", "LP22Pacemaker"),
+    "naor_keidar": ("NaorKeidarConfig", "NaorKeidarPacemaker"),
+    "raresync": ("RareSyncConfig", "RareSyncPacemaker"),
+    "registry": ("available_pacemakers", "make_pacemaker_factory"),
+})

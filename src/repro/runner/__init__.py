@@ -23,61 +23,23 @@ Typical use::
 
 Wall-clock clusters over real sockets or shared-memory rings are
 :func:`~repro.runner.live.make_live_cluster`.
+
+Importing this package imports none of its modules: each name is imported
+from its module on first use, so a single run never loads the campaign
+executor, the cache or the live stack.
 """
 
-from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.runner.campaign import Campaign, RunSpec, Sweep, config_fingerprint, spec_key
-from repro.runner.executor import BACKENDS, CampaignResult, execute_cell, run_campaign
-from repro.runner.record import RunRecord
-from repro.runner.workload import (
-    ClosedLoopLoad,
-    OpenLoopLoad,
-    RequestGateway,
-    WorkloadConfig,
-    attach_workload,
-)
+from repro import lazy_exports
 
-#: Names resolved lazily (PEP 562), by the submodule that defines them: the
-#: live modules pull the whole asyncio runtime stack and multiprocessing,
-#: which simulated campaigns never need — importing the package root must
-#: stay as cheap as it was.
-_LAZY_EXPORTS = {
-    "make_live_cluster": "live",
-    "LiveCluster": "process_cluster",
-    "ShardReport": "shard",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(f"repro.runner.{module}"), name)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
-
-
-__all__ = [
-    "BACKENDS",
-    "Campaign",
-    "CampaignResult",
-    "ClosedLoopLoad",
-    "DEFAULT_CACHE_DIR",
-    "LiveCluster",
-    "OpenLoopLoad",
-    "RequestGateway",
-    "ResultCache",
-    "RunRecord",
-    "RunSpec",
-    "ShardReport",
-    "Sweep",
-    "WorkloadConfig",
-    "attach_workload",
-    "config_fingerprint",
-    "execute_cell",
-    "make_live_cluster",
-    "run_campaign",
-    "spec_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("DEFAULT_CACHE_DIR", "ResultCache"),
+    "campaign": ("Campaign", "RunSpec", "Sweep", "config_fingerprint", "spec_key"),
+    "executor": ("BACKENDS", "CampaignResult", "execute_cell", "run_campaign"),
+    "record": ("RunRecord",),
+    "workload": (
+        "ClosedLoopLoad", "OpenLoopLoad", "RequestGateway", "WorkloadConfig", "attach_workload",
+    ),
+    "live": ("make_live_cluster",),
+    "process_cluster": ("LiveCluster",),
+    "shard": ("ShardReport",),
+})

@@ -19,11 +19,13 @@ through the run's :class:`~repro.metrics.collector.MetricsCollector`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.runner.process_cluster import LiveCluster
+
+if TYPE_CHECKING:
+    from repro.runner.process_cluster import LiveCluster
 
 #: The in-memory lane's former name, kept for the benchmark harness under
 #: ``benchmarks/ledger/``: it is :func:`run_scenario`.
@@ -123,6 +125,10 @@ def make_live_cluster(
             "cannot validate across OS processes; use \"hashing\" for "
             "process placement"
         )
+    # Here, not at module level: the cluster pulls the asyncio, TCP and shm
+    # stack, which a virtual-time run that imports this module never uses.
+    from repro.runner.process_cluster import LiveCluster
+
     return LiveCluster(
         config, placement=placement, host=host, processes=processes,
         transport=transport, teardown_timeout=teardown_timeout,

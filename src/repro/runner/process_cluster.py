@@ -84,6 +84,7 @@ from repro.runtime import (
     DEFAULT_RING_BYTES,
     MonotonicClock,
     create_cluster_rings,
+    default_codec,
     destroy_cluster_rings,
 )
 
@@ -359,6 +360,10 @@ class LiveCluster:
             config=config, pids=tuple(range(config.n)), clock_origin=time.monotonic(),
             host=host, transport=transport,
         )
+        # Every node speaks frames.  The wire tables, and the message modules
+        # they import, are built once here, before start(): forked workers
+        # inherit them and compile nothing after the fork.
+        default_codec()
         #: The cluster's timeline (every shard's clock shares its origin).
         self.clock = MonotonicClock(origin=self.spec.clock_origin)
         #: The inline shard's nodes by pid (empty under process placement).

@@ -24,43 +24,19 @@ See ``docs/runtimes.md`` for the interface contract and a
 writing-a-transport guide.
 """
 
-from repro.runtime.base import Clock, Runtime, TimerHandle
-from repro.runtime.simulation import SimRuntime
-from repro.runtime.asyncio_runtime import AsyncioRuntime, MonotonicClock
-from repro.runtime.transports import FramedTransport, LocalTransport, Transport
-from repro.runtime.codec import WireCodec, WireCodecError, default_codec
-from repro.runtime.tcp import TcpTransport
-from repro.runtime.shm import (
-    DEFAULT_RING_BYTES,
-    ShmEndpoint,
-    ShmTransport,
-    SpscRing,
-    attach_ring,
-    create_cluster_rings,
-    destroy_cluster_rings,
-    ring_segment_name,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AsyncioRuntime",
-    "Clock",
-    "DEFAULT_RING_BYTES",
-    "FramedTransport",
-    "LocalTransport",
-    "MonotonicClock",
-    "Runtime",
-    "ShmEndpoint",
-    "ShmTransport",
-    "SimRuntime",
-    "SpscRing",
-    "TcpTransport",
-    "TimerHandle",
-    "Transport",
-    "WireCodec",
-    "WireCodecError",
-    "attach_ring",
-    "create_cluster_rings",
-    "destroy_cluster_rings",
-    "default_codec",
-    "ring_segment_name",
-]
+# Resolved on first access: the virtual-time lane never imports the asyncio,
+# TCP and shm transports or the codec.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("Clock", "Runtime", "TimerHandle"),
+    "simulation": ("SimRuntime",),
+    "asyncio_runtime": ("AsyncioRuntime", "MonotonicClock"),
+    "transports": ("FramedTransport", "LocalTransport", "Transport"),
+    "codec": ("WireCodec", "WireCodecError", "default_codec"),
+    "tcp": ("TcpTransport",),
+    "shm": (
+        "DEFAULT_RING_BYTES", "ShmEndpoint", "ShmTransport", "SpscRing", "attach_ring",
+        "create_cluster_rings", "destroy_cluster_rings", "ring_segment_name",
+    ),
+})

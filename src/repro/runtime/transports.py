@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.base import Runtime
-from repro.runtime.codec import WireCodec, WireCodecError, default_codec
+
+if TYPE_CHECKING:
+    from repro.runtime.codec import WireCodec, WireCodecError
 
 
 class Envelope(NamedTuple):
@@ -208,6 +210,10 @@ class FramedTransport(Transport):
     """
 
     def __init__(self, pid: int, codec: Optional[WireCodec] = None) -> None:
+        # Here, not at module level: the in-memory lane imports this module
+        # and never encodes a frame.  Once per node, at construction.
+        from repro.runtime.codec import default_codec
+
         super().__init__()
         self.pid = pid
         self.codec = codec if codec is not None else default_codec()

@@ -149,18 +149,52 @@ def test_custom_behaviour_subclass_hooks_are_picked_up():
     assert not behaviour.suppress_vote(6)
 
 
-def test_the_protocol_core_loads_no_adversary_runner_or_runtime():
-    # The hooks a replica consults live in repro.consensus.behaviour; the
-    # adversary, the lanes and the fabrics are layered on top of the core.
-    probe = (
-        "import sys; import repro.consensus, repro.core, repro.pacemakers; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['repro', 'faults'], ['repro', 'runner'], ['repro', 'experiments'], "
-        "['repro', 'runtime'])))"
+#: The wall-clock stack: what the sockets, rings and worker processes need.
+_LIVE_STDLIB = ("asyncio", "socket", "ssl", "selectors", "multiprocessing", "mmap")
+_LIVE_REPRO = tuple(f"repro.runtime.{m}" for m in ("asyncio_runtime", "tcp", "shm", "codec")) + tuple(
+    f"repro.runner.{m}" for m in ("process_cluster", "shard", "campaign", "executor", "cache")
+)
+
+
+def _above_the_protocol_core(module: str) -> bool:
+    """The adversary, the lanes and the fabrics are layered on the core (the
+    hooks a replica consults live in repro.consensus.behaviour)."""
+    return module.split(".")[0] in _LIVE_STDLIB or module.split(".")[:2] in (
+        ["repro", "faults"], ["repro", "runner"], ["repro", "experiments"], ["repro", "runtime"],
     )
+
+
+def _outside_the_sim_lane(module: str) -> bool:
+    """A virtual-time run needs no live stack, no campaign runner, no sweep
+    module and no pacemaker but the one it runs."""
+    package, _, leaf = module.rpartition(".")
+    return (
+        module.split(".")[0] in _LIVE_STDLIB
+        or module in _LIVE_REPRO
+        or (package == "repro.experiments" and leaf != "scenario")
+        or (package == "repro.pacemakers" and leaf not in ("base", "registry"))
+    )
+
+
+@pytest.mark.parametrize(
+    "statement, forbidden",
+    [
+        pytest.param(
+            "import repro.consensus, repro.core, repro.pacemakers",
+            _above_the_protocol_core, id="protocol_core",
+        ),
+        pytest.param(
+            "from repro.experiments.scenario import ScenarioConfig, run_scenario; "
+            "run_scenario(ScenarioConfig(n=4, duration=50.0))",
+            _outside_the_sim_lane, id="sim_lane",
+        ),
+    ],
+)
+def test_a_layer_loads_only_what_it_runs(statement, forbidden):
+    probe = f"import sys; {statement}; print('\\n'.join(sys.modules))"
     src = Path(__file__).resolve().parents[1] / "src"
     loaded = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
-    ).stdout
-    assert loaded.strip() == "[]"
+    ).stdout.split()
+    assert sorted(m for m in loaded if forbidden(m)) == []

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
+import subprocess
 import sys
 from pathlib import Path
 from typing import Any
@@ -332,6 +334,22 @@ def test_every_zoo_frame_is_byte_identical_to_the_captured_wire():
     assert sorted(frames) == sorted(golden["binary"]) and len(frames) == 24
     for kind, frame in frames.items():
         assert frame == golden["binary"][kind], f"frame of {kind} changed on the wire"
+
+
+def test_wire_ids_do_not_depend_on_import_order():
+    # Baseline pacemaker modules load on demand: an interpreter that imports
+    # only the codec must number every class as this one (which imported
+    # them all up front) does.
+    probe = (
+        "import json; from repro.runtime.codec import default_codec; print(json.dumps("
+        "{cls.__name__: i for i, cls in enumerate(default_codec().registered_classes)}))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    table = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ).stdout
+    assert json.loads(table) == {cls.__name__: i for i, cls in enumerate(_library_classes())}
 
 
 # A packer for the binary format written straight from its description — one

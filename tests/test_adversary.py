@@ -152,7 +152,7 @@ def test_custom_behaviour_subclass_hooks_are_picked_up():
 #: The wall-clock stack: what the sockets, rings and worker processes need.
 _LIVE_STDLIB = ("asyncio", "socket", "ssl", "selectors", "multiprocessing", "mmap")
 _LIVE_REPRO = tuple(f"repro.runtime.{m}" for m in ("asyncio_runtime", "tcp", "shm", "codec")) + tuple(
-    f"repro.runner.{m}" for m in ("process_cluster", "shard", "campaign", "executor", "cache")
+    f"repro.runner.{m}" for m in ("process_cluster", "shard", "campaign", "executor", "cache", "record", "live")
 )
 
 
@@ -180,7 +180,7 @@ def _outside_the_sim_lane(module: str) -> bool:
     "statement, forbidden",
     [
         pytest.param(
-            "import repro.consensus, repro.core, repro.pacemakers",
+            "import repro.consensus, repro.core; from repro.pacemakers import *",
             _above_the_protocol_core, id="protocol_core",
         ),
         pytest.param(

@@ -80,8 +80,11 @@ class ChainedHotStuff(ConsensusEngine):
         self._announced_qcs: set[int] = set()
         self._learned_qcs: set[tuple[int, str]] = set()
         # Bit v: the QC of view v, now below the floor, was learned (a view
-        # has one QC: two would share an honest voter).
-        self._learned_below = 0
+        # has one QC: two would share an honest voter).  A bytearray set in
+        # place: views without a QC leave holes that never fill, so no
+        # prefix can be folded away, and an int mask would be copied whole
+        # by every ``|=``.
+        self._learned_below = bytearray()
         self._voted_views: set[int] = set()
         # The floor the int-keyed tables above were last released below
         # (None before the first release).
@@ -138,9 +141,12 @@ class ChainedHotStuff(ConsensusEngine):
             lowest=self._released,
         )
         self._released = floor
+        learned = self._learned_below
         for view, _ in self._learned_qcs:
-            if view < floor:
-                self._learned_below |= 1 << view
+            if 0 <= view < floor:
+                if view >> 3 >= len(learned):
+                    learned.extend(bytes((view >> 3) - len(learned) + 1))
+                learned[view >> 3] |= 1 << (view & 7)
         release_below((floor,), self._learned_qcs)
         self.aggregator.release_below(floor)
         if self._orphans:
@@ -393,9 +399,16 @@ class ChainedHotStuff(ConsensusEngine):
                 self.tree.add(child)
                 self._adopt_orphans(child.block_id)
 
+    def _learned_below_floor(self, view: int) -> bool:
+        """Whether ``view``'s QC was learned before the floor passed it."""
+        learned = self._learned_below
+        return 0 <= view and view >> 3 < len(learned) and bool(
+            learned[view >> 3] >> (view & 7) & 1
+        )
+
     def _learn_qc(self, qc: QuorumCertificate) -> None:
         key = (qc.view, qc.block_id)
-        if key in self._learned_qcs or (qc.view >= 0 and self._learned_below >> qc.view & 1):
+        if key in self._learned_qcs or self._learned_below_floor(qc.view):
             return
         if not self.replica.scheme.verify(qc.aggregate, qc.message()):
             return

@@ -96,9 +96,6 @@ class VoteAggregator:
         self.quorum_size = quorum_size
         self._partials: dict[tuple[int, str], dict[int, PartialSignature]] = {}
         self._formed: set[tuple[int, str]] = set()
-        # Message digest per (view, block): the leader digests the vote
-        # message once per quorum it collects, not once per arriving vote.
-        self._message_digests: dict[tuple[int, str], str] = {}
 
     def add_vote(
         self, view: int, block_id: str, partial: PartialSignature
@@ -108,10 +105,7 @@ class VoteAggregator:
         if key in self._formed:
             return None
         message = ("qc", view, block_id)
-        message_digest = self._message_digests.get(key)
-        if message_digest is None:
-            message_digest = self._message_digests[key] = self.scheme.backend.digest(message)
-        if not self.scheme.verify_partial(partial, message, message_digest=message_digest):
+        if not self.scheme.verify_partial(partial, message):
             return None
         bucket = self._partials.setdefault(key, {})
         bucket[partial.signer] = partial
@@ -122,12 +116,12 @@ class VoteAggregator:
         except ThresholdError:
             return None
         self._formed.add(key)
-        del self._partials[key], self._message_digests[key]
+        del self._partials[key]
         return QuorumCertificate(view=view, block_id=block_id, aggregate=aggregate)
 
     def release_below(self, floor: int) -> None:
         """Drop every bucket and formed-marker of a view below ``floor``."""
-        release_below((floor,), self._partials, self._message_digests, self._formed)
+        release_below((floor,), self._partials, self._formed)
 
     def votes_for(self, view: int, block_id: str) -> int:
         """How many distinct votes have been collected for (view, block)."""

@@ -58,8 +58,8 @@ class ReplicaResidue(NamedTuple):
     #: KV apply chain, packed (empty without a workload).
     kv_chain: PackedDigests
     #: Client-path counts (empty without a workload): the batches the
-    #: mempool gave up on and the committed duplicates the exactly-once
-    #: filter skipped.
+    #: mempool gave up on, the committed duplicates the exactly-once
+    #: filter skipped and the committed batches that did not decode.
     client_counts: dict[str, int]
 
 
@@ -94,6 +94,10 @@ class Replica(Process):
         self.mempool = mempool if mempool is not None else Mempool(pid)
         self.engine = (engine_factory or ChainedHotStuff)(self)
         self.pacemaker = pacemaker_factory(self)
+        # The pacemaker's lookup, bound once (Lumiere's is its schedule's
+        # table index): the engine, the gateway and the mempool ask for a
+        # leader dozens of times a view.
+        self.leader_of = self.pacemaker.leader_of
         #: The committed-view floor, ``min(last committed view, current
         #: view)``: every view below it is decided and left, so the block
         #: tree, engine and pacemaker free its state and its messages are
@@ -206,7 +210,8 @@ class Replica(Process):
         return self.pacemaker.current_view
 
     def leader_of(self, view: int) -> int:
-        """The leader of ``view`` under the pacemaker's leader schedule."""
+        """The leader of ``view`` under the pacemaker's leader schedule
+        (shadowed per instance by the pacemaker's own bound lookup)."""
         return self.pacemaker.leader_of(view)
 
     def is_leader(self, view: int) -> bool:
@@ -309,6 +314,7 @@ class Replica(Process):
             {
                 "mempool.expired": self.mempool.expired,
                 "store.duplicates_skipped": machine.store.duplicates_skipped,
+                "kv_batches_malformed": machine.batches_malformed,
             },
         )
 

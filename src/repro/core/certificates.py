@@ -29,7 +29,6 @@ class CertificateCollector:
         self.payload_fn = payload_fn
         self._partials: dict[int, dict[int, PartialSignature]] = {}
         self._formed: set[int] = set()
-        self._payloads: dict[int, tuple] = {}
         # The floor these tables were last released below (None before the
         # first release).
         self._released: Optional[int] = None
@@ -39,17 +38,11 @@ class CertificateCollector:
         self._vkeys: dict[int, Any] = {}
 
     def _payload_and_digest(self, view: int) -> tuple:
-        """``(payload, digest)`` for ``view``, computed once per view.
-
-        Every arriving share triggers a payload build and digest; memoising
-        per view turns O(shares) digest calls into O(views) — at n=256 this
-        alone removes tens of thousands of digest dispatches per run.
-        """
-        cached = self._payloads.get(view)
-        if cached is None:
-            payload = self.payload_fn(view)
-            cached = self._payloads[view] = (payload, self.scheme.backend.digest(payload))
-        return cached
+        """``(payload, digest)`` for ``view``: the scheme digests each
+        payload once (:meth:`ThresholdScheme.message_digest`), however many
+        shares and replicas check it."""
+        payload = self.payload_fn(view)
+        return payload, self.scheme.message_digest(payload)
 
     def add(self, view: int, sender: int, partial: PartialSignature) -> Optional[ThresholdSignature]:
         """Record a share; return the aggregate the first time the threshold is met.
@@ -87,7 +80,7 @@ class CertificateCollector:
 
     def release_below(self, floor: int) -> None:
         """Forget every view below ``floor``."""
-        release_below(floor, self._partials, self._formed, self._payloads, lowest=self._released)
+        release_below(floor, self._partials, self._formed, lowest=self._released)
         self._released = floor
 
     def _verifying_key(self, sender: int):
@@ -124,10 +117,6 @@ class EpochMessageCollector:
         self._signers: dict[int, set[int]] = {}
         self._tc_reported: set[int] = set()
         self._ec_reported: set[int] = set()
-        # (payload, digest) per view — same memo as CertificateCollector:
-        # every processor runs one of these, and every broadcast epoch-view
-        # message used to re-digest the per-view payload on arrival.
-        self._payloads: dict[int, tuple] = {}
         # The floor these tables were last released below (None before the
         # first release).
         self._released: Optional[int] = None
@@ -149,11 +138,7 @@ class EpochMessageCollector:
         signers = self._signers.setdefault(view, set())
         if sender in signers:
             return (False, False)
-        cached = self._payloads.get(view)
-        if cached is None:
-            payload = self.payload_fn(view)
-            cached = self._payloads[view] = (payload, self.scheme.backend.digest(payload))
-        payload, digest = cached
+        digest = self.scheme.message_digest(self.payload_fn(view))
         if partial.message_digest != digest:
             return (False, False)
         key = self._vkeys.get(sender)
@@ -179,8 +164,7 @@ class EpochMessageCollector:
     def release_below(self, floor: int) -> None:
         """Forget every view below ``floor``."""
         release_below(
-            floor, self._signers, self._tc_reported, self._ec_reported, self._payloads,
-            lowest=self._released,
+            floor, self._signers, self._tc_reported, self._ec_reported, lowest=self._released,
         )
         self._released = floor
 

@@ -23,12 +23,19 @@ processor (the schedule is a deterministic function of the seed).
 from __future__ import annotations
 
 import random
+from array import array
 
 from repro.errors import ConfigurationError
 
 
 class LeaderSchedule:
-    """Deterministic epoch-aware leader assignment shared by all processors."""
+    """Deterministic epoch-aware leader assignment shared by all processors.
+
+    The schedule is one flat table, ``leaders[view >> 1]`` (a leader owns
+    two consecutive views), extended a leader round at a time as views
+    are asked for, so a lookup is one index.  It is a pure function of its
+    parameters, so one instance serves every replica of a run.
+    """
 
     def __init__(self, n: int, views_per_round: int, rounds_per_epoch: int, seed: int = 0) -> None:
         if n < 1:
@@ -44,28 +51,25 @@ class LeaderSchedule:
         self.views_per_round = views_per_round
         self.rounds_per_epoch = rounds_per_epoch
         self._rng = random.Random(seed)
-        self._rounds: list[list[int]] = []
+        # Leader of views 2k and 2k + 1 at index k; round r fills
+        # [r * n, (r + 1) * n).
+        self._leaders = array("H" if n <= 0xFFFF else "I")
 
     # ------------------------------------------------------------------
     # Round generation
     # ------------------------------------------------------------------
-    def _round(self, index: int) -> list[int]:
-        """The permutation used for leader round ``index`` (lazily generated)."""
-        while len(self._rounds) <= index:
-            self._rounds.append(self._generate_round(len(self._rounds)))
-        return self._rounds[index]
-
-    def _generate_round(self, index: int) -> list[int]:
-        permutation = list(range(self.n))
-        self._rng.shuffle(permutation)
-        if index == 0:
-            return permutation
-        starts_epoch = index % self.rounds_per_epoch == 0
-        if starts_epoch:
-            previous_last = self._rounds[index - 1][-1]
-            permutation.remove(previous_last)
-            permutation.insert(0, previous_last)
-        return permutation
+    def _extend(self, slot: int) -> None:
+        """Generate leader rounds until ``slot`` is in the table."""
+        leaders, n = self._leaders, self.n
+        while len(leaders) <= slot:
+            index = len(leaders) // n
+            permutation = list(range(n))
+            self._rng.shuffle(permutation)
+            if index and index % self.rounds_per_epoch == 0:
+                previous_last = leaders[-1]
+                permutation.remove(previous_last)
+                permutation.insert(0, previous_last)
+            leaders.extend(permutation)
 
     # ------------------------------------------------------------------
     # Queries
@@ -74,9 +78,11 @@ class LeaderSchedule:
         """The leader of ``view``."""
         if view < 0:
             return 0
-        round_index = view // self.views_per_round
-        slot = (view // 2) % self.n
-        return self._round(round_index)[slot]
+        try:
+            return self._leaders[view >> 1]
+        except IndexError:
+            self._extend(view >> 1)
+            return self._leaders[view >> 1]
 
     def views_led_by(self, pid: int, epoch: int, epoch_length: int) -> list[int]:
         """All views within ``epoch`` that ``pid`` leads (useful for tests and attacks)."""

@@ -54,15 +54,20 @@ class LumierePacemaker(Pacemaker):
         replica: "Replica",
         config: ProtocolConfig,
         lumiere_config: Optional[LumiereConfig] = None,
+        schedule: Optional[LeaderSchedule] = None,
     ) -> None:
         super().__init__(replica, config)
         self.cfg = lumiere_config or LumiereConfig(protocol=config)
-        self.schedule = LeaderSchedule(
+        #: The leader schedule; the replicas of one run share one
+        #: (``make_pacemaker_factory``), built here when none is passed.
+        self.schedule = schedule or LeaderSchedule(
             n=config.n,
             views_per_round=2 * config.n,
             rounds_per_epoch=self.cfg.epoch_rounds,
             seed=self.cfg.leader_seed,
         )
+        # The schedule's own lookup, bound once: a call is one table index.
+        self.leader_of = self.schedule.leader_of
         self.success = SuccessTracker(self.cfg, self.leader_of)
         scheme = replica.scheme
         self._vc_collector = CertificateCollector(
@@ -87,14 +92,6 @@ class LumierePacemaker(Pacemaker):
         self._clock_timer: Optional[LocalTimer] = None
         # Leader-side deadline bookkeeping for the Gamma/2 - 2*Delta rule.
         self._deadline_start: dict[int, float] = {}
-        # Per-view ``(payload, digest)`` memos for the two signed message
-        # classes this pacemaker originates or checks.  Every partial sign,
-        # VC verification and broadcast re-digested the (tiny, but
-        # per-view-constant) payload; at n=512 that digest dispatch is the
-        # single hottest crypto call in the kernel profile, and caching it
-        # per view makes it O(views) instead of O(messages).
-        self._view_payloads: dict[int, tuple] = {}
-        self._epoch_payloads: dict[int, tuple] = {}
         # The lowest key the per-view and per-epoch tables can hold: the
         # floor they were last released below (None before the first
         # release), or a late QC's view below it.
@@ -119,7 +116,9 @@ class LumierePacemaker(Pacemaker):
         return self.cfg.clock_time(view)
 
     def leader_of(self, view: int) -> int:
-        """Leader per the epoch-aware schedule (two consecutive views per leader)."""
+        """Leader per the epoch-aware schedule (two consecutive views per
+        leader).  Each instance shadows this with the schedule's own bound
+        lookup (see ``__init__``)."""
         return self.schedule.leader_of(view)
 
     # ------------------------------------------------------------------
@@ -363,10 +362,9 @@ class LumierePacemaker(Pacemaker):
         epoch = self.cfg.epoch_of(floor)
         epoch_view = self.cfg.first_view_of_epoch(epoch)
         release_below(floor, self._view_msgs_sent, self._vc_handled, self._qc_handled,
-                      self._deadline_start, self._view_payloads, lowest=self._released)
+                      self._deadline_start, lowest=self._released)
         release_below(epoch_view, self._epoch_msgs_sent, self._tc_handled, self._ec_handled,
-                      self._epoch_clock_handled, self._epoch_payloads,
-                      lowest=self._epoch_released)
+                      self._epoch_clock_handled, lowest=self._epoch_released)
         self._released, self._epoch_released = floor, epoch_view
         self._vc_collector.release_below(floor)
         self._epoch_collector.release_below(epoch_view)
@@ -398,22 +396,15 @@ class LumierePacemaker(Pacemaker):
         self.clock.bump_to(self.clock_time(view))
 
     def _view_payload(self, view: int) -> tuple:
-        """``(payload, digest)`` of ``view``'s view message, memoised."""
-        cached = self._view_payloads.get(view)
-        if cached is None:
-            payload = view_message_payload(view)
-            digest = self.replica.scheme.backend.digest(payload)
-            cached = self._view_payloads[view] = (payload, digest)
-        return cached
+        """``(payload, digest)`` of ``view``'s view message (the digest is
+        the shared scheme's, computed once per run or worker)."""
+        payload = view_message_payload(view)
+        return payload, self.replica.scheme.message_digest(payload)
 
     def _epoch_payload(self, view: int) -> tuple:
-        """``(payload, digest)`` of ``view``'s epoch-view message, memoised."""
-        cached = self._epoch_payloads.get(view)
-        if cached is None:
-            payload = epoch_view_message_payload(view)
-            digest = self.replica.scheme.backend.digest(payload)
-            cached = self._epoch_payloads[view] = (payload, digest)
-        return cached
+        """``(payload, digest)`` of ``view``'s epoch-view message."""
+        payload = epoch_view_message_payload(view)
+        return payload, self.replica.scheme.message_digest(payload)
 
     def _send_view_message(self, view: int) -> None:
         """Send a view message for ``view`` to its leader (at most once)."""
@@ -503,6 +494,7 @@ class BasicLumierePacemaker(LumierePacemaker):
         replica: "Replica",
         config: ProtocolConfig,
         lumiere_config: Optional[LumiereConfig] = None,
+        schedule: Optional[LeaderSchedule] = None,
     ) -> None:
         if lumiere_config is None:
             lumiere_config = LumiereConfig(
@@ -510,4 +502,4 @@ class BasicLumierePacemaker(LumierePacemaker):
                 epoch_rounds=1,
                 use_success_criterion=False,
             )
-        super().__init__(replica, config, lumiere_config)
+        super().__init__(replica, config, lumiere_config, schedule)

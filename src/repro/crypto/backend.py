@@ -91,8 +91,9 @@ def _canonical_repr(payload: Any) -> bytes:
 # Exact-type dispatch for the overwhelmingly common payload shapes: one dict
 # lookup replaces the isinstance ladder the canonicaliser historically walked
 # on every one of its millions of recursive calls per large-n run.  Subclasses
-# of these types (and dataclasses) miss the table and take the generic path,
-# which preserves the ladder's semantics — the rendered bytes are identical.
+# of these types miss the table and take the generic path, which preserves
+# the ladder's semantics — the rendered bytes are identical; a dataclass
+# type takes it once and then joins the table.
 _CANONICAL_DISPATCH: dict[type, Callable[[Any], bytes]] = {
     bytes: lambda payload: payload,
     str: lambda payload: payload.encode("utf-8"),
@@ -107,9 +108,6 @@ _CANONICAL_DISPATCH: dict[type, Callable[[Any], bytes]] = {
     dict: _canonical_dict,
 }
 
-# Dataclass field names per type, resolved once instead of re-reading
-# __dataclass_fields__ (a dict) on every canonicalisation of a wire message.
-_FIELD_NAMES_CACHE: dict[type, tuple[str, ...]] = {}
 
 
 def canonical_bytes(payload: Any) -> bytes:
@@ -138,21 +136,30 @@ def _canonical_other(payload: Any) -> bytes:
         return _canonical_sequence(payload)
     if isinstance(payload, dict):
         return _canonical_dict(payload)
-    payload_type = type(payload)
-    names = _FIELD_NAMES_CACHE.get(payload_type)
-    if names is None:
-        fields = getattr(payload, "__dataclass_fields__", None)
-        if fields is None:
-            return repr(payload).encode("utf-8")
-        names = tuple(fields)
-        _FIELD_NAMES_CACHE[payload_type] = names
-    # Dataclasses (wire messages, certificates, blocks) canonicalise by
-    # recursing into their full field contents.  The historical repr
-    # fallback was lossy here: custom __repr__s truncate digests to 8
-    # characters and summarise signer sets, so two *different* payloads
-    # could canonicalise identically.
-    inner = b",".join([canonical_bytes(getattr(payload, name)) for name in names])
-    return b"<" + payload_type.__name__.encode("utf-8") + b":" + inner + b">"
+    fields = getattr(payload, "__dataclass_fields__", None)
+    if fields is None:
+        return repr(payload).encode("utf-8")
+    # Dataclasses (wire messages, certificates, blocks, command batches)
+    # canonicalise by recursing into their full field contents.  The
+    # historical repr fallback was lossy here: custom __repr__s truncate
+    # digests to 8 characters and summarise signer sets, so two *different*
+    # payloads could canonicalise identically.  The type's renderer joins
+    # the exact-type table, so its later instances skip the ladder above.
+    render = _CANONICAL_DISPATCH[type(payload)] = _dataclass_renderer(
+        type(payload), tuple(fields)
+    )
+    return render(payload)
+
+
+def _dataclass_renderer(payload_type: type, names: tuple[str, ...]) -> Callable[[Any], bytes]:
+    """``<Name:field,field,...>`` of one dataclass type's instances."""
+    prefix = b"<" + payload_type.__name__.encode("utf-8") + b":"
+
+    def render(payload: Any) -> bytes:
+        inner = b",".join([canonical_bytes(getattr(payload, name)) for name in names])
+        return prefix + inner + b">"
+
+    return render
 
 
 def blake_digest(*parts: Any) -> str:

@@ -8,10 +8,13 @@ contributed — the object still *counts* as a single constant-size message
 component, matching the paper's complexity accounting.
 
 All digest work flows through the scheme's
-:class:`~repro.crypto.backend.CryptoBackend` (shared with the PKI), and the
-message digest is hoisted out of the per-share loops: one ``combine`` or
-``verify`` call canonicalises the message once, however many shares it
-touches.
+:class:`~repro.crypto.backend.CryptoBackend` (shared with the PKI).  The
+scheme is shared by every replica of a run (every replica of a worker, on
+the process lanes), and it digests each small message tuple it signs or
+verifies once (:meth:`ThresholdScheme.message_digest`): a QC's
+``("qc", view, block_id)`` is signed by every voter, checked by its leader
+share by share, combined and then verified by every replica, and all of
+them read one digest.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ _BATCH_VERIFY_DEFAULT = True
 #: verify a certificate within a few views of its minting, so the last
 #: 512-1024 serve a run of any length, and a miss only recomputes.
 _VERIFIED_GENERATION = 512
+
+#: Message digests per generation of the digest memo; two are kept.  A
+#: message is signed and verified within a few views of its first digest.
+_DIGEST_GENERATION = 256
 
 
 def set_batch_verify_default(enabled: bool) -> bool:
@@ -100,13 +107,15 @@ class ThresholdScheme:
         run, and each replica independently verifies the same certificate
         as it arrives, so without the cache the O(n) signer-set digest is
         recomputed n times per certificate — the dominant crypto cost of
-        large-``n`` runs under the hashing backend.  A hit only requires
-        digesting the (small) message; the cache key binds everything the
+        large-``n`` runs under the hashing backend.  A hit costs a lookup
+        of the (memoised) message digest; the cache key binds everything the
         proof recomputation would check (message digest, threshold, signer
         set, proof string), so a hit and a recomputation always agree.
-        Disable it to measure the raw per-verification seam cost
-        (``benchmarks/bench_scaling.py`` does for its pipeline
-        microbenchmark).
+        The same cache holds the partial shares this scheme minted, keyed
+        by proof, message digest and signer: :meth:`verify_partial` of one
+        of them is a lookup.  Disable it to measure the raw
+        per-verification seam cost (``benchmarks/bench_scaling.py`` does
+        for its pipeline microbenchmark).
     batch_verify:
         Whether :meth:`combine` verifies a quorum of shares through one
         :meth:`~repro.crypto.backend.CryptoBackend.verify_batch` call —
@@ -132,6 +141,9 @@ class ThresholdScheme:
             set() if cache_verified else None
         )
         self._verified_before: set = set()  # the previous generation
+        # message -> backend digest, young and old generation.
+        self._digests: dict[Any, str] = {}
+        self._digests_before: dict[Any, str] = {}
         #: Number of :meth:`verify` calls served from the verified cache.
         self.verify_cache_hits = 0
         #: Number of :meth:`combine` calls whose whole quorum verified in
@@ -140,6 +152,29 @@ class ThresholdScheme:
         #: Number of :meth:`combine` calls that fell back to the per-share
         #: loop (some share failed the batch, or batching is off).
         self.combine_fallbacks = 0
+
+    # ------------------------------------------------------------------
+    # Message digests
+    # ------------------------------------------------------------------
+    def message_digest(self, message: Any) -> str:
+        """The backend's digest of ``message``, computed once per scheme.
+
+        ``message`` is one of the small hashable tuples the protocol signs
+        (``("qc", view, block_id)``, a pacemaker's ``(tag, view)``); equal
+        messages have equal digests, so every replica sharing the scheme
+        reads the first one's.  Keys are the receiver's own message tuples,
+        never a digest read off the wire.  Bounded as two generations of
+        ``_DIGEST_GENERATION`` messages.
+        """
+        digest = self._digests.get(message)
+        if digest is None:
+            digest = self._digests_before.get(message)
+            if digest is None:
+                digest = self.backend.digest(message)
+                if len(self._digests) >= _DIGEST_GENERATION:
+                    self._digests_before, self._digests = self._digests, {}
+                self._digests[message] = digest
+        return digest
 
     # ------------------------------------------------------------------
     # Shares
@@ -153,12 +188,16 @@ class ThresholdScheme:
         """Create this signer's share over ``message``.
 
         ``message_digest`` must be the caller's own digest of ``message``
-        (see :meth:`verify_partial`); passing it elides the re-digest for
-        callers that memoise per-view payload digests.
+        (see :meth:`verify_partial`); omitted, it is
+        :meth:`message_digest`'s.
         """
         if message_digest is None:
-            message_digest = self.backend.digest(message)
+            message_digest = self.message_digest(message)
         signature = key.sign_digest(message_digest)
+        if self._verified is not None:
+            # Like a freshly combined aggregate: the replicas sharing this
+            # scheme find a share minted here already verified.
+            self._remember((signature.proof, message_digest, key.owner))
         return PartialSignature(
             signer=key.owner, message_digest=message_digest, signature=signature
         )
@@ -171,15 +210,24 @@ class ThresholdScheme:
     ) -> bool:
         """Check one share against the PKI.
 
-        ``message_digest`` lets loop-shaped callers (``combine``, the
-        certificate collectors) canonicalise the message once; it must be
-        the caller's own digest of ``message``, never one read off the wire.
+        With the verified cache on, a share this scheme minted
+        (:meth:`partial_sign` remembers each) is known valid without a
+        recomputation: the leader of a view finds its co-located voters'
+        shares there.  ``message_digest`` lets loop-shaped callers
+        (``combine``, the certificate collectors) canonicalise the message
+        once; it must be the caller's own digest of ``message``, never one
+        read off the wire.
         """
         if message_digest is None:
-            message_digest = self.backend.digest(message)
+            message_digest = self.message_digest(message)
         if partial.message_digest != message_digest:
             return False
-        return self.pki.is_valid_digest(partial.signature, message_digest)
+        signature = partial.signature
+        if self._verified is not None:
+            key = (signature.proof, message_digest, signature.signer)
+            if key in self._verified or key in self._verified_before:
+                return True
+        return self.pki.is_valid_digest(signature, message_digest)
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -208,7 +256,7 @@ class ThresholdScheme:
         if threshold <= 0:
             raise ThresholdError(f"threshold must be positive, got {threshold}")
         if message_digest is None:
-            message_digest = self.backend.digest(message)
+            message_digest = self.message_digest(message)
         matching = [p for p in partials if p.message_digest == message_digest]
         valid_signers: set[int] = set()
         batched = False
@@ -263,13 +311,13 @@ class ThresholdScheme:
 
         With the verified cache enabled (the default), re-verifying a
         certificate that already passed — every replica checks every QC as
-        it arrives — costs one digest of the small ``message`` plus a set
-        lookup, instead of re-digesting the O(n) signer set.  As with
+        it arrives — costs two lookups (:meth:`message_digest` and the
+        cache), instead of re-digesting the O(n) signer set.  As with
         :meth:`verify_partial`, ``message_digest`` must be the caller's own
         digest of ``message``, never one read off the wire.
         """
         if message_digest is None:
-            message_digest = self.backend.digest(message)
+            message_digest = self.message_digest(message)
         if aggregate.message_digest != message_digest:
             return False
         verified = self._verified

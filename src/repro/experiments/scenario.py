@@ -16,7 +16,7 @@ objects here and answers the same queries from one :class:`RunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.config import ProtocolConfig
 from repro.consensus.ledger import sequences_consistent
@@ -136,6 +136,9 @@ class ProtocolStack:
     pki: PKI
     signing_keys: dict
     scheme: ThresholdScheme
+    #: ``replica -> Pacemaker``, one per run: the replicas it builds share
+    #: what their pacemakers can (Lumiere's leader schedule).
+    pacemaker_factory: Callable[[Replica], Any]
 
 
 @dataclass
@@ -231,7 +234,8 @@ class RunResult:
 
     def client_counts(self) -> dict[int, dict[str, int]]:
         """Per-replica client-path counters (empty without a workload):
-        ``mempool.expired`` and ``store.duplicates_skipped``."""
+        ``mempool.expired``, ``store.duplicates_skipped`` and
+        ``kv_batches_malformed``."""
         return {pid: r.client_counts for pid, r in self.residues().items() if r.client_counts}
 
     def duplicates_per_applied(self) -> float:
@@ -359,7 +363,8 @@ def resolve_adversary(
 def build_stack(config: ScenarioConfig) -> ProtocolStack:
     """Build everything a lane needs before it has a runtime to hand the
     replicas: the one place an adversary is resolved, a crypto backend
-    installed, keys minted and the metrics collector — the run's one
+    installed, keys minted, the pacemaker factory (and with it Lumiere's
+    one leader schedule) made and the metrics collector — the run's one
     record, with its one counter bag ``metrics.counters`` — created.
     """
     protocol_config, delay_model, corruption = resolve_adversary(config)
@@ -384,6 +389,9 @@ def build_stack(config: ScenarioConfig) -> ProtocolStack:
         pki=pki,
         signing_keys=signing_keys,
         scheme=ThresholdScheme(pki),
+        pacemaker_factory=make_pacemaker_factory(
+            config.pacemaker, protocol_config, config.pacemaker_config
+        ),
     )
 
 
@@ -402,9 +410,7 @@ def make_replica(stack: ProtocolStack, pid: int, runtime: Runtime) -> Replica:
         pki=stack.pki,
         signing_key=stack.signing_keys[pid],
         scheme=stack.scheme,
-        pacemaker_factory=make_pacemaker_factory(
-            config.pacemaker, stack.protocol_config, config.pacemaker_config
-        ),
+        pacemaker_factory=stack.pacemaker_factory,
         metrics=stack.metrics,
         behaviour=stack.corruption.behaviour_for(pid),
     )

@@ -71,11 +71,11 @@ def make_pacemaker_factory(
     if normalized == "lumiere":
         from repro.core.lumiere import LumierePacemaker
 
-        return lambda replica: LumierePacemaker(replica, config, pacemaker_config)
+        return _sharing_schedule(LumierePacemaker, config, pacemaker_config)
     if normalized == "basic-lumiere":
         from repro.core.lumiere import BasicLumierePacemaker
 
-        return lambda replica: BasicLumierePacemaker(replica, config, pacemaker_config)
+        return _sharing_schedule(BasicLumierePacemaker, config, pacemaker_config)
     if normalized == "lp22":
         from repro.pacemakers.lp22 import LP22Pacemaker
 
@@ -103,3 +103,21 @@ def make_pacemaker_factory(
     raise ConfigurationError(
         f"unknown pacemaker {name!r}; available: {', '.join(available_pacemakers())}"
     )
+
+
+def _sharing_schedule(
+    pacemaker_class: type, config: ProtocolConfig, pacemaker_config: Optional[Any]
+) -> Callable[[Any], Any]:
+    """A Lumiere factory whose pacemakers share the first one's leader
+    schedule: every replica built from it reads one table."""
+    shared: list = []
+
+    def build(replica: Any) -> Any:
+        pacemaker = pacemaker_class(
+            replica, config, pacemaker_config, shared[0] if shared else None
+        )
+        if not shared:
+            shared.append(pacemaker.schedule)
+        return pacemaker
+
+    return build

@@ -154,14 +154,19 @@ class AsyncioRuntime(Runtime):
         return self.set_timer(max(0.0, time - self.now), callback, *args, label=label)
 
     def call_after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget lane: every delivery comes through here, so it
-        skips :meth:`set_timer`'s extra frame and argument repacking."""
+        """Fire-and-forget lane: every delivery comes through here, and
+        nothing cancels it, so it skips :meth:`set_timer`'s handle.  A zero
+        delay stays a ``call_later``, so a loopback delivery still runs
+        after the callbacks already due: as a ``call_soon`` it made views
+        shorter but requests wait more of them (4.2 -> 4.8 views at request
+        p50 on the process + shm lane, p90 up a fifth)."""
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay!r}")
-        handle = _LoopTimerHandle()
-        handle._loop_handle = asyncio.get_running_loop().call_later(
-            delay, handle._run, self, callback, args
-        )
+        asyncio.get_running_loop().call_later(delay, self._fire, callback, args)
+
+    def _fire(self, callback: Callable[..., None], args: tuple) -> None:
+        self.events_processed += 1
+        callback(*args)
 
     # ------------------------------------------------------------------
     # Messaging and registration

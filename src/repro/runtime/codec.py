@@ -17,10 +17,12 @@ integers, 8-byte IEEE floats, and registered dataclasses as a numeric class
 id followed by their field values *positionally* (no field names on the
 wire).  The class id is the registration ordinal, so both ends must
 register the same classes in the same order — which holds by construction
-for :func:`default_codec`.  Registering a class compiles its *plan*: a
-packer and an unpacker generated for that class, fields unrolled, built
-positionally, the common field shapes inline (:func:`_compile_class`).
-Plans are built with the codec, so importing this module compiles nothing.
+for :func:`default_codec`.  Each registered class has a *plan*: a packer
+and an unpacker generated for that class, fields unrolled, built
+positionally, the common field shapes inline (:func:`_compile_class`).  A
+plan is compiled on its class's first frame, so importing this module or
+building a codec compiles nothing, and a class never sent (a pacemaker the
+run does not use) is never compiled.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import struct
+import types
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import ConfigurationError
@@ -166,15 +169,15 @@ class WireCodec:
     """Encode/decode registered dataclass trees as length-prefixed frames.
 
     The registry is the ordered list of registered classes: a class's index
-    in it is its numeric wire id, and registering it compiles its plan —
-    one packer and one unpacker with the fields unrolled
-    (:func:`_compile_class`) — so a dataclass encodes as ``CLASS tag ||
-    varint id || field values``.  **Registration order is part of the wire
-    format**: peers decode ids against their own registration sequence, so
-    every node of a cluster must register the same classes in the same
-    order (:func:`default_codec` guarantees this for the library's own
-    messages; custom messages must be registered identically on every node,
-    after the defaults).
+    in it is its numeric wire id, and its plan — one packer and one
+    unpacker with the fields unrolled (:func:`_compile_class`), compiled
+    when the class is first packed or unpacked — encodes a dataclass as
+    ``CLASS tag || varint id || field values``.  **Registration order is
+    part of the wire format**: peers decode ids against their own
+    registration sequence, so every node of a cluster must register the
+    same classes in the same order (:func:`default_codec` guarantees this
+    for the library's own messages; custom messages must be registered
+    identically on every node, after the defaults).
     """
 
     def __init__(self) -> None:
@@ -202,11 +205,27 @@ class WireCodec:
         if not dataclasses.is_dataclass(cls):
             raise WireCodecError(f"{cls!r} is not a dataclass; cannot register")
         if cls not in self._packers:
-            packer, unpacker = _compile_class(self, cls, len(self._by_id))
-            self._packers[cls] = packer
-            self._by_id.append(unpacker)
+            wire_id = len(self._by_id)
+
+            # Placeholders in the dispatch tables: the first call compiles
+            # the plan into the tables (the plans look entries up at call
+            # time, so every later frame goes straight to the compiled one).
+            def pack_first(codec: WireCodec, value: Any, out: bytearray) -> None:
+                self._compile(cls, wire_id)
+                self._packers[cls](codec, value, out)
+
+            def unpack_first(buf: Any, pos: int) -> tuple[Any, int]:
+                self._compile(cls, wire_id)
+                return self._by_id[wire_id](buf, pos)
+
+            self._packers[cls] = pack_first
+            self._by_id.append(unpack_first)
             self._classes.append(cls)
         return cls
+
+    def _compile(self, cls: type, wire_id: int) -> None:
+        """Put ``cls``'s compiled plan in the dispatch tables."""
+        self._packers[cls], self._by_id[wire_id] = _compile_class(self, cls, wire_id)
 
     def register_all(self, classes: Iterable[type]) -> None:
         """Register every class in ``classes``, in order."""
@@ -246,7 +265,11 @@ class WireCodec:
         start = len(out)
         out += b"\x00\x00\x00\x00"
         _pack_uvarint(_zigzag(sender), out)
-        self._pack_value(payload, out)
+        packer = self._packers.get(payload.__class__)
+        if packer is not None:
+            packer(self, payload, out)  # a message: its class plan
+        else:
+            self._pack_other(payload, out)
         body_len = len(out) - start - LENGTH_PREFIX_BYTES
         if body_len > MAX_FRAME_BYTES:
             del out[start:]
@@ -267,7 +290,13 @@ class WireCodec:
             pos = 1
             if raw_sender > 0x7F:
                 raw_sender, pos = _unpack_uvarint(body, 0)
-            payload, pos = self._unpack_value(body, pos)
+            if body[pos] == _T_CLASS and (wire_id := body[pos + 1]) < 0x80 and (
+                wire_id < len(self._by_id)
+            ):
+                # A message: straight into its class plan.
+                payload, pos = self._by_id[wire_id](body, pos + 2)
+            else:
+                payload, pos = self._unpack_value(body, pos)
         except WireCodecError:
             raise
         except Exception as exc:
@@ -307,9 +336,7 @@ class WireCodec:
         elif isinstance(value, str):
             _pack_str(self, value, out)
         elif isinstance(value, bytes):
-            out.append(_T_BYTES)
-            _pack_uvarint(len(value), out)
-            out += value
+            _pack_bytes(self, value, out)
         elif isinstance(value, tuple):
             _pack_tuple(self, value, out)
         elif isinstance(value, list):
@@ -344,15 +371,15 @@ class WireCodec:
             if wire_id >= len(self._by_id):
                 raise WireCodecError(f"unknown wire class id {wire_id}")
             return self._by_id[wire_id](buf, pos)
-        if tag == _T_TUPLE or tag == _T_LIST or tag == _T_FSET:
+        if tag == _T_TUPLE:
+            return self._unpack_tuple(buf, pos)
+        if tag == _T_LIST or tag == _T_FSET:
             count, pos = _unpack_uvarint(buf, pos)
             unpack = self._unpack_value
             items = []
             for _ in range(count):
                 item, pos = unpack(buf, pos)
                 items.append(item)
-            if tag == _T_TUPLE:
-                return tuple(items), pos
             if tag == _T_LIST:
                 return items, pos
             return frozenset(items), pos
@@ -384,6 +411,29 @@ class WireCodec:
             return bytes(buf[pos:end]), end
         raise WireCodecError(f"malformed frame body: unknown tag 0x{tag:02x}")
 
+    def _unpack_tuple(self, buf: bytes, pos: int) -> tuple[tuple, int]:
+        """A tuple, ``pos`` just past its tag: registered classes through
+        their plans, integers and nested tuples (a block's filler) inline,
+        any other item through :meth:`_unpack_value`."""
+        count, pos = _unpack_uvarint(buf, pos)
+        unpackers = self._by_id
+        items = []
+        for _ in range(count):
+            tag = buf[pos]
+            if tag == _T_CLASS and (wire_id := buf[pos + 1]) < 0x80 and (
+                wire_id < len(unpackers)
+            ):
+                item, pos = unpackers[wire_id](buf, pos + 2)
+            elif tag == _T_INT:
+                item, pos = _unpack_uvarint(buf, pos + 1)
+                item = item >> 1 if not item & 1 else -(item + 1) >> 1
+            elif tag == _T_TUPLE:
+                item, pos = self._unpack_tuple(buf, pos + 1)
+            else:
+                item, pos = self._unpack_value(buf, pos)
+            items.append(item)
+        return tuple(items), pos
+
 
 def _pack_str(codec: WireCodec, value: str, out: bytearray) -> None:
     encoded = value.encode("utf-8")
@@ -392,20 +442,34 @@ def _pack_str(codec: WireCodec, value: str, out: bytearray) -> None:
     out += encoded
 
 
+def _pack_bytes(codec: WireCodec, value: bytes, out: bytearray) -> None:
+    out.append(_T_BYTES)
+    _pack_uvarint(len(value), out)
+    out += value
+
+
+def _pack_items(codec: WireCodec, items: Iterable[Any], out: bytearray) -> None:
+    """Pack each item by its exact type's packer (the walker's own
+    dispatch, without a call through it per item)."""
+    packers = codec._packers
+    for item in items:
+        packer = packers.get(item.__class__)
+        if packer is not None:
+            packer(codec, item, out)
+        else:
+            codec._pack_other(item, out)
+
+
 def _pack_tuple(codec: WireCodec, value: tuple, out: bytearray) -> None:
     out.append(_T_TUPLE)
     _pack_uvarint(len(value), out)
-    pack = codec._pack_value
-    for item in value:
-        pack(item, out)
+    _pack_items(codec, value, out)
 
 
 def _pack_list(codec: WireCodec, value: list, out: bytearray) -> None:
     out.append(_T_LIST)
     _pack_uvarint(len(value), out)
-    pack = codec._pack_value
-    for item in value:
-        pack(item, out)
+    _pack_items(codec, value, out)
 
 
 def _pack_fset(codec: WireCodec, value: frozenset, out: bytearray) -> None:
@@ -417,9 +481,7 @@ def _pack_fset(codec: WireCodec, value: frozenset, out: bytearray) -> None:
         items = list(value)
     out.append(_T_FSET)
     _pack_uvarint(len(items), out)
-    pack = codec._pack_value
-    for item in items:
-        pack(item, out)
+    _pack_items(codec, items, out)
 
 
 def _pack_dict(codec: WireCodec, value: dict, out: bytearray) -> None:
@@ -446,6 +508,7 @@ _PACKERS: dict[type, Callable[[WireCodec, Any, bytearray], None]] = {
         out.__iadd__(_FLOAT_STRUCT.pack(value)),
     )[0],
     str: _pack_str,
+    bytes: _pack_bytes,
     tuple: _pack_tuple,
     list: _pack_list,
     frozenset: _pack_fset,
@@ -458,11 +521,16 @@ _PACKERS: dict[type, Callable[[WireCodec, Any, bytearray], None]] = {
 # ----------------------------------------------------------------------
 # ``WireCodec.register`` turns each class into one packer and one
 # unpacker with its fields unrolled, generated from the templates below the
-# way ``dataclasses`` generates ``__init__``.  Each field gets the one inline
-# fast path its annotation suggests — an exact ``int`` (views, signer ids),
-# an exact ``str`` (digests), or a nested registered class — and falls back
-# to the generic walker for any other value, multi-byte length or class id.
-# The annotation only picks which test comes first, so the templates add no
+# way ``dataclasses`` generates ``__init__``.  Each field gets the inline
+# fast path its annotation suggests.  Packing inlines an exact ``int``
+# (views, signer ids) or ``str`` (digests) and hands any other value to its
+# exact type's packer: a registered class's plan, or a container packer
+# that dispatches its items the same way.  Unpacking inlines those two plus
+# ``bytes`` (command blobs), ``tuple`` (block payloads: items through their
+# class plans), ``frozenset`` of small ints (signer sets) and a nested
+# registered class or ``None``.  Anything else — another value, a
+# multi-byte length, a class id past 127 — takes the generic walker.  The
+# annotation only picks which test comes first, so the templates add no
 # format rule of their own: same bytes out, same values and rejections in.
 _PACK_FIELD = {
     "int": """\
@@ -523,15 +591,64 @@ _UNPACK_FIELD = {
     else:
         v{i}, pos = unpack(buf, pos)
 """,
+    "bytes": """\
+    if buf[pos] == {BYTES}:
+        end, pos = get_uvarint(buf, pos + 1)
+        end += pos
+        if end > len(buf):
+            raise WireCodecError("malformed frame body: truncated bytes")
+        v{i} = bytes(buf[pos:end])
+        pos = end
+    else:
+        v{i}, pos = unpack(buf, pos)
+""",
+    "tuple": """\
+    if buf[pos] == {TUPLE}:
+        v{i}, pos = unpack_tuple(buf, pos + 1)
+    else:
+        v{i}, pos = unpack(buf, pos)
+""",
+    "frozenset": """\
+    if buf[pos] == {FSET}:
+        count, pos = get_uvarint(buf, pos + 1)
+        items = []
+        for _ in range(count):
+            if buf[pos] == {INT} and (item := buf[pos + 1]) < 128:
+                pos += 2
+                items.append(item >> 1 if not item & 1 else -(item + 1) >> 1)
+            else:
+                item, pos = unpack(buf, pos)
+                items.append(item)
+        v{i} = frozenset(items)
+    else:
+        v{i}, pos = unpack(buf, pos)
+""",
     "class": """\
     if buf[pos] == {CLASS} and (k := buf[pos + 1]) < 128 and k < len(unpackers):
         v{i}, pos = unpackers[k](buf, pos + 2)
+    elif buf[pos] == {NONE}:
+        v{i} = None
+        pos += 1
     else:
         v{i}, pos = unpack(buf, pos)
 """,
 }
 
-_TAGS = {"INT": _T_INT, "STR": _T_STR, "CLASS": _T_CLASS}
+_TAGS = {
+    "INT": _T_INT, "STR": _T_STR, "BYTES": _T_BYTES, "TUPLE": _T_TUPLE,
+    "FSET": _T_FSET, "CLASS": _T_CLASS, "NONE": _T_NONE,
+}
+
+
+def _field_shape(annotation: Any) -> str:
+    """The template a field's annotation picks (``"class"`` for anything
+    that is not one of the inline shapes)."""
+    name = getattr(annotation, "__name__", annotation)
+    if name in ("int", "str", "bytes", "tuple"):
+        return name
+    if isinstance(name, str) and name.startswith("frozenset"):
+        return "frozenset"
+    return "class"
 
 
 @functools.lru_cache(maxsize=None)
@@ -557,31 +674,45 @@ def _compile_class(
     _pack_uvarint(wire_id, header)
     fields = dataclasses.fields(cls)
     # Annotations are source text under ``from __future__ import annotations``.
-    hints = [
-        hint if hint in ("int", "str") else "class"
-        for hint in (getattr(field.type, "__name__", field.type) for field in fields)
-    ]
-    arguments = ", ".join(
-        f"{field.name}=v{i}" if field.kw_only else f"v{i}"
+    hints = [_field_shape(field.type) for field in fields]
+    # A slotted class without a __post_init__ (every library message but
+    # Block) is filled through its slot descriptors: the frozen __init__'s
+    # guarded object.__setattr__ per field costs twice as much.
+    setters = {
+        f"set{i}": getattr(cls, field.name, None).__set__
         for i, field in enumerate(fields)
-    )
+        if isinstance(getattr(cls, field.name, None), types.MemberDescriptorType)
+    }
+    if len(setters) == len(fields) and not hasattr(cls, "__post_init__"):
+        build = "    o = new(cls)\n" + "".join(
+            f"    set{i}(o, v{i})\n" for i in range(len(fields))
+        ) + "    return o, pos\n"
+    else:
+        arguments = ", ".join(
+            f"{field.name}=v{i}" if field.kw_only else f"v{i}"
+            for i, field in enumerate(fields)
+        )
+        build = f"    return cls({arguments}), pos\n"
     source = (
         "def pack(codec, value, out):\n"
         "    out += header\n"
         + "".join(
-            _PACK_FIELD[hint].format(name=field.name, **_TAGS)
+            _PACK_FIELD.get(hint, _PACK_FIELD["class"]).format(name=field.name, **_TAGS)
             for hint, field in zip(hints, fields)
         )
         + "def unpack_class(buf, pos):\n"
         + "".join(_UNPACK_FIELD[hint].format(i=i, **_TAGS) for i, hint in enumerate(hints))
-        + f"    return cls({arguments}), pos\n"
+        + build
     )
     namespace = {
         "cls": cls,
+        "new": object.__new__,
+        **setters,
         "header": bytes(header),
         "packers": codec._packers,
         "unpackers": codec._by_id,
         "unpack": codec._unpack_value,
+        "unpack_tuple": codec._unpack_tuple,
         "put_uvarint": _pack_uvarint,
         "get_uvarint": _unpack_uvarint,
         "WireCodecError": WireCodecError,

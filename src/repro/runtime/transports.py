@@ -315,13 +315,17 @@ class FramedTransport(Transport):
         self.last_errors.append(f"{where}->{self.pid}: {error!r}")
 
     def _receive(self, sender: int, payload: Any) -> None:
-        """Hand one decoded inbound frame to the hosted process."""
-        now = self.runtime.now
-        envelope = Envelope(
-            next(self._msg_ids), sender, self.pid, payload, now, now
-        )
-        self.runtime.events_processed += 1
-        self._delivered(envelope, self._process)
+        """Hand one decoded inbound frame to the hosted process (an
+        :class:`Envelope` is built only for deliver listeners to read)."""
+        runtime = self._runtime
+        runtime.events_processed += 1
+        self.messages_delivered += 1
+        if self.deliver_listeners:
+            now = runtime.now
+            envelope = Envelope(next(self._msg_ids), sender, self.pid, payload, now, now)
+            for listener in self.deliver_listeners:
+                listener(envelope)
+        self._process.deliver(payload, sender)
 
 
 class LocalTransport(Transport):

@@ -10,8 +10,9 @@ leader after a failed view, a retry racing an in-flight proposal) are the
 Batches cross the wire many times (proposal broadcast, QC announce,
 forward, re-forward), so commands are encoded **once**, at batch-build
 time, into a single varint-packed blob; every later hop memcpys the blob
-(the wire codec's bytes tag), and decoding happens exactly once per
-replica — at apply time.  The format is LEB128 uvarints for ``client``,
+(the wire codec's bytes tag), and decoding happens once per process — at
+apply time, shared by the replicas that process hosts
+(:class:`~repro.statemachine.kvstore.BatchMemo`).  The format is LEB128 uvarints for ``client``,
 ``seq`` and string lengths, one op byte, and UTF-8 key/value bytes:
 
 ``uvarint count || (uvarint client, uvarint seq, op byte,
@@ -87,7 +88,8 @@ def encode_commands(commands: Iterable[Command]) -> bytes:
 
 
 def decode_commands(blob: bytes) -> tuple[Command, ...]:
-    """Decode a blob back into commands (done once per replica, at apply)."""
+    """Decode a blob back into commands (done once per process, at apply);
+    raises ``ValueError`` or ``IndexError`` on a malformed blob."""
     count, pos = _unpack_uvarint(blob, 0)
     commands = []
     for _ in range(count):

@@ -23,7 +23,8 @@ class CommandBatch:
     ``data`` is the :func:`repro.statemachine.commands.encode_commands`
     encoding of ``count`` commands.  The batch travels as an opaque byte
     string through forwards, proposals and QC announces — the leader never
-    re-encodes it and replicas decode it exactly once, at apply time.
+    re-encodes it, and it is decoded once per process, at apply time (a
+    blob that does not decode applies as no commands).
     ``canonical_bytes`` passes ``bytes`` through untouched, so batches
     inside a block payload digest without any special-casing.
     """

@@ -170,7 +170,7 @@ def test_a_never_learned_qc_below_the_floor_still_counts_once():
         scenario="silent_spread",
     ))
     replica = result.honest_replicas[0]
-    failed = [v for v in range(replica.floor) if not replica.engine._learned_below >> v & 1]
+    failed = [v for v in range(replica.floor) if not replica.engine._learned_below_floor(v)]
     assert failed and replica.floor <= replica.current_view
     late_qc = _quorum_qc(result, failed[-1], "never-proposed")
     before = _protocol_state(replica)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.runner import WorkloadConfig
-from repro.statemachine import ReplicatedKV
+from repro.statemachine import ReplicatedKV, kvstore
 from test_live_runtime import run_until
 
 #: Attributes that are per-peer or per-type, not per-view.
@@ -24,9 +24,11 @@ _NOT_PER_VIEW = {"_handlers", "_routes", "_vkeys", "honest_ids"}
 
 def _per_view_tables(replica) -> dict[str, int]:
     """Size of every dict/set the engine, its aggregator, the pacemaker with
-    its collectors and tracker, and the shared scheme hold."""
+    its collectors and tracker, the shared scheme and the process's batch
+    memo hold."""
     owners = [
         replica.engine, replica.engine.aggregator, replica.pacemaker, replica.scheme, replica.tree,
+        kvstore.BATCHES,
     ]
     for name in ("success", "_vc_collector", "_epoch_collector"):
         if hasattr(replica.pacemaker, name):
@@ -79,13 +81,15 @@ def _assert_bounded(short, long, only=None):
     for name in long:
         if only is not None and not name.startswith(only):
             continue
-        limit = 512 if name.startswith("ThresholdScheme.") else bound
+        # The shared memos keep two generations whatever the run's length.
+        limit = 512 if name.startswith(("ThresholdScheme.", "BatchMemo.")) else bound
         assert short[name] <= limit and long[name] <= limit, (name, short[name], long[name])
 
 
 def test_per_view_tables_do_not_grow_with_the_run(lumiere_kv):
     (_, short, _), (_, long, _) = lumiere_kv
     assert len(long) >= 30  # engine, aggregator, pacemaker, collectors, tracker, scheme
+    assert long["BatchMemo.young"] > 0 and "ThresholdScheme._digests" in long
     _assert_bounded(short, long)
 
 

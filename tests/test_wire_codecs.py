@@ -472,6 +472,11 @@ def _messages(trees):
         ),
         st.builds(NewView, view=_ints, high_qc=st.none()),
         st.builds(CommandBatch, count=_ints, data=st.binary(max_size=300)),
+        st.builds(CommandBatch, count=_ints, data=trees),
+        st.builds(
+            ThresholdSignature, message_digest=_strs, threshold=_ints,
+            signers=st.one_of(st.frozensets(_hashables, max_size=5), trees), proof=_strs,
+        ),
         st.sampled_from([PacemakerMessage(), ClientMessage()]),
     )
 
@@ -484,6 +489,60 @@ def test_random_trees_match_the_reference_packer_and_the_json_oracle(sender, pay
     decoded = FUZZ_CODEC.decode_body(frame[4:])
     assert decoded == (sender, payload)
     assert FUZZ_CODEC.decode_body(memoryview(frame)[4:]) == decoded
+
+
+class _CountingCodec(WireCodec):
+    """A codec that counts its generic walker's calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.walks = 0
+
+    def _pack_value(self, value, out):
+        self.walks += 1
+        super()._pack_value(value, out)
+
+    def _pack_other(self, value, out):
+        self.walks += 1
+        super()._pack_other(value, out)
+
+    def _unpack_value(self, buf, pos):
+        self.walks += 1
+        return super()._unpack_value(buf, pos)
+
+
+def _hot_frames() -> list:
+    """The frames of a steady view, in the shapes they take on the wire:
+    filler and command payloads, a present and an absent justify."""
+    zoo = message_zoo()
+    qc = next(m for m in zoo if isinstance(m, QuorumCertificate))
+    batch = next(m for m in zoo if isinstance(m, CommandBatch))
+    vote = next(m for m in zoo if isinstance(m, Vote))
+    big = CommandBatch(count=9, data=encode_commands(
+        [Command(5, seq, 0, f"k{seq}", "v" * 20) for seq in range(9)]
+    ))
+    filler = Block(view=300, parent_id="p" * 32, proposer=3, payload=((3, 9000),), justify_view=299)
+    loaded = Block(view=301, parent_id="q" * 32, proposer=1, payload=(batch, big), justify_view=-1)
+    return [
+        Proposal(view=300, block=filler, justify=qc),
+        Proposal(view=301, block=loaded, justify=None),
+        vote,
+        NewView(view=302, high_qc=qc),
+        NewView(view=0, high_qc=None),
+        QCAnnounce(view=300, qc=qc, block=filler),
+        CommandForward(batch=big),
+    ]
+
+
+def test_the_hot_frames_never_take_the_generic_walker():
+    codec = _CountingCodec()
+    _register_library_messages(codec)
+    for message in _hot_frames():
+        out = bytearray()
+        codec.encode_into(4, message, out)
+        assert bytes(out) == default_codec().encode_frame(4, message)
+        assert codec.decode_body(bytes(out[4:])) == (4, message)
+        assert codec.walks == 0, type(message).__name__
 
 
 def _rejected(codec: WireCodec, body: bytes) -> None:

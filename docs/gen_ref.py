@@ -64,7 +64,6 @@ REFERENCE_PAGES = {
         [
             "repro.runtime",
             "repro.runtime.base",
-            "repro.runtime.simulation",
             "repro.runtime.asyncio_runtime",
             "repro.runtime.transports",
             "repro.runtime.tcp",

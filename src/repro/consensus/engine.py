@@ -273,7 +273,7 @@ class ChainedHotStuff(ConsensusEngine):
             payload=replica.mempool.next_batch() + ("equivocation-b",),
             justify_view=justify.view if justify is not None else -1,
         )
-        all_ids = list(self.replica.runtime.process_ids)
+        all_ids = list(self.replica.transport.process_ids)
         half = len(all_ids) // 2
         first, second = all_ids[:half], all_ids[half:]
 

@@ -18,10 +18,11 @@ through a per-replica dispatch table keyed on the concrete payload class:
 the ``isinstance`` check happens once per *type*, not once per delivery
 (the per-delivery form was a measurable share of large-``n`` runs).
 
-A replica is runtime-agnostic: it talks only to the
-:class:`~repro.runtime.base.Runtime` it is built over, so the same
-object runs under the discrete-event simulator or on an asyncio loop over
-a real transport.
+A replica is runtime-agnostic: it is built over a
+:class:`~repro.runtime.transports.Transport` and reads time from the
+:class:`~repro.runtime.base.Runtime` that transport is bound to, so the
+same object runs under the discrete-event simulator or on an asyncio loop
+over a real transport.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class ReplicaResidue(NamedTuple):
     kv_chain: PackedDigests
     #: Client-path counts (empty without a workload): the batches the
     #: mempool gave up on, the committed duplicates the exactly-once
-    #: filter skipped and the committed batches that did not decode.
+    #: filter skipped, the committed commands outside its domain and the
+    #: committed batches that did not decode.
     client_counts: dict[str, int]
 
 
@@ -69,7 +71,7 @@ class Replica(Process):
     def __init__(
         self,
         pid: int,
-        runtime: Any,
+        transport: Any,
         config: ProtocolConfig,
         pki: PKI,
         signing_key: SigningKey,
@@ -80,7 +82,7 @@ class Replica(Process):
         behaviour: Optional[Behaviour] = None,
         mempool: Optional[Mempool] = None,
     ) -> None:
-        super().__init__(pid, runtime)
+        super().__init__(pid, transport)
         self.config = config
         self.pki = pki
         self.signing_key = signing_key
@@ -314,6 +316,7 @@ class Replica(Process):
             {
                 "mempool.expired": self.mempool.expired,
                 "store.duplicates_skipped": machine.store.duplicates_skipped,
+                "store.commands_rejected": machine.store.commands_rejected,
                 "kv_batches_malformed": machine.batches_malformed,
             },
         )

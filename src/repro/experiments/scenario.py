@@ -39,7 +39,7 @@ from repro.metrics.summary import (
     summarize_run,
 )
 from repro.pacemakers.registry import make_pacemaker_factory
-from repro.runtime import LocalTransport, Runtime, SimRuntime
+from repro.runtime import LocalTransport, Transport
 from repro.sim.events import Simulator
 from repro.statemachine.kvstore import apply_chains_consistent
 
@@ -145,8 +145,9 @@ class ProtocolStack:
 class RunResult:
     """The outcome of one run, on any lane.
 
-    A virtual-time run carries its ``simulator``, ``runtime`` and
-    ``transport``; a wall-clock cluster's result carries none of them.
+    A virtual-time run carries its ``simulator`` (the runtime its transport
+    is bound to) and ``transport``; a wall-clock cluster's result carries
+    neither.
     Runs whose replicas lived in worker processes hold no replicas at all:
     the coordinator fills ``shipped`` with each replica's
     :class:`ReplicaResidue` from the shard reports, and every per-replica
@@ -159,9 +160,7 @@ class RunResult:
     replicas: dict[int, Replica]
     corruption: CorruptionPlan
     simulator: Optional[Simulator] = None
-    #: The :class:`~repro.runtime.simulation.SimRuntime` and transport of a
-    #: virtual-time run.
-    runtime: Optional[Any] = None
+    #: The transport of a virtual-time run.
     transport: Optional[Any] = None
     #: The run's crypto backend instance (its counters expose how much digest
     #: work the run performed); ``None`` when the stacks lived in workers.
@@ -234,8 +233,8 @@ class RunResult:
 
     def client_counts(self) -> dict[int, dict[str, int]]:
         """Per-replica client-path counters (empty without a workload):
-        ``mempool.expired``, ``store.duplicates_skipped`` and
-        ``kv_batches_malformed``."""
+        ``mempool.expired``, ``store.duplicates_skipped``,
+        ``store.commands_rejected`` and ``kv_batches_malformed``."""
         return {pid: r.client_counts for pid, r in self.residues().items() if r.client_counts}
 
     def duplicates_per_applied(self) -> float:
@@ -395,8 +394,9 @@ def build_stack(config: ScenarioConfig) -> ProtocolStack:
     )
 
 
-def make_replica(stack: ProtocolStack, pid: int, runtime: Runtime) -> Replica:
-    """Construct replica ``pid`` of ``stack`` over ``runtime``.
+def make_replica(stack: ProtocolStack, pid: int, transport: Transport) -> Replica:
+    """Construct replica ``pid`` of ``stack`` over ``transport`` (already
+    bound to its runtime).
 
     Every lane builds its replicas here — the single-runtime cluster and
     every shard of a socket or shared-memory cluster — so the
@@ -405,7 +405,7 @@ def make_replica(stack: ProtocolStack, pid: int, runtime: Runtime) -> Replica:
     config = stack.config
     replica = Replica(
         pid=pid,
-        runtime=runtime,
+        transport=transport,
         config=stack.protocol_config,
         pki=stack.pki,
         signing_key=stack.signing_keys[pid],
@@ -444,7 +444,8 @@ def build_scenario(config: ScenarioConfig) -> RunResult:
     running it.
 
     The fabric is one :class:`LocalTransport` (delay
-    ``config.actual_delay``) on a :class:`~repro.sim.events.Simulator`.  A
+    ``config.actual_delay``) bound to a :class:`~repro.sim.events.Simulator`,
+    the virtual-time runtime.  A
     ``delay_model`` or named ``scenario`` wraps it in a
     :class:`~repro.faults.transport.FaultyTransport` imposing the model
     under the config's partial-synchrony envelope; the model decides every
@@ -470,18 +471,17 @@ def build_scenario(config: ScenarioConfig) -> RunResult:
             counters=metrics.counters,
         )
     simulator = Simulator(seed=config.seed)
-    runtime = SimRuntime(simulator, transport)
+    transport.bind(simulator)
     metrics.attach_transport(transport)
     return RunResult(
         config=config,
         protocol_config=stack.protocol_config,
         metrics=metrics,
         replicas={
-            pid: make_replica(stack, pid, runtime) for pid in stack.protocol_config.processor_ids
+            pid: make_replica(stack, pid, transport) for pid in stack.protocol_config.processor_ids
         },
         corruption=stack.corruption,
         simulator=simulator,
-        runtime=runtime,
         transport=transport,
         crypto_backend=stack.crypto_backend,
     )

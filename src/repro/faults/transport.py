@@ -11,9 +11,9 @@ Determinism contract: the context's delay stream
 (``random.Random(schedule_seed)``) is consumed *only* by delay models — one
 ``propose_delay`` per non-self send, in send order, ascending recipient
 within a broadcast — and a model's other coins come from its own
-:meth:`~repro.faults.delays.DelayContext.stream`.  On the simulator kernel
-(:class:`~repro.runtime.simulation.SimRuntime` over a
-:class:`~repro.runtime.transports.LocalTransport`) a scenario therefore
+:meth:`~repro.faults.delays.DelayContext.stream`.  Over a
+:class:`~repro.runtime.transports.LocalTransport` bound to the simulator
+kernel (:class:`~repro.sim.events.Simulator`) a scenario therefore
 replays event for event (``tests/data/lane_fingerprints.json`` pins 39 runs
 captured on the fabric this stack replaced).  Wall clocks (and real TCP
 latency underneath a schedule) break exact replay; there the schedule is an

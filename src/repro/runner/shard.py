@@ -125,7 +125,8 @@ class Shard:
         return addresses, tuple((pid, keys[pid].secret_token) for pid in sorted(keys))
 
     async def connect(self, peers: dict[int, tuple[str, int]]) -> None:
-        """Install the cluster-wide address map; build runtimes and replicas."""
+        """Install the cluster-wide address map; bind each transport to a
+        fresh runtime and build its replica over it."""
         stack, config = self.stack, self.spec.config
         for pid, transport in self._transports.items():
             transport.set_peers(peers)
@@ -144,9 +145,10 @@ class Shard:
                     schedule_seed=config.seed + pid,
                     counters=stack.metrics.counters,
                 )
-            runtime = AsyncioRuntime(transport, clock=self.clock, seed=config.seed + pid)
+            runtime = AsyncioRuntime(clock=self.clock, seed=config.seed + pid)
+            transport.bind(runtime)
             stack.metrics.attach_transport(transport)
-            self.nodes[pid] = Node(pid, transport, runtime, make_replica(stack, pid, runtime))
+            self.nodes[pid] = Node(pid, transport, runtime, make_replica(stack, pid, transport))
         for node in self.nodes.values():
             await node.transport.start()
 
@@ -170,7 +172,7 @@ class Shard:
         crashed mid-run is visible there instead of vanishing with the tasks.
         """
         nodes = self.nodes.values()
-        await asyncio.gather(*(node.runtime.stop() for node in nodes))
+        await asyncio.gather(*(node.transport.stop() for node in nodes))
         report = ShardReport(
             metrics_state=self.stack.metrics.state(),
             replicas={node.pid: node.replica.residue() for node in nodes},

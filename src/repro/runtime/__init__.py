@@ -1,20 +1,21 @@
-"""Pluggable runtimes: the seam between the protocol core and its world.
+"""Pluggable runtimes and transports: the seam between the protocol core and its world.
 
-The consensus engine, the replicas and all eight pacemakers talk only to
-the :class:`~repro.runtime.base.Runtime` interface — ``send`` /
-``broadcast``, ``now``, ``set_timer`` / ``set_timer_at``, ``spawn`` — so
+A process sends through its :class:`~repro.runtime.transports.Transport`
+and reads time and arms timers through the
+:class:`~repro.runtime.base.Runtime` that transport is bound to (``now``,
+``set_timer`` / ``set_timer_at``, ``call_after``, ``spawn``, ``rng``), so
 the *same* protocol objects execute
 
-* under the discrete-event simulator
-  (:class:`~repro.runtime.simulation.SimRuntime`, a pass-through adapter)
-  over an in-memory :class:`~repro.runtime.transports.LocalTransport` — the
-  virtual-time lane,
+* in virtual time: an in-memory
+  :class:`~repro.runtime.transports.LocalTransport` bound to the
+  discrete-event :class:`~repro.sim.events.Simulator`, which *is* the
+  virtual-time runtime,
 * on an asyncio loop in wall time
-  (:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`), in-memory, or
-* over real TCP sockets (:class:`~repro.runtime.tcp.TcpTransport`,
+  (:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`) under
+* real TCP sockets (:class:`~repro.runtime.tcp.TcpTransport`,
   length-prefixed frames in the one wire format of
   :mod:`repro.runtime.codec`), or
-* over shared-memory rings between co-located node processes
+* shared-memory rings between co-located node processes
   (:class:`~repro.runtime.shm.ShmTransport`, one SPSC ring per sender
   and reading worker — zero syscalls in steady state, one drain and one
   doorbell per worker, each frame decoded once in place for every node
@@ -30,7 +31,6 @@ from repro import lazy_exports
 # TCP and shm transports or the codec.
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "base": ("Clock", "Runtime", "TimerHandle"),
-    "simulation": ("SimRuntime",),
     "asyncio_runtime": ("AsyncioRuntime", "MonotonicClock"),
     "transports": ("FramedTransport", "LocalTransport", "Transport"),
     "codec": ("WireCodec", "WireCodecError", "default_codec"),

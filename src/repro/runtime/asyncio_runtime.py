@@ -1,18 +1,19 @@
 """``AsyncioRuntime``: the protocol core on an asyncio event loop, in wall time.
 
-One runtime hosts the local processes of one node of a socket or
-shared-memory cluster (:class:`~repro.runner.shard.Shard`) against a
-:class:`MonotonicClock`: timers are ``loop.call_later`` callbacks and
-transports run real I/O tasks; the cluster decides how long the loop runs
-(:meth:`~repro.runner.process_cluster.LiveCluster.run`).  The clock is
-re-zeroed at construction so live metrics share the "runs start near 0.0"
-convention of simulated ones.
+One runtime times one node of a socket or shared-memory cluster
+(:class:`~repro.runner.shard.Shard`) against a :class:`MonotonicClock`:
+timers are ``loop.call_later`` callbacks, and the node's transport, bound
+to the runtime, runs real I/O tasks and schedules its local deliveries
+through :meth:`AsyncioRuntime.call_after`; the cluster decides how long the
+loop runs (:meth:`~repro.runner.process_cluster.LiveCluster.run`).  The
+clock is re-zeroed at construction so live metrics share the "runs start
+near 0.0" convention of simulated ones.
 
-Virtual time is not this module's business: the virtual-time lane runs the
-same transports on the discrete-event kernel
-(:class:`~repro.runtime.simulation.SimRuntime`).  Both honour the
+Virtual time is not this module's business: the virtual-time lane binds
+the same transports to the discrete-event kernel
+(:class:`~repro.sim.events.Simulator`).  Both honour the
 :class:`~repro.runtime.base.Runtime` contract: sequential callbacks, timers
-never early, self-messages immediate.
+never early, zero-delay work in order.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import asyncio
 import random
 import time as _time
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.runtime.base import Clock, Runtime, TimerHandle
-from repro.runtime.transports import Transport
+from repro.runtime.base import Clock, TimerHandle
 
 
 class MonotonicClock(Clock):
@@ -87,15 +87,11 @@ class _LoopTimerHandle:
         callback(*args)
 
 
-class AsyncioRuntime(Runtime):
-    """Run protocol processes on an asyncio loop over a pluggable transport.
+class AsyncioRuntime:
+    """A :class:`~repro.runtime.base.Runtime` on the running asyncio loop.
 
     Parameters
     ----------
-    transport:
-        Message fabric; bound to this runtime at construction.  The
-        transport schedules its local deliveries back through
-        :meth:`call_after`.
     clock:
         The wall clock; a fresh :class:`MonotonicClock` when omitted.  The
         nodes of one cluster share an instance (or an ``origin``) so their
@@ -104,18 +100,10 @@ class AsyncioRuntime(Runtime):
         Seed for :attr:`rng` (protocol-visible randomness).
     """
 
-    def __init__(
-        self,
-        transport: Transport,
-        clock: Optional[Clock] = None,
-        seed: int = 0,
-    ) -> None:
-        self.transport = transport
+    def __init__(self, clock: Optional[Clock] = None, seed: int = 0) -> None:
         self.clock = clock if clock is not None else MonotonicClock()
         self.rng = random.Random(seed)
         self.events_processed = 0
-        self._processes: dict[int, Any] = {}
-        transport.bind(self)
 
     # ------------------------------------------------------------------
     # Time
@@ -168,43 +156,10 @@ class AsyncioRuntime(Runtime):
         self.events_processed += 1
         callback(*args)
 
-    # ------------------------------------------------------------------
-    # Messaging and registration
-    # ------------------------------------------------------------------
-    def send(self, sender: int, recipient: int, payload: Any) -> None:
-        """Point-to-point send through the transport."""
-        self.transport.send(sender, recipient, payload)
-
-    def broadcast(self, sender: int, payload: Any) -> None:
-        """Broadcast (including self) through the transport."""
-        self.transport.broadcast(sender, payload)
-
-    def register(self, process: Any) -> None:
-        """Attach a local process and register it as a transport endpoint."""
-        pid = process.pid
-        if pid in self._processes:
-            raise SimulationError(f"process id {pid} registered twice")
-        self._processes[pid] = process
-        self.transport.register(process)
-
-    @property
-    def process_ids(self) -> Sequence[int]:
-        """Sorted ids of every addressable processor (transport-wide)."""
-        return self.transport.process_ids
-
-    def process(self, pid: int) -> Any:
-        """The locally hosted process with id ``pid``."""
-        return self._processes[pid]
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
-    async def stop(self) -> None:
-        """Shut the transport down."""
-        await self.transport.stop()
+    def spawn(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` after the current callback
+        (``call_after(0.0, ...)``)."""
+        self.call_after(0.0, callback, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AsyncioRuntime(now={self.now:.3f}, "
-            f"processes={sorted(self._processes)}, events={self.events_processed})"
-        )
+        return f"AsyncioRuntime(now={self.now:.3f}, events={self.events_processed})"

@@ -1,23 +1,22 @@
-"""The runtime seam: what a protocol process may ask of its environment.
+"""The runtime seam: time and timers, the half of a process's world that is not messaging.
 
-Everything below the consensus engine and the pacemakers — virtual-time
-simulation, an asyncio event loop, real sockets — is reached exclusively
-through a :class:`Runtime`.  The protocol core never imports a simulator,
-an event loop or a socket; it sends (:meth:`Runtime.send` /
-:meth:`Runtime.broadcast`), reads time (:attr:`Runtime.now`), arms timers
-(:meth:`Runtime.set_timer` / :meth:`Runtime.set_timer_at`, both returning a
-cancellable :class:`TimerHandle`) and defers work (:meth:`Runtime.spawn`).
+A protocol process touches its world in two ways.  It sends and receives
+point-to-point messages through its
+:class:`~repro.runtime.transports.Transport`, and it reads time and arms
+timers through the :class:`Runtime` that transport is bound to.
+References run one way: a process holds its transport, the transport
+holds its runtime, and the runtime holds neither.
 
-Two families implement the interface:
+Two classes satisfy :class:`Runtime`:
 
-* :class:`~repro.runtime.simulation.SimRuntime` — a thin adapter over the
-  discrete-event :class:`~repro.sim.events.Simulator`, the only
-  virtual-time kernel, and a :class:`~repro.runtime.transports.Transport`.
-  Every call is a direct pass-through onto one of the two.
-* :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` — runs the same
-  protocol objects on an asyncio event loop in wall time, over a pluggable
-  :class:`~repro.runtime.transports.Transport` (in-memory, TCP or shared
-  memory).
+* :class:`~repro.sim.events.Simulator` — the discrete-event kernel, the
+  only virtual-time runtime (the ``run_scenario`` lane).
+* :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` — an asyncio
+  event loop in wall time, under the socket and shared-memory transports.
+
+:class:`Runtime` is a structural :class:`~typing.Protocol`, so the kernel
+satisfies it without importing this package (the protocol core loads
+:mod:`repro.sim` and nothing under :mod:`repro.runtime`).
 
 The contract the protocol core relies on (and every runtime must honour):
 
@@ -25,16 +24,22 @@ The contract the protocol core relies on (and every runtime must honour):
    deliveries, timer fires — run sequentially; no two callbacks of the same
    process ever overlap.
 2. **Timers never fire early** and fire at most once unless cancelled.
-3. **Self-messages are delivered immediately** (the paper's Section-4
-   convention): a process broadcasting receives its own copy at the
-   sending instant, before any later-scheduled work.
+3. **Zero-delay work keeps its order**: ``call_after(0.0, ...)`` callbacks
+   run in the order they were scheduled, after the current callback.
 4. **Time is monotone**: ``now`` never decreases between callbacks.
+
+The one documented divergence: :meth:`Runtime.set_timer_at` at a past time
+raises on the simulator (time cannot move between reading ``now`` and
+scheduling, so a past target is a bug) and fires at once on a wall clock
+(which keeps moving in between).  Self-messages are delivered immediately
+— the paper's Section-4 convention — by every transport, not the runtime.
 """
 
 from __future__ import annotations
 
+import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -57,11 +62,10 @@ class TimerHandle(Protocol):
 
 
 class Clock(ABC):
-    """A source of the runtime's notion of "now".
+    """A source of a wall-clock runtime's notion of "now".
 
-    The protocol core reads time only through :attr:`Runtime.now`, which
-    delegates here.  Virtual-time runs read the simulator's own time;
-    wall-clock runtimes a :class:`~repro.runtime.asyncio_runtime.MonotonicClock`
+    :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` reads time
+    here, from a :class:`~repro.runtime.asyncio_runtime.MonotonicClock`
     (``time.monotonic`` re-zeroed at construction, so runs start near 0.0
     like simulated ones).
     """
@@ -72,75 +76,39 @@ class Clock(ABC):
         """Current time in seconds (virtual or wall, depending on the clock)."""
 
 
-class Runtime(ABC):
-    """Everything a protocol process may ask of its environment.
+@runtime_checkable
+class Runtime(Protocol):
+    """A clock and timers: everything a process asks of its world but messaging.
 
-    Implementations also expose one conventional attribute the interface
-    does not abstract over: ``rng``, a seeded :class:`random.Random`; all
-    protocol-visible randomness must flow through it so runs stay
-    reproducible.
+    ``rng`` is a seeded :class:`random.Random`; all protocol-visible
+    randomness flows through it so runs stay reproducible.
     """
 
-    # ------------------------------------------------------------------
-    # Time
-    # ------------------------------------------------------------------
+    rng: random.Random
+
     @property
-    @abstractmethod
     def now(self) -> float:
         """Current runtime time (virtual in simulation, wall-clock when live)."""
+        ...
 
-    # ------------------------------------------------------------------
-    # Timers
-    # ------------------------------------------------------------------
-    @abstractmethod
     def set_timer(
         self, delay: float, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> TimerHandle:
         """Run ``callback(*args)`` ``delay`` seconds from now; cancellable."""
+        ...
 
-    @abstractmethod
     def set_timer_at(
         self, time: float, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> TimerHandle:
         """Run ``callback(*args)`` at absolute runtime time ``time``; cancellable."""
+        ...
 
     def call_after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`set_timer`: no handle, no cancellation.
-
-        The delivery fast lane (mirroring
-        :meth:`~repro.sim.events.Simulator.schedule_fired`); runtimes with a
-        cheaper no-handle path override it.
-        """
-        self.set_timer(delay, callback, *args)
+        Every delivery of a transport comes through here."""
+        ...
 
     def spawn(self, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` soon, after the current callback returns.
-
-        The runtime equivalent of ``call_soon``: used to break re-entrancy
-        (e.g. a local-clock timer whose target is already reached still
-        fires asynchronously).
-        """
-        self.call_after(0.0, callback, *args)
-
-    # ------------------------------------------------------------------
-    # Messaging
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def send(self, sender: int, recipient: int, payload: Any) -> None:
-        """Send ``payload`` from processor ``sender`` to ``recipient``."""
-
-    @abstractmethod
-    def broadcast(self, sender: int, payload: Any) -> None:
-        """Send ``payload`` from ``sender`` to every processor, including itself."""
-
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def register(self, process: Any) -> None:
-        """Attach a process (anything with ``pid`` and ``deliver(payload, sender)``)."""
-
-    @property
-    @abstractmethod
-    def process_ids(self) -> Sequence[int]:
-        """Sorted ids of every addressable processor (local and remote)."""
+        """Run ``callback(*args)`` soon, after the current callback returns
+        (``call_after(0.0, ...)``): breaks re-entrancy."""
+        ...

@@ -1,9 +1,13 @@
-"""Transports: the message fabric beneath a runtime.
+"""Transports: the message fabric a process sends through.
 
 A :class:`Transport` owns addressing (``process_ids``), endpoint
-registration and the actual movement of payloads; the runtime delegates
-:meth:`~repro.runtime.base.Runtime.send` / ``broadcast`` here.  Every
-transport has one observation surface — ``send_listeners`` /
+registration and the actual movement of payloads: a
+:class:`~repro.sim.process.Process` registers on its transport and calls
+its :meth:`~Transport.send` / :meth:`~Transport.broadcast` directly.  The
+transport is bound (:meth:`Transport.bind`) to the
+:class:`~repro.runtime.base.Runtime` whose clock stamps its envelopes and
+whose ``call_after`` runs its deliveries; the runtime knows nothing of
+it.  Every transport has one observation surface — ``send_listeners`` /
 ``deliver_listeners`` called with an :class:`Envelope`
 per message, plus ``messages_sent`` / ``messages_delivered`` counters —
 which is what the metrics layer attaches to
@@ -14,8 +18,8 @@ Two implementations ship:
 * :class:`LocalTransport` (here) — in-memory, single-runtime: the whole
   cluster lives on one runtime, every message between distinct processors
   takes one constant ``delay`` (noise is a delay model's business:
-  :class:`~repro.faults.transport.FaultyTransport`).  On the simulator
-  kernel (:class:`~repro.runtime.simulation.SimRuntime`) this is the
+  :class:`~repro.faults.transport.FaultyTransport`).  Bound to the
+  simulator kernel (:class:`~repro.sim.events.Simulator`) this is the
   virtual-time lane, and one broadcast costs one runtime event per distinct
   delivery time.
 * :class:`~repro.runtime.tcp.TcpTransport` — one node of a real cluster,
@@ -116,8 +120,8 @@ class Transport(ABC):
         """The bound runtime (raises if the transport is not bound yet)."""
         if self._runtime is None:
             raise ConfigurationError(
-                f"{type(self).__name__} is not bound to a runtime yet; construct "
-                "a SimRuntime or an AsyncioRuntime around it first"
+                f"{type(self).__name__} is not bound to a runtime yet; bind it "
+                "to a Simulator or an AsyncioRuntime first"
             )
         return self._runtime
 

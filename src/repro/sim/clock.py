@@ -66,14 +66,13 @@ class LocalClock:
     running, and ``anchor_value`` while paused.  ``bump_to`` moves the value
     forward (never backwards) and re-anchors.
 
-    The time source may be anything exposing ``now`` plus a cancellable
-    timer method: a :class:`~repro.runtime.base.Runtime` (``set_timer``) or
-    a bare :class:`Simulator` (``schedule``) — the two signatures agree.
+    The time source is the process's :class:`~repro.runtime.base.Runtime`
+    (a :class:`~repro.sim.events.Simulator` in virtual time).
     """
 
     def __init__(self, source: Any, initial: float = 0.0) -> None:
         self._source = source
-        self._set_timer = getattr(source, "set_timer", None) or source.schedule
+        self._set_timer = source.set_timer
         self._anchor_value = initial
         self._anchor_time = source.now
         self._paused = False

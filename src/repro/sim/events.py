@@ -3,10 +3,11 @@
 The kernel is intentionally small: a priority queue of ``(time, sequence)``
 ordered events, each carrying a callback.  Everything else in the library
 (message delivery, local-clock timers, protocol timeouts) is built on top of
-:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` (cancellable
-timers) and :meth:`Simulator.schedule_fired` /
-:meth:`Simulator.schedule_fired_at` (the handle-free fast lane used by
-message deliveries).
+:meth:`Simulator.set_timer` / :meth:`Simulator.set_timer_at` (cancellable
+timers) and :meth:`Simulator.call_after` (the handle-free fast lane used by
+message deliveries).  Those, ``now``, :meth:`Simulator.spawn` and ``rng``
+make the simulator the virtual-time :class:`~repro.runtime.base.Runtime`:
+a transport is bound to it directly.
 
 Determinism: ties on time are broken by insertion order, and all randomness
 in the library flows through :attr:`Simulator.rng`, which is seeded at
@@ -92,7 +93,7 @@ class Simulator:
     #: raises :class:`SimulationError` instead of livelocking.  Legitimate
     #: bursts sit far below it: a broadcast is one event per distinct
     #: delivery time, so even an all-to-all round is O(n) events an instant.
-    #: Handle-free :meth:`schedule_fired` events draw on the same budget.
+    #: Handle-free :meth:`call_after` events draw on the same budget.
     MAX_EVENTS_PER_TIMESTAMP = 100_000
 
     def __init__(self, seed: int = 0) -> None:
@@ -137,7 +138,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(
+    def set_timer(
         self,
         delay: float,
         callback: Callable[..., None],
@@ -147,9 +148,9 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback, *args, label=label)
+        return self.set_timer_at(self._now + delay, callback, *args, label=label)
 
-    def schedule_at(
+    def set_timer_at(
         self,
         time: float,
         callback: Callable[..., None],
@@ -166,7 +167,7 @@ class Simulator:
         heapq.heappush(self._queue, (time, self._seq, handle, callback, args))
         return handle
 
-    def schedule_fired(
+    def call_after(
         self,
         delay: float,
         callback: Callable[..., None],
@@ -177,7 +178,7 @@ class Simulator:
         The fast lane for events that are never cancelled or inspected:
         no :class:`EventHandle` is allocated and no cancellation bookkeeping
         happens — the event is one heap tuple.  All network deliveries go
-        through this path; use :meth:`schedule` when the caller may need to
+        through this path; use :meth:`set_timer` when the caller may need to
         cancel (timers, timeouts).
         """
         if delay < 0:
@@ -185,23 +186,10 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, None, callback, args))
 
-    def schedule_fired_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> None:
-        """Schedule ``callback(*args)`` at absolute ``time``, fire-and-forget.
-
-        The absolute-time variant of :meth:`schedule_fired`; same contract
-        (no handle, no cancellation).
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time!r}, which is before now={self._now!r}"
-            )
-        self._seq += 1
-        heapq.heappush(self._queue, (time, self._seq, None, callback, args))
+    def spawn(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at this instant, after the events already
+        due now (``call_after(0.0, ...)``)."""
+        self.call_after(0.0, callback, *args)
 
     # ------------------------------------------------------------------
     # Lazy-cancellation bookkeeping

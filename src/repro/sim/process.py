@@ -1,12 +1,13 @@
-"""Process abstraction: the unit a runtime schedules and the transport addresses.
+"""Process abstraction: the unit a transport addresses and a runtime times.
 
-A :class:`Process` owns a :class:`~repro.sim.clock.LocalClock` and receives
-messages from its :class:`~repro.runtime.base.Runtime`.  Protocol replicas
-(see :mod:`repro.consensus.replica`) derive from it, as do purpose-built
+A :class:`Process` is built over its
+:class:`~repro.runtime.transports.Transport`: it registers there, sends
+through it and receives from it.  Time and timers come from the
+:class:`~repro.runtime.base.Runtime` that transport is bound to
+(:attr:`Process.runtime`), which also drives the process's
+:class:`~repro.sim.clock.LocalClock`.  Protocol replicas (see
+:mod:`repro.consensus.replica`) derive from it, as do purpose-built
 Byzantine processes.
-
-A process is constructed over its :class:`~repro.runtime.base.Runtime`; all
-messaging, timing and scheduling flows through :attr:`Process.runtime`.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ class Process:
     A process that has crashed stops receiving messages and sending anything.
     """
 
-    def __init__(self, pid: int, runtime: Any) -> None:
+    def __init__(self, pid: int, transport: Any) -> None:
         self.pid = pid
-        self.runtime = runtime
-        self.clock = LocalClock(runtime)
+        self.transport = transport
+        self.runtime = transport.runtime
+        self.clock = LocalClock(self.runtime)
         self.crashed = False
         self.byzantine = False
-        self.runtime.register(self)
+        transport.register(self)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -72,16 +74,16 @@ class Process:
         """Send ``payload`` to ``recipient`` unless crashed."""
         if self.crashed:
             return
-        self.runtime.send(self.pid, recipient, payload)
+        self.transport.send(self.pid, recipient, payload)
 
     def broadcast(self, payload: Any) -> None:
         """Send ``payload`` to every processor, including self, unless crashed."""
         if self.crashed:
             return
-        self.runtime.broadcast(self.pid, payload)
+        self.transport.broadcast(self.pid, payload)
 
     def deliver(self, payload: Any, sender: int) -> None:
-        """Entry point used by the runtime; dispatches to :meth:`on_message`."""
+        """Entry point used by the transport; dispatches to :meth:`on_message`."""
         if self.crashed:
             return
         self.on_message(payload, sender)

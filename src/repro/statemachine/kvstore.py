@@ -12,7 +12,11 @@ into the ledger; this module turns that order into state.  Two layers:
   count of the contiguous prefix of sequence numbers applied plus a
   bitmask of the (short) window above it: the duplicate check and the
   insert are O(window), not O(seq), and each identity is applied at most
-  once no matter how often it is committed.
+  once no matter how often it is committed.  An identity outside the
+  filter's domain — a client id that does not fit 8 bytes, or a sequence
+  number :data:`SEQ_WINDOW` or more above the client's applied prefix — is
+  rejected: it applies as no command, on every replica alike, and is
+  counted (:attr:`KVStore.commands_rejected`).
 
 * :class:`ReplicatedKV` — the ledger adapter: tracks how many ledger
   entries have been applied and catches up to the current length on each
@@ -47,10 +51,22 @@ from repro.statemachine.commands import OP_DELETE, OP_PUT, Command, decode_comma
 from repro.statemachine.messages import CommandBatch
 
 
+#: How far above a client's applied prefix a sequence number may land.  The
+#: window is one int with a bit per sequence number, so an unbounded offset
+#: would cost memory linear in ``seq`` on every replica.  Honest clients
+#: number densely from 0 and stay far below it: the largest offset the
+#: tier-1 suite reaches is 91 (lossy runs included), ``sim_kv_fault_n16``
+#: 25 and ``kv_rate_proc_shm`` 0.
+SEQ_WINDOW = 1 << 16
+
+
 class KVStore:
     """Dict state machine with an exactly-once ``(client, seq)`` filter."""
 
-    __slots__ = ("_data", "_prefix", "_window", "applied_total", "duplicates_skipped")
+    __slots__ = (
+        "_data", "_prefix", "_window", "applied_total", "duplicates_skipped",
+        "commands_rejected",
+    )
 
     def __init__(self) -> None:
         self._data: dict[str, str] = {}
@@ -62,15 +78,23 @@ class KVStore:
         self.applied_total = 0
         #: Committed duplicates the exactly-once filter rejected.
         self.duplicates_skipped = 0
+        #: Committed commands outside the filter's domain: a client id of
+        #: 2**64 or more, or a sequence number :data:`SEQ_WINDOW` or more
+        #: above the client's applied prefix.
+        self.commands_rejected = 0
 
     def apply(self, command: Command) -> bool:
-        """Apply one command; ``False`` if its identity was already applied."""
+        """Apply one command; ``False`` if its identity was already applied
+        or lies outside the filter's domain."""
         client = command.client
         prefix = self._prefix.get(client, 0)
         offset = command.seq - prefix
         window = self._window.get(client, 0)
         if offset < 0 or window >> offset & 1:
             self.duplicates_skipped += 1
+            return False
+        if offset >= SEQ_WINDOW or not 0 <= client < 1 << 64:
+            self.commands_rejected += 1
             return False
         window |= 1 << offset
         if window & 1:

@@ -7,7 +7,7 @@ import pytest
 from repro.config import ProtocolConfig
 from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
-from repro.runtime import LocalTransport, SimRuntime
+from repro.runtime import LocalTransport
 from repro.sim.events import Simulator
 
 
@@ -29,9 +29,11 @@ def simulator() -> Simulator:
 
 
 @pytest.fixture
-def runtime(simulator: Simulator) -> SimRuntime:
-    """A virtual-time runtime: ``runtime.sim`` is the ``simulator`` fixture."""
-    return SimRuntime(simulator, LocalTransport(delay=0.1))
+def transport(simulator: Simulator) -> LocalTransport:
+    """An in-memory transport bound to the ``simulator`` fixture."""
+    transport = LocalTransport(delay=0.1)
+    transport.bind(simulator)
+    return transport
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ identical* — same envelopes, same delivery times, same delivery order, same
 RNG streams afterwards, same decision sequences, commit ledgers and metrics
 totals — across seeds, every shipped delay model (latency noise included)
 and drop / duplicate injection, in virtual time and once on an asyncio loop; plus
-regression tests that the handle-free ``schedule_fired`` lane respects the
-same-timestamp event budget.
+regression tests that the simulator's handle-free ``call_after`` lane
+respects the same-timestamp event budget.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.faults import (
     TargetedDelay,
     UniformDelay,
 )
-from repro.runtime import AsyncioRuntime, LocalTransport, SimRuntime, Transport
+from repro.runtime import AsyncioRuntime, LocalTransport, Transport
 from repro.sim.events import Simulator
 
 CONFIG = NetworkConfig(delta=1.0, gst=2.0, actual_delay=0.9, pre_gst_max_delay=10.0)
@@ -157,10 +157,10 @@ def run_workload(make_transport, seed: int, grouped: bool) -> tuple[dict, int]:
     count."""
     sim = Simulator(seed=seed)
     transport = make_transport(seed)
-    runtime = SimRuntime(sim, transport)
-    trace = observe(transport, runtime)
+    transport.bind(sim)
+    trace = observe(transport, sim)
     for round_index in range(12):
-        sim.schedule(0.4 * round_index, burst, transport, grouped, round_index)
+        sim.set_timer(0.4 * round_index, burst, transport, grouped, round_index)
     sim.run(until=20.0)
     base = getattr(transport, "inner", transport)
     trace.update(
@@ -210,7 +210,8 @@ def test_grouped_and_per_recipient_broadcast_agree_on_an_asyncio_loop():
 
     async def run(grouped: bool) -> dict:
         transport = make_transport()
-        runtime = AsyncioRuntime(transport)
+        runtime = AsyncioRuntime()
+        transport.bind(runtime)
         trace = observe(transport, runtime)
         for round_index in range(4):
             burst(transport, grouped, round_index)
@@ -219,7 +220,7 @@ def test_grouped_and_per_recipient_broadcast_agree_on_an_asyncio_loop():
         deadline = runtime.now + 2.0
         while inner.messages_delivered != sent and runtime.now < deadline:
             await asyncio.sleep(0.02)
-        await runtime.stop()
+        await transport.stop()
         assert inner.messages_delivered == sent
         return {
             # Wall-clock readings differ between two runs; the imposed
@@ -301,16 +302,16 @@ def test_batched_delivery_merges_events_under_discrete_delays(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# schedule_fired and the same-timestamp event budget
+# call_after and the same-timestamp event budget
 # ----------------------------------------------------------------------
-def test_schedule_fired_chain_respects_the_event_budget():
+def test_call_after_chain_respects_the_event_budget():
     sim = Simulator()
     sim.MAX_EVENTS_PER_TIMESTAMP = 50
 
     def reschedule():
-        sim.schedule_fired(0.0, reschedule)
+        sim.call_after(0.0, reschedule)
 
-    sim.schedule_fired(0.0, reschedule)
+    sim.call_after(0.0, reschedule)
     with pytest.raises(SimulationError, match="timestamp"):
         sim.run(until=10.0)
     assert sim.now == 0.0
@@ -325,7 +326,7 @@ def test_zero_delay_batched_deliveries_respect_the_event_budget():
         LocalTransport(), schedule=FixedDelay(0.0),
         network=NetworkConfig(delta=1.0, actual_delay=0.1),
     )
-    runtime = SimRuntime(sim, net)
+    net.bind(sim)
 
     class Echo(RecordingSink):
         def deliver(self, payload, sender):
@@ -333,39 +334,35 @@ def test_zero_delay_batched_deliveries_respect_the_event_budget():
             net.broadcast(self.pid, payload, include_self=False)
 
     for pid in range(3):
-        net.register(Echo(pid, runtime, []))
+        net.register(Echo(pid, sim, []))
     net.broadcast(0, "storm", include_self=False)
     with pytest.raises(SimulationError, match="timestamp"):
         sim.run(until=5.0)
 
 
-def test_schedule_fired_interleaves_with_handles_in_insertion_order():
+def test_call_after_interleaves_with_handles_in_insertion_order():
     sim = Simulator()
     order: list[str] = []
-    sim.schedule(1.0, order.append, "handle-1")
-    sim.schedule_fired(1.0, order.append, "fired-1")
-    sim.schedule(1.0, order.append, "handle-2")
-    sim.schedule_fired_at(1.0, order.append, "fired-2")
+    sim.set_timer(1.0, order.append, "handle-1")
+    sim.call_after(1.0, order.append, "fired-1")
+    sim.set_timer_at(1.0, order.append, "handle-2")
+    sim.call_after(1.0, order.append, "fired-2")
     sim.run()
     assert order == ["handle-1", "fired-1", "handle-2", "fired-2"]
 
 
-def test_schedule_fired_rejects_negative_delay_and_past_times():
+def test_call_after_rejects_a_negative_delay():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule_fired(-0.1, lambda: None)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_fired_at(0.5, lambda: None)
+        sim.call_after(-0.1, lambda: None)
 
 
-def test_schedule_fired_events_count_and_survive_compaction():
+def test_call_after_events_count_and_survive_compaction():
     sim = Simulator()
     sim.COMPACTION_MIN_CANCELLED = 2
     fired: list[int] = []
-    sim.schedule_fired(2.0, fired.append, 1)
-    doomed = [sim.schedule(0.5 + i, lambda: fired.append(-1)) for i in range(5)]
+    sim.call_after(2.0, fired.append, 1)
+    doomed = [sim.set_timer(0.5 + i, lambda: fired.append(-1)) for i in range(5)]
     for handle in doomed:
         handle.cancel()  # triggers an in-place compaction sweep
     sim.run()

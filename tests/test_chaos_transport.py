@@ -38,7 +38,7 @@ from repro.faults import (
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.metrics.counters import BASE_COUNTS, BASE_FAULT_COUNTS, Counters
 from repro.runner import spec_key
-from repro.runtime import LocalTransport, SimRuntime, TcpTransport
+from repro.runtime import LocalTransport, TcpTransport
 from repro.runtime.codec import default_codec
 from repro.sim.events import Simulator
 
@@ -61,13 +61,13 @@ def _build_over(config, transport):
     """``build_scenario``'s wiring over a transport of the test's choosing."""
     stack = build_stack(config)
     simulator = Simulator(seed=config.seed)
-    runtime = SimRuntime(simulator, transport)
+    transport.bind(simulator)
     stack.metrics.attach_transport(transport)
     return RunResult(
         config=config, protocol_config=stack.protocol_config, metrics=stack.metrics,
-        corruption=stack.corruption, simulator=simulator, runtime=runtime, transport=transport,
+        corruption=stack.corruption, simulator=simulator, transport=transport,
         replicas={
-            pid: make_replica(stack, pid, runtime) for pid in stack.protocol_config.processor_ids
+            pid: make_replica(stack, pid, transport) for pid in stack.protocol_config.processor_ids
         },
     )
 
@@ -137,13 +137,13 @@ def _drive_script(transport):
     stream (ids, timings, payload bytes), same deliveries, same wire frames.
     """
     simulator = Simulator(seed=0)
-    runtime = SimRuntime(simulator, transport)
+    transport.bind(simulator)
     codec = default_codec()
     received: list = []
     sent: list = []
     delivered: list = []
     for pid in range(4):
-        transport.register(_Sink(pid, runtime, received))
+        transport.register(_Sink(pid, simulator, received))
 
     def record(log):
         return lambda env: log.append(
@@ -166,8 +166,8 @@ def _drive_script(transport):
         transport.send(2, 2, b"self-message")
         transport.broadcast(3, b"fanout")
 
-    runtime.set_timer_at(0.5, script)
-    runtime.set_timer_at(2.0, transport.send, 1, 0, b"late reply")
+    simulator.set_timer_at(0.5, script)
+    simulator.set_timer_at(2.0, transport.send, 1, 0, b"late reply")
     simulator.run(until=5.0)
     return sent, delivered, received
 

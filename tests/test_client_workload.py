@@ -167,6 +167,37 @@ def test_exactly_once_under_churn_and_drops():
     assert len(clean_digests) == 1
 
 
+def test_commands_outside_the_filters_domain_apply_as_none_on_every_replica():
+    # A batch a Byzantine forwarder could build: one honest command, a client
+    # id too wide for the state digest and a sequence number far above the
+    # window.  Every replica must reject the two alike and keep one digest.
+    workload = _workload(client_pids=())
+    result = build_scenario(_config(workload=workload))
+    replicas = result.replicas
+    commands = [
+        make_command(workload, client=9, seq=0),
+        make_command(workload, client=2**64, seq=0),
+        make_command(workload, client=9, seq=1 << 24),
+    ]
+    batch = CommandBatch(count=len(commands), data=encode_commands(commands))
+
+    def hand_over():
+        leader = replicas[0].leader_of(replicas[0].current_view + 1)
+        assert replicas[leader].mempool.ingest(batch)
+
+    result.simulator.set_timer_at(5.03, hand_over)
+    start_replicas(replicas)
+    result.simulator.run(until=10.0)
+
+    for replica in replicas.values():
+        store = replica.state_machine.store
+        assert (store.applied_total, store.commands_rejected) == (1, 2)
+        assert store._window[9].bit_length() <= 1
+    assert {counts["store.commands_rejected"] for counts in result.client_counts().values()} == {2}
+    assert len(set(result.kv_digests().values())) == 1
+    assert len({tuple(chain) for chain in result.kv_chains().values()}) == 1
+
+
 def test_a_batch_committed_by_two_leaders_applies_once():
     # The exactly-once filter, exercised on purpose rather than by a wasteful
     # retry: the same batch is put into the mempools of the next two leaders,
@@ -190,7 +221,7 @@ def test_a_batch_committed_by_two_leaders_applies_once():
     committed = []  # replica 0's committed blocks, from a hook on its commit path
     commit = replicas[0].commit_block
     replicas[0].commit_block = lambda block: (committed.append(block), commit(block))
-    result.simulator.schedule_at(5.03, hand_over)
+    result.simulator.set_timer_at(5.03, hand_over)
     start_replicas(replicas)
     result.simulator.run(until=10.0)
 

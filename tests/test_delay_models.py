@@ -28,7 +28,7 @@ from repro.faults.delays import (
     TargetedDelay,
 )
 from repro.faults.transport import FaultyTransport
-from repro.runtime import LocalTransport, SimRuntime, Transport
+from repro.runtime import LocalTransport, Transport
 from repro.sim.events import Simulator
 
 
@@ -49,7 +49,7 @@ class Fabric:
         self.transport = FaultyTransport(
             LocalTransport(), schedule=model, network=config, schedule_seed=sim.seed
         )
-        SimRuntime(sim, self.transport)
+        self.transport.bind(sim)
         self.sent = []
         self.transport.send_listeners.append(self.sent.append)
         for pid in range(n):
@@ -102,7 +102,7 @@ def test_every_send_path_decides_arrival_through_the_one_rule(site, monkeypatch)
     drawn = AdversarialDelay(lambda pending, ctx: 0.2, name="drawn")
     model = FixedDelay(0.2) if site == "constant-broadcast" else drawn
     fabric = FaultyTransport(LocalTransport(), schedule=model, network=config)
-    SimRuntime(sim, fabric)
+    fabric.bind(sim)
     sinks = [Sink(pid) for pid in range(3)]
     arrivals = []
     for sink in sinks:

@@ -31,7 +31,7 @@ from repro.faults import (
 )
 from repro.pacemakers.base import PacemakerMessage
 from repro.runner import Campaign, Sweep, spec_key
-from repro.runtime import LocalTransport, SimRuntime
+from repro.runtime import LocalTransport
 from repro.sim.events import Simulator
 
 
@@ -55,7 +55,7 @@ def build_network(n=4, gst=0.0, delta=1.0, actual=0.1, model=None):
         network=NetworkConfig(delta=delta, gst=gst, actual_delay=actual),
         schedule_seed=1,
     )
-    SimRuntime(sim, net)
+    net.bind(sim)
     sinks = [Sink(i, sim) for i in range(n)]
     for sink in sinks:
         net.register(sink)

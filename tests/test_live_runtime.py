@@ -75,7 +75,7 @@ def _run_inline(config: ScenarioConfig, stop_when):
 
 
 # ----------------------------------------------------------------------
-# Golden: SimRuntime + LocalTransport == the captured Network fabric
+# Golden: LocalTransport on the Simulator == the captured Network fabric
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_local_transport_reproduces_simulator_exactly(seed):
@@ -102,7 +102,8 @@ def test_equivalence_holds_under_faults():
 def test_deterministic_run_ends_at_the_duration_on_one_kernel():
     config = _scenario(0, duration=12.5)
     result = run_scenario(config)
-    assert result.simulator.now == result.runtime.now == 12.5
+    assert result.transport.runtime is result.simulator
+    assert result.simulator.now == 12.5
     assert result.events_processed == result.simulator.events_processed > 0
 
 
@@ -191,12 +192,12 @@ def test_wall_clock_local_cluster_counts_each_downtime_window_once():
 # ----------------------------------------------------------------------
 def test_a_view_entry_arms_one_clock_timer_and_fires_none_for_an_entered_view(monkeypatch):
     from repro.core.lumiere import LumierePacemaker
-    from repro.runtime.simulation import SimRuntime
     from repro.sim.clock import LocalClock
+    from repro.sim.events import Simulator
 
     clock_timers = []  # delays of the runtime timers LocalClock armed
     stale_fires = []  # _on_clock_target(view) with view already entered
-    set_timer = SimRuntime.set_timer
+    set_timer = Simulator.set_timer
     on_clock_target = LumierePacemaker._on_clock_target
 
     def counting_set_timer(self, delay, callback, *args, **kwargs):
@@ -209,7 +210,7 @@ def test_a_view_entry_arms_one_clock_timer_and_fires_none_for_an_entered_view(mo
             stale_fires.append(view)
         on_clock_target(self, view)
 
-    monkeypatch.setattr(SimRuntime, "set_timer", counting_set_timer)
+    monkeypatch.setattr(Simulator, "set_timer", counting_set_timer)
     monkeypatch.setattr(LumierePacemaker, "_on_clock_target", watching_on_clock_target)
     result = run_scenario(_scenario(1, duration=80.0))
     entries = len(result.metrics.events("enter_view"))

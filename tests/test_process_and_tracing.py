@@ -13,8 +13,8 @@ from repro.sim.process import Process
 class Echo(Process):
     """Test process: records what it receives; replies to 'ping' with 'pong'."""
 
-    def __init__(self, pid, runtime):
-        super().__init__(pid, runtime)
+    def __init__(self, pid, transport):
+        super().__init__(pid, transport)
         self.received = []
 
     def on_message(self, payload, sender):
@@ -26,39 +26,39 @@ class Echo(Process):
 # ----------------------------------------------------------------------
 # Process basics
 # ----------------------------------------------------------------------
-def test_processes_exchange_messages(runtime):
-    a = Echo(0, runtime)
-    b = Echo(1, runtime)
+def test_processes_exchange_messages(transport, simulator):
+    a = Echo(0, transport)
+    b = Echo(1, transport)
     a.send(1, "ping")
-    runtime.sim.run()
+    simulator.run()
     assert ("ping", 0) in b.received
     assert ("pong", 1) in a.received
 
 
-def test_crashed_process_neither_sends_nor_receives(runtime):
-    a = Echo(0, runtime)
-    b = Echo(1, runtime)
+def test_crashed_process_neither_sends_nor_receives(transport, simulator):
+    a = Echo(0, transport)
+    b = Echo(1, transport)
     b.crash()
     a.send(1, "ping")
     b.send(0, "never")
-    runtime.sim.run()
+    simulator.run()
     assert b.received == []
     assert a.received == []
     assert b.crashed
 
 
-def test_broadcast_includes_self(runtime):
-    a = Echo(0, runtime)
-    Echo(1, runtime)
+def test_broadcast_includes_self(transport, simulator):
+    a = Echo(0, transport)
+    Echo(1, transport)
     a.broadcast("hello")
-    runtime.sim.run()
+    simulator.run()
     assert ("hello", 0) in a.received
 
 
-def test_local_time_tracks_clock(runtime):
-    a = Echo(0, runtime)
-    runtime.sim.schedule(4.0, lambda: None)
-    runtime.sim.run()
+def test_local_time_tracks_clock(transport, simulator):
+    a = Echo(0, transport)
+    simulator.set_timer(4.0, lambda: None)
+    simulator.run()
     assert a.local_time == pytest.approx(4.0)
     assert a.now == pytest.approx(4.0)
 

@@ -327,7 +327,7 @@ def test_buffered_commands_ride_the_proposal_of_the_view_entered_as_leader():
 def _run_with(config: ScenarioConfig, at: float, action):
     """Run ``config`` with ``action(replicas)`` fired at virtual time ``at``."""
     result = build_scenario(config)
-    result.simulator.schedule_at(at, action, result.replicas)
+    result.simulator.set_timer_at(at, action, result.replicas)
     start_replicas(result.replicas)
     result.simulator.run(until=config.duration)
     return result

@@ -1,8 +1,10 @@
-"""Unit tests for the runtime seam: SimRuntime, AsyncioRuntime, codec, dispatch."""
+"""Unit tests for the runtime seam: the runtime contract on the Simulator and
+AsyncioRuntime, transports bound to them, codec, dispatch."""
 
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -17,7 +19,7 @@ from repro.runtime import (
     AsyncioRuntime,
     LocalTransport,
     MonotonicClock,
-    SimRuntime,
+    Runtime,
     WireCodecError,
     default_codec,
 )
@@ -28,7 +30,77 @@ from repro.runtime.transports import Envelope
 
 
 # ----------------------------------------------------------------------
-# SimRuntime: thin adapter over Simulator + a Transport
+# The runtime contract, on both runtimes
+# ----------------------------------------------------------------------
+def _on_simulator():
+    sim = Simulator(seed=0)
+
+    async def advance(seconds):
+        sim.run(until=sim.now + seconds)
+
+    return sim, advance, 0.0
+
+
+def _on_asyncio():
+    async def advance(seconds):
+        await asyncio.sleep(seconds)
+
+    # A loop timer may fire up to the monotonic clock's resolution before
+    # its due time (asyncio's own end-of-tick slack).
+    return AsyncioRuntime(), advance, time.get_clock_info("monotonic").resolution + 1e-9
+
+
+@pytest.mark.parametrize("make", [_on_simulator, _on_asyncio], ids=["simulator", "asyncio"])
+def test_every_runtime_honours_the_contract(make):
+    async def exercise():
+        runtime, advance, slack = make()
+        assert isinstance(runtime, Runtime)
+        fired = []
+
+        # Timers never fire early, relative or absolute.
+        start = runtime.now
+        runtime.set_timer(0.03, lambda: fired.append(("rel", runtime.now - (start + 0.03))))
+        runtime.set_timer_at(
+            start + 0.02, lambda: fired.append(("abs", runtime.now - (start + 0.02)))
+        )
+        # A cancelled timer never fires; cancelling twice is safe.
+        doomed = runtime.set_timer(0.01, lambda: fired.append(("cancelled", 0.0)))
+        assert doomed.pending
+        doomed.cancel()
+        doomed.cancel()
+        assert not doomed.pending
+        await advance(0.1)
+        assert [kind for kind, _ in fired] == ["abs", "rel"]
+        assert all(lateness >= -slack for _, lateness in fired)
+
+        # spawn runs after the current callback; zero-delay call_after is FIFO.
+        order = []
+
+        def callback():
+            runtime.spawn(order.append, "spawned")
+            for index in range(5):
+                runtime.call_after(0.0, order.append, index)
+            order.append("callback returned")
+
+        runtime.set_timer(0.0, callback)
+        await advance(0.05)
+        assert order == ["callback returned", "spawned", 0, 1, 2, 3, 4]
+
+        # The one divergence: a past absolute time.
+        past = []
+        if isinstance(runtime, Simulator):
+            with pytest.raises(SimulationError, match="before now"):
+                runtime.set_timer_at(runtime.now - 0.01, past.append, "past")
+        else:
+            runtime.set_timer_at(runtime.now - 0.01, past.append, "past")
+            await advance(0.05)
+            assert past == ["past"]
+
+    asyncio.run(exercise())
+
+
+# ----------------------------------------------------------------------
+# The simulator as the runtime of a LocalTransport
 # ----------------------------------------------------------------------
 class _Sink:
     def __init__(self, pid):
@@ -42,33 +114,34 @@ class _Sink:
 def _transport_runtime(**transport_kwargs):
     sim = Simulator(seed=0)
     transport = LocalTransport(**transport_kwargs)
-    return sim, SimRuntime(sim, transport), transport
+    transport.bind(sim)
+    return sim, transport
 
 
 def test_sim_runtime_timers_and_messaging():
-    sim, runtime, _ = _transport_runtime(delay=0.1)
+    sim, transport = _transport_runtime(delay=0.1)
     a, b = _Sink(0), _Sink(1)
-    runtime.register(a)
-    runtime.register(b)
-    assert list(runtime.process_ids) == [0, 1]
+    transport.register(a)
+    transport.register(b)
+    assert list(transport.process_ids) == [0, 1]
 
     fired = []
-    handle = runtime.set_timer(0.5, lambda: fired.append("t"))
+    handle = sim.set_timer(0.5, lambda: fired.append("t"))
     assert handle.pending
-    runtime.call_after(0.2, lambda: fired.append("f"))
-    runtime.send(0, 1, "hello")
-    runtime.broadcast(1, "all")
+    sim.call_after(0.2, lambda: fired.append("f"))
+    transport.send(0, 1, "hello")
+    transport.broadcast(1, "all")
     sim.run(until=2.0)
     assert fired == ["f", "t"]
     assert ("hello", 0) in b.received
     assert ("all", 1) in a.received and ("all", 1) in b.received
-    assert runtime.now == sim.now == 2.0
+    assert sim.now == 2.0
 
 
 def test_sim_runtime_timer_cancellation():
-    sim, runtime, _ = _transport_runtime()
+    sim, _ = _transport_runtime()
     fired = []
-    handle = runtime.set_timer_at(1.0, lambda: fired.append("x"))
+    handle = sim.set_timer_at(1.0, lambda: fired.append("x"))
     handle.cancel()
     assert not handle.pending
     sim.run(until=2.0)
@@ -79,52 +152,53 @@ def test_sim_runtime_binds_the_transport_it_is_built_over():
     unbound = LocalTransport()
     with pytest.raises(ConfigurationError, match="not bound to a runtime"):
         unbound.runtime
-    _, runtime, transport = _transport_runtime()
-    assert transport.runtime is runtime
-    assert runtime.transport is transport
+    sim, transport = _transport_runtime()
+    assert transport.runtime is sim
+    # References run one way: the runtime holds no transport.
+    assert not any(value is transport for value in vars(sim).values())
 
 
 def test_transport_runtime_orders_timers_by_time_then_insertion():
-    sim, runtime, _ = _transport_runtime()
+    sim, _ = _transport_runtime()
     fired = []
-    runtime.set_timer(1.0, lambda: fired.append("b"))
-    runtime.set_timer(0.5, lambda: fired.append("a"))
-    runtime.set_timer(1.0, lambda: fired.append("c"))  # same time: insertion order
+    sim.set_timer(1.0, lambda: fired.append("b"))
+    sim.set_timer(0.5, lambda: fired.append("a"))
+    sim.set_timer(1.0, lambda: fired.append("c"))  # same time: insertion order
     sim.run(until=2.0)
     assert fired == ["a", "b", "c"]
-    assert runtime.now == 2.0
+    assert sim.now == 2.0
     assert sim.events_processed == 3
 
 
 def test_transport_runtime_cancellation_and_validation():
-    sim, runtime, _ = _transport_runtime()
+    sim, _ = _transport_runtime()
     fired = []
-    handle = runtime.set_timer(0.5, lambda: fired.append("x"))
+    handle = sim.set_timer(0.5, lambda: fired.append("x"))
     handle.cancel()
     assert not handle.pending
     with pytest.raises(SimulationError):
-        runtime.set_timer(-1.0, lambda: None)
+        sim.set_timer(-1.0, lambda: None)
     sim.run(until=1.0)
     with pytest.raises(SimulationError):
-        runtime.set_timer_at(0.25, lambda: None)  # before now
+        sim.set_timer_at(0.25, lambda: None)  # before now
     assert fired == []
 
 
 def test_transport_runtime_delivers_self_at_once_and_peers_never_early():
-    sim, runtime, transport = _transport_runtime(delay=0.1)
+    sim, transport = _transport_runtime(delay=0.1)
     arrivals = []
 
     class _Timed(_Sink):
         def deliver(self, payload, sender):
-            arrivals.append((self.pid, runtime.now))
+            arrivals.append((self.pid, sim.now))
             super().deliver(payload, sender)
 
     a, b = _Timed(0), _Timed(1)
-    runtime.register(a)
-    runtime.register(b)
-    assert list(runtime.process_ids) == [0, 1]
+    transport.register(a)
+    transport.register(b)
+    assert list(transport.process_ids) == [0, 1]
     sim.run(until=0.5)
-    runtime.broadcast(0, "ping")
+    transport.broadcast(0, "ping")
     sim.run(until=1.0)
     # Self-copy at the sending instant, peer copy after the transport delay.
     assert arrivals == [(0, 0.5), (1, 0.6)]
@@ -135,12 +209,12 @@ def test_transport_runtime_delivers_self_at_once_and_peers_never_early():
 
 
 def test_transport_runtime_zero_delay_chain_trips_budget():
-    sim, runtime, _ = _transport_runtime()
+    sim, _ = _transport_runtime()
 
     def rearm():
-        runtime.call_after(0.0, rearm)
+        sim.call_after(0.0, rearm)
 
-    runtime.call_after(0.0, rearm)
+    sim.call_after(0.0, rearm)
     with pytest.raises(SimulationError, match="zero-delay event chain"):
         sim.run(until=1.0)
 
@@ -161,12 +235,12 @@ def test_an_all_to_all_round_at_n_320_stays_far_below_the_real_budget(scheduled)
             network=NetworkConfig(delta=1.0),
         )
     sim = Simulator(seed=0)
-    runtime = SimRuntime(sim, transport)
+    transport.bind(sim)
     sinks = [_Sink(pid) for pid in range(n)]
     for sink in sinks:
-        runtime.register(sink)
+        transport.register(sink)
     for pid in range(n):
-        runtime.broadcast(pid, "all-to-all")
+        transport.broadcast(pid, "all-to-all")
     sim.run(until=1.0)
     assert all(len(sink.received) == n for sink in sinks)
     delivered = getattr(transport, "inner", transport).messages_delivered
@@ -181,7 +255,7 @@ def test_a_zero_delay_schedule_without_min_delay_still_raises(monkeypatch):
     def storm(network):
         sim = Simulator(seed=0)
         transport = FaultyTransport(LocalTransport(), schedule=FixedDelay(0.0), network=network)
-        SimRuntime(sim, transport)
+        transport.bind(sim)
 
         class _Echo(_Sink):
             def deliver(self, payload, sender):
@@ -202,8 +276,8 @@ def test_a_zero_delay_schedule_without_min_delay_still_raises(monkeypatch):
 
 
 def test_local_clock_runs_on_a_transport_runtime():
-    sim, runtime, _ = _transport_runtime()
-    clock = LocalClock(runtime)
+    sim, transport = _transport_runtime()
+    clock = LocalClock(transport.runtime)
     fired = []
     clock.schedule_at_local(2.0, lambda: fired.append(clock.read()))
     clock.pause()
@@ -219,7 +293,7 @@ def test_local_clock_runs_on_a_transport_runtime():
 # AsyncioRuntime: wall clock
 # ----------------------------------------------------------------------
 def test_wall_clock_runtime_requires_loop_for_timers():
-    runtime = AsyncioRuntime(LocalTransport())
+    runtime = AsyncioRuntime()
     assert isinstance(runtime.clock, MonotonicClock)
     with pytest.raises(RuntimeError):
         runtime.set_timer(0.1, lambda: None)  # no running loop
@@ -231,7 +305,7 @@ def test_wall_clock_set_timer_at_clamps_past_times():
     # must fire immediately instead of raising (unlike virtual mode, where
     # time cannot advance in between and a past target is a real bug).
     async def scenario():
-        runtime = AsyncioRuntime(LocalTransport(), clock=MonotonicClock())
+        runtime = AsyncioRuntime(clock=MonotonicClock())
         fired = []
         runtime.set_timer_at(runtime.now - 1.0, lambda: fired.append("past"))
         await asyncio.sleep(0.1)
@@ -243,20 +317,22 @@ def test_wall_clock_set_timer_at_clamps_past_times():
 def test_wall_clock_runtime_fires_timers_and_delivers():
     async def scenario():
         transport = LocalTransport(delay=0.01)
-        runtime = AsyncioRuntime(transport, clock=MonotonicClock())
+        runtime = AsyncioRuntime(clock=MonotonicClock())
+        transport.bind(runtime)
         sink = _Sink(0)
-        runtime.register(sink)
+        transport.register(sink)
         fired = []
         runtime.set_timer(0.02, lambda: fired.append("t"))
         cancelled = runtime.set_timer(0.02, lambda: fired.append("never"))
         cancelled.cancel()
-        runtime.send(0, 0, "self")
+        transport.send(0, 0, "self")
         await asyncio.sleep(0.2)
-        return fired, sink.received
+        return fired, sink.received, runtime.events_processed
 
-    fired, received = asyncio.run(scenario())
+    fired, received, events = asyncio.run(scenario())
     assert fired == ["t"]
     assert received == [("self", 0)]
+    assert events == 2  # the timer and the delivery
 
 
 # ----------------------------------------------------------------------

@@ -417,7 +417,8 @@ async def _start_nodes(token, shards, ring_bytes=MIN_RING_BYTES, codecs=None,
     outer = {pid: wrap0(t) if wrap0 is not None and pid == 0 else t for pid, t in inner.items()}
     sinks = [_Sink(pid) for pid in sorted(inner)]
     for sink in sinks:
-        AsyncioRuntime(outer[sink.pid], clock=clock or MonotonicClock()).register(sink)
+        outer[sink.pid].bind(AsyncioRuntime(clock=clock or MonotonicClock()))
+        outer[sink.pid].register(sink)
     peers = {pid: await t.start_server() for pid, t in inner.items()}
     for transport in inner.values():
         transport.set_peers(peers)
@@ -493,7 +494,7 @@ class TestShmTransportPair:
         async def run():
             # Only the producer runs: nothing ever drains ring 0 -> worker 1.
             t0 = ShmTransport(0, ShmEndpoint(token, APART, 0, ring_bytes=MIN_RING_BYTES))
-            AsyncioRuntime(t0, clock=MonotonicClock())
+            t0.bind(AsyncioRuntime(clock=MonotonicClock()))
             peers = {0: await t0.start_server(), 1: ("127.0.0.1", 9)}
             t0.set_peers(peers)
             await t0.start()

@@ -16,15 +16,15 @@ def make_clock(initial: float = 0.0) -> tuple[Simulator, LocalClock]:
 
 def test_clock_advances_with_simulation_time():
     sim, clock = make_clock()
-    sim.schedule(5.0, lambda: None)
+    sim.set_timer(5.0, lambda: None)
     sim.run()
     assert clock.read() == pytest.approx(5.0)
 
 
 def test_pause_freezes_value():
     sim, clock = make_clock()
-    sim.schedule(2.0, clock.pause)
-    sim.schedule(10.0, lambda: None)
+    sim.set_timer(2.0, clock.pause)
+    sim.set_timer(10.0, lambda: None)
     sim.run()
     assert clock.read() == pytest.approx(2.0)
     assert clock.paused
@@ -32,9 +32,9 @@ def test_pause_freezes_value():
 
 def test_unpause_resumes_from_frozen_value():
     sim, clock = make_clock()
-    sim.schedule(2.0, clock.pause)
-    sim.schedule(5.0, clock.unpause)
-    sim.schedule(8.0, lambda: None)
+    sim.set_timer(2.0, clock.pause)
+    sim.set_timer(5.0, clock.unpause)
+    sim.set_timer(8.0, lambda: None)
     sim.run()
     # 2 units before the pause + 3 units after the unpause.
     assert clock.read() == pytest.approx(5.0)
@@ -91,9 +91,9 @@ def test_local_timer_delayed_by_pause():
     sim, clock = make_clock()
     fired = []
     clock.schedule_at_local(3.0, lambda: fired.append(sim.now))
-    sim.schedule(1.0, clock.pause)
-    sim.schedule(6.0, clock.unpause)
-    sim.schedule(20.0, lambda: None)
+    sim.set_timer(1.0, clock.pause)
+    sim.set_timer(6.0, clock.unpause)
+    sim.set_timer(20.0, lambda: None)
     sim.run()
     # 1 unit elapsed before the pause; the remaining 2 local units elapse
     # after the unpause at t=6, so the timer fires at t=8.
@@ -104,7 +104,7 @@ def test_local_timer_fires_when_bump_crosses_target():
     sim, clock = make_clock()
     fired = []
     clock.schedule_at_local(10.0, lambda: fired.append(sim.now))
-    sim.schedule(1.0, lambda: clock.bump_to(12.0))
+    sim.set_timer(1.0, lambda: clock.bump_to(12.0))
     sim.run()
     assert fired == [pytest.approx(1.0)]
 
@@ -123,7 +123,7 @@ def test_timer_not_fired_while_paused_even_if_simulation_advances():
     fired = []
     clock.pause()
     clock.schedule_at_local(1.0, lambda: fired.append(1))
-    sim.schedule(50.0, lambda: None)
+    sim.set_timer(50.0, lambda: None)
     sim.run()
     assert fired == []
 
@@ -227,7 +227,7 @@ def test_cancelling_before_a_bump_reschedules_like_cancelling_after(start, targe
         if target <= start:
             step()  # before the zero-delay fire of an already-reached target
         else:
-            sim.schedule((target - start) / 2, step)
+            sim.set_timer((target - start) / 2, step)
         sim.run()
         return fired, at
 

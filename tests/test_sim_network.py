@@ -17,7 +17,7 @@ from repro.faults.delays import (
     UniformDelay,
 )
 from repro.faults.transport import FaultyTransport
-from repro.runtime import LocalTransport, SimRuntime
+from repro.runtime import LocalTransport
 from repro.runtime.transports import Envelope
 from repro.sim.events import Simulator
 
@@ -39,7 +39,7 @@ def fabric(sim, config, model):
     net = FaultyTransport(
         LocalTransport(), schedule=model, network=config, schedule_seed=sim.seed
     )
-    SimRuntime(sim, net)
+    net.bind(sim)
     return net
 
 

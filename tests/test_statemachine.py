@@ -27,6 +27,7 @@ from repro.statemachine import (
     decode_commands,
     encode_commands,
 )
+from repro.statemachine.kvstore import SEQ_WINDOW
 
 
 def _cmd(client: int, seq: int, op: int = OP_PUT, key: str = "k", value: str = "v"):
@@ -101,6 +102,25 @@ class TestKVStore:
         assert store.applied(1, 10_000)
         assert not store.applied(1, 9_999)
         assert store.applied_count(1) == 1
+
+    def test_a_command_outside_the_filters_domain_applies_as_none(self):
+        store = KVStore()
+        # A client id that does not fit the digest's 8 bytes (uvarints
+        # decode it fine), and a negative one.
+        assert not store.apply(_cmd(2**64, 0, value="wide"))
+        assert not store.apply(_cmd(-1, 0, value="negative"))
+        # A sequence number at the window's bound, and one far above it.
+        assert not store.apply(_cmd(1, SEQ_WINDOW, value="far"))
+        assert not store.apply(_cmd(1, 1 << 24, value="farther"))
+        assert store.commands_rejected == 4
+        assert store.applied_total == store.duplicates_skipped == len(store) == 0
+        assert store._window == {} and store._prefix == {}
+        # The last slot of the window and the widest client id still apply.
+        assert store.apply(_cmd(1, SEQ_WINDOW - 1))
+        assert store.apply(_cmd(2**64 - 1, 0))
+        assert store._window[1].bit_length() == SEQ_WINDOW
+        assert store.applied_total == 2 and store.commands_rejected == 4
+        store.state_digest()  # raised OverflowError on a client >= 2**64
 
     def test_state_digest_covers_applied_sets(self):
         # Same map contents, different applied identities => different digest.

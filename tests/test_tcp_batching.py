@@ -167,7 +167,8 @@ async def _start_nodes(codecs):
     transports = [TcpTransport(pid, codec=codec) for pid, codec in enumerate(codecs)]
     sinks = [_Sink(pid) for pid in range(len(codecs))]
     for transport, sink in zip(transports, sinks):
-        AsyncioRuntime(transport, clock=MonotonicClock()).register(sink)
+        transport.bind(AsyncioRuntime(clock=MonotonicClock()))
+        transport.register(sink)
     peers = {t.pid: await t.start_server() for t in transports}
     for transport in transports:
         transport.set_peers(peers)

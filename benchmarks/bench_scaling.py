@@ -42,10 +42,9 @@ Correctness gates (the script exits non-zero if any fails):
   ``BENCH_scaling.json`` left over from an earlier release fails the check
   until it is re-run and recommitted.
 
-``--no-batch-verify`` disables the amortised batched share verification at
-QC/certificate combine (``ThresholdScheme`` falls back to per-share
-verification everywhere).  CI runs the baseline check both with and without
-it to prove the batched path is trace-identical to the reference path.
+That batched share verification at certificate combine decides the same
+run as the per-share reference path is a tier-1 test
+(``tests/test_crypto_backends.py::test_backends_produce_identical_decisions_and_stay_safe``).
 
 Usage::
 
@@ -68,7 +67,7 @@ from typing import Any
 
 from repro.crypto.backend import make_backend
 from repro.crypto.signatures import PKI
-from repro.crypto.threshold import ThresholdScheme, set_batch_verify_default
+from repro.crypto.threshold import ThresholdScheme
 from repro.experiments.scenario import build_spread_fault_config
 from repro.runner import Campaign, Sweep
 from repro.version import __version__
@@ -347,10 +346,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=60,
                         help="certificate rounds per crypto-pipeline cell "
                              "(scaled down automatically for n > 128)")
-    parser.add_argument("--no-batch-verify", action="store_true",
-                        help="disable batched share verification at combine "
-                             "(per-share reference path; used by CI to prove "
-                             "batching is trace-identical)")
     parser.add_argument("--check-baseline", type=Path, default=None,
                         help="fail unless per-cell decision/commit counts match "
                              "this committed baseline JSON exactly")
@@ -367,9 +362,6 @@ def main(argv=None) -> int:
         if args.min_crypto_speedup is not None
         else (1.0 if args.quick else 3.0)
     )
-    if args.no_batch_verify:
-        set_batch_verify_default(False)
-
     scenario_rows = run_scenario_matrix(ns, args.quick)
     crypto_rows = [
         run_crypto_pipeline(backend, n, rounds_for_n(n, args.rounds))
@@ -417,7 +409,6 @@ def main(argv=None) -> int:
             "backends": list(BACKENDS),
             "tiers": tiers,
             "crypto_rounds": args.rounds,
-            "batch_verify": not args.no_batch_verify,
         },
         "scenario_runs": scenario_rows,
         "crypto_runs": crypto_rows,

@@ -54,7 +54,6 @@ REFERENCE_PAGES = {
         [
             "repro.crypto",
             "repro.crypto.backend",
-            "repro.crypto.hashing",
             "repro.crypto.signatures",
             "repro.crypto.threshold",
         ],

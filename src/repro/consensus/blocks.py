@@ -13,14 +13,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from repro.crypto.backend import get_default_backend
+from repro.crypto.backend import blake_digest
 from repro.errors import ConsensusError
 
 #: Sentinel id shared by the genesis block and the ``parent_id`` meaning "no
-#: parent".  It is a fixed string — never derived from a crypto backend — so
-#: the module-level :data:`GENESIS` block stays valid across runs even when
-#: scenarios install different backends (a cached backend-minted id could
-#: collide with a later run's token space).
+#: parent".
 GENESIS_ID = "genesis"
 
 
@@ -50,13 +47,12 @@ class Block:
 
     @cached_property
     def block_id(self) -> str:
-        """Content-derived identifier of the block (digested once, then cached).
+        """Content-derived identifier of the block (hashed once, then cached).
 
-        Uses the process-default :class:`~repro.crypto.backend.CryptoBackend`
-        (``build_scenario`` installs the run's backend before any block is
-        created).  Genesis (``view < 0``) gets the fixed :data:`GENESIS_ID`
-        instead, because the module-level :data:`GENESIS` object outlives any
-        single run's backend.
+        A :func:`~repro.crypto.backend.blake_digest` of the block's fields:
+        a content hash, the same string under every crypto backend, so no
+        run's backend has to be in reach of a lazily derived id.  Genesis
+        (``view < 0``) gets the fixed :data:`GENESIS_ID` instead.
 
         ``cached_property`` needs an instance ``__dict__``, which is why
         ``Block`` is the one protocol dataclass without ``slots=True`` —
@@ -65,9 +61,7 @@ class Block:
         """
         if self.view < 0:
             return GENESIS_ID
-        return get_default_backend().digest(
-            "block", self.view, self.parent_id, self.proposer, self.payload
-        )
+        return blake_digest("block", self.view, self.parent_id, self.proposer, self.payload)
 
     def __repr__(self) -> str:
         return (

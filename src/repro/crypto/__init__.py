@@ -10,7 +10,9 @@ processor, and aggregation refuses duplicate signers or too-few shares.
 
 The digest primitive everything reduces to is pluggable — see
 :mod:`repro.crypto.backend` for the hashing and counting backends
-and how a scenario selects one.
+and how a scenario selects one.  All of a run's crypto is built from its
+config: :meth:`PKI.setup` is a pure function of the processor ids and the
+backend, so every process that runs it mints the same keys.
 """
 
 from repro.crypto.backend import (
@@ -19,20 +21,15 @@ from repro.crypto.backend import (
     HashingBackend,
     available_backends,
     blake_digest,
-    get_default_backend,
     make_backend,
-    set_default_backend,
-    use_backend,
 )
-from repro.crypto.hashing import digest
-from repro.crypto.signatures import KeyPair, PKI, Signature, SigningKey, VerifyingKey
+from repro.crypto.signatures import PKI, Signature, SigningKey, VerifyingKey
 from repro.crypto.threshold import PartialSignature, ThresholdScheme, ThresholdSignature
 
 __all__ = [
     "CountingBackend",
     "CryptoBackend",
     "HashingBackend",
-    "KeyPair",
     "PKI",
     "PartialSignature",
     "Signature",
@@ -42,9 +39,5 @@ __all__ = [
     "VerifyingKey",
     "available_backends",
     "blake_digest",
-    "digest",
-    "get_default_backend",
     "make_backend",
-    "set_default_backend",
-    "use_backend",
 ]

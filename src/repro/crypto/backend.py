@@ -1,7 +1,7 @@
 """Pluggable crypto backends.
 
-Every cryptographic object in the reproduction — block ids, signatures,
-partial signatures, threshold proofs — reduces to calls of one primitive:
+Every cryptographic object in the reproduction — signatures, partial
+signatures, threshold proofs — reduces to calls of one primitive:
 ``digest(*parts) -> str``, a deterministic, collision-free mapping from a
 payload structure to a short string.  The paper's results only need the
 *equality semantics* of that mapping (equal payloads map to equal digests,
@@ -10,8 +10,8 @@ distinct payloads to distinct digests); the bytes themselves never matter.
 That observation makes the primitive pluggable.  Two backends exist:
 
 * :class:`HashingBackend` — canonicalise the payload structure and BLAKE2b
-  it (the historical behaviour, and the default).  Digests are stable
-  across runs and processes, so traces and golden values reproduce.
+  it (the default).  Digests are stable across runs and processes, so
+  traces and golden values reproduce.
 * :class:`CountingBackend` — intern each distinct payload structure and
   hand out a small sequential token instead of a hash.  O(1) per call
   after the first sight of a payload, no canonicalisation, no hashing.
@@ -21,19 +21,17 @@ That observation makes the primitive pluggable.  Two backends exist:
   Tokens are only meaningful within the backend instance that minted them
   (one simulation run); they must never cross runs.
 
-A backend is chosen per scenario via ``ScenarioConfig.crypto_backend`` /
-``ProtocolConfig.crypto_backend`` (see :func:`make_backend` for the names)
-and is itself a campaign sweep axis, which is how the scaling benchmark
+A backend is a value of one run: ``build_stack`` makes a fresh one from
+``ScenarioConfig.crypto_backend`` / ``ProtocolConfig.crypto_backend`` (see
+:func:`make_backend` for the names) and hands it to the run's PKI, whose
+keys and threshold scheme digest with it.  Nothing here is process-wide, so
+runs with different backends may interleave in one process.  The backend
+is also a campaign sweep axis, which is how the scaling benchmark
 (``benchmarks/bench_scaling.py``) compares them.
 
-The process-wide *default* backend (:func:`get_default_backend`) serves the
-call sites that cannot carry an explicit backend reference — chiefly
-:attr:`repro.consensus.blocks.Block.block_id`, computed lazily on a frozen
-dataclass — and the module-level :func:`repro.crypto.hashing.digest`
-convenience function.  ``build_scenario`` installs the scenario's backend
-as the default for the run it builds; simulation runs are single-threaded
-per process, so this is sound as long as runs with different backends are
-not interleaved within one process (the campaign executors never do).
+Block ids are content hashes that no backend mints:
+:attr:`repro.consensus.blocks.Block.block_id` is :func:`blake_digest` of
+the block's fields, the same string under every backend.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
@@ -166,8 +163,8 @@ def blake_digest(*parts: Any) -> str:
     """The pure hash primitive: a short BLAKE2b hex digest binding ``parts``.
 
     This is :class:`HashingBackend`'s computation, exposed as a function for
-    callers that need a digest independent of any backend choice (golden
-    values, content-addressed caches).
+    callers that need a digest independent of any backend choice (block
+    ids, golden values, content-addressed caches).
     """
     hasher = hashlib.blake2b(digest_size=DIGEST_SIZE_BYTES)
     for part in parts:
@@ -386,7 +383,7 @@ class CountingBackend(CryptoBackend):
 
     # Each instance mints tokens in its own namespace (``~<instance>:<n>``),
     # so a token that leaks across runs — e.g. a digest string cached on an
-    # object that outlives its run while a later run installs a fresh
+    # object that outlives its run while a later run uses a fresh
     # counting backend — can never *collide* with the later run's tokens.
     # Leaked tokens are still meaningless outside their run; they just fail
     # comparisons instead of silently matching.
@@ -468,37 +465,3 @@ def make_backend(name: str) -> CryptoBackend:
         ) from None
     return factory()
 
-
-# ----------------------------------------------------------------------
-# Process-wide default backend
-# ----------------------------------------------------------------------
-_default_backend: CryptoBackend = HashingBackend()
-
-
-def get_default_backend() -> CryptoBackend:
-    """The backend serving call sites without an explicit backend reference
-    (lazy ``Block.block_id`` derivation, the module-level ``digest()``)."""
-    return _default_backend
-
-
-def set_default_backend(backend: CryptoBackend) -> CryptoBackend:
-    """Install ``backend`` as the process default; returns the previous one.
-
-    ``build_scenario`` calls this with each run's backend.  Runs are
-    single-threaded per process, so the only unsupported pattern is
-    interleaving two runs with *different* backends in one process.
-    """
-    global _default_backend
-    previous = _default_backend
-    _default_backend = backend
-    return previous
-
-
-@contextmanager
-def use_backend(backend: CryptoBackend) -> Iterator[CryptoBackend]:
-    """Context manager installing ``backend`` as the default, then restoring."""
-    previous = set_default_backend(backend)
-    try:
-        yield backend
-    finally:
-        set_default_backend(previous)

@@ -7,30 +7,29 @@ the owning processor.  Byzantine processors therefore can sign arbitrary
 processors — exactly the adversary the paper assumes.
 
 All digests flow through a :class:`~repro.crypto.backend.CryptoBackend`.
-Keys bind the backend at construction (defaulting to the process default),
-and a :class:`PKI` threads one shared backend into every key it generates —
-a whole key ceremony therefore agrees on digest semantics by construction.
+A key binds its backend at construction, and a :class:`PKI` threads one
+backend into every key it generates — a whole key ceremony therefore agrees
+on digest semantics by construction.  The ceremony hands out the secrets
+``1..n`` in pid order, so it is a pure function of the processor ids: every
+process that runs it (each worker of a process-lane cluster, a replay)
+mints the same keys, and their shares verify under each other's PKI.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from repro.errors import CryptoError, InvalidSignature
-from repro.crypto.backend import CryptoBackend, get_default_backend
-
-# Monotonic counter giving each SigningKey an unforgeable secret token.
-_SECRET_COUNTER = itertools.count(1)
+from repro.crypto.backend import CryptoBackend, HashingBackend
 
 
 @dataclass(frozen=True, slots=True)
 class Signature:
     """A signature by ``signer`` over ``message_digest``.
 
-    The ``proof`` field binds the signature to the secret token of the
-    signer's key; :meth:`VerifyingKey.verify` recomputes it.
+    The ``proof`` field binds the signature to the secret of the signer's
+    key; :meth:`VerifyingKey.verify` recomputes it.
     """
 
     signer: int
@@ -46,15 +45,10 @@ class SigningKey:
 
     __slots__ = ("owner", "_secret", "_backend")
 
-    def __init__(self, owner: int, backend: Optional[CryptoBackend] = None) -> None:
+    def __init__(self, owner: int, secret: int, backend: CryptoBackend) -> None:
         self.owner = owner
-        self._secret = next(_SECRET_COUNTER)
-        self._backend = backend if backend is not None else get_default_backend()
-
-    @property
-    def backend(self) -> CryptoBackend:
-        """The crypto backend this key digests with."""
-        return self._backend
+        self._secret = secret
+        self._backend = backend
 
     def sign(self, message: Any) -> Signature:
         """Sign an arbitrary message (digested canonically first)."""
@@ -70,24 +64,16 @@ class SigningKey:
         proof = self._backend.digest("sig", self.owner, self._secret, message_digest)
         return Signature(signer=self.owner, message_digest=message_digest, proof=proof)
 
-    # The secret is exposed (read-only) to the verifying key created alongside
-    # this signing key; nothing else in the library reads it.
-    @property
-    def secret_token(self) -> int:
-        return self._secret
-
 
 class VerifyingKey:
     """The public half of a key pair."""
 
     __slots__ = ("owner", "_secret", "_backend")
 
-    def __init__(
-        self, owner: int, secret_token: int, backend: Optional[CryptoBackend] = None
-    ) -> None:
+    def __init__(self, owner: int, secret: int, backend: CryptoBackend) -> None:
         self.owner = owner
-        self._secret = secret_token
-        self._backend = backend if backend is not None else get_default_backend()
+        self._secret = secret
+        self._backend = backend
 
     def verify(self, signature: Signature, message: Any) -> bool:
         """Check that ``signature`` was produced by this key's owner over ``message``."""
@@ -118,45 +104,34 @@ class VerifyingKey:
         return ("sig", self.owner, self._secret, message_digest)
 
 
-@dataclass(frozen=True, slots=True)
-class KeyPair:
-    """A signing/verifying key pair for one processor."""
-
-    signing: SigningKey
-    verifying: VerifyingKey
-
-    @classmethod
-    def generate(cls, owner: int, backend: Optional[CryptoBackend] = None) -> "KeyPair":
-        backend = backend if backend is not None else get_default_backend()
-        signing = SigningKey(owner, backend=backend)
-        verifying = VerifyingKey(owner, signing.secret_token, backend=backend)
-        return cls(signing=signing, verifying=verifying)
-
-
 class PKI:
     """Public-key infrastructure: maps processor ids to verifying keys.
 
     The PKI also acts as the key-generation ceremony: :meth:`setup` creates a
     key pair per processor and returns the signing keys so the simulation can
     hand each one to its owner.  One :class:`~repro.crypto.backend.CryptoBackend`
-    is shared by the PKI and every key it generates.
+    (a fresh :class:`~repro.crypto.backend.HashingBackend` unless given) is
+    shared by the PKI and every key it generates.
     """
 
     def __init__(self, backend: Optional[CryptoBackend] = None) -> None:
-        self.backend = backend if backend is not None else get_default_backend()
+        self.backend = backend if backend is not None else HashingBackend()
         self._verifying: dict[int, VerifyingKey] = {}
 
     @classmethod
     def setup(
         cls, processor_ids: Iterable[int], backend: Optional[CryptoBackend] = None
     ) -> tuple["PKI", dict[int, SigningKey]]:
-        """Generate keys for every processor and register the public halves."""
+        """Generate keys for every processor and register the public halves.
+
+        The ``k``-th smallest pid gets secret ``k`` (from 1): the same ids
+        always give the same keys, whatever was minted before.
+        """
         pki = cls(backend=backend)
         signing_keys: dict[int, SigningKey] = {}
-        for pid in processor_ids:
-            pair = KeyPair.generate(pid, backend=pki.backend)
-            pki._verifying[pid] = pair.verifying
-            signing_keys[pid] = pair.signing
+        for secret, pid in enumerate(sorted(processor_ids), start=1):
+            pki._verifying[pid] = VerifyingKey(pid, secret, pki.backend)
+            signing_keys[pid] = SigningKey(pid, secret, pki.backend)
         return pki, signing_keys
 
     @property

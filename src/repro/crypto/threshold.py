@@ -23,15 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.errors import ThresholdError
-from repro.crypto.backend import CryptoBackend
 from repro.crypto.signatures import PKI, Signature, SigningKey
-
-# Process-wide default for ThresholdScheme(batch_verify=None): whether
-# ``combine`` verifies a quorum of shares through one
-# ``CryptoBackend.verify_batch`` call instead of one digest per share.
-# Benchmarks flip it off (``bench_scaling.py --no-batch-verify``) to prove
-# the batched and per-share paths produce identical runs.
-_BATCH_VERIFY_DEFAULT = True
 
 #: Aggregates per generation of the verified cache; two are kept.  Replicas
 #: verify a certificate within a few views of its minting, so the last
@@ -41,16 +33,6 @@ _VERIFIED_GENERATION = 512
 #: Message digests per generation of the digest memo; two are kept.  A
 #: message is signed and verified within a few views of its first digest.
 _DIGEST_GENERATION = 256
-
-
-def set_batch_verify_default(enabled: bool) -> bool:
-    """Set the process-wide batched-verification default; returns the
-    previous value.  Schemes constructed with an explicit ``batch_verify``
-    are unaffected."""
-    global _BATCH_VERIFY_DEFAULT
-    previous = _BATCH_VERIFY_DEFAULT
-    _BATCH_VERIFY_DEFAULT = enabled
-    return previous
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,9 +79,8 @@ class ThresholdScheme:
     Parameters
     ----------
     pki:
-        The public-key infrastructure shares are verified against.
-    backend:
-        Digest backend; defaults to the PKI's own, which keeps the whole
+        The public-key infrastructure shares are verified against.  The
+        scheme digests with the PKI's backend, which keeps the whole
         ceremony (keys, shares, aggregates) on one digest semantics.
     cache_verified:
         Whether :meth:`verify` remembers aggregates that already verified
@@ -121,22 +102,15 @@ class ThresholdScheme:
         :meth:`~repro.crypto.backend.CryptoBackend.verify_batch` call —
         one digest dispatch per quorum instead of one per share — falling
         back to the bit-identical per-share loop whenever the batch is not
-        all-valid.  ``None`` (the default) follows the process-wide default
-        set by :func:`set_batch_verify_default` (initially on).
+        all-valid (default on; off is the per-share reference path).
     """
 
     def __init__(
-        self,
-        pki: PKI,
-        backend: Optional[CryptoBackend] = None,
-        cache_verified: bool = True,
-        batch_verify: Optional[bool] = None,
+        self, pki: PKI, cache_verified: bool = True, batch_verify: bool = True
     ) -> None:
         self.pki = pki
-        self.backend = backend if backend is not None else pki.backend
-        self.batch_verify = (
-            _BATCH_VERIFY_DEFAULT if batch_verify is None else batch_verify
-        )
+        self.backend = pki.backend
+        self.batch_verify = batch_verify
         self._verified: Optional[set[tuple[str, str, int, frozenset[int]]]] = (
             set() if cache_verified else None
         )
@@ -264,14 +238,12 @@ class ThresholdScheme:
             items = self.pki.batch_verify_items(
                 [p.signature for p in matching], message_digest
             )
-            if items is not None and self.backend.verify_batch(items):
-                self.batched_combines += 1
-                batched = True
-                for partial in matching:
-                    valid_signers.add(partial.signer)
-            else:
-                self.combine_fallbacks += 1
-        if not batched:
+            batched = items is not None and self.backend.verify_batch(items)
+        if batched:
+            self.batched_combines += 1
+            valid_signers.update(partial.signer for partial in matching)
+        elif matching:
+            self.combine_fallbacks += 1
             for partial in matching:
                 if self.pki.is_valid_digest(partial.signature, message_digest):
                     valid_signers.add(partial.signer)

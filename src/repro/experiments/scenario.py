@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Optional
 from repro.config import ProtocolConfig
 from repro.consensus.ledger import sequences_consistent
 from repro.consensus.replica import Replica, ReplicaResidue
-from repro.crypto.backend import CryptoBackend, make_backend, set_default_backend
+from repro.crypto.backend import CryptoBackend, make_backend
 from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError
@@ -362,19 +362,14 @@ def resolve_adversary(
 def build_stack(config: ScenarioConfig) -> ProtocolStack:
     """Build everything a lane needs before it has a runtime to hand the
     replicas: the one place an adversary is resolved, a crypto backend
-    installed, keys minted, the pacemaker factory (and with it Lumiere's
+    made, keys minted, the pacemaker factory (and with it Lumiere's
     one leader schedule) made and the metrics collector — the run's one
     record, with its one counter bag ``metrics.counters`` — created.
     """
     protocol_config, delay_model, corruption = resolve_adversary(config)
     # One fresh backend per run (counting tokens must never cross runs),
-    # shared by the PKI and the threshold scheme, and installed as the
-    # process default so lazily derived block ids use it too.  Runs are
-    # single-threaded per process; building two scenarios with *different*
-    # backends and interleaving their runs in one process is the one
-    # unsupported pattern (the campaign executors never do it).
+    # shared by the PKI and the threshold scheme.
     crypto_backend = make_backend(protocol_config.crypto_backend)
-    set_default_backend(crypto_backend)
     metrics = MetricsCollector()
     metrics.set_honest(corruption.honest_ids)
     pki, signing_keys = PKI.setup(protocol_config.processor_ids, backend=crypto_backend)

@@ -19,8 +19,9 @@ by one cluster class in one of two placements:
      coordinator-side pipe end it inherited (its own and each earlier
      worker's), so that control-pipe EOF stays every worker's signal that
      its coordinator is gone;
-  2. each worker binds and reports ``("addresses", {pid: (host, port)},
-     key fingerprint)``;
+  2. each worker builds its stack — the key ceremony is a pure function of
+     the config's pids, so every worker mints the same keys — binds and
+     reports ``("addresses", {pid: (host, port)})``;
   3. the parent assembles the full address map and broadcasts it back;
      workers connect and report ``("ready",)``;
   4. the parent broadcasts ``("go",)`` and every worker starts its
@@ -45,18 +46,6 @@ as an error.
 
 Either way the run reduces to one
 :class:`~repro.experiments.scenario.RunResult` (:meth:`LiveCluster.result`).
-
-**Key determinism.**  Signing keys draw their secrets from a per-process
-monotonic counter (``_SECRET_COUNTER``), so two processes agree on the
-whole key ceremony exactly when they mint the same keys in the same order
-from the same counter value.  Forked workers satisfy this by construction:
-each inherits the counter's value at the fork, the coordinator mints no
-keys for the cluster (it resolves the config without building a stack)
-and so forks every worker at one value, and ``PKI.setup`` is each worker's
-first key-creating act.  The coordinator verifies it anyway: every worker
-reports a key fingerprint with its addresses, and a mismatch aborts the
-bootstrap with a configuration error instead of an unexplainable
-signature-verification storm.
 """
 
 from __future__ import annotations
@@ -229,7 +218,7 @@ async def _serve_shard(spec: ShardSpec, conn) -> None:
     """Drive one :class:`Shard` from the coordinator's control messages."""
     lifetime = spec.config.duration + WORKER_LIFETIME_MARGIN
     shard = Shard(spec)
-    conn.send(("addresses", *await shard.bind()))
+    conn.send(("addresses", await shard.bind()))
     kind, peers = await _pipe_recv(conn, timeout=lifetime)
     assert kind == "peers", f"unexpected bootstrap message {kind!r}"
     await shard.connect(peers)
@@ -395,7 +384,7 @@ class LiveCluster:
             return
         if self.placement == "inline":
             shard = Shard(self.spec)
-            addresses, _ = await shard.bind()
+            addresses = await shard.bind()
             await shard.connect(addresses)
             self._local = shard
             self.nodes = shard.nodes
@@ -403,7 +392,7 @@ class LiveCluster:
             shard.go()
         else:
             # The coordinator holds no replicas, so it resolves the config
-            # (for summaries and the honest set) without minting any keys.
+            # (for summaries and the honest set) without building a stack.
             _, _, self._corruption = resolve_adversary(self.config)
             await self._fork_workers(self.spec.pids)
         self._started = True
@@ -443,17 +432,9 @@ class LiveCluster:
                 self._workers.append(
                     _Worker(index=index, pids=shard, process=process, conn=parent_conn)
                 )
-            bound = [await self._expect(w, "addresses", "during bootstrap") for w in self._workers]
-            if any(message[2] != bound[0][2] for message in bound[1:]):
-                raise ConfigurationError(
-                    "forked workers derived different signing keys — the key "
-                    "ceremony is no longer deterministic from the inherited "
-                    "key counter (did the coordinator or a worker mint keys "
-                    "before PKI.setup?)"
-                )
             addresses: dict[int, tuple[str, int]] = {}
-            for message in bound:
-                addresses.update(message[1])
+            for worker in self._workers:
+                addresses.update((await self._expect(worker, "addresses", "during bootstrap"))[1])
             for worker in self._workers:
                 worker.conn.send(("peers", addresses))
             for worker in self._workers:

@@ -97,13 +97,12 @@ class Shard:
         """This shard's replicas by pid."""
         return {pid: node.replica for pid, node in self.nodes.items()}
 
-    async def bind(self) -> tuple[dict[int, tuple[str, int]], tuple]:
+    async def bind(self) -> dict[int, tuple[str, int]]:
         """Build the protocol stack and open every node's server.
 
         Returns this shard's ``{pid: address}`` (for shm the "address" is
         the shard's one UDP doorbell, which every pid of it reports; the
-        exchange is the same dance either way) and a cross-process
-        comparable fingerprint of its key ceremony.
+        exchange is the same dance either way).
         """
         spec = self.spec
         self.stack = build_stack(spec.config)
@@ -117,12 +116,10 @@ class Shard:
         else:
             for pid in spec.pids:
                 self._transports[pid] = TcpTransport(pid, host=spec.host)
-        addresses = {
+        return {
             pid: await transport.start_server()
             for pid, transport in self._transports.items()
         }
-        keys = self.stack.signing_keys
-        return addresses, tuple((pid, keys[pid].secret_token) for pid in sorted(keys))
 
     async def connect(self, peers: dict[int, tuple[str, int]]) -> None:
         """Install the cluster-wide address map; bind each transport to a

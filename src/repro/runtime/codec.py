@@ -69,9 +69,8 @@ class FrameMemo:
     young generation retires the old one wholesale, so remembering a frame
     is O(1) and a frame stays findable for at least ``BOUND // 2`` later
     ones — recipients of one broadcast drain it within a few dozen frames of
-    each other.  The last sharer to leave empties it: a payload caches what
-    was derived from it under one run's crypto backend (``Block.block_id``)
-    and must not be served to the next run.
+    each other.  The last sharer to leave empties it, so one run's decoded
+    payloads are never served to the next.
     """
 
     #: Most frames remembered at once.

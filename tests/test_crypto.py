@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.hashing import digest
-from repro.crypto.signatures import KeyPair, PKI
+from repro.crypto.backend import blake_digest
+from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import CryptoError, InvalidSignature, ThresholdError
 
@@ -15,17 +15,17 @@ from repro.errors import CryptoError, InvalidSignature, ThresholdError
 # Hashing
 # ----------------------------------------------------------------------
 def test_digest_is_deterministic():
-    assert digest("a", 1, (2, 3)) == digest("a", 1, (2, 3))
+    assert blake_digest("a", 1, (2, 3)) == blake_digest("a", 1, (2, 3))
 
 
 def test_digest_distinguishes_inputs():
-    assert digest("a", 1) != digest("a", 2)
-    assert digest(("a", "b")) != digest(("ab",))
+    assert blake_digest("a", 1) != blake_digest("a", 2)
+    assert blake_digest(("a", "b")) != blake_digest(("ab",))
 
 
 def test_digest_handles_sets_and_dicts_stably():
-    assert digest({3, 1, 2}) == digest({2, 3, 1})
-    assert digest({"k": 1, "j": 2}) == digest({"j": 2, "k": 1})
+    assert blake_digest({3, 1, 2}) == blake_digest({2, 3, 1})
+    assert blake_digest({"k": 1, "j": 2}) == blake_digest({"j": 2, "k": 1})
 
 
 @settings(max_examples=50, deadline=None)
@@ -33,33 +33,32 @@ def test_digest_handles_sets_and_dicts_stably():
 def test_digest_concatenation_is_not_ambiguous(a, b):
     """Hashing parts separately differs from hashing their concatenation."""
     if a and b:
-        assert digest(a, b) == digest(a, b)
-        assert digest(a + b) == digest(a + b)
+        assert blake_digest(a, b) == blake_digest(a, b)
+        assert blake_digest(a + b) == blake_digest(a + b)
         # Distinct structures should (overwhelmingly) hash differently.
         if a != b:
-            assert digest(a, b) != digest(b, a)
+            assert blake_digest(a, b) != blake_digest(b, a)
 
 
 # ----------------------------------------------------------------------
 # Signatures and PKI
 # ----------------------------------------------------------------------
 def test_sign_and_verify_roundtrip():
-    pair = KeyPair.generate(owner=3)
-    signature = pair.signing.sign(("vote", 7))
-    assert pair.verifying.verify(signature, ("vote", 7))
+    pki, keys = PKI.setup([3])
+    signature = keys[3].sign(("vote", 7))
+    assert pki.verifying_key(3).verify(signature, ("vote", 7))
 
 
 def test_signature_fails_on_tampered_message():
-    pair = KeyPair.generate(owner=3)
-    signature = pair.signing.sign(("vote", 7))
-    assert not pair.verifying.verify(signature, ("vote", 8))
+    pki, keys = PKI.setup([3])
+    signature = keys[3].sign(("vote", 7))
+    assert not pki.verifying_key(3).verify(signature, ("vote", 8))
 
 
 def test_signature_fails_for_wrong_signer():
-    alice = KeyPair.generate(owner=1)
-    bob = KeyPair.generate(owner=2)
-    signature = alice.signing.sign("msg")
-    assert not bob.verifying.verify(signature, "msg")
+    pki, keys = PKI.setup([1, 2])
+    signature = keys[1].sign("msg")
+    assert not pki.verifying_key(2).verify(signature, "msg")
 
 
 def test_pki_setup_and_verification(protocol_config):

@@ -1,8 +1,9 @@
 """Tests for the pluggable crypto backends and their threading through the stack.
 
 Covers the backend registry and semantics, threshold-signature misuse under
-**each** backend, and the end-to-end claim that backends only change digest
-representation, never protocol outcomes.
+**each** backend, the key ceremony and block ids as functions of their
+inputs alone, and the end-to-end claim that backends (and batched share
+verification) only change digest work, never protocol outcomes.
 """
 
 from __future__ import annotations
@@ -10,19 +11,18 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ProtocolConfig
+from repro.consensus.blocks import Block
 from repro.crypto.backend import (
     CountingBackend,
     HashingBackend,
     available_backends,
     blake_digest,
-    get_default_backend,
     make_backend,
-    use_backend,
 )
 from repro.crypto.signatures import PKI, SigningKey
 from repro.crypto.threshold import PartialSignature, ThresholdScheme
 from repro.errors import ConfigurationError, ThresholdError
-from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.experiments.scenario import ScenarioConfig, build_scenario, start_replicas
 from repro.runner.campaign import spec_key
 
 ALL_BACKENDS = ("hashing", "counting")
@@ -35,7 +35,7 @@ def backend(request):
 
 
 # ----------------------------------------------------------------------
-# Registry and default-backend management
+# Registry
 # ----------------------------------------------------------------------
 def test_registry_names_and_unknown_backend():
     assert set(ALL_BACKENDS) <= set(available_backends())
@@ -45,14 +45,6 @@ def test_registry_names_and_unknown_backend():
 
 def test_make_backend_returns_fresh_instances():
     assert make_backend("counting") is not make_backend("counting")
-
-
-def test_use_backend_installs_and_restores():
-    before = get_default_backend()
-    counting = CountingBackend()
-    with use_backend(counting):
-        assert get_default_backend() is counting
-    assert get_default_backend() is before
 
 
 def test_protocol_config_rejects_unknown_backend():
@@ -182,7 +174,7 @@ def test_forged_partial_from_non_owner_key_fails_verification(backend):
     """An attacker signing with its *own* key cannot impersonate a victim."""
     scheme, keys = _scheme_with_keys(backend)
     message = ("qc", 9, "victim-block")
-    attacker_key = SigningKey(owner=3, backend=backend)  # a fresh secret, not the PKI's
+    attacker_key = SigningKey(3, 0, backend)  # a secret the PKI never issued
     honest = scheme.partial_sign(keys[3], message)
     forged = PartialSignature(
         signer=3,
@@ -194,6 +186,29 @@ def test_forged_partial_from_non_owner_key_fails_verification(backend):
     good = [scheme.partial_sign(keys[i], message) for i in range(2)]
     with pytest.raises(ThresholdError):
         scheme.combine(good + [forged], threshold=3, message=message)
+
+
+def test_key_ceremony_is_a_pure_function_of_the_pids(backend):
+    """Keys minted before a ceremony do not change it: two ceremonies over
+    the same pids (two worker processes, a replay) accept each other's
+    shares."""
+    PKI.setup(range(7), backend=backend)  # unrelated keys first
+    first, first_keys = _scheme_with_keys(backend)
+    second, _ = _scheme_with_keys(backend)
+    message = ("qc", 4, "h")
+    partial = first.partial_sign(first_keys[2], message)
+    assert second.verify_partial(partial, message)
+
+
+def test_block_ids_do_not_follow_the_last_built_scenario():
+    """A block id is a content hash: which backend the last scenario was
+    built with does not change the id a new block gets."""
+    fields = (3, "parent", 1, ("cmd",))
+    build_scenario(ScenarioConfig(n=4, crypto_backend="counting"))
+    block_id = Block(*fields).block_id
+    assert block_id == blake_digest("block", *fields)
+    build_scenario(ScenarioConfig(n=4, crypto_backend="hashing"))
+    assert Block(*fields).block_id == block_id
 
 
 def test_roundtrip_and_verify_under_each_backend(backend):
@@ -208,8 +223,8 @@ def test_roundtrip_and_verify_under_each_backend(backend):
 # ----------------------------------------------------------------------
 # End to end: backends change digest representation, not protocol outcomes
 # ----------------------------------------------------------------------
-def _run(backend_name):
-    return run_scenario(
+def _run(backend_name, batch_verify=True):
+    result = build_scenario(
         ScenarioConfig(
             n=4,
             pacemaker="lumiere",
@@ -221,6 +236,10 @@ def _run(backend_name):
             crypto_backend=backend_name,
         )
     )
+    result.replicas[0].scheme.batch_verify = batch_verify  # the run's one scheme
+    start_replicas(result.replicas)
+    result.simulator.run(until=result.config.duration)
+    return result
 
 
 def test_lumiere_config_rejects_degenerate_success_overrides():
@@ -250,6 +269,15 @@ def test_backends_produce_identical_decisions_and_stay_safe():
     saved = hashing.batched_shares - hashing.batch_verifies
     assert hashing.batch_verifies > 0  # QCs formed, so combine batched
     assert hashing.digest_computes == hashing.digest_calls + saved
+    # The per-share reference path (batching off) decides the same run.
+    batched = results["hashing"]
+    per_share = _run("hashing", batch_verify=False)
+    assert per_share.residues() == batched.residues()
+    assert per_share.metrics.decisions == batched.metrics.decisions
+    assert per_share.metrics.counts["qc_count"] == batched.metrics.counts["qc_count"] > 0
+    assert per_share.replicas[0].scheme.combine_fallbacks > 0
+    assert batched.replicas[0].scheme.batched_combines > 0
+    assert per_share.crypto_backend.batch_verifies == 0
 
 
 def test_spec_key_distinguishes_backends():

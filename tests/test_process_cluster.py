@@ -20,7 +20,6 @@ import pytest
 
 from repro.consensus.replica import ReplicaResidue
 from repro.crypto.backend import PackedDigests
-from repro.crypto.signatures import SigningKey
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
@@ -164,10 +163,7 @@ def test_a_coordinator_with_another_thread_refuses_to_fork():
 
 def test_a_lambda_delay_model_runs_on_the_process_lane():
     """A worker is forked with its spec, so a config holding a lambda runs
-    there, and the workers agree on the key ceremony even though the
-    coordinator minted keys before forking them."""
-    for owner in range(3):
-        SigningKey(owner)
+    there."""
     config = _config(
         delta=0.3,
         delay_model=AdversarialDelay(lambda send, ctx: 0.001, name="one-ms"),

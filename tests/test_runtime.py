@@ -11,7 +11,6 @@ import pytest
 
 from repro.consensus.messages import ConsensusMessage, NewView, Proposal, Vote
 from repro.core.messages import ViewMessage
-from repro.crypto.backend import make_backend, set_default_backend
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.faults import AdversarialDelay, FaultyTransport, FixedDelay, NetworkConfig
@@ -339,7 +338,6 @@ def test_wall_clock_runtime_fires_timers_and_delivers():
 # Wire codec
 # ----------------------------------------------------------------------
 def test_codec_roundtrips_a_full_proposal():
-    set_default_backend(make_backend("hashing"))
     result = build_scenario(
         ScenarioConfig(n=4, pacemaker="lumiere", duration=20.0)
     )
@@ -361,12 +359,11 @@ def test_codec_roundtrips_a_full_proposal():
     assert decoded.justify.signers == qc.signers
     assert isinstance(decoded.justify.signers, frozenset)
     assert isinstance(decoded.block.payload, tuple)
-    # The recomputed block id matches: content-derived under the same backend.
+    # The recomputed block id matches: a content hash of the decoded fields.
     assert decoded.block.block_id == block.block_id
 
 
 def test_codec_roundtrips_pacemaker_messages():
-    set_default_backend(make_backend("hashing"))
     from repro.crypto.signatures import PKI
     from repro.crypto.threshold import ThresholdScheme
 

@@ -17,11 +17,7 @@ import pytest
 
 from repro.crypto.backend import available_backends, make_backend
 from repro.crypto.signatures import PKI, Signature
-from repro.crypto.threshold import (
-    PartialSignature,
-    ThresholdScheme,
-    set_batch_verify_default,
-)
+from repro.crypto.threshold import PartialSignature, ThresholdScheme
 from repro.errors import ThresholdError
 
 N = 7
@@ -233,7 +229,7 @@ class TestVerifiedCacheSeeding:
     def test_combine_seeds_the_verified_cache(self, backend_name):
         backend = make_backend(backend_name)
         pki, keys = PKI.setup(range(N), backend=backend)
-        scheme = ThresholdScheme(pki)  # cache on, batching per default
+        scheme = ThresholdScheme(pki)  # cache on, batching on
         partials = [scheme.partial_sign(keys[i], MESSAGE) for i in range(THRESHOLD)]
         aggregate = scheme.combine(partials, THRESHOLD, MESSAGE)
         assert scheme.verify_cache_hits == 0
@@ -251,17 +247,3 @@ class TestVerifiedCacheSeeding:
         assert scheme.verify(aggregate, MESSAGE)
         assert scheme.verify_cache_hits == 0
 
-
-class TestProcessWideDefault:
-    def test_set_batch_verify_default_governs_new_schemes(self):
-        backend = make_backend("hashing")
-        pki, _ = PKI.setup(range(3), backend=backend)
-        previous = set_batch_verify_default(False)
-        try:
-            assert previous is True  # repo default: batching on
-            assert ThresholdScheme(pki).batch_verify is False
-            # Explicit constructor argument wins over the process default.
-            assert ThresholdScheme(pki, batch_verify=True).batch_verify is True
-        finally:
-            set_batch_verify_default(previous)
-        assert ThresholdScheme(pki).batch_verify is True

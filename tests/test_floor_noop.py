@@ -2,16 +2,18 @@
 
 Two checks:
 
-* **Golden fingerprints.**  ``tests/data/floor_fingerprints.json`` was
-  captured on the commit *before* the floor existed (``python
-  tests/test_floor_noop.py --capture`` in that commit's tree): decisions,
-  every replica's ledger, ``qc_count``, the honest message
+* **Golden fingerprints.**  ``tests/data/floor_fingerprints.json`` holds
+  decisions, every replica's ledger, ``qc_count``, the honest message
   count and the eventual communication of all ``repro.faults`` scenarios x
-  four pacemakers at n=7 in the simulator, plus every scenario under LP22
+  eight pacemakers at n=7 in the simulator, plus every scenario under LP22
   and ``rotating_leader_dos`` under every pacemaker at n=13 — where a
   cut-off replica first sees a QC after committing past its view.  The
-  unpruned behaviour survives only as that file; every cell must reproduce
-  it exactly.
+  Lumiere, Basic Lumiere, LP22 and Fever cells were captured on the commit
+  *before* the floor existed; the Cogsworth, Naor-Keidar, RareSync and
+  backoff cells were added later, on the commit before those pacemakers
+  aggregated through ``repro.core.certificates`` (``python
+  tests/test_floor_noop.py --capture`` in that commit's tree).  Every cell
+  must reproduce its file entry exactly.
 * **Replayed stale frames.**  ``Vote`` / ``NewView`` / ``Proposal`` /
   ``QCAnnounce`` frames below the floor leave every piece of protocol state
   untouched; a valid QC the replica never learned is counted once, as it
@@ -35,7 +37,9 @@ from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.faults import available_scenarios
 
 GOLDEN = Path(__file__).parent / "data" / "floor_fingerprints.json"
-PACEMAKERS = ("lumiere", "basic_lumiere", "lp22", "fever")
+PACEMAKERS = (
+    "lumiere", "basic_lumiere", "lp22", "fever", "cogsworth", "naor-keidar", "raresync", "backoff",
+)
 
 
 def _config(scenario: str, pacemaker: str, n: int) -> ScenarioConfig:
@@ -74,7 +78,7 @@ def golden() -> dict:
 
 def test_golden_file_covers_every_cell(golden):
     assert sorted(golden) == sorted(f"{s}/{pm}/n{n}" for s, pm, n in _cells())
-    assert len(golden) >= 48 + 15
+    assert len(golden) >= 96 + 19
 
 
 @pytest.mark.parametrize("scenario,pacemaker,n", _cells())

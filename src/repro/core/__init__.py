@@ -5,7 +5,9 @@ with the success-criterion mechanism that removes heavy epoch
 synchronisations in the steady state), plus Basic Lumiere (Section 3.4,
 which performs a heavy synchronisation at the start of every epoch), the
 epoch-aware leader schedule, and the certificate machinery (View
-Certificates, Timeout Certificates and Epoch Certificates).
+Certificates, Timeout Certificates and Epoch Certificates), whose share
+collectors (:mod:`repro.core.certificates`) every baseline pacemaker
+aggregates through too.
 """
 
 from repro.core.config import LumiereConfig

@@ -1,14 +1,21 @@
-"""Certificate collectors used by Lumiere (and reusable by other pacemakers).
+"""The share collectors every pacemaker aggregates through.
 
-Two collectors exist:
+Each pacemaker of Table 1 turns ``f+1`` or ``2f+1`` signed view messages
+into a certificate or a view change; these two collectors are the one place
+that checks a share (its signer is its sender, it signs the view's payload,
+it is the first from that sender) and counts it:
 
-* :class:`CertificateCollector` — collects signed *view messages* per view at
-  the view's leader and forms a View Certificate (``f+1`` threshold
-  signature) exactly once.
-* :class:`EpochMessageCollector` — collects broadcast *epoch-view messages*
-  per epoch view at every processor and reports when the Timeout
-  Certificate threshold (``f+1`` distinct signers) and the Epoch Certificate
-  threshold (``2f+1`` distinct signers) are first crossed.
+* :class:`CertificateCollector` — collects shares per view and forms the
+  threshold signature exactly once: Lumiere's and Fever's View Certificate
+  (``f+1``, at the view's leader), the LP22 / RareSync Epoch Certificate
+  (``2f+1``) and the Cogsworth / Naor-Keidar relay certificate (``f+1``).
+* :class:`EpochMessageCollector` — counts broadcast shares per view at every
+  processor and reports when a small (``f+1``) and a large (``2f+1``)
+  threshold are first crossed: Lumiere's Timeout and Epoch Certificates, and
+  the backoff pacemaker's "join the complaint" and "enter the view".
+
+Each pacemaker keeps its own guards (view range, leadership) in front of
+``add``.
 """
 
 from __future__ import annotations
@@ -103,10 +110,12 @@ class CertificateCollector:
 
 
 class EpochMessageCollector:
-    """Counts distinct epoch-view message signers and reports TC / EC thresholds.
+    """Counts distinct signers per view and reports two thresholds.
 
     ``add`` returns a pair of booleans ``(tc_now, ec_now)`` that are True the
-    first time the respective threshold is crossed for the view.
+    first time the respective threshold is crossed for the view: Lumiere's
+    TC and EC over epoch-view messages, backoff's "join the complaint" and
+    "enter the view" over view-change messages.
     """
 
     def __init__(self, scheme: ThresholdScheme, tc_threshold: int, ec_threshold: int, payload_fn) -> None:

@@ -19,7 +19,6 @@ happens at the start of every epoch.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
@@ -36,7 +35,6 @@ from repro.core.messages import (
 )
 from repro.core.success import SuccessTracker
 from repro.pacemakers.base import Pacemaker, PacemakerMessage
-from repro.sim.clock import LocalTimer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.replica import Replica
@@ -48,6 +46,7 @@ class LumierePacemaker(Pacemaker):
     """Full Lumiere (Algorithm 1) with the steady-state heavy-sync elimination."""
 
     name = "lumiere"
+    clock_step = 2
 
     def __init__(
         self,
@@ -89,7 +88,6 @@ class LumierePacemaker(Pacemaker):
         self._tc_handled: set[int] = set()  # line 16 "upon first seeing"
         self._ec_handled: set[int] = set()  # line 23 "upon first seeing"
         self._paused_for: Optional[int] = None
-        self._clock_timer: Optional[LocalTimer] = None
         # Leader-side deadline bookkeeping for the Gamma/2 - 2*Delta rule.
         self._deadline_start: dict[int, float] = {}
         # The lowest key the per-view and per-epoch tables can hold: the
@@ -101,11 +99,6 @@ class LumierePacemaker(Pacemaker):
     # ------------------------------------------------------------------
     # Shorthands
     # ------------------------------------------------------------------
-    @property
-    def gamma(self) -> float:
-        """Time allotted to each view."""
-        return self.cfg.gamma
-
     @property
     def current_epoch(self) -> int:
         """The epoch this replica is currently in (-1 before the protocol starts)."""
@@ -134,49 +127,13 @@ class LumierePacemaker(Pacemaker):
     # ------------------------------------------------------------------
     # Local-clock events (lines 9-14 and 28-30)
     # ------------------------------------------------------------------
-    def _schedule_next_clock_event(self, include_current: bool = False) -> None:
-        if self._clock_timer is not None:
-            self._clock_timer.cancel()
-            self._clock_timer = None
-        lc = self.clock.read()
-        step = 2 * self.gamma
-        candidate = int(math.floor(lc / step + _EPS)) * 2
-        if candidate < 0:
-            candidate = 0
-        # include_current keeps the floor boundary at-or-below lc.  On a real
-        # monotonic clock a few microseconds elapse between bump_to(c_v) and
-        # the read() above, so requiring c_candidate >= lc here would skip the
-        # boundary we were just bumped onto — under responsive view racing
-        # that silently skips the epoch view and live-locks the run at the
-        # epoch boundary.  A boundary whose view is already entered is not
-        # re-offered: _on_clock_target would return on its first line and
-        # schedule what the loop below finds, a zero-delay timer later.
-        if not include_current or candidate <= self._current_view:
-            while self.clock_time(candidate) <= lc + _EPS:
-                candidate += 2
-        target_view = candidate
-        self._clock_timer = self.clock.schedule_at_local(
-            self.clock_time(target_view),
-            lambda: self._on_clock_target(target_view),
-            label=f"lumiere-clock-v{target_view}",
-        )
-
-    def _on_clock_target(self, view: int) -> None:
-        self._clock_timer = None
-        try:
-            if view <= self._current_view:
-                return
-            if self.clock.read() + _EPS < self.clock_time(view):
-                return  # clock was paused or re-anchored; we will be rescheduled
-            if self.cfg.is_epoch_view(view):
-                self._on_clock_reaches_epoch_view(view)
-            elif self.cfg.is_initial(view) and self._current_epoch == self.cfg.epoch_of(view):
-                # Line 28-30: enter the initial view and do the light sync.
-                self._enter(view)
-                self._send_view_message(view)
-        finally:
-            if self._clock_timer is None:
-                self._schedule_next_clock_event()
+    def _on_clock_reaches(self, view: int) -> None:
+        if self.cfg.is_epoch_view(view):
+            self._on_clock_reaches_epoch_view(view)
+        elif self.cfg.is_initial(view) and self._current_epoch == self.cfg.epoch_of(view):
+            # Line 28-30: enter the initial view and do the light sync.
+            self._enter(view)
+            self._send_view_message(view)
 
     def _on_clock_reaches_epoch_view(self, view: int) -> None:
         """Lines 9-14: the local clock reached the clock time of an epoch view."""

@@ -368,8 +368,10 @@ class CountingBackend(CryptoBackend):
     the modelled adversary never forges proof strings, so nothing depends on
     digests being unguessable.  Two deliberate differences:
 
-    * tokens are only meaningful within this backend instance (one run);
-      they must never be compared across runs or persisted;
+    * a token is the order in which its payload was first seen, so it
+      means something only within its run: two runs of one config mint the
+      same tokens, and tokens must never be compared across different runs
+      or persisted;
     * payloads that are equal *as Python values* but canonicalise
       differently (``True`` vs ``1``) share a token here.  No protocol
       payload mixes such values in one position.
@@ -381,18 +383,9 @@ class CountingBackend(CryptoBackend):
 
     name = "counting"
 
-    # Each instance mints tokens in its own namespace (``~<instance>:<n>``),
-    # so a token that leaks across runs — e.g. a digest string cached on an
-    # object that outlives its run while a later run uses a fresh
-    # counting backend — can never *collide* with the later run's tokens.
-    # Leaked tokens are still meaningless outside their run; they just fail
-    # comparisons instead of silently matching.
-    _INSTANCE_COUNTER = itertools.count()
-
     def __init__(self) -> None:
         super().__init__()
         self._tokens: dict[Any, str] = {}
-        self._prefix = f"~{next(self._INSTANCE_COUNTER):x}:"
 
     @property
     def distinct_payloads(self) -> int:
@@ -409,7 +402,7 @@ class CountingBackend(CryptoBackend):
             token = tokens.get(key)
         if token is None:
             self.digest_computes += 1
-            token = f"{self._prefix}{len(tokens):x}"
+            token = f"~{len(tokens):x}"
             tokens[key] = token
         return token
 
@@ -427,7 +420,7 @@ class CountingBackend(CryptoBackend):
                 token = tokens.get(key)
             if token is None:
                 self.digest_computes += 1
-                token = f"{self._prefix}{len(tokens):x}"
+                token = f"~{len(tokens):x}"
                 tokens[key] = token
             if token != expected:
                 return False

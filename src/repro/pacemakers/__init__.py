@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "cogsworth": ("CogsworthConfig", "CogsworthPacemaker"),
     "fever": ("FeverConfig", "FeverPacemaker"),
     "lp22": ("LP22Config", "LP22Pacemaker"),
-    "naor_keidar": ("NaorKeidarConfig", "NaorKeidarPacemaker"),
-    "raresync": ("RareSyncConfig", "RareSyncPacemaker"),
+    "naor_keidar": ("NaorKeidarPacemaker",),
+    "raresync": ("RareSyncPacemaker",),
     "registry": ("available_pacemakers", "make_pacemaker_factory"),
 })

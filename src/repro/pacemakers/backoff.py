@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
 from repro.consensus.quorum import QuorumCertificate
+from repro.core.certificates import EpochMessageCollector
 from repro.crypto.threshold import PartialSignature
 from repro.errors import ConfigurationError
 from repro.pacemakers.base import Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
@@ -79,7 +80,9 @@ class ExponentialBackoffPacemaker(RoundRobinLeaderMixin, Pacemaker):
         super().__init__(replica, config)
         self.cfg = backoff_config or ExponentialBackoffConfig(protocol=config)
         self._timeout = self.cfg.base_timeout
-        self._view_change_signers: dict[int, set[int]] = {}
+        self._view_change_collector = EpochMessageCollector(
+            replica.scheme, config.small_quorum_size, config.quorum_size, backoff_payload
+        )
         self._view_change_sent: set[int] = set()
         self._qc_handled: set[int] = set()
         self._view_timer: Optional[LocalTimer] = None
@@ -134,14 +137,11 @@ class ExponentialBackoffPacemaker(RoundRobinLeaderMixin, Pacemaker):
         view = msg.view
         if view <= self._current_view:
             return
-        if not self.replica.scheme.verify_partial(msg.partial, backoff_payload(view)):
-            return
-        signers = self._view_change_signers.setdefault(view, set())
-        signers.add(sender)
+        join, enter = self._view_change_collector.add(view, sender, msg.partial)
         # Amplification: join the complaint once f+1 processors raised it.
-        if len(signers) >= self.config.small_quorum_size:
+        if join:
             self._send_view_change(view)
-        if len(signers) >= self.config.quorum_size:
+        if enter:
             self._enter(view, reset_timeout=False)
 
     # ------------------------------------------------------------------

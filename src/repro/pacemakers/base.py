@@ -14,10 +14,16 @@ The interface also exposes :meth:`Pacemaker.may_produce_qc`, which Lumiere
 uses to implement its rule that honest leaders only produce a QC if they can
 do so within ``Gamma/2 - 2*Delta`` of sending the corresponding VC (or of
 sending the previous view's QC).
+
+It also holds the one clock-boundary timer of the clock-driven pacemakers
+(Lumiere, LP22, RareSync, Fever): :meth:`Pacemaker._schedule_next_clock_event`
+arms a local-clock timer for the next ``c_v`` and calls the subclass's
+``_on_clock_reaches(view)`` when the clock gets there.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -27,6 +33,9 @@ from repro.consensus.quorum import QuorumCertificate
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.consensus.replica import Replica
+    from repro.sim.clock import LocalTimer
+
+_EPS = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +48,12 @@ class Pacemaker(ABC):
 
     #: Short machine-readable name used by the registry and in reports.
     name: str = "abstract"
+    #: Views between two clock boundaries ``c_v`` the clock timer visits
+    #: (:meth:`_schedule_next_clock_event`): 2 where only initial views are
+    #: clock-driven (Fever, Lumiere), 1 where every view is (LP22).
+    clock_step: int = 1
+    #: The pending clock-boundary timer, if this pacemaker arms one.
+    _clock_timer: Optional["LocalTimer"] = None
 
     def __init__(self, replica: "Replica", config: ProtocolConfig) -> None:
         self.replica = replica
@@ -104,6 +119,62 @@ class Pacemaker(ABC):
         ``Gamma/2 - 2*Delta`` production deadline.
         """
         return True
+
+    # ------------------------------------------------------------------
+    # The clock-boundary timer
+    # ------------------------------------------------------------------
+    def clock_time(self, view: int) -> float:
+        """``c_v``: the local-clock time of ``view``'s boundary."""
+        raise NotImplementedError(f"{type(self).__name__} has no clock boundaries")
+
+    def _schedule_next_clock_event(self, include_current: bool = False) -> None:
+        """Arm the one clock timer for the first boundary ``c_v`` (``v`` a
+        multiple of :attr:`clock_step`) after the local clock ``lc``.
+
+        ``include_current`` offers the boundary at-or-below ``lc`` instead.  On
+        a real monotonic clock a few microseconds elapse between
+        ``bump_to(c_v)`` and the ``read()`` below, so requiring ``c_v >= lc``
+        would skip the boundary the caller was just bumped onto — under
+        responsive view racing that silently skips Lumiere's epoch view and
+        live-locks the run at the epoch boundary.  A boundary whose view is
+        already entered is not re-offered: :meth:`_on_clock_target` would
+        return on its first line and schedule what the loop below finds, a
+        zero-delay timer later.
+        """
+        if self._clock_timer is not None:
+            self._clock_timer.cancel()
+            self._clock_timer = None
+        lc = self.clock.read()
+        step = self.clock_step
+        # c_v is Gamma * v, so c_step is the time between two boundaries.
+        candidate = int(math.floor(lc / self.clock_time(step) + _EPS)) * step
+        if candidate < 0:
+            candidate = 0
+        if not include_current or candidate <= self._current_view:
+            while self.clock_time(candidate) <= lc + _EPS:
+                candidate += step
+        self._clock_timer = self.clock.schedule_at_local(
+            self.clock_time(candidate), lambda: self._on_clock_target(candidate)
+        )
+
+    def _on_clock_target(self, view: int) -> None:
+        """The clock timer fired for ``view``: run :meth:`_on_clock_reaches`
+        if the view is still ahead and the clock really reads ``c_view``,
+        then arm the next boundary unless the hook armed one."""
+        self._clock_timer = None
+        try:
+            if view <= self._current_view:
+                return
+            if self.clock.read() + _EPS < self.clock_time(view):
+                return  # clock was paused or re-anchored; we will be rescheduled
+            self._on_clock_reaches(view)
+        finally:
+            if self._clock_timer is None:
+                self._schedule_next_clock_event()
+
+    def _on_clock_reaches(self, view: int) -> None:
+        """The local clock reached ``c_view`` of a view not yet entered."""
+        raise NotImplementedError(f"{type(self).__name__} has no clock boundaries")
 
     # ------------------------------------------------------------------
     # View transitions

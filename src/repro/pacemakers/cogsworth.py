@@ -27,8 +27,9 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
 from repro.consensus.quorum import QuorumCertificate
+from repro.core.certificates import CertificateCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
-from repro.errors import ConfigurationError, ThresholdError
+from repro.errors import ConfigurationError
 from repro.pacemakers.base import Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
 from repro.sim.clock import LocalTimer
 
@@ -106,8 +107,9 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
     ) -> None:
         super().__init__(replica, config)
         self.cfg = cogsworth_config or CogsworthConfig(protocol=config)
-        self._wish_partials: dict[int, dict[int, PartialSignature]] = {}
-        self._relay_broadcast: set[int] = set()
+        self._relay_collector = CertificateCollector(
+            replica.scheme, config.small_quorum_size, cogsworth_wish_payload
+        )
         self._cert_seen: set[int] = set()
         self._qc_handled: set[int] = set()
         self._wished_relays: dict[int, int] = {}  # view -> how many relays contacted
@@ -192,21 +194,9 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
         view = msg.view
         if view <= 0:
             return
-        if not self.replica.scheme.verify_partial(msg.partial, cogsworth_wish_payload(view)):
+        aggregate = self._relay_collector.add(view, sender, msg.partial)
+        if aggregate is None:
             return
-        bucket = self._wish_partials.setdefault(view, {})
-        bucket[sender] = msg.partial
-        if len(bucket) < self.config.small_quorum_size or view in self._relay_broadcast:
-            return
-        try:
-            aggregate = self.replica.scheme.combine(
-                list(bucket.values()),
-                self.config.small_quorum_size,
-                cogsworth_wish_payload(view),
-            )
-        except ThresholdError:
-            return
-        self._relay_broadcast.add(view)
         if self.replica.behaviour.suppress_view_sync("relay", view):
             return
         self.broadcast(RelayCertificate(view=view, aggregate=aggregate))

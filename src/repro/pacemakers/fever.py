@@ -18,16 +18,15 @@ starting the run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
 from repro.consensus.quorum import QuorumCertificate
+from repro.core.certificates import CertificateCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
 from repro.errors import ConfigurationError
 from repro.pacemakers.base import Pacemaker, PacemakerMessage, PairedLeaderMixin
-from repro.sim.clock import LocalTimer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.replica import Replica
@@ -84,6 +83,7 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
     """Fever: clock-bump view synchronisation without epochs."""
 
     name = "fever"
+    clock_step = 2
 
     def __init__(
         self,
@@ -94,15 +94,11 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
         super().__init__(replica, config)
         self.cfg = fever_config or FeverConfig(protocol=config)
         self._view_msgs_sent: set[int] = set()
-        self._vc_partials: dict[int, dict[int, PartialSignature]] = {}
-        self._vc_formed: set[int] = set()
+        self._vc_collector = CertificateCollector(
+            replica.scheme, config.small_quorum_size, fever_view_payload
+        )
         self._vc_seen: set[int] = set()
         self._qc_handled: set[int] = set()
-        self._clock_timer: Optional[LocalTimer] = None
-
-    @property
-    def gamma(self) -> float:
-        return self.cfg.gamma
 
     def clock_time(self, view: int) -> float:
         return self.cfg.clock_time(view)
@@ -113,41 +109,10 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
     def start(self) -> None:
         self._schedule_next_clock_event(include_current=True)
 
-    def _schedule_next_clock_event(self, include_current: bool = False) -> None:
-        if self._clock_timer is not None:
-            self._clock_timer.cancel()
-            self._clock_timer = None
-        lc = self.clock.read()
-        step = 2 * self.gamma
-        candidate = int(math.floor(lc / step + _EPS)) * 2
-        if candidate < 0:
-            candidate = 0
-        if include_current:
-            while self.clock_time(candidate) < lc - _EPS:
-                candidate += 2
-        else:
-            while self.clock_time(candidate) <= lc + _EPS:
-                candidate += 2
-        target = candidate
-        self._clock_timer = self.clock.schedule_at_local(
-            self.clock_time(target),
-            lambda: self._on_clock_target(target),
-            label=f"fever-clock-v{target}",
-        )
-
-    def _on_clock_target(self, view: int) -> None:
-        self._clock_timer = None
-        try:
-            if view <= self._current_view:
-                return
-            if self.clock.read() + _EPS < self.clock_time(view):
-                return
-            # Initial view reached by real-time clock advance.
-            self.enter_view(view)
-            self._send_view_message(view)
-        finally:
-            if self._clock_timer is None:
-                self._schedule_next_clock_event()
+    def _on_clock_reaches(self, view: int) -> None:
+        # Initial view reached by real-time clock advance.
+        self.enter_view(view)
+        self._send_view_message(view)
 
     # ------------------------------------------------------------------
     # Messages
@@ -164,16 +129,9 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
             return
         if self.leader_of(view) != self.pid or view < self._current_view:
             return
-        if not self.replica.scheme.verify_partial(msg.partial, fever_view_payload(view)):
+        aggregate = self._vc_collector.add(view, sender, msg.partial)
+        if aggregate is None:
             return
-        bucket = self._vc_partials.setdefault(view, {})
-        bucket[sender] = msg.partial
-        if len(bucket) < self.config.small_quorum_size or view in self._vc_formed:
-            return
-        aggregate = self.replica.scheme.combine(
-            list(bucket.values()), self.config.small_quorum_size, fever_view_payload(view)
-        )
-        self._vc_formed.add(view)
         if not self.replica.behaviour.suppress_view_sync("vc", view):
             self.broadcast(FeverViewCertificate(view=view, aggregate=aggregate))
 

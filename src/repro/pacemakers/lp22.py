@@ -19,21 +19,18 @@ worst-case communication complexity stays quadratic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
 from repro.consensus.quorum import QuorumCertificate
+from repro.core.certificates import CertificateCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
-from repro.errors import ConfigurationError, ThresholdError
+from repro.errors import ConfigurationError
 from repro.pacemakers.base import Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
-from repro.sim.clock import LocalTimer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.replica import Replica
-
-_EPS = 1e-9
 
 
 def lp22_epoch_payload(view: int) -> tuple:
@@ -106,20 +103,16 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
         self.cfg = lp22_config or LP22Config(protocol=config)
         self._current_epoch = -1
         self._epoch_msgs_sent: set[int] = set()
-        self._ec_broadcast: set[int] = set()
         self._ec_seen: set[int] = set()
         self._qc_handled: set[int] = set()
         self._epoch_clock_handled: set[int] = set()
-        self._epoch_partials: dict[int, dict[int, PartialSignature]] = {}
-        self._clock_timer: Optional[LocalTimer] = None
+        self._ec_collector = CertificateCollector(
+            replica.scheme, config.quorum_size, lp22_epoch_payload
+        )
 
     # ------------------------------------------------------------------
     # Shorthands
     # ------------------------------------------------------------------
-    @property
-    def gamma(self) -> float:
-        return self.cfg.gamma
-
     @property
     def current_epoch(self) -> int:
         return self._current_epoch
@@ -133,44 +126,13 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
     def start(self) -> None:
         self._schedule_next_clock_event(include_current=True)
 
-    def _schedule_next_clock_event(self, include_current: bool = False) -> None:
-        if self._clock_timer is not None:
-            self._clock_timer.cancel()
-            self._clock_timer = None
-        lc = self.clock.read()
-        candidate = int(math.floor(lc / self.gamma + _EPS))
-        if candidate < 0:
-            candidate = 0
-        if include_current:
-            while self.clock_time(candidate) < lc - _EPS:
-                candidate += 1
-        else:
-            while self.clock_time(candidate) <= lc + _EPS:
-                candidate += 1
-        target = candidate
-        self._clock_timer = self.clock.schedule_at_local(
-            self.clock_time(target),
-            lambda: self._on_clock_target(target),
-            label=f"lp22-clock-v{target}",
-        )
-
-    def _on_clock_target(self, view: int) -> None:
-        self._clock_timer = None
-        try:
-            if view <= self._current_view:
-                return
-            if self.clock.read() + _EPS < self.clock_time(view):
-                return
-            if self.cfg.is_epoch_view(view):
-                self._on_clock_reaches_epoch_view(view)
-            else:
-                # Non-epoch view: enter when the clock reaches its time, if we
-                # are in the same epoch and a lower view.
-                if self.cfg.epoch_of(view) == self._current_epoch:
-                    self._enter(view)
-        finally:
-            if self._clock_timer is None:
-                self._schedule_next_clock_event()
+    def _on_clock_reaches(self, view: int) -> None:
+        if self.cfg.is_epoch_view(view):
+            self._on_clock_reaches_epoch_view(view)
+        elif self.cfg.epoch_of(view) == self._current_epoch:
+            # Non-epoch view: enter when the clock reaches its time, if we
+            # are in the same epoch and a lower view.
+            self._enter(view)
 
     def _on_clock_reaches_epoch_view(self, view: int) -> None:
         if view in self._epoch_clock_handled:
@@ -206,21 +168,11 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
         view = msg.view
         if not self.cfg.is_epoch_view(view) or view < 0:
             return
-        if not self.replica.scheme.verify_partial(msg.partial, lp22_epoch_payload(view)):
-            return
         if self._current_view >= view:
             return  # only processors in a lower view aggregate
-        bucket = self._epoch_partials.setdefault(view, {})
-        bucket[sender] = msg.partial
-        if len(bucket) < self.config.quorum_size or view in self._ec_broadcast:
+        aggregate = self._ec_collector.add(view, sender, msg.partial)
+        if aggregate is None:
             return
-        try:
-            aggregate = self.replica.scheme.combine(
-                list(bucket.values()), self.config.quorum_size, lp22_epoch_payload(view)
-            )
-        except ThresholdError:
-            return
-        self._ec_broadcast.add(view)
         if not self.replica.behaviour.suppress_view_sync("ec", view):
             self.broadcast(LP22EpochCertificate(view=view, aggregate=aggregate))
         # Broadcasting to all includes ourselves, which handles our own entry.

@@ -23,10 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.replica import Replica
 
 
-class NaorKeidarConfig(CogsworthConfig):
-    """NK20 parameters: identical to Cogsworth except for the relay fan-out."""
-
-
 class NaorKeidarPacemaker(CogsworthPacemaker):
     """NK20: Cogsworth with wishes fanned out to ``f+1`` relays in parallel."""
 

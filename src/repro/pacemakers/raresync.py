@@ -15,32 +15,14 @@ responsive path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
-from repro.config import ProtocolConfig
 from repro.consensus.quorum import QuorumCertificate
-from repro.pacemakers.lp22 import LP22Config, LP22Pacemaker
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.consensus.replica import Replica
-
-
-class RareSyncConfig(LP22Config):
-    """RareSync uses the same timing parameters as LP22."""
+from repro.pacemakers.lp22 import LP22Pacemaker
 
 
 class RareSyncPacemaker(LP22Pacemaker):
     """Epoch-synchronised pacemaker without optimistic responsiveness."""
 
     name = "raresync"
-
-    def __init__(
-        self,
-        replica: "Replica",
-        config: ProtocolConfig,
-        lp22_config: Optional[LP22Config] = None,
-    ) -> None:
-        super().__init__(replica, config, lp22_config)
 
     def on_qc(self, qc: QuorumCertificate) -> None:
         """RareSync ignores QCs for view advancement: views advance by timer only."""

@@ -6,10 +6,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.certificates import CertificateCollector, EpochMessageCollector
+from repro.core.messages import ViewCertificate, ViewMessage, view_message_payload
 from repro.faults.attacks import spread_corruption, worst_case_clock_dispersion_model
 from repro.faults.behaviours import SilentLeaderBehaviour
 from repro.faults.corruption import CorruptionPlan
-from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.experiments.scenario import ScenarioConfig, build_scenario, run_scenario
+from repro.pacemakers.backoff import (
+    ExponentialBackoffPacemaker, ViewChangeMessage, backoff_payload,
+)
+from repro.pacemakers.cogsworth import RelayCertificate, WishMessage, cogsworth_wish_payload
+from repro.pacemakers.fever import FeverViewCertificate, FeverViewMessage, fever_view_payload
+from repro.pacemakers.lp22 import LP22EpochCertificate, LP22EpochViewMessage, lp22_epoch_payload
 from repro.pacemakers.registry import available_pacemakers, make_pacemaker_factory
 from repro.config import ProtocolConfig
 from repro.errors import ConfigurationError
@@ -181,3 +189,64 @@ def test_lumiere_eventual_communication_beats_lp22_per_decision():
     lumiere_eventual = lumiere.summary().eventual_communication
     assert lp22_eventual is not None and lumiere_eventual is not None
     assert lumiere_eventual < lp22_eventual
+
+
+# ----------------------------------------------------------------------
+# A share delivered under another sender's name counts for nothing
+# ----------------------------------------------------------------------
+REPLAY_PATHS = {
+    # pacemaker: (share message, signed payload, the quorum of each crossing)
+    "lumiere": (ViewMessage, view_message_payload, ("small_quorum_size",)),
+    "fever": (FeverViewMessage, fever_view_payload, ("small_quorum_size",)),
+    "lp22": (LP22EpochViewMessage, lp22_epoch_payload, ("quorum_size",)),
+    "cogsworth": (WishMessage, cogsworth_wish_payload, ("small_quorum_size",)),
+    # Join the complaint, then enter the view.
+    "backoff": (ViewChangeMessage, backoff_payload, ("small_quorum_size", "quorum_size")),
+}
+
+
+def _crossings(pacemaker, sent, view) -> tuple[bool, ...]:
+    """Which of the path's thresholds ``pacemaker`` has crossed for ``view``."""
+    if isinstance(pacemaker, ExponentialBackoffPacemaker):
+        joined = any(isinstance(msg, ViewChangeMessage) and msg.view == view for msg in sent)
+        return (joined, pacemaker.current_view == view)
+    certificates = (ViewCertificate, FeverViewCertificate, LP22EpochCertificate, RelayCertificate)
+    return (any(isinstance(msg, certificates) and msg.view == view for msg in sent),)
+
+
+@pytest.mark.parametrize("pacemaker", sorted(REPLAY_PATHS))
+def test_a_replayed_share_counts_for_nothing(pacemaker):
+    """b's valid share arriving from a is dropped without an error, and each
+    threshold is crossed exactly when its count of real senders arrives."""
+    message, payload, quorums = REPLAY_PATHS[pacemaker]
+    result = build_scenario(scenario(pacemaker))
+    view = 10  # an initial view (Fever, Lumiere) and an LP22 epoch view at n=4
+    receiver = result.replicas[0].pacemaker.leader_of(view)
+    replica = result.replicas[receiver]
+    sent: list = []
+    replica.pacemaker.broadcast = sent.append
+    config = result.config.protocol_config()
+    thresholds = [getattr(config, quorum) for quorum in quorums]
+
+    def deliver(signer: int, sender: int) -> None:
+        share = replica.scheme.partial_sign(
+            result.replicas[signer].signing_key, payload(view)
+        )
+        replica.on_message(message(view=view, partial=share), sender)
+
+    a, b, *others = range(config.n)
+    deliver(b, a)
+    assert _crossings(replica.pacemaker, sent, view) == (False,) * len(thresholds)
+    collectors = [
+        table for table in vars(replica.pacemaker).values()
+        if isinstance(table, (CertificateCollector, EpochMessageCollector))
+    ]
+    assert collectors and all(collector.count(view) == 0 for collector in collectors)
+    for count, sender in enumerate([b, *others], start=1):
+        deliver(sender, sender)
+        expected = tuple(count >= threshold for threshold in thresholds)
+        assert _crossings(replica.pacemaker, sent, view) == expected, f"after {count} senders"
+    certificate = next((msg for msg in sent if hasattr(msg, "aggregate")), None)
+    if certificate is not None:
+        assert a not in certificate.aggregate.signers
+        assert certificate.aggregate.size == thresholds[0]

@@ -158,7 +158,7 @@ def run_crypto_pipeline(backend_name: str, n: int, rounds: int) -> dict[str, Any
                 raise AssertionError("pipeline share failed verification")
         aggregate = scheme.combine(partials, quorum, message)
         for _ in range(n):  # every recipient of the broadcast checks the certificate
-            if not scheme.verify(aggregate, message):
+            if not scheme.verify(aggregate, message, quorum):
                 raise AssertionError("pipeline aggregate failed verification")
     wall = time.perf_counter() - start
     return {

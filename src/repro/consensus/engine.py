@@ -410,7 +410,7 @@ class ChainedHotStuff(ConsensusEngine):
         key = (qc.view, qc.block_id)
         if key in self._learned_qcs or self._learned_below_floor(qc.view):
             return
-        if not self.replica.scheme.verify(qc.aggregate, qc.message()):
+        if not self.replica.scheme.verify(qc.aggregate, qc.message(), self.config.quorum_size):
             return
         self._learned_qcs.add(key)
         self.safety.update_high_qc(qc)

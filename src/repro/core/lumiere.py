@@ -198,9 +198,9 @@ class LumierePacemaker(Pacemaker):
         if view < self.replica.floor:
             return  # decided and left: line 36 saw it, or it can do nothing now
         payload, digest = self._view_payload(view)
-        if not self.replica.scheme.verify(msg.aggregate, payload, message_digest=digest):
-            return
-        if msg.aggregate.size < self.config.small_quorum_size:
+        if not self.replica.scheme.verify(
+            msg.aggregate, payload, self.config.small_quorum_size, digest
+        ):
             return
         if view in self._vc_handled:
             return  # line 36 "upon first seeing"

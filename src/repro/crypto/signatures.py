@@ -10,9 +10,10 @@ All digests flow through a :class:`~repro.crypto.backend.CryptoBackend`.
 A key binds its backend at construction, and a :class:`PKI` threads one
 backend into every key it generates — a whole key ceremony therefore agrees
 on digest semantics by construction.  The ceremony hands out the secrets
-``1..n`` in pid order, so it is a pure function of the processor ids: every
-process that runs it (each worker of a process-lane cluster, a replay)
-mints the same keys, and their shares verify under each other's PKI.
+``1..n`` in pid order and ``n+1`` to the threshold scheme's aggregation
+proofs, so it is a pure function of the processor ids: every process that
+runs it (each worker of a process-lane cluster, a replay) mints the same
+keys, and their shares and aggregates verify under each other's PKI.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ class PKI:
     def __init__(self, backend: Optional[CryptoBackend] = None) -> None:
         self.backend = backend if backend is not None else HashingBackend()
         self._verifying: dict[int, VerifyingKey] = {}
+        self._aggregation_secret = 0  # keys every aggregate (ThresholdScheme._proof)
 
     @classmethod
     def setup(
@@ -124,30 +126,22 @@ class PKI:
     ) -> tuple["PKI", dict[int, SigningKey]]:
         """Generate keys for every processor and register the public halves.
 
-        The ``k``-th smallest pid gets secret ``k`` (from 1): the same ids
-        always give the same keys, whatever was minted before.
+        The ``k``-th smallest pid gets secret ``k`` (from 1) and the
+        aggregation secret is the next one: the same ids always give the
+        same keys, whatever was minted before.
         """
         pki = cls(backend=backend)
         signing_keys: dict[int, SigningKey] = {}
         for secret, pid in enumerate(sorted(processor_ids), start=1):
             pki._verifying[pid] = VerifyingKey(pid, secret, pki.backend)
             signing_keys[pid] = SigningKey(pid, secret, pki.backend)
+        pki._aggregation_secret = len(pki._verifying) + 1
         return pki, signing_keys
 
     @property
     def processor_ids(self) -> list[int]:
         """All processor ids with registered keys."""
         return sorted(self._verifying)
-
-    def covers(self, signers: Iterable[int]) -> bool:
-        """Whether every id in ``signers`` has a registered verifying key.
-
-        A set-operation on the key view (no list/sort per call), used by
-        aggregate verification on the hot path.
-        """
-        if not isinstance(signers, (set, frozenset)):
-            signers = set(signers)
-        return signers <= self._verifying.keys()
 
     def verifying_key(self, pid: int) -> VerifyingKey:
         """The verifying key for processor ``pid``."""

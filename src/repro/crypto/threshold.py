@@ -71,10 +71,12 @@ class ThresholdSignature:
 class ThresholdScheme:
     """Aggregation and verification of partial signatures.
 
-    One scheme instance is shared by all processors (it holds only public
-    material: the PKI).  Minting a partial share still requires the signer's
-    private :class:`SigningKey`, so the unforgeability argument carries over
-    from :mod:`repro.crypto.signatures`.
+    One scheme instance is shared by all processors (it holds only the
+    PKI).  Minting a partial share still requires the signer's private
+    :class:`SigningKey`, and an aggregate's proof is keyed by the PKI's
+    aggregation secret, which only :meth:`combine` applies, after verifying
+    the shares, so the unforgeability argument carries over from
+    :mod:`repro.crypto.signatures`.
 
     Parameters
     ----------
@@ -252,13 +254,7 @@ class ThresholdScheme:
                 f"need {threshold} distinct valid shares, got {len(valid_signers)}"
             )
         signers = frozenset(valid_signers)
-        # The signer set is digested as a frozenset: canonicalisation sorts
-        # set elements, so the digest is deterministic, and the *same*
-        # frozenset object travels inside the aggregate to every verifier —
-        # its cached hash makes re-verification O(1) under the counting
-        # backend (a sorted list here forced an O(n) walk per verification
-        # at every recipient).
-        proof = self.backend.digest("threshold", message_digest, threshold, signers)
+        proof = self._proof(message_digest, threshold, signers)
         if self._verified is not None:
             # Seed the verified cache with the freshly minted aggregate: the
             # scheme instance is shared by every replica of a run, so each
@@ -277,17 +273,20 @@ class ThresholdScheme:
         self,
         aggregate: ThresholdSignature,
         message: Any,
+        quorum: int,
         message_digest: Optional[str] = None,
     ) -> bool:
-        """Verify an aggregated signature against ``message``.
+        """Verify an aggregate of at least ``quorum`` signers over ``message``.
 
-        With the verified cache enabled (the default), re-verifying a
-        certificate that already passed — every replica checks every QC as
-        it arrives — costs two lookups (:meth:`message_digest` and the
-        cache), instead of re-digesting the O(n) signer set.  As with
-        :meth:`verify_partial`, ``message_digest`` must be the caller's own
-        digest of ``message``, never one read off the wire.
+        ``quorum`` is the size the protocol forms this kind of certificate
+        at (``f+1`` or ``2f+1``), never the sender's ``threshold``; it is
+        checked before the verified cache.  A cache hit — every replica
+        checks every QC as it arrives — costs two lookups instead of
+        re-digesting the O(n) signer set.  As with :meth:`verify_partial`,
+        ``message_digest`` must be the caller's own digest of ``message``.
         """
+        if aggregate.size < quorum:
+            return False
         if message_digest is None:
             message_digest = self.message_digest(message)
         if aggregate.message_digest != message_digest:
@@ -303,26 +302,26 @@ class ThresholdScheme:
             if key in verified or key in self._verified_before:
                 self.verify_cache_hits += 1
                 return True
-        if aggregate.size < aggregate.threshold:
-            return False
-        if not self.pki.covers(aggregate.signers):
-            return False
-        expected = self.backend.digest(
-            "threshold", message_digest, aggregate.threshold, aggregate.signers
-        )
-        if aggregate.proof != expected:
+        if aggregate.proof != self._proof(
+            message_digest, aggregate.threshold, aggregate.signers
+        ):
             return False
         if verified is not None:
             self._remember(key)
         return True
+
+    def _proof(self, message_digest: str, threshold: int, signers: frozenset[int]) -> str:
+        """One digest of the message digest, threshold, signer set (the
+        frozenset the aggregate carries: its cached hash keeps a counting
+        lookup O(1)) and the PKI's aggregation secret.  Only :meth:`combine`,
+        after verifying the shares, and :meth:`verify` compute it.
+        """
+        return self.backend.digest(
+            "threshold", message_digest, threshold, signers, self.pki._aggregation_secret
+        )
 
     def _remember(self, key: tuple) -> None:
         """Add ``key`` to the verified cache, rotating generations when full."""
         if len(self._verified) >= _VERIFIED_GENERATION:
             self._verified_before, self._verified = self._verified, set()
         self._verified.add(key)
-
-    def require_valid(self, aggregate: ThresholdSignature, message: Any) -> None:
-        """Raise :class:`ThresholdError` unless ``aggregate`` verifies over ``message``."""
-        if not self.verify(aggregate, message):
-            raise ThresholdError("threshold signature failed verification")

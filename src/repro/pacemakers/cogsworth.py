@@ -205,7 +205,9 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
         view = msg.view
         if view in self._cert_seen:
             return
-        if not self.replica.scheme.verify(msg.aggregate, cogsworth_wish_payload(view)):
+        if not self.replica.scheme.verify(
+            msg.aggregate, cogsworth_wish_payload(view), self.config.small_quorum_size
+        ):
             return
         self._cert_seen.add(view)
         if view > self._current_view:

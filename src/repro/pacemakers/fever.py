@@ -139,7 +139,9 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
         view = msg.view
         if not self.cfg.is_initial(view) or view < 0 or view in self._vc_seen:
             return
-        if not self.replica.scheme.verify(msg.aggregate, fever_view_payload(view)):
+        if not self.replica.scheme.verify(
+            msg.aggregate, fever_view_payload(view), self.config.small_quorum_size
+        ):
             return
         self._vc_seen.add(view)
         if view <= self._current_view:

@@ -182,9 +182,9 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
             return
         if view in self._ec_seen:
             return
-        if not self.replica.scheme.verify(aggregate, lp22_epoch_payload(view)):
-            return
-        if aggregate.size < self.config.quorum_size:
+        if not self.replica.scheme.verify(
+            aggregate, lp22_epoch_payload(view), self.config.quorum_size
+        ):
             return
         self._ec_seen.add(view)
         if view <= self._current_view:

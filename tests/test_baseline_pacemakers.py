@@ -6,12 +6,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.consensus.messages import NewView, QCAnnounce
+from repro.consensus.quorum import QuorumCertificate
 from repro.core.certificates import CertificateCollector, EpochMessageCollector
 from repro.core.messages import ViewCertificate, ViewMessage, view_message_payload
 from repro.faults.attacks import spread_corruption, worst_case_clock_dispersion_model
 from repro.faults.behaviours import SilentLeaderBehaviour
 from repro.faults.corruption import CorruptionPlan
-from repro.experiments.scenario import ScenarioConfig, build_scenario, run_scenario
+from repro.experiments.scenario import (
+    ScenarioConfig, build_scenario, run_scenario, start_replicas,
+)
 from repro.pacemakers.backoff import (
     ExponentialBackoffPacemaker, ViewChangeMessage, backoff_payload,
 )
@@ -250,3 +254,84 @@ def test_a_replayed_share_counts_for_nothing(pacemaker):
     if certificate is not None:
         assert a not in certificate.aggregate.signers
         assert certificate.aggregate.size == thresholds[0]
+
+
+# ----------------------------------------------------------------------
+# A certificate under its protocol quorum counts for nothing
+# ----------------------------------------------------------------------
+UNKNOWN_BLOCK = "f" * 64
+
+
+def _qc_before(view: int) -> tuple:
+    """The signed message of a QC for the view before ``view``."""
+    return ("qc", view - 1, UNKNOWN_BLOCK)
+
+
+def _new_view_with_qc(view: int, aggregate) -> NewView:
+    """A NewView for ``view`` carrying a QC for the view before it."""
+    qc = QuorumCertificate(view=view - 1, block_id=UNKNOWN_BLOCK, aggregate=aggregate)
+    return NewView(view=view, high_qc=qc)
+
+
+FORGED_CERTIFICATES = {
+    # acceptance site: (pacemaker, signed payload, the frame that carries it)
+    "engine-qc": ("lumiere", _qc_before, _new_view_with_qc),
+    "lumiere-vc": ("lumiere", view_message_payload, ViewCertificate),
+    "lp22-ec": ("lp22", lp22_epoch_payload, LP22EpochCertificate),
+    "fever-vc": ("fever", fever_view_payload, FeverViewCertificate),
+    "relay": ("cogsworth", cogsworth_wish_payload, RelayCertificate),
+}
+
+
+def _one_signer_aggregate(forger, message):
+    """``forger``'s own share, combined at threshold 1."""
+    share = forger.scheme.partial_sign(forger.signing_key, message)
+    return forger.scheme.combine([share], 1, message)
+
+
+@pytest.mark.parametrize("site", sorted(FORGED_CERTIFICATES))
+def test_a_one_signer_certificate_moves_nothing(site):
+    """Replica 3 certifies a view at least 50 ahead with its share alone;
+    replica 0's view, high QC and commits stay where they were."""
+    pacemaker, payload, frame = FORGED_CERTIFICATES[site]
+    result = run_scenario(scenario(pacemaker, duration=5.0))
+    receiver, forger = result.replicas[0], result.replicas[3]
+    # An initial view (Lumiere, Fever) and an LP22 epoch view at n=4, led by
+    # replica 0 so that it reads a NewView for it.
+    view = next(
+        v for v in range(receiver.current_view + 51, receiver.current_view + 200)
+        if v % 2 == 0 and receiver.leader_of(v) == 0
+    )
+
+    def state() -> tuple:
+        return receiver.current_view, receiver.safety.state.high_qc, len(receiver.ledger)
+
+    before = state()
+    receiver.on_message(
+        frame(view=view, aggregate=_one_signer_aggregate(forger, payload(view))), 3
+    )
+    assert state() == before
+
+
+@pytest.mark.parametrize("pacemaker", ["lumiere", "fever", "lp22"])
+def test_one_forged_qc_does_not_stop_the_run(pacemaker):
+    """At t=5 replica 3 announces a one-signer QC 50 views ahead, for a block
+    nobody has, to the three others; by t=60 each has committed at least
+    90 % of what it commits in the clean run."""
+    config = scenario(pacemaker, duration=60.0, seed=0)
+    clean = run_scenario(config)
+    attacked = build_scenario(config)
+    start_replicas(attacked.replicas)
+    attacked.simulator.run(until=5.0)
+    forger = attacked.replicas[3]
+    view = forger.current_view + 50
+    qc = QuorumCertificate(
+        view=view, block_id=UNKNOWN_BLOCK,
+        aggregate=_one_signer_aggregate(forger, ("qc", view, UNKNOWN_BLOCK)),
+    )
+    for pid in range(3):
+        attacked.replicas[pid].on_message(QCAnnounce(view=view, qc=qc, block=None), 3)
+    attacked.simulator.run(until=60.0)
+    for pid in range(3):
+        commits = len(attacked.replicas[pid].ledger)
+        assert commits >= 0.9 * len(clean.replicas[pid].ledger) > 0, (pid, commits)

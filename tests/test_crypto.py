@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.backend import blake_digest
+from repro.crypto.backend import blake_digest, make_backend
 from repro.crypto.signatures import PKI
-from repro.crypto.threshold import ThresholdScheme
+from repro.crypto.threshold import ThresholdScheme, ThresholdSignature
 from repro.errors import CryptoError, InvalidSignature, ThresholdError
 
 
@@ -92,7 +92,7 @@ def test_threshold_combine_and_verify(scheme, pki_and_keys, protocol_config):
     message = ("qc", 5, "blockhash")
     partials = [scheme.partial_sign(keys[i], message) for i in range(3)]
     aggregate = scheme.combine(partials, threshold=3, message=message)
-    assert scheme.verify(aggregate, message)
+    assert scheme.verify(aggregate, message, 3)
     assert aggregate.size == 3
     assert aggregate.signers == frozenset({0, 1, 2})
 
@@ -126,7 +126,31 @@ def test_threshold_verify_fails_on_wrong_message(scheme, pki_and_keys):
     message = ("qc", 5, "h")
     partials = [scheme.partial_sign(keys[i], message) for i in range(3)]
     aggregate = scheme.combine(partials, threshold=3, message=message)
-    assert not scheme.verify(aggregate, ("qc", 6, "h"))
+    assert not scheme.verify(aggregate, ("qc", 6, "h"), 3)
+
+
+@pytest.mark.parametrize("backend_name", ["hashing", "counting"])
+def test_threshold_verify_fails_on_an_aggregate_of_public_data(backend_name):
+    """Signers, threshold and message digest are public: an aggregate made
+    of them alone, with the proof recipe that ignores the PKI's aggregation
+    secret, fails on the scheme that combined the real one and on a fresh
+    scheme of another ceremony over the same pids."""
+    backend = make_backend(backend_name)
+    pki, keys = PKI.setup(range(4), backend=backend)
+    shared = ThresholdScheme(pki)
+    fresh = ThresholdScheme(PKI.setup(range(4), backend=backend)[0])
+    message = ("qc", 5, "h")
+    partials = [shared.partial_sign(keys[i], message) for i in range(3)]
+    real = shared.combine(partials, threshold=3, message=message)
+    md = shared.message_digest(message)
+    signers = frozenset({0, 1, 2})
+    minted = ThresholdSignature(
+        message_digest=md, threshold=3, signers=signers,
+        proof=backend.digest("threshold", md, 3, signers),
+    )
+    for scheme in (shared, fresh):
+        assert scheme.verify(real, message, 3)
+        assert not scheme.verify(minted, message, 3)
 
 
 def test_threshold_rejects_nonpositive_threshold(scheme):
@@ -145,15 +169,19 @@ def test_partial_verification(scheme, pki_and_keys):
 @given(
     signer_count=st.integers(min_value=1, max_value=7),
     threshold=st.integers(min_value=1, max_value=7),
+    quorum=st.integers(min_value=1, max_value=7),
 )
-def test_threshold_combination_succeeds_iff_enough_distinct_signers(signer_count, threshold):
+def test_threshold_combination_succeeds_iff_enough_distinct_signers(
+    signer_count, threshold, quorum
+):
     pki, keys = PKI.setup(range(7))
     scheme = ThresholdScheme(pki)
     message = ("property", signer_count, threshold)
     partials = [scheme.partial_sign(keys[i], message) for i in range(signer_count)]
     if signer_count >= threshold:
         aggregate = scheme.combine(partials, threshold=threshold, message=message)
-        assert scheme.verify(aggregate, message)
+        # combine seeded the verified cache; the quorum still decides.
+        assert scheme.verify(aggregate, message, quorum) == (signer_count >= quorum)
         assert aggregate.size == signer_count
     else:
         with pytest.raises(ThresholdError):

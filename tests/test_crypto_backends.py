@@ -207,8 +207,8 @@ def test_roundtrip_and_verify_under_each_backend(backend):
     message = ("qc", 5, "blockhash")
     partials = [scheme.partial_sign(keys[i], message) for i in range(3)]
     aggregate = scheme.combine(partials, threshold=3, message=message)
-    assert scheme.verify(aggregate, message)
-    assert not scheme.verify(aggregate, ("qc", 6, "blockhash"))
+    assert scheme.verify(aggregate, message, 3)
+    assert not scheme.verify(aggregate, ("qc", 6, "blockhash"), 3)
 
 
 # ----------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_one_vote_message_is_digested_once_per_scheme():
     partials = [scheme.partial_sign(keys[pid], message) for pid in range(3)]
     assert all(scheme.verify_partial(partial, message) for partial in partials)
     aggregate = scheme.combine(partials, 3, message)
-    assert scheme.verify(aggregate, message)
+    assert scheme.verify(aggregate, message, 3)
     # One message digest, three share signatures, the combine's one batched
     # share check and the aggregate's proof; the shares and the aggregate
     # then verify from the cache.

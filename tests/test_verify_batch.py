@@ -220,9 +220,9 @@ class TestCombineEquivalence:
         agg_b = batched.combine(partials, THRESHOLD, MESSAGE)
         agg_r = reference.combine(partials, THRESHOLD, MESSAGE)
         assert agg_b == agg_r
-        assert batched.verify(agg_r, MESSAGE)
-        assert reference.verify(agg_b, MESSAGE)
-        assert not batched.verify(agg_b, ("qc", 3, "other-block"))
+        assert batched.verify(agg_r, MESSAGE, THRESHOLD)
+        assert reference.verify(agg_b, MESSAGE, THRESHOLD)
+        assert not batched.verify(agg_b, ("qc", 3, "other-block"), THRESHOLD)
 
 
 class TestVerifiedCacheSeeding:
@@ -235,7 +235,7 @@ class TestVerifiedCacheSeeding:
         assert scheme.verify_cache_hits == 0
         # Every recipient's *first* verify is already a cache hit: the mint
         # at combine seeded the shared scheme's cache.
-        assert scheme.verify(aggregate, MESSAGE)
+        assert scheme.verify(aggregate, MESSAGE, THRESHOLD)
         assert scheme.verify_cache_hits == 1
 
     def test_cache_disabled_scheme_still_verifies(self, backend_name):
@@ -244,6 +244,6 @@ class TestVerifiedCacheSeeding:
         scheme = ThresholdScheme(pki, cache_verified=False)
         partials = [scheme.partial_sign(keys[i], MESSAGE) for i in range(THRESHOLD)]
         aggregate = scheme.combine(partials, THRESHOLD, MESSAGE)
-        assert scheme.verify(aggregate, MESSAGE)
+        assert scheme.verify(aggregate, MESSAGE, THRESHOLD)
         assert scheme.verify_cache_hits == 0
 

@@ -37,10 +37,13 @@ Correctness gates (the script exits non-zero if any fails):
   counts are deterministic per seed — machine-independent — so this is the
   correctness guard CI uses to detect accidental trace changes (timing
   gates cannot run on shared runners; this one can);
-* ``--check-baseline`` also asserts that the committed ``--output`` JSON
-  (if present) was generated by the *current* repro version: a stale
-  ``BENCH_scaling.json`` left over from an earlier release fails the check
-  until it is re-run and recommitted.
+* ``--check-baseline`` also asserts that the committed ``BENCH_scaling.json``
+  (if present) was generated by the *current* repro version: a stale one
+  left over from an earlier release fails the check until it is re-run and
+  recommitted.
+
+Only full mode writes ``BENCH_scaling.json`` by default; a quick run writes
+its document only where ``--output`` says.
 
 That batched share verification at certificate combine decides the same
 run as the per-share reference path is a tier-1 test
@@ -49,7 +52,7 @@ run as the per-share reference path is a tier-1 test
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py            # full matrix
-    PYTHONPATH=src python benchmarks/bench_scaling.py --quick    # CI: n in {16, 256}
+    PYTHONPATH=src python benchmarks/bench_scaling.py --quick    # n in {16, 256}, no file
     PYTHONPATH=src python benchmarks/bench_scaling.py --quick \\
         --check-baseline benchmarks/BASELINE_smoke.json          # CI guard
     PYTHONPATH=src python benchmarks/bench_scaling.py --quick \\
@@ -73,6 +76,8 @@ from repro.runner import Campaign, Sweep
 from repro.version import __version__
 
 BACKENDS = ("hashing", "counting")
+#: The committed full-mode document.
+COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 FULL_NS = (4, 16, 64, 128, 256, 512, 1024)
 QUICK_NS = (16, 256)
 LARGE_N = 256  # at/above this the kernel dominates: reduced tier (see module docstring)
@@ -338,8 +343,9 @@ def main(argv=None) -> int:
                         help="CI mode: n in {16, 256} only, short runs, relaxed speedup gate")
     parser.add_argument("--ns", type=str, default=None,
                         help="comma-separated system sizes (overrides mode default)")
-    parser.add_argument("--output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_scaling.json")
+    parser.add_argument("--output", type=Path, default=None,
+                        help=f"where to write the run's document (default: {COMMITTED.name} "
+                             "in full mode, nowhere with --quick)")
     parser.add_argument("--min-crypto-speedup", type=float, default=None,
                         help="gate on the crypto pipeline at the largest n "
                              "(default 3.0, or 1.0 with --quick)")
@@ -386,7 +392,7 @@ def main(argv=None) -> int:
         baseline_failures = check_baseline(
             scenario_rows, args.check_baseline, "quick" if args.quick else "full"
         )
-        version_failures = check_output_version(args.output)
+        version_failures = check_output_version(COMMITTED)
         checks["baseline_matched"] = not baseline_failures
         checks["output_version_current"] = not version_failures
         if baseline_failures or version_failures:
@@ -415,8 +421,10 @@ def main(argv=None) -> int:
         "aggregates": {"per_n": per_n},
         "checks": checks,
     }
-    args.output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.output}")
+    output = args.output if args.output is not None or args.quick else COMMITTED
+    if output is not None:
+        output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {output}")
     for n, agg in per_n.items():
         print(
             f"  n={n}: end-to-end {agg['end_to_end_speedup']}x, "

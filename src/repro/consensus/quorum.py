@@ -43,19 +43,12 @@ def release_below(floor, *tables, lowest: Optional[int] = None) -> None:
     primitive of the committed-view floor (``Replica.commit_block``).  Pass
     ``(view,)`` for tables keyed ``(view, block_id)`` — it sorts first.
 
-    Called for every table on every commit, with the floor a view higher
-    than last time.  ``lowest`` is the owner's one remembered lowest key:
-    the floor it released its int-keyed tables below last time.  Such a
-    table never gains a key below its owner's floor (every handler returns
+    ``lowest`` is the floor the owner released its int-keyed tables below
+    last time.  No owner files a key below its floor (every handler returns
     on an older view first), so only the keys from ``lowest`` up to
-    ``floor`` can be there: each is looked up, an empty table costs its
-    truth test, and no ``min`` is taken.  A floor that jumped past a
-    table's size (a replica that was cut off and caught up) walks that
-    table instead.
-
-    Without ``lowest`` (an owner's first release, and ``(view, block_id)``
-    keys) a table's ``min`` says whether anything is that old, and only
-    then is the table walked.
+    ``floor`` can be there and each is looked up; a floor that jumped past
+    a table's size walks the table instead.  Without ``lowest`` a table's
+    ``min`` says whether anything is that old, and only then is it walked.
     """
     if lowest is not None:
         span = floor - lowest

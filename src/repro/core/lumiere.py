@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
-from repro.consensus.quorum import QuorumCertificate, release_below
+from repro.consensus.quorum import QuorumCertificate
 from repro.core.certificates import CertificateCollector, EpochMessageCollector
 from repro.core.config import LumiereConfig
 from repro.core.leader_schedule import LeaderSchedule
@@ -34,7 +34,7 @@ from repro.core.messages import (
     view_message_payload,
 )
 from repro.core.success import SuccessTracker
-from repro.pacemakers.base import Pacemaker, PacemakerMessage
+from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.replica import Replica
@@ -69,9 +69,9 @@ class LumierePacemaker(Pacemaker):
         self.leader_of = self.schedule.leader_of
         self.success = SuccessTracker(self.cfg, self.leader_of)
         scheme = replica.scheme
-        self._vc_collector = CertificateCollector(
+        self._vc_collector = self._per_view(CertificateCollector(
             scheme, config.small_quorum_size, view_message_payload
-        )
+        ))
         self._epoch_collector = EpochMessageCollector(
             scheme,
             tc_threshold=config.small_quorum_size,
@@ -80,21 +80,15 @@ class LumierePacemaker(Pacemaker):
         )
         # Protocol state --------------------------------------------------
         self._current_epoch = -1
-        self._view_msgs_sent: set[int] = set()
-        self._epoch_msgs_sent: set[int] = set()
-        self._epoch_clock_handled: set[int] = set()  # line 9/13 "upon first seeing"
-        self._vc_handled: set[int] = set()  # line 36 "upon first seeing"
-        self._qc_handled: set[int] = set()  # line 44 "upon first seeing"
-        self._tc_handled: set[int] = set()  # line 16 "upon first seeing"
-        self._ec_handled: set[int] = set()  # line 23 "upon first seeing"
+        self._view_msgs_sent = self._per_view(FirstSight())
+        self._vc_handled = self._per_view(FirstSight())  # line 36 "upon first seeing"
+        # Keyed by epoch view, freed by epoch.  A QC's first sight (line 44)
+        # is the engine's, a TC's and an EC's (lines 16, 23) the collector's.
+        self._epoch_msgs_sent = FirstSight()
+        self._epoch_clock_handled = FirstSight()  # line 9/13 "upon first seeing"
         self._paused_for: Optional[int] = None
         # Leader-side deadline bookkeeping for the Gamma/2 - 2*Delta rule.
-        self._deadline_start: dict[int, float] = {}
-        # The lowest key the per-view and per-epoch tables can hold: the
-        # floor they were last released below (None before the first
-        # release), or a late QC's view below it.
-        self._released: Optional[int] = None
-        self._epoch_released: Optional[int] = None
+        self._deadline_start: dict[int, float] = self._per_view({})
 
     # ------------------------------------------------------------------
     # Shorthands
@@ -137,9 +131,8 @@ class LumierePacemaker(Pacemaker):
 
     def _on_clock_reaches_epoch_view(self, view: int) -> None:
         """Lines 9-14: the local clock reached the clock time of an epoch view."""
-        if view in self._epoch_clock_handled:
+        if not self._epoch_clock_handled.add(view):
             return
-        self._epoch_clock_handled.add(view)
         previous_epoch = self.cfg.epoch_of(view) - 1
         if self.success.satisfied(previous_epoch):
             # Line 13-14: treat the epoch view as a standard initial view.
@@ -202,9 +195,8 @@ class LumierePacemaker(Pacemaker):
             msg.aggregate, payload, self.config.small_quorum_size, digest
         ):
             return
-        if view in self._vc_handled:
+        if not self._vc_handled.add(view):
             return  # line 36 "upon first seeing"
-        self._vc_handled.add(view)
         self._maybe_unpause(trigger_view=view, kind="vc")
         if view <= self._current_view:
             return
@@ -232,9 +224,6 @@ class LumierePacemaker(Pacemaker):
 
     def _on_timeout_certificate(self, view: int) -> None:
         """Lines 16-21: first sight of a TC (f+1 epoch-view messages) for ``view``."""
-        if view in self._tc_handled:
-            return
-        self._tc_handled.add(view)
         if self.cfg.epoch_of(view) < self._current_epoch:
             return
         self._maybe_unpause(trigger_view=view, kind="tc")
@@ -250,9 +239,6 @@ class LumierePacemaker(Pacemaker):
 
     def _on_epoch_certificate(self, view: int) -> None:
         """Lines 23-24: first sight of an EC (2f+1 epoch-view messages) for ``view``."""
-        if view in self._ec_handled:
-            return
-        self._ec_handled.add(view)
         if self.cfg.epoch_of(view) <= self._current_epoch:
             return
         self._maybe_unpause(trigger_view=view, kind="ec")
@@ -267,20 +253,11 @@ class LumierePacemaker(Pacemaker):
     # ------------------------------------------------------------------
     def on_qc(self, qc: QuorumCertificate) -> None:
         view = qc.view
-        if view < 0:
-            return
         newly_satisfied = self.success.observe_qc(qc)
         if newly_satisfied:
             epoch = self.cfg.epoch_of(view)
             self.trace("lumiere_success_criterion", epoch)
             self._maybe_unpause(trigger_view=self.cfg.first_view_of_epoch(epoch + 1), kind="success")
-        if view in self._qc_handled:
-            return  # line 44 "upon first seeing"
-        self._qc_handled.add(view)
-        if self._released is not None and view < self._released:
-            # A QC first seen below the floor (a replica that was cut off):
-            # the one key a handler files under it, swept next release.
-            self._released = view
         self._maybe_unpause(trigger_view=view, kind="qc")
         if view < self._current_view:
             return
@@ -312,18 +289,15 @@ class LumierePacemaker(Pacemaker):
         return self.now <= start + self.cfg.qc_deadline + _EPS
 
     def release_below(self, floor: int) -> None:
-        """Free per-view state below ``floor`` and per-epoch state of the
-        epochs before the floor's: a late QC still counts toward the success
-        criterion of the floor's own epoch and its TC still has us relay
-        (line 21); an older epoch's criterion, TC and EC are moot."""
+        """Free per-view state below ``floor`` (the base class does) and
+        per-epoch state of the epochs before the floor's: a late QC still
+        counts toward the success criterion of the floor's own epoch and its
+        TC still has us relay (line 21); an older epoch's are moot."""
+        super().release_below(floor)
         epoch = self.cfg.epoch_of(floor)
         epoch_view = self.cfg.first_view_of_epoch(epoch)
-        release_below(floor, self._view_msgs_sent, self._vc_handled, self._qc_handled,
-                      self._deadline_start, lowest=self._released)
-        release_below(epoch_view, self._epoch_msgs_sent, self._tc_handled, self._ec_handled,
-                      self._epoch_clock_handled, lowest=self._epoch_released)
-        self._released, self._epoch_released = floor, epoch_view
-        self._vc_collector.release_below(floor)
+        self._epoch_msgs_sent.release_below(epoch_view)
+        self._epoch_clock_handled.release_below(epoch_view)
         self._epoch_collector.release_below(epoch_view)
         self.success.release_below(epoch)
 
@@ -365,9 +339,8 @@ class LumierePacemaker(Pacemaker):
 
     def _send_view_message(self, view: int) -> None:
         """Send a view message for ``view`` to its leader (at most once)."""
-        if view in self._view_msgs_sent or view < 0 or not self.cfg.is_initial(view):
+        if view < 0 or not self.cfg.is_initial(view) or not self._view_msgs_sent.add(view):
             return
-        self._view_msgs_sent.add(view)
         if self.replica.behaviour.suppress_view_sync("view", view):
             return
         payload, digest = self._view_payload(view)
@@ -386,9 +359,8 @@ class LumierePacemaker(Pacemaker):
 
     def _send_epoch_view_message(self, view: int) -> None:
         """Broadcast an epoch-view message for ``view`` (at most once)."""
-        if view in self._epoch_msgs_sent:
+        if not self._epoch_msgs_sent.add(view):
             return
-        self._epoch_msgs_sent.add(view)
         self.trace("epoch_sync", self.cfg.epoch_of(view))
         if self.replica.behaviour.suppress_view_sync("epoch_view", view):
             return

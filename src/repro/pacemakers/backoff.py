@@ -20,7 +20,7 @@ from repro.consensus.quorum import QuorumCertificate
 from repro.core.certificates import EpochMessageCollector
 from repro.crypto.threshold import PartialSignature
 from repro.errors import ConfigurationError
-from repro.pacemakers.base import Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
+from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
 from repro.sim.clock import LocalTimer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,11 +80,10 @@ class ExponentialBackoffPacemaker(RoundRobinLeaderMixin, Pacemaker):
         super().__init__(replica, config)
         self.cfg = backoff_config or ExponentialBackoffConfig(protocol=config)
         self._timeout = self.cfg.base_timeout
-        self._view_change_collector = EpochMessageCollector(
+        self._view_change_collector = self._per_view(EpochMessageCollector(
             replica.scheme, config.small_quorum_size, config.quorum_size, backoff_payload
-        )
-        self._view_change_sent: set[int] = set()
-        self._qc_handled: set[int] = set()
+        ))
+        self._view_change_sent = self._per_view(FirstSight())
         self._view_timer: Optional[LocalTimer] = None
 
     # ------------------------------------------------------------------
@@ -121,9 +120,8 @@ class ExponentialBackoffPacemaker(RoundRobinLeaderMixin, Pacemaker):
     # Messages
     # ------------------------------------------------------------------
     def _send_view_change(self, target_view: int) -> None:
-        if target_view in self._view_change_sent:
+        if not self._view_change_sent.add(target_view):
             return
-        self._view_change_sent.add(target_view)
         if self.replica.behaviour.suppress_view_sync("view_change", target_view):
             return
         partial = self.replica.scheme.partial_sign(
@@ -148,9 +146,5 @@ class ExponentialBackoffPacemaker(RoundRobinLeaderMixin, Pacemaker):
     # QCs
     # ------------------------------------------------------------------
     def on_qc(self, qc: QuorumCertificate) -> None:
-        view = qc.view
-        if view < 0 or view in self._qc_handled:
-            return
-        self._qc_handled.add(view)
-        if view + 1 > self._current_view:
-            self._enter(view + 1, reset_timeout=True)
+        if qc.view + 1 > self._current_view:
+            self._enter(qc.view + 1, reset_timeout=True)

@@ -19,6 +19,8 @@ It also holds the one clock-boundary timer of the clock-driven pacemakers
 (Lumiere, LP22, RareSync, Fever): :meth:`Pacemaker._schedule_next_clock_event`
 arms a local-clock timer for the next ``c_v`` and calls the subclass's
 ``_on_clock_reaches(view)`` when the clock gets there.
+And it frees each pacemaker's per-view state, its :class:`FirstSight` marks
+among it, at the committed-view floor (:meth:`Pacemaker.release_below`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
-from repro.consensus.quorum import QuorumCertificate
+from repro.consensus.quorum import QuorumCertificate, release_below
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.consensus.replica import Replica
@@ -41,6 +43,41 @@ _EPS = 1e-9
 @dataclass(frozen=True, slots=True)
 class PacemakerMessage:
     """Base class for all view-synchronisation messages."""
+
+
+class FirstSight:
+    """The views of one kind of event seen so far: one bit per view from a
+    floor up.  Every view below the floor counts as seen (it is decided and
+    left), so a release can drop the bits below it without a walk."""
+
+    __slots__ = ("floor", "_bits")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self._bits = 0
+
+    def __contains__(self, view: int) -> bool:
+        return view < self.floor or bool(self._bits >> (view - self.floor) & 1)
+
+    def add(self, view: int) -> bool:
+        """Mark ``view``; True if this is its first sight."""
+        if view in self:
+            return False
+        self._bits |= 1 << (view - self.floor)
+        return True
+
+    def release_below(self, floor: int) -> None:
+        """Forget the views below ``floor``."""
+        if floor > self.floor:
+            self._bits >>= floor - self.floor
+            self.floor = floor
+
+    def __len__(self) -> int:
+        return self._bits.bit_count()
+
+    def __iter__(self):
+        bits = self._bits
+        return (self.floor + i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
 class Pacemaker(ABC):
@@ -59,6 +96,9 @@ class Pacemaker(ABC):
         self.replica = replica
         self.config = config
         self._current_view = -1
+        # What release_below frees (see _per_view).
+        self._floor_tables: list = []
+        self._floor_dicts: list[dict] = []
 
     # ------------------------------------------------------------------
     # Accessors shared by all pacemakers
@@ -95,7 +135,13 @@ class Pacemaker(ABC):
         """Handle an incoming pacemaker message."""
 
     def on_qc(self, qc: QuorumCertificate) -> None:
-        """Called whenever the replica observes a QC (formed locally or received)."""
+        """The replica saw ``qc`` for the first time (formed locally or received).
+
+        Called once per QC, so once per view, and for views from 0 up:
+        ``ConsensusEngine._learn_qc`` is the only caller and drops a QC it
+        learned before, above the floor or below it, and a view has at most
+        one QC (two would need an honest replica to vote twice).
+        """
 
     def on_local_qc(self, qc: QuorumCertificate) -> None:
         """Called when this replica, acting as leader, produced a QC itself.
@@ -104,9 +150,19 @@ class Pacemaker(ABC):
         (non-initial) view it leads.  Default: no-op.
         """
 
+    def _per_view(self, table):
+        """Hand ``table`` to :meth:`release_below` and return it: a
+        :class:`FirstSight`, a share collector or a dict keyed by view."""
+        (self._floor_dicts if type(table) is dict else self._floor_tables).append(table)
+        return table
+
     def release_below(self, floor: int) -> None:
-        """The replica's committed-view floor rose to ``floor``: free
-        per-view tables below it (Lumiere does).  Default: no-op."""
+        """The replica's committed-view floor rose to ``floor``: free every
+        table :meth:`_per_view` was handed below it.  Each handler returns on
+        a view below the floor before it reads one of them."""
+        for table in self._floor_tables:
+            table.release_below(floor)
+        release_below(floor, *self._floor_dicts)
 
     @abstractmethod
     def leader_of(self, view: int) -> int:

@@ -30,7 +30,7 @@ from repro.consensus.quorum import QuorumCertificate
 from repro.core.certificates import CertificateCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
 from repro.errors import ConfigurationError
-from repro.pacemakers.base import Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
+from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
 from repro.sim.clock import LocalTimer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,12 +107,11 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
     ) -> None:
         super().__init__(replica, config)
         self.cfg = cogsworth_config or CogsworthConfig(protocol=config)
-        self._relay_collector = CertificateCollector(
+        self._relay_collector = self._per_view(CertificateCollector(
             replica.scheme, config.small_quorum_size, cogsworth_wish_payload
-        )
-        self._cert_seen: set[int] = set()
-        self._qc_handled: set[int] = set()
-        self._wished_relays: dict[int, int] = {}  # view -> how many relays contacted
+        ))
+        self._cert_seen = self._per_view(FirstSight())
+        self._wished_relays: dict[int, int] = self._per_view({})  # view -> relays contacted
         self._view_timer: Optional[LocalTimer] = None
         self._relay_timer = None
 
@@ -192,7 +191,7 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
 
     def _on_wish(self, msg: WishMessage, sender: int) -> None:
         view = msg.view
-        if view <= 0:
+        if view <= 0 or view < self.replica.floor:
             return
         aggregate = self._relay_collector.add(view, sender, msg.partial)
         if aggregate is None:
@@ -217,9 +216,5 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
     # QCs
     # ------------------------------------------------------------------
     def on_qc(self, qc: QuorumCertificate) -> None:
-        view = qc.view
-        if view < 0 or view in self._qc_handled:
-            return
-        self._qc_handled.add(view)
-        if view + 1 > self._current_view:
-            self._enter(view + 1)
+        if qc.view + 1 > self._current_view:
+            self._enter(qc.view + 1)

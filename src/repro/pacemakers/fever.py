@@ -26,7 +26,7 @@ from repro.consensus.quorum import QuorumCertificate
 from repro.core.certificates import CertificateCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
 from repro.errors import ConfigurationError
-from repro.pacemakers.base import Pacemaker, PacemakerMessage, PairedLeaderMixin
+from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, PairedLeaderMixin
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.replica import Replica
@@ -93,12 +93,11 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
     ) -> None:
         super().__init__(replica, config)
         self.cfg = fever_config or FeverConfig(protocol=config)
-        self._view_msgs_sent: set[int] = set()
-        self._vc_collector = CertificateCollector(
+        self._view_msgs_sent = self._per_view(FirstSight())
+        self._vc_collector = self._per_view(CertificateCollector(
             replica.scheme, config.small_quorum_size, fever_view_payload
-        )
-        self._vc_seen: set[int] = set()
-        self._qc_handled: set[int] = set()
+        ))
+        self._vc_seen = self._per_view(FirstSight())
 
     def clock_time(self, view: int) -> float:
         return self.cfg.clock_time(view)
@@ -155,11 +154,7 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
     # QCs
     # ------------------------------------------------------------------
     def on_qc(self, qc: QuorumCertificate) -> None:
-        view = qc.view
-        if view < 0 or view in self._qc_handled:
-            return
-        self._qc_handled.add(view)
-        next_view = view + 1
+        next_view = qc.view + 1
         if self.clock.read() < self.clock_time(next_view) - _EPS:
             self.clock.bump_to(self.clock_time(next_view))
         if next_view > self._current_view:
@@ -170,9 +165,8 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
     # Helpers
     # ------------------------------------------------------------------
     def _send_view_message(self, view: int) -> None:
-        if view in self._view_msgs_sent:
+        if not self._view_msgs_sent.add(view):
             return
-        self._view_msgs_sent.add(view)
         if self.replica.behaviour.suppress_view_sync("view", view):
             return
         partial = self.replica.scheme.partial_sign(

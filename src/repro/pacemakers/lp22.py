@@ -27,7 +27,7 @@ from repro.consensus.quorum import QuorumCertificate
 from repro.core.certificates import CertificateCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
 from repro.errors import ConfigurationError
-from repro.pacemakers.base import Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
+from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.replica import Replica
@@ -102,13 +102,12 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
         super().__init__(replica, config)
         self.cfg = lp22_config or LP22Config(protocol=config)
         self._current_epoch = -1
-        self._epoch_msgs_sent: set[int] = set()
-        self._ec_seen: set[int] = set()
-        self._qc_handled: set[int] = set()
-        self._epoch_clock_handled: set[int] = set()
-        self._ec_collector = CertificateCollector(
+        self._epoch_msgs_sent = self._per_view(FirstSight())
+        self._ec_seen = self._per_view(FirstSight())
+        self._epoch_clock_handled = self._per_view(FirstSight())
+        self._ec_collector = self._per_view(CertificateCollector(
             replica.scheme, config.quorum_size, lp22_epoch_payload
-        )
+        ))
 
     # ------------------------------------------------------------------
     # Shorthands
@@ -135,18 +134,16 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
             self._enter(view)
 
     def _on_clock_reaches_epoch_view(self, view: int) -> None:
-        if view in self._epoch_clock_handled:
+        if not self._epoch_clock_handled.add(view):
             return
-        self._epoch_clock_handled.add(view)
         # Pause the clock and broadcast the epoch-view wish (heavy sync).
         self.clock.pause()
         self.trace("lp22_epoch_pause", view)
         self._send_epoch_view_message(view)
 
     def _send_epoch_view_message(self, view: int) -> None:
-        if view in self._epoch_msgs_sent:
+        if not self._epoch_msgs_sent.add(view):
             return
-        self._epoch_msgs_sent.add(view)
         self.trace("epoch_sync", self.cfg.epoch_of(view))
         if self.replica.behaviour.suppress_view_sync("epoch_view", view):
             return
@@ -200,11 +197,7 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
     # QCs: optimistic responsiveness (enter v on QC for v-1; never bump clocks)
     # ------------------------------------------------------------------
     def on_qc(self, qc: QuorumCertificate) -> None:
-        view = qc.view
-        if view < 0 or view in self._qc_handled:
-            return
-        self._qc_handled.add(view)
-        next_view = view + 1
+        next_view = qc.view + 1
         if next_view <= self._current_view:
             return
         if self.cfg.is_epoch_view(next_view):

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus.messages import NewView, QCAnnounce
+from repro.consensus.blocks import Block
+from repro.consensus.messages import NewView, Proposal, QCAnnounce
 from repro.consensus.quorum import QuorumCertificate
 from repro.core.certificates import CertificateCollector, EpochMessageCollector
 from repro.core.messages import ViewCertificate, ViewMessage, view_message_payload
@@ -335,3 +336,82 @@ def test_one_forged_qc_does_not_stop_the_run(pacemaker):
     for pid in range(3):
         commits = len(attacked.replicas[pid].ledger)
         assert commits >= 0.9 * len(clean.replicas[pid].ledger) > 0, (pid, commits)
+
+
+@pytest.mark.parametrize("site", sorted(set(FORGED_CERTIFICATES) - {"engine-qc"}))
+def test_a_failed_certificate_does_not_use_up_the_first_sight(site):
+    """A one-signer certificate for a view, then the genuine one for the same
+    view: the first fails ``verify`` and must not be marked as seen, so the
+    replica moves into the view on the second."""
+    pacemaker, payload, frame = FORGED_CERTIFICATES[site]
+    result = run_scenario(scenario(pacemaker, duration=5.0))
+    receiver = result.replicas[0]
+    view = next(
+        v for v in range(receiver.current_view + 51, receiver.current_view + 200) if v % 2 == 0
+    )
+    config = result.config.protocol_config()
+    quorum = config.quorum_size if site == "lp22-ec" else config.small_quorum_size
+    message = payload(view)
+    shares = [
+        receiver.scheme.partial_sign(result.replicas[pid].signing_key, message)
+        for pid in range(quorum)
+    ]
+    genuine = receiver.scheme.combine(shares, quorum, message)
+    receiver.on_message(
+        frame(view=view, aggregate=_one_signer_aggregate(result.replicas[3], message)), 3
+    )
+    assert receiver.current_view < view
+    receiver.on_message(frame(view=view, aggregate=genuine), 3)
+    assert receiver.current_view == view
+
+
+# ----------------------------------------------------------------------
+# The pacemaker hears of each QC once
+# ----------------------------------------------------------------------
+def _deliveries(replica, qc: QuorumCertificate) -> list:
+    """``(frame, sender)`` pairs that carry ``qc`` on each path into the
+    engine: a QCAnnounce, a NewView's high QC at the leader of its view,
+    and a proposal's justify from the leader of the view after ``qc``'s."""
+    led = next(v for v in range(qc.view + 1, qc.view + 400) if replica.leader_of(v) == replica.pid)
+    proposer = replica.leader_of(qc.view + 1)
+    block = Block(view=qc.view + 1, parent_id=qc.block_id, proposer=proposer, payload=())
+    return [
+        (QCAnnounce(view=qc.view, qc=qc, block=None), 3),
+        (NewView(view=led, high_qc=qc), 3),
+        (Proposal(view=qc.view + 1, block=block, justify=qc), proposer),
+    ]
+
+
+@pytest.mark.parametrize("pacemaker", ALL_PACEMAKERS)
+def test_each_qc_reaches_the_pacemaker_once(pacemaker):
+    """``Pacemaker.on_qc`` keeps no first-sight mark of its own: the engine
+    hands it each QC once, whichever path brings it first and however often
+    it comes again — above the floor, and first seen below it (a replica
+    that was cut off learns a failed view's QC after committing past it)."""
+    result = run_scenario(scenario(pacemaker, gst=5.0, duration=60.0, seed=1,
+                                   scenario="silent_spread"))
+    replica = result.honest_replicas[0]
+    failed = [v for v in range(replica.floor) if not replica.engine._learned_below_floor(v)]
+    assert failed and replica.floor <= replica.current_view
+    calls = []
+    on_qc = replica.pacemaker.on_qc
+    replica.pacemaker.on_qc = lambda qc: (calls.append(qc.view), on_qc(qc))
+    quorum = result.config.protocol_config().quorum_size
+    views = [failed[-1]] + [replica.current_view + 10 * k for k in (1, 2, 3)]
+    for turn, view in enumerate(views):
+        message = ("qc", view, UNKNOWN_BLOCK)
+        shares = [
+            replica.scheme.partial_sign(result.replicas[pid].signing_key, message)
+            for pid in range(quorum)
+        ]
+        qc = QuorumCertificate(
+            view=view, block_id=UNKNOWN_BLOCK,
+            aggregate=replica.scheme.combine(shares, quorum, message),
+        )
+        deliveries = _deliveries(replica, qc)
+        first = deliveries.pop(turn % 3)  # each path brings a QC first once
+        replica.on_message(*first)
+        assert calls == views[: turn + 1], (turn, type(first[0]).__name__)
+        for frame, sender in [first, *deliveries, first, *deliveries]:
+            replica.on_message(frame, sender)
+        assert calls == views[: turn + 1], (turn, calls)

@@ -35,6 +35,7 @@ from repro.consensus.messages import NewView, Proposal, QCAnnounce, Vote
 from repro.consensus.quorum import QuorumCertificate, release_below
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.faults import available_scenarios
+from repro.pacemakers.base import FirstSight
 
 GOLDEN = Path(__file__).parent / "data" / "floor_fingerprints.json"
 PACEMAKERS = (
@@ -97,7 +98,7 @@ def _protocol_state(replica) -> dict:
     for owner in (engine, engine.aggregator, pacemaker, pacemaker.success,
                   pacemaker._vc_collector, pacemaker._epoch_collector):
         for name, value in vars(owner).items():
-            if isinstance(value, (dict, set)) and name not in ("_handlers", "_vkeys"):
+            if isinstance(value, (dict, set, FirstSight)) and name not in ("_handlers", "_vkeys"):
                 rows = value.items() if isinstance(value, dict) else value
                 tables[f"{type(owner).__name__}.{name}"] = repr(sorted(rows, key=repr))
     return {
@@ -180,9 +181,9 @@ def test_a_never_learned_qc_below_the_floor_still_counts_once():
     before = _protocol_state(replica)
     for _ in range(2):  # the second delivery is a duplicate
         replica.on_message(QCAnnounce(view=late_qc.view, qc=late_qc, block=None), 0)
-    # The two "first seen" marks hold the view until the next commit sweeps them.
+    # The engine's "first seen" mark holds the view until the next commit
+    # sweeps it; the pacemaker keeps none of its own.
     replica.engine.release_below(replica.floor)
-    replica.pacemaker.release_below(replica.floor)
     after = _protocol_state(replica)
     assert after.pop("qc_count") == before.pop("qc_count") + 1
     # ... and toward the success criterion of its epoch, the floor's own.
@@ -214,9 +215,9 @@ def _reference_release_below(floor, *tables) -> None:
 def test_release_below_matches_the_min_sweep_it_replaced(seed):
     """An owner that remembers its lowest key leaves its tables exactly as
     the min-based sweep did, dict order included: keys are filed at or above
-    the floor, or below it with the owner lowering its remembered key (a
-    late QC in ``LumierePacemaker.on_qc``); keys are dropped at random; the
-    floor stays, steps or jumps."""
+    the floor, or below it with the owner lowering its remembered key (no
+    owner does any more, but the primitive allows it); keys are dropped at
+    random; the floor stays, steps or jumps."""
     rng = random.Random(seed)
     fast: list = [{}, set(), {}, set()]
     slow: list = [{}, set(), {}, set()]

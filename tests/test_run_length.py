@@ -14,6 +14,7 @@ import gc
 import pytest
 
 from repro.experiments.scenario import ScenarioConfig
+from repro.pacemakers.registry import available_pacemakers
 from repro.runner import WorkloadConfig
 from repro.statemachine import ReplicatedKV, kvstore
 from test_live_runtime import run_until
@@ -22,21 +23,30 @@ from test_live_runtime import run_until
 _NOT_PER_VIEW = {"_handlers", "_routes", "_vkeys", "honest_ids"}
 
 
+def _is_table(value) -> bool:
+    """A dict, a set or any sized table that is freed at a floor (a
+    pacemaker's first-sight marks), whatever its type."""
+    return isinstance(value, (dict, set)) or (
+        hasattr(value, "release_below") and hasattr(value, "__len__")
+    )
+
+
 def _per_view_tables(replica) -> dict[str, int]:
-    """Size of every dict/set the engine, its aggregator, the pacemaker with
-    its collectors and tracker, the shared scheme and the process's batch
-    memo hold."""
+    """Size of every table the engine, its aggregator, the pacemaker with
+    everything it frees at the floor (first-sight marks, collectors,
+    tracker), the shared scheme and the process's batch memo hold."""
     owners = [
         replica.engine, replica.engine.aggregator, replica.pacemaker, replica.scheme, replica.tree,
         kvstore.BATCHES,
     ]
-    for name in ("success", "_vc_collector", "_epoch_collector"):
-        if hasattr(replica.pacemaker, name):
-            owners.append(getattr(replica.pacemaker, name))
+    owners += [
+        value for value in vars(replica.pacemaker).values()
+        if hasattr(value, "release_below") and not _is_table(value)
+    ]
     sizes = {}
     for owner in owners:
         for name, value in vars(owner).items():
-            if isinstance(value, (dict, set)) and name not in _NOT_PER_VIEW:
+            if _is_table(value) and name not in _NOT_PER_VIEW:
                 sizes[f"{type(owner).__name__}.{name}"] = len(value)
     sizes["Ledger._held"] = len(replica.ledger._held)
     return sizes
@@ -74,13 +84,11 @@ def lumiere_kv():
     return _probe_at((300, 3000), pacemaker="lumiere", workload=_KV_LOAD)
 
 
-def _assert_bounded(short, long, only=None):
+def _assert_bounded(short, long):
     # The live window is the three views of the commit chain above the floor
     # (measured: at most 3 entries anywhere); 2n leaves room for a slow peer.
     bound = 2 * 4
     for name in long:
-        if only is not None and not name.startswith(only):
-            continue
         # The shared memos keep two generations whatever the run's length.
         limit = 512 if name.startswith(("ThresholdScheme.", "BatchMemo.")) else bound
         assert short[name] <= limit and long[name] <= limit, (name, short[name], long[name])
@@ -100,11 +108,21 @@ def test_per_view_tables_do_not_grow_across_failed_views():
     _assert_bounded(short, long)
 
 
-def test_engine_tables_do_not_grow_under_another_pacemaker():
-    # LP22's own tables are not under the floor; the engine's, the
-    # aggregator's and the scheme's are, whatever drives the views.
-    (_, short, _), (_, long, _) = _probe_at((60, 600), pacemaker="lp22")
-    _assert_bounded(short, long, only=("ChainedHotStuff.", "VoteAggregator.", "ThresholdScheme."))
+@pytest.mark.parametrize(
+    "pacemaker", [name for name in available_pacemakers() if name != "lumiere"]
+)
+def test_per_view_tables_do_not_grow_under_any_pacemaker(pacemaker):
+    # Every pacemaker's first-sight marks, collectors and per-view dicts
+    # are freed at the floor, as are the engine's, whatever drives the views.
+    # Silent leaders make every baseline use them: certificates, wishes,
+    # view changes, epoch syncs.
+    (_, short, _), (_, long, _) = _probe_at(
+        (60, 600), pacemaker=pacemaker, scenario="silent_spread", gst=5.0
+    )
+    owners = {name.split(".")[0] for name in long}
+    assert any(owner.endswith("Pacemaker") for owner in owners)  # its first-sight marks
+    assert owners & {"CertificateCollector", "EpochMessageCollector"}
+    _assert_bounded(short, long)
 
 
 def test_live_objects_grow_by_a_constant_per_block(lumiere_kv):

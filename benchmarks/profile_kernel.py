@@ -16,10 +16,14 @@ machine-independent).  The one gate is staleness: ``--check-output-version``
 fails when the committed ``BENCH_kernel_profile.json`` was generated by an
 older ``repro.version`` (the same check as the other ``BENCH_*.json``).
 
+Only full mode writes ``BENCH_kernel_profile.json`` by default; a quick run
+writes its report only where ``--output`` says.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_kernel.py           # n=512 report
-    PYTHONPATH=src python benchmarks/profile_kernel.py --quick   # CI: n=16
+    PYTHONPATH=src python benchmarks/profile_kernel.py --quick \
+        --output BENCH_kernel_profile_ci.json                     # CI: n=16
     PYTHONPATH=src python benchmarks/profile_kernel.py --check-output-version
 """
 
@@ -37,6 +41,9 @@ from typing import Any
 from bench_scaling import check_output_version
 from repro.experiments.scenario import build_spread_fault_config, run_scenario
 from repro.version import __version__
+
+#: The committed full-mode report.
+COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_kernel_profile.json"
 
 
 def profile_scenario(n: int, duration: float, backend: str, seed: int):
@@ -100,16 +107,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--top", type=int, default=25,
                         help="functions per hotspot table (default 25)")
-    parser.add_argument("--output", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_kernel_profile.json")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="where to write the report (default: the committed "
+                             "BENCH_kernel_profile.json in full mode, nowhere "
+                             "with --quick)")
     parser.add_argument("--check-output-version", action="store_true",
-                        help="only check that --output was generated by this "
-                             "repro version; profile nothing")
+                        help="only check that --output (default: the committed "
+                             "file) was generated by this repro version; "
+                             "profile nothing")
     args = parser.parse_args(argv)
 
     if args.check_output_version:
-        failures = check_output_version(args.output)
+        failures = check_output_version(args.output or COMMITTED)
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1 if failures else 0
@@ -152,8 +161,10 @@ def main(argv=None) -> int:
             "by_internal_time": by_internal,
         },
     }
-    args.output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.output}")
+    output = args.output if args.output is not None or args.quick else COMMITTED
+    if output is not None:
+        output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {output}")
 
     stream = io.StringIO()
     stats.stream = stream  # type: ignore[attr-defined]

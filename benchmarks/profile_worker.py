@@ -14,8 +14,10 @@ knows it is profiled:
   CPU (and that share of the CPU per committed block, the number that
   compares across commits), plus the leaf functions that cost most;
 * a **counted** run: wrappers counting, per committed block, digest calls,
-  ``decode_commands`` calls, leader lookups, event-loop timers (and how many
-  had zero delay) and, per frame class, the generic codec walker's calls per
+  ``decode_commands`` calls, leader lookups, timers pushed on the shard's
+  kernel (``loop_timers``: every ``set_timer[_at]`` and ``call_after`` of
+  the :class:`~repro.runtime.wallclock.WallClockKernel`, and how many were
+  due at once) and, per frame class, the generic codec walker's calls per
   decoded and per encoded frame.
 
 The two are separate runs so the counters' own cost never shows in the
@@ -24,12 +26,15 @@ the labels already in the file are kept, so running the script at two
 commits with ``--label parent`` / ``--label change`` and one ``--output``
 leaves both side by side.  Wall-clock numbers move with the host, so nothing
 here fails a build; ``--check-output-version`` only fails when the committed
-file was written by another ``repro.version``.
+file was written by another ``repro.version``.  Only full mode writes
+``BENCH_worker_profile.json`` by default; a quick run writes only where
+``--output`` says.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_worker.py --label change
-    PYTHONPATH=src python benchmarks/profile_worker.py --quick   # CI: 3 s runs
+    PYTHONPATH=src python benchmarks/profile_worker.py --quick \
+        --output BENCH_worker_profile_ci.json                    # CI: 3 s runs
     PYTHONPATH=src python benchmarks/profile_worker.py --check-output-version
 """
 
@@ -57,6 +62,8 @@ from repro.runner.live import make_live_cluster  # noqa: E402
 from repro.version import __version__  # noqa: E402
 
 WORKLOAD = "kv_rate_proc_shm"
+#: The committed full-mode profile.
+COMMITTED = _HERE.parent / "BENCH_worker_profile.json"
 
 #: Frames of these files run the protocol: a sample's layers are the ones
 #: met walking from its leaf up to the first such frame that is not itself
@@ -66,9 +73,9 @@ _PROTOCOL = (
     "/repro/consensus/", "/repro/core/", "/repro/pacemakers/", "/repro/runner/",
     "/repro/metrics/", "/repro/faults/", "/repro/sim/process.py",
 )
-_TIMER_CALLS = {"call_later", "call_at", "call_soon", "cancel", "set_timer",
-                "set_timer_at", "call_after", "schedule_at_local", "_arm",
-                "_resync_timers", "_timer_handle_cancelled"}
+_TIMER_CALLS = {"cancel", "set_timer", "set_timer_at", "call_after",
+                "schedule_at_local", "_arm", "_resync_timers", "_note_cancelled",
+                "_compact"}
 _LEADER_CALLS = {"leader_of", "_round", "_generate_round", "_extend", "is_leader",
                  "turn_end", "_proposal_coming"}
 
@@ -77,9 +84,8 @@ LAYERS: dict[str, Callable[[str, str], bool]] = {
     or path == "<wire plan>",
     "crypto": lambda path, name: "/repro/crypto/" in path,
     "kv": lambda path, name: "/repro/statemachine/" in path,
-    "pacemaker_timers": lambda path, name: name in _TIMER_CALLS and (
-        path.endswith(("/repro/sim/clock.py", "/repro/runtime/asyncio_runtime.py"))
-        or path.endswith(("/asyncio/base_events.py", "/asyncio/events.py"))
+    "pacemaker_timers": lambda path, name: name in _TIMER_CALLS and path.endswith(
+        ("/repro/sim/clock.py", "/repro/sim/events.py", "/repro/runtime/wallclock.py")
     ),
     "floor_sweep": lambda path, name: name in ("release_below", "_walk_below")
     and "/repro/" in path,
@@ -184,11 +190,10 @@ class Counts:
         self._patch(owner, attr, make)
 
     def install(self) -> None:
-        import asyncio.base_events as base_events
-
         from repro.core.leader_schedule import LeaderSchedule
         from repro.crypto import backend
         from repro.runtime import codec
+        from repro.runtime.wallclock import WallClockKernel
         from repro.statemachine import commands
 
         calls = self.calls
@@ -203,14 +208,25 @@ class Counts:
                     if bound is original_decode:
                         self._count(module, attr, "decode_commands")
 
-        def timers(original):
-            def call_later(loop, delay, *args, **kwargs):
+        # Every kernel push: set_timer reaches set_timer_at, and a timer is
+        # "zero delay" when it is due at once.
+        def timers_at(original):
+            def set_timer_at(kernel, time, *args, **kwargs):
+                calls["loop_timers"] += 1
+                if time <= kernel.now:
+                    calls["zero_delay_loop_timers"] += 1
+                return original(kernel, time, *args, **kwargs)
+            return set_timer_at
+
+        def timers_after(original):
+            def call_after(kernel, delay, *args):
                 calls["loop_timers"] += 1
                 if delay <= 0:
                     calls["zero_delay_loop_timers"] += 1
-                return original(loop, delay, *args, **kwargs)
-            return call_later
-        self._patch(base_events.BaseEventLoop, "call_later", timers)
+                return original(kernel, delay, *args)
+            return call_after
+        self._patch(WallClockKernel, "set_timer_at", timers_at)
+        self._patch(WallClockKernel, "call_after", timers_after)
 
         walker = self.calls
         for attr in ("_unpack_value", "_pack_value", "_pack_other"):
@@ -355,15 +371,18 @@ def main(argv=None) -> int:
                         help="worker CPU seconds between samples (default 0.003)")
     parser.add_argument("--label", default="current",
                         help="name of this run in the output (default: current)")
-    parser.add_argument("--output", type=Path,
-                        default=_HERE.parent / "BENCH_worker_profile.json")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="where to write (default: the committed "
+                             "BENCH_worker_profile.json in full mode, nowhere "
+                             "with --quick); the labels already there are kept")
     parser.add_argument("--check-output-version", action="store_true",
-                        help="only check that --output was generated by this "
-                             "repro version; profile nothing")
+                        help="only check that --output (default: the committed "
+                             "file) was generated by this repro version; "
+                             "profile nothing")
     args = parser.parse_args(argv)
 
     if args.check_output_version:
-        failures = check_output_version(args.output)
+        failures = check_output_version(args.output or COMMITTED)
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1 if failures else 0
@@ -378,20 +397,21 @@ def main(argv=None) -> int:
         "sampled": sampled,
         "counted": counted,
     }
-    try:
-        document = json.loads(args.output.read_text(encoding="utf-8"))
-        runs = document.get("runs", {})
-    except (OSError, ValueError):
-        runs = {}
-    runs[args.label] = run
-    document = {
-        "schema": "repro-worker-profile/1",
-        "generated_by": "benchmarks/profile_worker.py",
-        "version": __version__,
-        "runs": runs,
-    }
-    args.output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.output} [{args.label}]")
+    output = args.output if args.output is not None or args.quick else COMMITTED
+    if output is not None:
+        try:
+            runs = json.loads(output.read_text(encoding="utf-8")).get("runs", {})
+        except (OSError, ValueError):
+            runs = {}
+        runs[args.label] = run
+        document = {
+            "schema": "repro-worker-profile/1",
+            "generated_by": "benchmarks/profile_worker.py",
+            "version": __version__,
+            "runs": runs,
+        }
+        output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {output} [{args.label}]")
     print(f"  worker CPU {sampled['worker_cpu_s']} s, {sampled['blocks']:.0f} blocks, "
           f"{sampled['cpu_ms_per_block']} ms/block, {sampled['samples']} samples")
     for layer, share in sampled["inclusive_share_pct"].items():

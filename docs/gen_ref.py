@@ -62,8 +62,7 @@ REFERENCE_PAGES = {
         "repro.runtime",
         [
             "repro.runtime",
-            "repro.runtime.base",
-            "repro.runtime.asyncio_runtime",
+            "repro.runtime.wallclock",
             "repro.runtime.transports",
             "repro.runtime.tcp",
             "repro.runtime.codec",

@@ -8,7 +8,7 @@ length-prefixed binary frames over localhost TCP and committing blocks in
 real (wall-clock) time.  The run stops as soon as every node's ledger holds
 the target number of blocks, then prints wall-clock latency and throughput
 figures recorded by the ordinary metrics collector through the monotonic
-clock behind the :class:`~repro.runtime.base.Clock` seam.
+clock the shard's kernel reads.
 
 Run with:  python examples/live_cluster.py
            python examples/live_cluster.py --n 4 --blocks 20 --timeout 30

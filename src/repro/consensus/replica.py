@@ -20,9 +20,9 @@ the ``isinstance`` check happens once per *type*, not once per delivery
 
 A replica is runtime-agnostic: it is built over a
 :class:`~repro.runtime.transports.Transport` and reads time from the
-:class:`~repro.runtime.base.Runtime` that transport is bound to, so the
-same object runs under the discrete-event simulator or on an asyncio loop
-over a real transport.
+kernel that transport is bound to, so the same object runs under the
+discrete-event simulator in virtual time or on the wall clock over a real
+transport.
 """
 
 from __future__ import annotations

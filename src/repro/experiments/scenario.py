@@ -272,8 +272,8 @@ class RunResult:
 
     @property
     def events_processed(self) -> int:
-        """Simulator or runtime events handled during the run (summed across
-        the node runtimes of a cluster): ``metrics.counts["events_processed"]``."""
+        """Kernel events handled during the run (summed across the shard
+        kernels of a cluster): ``metrics.counts["events_processed"]``."""
         return self.metrics.counts["events_processed"]
 
     def describe(self) -> str:

@@ -23,12 +23,14 @@ approximation — see ``docs/runtimes.md``.
 from __future__ import annotations
 
 import random
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.faults.delays import DelayContext, DelayModel, NetworkConfig, PendingSend
 from repro.metrics.counters import Counters
-from repro.runtime.base import Runtime
 from repro.runtime.transports import Transport
+
+if TYPE_CHECKING:
+    from repro.sim.events import Simulator
 
 
 class FaultyTransport(Transport):
@@ -71,7 +73,7 @@ class FaultyTransport(Transport):
         # message ids all belong to the inner transport — one accounting
         # surface, whether or not the transport is wrapped.
         self._inner = inner
-        self._runtime: Optional[Runtime] = None
+        self._runtime: Optional[Simulator] = None
         self.send_listeners = inner.send_listeners
         self.deliver_listeners = inner.deliver_listeners
         self.schedule = schedule
@@ -92,7 +94,7 @@ class FaultyTransport(Transport):
         """The wrapped transport."""
         return self._inner
 
-    def bind(self, runtime: Runtime) -> None:
+    def bind(self, runtime: Simulator) -> None:
         """Bind the wrapper and the inner transport."""
         self._runtime = runtime
         self._inner.bind(runtime)

@@ -177,10 +177,13 @@ class MetricsCollector:
         attributes are read when a snapshot is taken, so their hot paths
         stay plain increments and a writer that died holding unsent frames,
         or a frame that failed to decode, always leaves a trace in the
-        run's :class:`~repro.metrics.summary.RunMetrics`.
+        run's :class:`~repro.metrics.summary.RunMetrics`.  A runtime the
+        transports of a shard share is a source once.
         """
         transport.send_listeners.append(self.on_send)
-        self._sources += (getattr(transport, "inner", transport), transport.runtime)
+        self._sources.append(getattr(transport, "inner", transport))
+        if transport.runtime not in self._sources:
+            self._sources.append(transport.runtime)
 
     @property
     def counts(self) -> dict[str, int]:

@@ -1,7 +1,7 @@
 """Wall-clock clusters: the live lanes over the transport stack.
 
 :func:`make_live_cluster` builds n nodes on the wall clock over real
-sockets or shared-memory rings, one runtime per node, in this process or
+sockets or shared-memory rings, one kernel per shard, in this process or
 one OS process per shard (:mod:`repro.runner.process_cluster`).  It shares
 :mod:`repro.experiments.scenario`'s stack builder and
 :class:`~repro.experiments.scenario.RunResult` with the virtual-time lane,

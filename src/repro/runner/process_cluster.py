@@ -228,8 +228,8 @@ async def _serve_shard(spec: ShardSpec, conn) -> None:
     shard.go()
 
     # Serve the control channel until told to stop (or until the orphan
-    # guard fires).  Replicas run entirely on loop timers and transport
-    # tasks; this coroutine only answers status probes.
+    # guard fires).  Replicas run entirely on the shard's kernel and its
+    # transports' I/O callbacks; this coroutine only answers status probes.
     loop = asyncio.get_running_loop()
     deadline = loop.time() + lifetime
     stopping = False
@@ -467,9 +467,9 @@ class LiveCluster:
     ) -> None:
         """Run for ``duration`` wall seconds (or until ``stop_when(cluster)``).
 
-        Replicas run on loop timers and transport tasks; this coroutine only
-        waits.  Under process placement the predicate sees the freshest
-        per-node ledger lengths the workers reported.
+        Replicas run on their shards' kernels and transport I/O; this
+        coroutine only waits.  Under process placement the predicate sees
+        the freshest per-node ledger lengths the workers reported.
         """
         await self.start()
         loop = asyncio.get_running_loop()
@@ -558,7 +558,7 @@ class LiveCluster:
 
     @property
     def events_processed(self) -> int:
-        """Every node runtime's events, summed:
+        """Every shard kernel's events, summed:
         ``metrics.counts["events_processed"]``."""
         return self.metrics.counts["events_processed"]
 

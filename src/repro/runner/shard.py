@@ -1,4 +1,4 @@
-"""``Shard``: the replicas that share one event loop, on every wall-clock lane.
+"""``Shard``: the replicas that share one event loop and one kernel, on every wall-clock lane.
 
 A :class:`Shard` is built from a :class:`ShardSpec` and lives through five
 calls: ``bind``, ``connect``, ``go``, ``commits`` and ``stop``, which
@@ -28,12 +28,12 @@ from repro.experiments.scenario import (
 )
 from repro.faults.transport import FaultyTransport
 from repro.runtime import (
-    AsyncioRuntime,
     MonotonicClock,
     ShmEndpoint,
     ShmTransport,
     TcpTransport,
     Transport,
+    WallClockKernel,
 )
 
 
@@ -58,7 +58,7 @@ class ShardSpec:
 
 @dataclass
 class Node:
-    """One replica of a :class:`Shard` with its runtime and transport.
+    """One replica of a :class:`Shard` with its transport and the shard's kernel.
 
     ``transport`` is the node's socket or ring transport, or a
     :class:`~repro.faults.transport.FaultyTransport` wrapping it when the
@@ -67,7 +67,7 @@ class Node:
 
     pid: int
     transport: Transport
-    runtime: AsyncioRuntime
+    runtime: WallClockKernel
     replica: Any
 
 
@@ -83,11 +83,13 @@ class ShardReport:
 
 
 class Shard:
-    """The replicas of ``spec.pids`` on the running event loop, one runtime each."""
+    """The replicas of ``spec.pids`` on the running event loop, timed by one
+    :class:`~repro.runtime.wallclock.WallClockKernel`."""
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
         self.clock = MonotonicClock(origin=spec.clock_origin)
+        self.kernel = WallClockKernel(self.clock, seed=spec.config.seed)
         self.stack: Optional[ProtocolStack] = None
         self.nodes: dict[int, Node] = {}
         self._transports: dict[int, Any] = {}
@@ -122,8 +124,8 @@ class Shard:
         }
 
     async def connect(self, peers: dict[int, tuple[str, int]]) -> None:
-        """Install the cluster-wide address map; bind each transport to a
-        fresh runtime and build its replica over it."""
+        """Install the cluster-wide address map; bind each transport to the
+        shard's kernel and build its replica over it."""
         stack, config = self.stack, self.spec.config
         for pid, transport in self._transports.items():
             transport.set_peers(peers)
@@ -132,9 +134,8 @@ class Shard:
                 # sends: a hold-then-forward approximation of the simulated
                 # latency (the real fabric adds its own small delay on top,
                 # so — unlike the single-runtime virtual-time lane — this
-                # lane makes no bit-exact parity claim).  Per-node seed
-                # offsets mirror the runtimes' seeds (and the node's pid
-                # offsets a loss model's stream the same way).
+                # lane makes no bit-exact parity claim).  The node's pid
+                # offsets its schedule's seed (and a loss model's stream).
                 transport = FaultyTransport(
                     transport,
                     stack.delay_model,
@@ -142,10 +143,11 @@ class Shard:
                     schedule_seed=config.seed + pid,
                     counters=stack.metrics.counters,
                 )
-            runtime = AsyncioRuntime(clock=self.clock, seed=config.seed + pid)
-            transport.bind(runtime)
+            transport.bind(self.kernel)
             stack.metrics.attach_transport(transport)
-            self.nodes[pid] = Node(pid, transport, runtime, make_replica(stack, pid, transport))
+            self.nodes[pid] = Node(
+                pid, transport, self.kernel, make_replica(stack, pid, transport)
+            )
         for node in self.nodes.values():
             await node.transport.start()
 
@@ -165,8 +167,8 @@ class Shard:
 
         Teardown surfaces rather than swallows: each transport's
         ``last_errors`` land in the report and its ``frames_dropped`` in the
-        shipped counts, so a writer that died holding frames or a pump that
-        crashed mid-run is visible there instead of vanishing with the tasks.
+        shipped counts, so a writer that died holding frames or a delivery
+        that raised mid-run is visible there instead of vanishing.
         """
         nodes = self.nodes.values()
         await asyncio.gather(*(node.transport.stop() for node in nodes))

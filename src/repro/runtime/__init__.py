@@ -1,17 +1,18 @@
 """Pluggable runtimes and transports: the seam between the protocol core and its world.
 
 A process sends through its :class:`~repro.runtime.transports.Transport`
-and reads time and arms timers through the
-:class:`~repro.runtime.base.Runtime` that transport is bound to (``now``,
-``set_timer`` / ``set_timer_at``, ``call_after``, ``spawn``, ``rng``), so
-the *same* protocol objects execute
+and reads time and arms timers through the kernel that transport is bound
+to (``now``, ``set_timer`` / ``set_timer_at``, ``call_after``, ``spawn``,
+``rng``).  There is one kernel, the discrete-event
+:class:`~repro.sim.events.Simulator`, on two clocks, so the *same*
+protocol objects execute
 
 * in virtual time: an in-memory
-  :class:`~repro.runtime.transports.LocalTransport` bound to the
-  discrete-event :class:`~repro.sim.events.Simulator`, which *is* the
-  virtual-time runtime,
-* on an asyncio loop in wall time
-  (:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`) under
+  :class:`~repro.runtime.transports.LocalTransport` bound to a
+  :class:`~repro.sim.events.Simulator`,
+* in wall time, on an asyncio loop
+  (:class:`~repro.runtime.wallclock.WallClockKernel`, the same heap
+  reading a monotonic clock) under
 * real TCP sockets (:class:`~repro.runtime.tcp.TcpTransport`,
   length-prefixed frames in the one wire format of
   :mod:`repro.runtime.codec`), or
@@ -27,11 +28,10 @@ writing-a-transport guide.
 
 from repro import lazy_exports
 
-# Resolved on first access: the virtual-time lane never imports the asyncio,
-# TCP and shm transports or the codec.
+# Resolved on first access: the virtual-time lane never imports the
+# wall-clock kernel, the TCP and shm transports or the codec.
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "base": ("Clock", "Runtime", "TimerHandle"),
-    "asyncio_runtime": ("AsyncioRuntime", "MonotonicClock"),
+    "wallclock": ("MonotonicClock", "WallClockKernel"),
     "transports": ("FramedTransport", "LocalTransport", "Transport"),
     "codec": ("WireCodec", "WireCodecError", "default_codec"),
     "tcp": ("TcpTransport",),

@@ -71,11 +71,15 @@ import asyncio
 import socket
 import struct
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.codec import LENGTH_PREFIX_BYTES, WireCodec, WireCodecError, default_codec
 from repro.runtime.transports import FramedTransport
+
+if TYPE_CHECKING:
+    from repro.runtime.wallclock import WallClockKernel
+    from repro.sim.events import EventHandle
 
 #: Bytes reserved at the front of every segment for the ring header.
 #: Fields live on separate 64-byte lines so the producer-owned write index
@@ -368,8 +372,8 @@ class ShmEndpoint:
     MAX_DRAIN_PER_RING = 128
 
     #: Drain sweeps executed inside one callback before the remainder is
-    #: rescheduled with ``call_soon`` — keeps timers and the control pipe
-    #: responsive under a sustained flood.
+    #: continued first in the kernel's next pass — keeps timers and the
+    #: control pipe responsive under a sustained flood.
     MAX_SWEEPS_PER_CALLBACK = 8
 
     def __init__(
@@ -399,13 +403,16 @@ class ShmEndpoint:
             raise ConfigurationError(f"shm recipient tags name pids below {EVERY_LOCAL}")
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        # The kernel this worker's transports are bound to: it runs the
+        # backstop and every drain the loop's doorbell callback did not.
+        self._kernel: Optional[WallClockKernel] = None
         self._segments: list[SharedMemory] = []
         self._rings: list[SpscRing] = []
         # (sender, ring, recipients by tag) per inbound ring, sender order.
         self._inbound: tuple[tuple[int, SpscRing, dict], ...] = ()
         self._doorbells: dict[int, tuple[str, int]] = {}
         self._running = False
-        self._backstop_handle: Optional[asyncio.TimerHandle] = None
+        self._backstop_handle: Optional[EventHandle] = None
         self._drain_scheduled = False
 
     # ------------------------------------------------------------------
@@ -434,7 +441,7 @@ class ShmEndpoint:
         cluster-wide address map names each worker's doorbell).  There is
         no pump task: the doorbell's ``add_reader`` callback drains the
         rings directly, and a single :attr:`WAKE_TIMEOUT` re-check timer
-        backstops a missed poke.
+        on the transports' kernel backstops a missed poke.
         """
         if self._running:
             return
@@ -474,7 +481,8 @@ class ShmEndpoint:
             ring.set_sleeping(True)
         assert self._sock is not None
         loop.add_reader(self._sock.fileno(), self._on_datagram)
-        self._backstop_handle = loop.call_later(self.WAKE_TIMEOUT, self._backstop)
+        self._kernel = self.transports[min(self.transports)].runtime
+        self._backstop_handle = self._kernel.set_timer(self.WAKE_TIMEOUT, self._backstop)
         self._running = True
         for transport in self.transports.values():
             transport._stopped = False
@@ -555,7 +563,7 @@ class ShmEndpoint:
     def _schedule_drain(self) -> None:
         if not self._drain_scheduled and self._running:
             self._drain_scheduled = True
-            self._loop.call_soon(self._drain_continue)
+            self._kernel.call_next(self._drain_continue)
 
     def _drain_continue(self) -> None:
         self._drain_scheduled = False
@@ -580,7 +588,7 @@ class ShmEndpoint:
         if any(ring.unread_bytes for _, ring, _ in self._inbound):
             self._awake()
             self._drain()
-        self._backstop_handle = self._loop.call_later(self.WAKE_TIMEOUT, self._backstop)
+        self._backstop_handle = self._kernel.set_timer(self.WAKE_TIMEOUT, self._backstop)
 
     # ------------------------------------------------------------------
     # Draining
@@ -588,13 +596,14 @@ class ShmEndpoint:
     def _drain(self) -> None:
         """Sweep every inbound ring until a whole sweep is empty, then park.
 
-        Runs synchronously inside the doorbell callback (or a ``call_soon``
-        continuation of itself), exactly as the TCP reader delivers frames
-        from ``data_received``.  Only an empty sweep raises the flags, then
-        one final re-check closes the race with a producer that pushed
-        after the sweep but read its flag before it rose.  A sustained
-        flood is rescheduled after :attr:`MAX_SWEEPS_PER_CALLBACK` sweeps
-        so timers and co-located tasks keep running between bursts.
+        Runs synchronously inside the doorbell callback (or its
+        continuation, first in the kernel's next pass), exactly as the TCP
+        reader delivers each frame it reads.  Only an empty sweep raises
+        the flags, then one final re-check closes the race with a producer
+        that pushed after the sweep but read its flag before it rose.  A
+        sustained flood is rescheduled after
+        :attr:`MAX_SWEEPS_PER_CALLBACK` sweeps so timers and co-located
+        tasks keep running between bursts.
         """
         if not self._running:
             return

@@ -5,13 +5,16 @@ and everything network-shaped — servers, connections, framing, reconnects —
 lives here.  Each node runs
 
 * one ``asyncio`` **server** accepting inbound peer connections, whose
-  reader coroutines decode frames onto the node's inbox,
+  reader coroutines decode each frame and hand it to the replica at once
+  (:meth:`~repro.runtime.transports.FramedTransport._receive`, one kernel
+  event), as a shm worker's ring drain does, and
 * one lazily started **writer task per peer**, owning an outbound queue and
   the (re)connect loop, so ``send`` never blocks the protocol callback that
-  called it, and
-* one **pump task** — *the replica's task* — draining the inbox and feeding
-  ``process.deliver`` one message at a time, which serialises the replica's
-  protocol callbacks exactly like the simulator does.
+  called it.
+
+Readers and kernel passes are callbacks of one asyncio loop, so the
+replica's protocol callbacks run one at a time, exactly as in the
+simulator.
 
 Frames are ``4-byte big-endian length || body`` (see
 :mod:`repro.runtime.codec`).  Ports may be ephemeral: start the server
@@ -79,10 +82,8 @@ class TcpTransport(FramedTransport):
         self.port = port
         self.connect_timeout = connect_timeout
         self._server: Optional[asyncio.AbstractServer] = None
-        self._inbox: Optional[asyncio.Queue] = None
         self._outboxes: dict[int, asyncio.Queue] = {}
         self._writers: dict[int, asyncio.Task] = {}
-        self._pump_task: Optional[asyncio.Task] = None
         self._reader_tasks: set[asyncio.Task] = set()
         self._connections: dict[int, asyncio.StreamWriter] = {}
 
@@ -104,18 +105,13 @@ class TcpTransport(FramedTransport):
     async def start_server(self) -> tuple[str, int]:
         """Bind and start the inbound server; returns the bound address."""
         if self._server is None:
-            self._inbox = asyncio.Queue()
             self._server = await asyncio.start_server(self._on_connection, self.host, self.port)
             self._share_frames(True)  # readers decode from here on
         return self.address
 
     async def start(self) -> None:
-        """Start the server (if needed) and the replica's pump task."""
+        """Start the server (if needed)."""
         await self.start_server()
-        if self._pump_task is None:
-            self._pump_task = asyncio.create_task(
-                self._pump(), name=f"tcp-pump-{self.pid}"
-            )
 
     async def stop(self) -> None:
         """Tear the node down: own tasks cancelled, peers signalled via EOF.
@@ -128,26 +124,22 @@ class TcpTransport(FramedTransport):
         path ``_on_connection`` already handles; stragglers are cancelled
         only after a grace wait.
 
-        Teardown never raises, but it no longer *hides* either: a pump or
-        writer task that died of anything other than the cancellation we
-        just requested records the error in :attr:`last_errors`, so cluster
+        Teardown never raises, but it no longer *hides* either: a writer
+        task that died of anything other than the cancellation we just
+        requested records the error in :attr:`last_errors`, so cluster
         shutdown can report real bugs instead of swallowing them.
         """
         self._share_frames(False)
-        own = [self._pump_task, *self._writers.values()]
+        own = list(self._writers.values())
         for task in own:
-            if task is not None:
-                task.cancel()
+            task.cancel()
         for task in own:
-            if task is None:
-                continue
             try:
                 await task
             except asyncio.CancelledError:
                 pass
             except Exception as exc:  # noqa: BLE001 - collected, not hidden
                 self.last_errors.append(f"{task.get_name()}: {exc!r}")
-        self._pump_task = None
         self._writers.clear()
         for writer in self._connections.values():
             writer.close()
@@ -323,8 +315,12 @@ class TcpTransport(FramedTransport):
                     # Malformed or version-skewed peer: drop the connection.
                     self._reject("tcp-decode", exc)
                     break
-                assert self._inbox is not None
-                self._inbox.put_nowait((sender, payload))
+                if self._process is None:
+                    continue
+                try:
+                    self._receive(sender, payload)
+                except Exception as exc:  # noqa: BLE001 - collected, not hidden
+                    self.last_errors.append(f"tcp-deliver-{sender}->{self.pid}: {exc!r}")
         except (asyncio.IncompleteReadError, ConnectionError):
             pass  # peer went away; its writer will reconnect if it returns
         except asyncio.CancelledError:
@@ -334,29 +330,6 @@ class TcpTransport(FramedTransport):
             pass
         finally:
             writer.close()
-
-    async def _pump(self) -> None:
-        """The replica's task: drain the inbox a batch per wakeup.
-
-        Messages are still delivered strictly one at a time, in arrival
-        order — the protocol callback discipline is untouched.  What changes
-        is the wakeup accounting: a burst of arrivals (readers enqueue
-        without yielding between frames of one TCP segment) is drained with
-        ``get_nowait`` after the first ``await``, costing one queue wakeup
-        per batch instead of one per message.
-        """
-        assert self._inbox is not None
-        inbox = self._inbox
-        while True:
-            batch = [await inbox.get()]
-            while True:
-                try:
-                    batch.append(inbox.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            for sender, payload in batch:
-                if self._process is not None:
-                    self._receive(sender, payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

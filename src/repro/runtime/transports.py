@@ -4,12 +4,12 @@ A :class:`Transport` owns addressing (``process_ids``), endpoint
 registration and the actual movement of payloads: a
 :class:`~repro.sim.process.Process` registers on its transport and calls
 its :meth:`~Transport.send` / :meth:`~Transport.broadcast` directly.  The
-transport is bound (:meth:`Transport.bind`) to the
-:class:`~repro.runtime.base.Runtime` whose clock stamps its envelopes and
-whose ``call_after`` runs its deliveries; the runtime knows nothing of
-it.  Every transport has one observation surface — ``send_listeners`` /
-``deliver_listeners`` called with an :class:`Envelope`
-per message, plus ``messages_sent`` / ``messages_delivered`` counters —
+transport is bound (:meth:`Transport.bind`) to the runtime — a
+:class:`~repro.sim.events.Simulator`, on the virtual or the wall clock —
+whose clock stamps its envelopes and whose ``call_after`` runs its
+deliveries; the runtime knows nothing of it.  Every transport has one
+observation surface — ``send_listeners`` / ``deliver_listeners`` called
+with an :class:`Envelope` per message, plus ``messages_sent`` / ``messages_delivered`` counters —
 which is what the metrics layer attaches to
 (:meth:`~repro.metrics.collector.MetricsCollector.attach_transport`).
 
@@ -41,9 +41,9 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.runtime.base import Runtime
 
 if TYPE_CHECKING:
+    from repro.sim.events import Simulator
     from repro.runtime.codec import WireCodec, WireCodecError
 
 
@@ -106,22 +106,22 @@ class Transport(ABC):
         #: (:meth:`FramedTransport._decode`, a shm worker's drain).
         self.frames_decoded = 0
         self._msg_ids = itertools.count()
-        self._runtime: Optional[Runtime] = None
+        self._runtime: Optional[Simulator] = None
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def bind(self, runtime: Runtime) -> None:
+    def bind(self, runtime: Simulator) -> None:
         """Attach the runtime whose clock and scheduler deliveries use."""
         self._runtime = runtime
 
     @property
-    def runtime(self) -> Runtime:
+    def runtime(self) -> Simulator:
         """The bound runtime (raises if the transport is not bound yet)."""
         if self._runtime is None:
             raise ConfigurationError(
                 f"{type(self).__name__} is not bound to a runtime yet; bind it "
-                "to a Simulator or an AsyncioRuntime first"
+                "to a Simulator first"
             )
         return self._runtime
 
@@ -319,17 +319,17 @@ class FramedTransport(Transport):
         self.last_errors.append(f"{where}->{self.pid}: {error!r}")
 
     def _receive(self, sender: int, payload: Any) -> None:
-        """Hand one decoded inbound frame to the hosted process (an
-        :class:`Envelope` is built only for deliver listeners to read)."""
+        """Hand one decoded inbound frame to the hosted process, at once and
+        as one kernel event (an :class:`Envelope` is built only for deliver
+        listeners to read)."""
         runtime = self._runtime
-        runtime.events_processed += 1
         self.messages_delivered += 1
         if self.deliver_listeners:
             now = runtime.now
             envelope = Envelope(next(self._msg_ids), sender, self.pid, payload, now, now)
             for listener in self.deliver_listeners:
                 listener(envelope)
-        self._process.deliver(payload, sender)
+        runtime.run_now(self._process.deliver, payload, sender)
 
 
 class LocalTransport(Transport):

@@ -1,8 +1,9 @@
 """Discrete-event simulation of the partial synchrony model.
 
 The :class:`~repro.sim.events.Simulator` provides virtual time and an event
-queue, and is the virtual-time :class:`~repro.runtime.base.Runtime` a
-transport is bound to (:mod:`repro.sim.events`); the rest is per-processor
+queue, and is the runtime a transport is bound to
+(:mod:`repro.sim.events`; on the wall clock it is
+:class:`~repro.runtime.wallclock.WallClockKernel`); the rest is per-processor
 local clocks with the pause/bump semantics the paper's protocols rely on
 (:mod:`repro.sim.clock`) and a ``Process`` base class that protocol
 replicas derive from, built over the

@@ -37,8 +37,7 @@ class LocalTimer:
         self.callback = callback
         self.cancelled = False
         self.fired = False
-        # Backing runtime timer (an EventHandle under simulation, an
-        # asyncio-backed handle when live); any TimerHandle works.
+        # Backing runtime timer: the kernel's EventHandle.
         self._event: Optional[Any] = None
         self.label = label
 
@@ -66,8 +65,8 @@ class LocalClock:
     running, and ``anchor_value`` while paused.  ``bump_to`` moves the value
     forward (never backwards) and re-anchors.
 
-    The time source is the process's :class:`~repro.runtime.base.Runtime`
-    (a :class:`~repro.sim.events.Simulator` in virtual time).
+    The time source is the process's runtime (a
+    :class:`~repro.sim.events.Simulator`, on either clock).
     """
 
     def __init__(self, source: Any, initial: float = 0.0) -> None:

@@ -6,8 +6,22 @@ ordered events, each carrying a callback.  Everything else in the library
 :meth:`Simulator.set_timer` / :meth:`Simulator.set_timer_at` (cancellable
 timers) and :meth:`Simulator.call_after` (the handle-free fast lane used by
 message deliveries).  Those, ``now``, :meth:`Simulator.spawn` and ``rng``
-make the simulator the virtual-time :class:`~repro.runtime.base.Runtime`:
-a transport is bound to it directly.
+make the simulator the runtime a transport is bound to: in virtual time
+here, and on the wall clock as
+:class:`~repro.runtime.wallclock.WallClockKernel`, the same heap whose
+``now`` reads a monotonic clock.
+
+The contract the protocol core relies on, on both clocks:
+
+1. **Single-threaded callbacks.**  All protocol callbacks — message
+   deliveries, timer fires — run sequentially; no two ever overlap.
+2. **Timers never fire early** and fire at most once unless cancelled.
+3. **Zero-delay work keeps its order**: ``call_after(0.0, ...)`` callbacks
+   run in the order they were scheduled, after every entry already due.
+4. **Time is monotone**: ``now`` never decreases between callbacks.
+
+Self-messages are delivered immediately — the paper's Section-4
+convention — by every transport, not the kernel.
 
 Determinism: ties on time are broken by insertion order, and all randomness
 in the library flows through :attr:`Simulator.rng`, which is seeded at
@@ -148,7 +162,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay!r}")
-        return self.set_timer_at(self._now + delay, callback, *args, label=label)
+        return self.set_timer_at(self.now + delay, callback, *args, label=label)
 
     def set_timer_at(
         self,

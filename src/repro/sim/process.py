@@ -3,7 +3,7 @@
 A :class:`Process` is built over its
 :class:`~repro.runtime.transports.Transport`: it registers there, sends
 through it and receives from it.  Time and timers come from the
-:class:`~repro.runtime.base.Runtime` that transport is bound to
+runtime (a :class:`~repro.sim.events.Simulator`) that transport is bound to
 (:attr:`Process.runtime`), which also drives the process's
 :class:`~repro.sim.clock.LocalClock`.  Protocol replicas (see
 :mod:`repro.consensus.replica`) derive from it, as do purpose-built

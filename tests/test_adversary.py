@@ -151,7 +151,7 @@ def test_custom_behaviour_subclass_hooks_are_picked_up():
 
 #: The wall-clock stack: what the sockets, rings and worker processes need.
 _LIVE_STDLIB = ("asyncio", "socket", "ssl", "selectors", "multiprocessing", "mmap")
-_LIVE_REPRO = tuple(f"repro.runtime.{m}" for m in ("asyncio_runtime", "tcp", "shm", "codec")) + tuple(
+_LIVE_REPRO = tuple(f"repro.runtime.{m}" for m in ("wallclock", "tcp", "shm", "codec")) + tuple(
     f"repro.runner.{m}" for m in ("process_cluster", "shard", "campaign", "executor", "cache", "record", "live")
 )
 

@@ -36,7 +36,7 @@ from repro.faults import (
     TargetedDelay,
     UniformDelay,
 )
-from repro.runtime import AsyncioRuntime, LocalTransport, Transport
+from repro.runtime import LocalTransport, Transport, WallClockKernel
 from repro.sim.events import Simulator
 
 CONFIG = NetworkConfig(delta=1.0, gst=2.0, actual_delay=0.9, pre_gst_max_delay=10.0)
@@ -210,7 +210,7 @@ def test_grouped_and_per_recipient_broadcast_agree_on_an_asyncio_loop():
 
     async def run(grouped: bool) -> dict:
         transport = make_transport()
-        runtime = AsyncioRuntime()
+        runtime = WallClockKernel()
         transport.bind(runtime)
         trace = observe(transport, runtime)
         for round_index in range(4):

@@ -21,6 +21,7 @@ from repro.experiments.scenario import (
 )
 from repro.faults import FixedDelay, SilentLeaderBehaviour, UniformDelay, spread_corruption
 from repro.runner import make_live_cluster
+from repro.runtime import WallClockKernel
 from test_live_faults import assert_reproduces_the_captured_fabric
 
 
@@ -172,6 +173,31 @@ def test_wall_clock_local_cluster_commits_in_real_time():
     times = [d.time for d in result.metrics.decisions]
     assert times == sorted(times)
     assert all(t >= -1.0 for t in times)
+
+
+def test_an_inline_cluster_times_every_node_with_one_kernel():
+    """A shard's pids share one kernel, counted once in the run's events, and
+    the timer-lag probe's calls (``now``, ``set_timer``, ``cancel``) work on
+    it while the cluster runs."""
+    async def run():
+        cluster = make_live_cluster(_scenario(0, delta=0.1, duration=20.0), placement="inline")
+        await cluster.start()
+        try:
+            kernel = cluster.nodes[0].runtime
+            due = kernel.now + 0.01
+            lags = []
+            kernel.set_timer(0.01, lambda: lags.append(kernel.now - due))
+            kernel.set_timer(0.01, lags.append, "cancelled").cancel()
+            await cluster.run(0.3)
+        finally:
+            await cluster.stop()
+        return cluster, kernel, lags
+
+    cluster, kernel, lags = asyncio.run(run())
+    assert all(node.runtime is kernel for node in cluster.nodes.values())
+    assert len(cluster.nodes) == 4 and isinstance(kernel, WallClockKernel)
+    assert len(lags) == 1 and lags[0] >= 0.0
+    assert cluster.metrics.counts["events_processed"] == kernel.events_processed > 0
 
 
 def test_wall_clock_local_cluster_counts_each_downtime_window_once():

@@ -1,5 +1,5 @@
-"""Unit tests for the runtime seam: the runtime contract on the Simulator and
-AsyncioRuntime, transports bound to them, codec, dispatch."""
+"""Unit tests for the runtime seam: the runtime contract on the Simulator under
+both clocks, transports bound to it, codec, dispatch."""
 
 from __future__ import annotations
 
@@ -15,10 +15,9 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.faults import AdversarialDelay, FaultyTransport, FixedDelay, NetworkConfig
 from repro.runtime import (
-    AsyncioRuntime,
     LocalTransport,
     MonotonicClock,
-    Runtime,
+    WallClockKernel,
     WireCodecError,
     default_codec,
 )
@@ -29,31 +28,29 @@ from repro.runtime.transports import Envelope
 
 
 # ----------------------------------------------------------------------
-# The runtime contract, on both runtimes
+# The runtime contract: the Simulator on both clocks
 # ----------------------------------------------------------------------
-def _on_simulator():
+def _on_virtual_clock():
     sim = Simulator(seed=0)
 
     async def advance(seconds):
         sim.run(until=sim.now + seconds)
 
-    return sim, advance, 0.0
+    return sim, advance
 
 
-def _on_asyncio():
+def _on_wall_clock():
     async def advance(seconds):
         await asyncio.sleep(seconds)
 
-    # A loop timer may fire up to the monotonic clock's resolution before
-    # its due time (asyncio's own end-of-tick slack).
-    return AsyncioRuntime(), advance, time.get_clock_info("monotonic").resolution + 1e-9
+    return WallClockKernel(MonotonicClock()), advance
 
 
-@pytest.mark.parametrize("make", [_on_simulator, _on_asyncio], ids=["simulator", "asyncio"])
+@pytest.mark.parametrize("make", [_on_virtual_clock, _on_wall_clock], ids=["simulator", "wall_clock"])
 def test_every_runtime_honours_the_contract(make):
     async def exercise():
-        runtime, advance, slack = make()
-        assert isinstance(runtime, Runtime)
+        runtime, advance = make()
+        assert isinstance(runtime, Simulator)
         fired = []
 
         # Timers never fire early, relative or absolute.
@@ -70,7 +67,7 @@ def test_every_runtime_honours_the_contract(make):
         assert not doomed.pending
         await advance(0.1)
         assert [kind for kind, _ in fired] == ["abs", "rel"]
-        assert all(lateness >= -slack for _, lateness in fired)
+        assert all(lateness >= 0.0 for _, lateness in fired)
 
         # spawn runs after the current callback; zero-delay call_after is FIFO.
         order = []
@@ -87,13 +84,13 @@ def test_every_runtime_honours_the_contract(make):
 
         # The one divergence: a past absolute time.
         past = []
-        if isinstance(runtime, Simulator):
-            with pytest.raises(SimulationError, match="before now"):
-                runtime.set_timer_at(runtime.now - 0.01, past.append, "past")
-        else:
+        if isinstance(runtime, WallClockKernel):
             runtime.set_timer_at(runtime.now - 0.01, past.append, "past")
             await advance(0.05)
             assert past == ["past"]
+        else:
+            with pytest.raises(SimulationError, match="before now"):
+                runtime.set_timer_at(runtime.now - 0.01, past.append, "past")
 
     asyncio.run(exercise())
 
@@ -289,10 +286,10 @@ def test_local_clock_runs_on_a_transport_runtime():
 
 
 # ----------------------------------------------------------------------
-# AsyncioRuntime: wall clock
+# The kernel on the wall clock
 # ----------------------------------------------------------------------
 def test_wall_clock_runtime_requires_loop_for_timers():
-    runtime = AsyncioRuntime()
+    runtime = WallClockKernel()
     assert isinstance(runtime.clock, MonotonicClock)
     with pytest.raises(RuntimeError):
         runtime.set_timer(0.1, lambda: None)  # no running loop
@@ -304,7 +301,7 @@ def test_wall_clock_set_timer_at_clamps_past_times():
     # must fire immediately instead of raising (unlike virtual mode, where
     # time cannot advance in between and a past target is a real bug).
     async def scenario():
-        runtime = AsyncioRuntime(clock=MonotonicClock())
+        runtime = WallClockKernel(MonotonicClock())
         fired = []
         runtime.set_timer_at(runtime.now - 1.0, lambda: fired.append("past"))
         await asyncio.sleep(0.1)
@@ -316,7 +313,7 @@ def test_wall_clock_set_timer_at_clamps_past_times():
 def test_wall_clock_runtime_fires_timers_and_delivers():
     async def scenario():
         transport = LocalTransport(delay=0.01)
-        runtime = AsyncioRuntime(clock=MonotonicClock())
+        runtime = WallClockKernel(MonotonicClock())
         transport.bind(runtime)
         sink = _Sink(0)
         transport.register(sink)
@@ -332,6 +329,49 @@ def test_wall_clock_runtime_fires_timers_and_delivers():
     assert fired == ["t"]
     assert received == [("self", 0)]
     assert events == 2  # the timer and the delivery
+
+
+def test_wall_clock_zero_delay_work_runs_after_a_timer_already_due():
+    """A zero-delay ``call_after`` armed inside a callback is pushed at the
+    clock's reading, so it runs after every entry that was already due,
+    here a timer whose time passed while the first callback ran."""
+
+    async def scenario():
+        runtime = WallClockKernel(MonotonicClock())
+        order = []
+
+        def first():
+            runtime.set_timer(0.001, order.append, "due timer")
+            time.sleep(0.005)  # the timer falls due while this callback runs
+            runtime.call_after(0.0, order.append, "zero delay")
+            order.append("first returned")
+
+        runtime.set_timer(0.0, first)
+        await asyncio.sleep(0.05)
+        return order
+
+    assert asyncio.run(scenario()) == ["first returned", "due timer", "zero delay"]
+
+
+def test_wall_clock_call_next_runs_first_in_the_next_pass():
+    """``call_next`` (the shm drain's continuation) runs after the entries
+    due in the current pass and ahead of the zero-delay work queued in it."""
+
+    async def scenario():
+        runtime = WallClockKernel(MonotonicClock())
+        order = []
+
+        def first():
+            runtime.call_after(0.0, order.append, "zero delay")
+            runtime.call_next(order.append, "next")
+            order.append("first returned")
+
+        runtime.set_timer(0.0, first)
+        runtime.set_timer(0.0, order.append, "due")
+        await asyncio.sleep(0.05)
+        return order
+
+    assert asyncio.run(scenario()) == ["first returned", "due", "next", "zero delay"]
 
 
 # ----------------------------------------------------------------------

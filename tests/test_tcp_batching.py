@@ -21,7 +21,7 @@ import pytest
 from repro.consensus.blocks import Block
 from repro.consensus.messages import Proposal
 from repro.metrics.collector import MetricsCollector
-from repro.runtime import AsyncioRuntime, MonotonicClock, TcpTransport
+from repro.runtime import MonotonicClock, TcpTransport, WallClockKernel
 from repro.runtime.codec import MAX_FRAME_BYTES, WireCodec, _register_library_messages
 
 
@@ -167,7 +167,7 @@ async def _start_nodes(codecs):
     transports = [TcpTransport(pid, codec=codec) for pid, codec in enumerate(codecs)]
     sinks = [_Sink(pid) for pid in range(len(codecs))]
     for transport, sink in zip(transports, sinks):
-        transport.bind(AsyncioRuntime(clock=MonotonicClock()))
+        transport.bind(WallClockKernel(MonotonicClock()))
         transport.register(sink)
     peers = {t.pid: await t.start_server() for t in transports}
     for transport in transports:
@@ -216,6 +216,37 @@ def test_co_located_tcp_nodes_decode_a_broadcast_once():
     assert sinks[2].received[1][1].block.payload == ("tx", "b")
     assert sum(t.frames_decoded for t in transports) == 3
     assert codec.frames.sharers == 0 and len(codec.frames) == 0  # emptied on the way out
+
+
+@pytest.mark.tcp
+def test_a_delivery_that_raises_is_recorded_and_the_reader_reads_on():
+    """The reader hands each frame to the replica itself: an exception the
+    delivery raises lands in ``last_errors`` and the next frame arrives."""
+    codecs = [_register_library_messages(_SpyCodec()) for _ in range(2)]
+
+    async def run():
+        transports, sinks = await _start_nodes(codecs)
+        deliver = sinks[1].deliver
+
+        def explode_once(payload, sender):
+            sinks[1].deliver = deliver
+            raise RuntimeError("replica exploded")
+
+        sinks[1].deliver = explode_once
+        try:
+            for tag in "ab":
+                transports[0].send(0, 1, _proposal(tag))
+            await _wait_until(lambda: len(sinks[1].received) == 1)
+        finally:
+            for transport in transports:
+                await transport.stop()
+        return transports, sinks
+
+    transports, sinks = asyncio.run(run())
+    assert sinks[1].received[0][1].block.payload == ("tx", "b")
+    assert len(transports[1].last_errors) == 1
+    assert transports[1].last_errors[0].startswith("tcp-deliver-0->1: ")
+    assert "replica exploded" in transports[1].last_errors[0]
 
 
 @pytest.mark.tcp

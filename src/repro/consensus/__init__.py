@@ -13,7 +13,7 @@ from repro.consensus.engine import ChainedHotStuff, ConsensusEngine
 from repro.consensus.ledger import Ledger
 from repro.consensus.mempool import Mempool
 from repro.consensus.messages import ConsensusMessage, NewView, Proposal, QCAnnounce, Vote
-from repro.consensus.quorum import QuorumCertificate, VoteAggregator
+from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.consensus.replica import Replica
 from repro.consensus.safety import SafetyRules
 
@@ -32,6 +32,6 @@ __all__ = [
     "QuorumCertificate",
     "Replica",
     "SafetyRules",
+    "ShareCollector",
     "Vote",
-    "VoteAggregator",
 ]

@@ -31,7 +31,7 @@ from repro.consensus.messages import (
     QCAnnounce,
     Vote,
 )
-from repro.consensus.quorum import QuorumCertificate, VoteAggregator, release_below
+from repro.consensus.quorum import QuorumCertificate, ShareCollector, release_below
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking only
     from repro.consensus.replica import Replica
@@ -69,15 +69,18 @@ class ChainedHotStuff(ConsensusEngine):
 
     def __init__(self, replica: "Replica") -> None:
         super().__init__(replica)
-        self.aggregator = VoteAggregator(replica.scheme, replica.config.quorum_size)
+        # Votes for the views this replica leads; a QC forms when a view's
+        # count reaches the quorum, so once per view.
+        self.votes = ShareCollector(replica.scheme, replica.config.quorum_size)
         # Proposals received for views we have not entered yet.
         self._pending_proposals: dict[int, tuple[Proposal, int]] = {}
         # Blocks whose parent we have not seen yet, keyed by the missing parent id.
         self._orphans: dict[str, list[Block]] = {}
         # Highest QCs reported via NewView, per view, per sender.
         self._new_view_qcs: dict[int, dict[int, Optional[QuorumCertificate]]] = {}
-        self._proposed_views: set[int] = set()
-        self._announced_qcs: set[int] = set()
+        # View -> the block this leader proposed in it: the one block its
+        # votes may be for (None: it proposed no single block).
+        self._proposed_views: dict[int, Optional[str]] = {}
         self._learned_qcs: set[tuple[int, str]] = set()
         # Bit v: the QC of view v, now below the floor, was learned (a view
         # has one QC: two would share an honest voter).  A bytearray set in
@@ -85,7 +88,6 @@ class ChainedHotStuff(ConsensusEngine):
         # prefix can be folded away, and an int mask would be copied whole
         # by every ``|=``.
         self._learned_below = bytearray()
-        self._voted_views: set[int] = set()
         # The floor the int-keyed tables above were last released below
         # (None before the first release).
         self._released: Optional[int] = None
@@ -137,8 +139,7 @@ class ChainedHotStuff(ConsensusEngine):
         replica first sees QC(v) after committing past v, and that counts."""
         release_below(
             floor, self._pending_proposals, self._new_view_qcs,
-            self._proposed_views, self._announced_qcs, self._voted_views,
-            lowest=self._released,
+            self._proposed_views, lowest=self._released,
         )
         self._released = floor
         learned = self._learned_below
@@ -148,7 +149,7 @@ class ChainedHotStuff(ConsensusEngine):
                     learned.extend(bytes((view >> 3) - len(learned) + 1))
                 learned[view >> 3] |= 1 << (view & 7)
         release_below((floor,), self._learned_qcs)
-        self.aggregator.release_below(floor)
+        self.votes.release_below(floor)
         if self._orphans:
             self._orphans = {
                 parent_id: kept
@@ -232,7 +233,7 @@ class ChainedHotStuff(ConsensusEngine):
         parent = self._parent_for(justify)
         if parent is None:
             return
-        self._proposed_views.add(view)
+        self._proposed_views[view] = None
 
         if self.behaviour.suppress_proposal(view):
             self.replica.trace("proposal_suppressed", view)
@@ -250,6 +251,7 @@ class ChainedHotStuff(ConsensusEngine):
             payload=replica.mempool.next_batch(),
             justify_view=justify.view if justify is not None else -1,
         )
+        self._proposed_views[view] = block.block_id
         proposal = Proposal(view=view, block=block, justify=justify)
         self._send_after(delay, lambda: replica.broadcast(proposal))
         replica.trace("proposal_sent", view)
@@ -309,13 +311,25 @@ class ChainedHotStuff(ConsensusEngine):
     # Replica logic
     # ------------------------------------------------------------------
     def _handle_proposal(self, msg: Proposal, sender: int) -> None:
+        """Store and vote on a proposal from its view's leader whose block
+        is of its view and extends its justify, and whose justify
+        verifies; drop any other."""
         replica = self.replica
         leader = replica.leader_of(msg.view)
-        if sender != leader or msg.block.proposer != leader:
+        block, justify = msg.block, msg.justify
+        if sender != leader or block.proposer != leader:
             return
-        if msg.justify is not None:
-            self._learn_qc(msg.justify)
-        self._store_block(msg.block)
+        if justify is None:
+            extends = block.parent_id == GENESIS_ID and block.justify_view == -1
+        else:
+            extends = (
+                self._learn_qc(justify)
+                and block.parent_id == justify.block_id
+                and block.justify_view == justify.view
+            )
+        if block.view != msg.view or not extends:
+            return
+        self._store_block(block)
         current = replica.current_view
         if msg.view > current:
             self._pending_proposals[msg.view] = (msg, sender)
@@ -332,13 +346,10 @@ class ChainedHotStuff(ConsensusEngine):
             # via a QCAnnounce shortly.
             self._orphans.setdefault(block.parent_id, []).append(block)
             return
-        if msg.view in self._voted_views:
-            return
         if not self.safety.safe_to_vote(block, msg.justify):
             return
         if self.behaviour.suppress_vote(msg.view):
             return
-        self._voted_views.add(msg.view)
         self.safety.record_vote(block)
         message = ("qc", msg.view, block.block_id)
         partial = replica.scheme.partial_sign(replica.signing_key, message)
@@ -346,21 +357,25 @@ class ChainedHotStuff(ConsensusEngine):
         replica.send(replica.leader_of(msg.view), vote)
 
     def _handle_vote(self, msg: Vote, sender: int) -> None:
-        replica = self.replica
-        if replica.leader_of(msg.view) != replica.pid or msg.view < replica.floor:
+        """Count a vote for the block this leader proposed in the vote's
+        view; a vote for any other block is refused before any digest."""
+        replica, view = self.replica, msg.view
+        if replica.leader_of(view) != replica.pid or view < replica.floor:
             return
-        qc = self.aggregator.add_vote(msg.view, msg.block_id, msg.partial)
-        if qc is not None:
-            self._on_qc_formed(qc)
+        block_id = self._proposed_views.get(view)
+        if block_id is None or msg.block_id != block_id:
+            return
+        message = ("qc", view, block_id)
+        if self.votes.add(view, sender, msg.partial, message) == self.votes.quorum:
+            aggregate = self.votes.combine(view, message)
+            self._on_qc_formed(QuorumCertificate(view=view, block_id=block_id, aggregate=aggregate))
 
     def _on_qc_formed(self, qc: QuorumCertificate) -> None:
+        """The view's votes reached the quorum (once per view)."""
         replica = self.replica
-        if qc.view in self._announced_qcs:
-            return
         if not replica.pacemaker.may_produce_qc(qc.view):
             replica.trace("qc_withheld_past_deadline", qc.view)
             return
-        self._announced_qcs.add(qc.view)
         block = self.tree.get(qc.block_id)
         replica.on_qc_produced(qc)
         if self.behaviour.suppress_qc_broadcast(qc.view):
@@ -406,12 +421,15 @@ class ChainedHotStuff(ConsensusEngine):
             learned[view >> 3] >> (view & 7) & 1
         )
 
-    def _learn_qc(self, qc: QuorumCertificate) -> None:
+    def _learn_qc(self, qc: QuorumCertificate) -> bool:
+        """Learn ``qc`` the first time it verifies; whether it verifies."""
         key = (qc.view, qc.block_id)
-        if key in self._learned_qcs or self._learned_below_floor(qc.view):
-            return
+        if key in self._learned_qcs:
+            return True
         if not self.replica.scheme.verify(qc.aggregate, qc.message(), self.config.quorum_size):
-            return
+            return False
+        if self._learned_below_floor(qc.view):
+            return True
         self._learned_qcs.add(key)
         self.safety.update_high_qc(qc)
         for committed in self.safety.commit_candidate(qc):
@@ -419,6 +437,7 @@ class ChainedHotStuff(ConsensusEngine):
         self.replica.on_qc_observed(qc)
         # Observing a QC may unblock our own proposal for the view we lead.
         self._maybe_propose(self.replica.current_view)
+        return True
 
     # ------------------------------------------------------------------
     # Helpers

@@ -1,4 +1,4 @@
-"""Quorum certificates and vote aggregation.
+"""Quorum certificates and the one share collector.
 
 A Quorum Certificate (QC) for a view ``v`` is a threshold signature by
 ``2f + 1`` distinct processors over ``(view, block_id)``.  Producing a QC is
@@ -6,15 +6,19 @@ what the paper calls "the successful completion of a view": the pacemakers
 treat QC arrival as the signal to advance or bump clocks, and the complexity
 measures are defined in terms of the first post-GST QC produced by an honest
 leader.
+
+Every share towards a certificate, a vote or a pacemaker's view message, is
+checked and counted by :class:`ShareCollector`, and
+:func:`release_below` frees every per-view table at the committed-view
+floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.crypto.threshold import PartialSignature, ThresholdScheme, ThresholdSignature
-from repro.errors import ThresholdError
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,46 +80,60 @@ def _walk_below(floor, table) -> None:
         discard(key)
 
 
-class VoteAggregator:
-    """Collects votes per ``(view, block_id)`` and forms a QC at quorum.
+class ShareCollector:
+    """Checks and counts signed shares per view: the one share collector.
 
-    Each leader owns one aggregator.  Votes from duplicate signers are
-    ignored; the QC is formed at most once per (view, block), which frees
-    the bucket of shares.
+    Every certificate says that ``quorum`` distinct processors signed one
+    message.  The engine's votes (a QC, ``2f+1``, at the view's leader) and
+    every pacemaker's view messages (Lumiere's and Fever's View
+    Certificates, the LP22 / RareSync Epoch Certificate and the Cogsworth /
+    Naor-Keidar relay certificate; Lumiere's TC and EC and backoff's two
+    crossings, counted at every processor) go through one of these.
+
+    A share counts once, and only if its signer is its sender,
+    :meth:`ThresholdScheme.verify_partial` accepts it over the message the
+    caller expects, and the view does not hold ``quorum`` shares yet.  The
+    checks run cheapest first: a refused sender or a full view costs two
+    dict lookups, not a digest.  :meth:`add` returns the number of shares
+    now held for the view, or 0 if it refused the share, so a threshold
+    ``k <= quorum`` is crossed exactly when the count equals ``k``, once per
+    view; the owner then calls :meth:`combine` if it forms a certificate.
+    Each owner keeps its own guards (view range, leadership) in front of
+    ``add``.
     """
 
-    def __init__(self, scheme: ThresholdScheme, quorum_size: int) -> None:
+    def __init__(self, scheme: ThresholdScheme, quorum: int) -> None:
         self.scheme = scheme
-        self.quorum_size = quorum_size
-        self._partials: dict[tuple[int, str], dict[int, PartialSignature]] = {}
-        self._formed: set[tuple[int, str]] = set()
+        self.quorum = quorum
+        self._shares: dict[int, dict[int, PartialSignature]] = {}
+        # The floor these shares were last released below (None before the
+        # first release).
+        self._released: Optional[int] = None
 
-    def add_vote(
-        self, view: int, block_id: str, partial: PartialSignature
-    ) -> Optional[QuorumCertificate]:
-        """Record a vote; return a freshly formed QC if this vote completed a quorum."""
-        key = (view, block_id)
-        if key in self._formed:
-            return None
-        message = ("qc", view, block_id)
+    def add(self, view: int, sender: int, partial: PartialSignature, message: Any) -> int:
+        """Count ``sender``'s share over ``message`` for ``view``; the count
+        now held, or 0 if the share was refused."""
+        if partial.signer != sender:
+            return 0
+        shares = self._shares.get(view)
+        if shares is not None and (sender in shares or len(shares) >= self.quorum):
+            return 0
         if not self.scheme.verify_partial(partial, message):
-            return None
-        bucket = self._partials.setdefault(key, {})
-        bucket[partial.signer] = partial
-        if len(bucket) < self.quorum_size:
-            return None
-        try:
-            aggregate = self.scheme.combine(list(bucket.values()), self.quorum_size, message)
-        except ThresholdError:
-            return None
-        self._formed.add(key)
-        del self._partials[key]
-        return QuorumCertificate(view=view, block_id=block_id, aggregate=aggregate)
+            return 0
+        if shares is None:
+            shares = self._shares[view] = {}
+        shares[sender] = partial
+        return len(shares)
+
+    def combine(self, view: int, message: Any) -> ThresholdSignature:
+        """The certificate over ``message`` from ``view``'s ``quorum`` shares."""
+        return self.scheme.combine(list(self._shares[view].values()), self.quorum, message)
+
+    def count(self, view: int) -> int:
+        """Number of shares counted for ``view`` (at most ``quorum``)."""
+        return len(self._shares.get(view, ()))
 
     def release_below(self, floor: int) -> None:
-        """Drop every bucket and formed-marker of a view below ``floor``."""
-        release_below((floor,), self._partials, self._formed)
-
-    def votes_for(self, view: int, block_id: str) -> int:
-        """How many distinct votes have been collected for (view, block)."""
-        return len(self._partials.get((view, block_id), {}))
+        """Forget every view below ``floor``."""
+        release_below(floor, self._shares, lowest=self._released)
+        self._released = floor

@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
-from repro.consensus.quorum import QuorumCertificate
-from repro.core.certificates import CertificateCollector, EpochMessageCollector
+from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.core.config import LumiereConfig
 from repro.core.leader_schedule import LeaderSchedule
 from repro.core.messages import (
@@ -69,15 +68,9 @@ class LumierePacemaker(Pacemaker):
         self.leader_of = self.schedule.leader_of
         self.success = SuccessTracker(self.cfg, self.leader_of)
         scheme = replica.scheme
-        self._vc_collector = self._per_view(CertificateCollector(
-            scheme, config.small_quorum_size, view_message_payload
-        ))
-        self._epoch_collector = EpochMessageCollector(
-            scheme,
-            tc_threshold=config.small_quorum_size,
-            ec_threshold=config.quorum_size,
-            payload_fn=epoch_view_message_payload,
-        )
+        self._vc_collector = self._per_view(ShareCollector(scheme, config.small_quorum_size))
+        # Counts epoch-view messages up to an EC; f+1 of them make a TC.
+        self._epoch_collector = ShareCollector(scheme, config.quorum_size)
         # Protocol state --------------------------------------------------
         self._current_epoch = -1
         self._view_msgs_sent = self._per_view(FirstSight())
@@ -174,14 +167,15 @@ class LumierePacemaker(Pacemaker):
             return
         if view < self._current_view:
             return  # line 32 requires v >= view(p)
-        aggregate = self._vc_collector.add(view, sender, msg.partial)
-        if aggregate is None:
+        collector = self._vc_collector
+        payload = view_message_payload(view)
+        if collector.add(view, sender, msg.partial, payload) != collector.quorum:
             return
         # Line 33-34: form the VC and send it to all processors.
         self._note_deadline_start(view)
         if self.replica.behaviour.suppress_view_sync("vc", view):
             return
-        self.broadcast(ViewCertificate(view=view, aggregate=aggregate))
+        self.broadcast(ViewCertificate(view=view, aggregate=collector.combine(view, payload)))
         self.trace("lumiere_vc_sent", view)
 
     def _on_view_certificate(self, msg: ViewCertificate, sender: int) -> None:
@@ -216,10 +210,12 @@ class LumierePacemaker(Pacemaker):
             return
         if self.cfg.epoch_of(view) < self.cfg.epoch_of(self.replica.floor):
             return  # an epoch left behind: lines 16 and 23 would return at once
-        tc_now, ec_now = self._epoch_collector.add(view, sender, msg.partial)
-        if tc_now:
+        count = self._epoch_collector.add(
+            view, sender, msg.partial, epoch_view_message_payload(view)
+        )
+        if count == self.config.small_quorum_size:
             self._on_timeout_certificate(view)
-        if ec_now:
+        if count == self.config.quorum_size:
             self._on_epoch_certificate(view)
 
     def _on_timeout_certificate(self, view: int) -> None:

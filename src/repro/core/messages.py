@@ -15,7 +15,7 @@ Three wire messages exist:
 Timeout Certificates (``f+1`` epoch-view messages) and Epoch Certificates
 (``2f+1`` epoch-view messages) are not separate wire messages: every
 processor assembles them locally from the broadcast epoch-view messages it
-receives (see :mod:`repro.core.certificates`).
+receives (:class:`repro.consensus.quorum.ShareCollector` counts them).
 """
 
 from __future__ import annotations

@@ -186,19 +186,25 @@ class ThresholdScheme:
     ) -> bool:
         """Check one share against the PKI.
 
-        With the verified cache on, a share this scheme minted
-        (:meth:`partial_sign` remembers each) is known valid without a
-        recomputation: the leader of a view finds its co-located voters'
-        shares there.  ``message_digest`` lets loop-shaped callers
-        (``combine``, the certificate collectors) canonicalise the message
-        once; it must be the caller's own digest of ``message``, never one
-        read off the wire.
+        A share is valid only for the key that signed it: one whose
+        ``signer`` is not its signature's signer, or whose two digests
+        differ, is refused before any key is read.  With the verified
+        cache on, a share this scheme minted (:meth:`partial_sign`
+        remembers each) is known valid without a recomputation: the leader
+        of a view finds its co-located voters' shares there.
+        ``message_digest`` lets a caller canonicalise the message once; it
+        must be the caller's own digest of ``message``, never one read off
+        the wire.
         """
         if message_digest is None:
             message_digest = self.message_digest(message)
-        if partial.message_digest != message_digest:
-            return False
         signature = partial.signature
+        if (
+            partial.message_digest != message_digest
+            or signature.message_digest != message_digest
+            or partial.signer != signature.signer
+        ):
+            return False
         if self._verified is not None:
             key = (signature.proof, message_digest, signature.signer)
             if key in self._verified or key in self._verified_before:
@@ -226,14 +232,19 @@ class ThresholdScheme:
         outcome is bit-identical to the historical behaviour: the fast path
         only ever accepts sets of shares the slow path would also accept.
 
-        Raises :class:`ThresholdError` if there are fewer than ``threshold``
-        *distinct valid* signers.
+        A share counts only for the key that verified it: one whose
+        ``signer`` is not its signature's signer is not counted, on either
+        path.  Raises :class:`ThresholdError` if there are fewer than
+        ``threshold`` *distinct valid* signers.
         """
         if threshold <= 0:
             raise ThresholdError(f"threshold must be positive, got {threshold}")
         if message_digest is None:
             message_digest = self.message_digest(message)
-        matching = [p for p in partials if p.message_digest == message_digest]
+        matching = [
+            p for p in partials
+            if p.message_digest == message_digest and p.signer == p.signature.signer
+        ]
         valid_signers: set[int] = set()
         batched = False
         if self.batch_verify and matching:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
-from repro.consensus.quorum import QuorumCertificate
-from repro.core.certificates import EpochMessageCollector
+from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.crypto.threshold import PartialSignature
 from repro.errors import ConfigurationError
 from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
@@ -80,9 +79,11 @@ class ExponentialBackoffPacemaker(RoundRobinLeaderMixin, Pacemaker):
         super().__init__(replica, config)
         self.cfg = backoff_config or ExponentialBackoffConfig(protocol=config)
         self._timeout = self.cfg.base_timeout
-        self._view_change_collector = self._per_view(EpochMessageCollector(
-            replica.scheme, config.small_quorum_size, config.quorum_size, backoff_payload
-        ))
+        # Counts view changes up to 2f+1 ("enter the view"); f+1 of them
+        # make this processor join the complaint.
+        self._view_change_collector = self._per_view(
+            ShareCollector(replica.scheme, config.quorum_size)
+        )
         self._view_change_sent = self._per_view(FirstSight())
         self._view_timer: Optional[LocalTimer] = None
 
@@ -135,11 +136,11 @@ class ExponentialBackoffPacemaker(RoundRobinLeaderMixin, Pacemaker):
         view = msg.view
         if view <= self._current_view:
             return
-        join, enter = self._view_change_collector.add(view, sender, msg.partial)
+        count = self._view_change_collector.add(view, sender, msg.partial, backoff_payload(view))
         # Amplification: join the complaint once f+1 processors raised it.
-        if join:
+        if count == self.config.small_quorum_size:
             self._send_view_change(view)
-        if enter:
+        if count == self.config.quorum_size:
             self._enter(view, reset_timeout=False)
 
     # ------------------------------------------------------------------

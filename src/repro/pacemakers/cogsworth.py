@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
-from repro.consensus.quorum import QuorumCertificate
-from repro.core.certificates import CertificateCollector
+from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
 from repro.errors import ConfigurationError
 from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
@@ -107,9 +106,9 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
     ) -> None:
         super().__init__(replica, config)
         self.cfg = cogsworth_config or CogsworthConfig(protocol=config)
-        self._relay_collector = self._per_view(CertificateCollector(
-            replica.scheme, config.small_quorum_size, cogsworth_wish_payload
-        ))
+        self._relay_collector = self._per_view(
+            ShareCollector(replica.scheme, config.small_quorum_size)
+        )
         self._cert_seen = self._per_view(FirstSight())
         self._wished_relays: dict[int, int] = self._per_view({})  # view -> relays contacted
         self._view_timer: Optional[LocalTimer] = None
@@ -193,12 +192,13 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
         view = msg.view
         if view <= 0 or view < self.replica.floor:
             return
-        aggregate = self._relay_collector.add(view, sender, msg.partial)
-        if aggregate is None:
+        collector = self._relay_collector
+        payload = cogsworth_wish_payload(view)
+        if collector.add(view, sender, msg.partial, payload) != collector.quorum:
             return
         if self.replica.behaviour.suppress_view_sync("relay", view):
             return
-        self.broadcast(RelayCertificate(view=view, aggregate=aggregate))
+        self.broadcast(RelayCertificate(view=view, aggregate=collector.combine(view, payload)))
 
     def _on_certificate(self, msg: RelayCertificate) -> None:
         view = msg.view

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
-from repro.consensus.quorum import QuorumCertificate
-from repro.core.certificates import CertificateCollector
+from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
 from repro.errors import ConfigurationError
 from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, PairedLeaderMixin
@@ -94,9 +93,9 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
         super().__init__(replica, config)
         self.cfg = fever_config or FeverConfig(protocol=config)
         self._view_msgs_sent = self._per_view(FirstSight())
-        self._vc_collector = self._per_view(CertificateCollector(
-            replica.scheme, config.small_quorum_size, fever_view_payload
-        ))
+        self._vc_collector = self._per_view(
+            ShareCollector(replica.scheme, config.small_quorum_size)
+        )
         self._vc_seen = self._per_view(FirstSight())
 
     def clock_time(self, view: int) -> float:
@@ -128,10 +127,12 @@ class FeverPacemaker(PairedLeaderMixin, Pacemaker):
             return
         if self.leader_of(view) != self.pid or view < self._current_view:
             return
-        aggregate = self._vc_collector.add(view, sender, msg.partial)
-        if aggregate is None:
+        collector = self._vc_collector
+        payload = fever_view_payload(view)
+        if collector.add(view, sender, msg.partial, payload) != collector.quorum:
             return
         if not self.replica.behaviour.suppress_view_sync("vc", view):
+            aggregate = collector.combine(view, payload)
             self.broadcast(FeverViewCertificate(view=view, aggregate=aggregate))
 
     def _on_view_certificate(self, msg: FeverViewCertificate, sender: int) -> None:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
-from repro.consensus.quorum import QuorumCertificate
-from repro.core.certificates import CertificateCollector
+from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
 from repro.errors import ConfigurationError
 from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
@@ -105,9 +104,7 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
         self._epoch_msgs_sent = self._per_view(FirstSight())
         self._ec_seen = self._per_view(FirstSight())
         self._epoch_clock_handled = self._per_view(FirstSight())
-        self._ec_collector = self._per_view(CertificateCollector(
-            replica.scheme, config.quorum_size, lp22_epoch_payload
-        ))
+        self._ec_collector = self._per_view(ShareCollector(replica.scheme, config.quorum_size))
 
     # ------------------------------------------------------------------
     # Shorthands
@@ -167,10 +164,12 @@ class LP22Pacemaker(RoundRobinLeaderMixin, Pacemaker):
             return
         if self._current_view >= view:
             return  # only processors in a lower view aggregate
-        aggregate = self._ec_collector.add(view, sender, msg.partial)
-        if aggregate is None:
+        collector = self._ec_collector
+        payload = lp22_epoch_payload(view)
+        if collector.add(view, sender, msg.partial, payload) != collector.quorum:
             return
         if not self.replica.behaviour.suppress_view_sync("ec", view):
+            aggregate = collector.combine(view, payload)
             self.broadcast(LP22EpochCertificate(view=view, aggregate=aggregate))
         # Broadcasting to all includes ourselves, which handles our own entry.
 

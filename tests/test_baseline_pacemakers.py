@@ -4,12 +4,13 @@ Table 1 and Figure 1 rest on."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.consensus.blocks import Block
-from repro.consensus.messages import NewView, Proposal, QCAnnounce
-from repro.consensus.quorum import QuorumCertificate
-from repro.core.certificates import CertificateCollector, EpochMessageCollector
+from repro.consensus.blocks import Block, GENESIS_ID
+from repro.consensus.messages import NewView, Proposal, QCAnnounce, Vote
+from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.core.messages import ViewCertificate, ViewMessage, view_message_payload
 from repro.faults.attacks import spread_corruption, worst_case_clock_dispersion_model
 from repro.faults.behaviours import SilentLeaderBehaviour
@@ -25,7 +26,7 @@ from repro.pacemakers.fever import FeverViewCertificate, FeverViewMessage, fever
 from repro.pacemakers.lp22 import LP22EpochCertificate, LP22EpochViewMessage, lp22_epoch_payload
 from repro.pacemakers.registry import available_pacemakers, make_pacemaker_factory
 from repro.config import ProtocolConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ThresholdError
 
 
 def scenario(pacemaker, n=4, duration=250.0, **kwargs) -> ScenarioConfig:
@@ -200,38 +201,63 @@ def test_lumiere_eventual_communication_beats_lp22_per_decision():
 # A share delivered under another sender's name counts for nothing
 # ----------------------------------------------------------------------
 REPLAY_PATHS = {
-    # pacemaker: (share message, signed payload, the quorum of each crossing)
-    "lumiere": (ViewMessage, view_message_payload, ("small_quorum_size",)),
-    "fever": (FeverViewMessage, fever_view_payload, ("small_quorum_size",)),
-    "lp22": (LP22EpochViewMessage, lp22_epoch_payload, ("quorum_size",)),
-    "cogsworth": (WishMessage, cogsworth_wish_payload, ("small_quorum_size",)),
+    # path: (pacemaker, share message, signed payload, the quorum of each
+    # crossing)
+    "lumiere": ("lumiere", ViewMessage, view_message_payload, ("small_quorum_size",)),
+    "fever": ("fever", FeverViewMessage, fever_view_payload, ("small_quorum_size",)),
+    "lp22": ("lp22", LP22EpochViewMessage, lp22_epoch_payload, ("quorum_size",)),
+    "cogsworth": ("cogsworth", WishMessage, cogsworth_wish_payload, ("small_quorum_size",)),
     # Join the complaint, then enter the view.
-    "backoff": (ViewChangeMessage, backoff_payload, ("small_quorum_size", "quorum_size")),
+    "backoff": (
+        "backoff", ViewChangeMessage, backoff_payload, ("small_quorum_size", "quorum_size"),
+    ),
+    # The engine's vote, for the block the view's leader proposed.
+    "vote": ("lumiere", None, None, ("quorum_size",)),
 }
 
 
-def _crossings(pacemaker, sent, view) -> tuple[bool, ...]:
-    """Which of the path's thresholds ``pacemaker`` has crossed for ``view``."""
-    if isinstance(pacemaker, ExponentialBackoffPacemaker):
+def _crossings(replica, sent, view) -> tuple[bool, ...]:
+    """Which of the path's thresholds ``replica`` has crossed for ``view``."""
+    if isinstance(replica.pacemaker, ExponentialBackoffPacemaker):
         joined = any(isinstance(msg, ViewChangeMessage) and msg.view == view for msg in sent)
-        return (joined, pacemaker.current_view == view)
-    certificates = (ViewCertificate, FeverViewCertificate, LP22EpochCertificate, RelayCertificate)
+        return (joined, replica.current_view == view)
+    certificates = (
+        ViewCertificate, FeverViewCertificate, LP22EpochCertificate, RelayCertificate, QCAnnounce,
+    )
     return (any(isinstance(msg, certificates) and msg.view == view for msg in sent),)
 
 
-@pytest.mark.parametrize("pacemaker", sorted(REPLAY_PATHS))
-def test_a_replayed_share_counts_for_nothing(pacemaker):
+def _propose(replica, sent, view) -> str:
+    """Have ``replica``, the leader of ``view``, enter it and propose on a
+    quorum of NewViews (``sent`` collects its broadcasts); the id of the
+    block it proposed."""
+    replica.pacemaker.enter_view(view)
+    for pid in range(replica.config.quorum_size):
+        replica.on_message(NewView(view=view, high_qc=None), pid)
+    return next(msg.block.block_id for msg in sent if isinstance(msg, Proposal))
+
+
+@pytest.mark.parametrize("path", sorted(REPLAY_PATHS))
+def test_a_replayed_share_counts_for_nothing(path):
     """b's valid share arriving from a is dropped without an error, and each
     threshold is crossed exactly when its count of real senders arrives."""
-    message, payload, quorums = REPLAY_PATHS[pacemaker]
+    pacemaker, message, payload, quorums = REPLAY_PATHS[path]
     result = build_scenario(scenario(pacemaker))
     view = 10  # an initial view (Fever, Lumiere) and an LP22 epoch view at n=4
     receiver = result.replicas[0].pacemaker.leader_of(view)
     replica = result.replicas[receiver]
     sent: list = []
-    replica.pacemaker.broadcast = sent.append
+    replica.broadcast = sent.append
     config = result.config.protocol_config()
     thresholds = [getattr(config, quorum) for quorum in quorums]
+    if path == "vote":
+        block_id = _propose(replica, sent, view)
+
+        def payload(view: int) -> tuple:
+            return ("qc", view, block_id)
+
+        def message(view: int, partial) -> Vote:
+            return Vote(view=view, block_id=block_id, partial=partial)
 
     def deliver(signer: int, sender: int) -> None:
         share = replica.scheme.partial_sign(
@@ -241,20 +267,42 @@ def test_a_replayed_share_counts_for_nothing(pacemaker):
 
     a, b, *others = range(config.n)
     deliver(b, a)
-    assert _crossings(replica.pacemaker, sent, view) == (False,) * len(thresholds)
+    assert _crossings(replica, sent, view) == (False,) * len(thresholds)
     collectors = [
-        table for table in vars(replica.pacemaker).values()
-        if isinstance(table, (CertificateCollector, EpochMessageCollector))
+        table for owner in (replica.engine, replica.pacemaker) for table in vars(owner).values()
+        if isinstance(table, ShareCollector)
     ]
     assert collectors and all(collector.count(view) == 0 for collector in collectors)
     for count, sender in enumerate([b, *others], start=1):
         deliver(sender, sender)
         expected = tuple(count >= threshold for threshold in thresholds)
-        assert _crossings(replica.pacemaker, sent, view) == expected, f"after {count} senders"
-    certificate = next((msg for msg in sent if hasattr(msg, "aggregate")), None)
+        assert _crossings(replica, sent, view) == expected, f"after {count} senders"
+    certificate = next(
+        (getattr(msg, "qc", msg) for msg in sent if hasattr(msg, "aggregate") or hasattr(msg, "qc")),
+        None,
+    )
     if certificate is not None:
         assert a not in certificate.aggregate.signers
         assert certificate.aggregate.size == thresholds[0]
+
+
+def test_one_signature_relabelled_as_three_votes_forms_no_qc():
+    """Replica 3 signs the vote for an honest leader's block once and sends
+    it three times, labelled as signers 0, 1 and 3: the leader counts it
+    once, for replica 3, and forms no QC."""
+    result = build_scenario(scenario("lumiere"))
+    view = next(v for v in range(10, 100, 2) if result.replicas[0].leader_of(v) != 3)
+    replica = result.replicas[result.replicas[0].leader_of(view)]
+    sent: list = []
+    replica.broadcast = sent.append
+    block_id = _propose(replica, sent, view)
+    share = replica.scheme.partial_sign(result.replicas[3].signing_key, ("qc", view, block_id))
+    for signer in (0, 1, 3):
+        vote = Vote(view=view, block_id=block_id, partial=dataclasses.replace(share, signer=signer))
+        replica.on_message(vote, 3)
+    assert replica.engine.votes.count(view) == 1
+    assert not any(isinstance(msg, QCAnnounce) for msg in sent)
+    assert replica.safety.high_qc is None
 
 
 # ----------------------------------------------------------------------
@@ -314,28 +362,102 @@ def test_a_one_signer_certificate_moves_nothing(site):
     assert state() == before
 
 
+def _relabelled_aggregate(forger, message):
+    """``forger``'s one share, relabelled as signers 0, 1 and 3 and combined
+    at the QC quorum.  ``combine`` counts a share only for the key that
+    signed it, so when it refuses, the forger relabels its one-signer
+    aggregate by hand."""
+    share = forger.scheme.partial_sign(forger.signing_key, message)
+    relabelled = [dataclasses.replace(share, signer=signer) for signer in (0, 1, 3)]
+    quorum = forger.config.quorum_size
+    try:
+        return forger.scheme.combine(relabelled, quorum, message)
+    except ThresholdError:
+        return dataclasses.replace(
+            _one_signer_aggregate(forger, message),
+            threshold=quorum, signers=frozenset({0, 1, 3}),
+        )
+
+
 @pytest.mark.parametrize("pacemaker", ["lumiere", "fever", "lp22"])
 def test_one_forged_qc_does_not_stop_the_run(pacemaker):
-    """At t=5 replica 3 announces a one-signer QC 50 views ahead, for a block
-    nobody has, to the three others; by t=60 each has committed at least
-    90 % of what it commits in the clean run."""
+    """At t=5 replica 3 announces a QC 50 views ahead, for a block nobody
+    has, to the three others: one signed by it alone, or its one share
+    relabelled as three signers.  By t=60 each has committed at least 90 %
+    of what it commits in the clean run."""
     config = scenario(pacemaker, duration=60.0, seed=0)
     clean = run_scenario(config)
-    attacked = build_scenario(config)
-    start_replicas(attacked.replicas)
-    attacked.simulator.run(until=5.0)
+    for forge in (_one_signer_aggregate, _relabelled_aggregate):
+        attacked = build_scenario(config)
+        start_replicas(attacked.replicas)
+        attacked.simulator.run(until=5.0)
+        forger = attacked.replicas[3]
+        view = forger.current_view + 50
+        qc = QuorumCertificate(
+            view=view, block_id=UNKNOWN_BLOCK,
+            aggregate=forge(forger, ("qc", view, UNKNOWN_BLOCK)),
+        )
+        for pid in range(3):
+            attacked.replicas[pid].on_message(QCAnnounce(view=view, qc=qc, block=None), 3)
+        attacked.simulator.run(until=60.0)
+        for pid in range(3):
+            commits = len(attacked.replicas[pid].ledger)
+            assert commits >= 0.9 * len(clean.replicas[pid].ledger) > 0, (
+                forge.__name__, pid, commits,
+            )
+
+
+#: How replica 3, leading a view after t=5, bends the one proposal it sends.
+MALFORMED_PROPOSALS = {
+    # The block is of a view far ahead of the proposal's.
+    "far-view": lambda block: dataclasses.replace(block, view=block.view + 10**6),
+    # The block's parent is genesis, though its justify is the high QC.
+    "genesis-parent": lambda block: dataclasses.replace(
+        block, parent_id=GENESIS_ID, justify_view=-1
+    ),
+}
+
+
+def _bent_run(pacemaker: str, bend):
+    """An n=4 run to t=60 in which replica 3 passes the first proposal with
+    a justify it broadcasts after t=5 to ``bend``, and broadcasts what
+    that returns, if anything; the run and the bent block's id."""
+    attacked = build_scenario(scenario(pacemaker, duration=60.0, seed=0))
     forger = attacked.replicas[3]
-    view = forger.current_view + 50
-    qc = QuorumCertificate(
-        view=view, block_id=UNKNOWN_BLOCK,
-        aggregate=_one_signer_aggregate(forger, ("qc", view, UNKNOWN_BLOCK)),
-    )
-    for pid in range(3):
-        attacked.replicas[pid].on_message(QCAnnounce(view=view, qc=qc, block=None), 3)
+    broadcast, bent = forger.broadcast, []
+
+    def send(msg) -> None:
+        if isinstance(msg, Proposal) and msg.justify is not None and forger.now >= 5.0 and not bent:
+            block = bend(msg.block)
+            bent.append(msg.block.block_id if block is None else block.block_id)
+            if block is None:
+                return
+            msg = Proposal(view=msg.view, block=block, justify=msg.justify)
+        broadcast(msg)
+
+    forger.broadcast = send
+    start_replicas(attacked.replicas)
     attacked.simulator.run(until=60.0)
+    assert bent, "replica 3 proposed nothing after t=5"
+    return attacked, bent[0]
+
+
+@pytest.mark.parametrize("pacemaker", ALL_PACEMAKERS)
+@pytest.mark.parametrize("malformation", sorted(MALFORMED_PROPOSALS))
+def test_a_malformed_proposal_is_dropped(pacemaker, malformation):
+    """Replica 3 sends one proposal whose block is not of the proposal's view
+    or does not extend its justify.  No replica commits that block, and by
+    t=60 each honest one has committed at least 90 % of what it commits
+    when replica 3 withholds that proposal instead.  (A failed view is what
+    a dropped proposal costs: it is Lumiere's and Fever's wait for the next
+    clock boundary, 24 s of 60 at this seed, so the clean run is no bound.)"""
+    withheld, _ = _bent_run(pacemaker, lambda block: None)
+    attacked, forged = _bent_run(pacemaker, MALFORMED_PROPOSALS[malformation])
     for pid in range(3):
-        commits = len(attacked.replicas[pid].ledger)
-        assert commits >= 0.9 * len(clean.replicas[pid].ledger) > 0, (pid, commits)
+        ledger = attacked.replicas[pid].ledger
+        assert forged not in ledger.block_ids
+        commits = len(ledger)
+        assert commits >= 0.9 * len(withheld.replicas[pid].ledger) > 0, (pid, commits)
 
 
 @pytest.mark.parametrize("site", sorted(set(FORGED_CERTIFICATES) - {"engine-qc"}))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.consensus.blocks import Block, BlockTree, GENESIS
 from repro.consensus.ledger import Ledger, ledgers_consistent
-from repro.consensus.quorum import QuorumCertificate, VoteAggregator
+from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.consensus.safety import SafetyRules
 from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
@@ -98,36 +98,40 @@ def test_every_block_in_a_chain_is_an_ancestor_of_the_tip(length, probe):
 
 
 # ----------------------------------------------------------------------
-# Vote aggregation
+# Vote aggregation (the engine's share collector)
 # ----------------------------------------------------------------------
 def test_vote_aggregator_forms_qc_at_quorum(protocol_config, pki_and_keys, scheme):
     _, keys = pki_and_keys
-    aggregator = VoteAggregator(scheme, quorum_size=3)
+    votes = ShareCollector(scheme, quorum=3)
     block_id = "abc"
     message = ("qc", 2, block_id)
-    assert aggregator.add_vote(2, block_id, scheme.partial_sign(keys[0], message)) is None
-    assert aggregator.add_vote(2, block_id, scheme.partial_sign(keys[1], message)) is None
-    qc = aggregator.add_vote(2, block_id, scheme.partial_sign(keys[2], message))
-    assert qc is not None and qc.view == 2 and qc.signers == frozenset({0, 1, 2})
-    # Further votes do not re-form the QC.
-    assert aggregator.add_vote(2, block_id, scheme.partial_sign(keys[3], message)) is None
+    for voter in range(3):
+        assert votes.add(2, voter, scheme.partial_sign(keys[voter], message), message) == voter + 1
+    qc = QuorumCertificate(view=2, block_id=block_id, aggregate=votes.combine(2, message))
+    assert qc.signers == frozenset({0, 1, 2})
+    assert scheme.verify(qc.aggregate, qc.message(), 3)
+    # A fourth vote is refused: the quorum is crossed once, so the QC is
+    # formed once.
+    assert votes.add(2, 3, scheme.partial_sign(keys[3], message), message) == 0
+    assert votes.count(2) == 3
 
 
 def test_vote_aggregator_ignores_duplicate_voters(pki_and_keys, scheme):
     _, keys = pki_and_keys
-    aggregator = VoteAggregator(scheme, quorum_size=3)
+    votes = ShareCollector(scheme, quorum=3)
     message = ("qc", 1, "b")
-    for _ in range(5):
-        assert aggregator.add_vote(1, "b", scheme.partial_sign(keys[0], message)) is None
-    assert aggregator.votes_for(1, "b") == 1
+    assert votes.add(1, 0, scheme.partial_sign(keys[0], message), message) == 1
+    for _ in range(4):
+        assert votes.add(1, 0, scheme.partial_sign(keys[0], message), message) == 0
+    assert votes.count(1) == 1
 
 
 def test_vote_aggregator_rejects_invalid_partials(pki_and_keys, scheme):
     _, keys = pki_and_keys
-    aggregator = VoteAggregator(scheme, quorum_size=2)
+    votes = ShareCollector(scheme, quorum=2)
     wrong_message = scheme.partial_sign(keys[0], ("qc", 9, "other"))
-    assert aggregator.add_vote(1, "b", wrong_message) is None
-    assert aggregator.votes_for(1, "b") == 0
+    assert votes.add(1, 0, wrong_message, ("qc", 1, "b")) == 0
+    assert votes.count(1) == 0
 
 
 # ----------------------------------------------------------------------

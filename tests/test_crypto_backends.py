@@ -8,6 +8,8 @@ verification) only change digest work, never protocol outcomes.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.config import ProtocolConfig
@@ -177,6 +179,25 @@ def test_forged_partial_from_non_owner_key_fails_verification(backend):
     good = [scheme.partial_sign(keys[i], message) for i in range(2)]
     with pytest.raises(ThresholdError):
         scheme.combine(good + [forged], threshold=3, message=message)
+
+
+@pytest.mark.parametrize("batch_verify", [True, False], ids=["batched", "per-share"])
+def test_relabelled_shares_count_for_nothing(backend, batch_verify):
+    """Replica 3's one share, relabelled as signers 0, 1 and 3, is valid only
+    for key 3: ``verify_partial`` refuses the relabelled copies and
+    ``combine`` does not count them, on either verification path."""
+    pki, keys = PKI.setup(range(4), backend=backend)
+    scheme = ThresholdScheme(pki, batch_verify=batch_verify)
+    message = ("qc", 7, "victim-block")
+    share = scheme.partial_sign(keys[3], message)
+    relabelled = [dataclasses.replace(share, signer=signer) for signer in (0, 1, 3)]
+    assert [scheme.verify_partial(p, message) for p in relabelled] == [False, False, True]
+    with pytest.raises(ThresholdError, match="got 1"):
+        scheme.combine(relabelled, threshold=3, message=message)
+    # Nor does a share whose digest differs from its signature's.
+    other = scheme.partial_sign(keys[0], ("qc", 8, "victim-block"))
+    mixed = dataclasses.replace(other, message_digest=share.message_digest)
+    assert not scheme.verify_partial(mixed, message)
 
 
 def test_key_ceremony_is_a_pure_function_of_the_pids(backend):

@@ -95,10 +95,10 @@ def _protocol_state(replica) -> dict:
     """Ledger, safety state, counters and every per-view table of ``replica``."""
     engine, pacemaker, safety = replica.engine, replica.pacemaker, replica.safety.state
     tables = {}
-    for owner in (engine, engine.aggregator, pacemaker, pacemaker.success,
+    for owner in (engine, engine.votes, pacemaker, pacemaker.success,
                   pacemaker._vc_collector, pacemaker._epoch_collector):
         for name, value in vars(owner).items():
-            if isinstance(value, (dict, set, FirstSight)) and name not in ("_handlers", "_vkeys"):
+            if isinstance(value, (dict, set, FirstSight)) and name != "_handlers":
                 rows = value.items() if isinstance(value, dict) else value
                 tables[f"{type(owner).__name__}.{name}"] = repr(sorted(rows, key=repr))
     return {
@@ -142,9 +142,18 @@ def test_frames_below_the_floor_are_no_ops(settled, recent):
     replica = settled.replicas[0]
     led = [v for v in range(1, replica.floor) if replica.leader_of(v) == 0]
     view = led[-1] if recent else led[0]
-    committed = replica.ledger.block_ids[list(replica.ledger.views).index(view)]
+    views, ids = list(replica.ledger.views), replica.ledger.block_ids
+    index = views.index(view)
+    assert index > 0
+    committed = ids[index]
     seen_qc = _quorum_qc(settled, view, committed)  # learned when the view ran
-    stale_block = Block(view=view, parent_id="unknown-parent", proposer=0, payload=("stale",))
+    # A proposal that extends its justify, so that the floor and not the
+    # proposal checks is what leaves it without effect.
+    parent_qc = _quorum_qc(settled, views[index - 1], ids[index - 1])
+    stale_block = Block(
+        view=view, parent_id=parent_qc.block_id, proposer=0, payload=("stale",),
+        justify_view=parent_qc.view,
+    )
     vote = Vote(
         view=view, block_id=committed,
         partial=replica.scheme.partial_sign(
@@ -157,7 +166,7 @@ def test_frames_below_the_floor_are_no_ops(settled, recent):
         (vote, 1),
         (NewView(view=view, high_qc=seen_qc), 1),
         (NewView(view=view, high_qc=None), 2),
-        (Proposal(view=view, block=stale_block, justify=seen_qc), 0),
+        (Proposal(view=view, block=stale_block, justify=parent_qc), 0),
         (QCAnnounce(view=view, qc=seen_qc, block=stale_block), 3),
     ):
         replica.on_message(frame, sender)

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ProtocolConfig
-from repro.consensus.quorum import QuorumCertificate
-from repro.core.certificates import CertificateCollector, EpochMessageCollector
+from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.core.config import LumiereConfig
 from repro.core.leader_schedule import LeaderSchedule
 from repro.core.messages import epoch_view_message_payload, view_message_payload
@@ -173,50 +172,49 @@ def test_success_is_per_epoch(protocol_config, pki_and_keys, scheme):
 # ----------------------------------------------------------------------
 def test_vc_collector_forms_once_at_threshold(pki_and_keys, scheme):
     _, keys = pki_and_keys
-    collector = CertificateCollector(scheme, threshold=2, payload_fn=view_message_payload)
-    p0 = scheme.partial_sign(keys[0], view_message_payload(4))
-    p1 = scheme.partial_sign(keys[1], view_message_payload(4))
-    assert collector.add(4, 0, p0) is None
-    aggregate = collector.add(4, 1, p1)
-    assert aggregate is not None and aggregate.size == 2
-    assert collector.formed(4)
-    # A third share does not form a second certificate.
-    p2 = scheme.partial_sign(keys[2], view_message_payload(4))
-    assert collector.add(4, 2, p2) is None
+    collector = ShareCollector(scheme, quorum=2)
+    payload = view_message_payload(4)
+    p0 = scheme.partial_sign(keys[0], payload)
+    p1 = scheme.partial_sign(keys[1], payload)
+    assert collector.add(4, 0, p0, payload) == 1
+    assert collector.add(4, 1, p1, payload) == collector.quorum
+    aggregate = collector.combine(4, payload)
+    assert aggregate.size == 2 and scheme.verify(aggregate, payload, 2)
+    # A third share is refused, so no second certificate is formed.
+    p2 = scheme.partial_sign(keys[2], payload)
+    assert collector.add(4, 2, p2, payload) == 0
 
 
 def test_vc_collector_rejects_mismatched_sender(pki_and_keys, scheme):
     _, keys = pki_and_keys
-    collector = CertificateCollector(scheme, threshold=1, payload_fn=view_message_payload)
-    partial = scheme.partial_sign(keys[0], view_message_payload(4))
-    assert collector.add(4, 1, partial) is None  # claimed sender != signer
+    collector = ShareCollector(scheme, quorum=1)
+    payload = view_message_payload(4)
+    partial = scheme.partial_sign(keys[0], payload)
+    assert collector.add(4, 1, partial, payload) == 0  # claimed sender != signer
     assert collector.count(4) == 0
 
 
 def test_epoch_collector_reports_tc_then_ec(pki_and_keys, scheme):
     _, keys = pki_and_keys
-    collector = EpochMessageCollector(
-        scheme, tc_threshold=2, ec_threshold=3, payload_fn=epoch_view_message_payload
-    )
+    tc_threshold, ec_threshold = 2, 3
+    collector = ShareCollector(scheme, quorum=ec_threshold)
     view = 80
-    results = []
-    for i in range(4):
-        partial = scheme.partial_sign(keys[i], epoch_view_message_payload(view))
-        results.append(collector.add(view, i, partial))
-    assert results[0] == (False, False)
-    assert results[1] == (True, False)
-    assert results[2] == (False, True)
-    assert results[3] == (False, False)
-    assert collector.has_tc(view) and collector.has_ec(view)
-    assert collector.count(view) == 4
+    payload = epoch_view_message_payload(view)
+    counts = [
+        collector.add(view, i, scheme.partial_sign(keys[i], payload), payload) for i in range(4)
+    ]
+    # The TC is crossed at the second share, the EC at the third.
+    assert counts[:3] == [1, tc_threshold, ec_threshold]
+    # The fourth is refused: the view already holds the collector's quorum,
+    # which is all either threshold needs.
+    assert counts[3] == 0
+    assert collector.count(view) == ec_threshold
 
 
 def test_epoch_collector_counts_distinct_signers_only(pki_and_keys, scheme):
     _, keys = pki_and_keys
-    collector = EpochMessageCollector(
-        scheme, tc_threshold=2, ec_threshold=3, payload_fn=epoch_view_message_payload
-    )
-    partial = scheme.partial_sign(keys[0], epoch_view_message_payload(0))
-    for _ in range(5):
-        assert collector.add(0, 0, partial) == (False, False)
+    collector = ShareCollector(scheme, quorum=3)
+    payload = epoch_view_message_payload(0)
+    partial = scheme.partial_sign(keys[0], payload)
+    assert [collector.add(0, 0, partial, payload) for _ in range(5)] == [1, 0, 0, 0, 0]
     assert collector.count(0) == 1

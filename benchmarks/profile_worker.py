@@ -20,6 +20,13 @@ knows it is profiled:
   due at once) and, per frame class, the generic codec walker's calls per
   decoded and per encoded frame.
 
+The sampled run also records the worker's **memory**: its resident set
+once its replicas start and when it stops (and its peak), the
+coordinator's resident set after ``stop()``, and the bytes of run history
+(metrics rows, ledger ids, views and times, KV apply-chain links) per
+committed block that the worker holds when it stops and that it sent over
+its control pipe.
+
 The two are separate runs so the counters' own cost never shows in the
 shares.  Both are written under one label (``--label``) of the output JSON;
 the labels already in the file are kept, so running the script at two
@@ -43,6 +50,8 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
+import resource
 import signal
 import sys
 import tempfile
@@ -151,6 +160,57 @@ class StackSampler:
             ) / total, 2)
             for layer, bit in _LAYER_BITS.items()
         }
+
+
+_PAGE_BYTES = os.sysconf("SC_PAGE_SIZE")
+
+
+def _rss_mb() -> float:
+    """This process's resident set now, in MB."""
+    with open("/proc/self/statm", "rb") as handle:
+        return round(int(handle.read().split()[1]) * _PAGE_BYTES / 2**20, 2)
+
+
+def _history_bytes(shard) -> int:
+    """Bytes of run history a shard holds: its collector's row columns, and
+    each replica's ledger ids, views and times and KV apply-chain links."""
+    from repro.metrics.collector import _TABLES
+
+    metrics = shard.stack.metrics
+    held = 0
+    for table, names in _TABLES.items():
+        for name in names:
+            column = getattr(metrics, f"_{table}_{name}")
+            held += len(column) * getattr(column, "itemsize", 8)
+    for node in shard.nodes.values():
+        ledger, machine = node.replica.ledger, node.replica.state_machine
+        held += len(ledger._ids) + 8 * (len(ledger.views) + len(ledger.commit_times))
+        if machine is not None:
+            held += len(machine._chain_history)
+    return held
+
+
+class _CountedPipe:
+    """A worker's control-pipe end that counts the bytes it sends (each
+    pickled message as ``Connection.send`` frames it, and each raw one)."""
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+        self.sent = 0
+
+    def send(self, message) -> None:
+        from multiprocessing.reduction import ForkingPickler
+
+        data = ForkingPickler.dumps(message)
+        self.sent += len(data)
+        self._conn.send_bytes(data)
+
+    def send_bytes(self, data) -> None:
+        self.sent += memoryview(data).nbytes
+        self._conn.send_bytes(data)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
 
 
 def _short(path: str) -> str:
@@ -296,20 +356,34 @@ def run_worker_phase(seed: int, seconds: float, interval: float, counted: bool) 
 
     def profiled_worker(spec, conn, inherited):
         from repro.metrics.collector import MetricsCollector
+        from repro.runner.shard import Shard
 
         commits = Counter()
         record_commit = MetricsCollector.record_commit
+        go, stop = Shard.go, Shard.stop
+        memory: dict[str, float] = {}
 
         def counted_commit(self, pid, *args, **kwargs):
             commits[pid] += 1
             return record_commit(self, pid, *args, **kwargs)
+
+        def measured_go(self):
+            go(self)
+            memory["worker_rss_start_mb"] = _rss_mb()
+
+        async def measured_stop(self):
+            memory["worker_rss_stop_mb"] = _rss_mb()
+            memory["history_bytes_held"] = _history_bytes(self)
+            return await stop(self)
         MetricsCollector.record_commit = counted_commit
+        Shard.go, Shard.stop = measured_go, measured_stop
+        pipe = _CountedPipe(conn)
         sampler = None if counted else StackSampler(interval)
         started = time.process_time()
         if sampler is not None:
             sampler.start()
         try:
-            original_target(spec, conn, inherited)
+            original_target(spec, pipe, inherited)
         finally:
             if sampler is not None:
                 sampler.stop()
@@ -317,6 +391,15 @@ def run_worker_phase(seed: int, seconds: float, interval: float, counted: bool) 
             blocks = sum(commits.values()) / max(len(commits), 1)
             document = {"worker_cpu_s": round(cpu, 3), "blocks": blocks,
                         "cpu_ms_per_block": round(1000.0 * cpu / blocks, 4) if blocks else None}
+            if blocks:
+                memory["worker_maxrss_mb"] = round(
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2
+                )
+                memory["history_bytes_held_per_block"] = round(
+                    memory.pop("history_bytes_held", 0) / blocks, 1
+                )
+                memory["history_bytes_shipped_per_block"] = round(pipe.sent / blocks, 1)
+                document["memory"] = memory
             if sampler is not None:
                 document["samples"] = sampler.samples
                 shares = document["inclusive_share_pct"] = sampler.shares()
@@ -334,6 +417,8 @@ def run_worker_phase(seed: int, seconds: float, interval: float, counted: bool) 
                 document.update(counts.report(blocks))
             dump.write_text(json.dumps(document), encoding="utf-8")
 
+    coordinator: dict[str, float] = {}
+
     async def drive() -> None:
         cluster = make_live_cluster(config, **workload.cluster)
         await cluster.start()
@@ -341,6 +426,7 @@ def run_worker_phase(seed: int, seconds: float, interval: float, counted: bool) 
             await cluster.run(WARMUP_SECONDS + seconds)
         finally:
             await cluster.stop()
+        coordinator["coordinator_rss_after_stop_mb"] = _rss_mb()
 
     _reset_codec()
     if counts is not None:
@@ -356,6 +442,7 @@ def run_worker_phase(seed: int, seconds: float, interval: float, counted: bool) 
     document = json.loads(dump.read_text(encoding="utf-8"))
     dump.unlink()
     dump.parent.rmdir()
+    document.get("memory", {}).update(coordinator)
     return document
 
 
@@ -414,6 +501,8 @@ def main(argv=None) -> int:
         print(f"wrote {output} [{args.label}]")
     print(f"  worker CPU {sampled['worker_cpu_s']} s, {sampled['blocks']:.0f} blocks, "
           f"{sampled['cpu_ms_per_block']} ms/block, {sampled['samples']} samples")
+    for name, value in sampled.get("memory", {}).items():
+        print(f"  {name:34s} {value}")
     for layer, share in sampled["inclusive_share_pct"].items():
         per_block = sampled.get("inclusive_ms_per_block", {}).get(layer)
         print(f"  {layer:18s} {share:6.2f} %  {per_block} ms/block")

@@ -389,10 +389,12 @@ class ChainedHotStuff(ConsensusEngine):
     def _handle_qc_announce(self, msg: QCAnnounce, sender: int) -> None:
         # The block rides along for a replica that missed its proposal; one
         # that holds the certified block has nothing to store, or to hash.
-        block = msg.block
-        if msg.qc.block_id not in self.tree and block is not None and block.view >= 0:
-            self._store_block(block)
-        self._learn_qc(msg.qc)
+        # It is stored only once the QC verifies, and only if it is the
+        # block the QC certifies.
+        block, qc = msg.block, msg.qc
+        if qc.block_id in self.tree or block is None or block.view < 0:
+            block = None
+        self._learn_qc(qc, block)
 
     # ------------------------------------------------------------------
     # Shared QC / block learning
@@ -421,14 +423,19 @@ class ChainedHotStuff(ConsensusEngine):
             learned[view >> 3] >> (view & 7) & 1
         )
 
-    def _learn_qc(self, qc: QuorumCertificate) -> bool:
-        """Learn ``qc`` the first time it verifies; whether it verifies."""
+    def _learn_qc(self, qc: QuorumCertificate, block: Optional[Block] = None) -> bool:
+        """Learn ``qc`` the first time it verifies; whether it verifies.  A
+        ``block`` that came with it is stored once it verifies, if it is
+        the certified block."""
         key = (qc.view, qc.block_id)
-        if key in self._learned_qcs:
-            return True
-        if not self.replica.scheme.verify(qc.aggregate, qc.message(), self.config.quorum_size):
+        learned = key in self._learned_qcs
+        if not learned and not self.replica.scheme.verify(
+            qc.aggregate, qc.message(), self.config.quorum_size
+        ):
             return False
-        if self._learned_below_floor(qc.view):
+        if block is not None and block.block_id == qc.block_id:
+            self._store_block(block)
+        if learned or self._learned_below_floor(qc.view):
             return True
         self._learned_qcs.add(key)
         self.safety.update_high_qc(qc)

@@ -303,8 +303,22 @@ class Replica(Process):
             else:
                 self.mempool.refuse()
 
+    def drain(self) -> ReplicaResidue:
+        """The ledger ids and KV apply-chain links this replica gained since
+        its last drain, as a residue without KV digest or client counts;
+        the replica then drops them and keeps its chain heads.  A worker
+        process ships one every status round, so its :meth:`residue` holds
+        only the rows since the last."""
+        machine = self.state_machine
+        links = machine.drain_chain() if machine is not None else b""
+        return ReplicaResidue(
+            PackedDigests.from_bytes(self.ledger.drain()), None,
+            PackedDigests.from_bytes(links), {},
+        )
+
     def residue(self) -> ReplicaResidue:
-        """This replica's :class:`ReplicaResidue`, as of now."""
+        """This replica's :class:`ReplicaResidue`, as of now (its ledger ids
+        and apply-chain links: those since its last :meth:`drain`)."""
         ledger = self.ledger.packed_ids
         machine = self.state_machine
         if machine is None:

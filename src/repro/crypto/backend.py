@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -175,34 +175,42 @@ def blake_digest(*parts: Any) -> str:
 
 class PackedDigests:
     """Digest strings in order, held as one ``bytes``, a newline after each:
-    what a shard ships at shutdown in place of a tuple of ``str`` per replica
-    (ledger ids, KV apply chains, commit ids).  One object to build, pickle
-    and keep; sized, iterable, comparable; ``list(packed)`` to index."""
+    what a shard ships in place of a tuple of ``str`` per replica (ledger
+    ids, KV apply chains, commit ids).  One object to build, pickle and
+    keep; sized, iterable, comparable; ``list(packed)`` to index.  It may
+    read only the first ``end`` bytes of ``data``: a prefix that shares
+    the buffer of a longer sequence."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "end")
 
     def __init__(self, digests: Iterable[str] = ()) -> None:
         # One join; the trailing "" puts a newline after the last digest.
         self.data = "\n".join(itertools.chain(digests, ("",))).encode("ascii")
+        self.end = None
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "PackedDigests":
+    def from_bytes(cls, data: bytes, end: Optional[int] = None) -> "PackedDigests":
         """Wrap bytes already in this format (what a ledger or an apply
-        chain appends to) without decoding them."""
+        chain appends to) without decoding them: a ``bytearray`` too, which
+        a process cluster's coordinator appends each shipped round onto.
+        With ``end``, only ``data[:end]`` (which ends a digest)."""
         packed = cls.__new__(cls)
-        packed.data = data
+        packed.data, packed.end = data, end
         return packed
 
+    def _view(self) -> memoryview:
+        return memoryview(self.data)[:self.end]
+
     def __len__(self) -> int:
-        return self.data.count(b"\n")
+        return self.data.count(b"\n", 0, self.end)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.data.decode("ascii").splitlines())
+        return iter(str(self._view(), "ascii").splitlines())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (list, tuple)):  # what this type replaced
             other = PackedDigests(other)
-        return isinstance(other, PackedDigests) and self.data == other.data
+        return isinstance(other, PackedDigests) and self._view() == other._view()
 
     __hash__ = None
 
@@ -210,10 +218,15 @@ class PackedDigests:
     def prefix_consistent(cls, sequences: Iterable[Iterable[str]]) -> bool:
         """Whether every two of ``sequences`` agree on their common prefix:
         sorted by packed size, each must start the next."""
-        packed = sorted(
-            ((seq if isinstance(seq, cls) else cls(seq)).data for seq in sequences), key=len
+        views = sorted(
+            ((seq if isinstance(seq, cls) else cls(seq))._view() for seq in sequences), key=len
         )
-        return all(map(bytes.startswith, packed[1:], packed))
+        return all(map(_starts, views[1:], views))
+
+
+def _starts(longer: memoryview, shorter: memoryview) -> bool:
+    """Whether the bytes of ``longer`` start with those of ``shorter``."""
+    return longer[:len(shorter)] == shorter
 
 
 def _freeze(value: Any) -> Any:

@@ -38,6 +38,7 @@ import functools
 import itertools
 import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
@@ -139,6 +140,8 @@ class MetricsCollector:
         self._commit_pids = array("q")
         self._commit_views = array("q")
         self._commit_block_ids: list[str] = []
+        # Distinct commit ids handed over by earlier drains.
+        self._ids_drained = 0
         # Client-request columns: one row per *applied* request, appended at
         # apply time (the apply-time column is sorted and bisectable, like
         # the message and commit columns).  Submissions, rejections and the
@@ -407,10 +410,11 @@ class MetricsCollector:
             return None
         return self._honest_decision_times[position] - time
 
-    def honest_decision_times_after(self, after: float) -> list[float]:
-        """Sorted honest-leader decision times at or after ``after``."""
+    def honest_decision_times_after(self, after: float) -> array:
+        """Sorted honest-leader decision times at or after ``after`` (an
+        ``array("d")`` slice: no float object per row)."""
         position = bisect.bisect_left(self._honest_decision_times, after)
-        return list(self._honest_decision_times[position:])
+        return self._honest_decision_times[position:]
 
     def decision_gaps(self, after: float = 0.0) -> list[float]:
         """Gaps between consecutive honest-leader decisions occurring after ``after``."""
@@ -436,20 +440,18 @@ class MetricsCollector:
         """Client requests completed (applied on their owner's replica)."""
         return len(self._request_apply_times)
 
-    def request_latencies(self, after: float = 0.0) -> list[float]:
-        """End-to-end latencies of requests applied at or after ``after``.
+    def request_latencies(self, after: float = 0.0) -> array:
+        """End-to-end latencies of requests applied at or after ``after``, in
+        apply order, as an ``array("d")`` (no float object per row).
 
         Bisects the sorted apply-time column (mirroring
         :meth:`latency_after`'s columnar style), so warm-up exclusion costs
         one bisect, not a scan.
         """
         lo = bisect.bisect_left(self._request_apply_times, after)
-        return [
-            apply_time - submit_time
-            for submit_time, apply_time in zip(
-                self._request_submit_times[lo:], self._request_apply_times[lo:]
-            )
-        ]
+        return array("d", map(
+            operator.sub, self._request_apply_times[lo:], self._request_submit_times[lo:]
+        ))
 
     def request_latency_percentile(
         self, quantile: float, after: float = 0.0
@@ -489,18 +491,24 @@ class MetricsCollector:
         return self._views_entered.get(pid, -1)
 
     @property
-    def view_entries(self) -> dict[int, list[tuple[float, int]]]:
-        """``{pid: [(time, view), ...]}`` of the ``enter_view`` rows, built per
-        read (the benchmark harness under ``benchmarks/ledger/`` reads it;
-        everything else reads :meth:`events`)."""
-        entries: dict[int, list[tuple[float, int]]] = {}
+    def view_entries(self) -> dict[int, "ViewEntries"]:
+        """``{pid: [(time, view), ...]}`` of the ``enter_view`` rows, per read:
+        each pid's rows a :class:`ViewEntries`, which keeps their row numbers
+        and builds a ``(time, view)`` pair only when one is read (the
+        benchmark harness under ``benchmarks/ledger/`` reads it; everything
+        else reads :meth:`events`)."""
         kind_id = self._kind_ids.get("enter_view", -1)
-        for time, pid, view in itertools.compress(
-            zip(self._event_times, self._event_pids, self._event_values),
-            map(kind_id.__eq__, self._event_kind_ids),
+        pids = self._event_pids
+        rows: dict[int, array] = {}
+        for row in itertools.compress(
+            itertools.count(), map(kind_id.__eq__, self._event_kind_ids)
         ):
-            entries.setdefault(pid, []).append((time, view))
-        return entries
+            pid = pids[row]
+            if pid not in rows:
+                rows[pid] = array("I")
+            rows[pid].append(row)
+        times, views = self._event_times, self._event_values
+        return {pid: ViewEntries(times, views, numbers) for pid, numbers in rows.items()}
 
     def epoch_syncs_after(self, time: float) -> int:
         """Number of distinct epochs for which any honest processor did a heavy sync after ``time``."""
@@ -526,22 +534,25 @@ class MetricsCollector:
     # Cross-process snapshot / merge
     # ------------------------------------------------------------------
     def state(self) -> dict:
-        """Picklable snapshot of everything this collector recorded.
+        """Picklable snapshot of the rows this collector holds (every row it
+        recorded, unless :meth:`drain` handed some over) and its totals.
 
         The shard half of the multi-process metrics story: each node process
         of a :class:`~repro.runner.process_cluster.LiveCluster` ships its
-        collector's state over the control channel at shutdown, and the
-        coordinator rebuilds one cluster-wide collector with
+        collector's rows over the control channel, and the coordinator
+        rebuilds one cluster-wide collector with
         :func:`merge_metrics_states`.  ``array`` columns ship as they are
         (a worker sends their raw bytes), commit ids as one packed copy of
         each distinct id (``commit_ids``) and an ``array("I")`` column of
-        row → id index (``commit_block_ids``); the counter bag and its
-        sources ship as one :attr:`counts` snapshot (its nonzero names, and
-        any name beyond the base ones) plus the keys of the names counted
-        once per key (``epoch_keys``), which the merge unites.
+        row → id index (``commit_block_ids``, counting on from the ids of
+        earlier drains); the counter bag and its sources ship as one
+        :attr:`counts` snapshot (its nonzero names, and any name beyond the
+        base ones) plus the keys of the names counted once per key
+        (``epoch_keys``), which the merge unites.
         """
         ids: dict[str, int] = {}
-        rows = array("I", [ids.setdefault(b, len(ids)) for b in self._commit_block_ids])
+        first = self._ids_drained
+        rows = array("I", [ids.setdefault(b, first + len(ids)) for b in self._commit_block_ids])
         return {
             "honest_ids": sorted(self.honest_ids),
             **{
@@ -561,6 +572,62 @@ class MetricsCollector:
             },
             "epoch_keys": self.counters.epoch_keys,
         }
+
+    def drain(self) -> dict:
+        """The :meth:`state` of the rows recorded since the last drain; the
+        collector then drops them.
+
+        A worker process answers every status round with one, so its tables
+        hold one round of rows, and the coordinator appends each drained
+        state's columns to the ones before (their commit-id indices count
+        on across drains).  Every query reads only the rows still held, so
+        only a collector whose rows are appended elsewhere is drained.
+        """
+        state = self.state()
+        self._ids_drained += len(state["commit_ids"])
+        for table, names in _TABLES.items():
+            for name in names:
+                attr = f"_{table}_{name}"
+                column = getattr(self, attr)
+                setattr(self, attr, array(column.typecode) if isinstance(column, array) else [])
+        self._decision_honest = array("b")
+        self._honest_decision_times = array("d")
+        self._honest_decision_indices = array("q")
+        return state
+
+
+class ViewEntries(Sequence):
+    """One pid's ``enter_view`` rows as ``(time, view)`` pairs, read off the
+    event columns by row number: a pair is built when it is read, and equals
+    a list or tuple of the same pairs."""
+
+    __slots__ = ("_times", "_views", "_rows")
+
+    def __init__(self, times: array, views: array, rows: array) -> None:
+        self._times, self._views, self._rows = times, views, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._rows)))]
+        row = self._rows[index]
+        return (self._times[row], self._views[row])
+
+    def __iter__(self) -> Iterator[tuple[float, int]]:
+        rows = self._rows
+        return zip(map(self._times.__getitem__, rows), map(self._views.__getitem__, rows))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ViewEntries, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 #: The tables merged as columns, by name: their columns, the time column

@@ -27,11 +27,18 @@ by one cluster class in one of two placements:
   4. the parent broadcasts ``("go",)`` and every worker starts its
      replicas — the barrier keeps cross-process start skew at pipe latency
      rather than fork-and-bind latency;
-  5. during the run the parent polls ``("status",)`` → per-pid ledger
-     lengths; at shutdown it sends ``("stop",)`` and each worker ships back
-     its :class:`~repro.runner.shard.ShardReport`: a pickled head, then
-     the raw bytes of each bulk value — every metrics column and every
-     packed digest sequence (commit ids, ledgers, KV apply chains).
+  5. during the run the parent polls ``("status",)`` every
+     :data:`STATUS_INTERVAL`; each worker answers with a
+     :class:`~repro.runner.shard.ShardReport` of the rows its histories
+     gained since the round before (metrics tables, ledger ids, KV
+     apply-chain links), which it then drops, with its ledger lengths and
+     run totals.  A report crosses as a pickled head, then the raw bytes
+     of each bulk value — every metrics column and every packed digest
+     sequence — which the parent appends onto that worker's columns.  At
+     shutdown it sends ``("stop",)`` and each worker answers with its last
+     report (the rows since the last round, plus KV digests, client counts
+     and teardown errors) the same way.  A worker therefore holds one
+     round of history, and the parent holds the run's columns once.
 
 Both sides wait on the control pipe's file descriptor (the parent also on
 the worker's process sentinel), never on a polling sleep.
@@ -120,12 +127,12 @@ class _Column(NamedTuple):
 _DIGESTS = "digests"
 
 
-def _send_report(conn, report: ShardReport) -> None:
-    """Send ``report`` as its head — the report with every bulk value (each
-    ``array`` column of its metrics state, each ``PackedDigests`` there and
-    in its replicas' residues) swapped for a :class:`_Column` — and then
-    every bulk value's raw bytes, in order, so no pickled copy of them is
-    built."""
+def _send_report(conn, report: ShardReport, kind: str = "result") -> None:
+    """Send ``report`` as the message ``(kind, head)`` — the report with
+    every bulk value (each ``array`` column of its metrics state, each
+    ``PackedDigests`` there and in its replicas' residues) swapped for a
+    :class:`_Column` — and then every bulk value's raw bytes, in order, so
+    no pickled copy of them is built."""
     bulk: list = []
 
     def head(value):
@@ -137,7 +144,7 @@ def _send_report(conn, report: ShardReport) -> None:
             return _Column(_DIGESTS, len(value.data))
         return value
 
-    conn.send(("result", dataclasses.replace(
+    conn.send((kind, dataclasses.replace(
         report,
         metrics_state={name: head(value) for name, value in report.metrics_state.items()},
         replicas={pid: type(r)(*map(head, r)) for pid, r in report.replicas.items()},
@@ -146,34 +153,103 @@ def _send_report(conn, report: ShardReport) -> None:
         conn.send_bytes(data)
 
 
-def _receive_columns(conn, head: ShardReport) -> ShardReport:
-    """The report ``head`` announces, its bulk values read back off ``conn``
-    in the order :func:`_send_report` sent them."""
+class _LostRows(EOFError):
+    """A bulk value of a report that did not arrive whole."""
 
-    def fill(where: str, value):
+
+def _recv_onto(conn, buffer, nbytes: int) -> Optional[int]:
+    """Receive the next message onto the end of ``buffer`` (an ``array`` or
+    a ``bytearray``), grown by ``nbytes`` for it first; the bytes received
+    (``None`` at end of file)."""
+    start = len(buffer) * getattr(buffer, "itemsize", 1)
+    if isinstance(buffer, array):
+        buffer.frombytes(bytes(nbytes))
+    else:
+        buffer.extend(bytes(nbytes))
+    try:
+        return conn.recv_bytes_into(buffer, start)
+    except multiprocessing.BufferTooShort as error:
+        return len(error.args[0])
+    except (EOFError, OSError):
+        return None
+
+
+def _receive_columns(
+    conn, head: ShardReport, into: Optional[ShardReport] = None
+) -> ShardReport:
+    """The report ``head`` announces, its bulk values read off ``conn`` in
+    the order :func:`_send_report` sent them, appended onto the columns of
+    ``into`` (the reports before it, appended in place; fresh columns
+    without it).  Every other value of ``head`` replaces the one in
+    ``into`` (totals are as of the newest report); teardown errors add up.
+
+    A bulk value that arrives short, too long or not at all raises
+    :class:`_LostRows` naming it, with the bytes expected and received,
+    after every column is cut back to its rows before this report.
+    """
+    grown: list = []
+
+    def fill(where: str, value, column):
         if not isinstance(value, _Column):
             return value
         if value.typecode == _DIGESTS:
-            column = PackedDigests.from_bytes(conn.recv_bytes())
-            length = len(column.data)
+            if column is None:
+                column = PackedDigests.from_bytes(bytearray())
+            buffer, nbytes = column.data, value.length
         else:
-            # Received straight into the column: no transient bytes copy.
-            column = array(value.typecode, [0]) * value.length
-            length = conn.recv_bytes_into(column) // column.itemsize
-        if length != value.length:
-            raise EOFError(f"{where}: {length} of {value.length}")
+            if column is None:
+                column = array(value.typecode)
+            buffer, nbytes = column, value.length * column.itemsize
+        grown.append((buffer, len(buffer)))
+        received = _recv_onto(conn, buffer, nbytes)
+        if received != nbytes:
+            got = "end of file" if received is None else f"{received} bytes"
+            raise _LostRows(f"{where}: expected {nbytes} bytes, received {got}")
         return column
 
-    return dataclasses.replace(
-        head,
-        metrics_state={
-            name: fill(f"column {name}", value) for name, value in head.metrics_state.items()
-        },
-        replicas={
-            pid: type(r)(*(fill(f"replica {pid}", value) for value in r))
-            for pid, r in head.replicas.items()
-        },
+    state = into.metrics_state if into is not None else {}
+    residues = into.replicas if into is not None else {}
+    try:
+        state = {
+            **state,
+            **{
+                name: fill(f"table {name.split('_')[0]} column {name}", value, state.get(name))
+                for name, value in head.metrics_state.items()
+            },
+        }
+        residues = dict(residues)
+        for pid, residue in head.replicas.items():
+            held = residues.get(pid)
+            residues[pid] = type(residue)(*(
+                fill(f"replica {pid} {name}", value, None if held is None else getattr(held, name))
+                for name, value in zip(residue._fields, residue)
+            ))
+    except _LostRows:
+        for buffer, length in grown:
+            del buffer[length:]
+        raise
+    return ShardReport(
+        metrics_state=state,
+        replicas=residues,
+        teardown_errors=(into.teardown_errors if into is not None else ()) + head.teardown_errors,
+        commits=head.commits,
     )
+
+
+def _share_prefixes(residues: dict[int, ReplicaResidue]) -> dict[int, ReplicaResidue]:
+    """``residues`` with each ledger and KV apply chain that is a prefix of
+    the longest one among them read off that one's buffer (its own let go):
+    co-located replicas commit one chain, so a worker's are mostly one."""
+    shared = dict(residues)
+    for field in ("ledger", "kv_chain"):
+        longest = max((getattr(r, field).data for r in shared.values()), key=len, default=b"")
+        for pid, residue in shared.items():
+            data = getattr(residue, field).data
+            if data is not longest and longest.startswith(data):
+                shared[pid] = residue._replace(
+                    **{field: PackedDigests.from_bytes(longest, len(data))}
+                )
+    return shared
 
 
 @contextlib.contextmanager
@@ -240,7 +316,7 @@ async def _serve_shard(spec: ShardSpec, conn) -> None:
                 while conn.poll():
                     message = conn.recv()
                     if message[0] == "status":
-                        conn.send(("status", shard.commits()))
+                        _send_report(conn, shard.report(), "status")
                     elif message[0] == "stop":
                         stopping = True
                         break
@@ -290,7 +366,12 @@ class _Worker:
     process: Any
     conn: Any
     alive: bool = True
-    report: Optional[ShardReport] = None
+    #: Every report taken so far, appended into one (None before the first).
+    history: Optional[ShardReport] = None
+    #: Reports taken (status rounds, then the stop report).
+    rounds: int = 0
+    #: Whether the stop report arrived.
+    reported: bool = False
     commits: dict[int, int] = dataclasses.field(default_factory=dict)
 
     def __str__(self) -> str:
@@ -318,13 +399,13 @@ class LiveCluster:
     are inherent to the process boundary:
 
     * inline, ``nodes`` / ``replicas`` / ``metrics`` are the live objects
-      from :meth:`start` on, and the queries answer at any time.  Under process placement ``nodes`` stays empty,
-      ``metrics`` holds the *merged* cluster-wide collector only after
-      :meth:`stop` (during the run the parent sees ledger lengths, not
-      events), and the queries need :meth:`stop` first;
+      from :meth:`start` on, and the queries answer at any time.  Under
+      process placement ``nodes`` stays empty, ``metrics`` holds the
+      *merged* cluster-wide collector only after :meth:`stop` (the workers'
+      rows arrive every status round and are merged onto one timeline
+      there), and the queries need :meth:`stop` first;
     * under process placement :meth:`min_committed` refreshes at the
-      status-poll cadence; the workers' protocol events arrive with the
-      rest of their collectors at :meth:`stop`, merged onto one timeline.
+      status-poll cadence.
 
     ``config.n``, ``pacemaker``, ``delta``, ``seed``, ``crypto_backend`` and
     a named ``scenario``/``delay_model`` are honoured (``actual_delay`` is
@@ -365,7 +446,7 @@ class LiveCluster:
         #: every node, plus coordinator-observed worker failures (crashes,
         #: missing reports, non-zero exit codes).
         self.teardown_errors: list[str] = []
-        #: Per-pid residues the workers shipped (collected at :meth:`stop`).
+        #: Per-pid residues the workers shipped (assembled at :meth:`stop`).
         self._shipped: dict[int, ReplicaResidue] = {}
         self._corruption = None  # resolved by the coordinator at start()
         self._local: Optional[Shard] = None  # the inline shard
@@ -507,16 +588,22 @@ class LiveCluster:
             return
         self._stopped = True
         if self._local is not None:
-            reports = [await self._local.stop()]
-        else:
-            reports = await self._stop_workers()
-            self.metrics = merge_metrics_states([r.metrics_state for r in reports])
-            for report in reports:
-                self._shipped.update(report.replicas)
-        for report in reports:
-            self.teardown_errors.extend(report.teardown_errors)
+            self.teardown_errors.extend((await self._local.stop()).teardown_errors)
+            return
+        await self._stop_workers()
+        # A worker lost before its stop report still leaves the rows of the
+        # rounds it answered.  Its history is let go as it is read: the
+        # residues share their prefixes first, so the merge has that room.
+        states = []
+        for worker in self._workers:
+            if worker.history is not None:
+                self._shipped.update(_share_prefixes(worker.history.replicas))
+                self.teardown_errors.extend(worker.history.teardown_errors)
+                states.append(worker.history.metrics_state)
+            worker.history = None
+        self.metrics = merge_metrics_states(states)
 
-    async def _stop_workers(self) -> list[ShardReport]:
+    async def _stop_workers(self) -> None:
         for worker in self._workers:
             if worker.alive:
                 try:
@@ -524,21 +611,20 @@ class LiveCluster:
                 except (BrokenPipeError, OSError):
                     worker.alive = False
         for worker in self._workers:
-            worker.report = await self._await_report(worker)
+            worker.reported = await self._await_report(worker)
         for worker in self._workers:
             worker.process.join(timeout=self.teardown_timeout)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
                 self.teardown_errors.append(f"{worker}: did not exit; terminated")
-            elif worker.report is None:
+            elif not worker.reported:
                 self.teardown_errors.append(
                     f"{worker}: exited with code {worker.process.exitcode} "
-                    "without reporting results"
+                    f"without its stop report (rows of {worker.rounds} rounds kept)"
                 )
             worker.conn.close()
         self._release_segments()
-        return [worker.report for worker in self._workers if worker.report is not None]
 
     # ------------------------------------------------------------------
     # Observation
@@ -663,44 +749,64 @@ class LiveCluster:
             except (BrokenPipeError, OSError):
                 worker.alive = False
                 self.teardown_errors.append(
-                    f"{worker}: control channel broke mid-run "
-                    f"(exit code {worker.process.exitcode})"
+                    f"{worker}: control channel broke mid-run after round "
+                    f"{worker.rounds} (exit code {worker.process.exitcode}); "
+                    "the rows of earlier rounds are kept"
                 )
         for worker in polled:
             # Workers answer within one of their poll cycles; a short wait
-            # keeps a wedged worker from stalling the coordinator's run loop.
+            # keeps a wedged worker from stalling the coordinator's run loop
+            # (a late answer is taken, in order, by a later round or stop).
             message = await self._recv(worker, timeout=1.0)
             if message is None:
                 if not worker.alive:
                     self.teardown_errors.append(
-                        f"{worker}: died mid-run (exit code {worker.process.exitcode})"
+                        f"{worker}: died mid-run after round {worker.rounds} (exit code "
+                        f"{worker.process.exitcode}); the rows of earlier rounds are kept"
                     )
             elif message[0] == "status":
-                worker.commits.update(message[1])
+                self._take(worker, message[1])
             elif message[0] == "error":
                 worker.alive = False
                 self.teardown_errors.append(f"{worker}: {message[1]}")
 
-    async def _await_report(self, worker: _Worker) -> Optional[ShardReport]:
-        """Wait for a worker's ``("result", ...)``, skipping stale replies."""
+    def _take(self, worker: _Worker, head: ShardReport) -> bool:
+        """Append the report ``head`` announces onto ``worker``'s history;
+        ``False``, with a teardown error naming what was lost, when its rows
+        did not arrive whole (the worker then counts as lost: its pipe is
+        out of step)."""
+        worker.rounds += 1
+        try:
+            worker.history = _receive_columns(worker.conn, head, worker.history)
+        except _LostRows as lost:
+            worker.alive = False
+            self.teardown_errors.append(
+                f"{worker}: round {worker.rounds} lost ({lost}); "
+                "the rows of earlier rounds are kept"
+            )
+            return False
+        worker.commits.update(head.commits)
+        return True
+
+    async def _await_report(self, worker: _Worker) -> bool:
+        """Take a worker's reports up to its ``("result", ...)``; whether
+        that arrived whole."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.teardown_timeout
         while loop.time() < deadline:
             message = await self._recv(worker, timeout=max(deadline - loop.time(), 0.01))
             if message is None:
                 break
-            if message[0] == "result":
-                try:
-                    return _receive_columns(worker.conn, message[1])
-                except (EOFError, OSError, multiprocessing.BufferTooShort) as error:
-                    worker.alive = False
-                    self.teardown_errors.append(f"{worker}: report cut short ({error})")
-                    return None
-            if message[0] == "error":
+            if message[0] in ("status", "result"):
+                # A late status answer carries rows too.
+                if not self._take(worker, message[1]):
+                    return False
+                if message[0] == "result":
+                    return True
+            elif message[0] == "error":
                 self.teardown_errors.append(f"{worker}: {message[1]}")
-                return None
-            # stale status replies drain here
-        return None
+                return False
+        return False
 
     def _terminate_all(self) -> None:
         for worker in self._workers:

@@ -8,14 +8,16 @@ directly (inline placement: one shard holding every pid) or from a forked
 worker answering its control pipe (process placement: one worker per
 shard).  A forked worker inherits its spec as a live object, so nothing in
 it (a lambda inside a delay model included) has to survive a pickle; only
-the report crosses the pipe pickled.
+reports cross the pipe.  A worker also calls ``report`` on every status
+round: the rows its histories gained since the round before, which the
+shard then drops, so ``stop`` reports only the last round's rows.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.consensus.replica import ReplicaResidue
@@ -73,13 +75,19 @@ class Node:
 
 @dataclass(frozen=True)
 class ShardReport:
-    """The picklable residue one shard leaves behind at shutdown."""
+    """What one shard hands over, picklable: the rows its histories hold
+    (those since its previous report, once it has reported), and its
+    totals as of now."""
 
-    #: The shard's collector: every run total in it (``counts``) and its
-    #: replicas' protocol events.
+    #: The shard's collector state: its rows (protocol events, messages,
+    #: decisions, commits, requests) and every run total (``counts``).
     metrics_state: dict
+    #: Per pid: ledger ids and KV apply-chain links; the KV digest and
+    #: client counts only in the report of :meth:`Shard.stop`.
     replicas: dict[int, ReplicaResidue]
-    teardown_errors: tuple[str, ...]
+    teardown_errors: tuple[str, ...] = ()
+    #: Ledger length per pid.
+    commits: dict[int, int] = field(default_factory=dict)
 
 
 class Shard:
@@ -162,8 +170,20 @@ class Shard:
         """Current ledger length per pid."""
         return {pid: len(node.replica.ledger) for pid, node in self.nodes.items()}
 
+    def report(self) -> ShardReport:
+        """The rows this shard's histories gained since its previous report
+        (collector tables, ledger ids, KV apply-chain links), which it then
+        drops, with its run totals and ledger lengths as of now."""
+        return ShardReport(
+            metrics_state=self.stack.metrics.drain(),
+            replicas={pid: node.replica.drain() for pid, node in self.nodes.items()},
+            commits=self.commits(),
+        )
+
     async def stop(self) -> ShardReport:
-        """Shut every node down (concurrently, so EOFs propagate cleanly).
+        """Shut every node down (concurrently, so EOFs propagate cleanly) and
+        report the rows the histories hold, with the KV digests and client
+        counts.
 
         Teardown surfaces rather than swallows: each transport's
         ``last_errors`` land in the report and its ``frames_dropped`` in the
@@ -180,6 +200,7 @@ class Shard:
                 for node in nodes
                 for error in getattr(node.transport, "inner", node.transport).last_errors
             ),
+            commits=self.commits(),
         )
         gc.unfreeze()  # an inline caller's heap outlives the shard
         return report

@@ -245,13 +245,20 @@ class ReplicatedKV:
 
     @property
     def apply_chain(self) -> PackedDigests:
-        """Running state hash after each applied ledger entry, packed.
+        """Running state hash after each applied ledger entry (since the last
+        :meth:`drain_chain`), packed.
 
         Chained per block, so replicas stopped at different ledger lengths
         are comparable over the common prefix.  O(len) copy, not for hot
         paths: :attr:`last_chain` reads the newest hash.
         """
         return PackedDigests.from_bytes(bytes(self._chain_history))
+
+    def drain_chain(self) -> bytearray:
+        """The chain hashes appended since the last drain, packed; the
+        machine then drops them and keeps only :attr:`last_chain`."""
+        links, self._chain_history = self._chain_history, bytearray()
+        return links
 
     @property
     def last_chain(self) -> str:

@@ -26,7 +26,8 @@ from repro.pacemakers.fever import FeverViewCertificate, FeverViewMessage, fever
 from repro.pacemakers.lp22 import LP22EpochCertificate, LP22EpochViewMessage, lp22_epoch_payload
 from repro.pacemakers.registry import available_pacemakers, make_pacemaker_factory
 from repro.config import ProtocolConfig
-from repro.errors import ConfigurationError, ThresholdError
+from repro.consensus.engine import ChainedHotStuff
+from repro.errors import ConfigurationError, SafetyViolation, ThresholdError
 
 
 def scenario(pacemaker, n=4, duration=250.0, **kwargs) -> ScenarioConfig:
@@ -418,10 +419,11 @@ MALFORMED_PROPOSALS = {
 }
 
 
-def _bent_run(pacemaker: str, bend):
+def _bent_run(pacemaker: str, bend, count_votes: bool = False):
     """An n=4 run to t=60 in which replica 3 passes the first proposal with
     a justify it broadcasts after t=5 to ``bend``, and broadcasts what
-    that returns, if anything; the run and the bent block's id."""
+    that returns, if anything (and, with ``count_votes``, counts votes for
+    it as the block it proposed); the run and the bent block's id."""
     attacked = build_scenario(scenario(pacemaker, duration=60.0, seed=0))
     forger = attacked.replicas[3]
     broadcast, bent = forger.broadcast, []
@@ -432,6 +434,8 @@ def _bent_run(pacemaker: str, bend):
             bent.append(msg.block.block_id if block is None else block.block_id)
             if block is None:
                 return
+            if count_votes:
+                forger.engine._proposed_views[msg.view] = block.block_id
             msg = Proposal(view=msg.view, block=block, justify=msg.justify)
         broadcast(msg)
 
@@ -458,6 +462,59 @@ def test_a_malformed_proposal_is_dropped(pacemaker, malformation):
         assert forged not in ledger.block_ids
         commits = len(ledger)
         assert commits >= 0.9 * len(withheld.replicas[pid].ledger) > 0, (pid, commits)
+
+
+def _propose_without_the_proposal_rule(engine, msg, sender):
+    """The engine's proposal handler before its proposal rule: a proposal
+    from its view's leader is stored and voted on, whatever its block
+    extends."""
+    replica = engine.replica
+    if sender != replica.leader_of(msg.view):
+        return
+    if msg.justify is not None:
+        engine._learn_qc(msg.justify)
+    engine._store_block(msg.block)
+    if msg.view > replica.current_view:
+        engine._pending_proposals[msg.view] = (msg, sender)
+    elif msg.view == replica.current_view:
+        engine._vote_on(msg)
+
+
+def test_a_committed_block_must_extend_the_last_committed_one(monkeypatch):
+    """With the proposal rule taken out, replica 3's genesis-parent proposal
+    is certified (replica 3 counts the votes for it) and reaches the 3-chain
+    rule, which hands it to the ledger after blocks it does not extend: the
+    ledger raises, naming the replica, the view and both ids.  (Without the
+    ledger's check, all three honest replicas committed it and their
+    ledgers still read as prefix-consistent.)"""
+    monkeypatch.setattr(ChainedHotStuff, "_handle_proposal", _propose_without_the_proposal_rule)
+    with pytest.raises(
+        SafetyViolation,
+        match=r"replica \d committed block \w+ of view \d+, whose parent genesis is not "
+        r"the last committed block \w+",
+    ):
+        _bent_run("lumiere", MALFORMED_PROPOSALS["genesis-parent"], count_votes=True)
+
+
+@pytest.mark.parametrize("certifies", ["another-block", "the-carried-block"])
+def test_a_qc_announce_stores_only_a_certified_block(certifies):
+    """Replica 3 announces a one-signer QC carrying a block far ahead, whose
+    parent replica 0 lacks: the QC fails ``verify``, so replica 0's tree and
+    orphans stay as they were (the block is stored only after its QC
+    verifies, and only if the QC certifies it)."""
+    result = run_scenario(scenario("lumiere", duration=5.0))
+    receiver, forger = result.replicas[0], result.replicas[3]
+    view = receiver.current_view + 1000
+    block = Block(view=view, parent_id=UNKNOWN_BLOCK, proposer=3)
+    block_id = block.block_id if certifies == "the-carried-block" else UNKNOWN_BLOCK
+    qc = QuorumCertificate(
+        view=view, block_id=block_id,
+        aggregate=_one_signer_aggregate(forger, ("qc", view, block_id)),
+    )
+    tree, orphans = dict(receiver.tree._blocks), dict(receiver.engine._orphans)
+    receiver.on_message(QCAnnounce(view=view, qc=qc, block=block), 3)
+    assert receiver.tree._blocks == tree
+    assert receiver.engine._orphans == orphans
 
 
 @pytest.mark.parametrize("site", sorted(set(FORGED_CERTIFICATES) - {"engine-qc"}))

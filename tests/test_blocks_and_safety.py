@@ -9,6 +9,7 @@ from repro.consensus.blocks import Block, BlockTree, GENESIS
 from repro.consensus.ledger import Ledger, ledgers_consistent
 from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.consensus.safety import SafetyRules
+from repro.crypto.backend import PackedDigests
 from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConsensusError, SafetyViolation
@@ -260,6 +261,38 @@ def test_ledger_ignores_duplicate_commits():
     assert ledger.commit(a, time=1.0)
     assert not ledger.commit(a, time=2.0)
     assert len(ledger) == 1
+
+
+def test_a_drained_ledger_counts_and_checks_what_it_handed_over():
+    """``drain`` hands over the ids committed since the last drain and drops
+    them with their views and times; ``len``, held positions and the
+    extends-the-last-committed check carry on across it."""
+    chain = make_chain(BlockTree(), 5)
+    ledger = Ledger(owner=2)
+    for block in chain[:3]:
+        assert ledger.commit(block, time=float(block.view), hold=True)
+    assert PackedDigests.from_bytes(ledger.drain()) == [b.block_id for b in chain[:3]]
+    assert len(ledger) == 3 and ledger.block_ids == [] and len(ledger.views) == 0
+    assert (ledger.last_view, ledger.last_id) == (2, chain[2].block_id)
+    assert not ledger.commit(chain[2], time=9.0)  # the newest, once more
+    assert ledger.commit(chain[3], time=3.0, hold=True)
+    assert ledger.take(3) is chain[3] and ledger.take(0) is chain[0]
+    assert ledger.block_ids == [chain[3].block_id] and list(ledger.views) == [3]
+    stranger = Block(view=9, parent_id=chain[2].block_id, proposer=1)
+    with pytest.raises(SafetyViolation, match=(
+        f"replica 2 committed block {stranger.block_id} of view 9, whose parent "
+        f"{chain[2].block_id} is not the last committed block {chain[3].block_id}"
+    )):
+        ledger.commit(stranger, time=4.0)
+    assert bytes(ledger.drain()) == f"{chain[3].block_id}\n".encode() and len(ledger) == 4
+
+
+def test_the_first_committed_block_extends_genesis():
+    ledger = Ledger(owner=0)
+    orphan = Block(view=1, parent_id="f" * 32, proposer=1)
+    with pytest.raises(SafetyViolation, match="is not the last committed block genesis"):
+        ledger.commit(orphan, time=1.0)
+    assert len(ledger) == 0
 
 
 def test_a_recommitted_block_is_recorded_once():

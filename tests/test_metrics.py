@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
+from array import array
 
-from repro.metrics.collector import MetricsCollector
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto.backend import PackedDigests
+from repro.metrics.collector import _TABLES, MetricsCollector, merge_metrics_states
 from repro.metrics.summary import summarize_run
 from repro.runtime.transports import Envelope
 
@@ -127,3 +132,102 @@ def test_summary_handles_runs_without_decisions():
     assert summary.worst_case_latency is None
     assert summary.eventual_communication is None
     assert summary.as_row()["protocol"] == "x"
+
+
+# ----------------------------------------------------------------------
+# view_entries and drained rounds, against the plain rows
+# ----------------------------------------------------------------------
+_EVENT_KINDS = ("enter_view", "qc_observed", "epoch_sync")
+
+
+@st.composite
+def _event_rows(draw):
+    """Time-ordered ``(time, pid, kind, value)`` rows over a few pids."""
+    steps = draw(st.lists(
+        st.tuples(
+            st.integers(0, 3), st.integers(0, 5), st.sampled_from(_EVENT_KINDS),
+            st.integers(-1, 50),
+        ),
+        max_size=60,
+    ))
+    time, rows = 0.0, []
+    for gap, pid, kind, value in steps:
+        time += gap / 4
+        rows.append((time, pid, kind, value))
+    return rows
+
+
+def _record(collector: MetricsCollector, rows) -> MetricsCollector:
+    for time, pid, kind, value in rows:
+        collector.record_event(pid, kind, value, time)
+    return collector
+
+
+def _entries_from_events(collector: MetricsCollector) -> dict:
+    entries: dict = {}
+    for event in collector.events("enter_view"):
+        entries.setdefault(event.pid, []).append((event.time, event.value))
+    return entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_event_rows(), split=st.integers(1, 5))
+def test_view_entries_equal_the_enter_view_events(rows, split):
+    """``view_entries`` equals the dict of lists built from
+    ``events("enter_view")`` — keys, pairs and their order — on one
+    collector and on one merged from shards that hold disjoint pids."""
+    single = _record(collector_with_honest(), rows)
+    expected = _entries_from_events(single)
+    entries = single.view_entries
+    assert entries == expected and list(entries) == list(expected)
+    for pid, pairs in entries.items():
+        assert list(pairs) == expected[pid] and len(pairs) == len(expected[pid])
+        assert pairs[0] == expected[pid][0] and pairs[-1] == expected[pid][-1]
+        assert pairs[1:] == expected[pid][1:]
+    shards = [[row for row in rows if row[1] % split == k] for k in range(split)]
+    merged = merge_metrics_states([_record(MetricsCollector(), part).state() for part in shards])
+    assert merged.view_entries == _entries_from_events(merged) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=_event_rows(),
+    commits=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=30),
+    cuts=st.lists(st.integers(0, 90), max_size=5),
+)
+def test_drained_rounds_append_to_the_state_of_one_undrained_collector(rows, commits, cuts):
+    """Rows recorded into two collectors alike, one of them drained at
+    random points: its drained states, appended in order, merge into the
+    same collector, column for column, as the other's one state."""
+    whole, drained = collector_with_honest(), collector_with_honest()
+    events = [("event", row) for row in rows]
+    commit_rows = [
+        ("commit", (float(i), pid, i, f"{block:064x}")) for i, (pid, block) in enumerate(commits)
+    ]
+    steps = [
+        step for pair in itertools.zip_longest(events, commit_rows) for step in pair if step
+    ]
+    rounds = []
+    for index, (what, row) in enumerate(steps):
+        if index in cuts:
+            rounds.append(drained.drain())
+        for collector in (whole, drained):
+            if what == "event":
+                collector.record_event(row[1], row[2], row[3], row[0])
+            else:
+                collector.record_commit(row[1], row[2], row[3], row[0])
+    rounds.append(drained.state())
+    appended = dict(rounds[0])
+    for later in rounds[1:]:
+        for name, value in later.items():
+            if isinstance(value, array):
+                appended[name] = appended[name] + value
+            elif isinstance(value, PackedDigests):
+                appended[name] = PackedDigests([*appended[name], *value])
+            else:
+                appended[name] = value
+    one, many = merge_metrics_states([whole.state()]), merge_metrics_states([appended])
+    for table, names in _TABLES.items():
+        for name in names:
+            assert list(getattr(many, f"_{table}_{name}")) == list(getattr(one, f"_{table}_{name}"))
+    assert many.view_entries == one.view_entries

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import re
+from array import array
+from collections import Counter
 import multiprocessing
 import pickle
 import threading
@@ -22,7 +25,7 @@ from repro.consensus.replica import ReplicaResidue
 from repro.crypto.backend import PackedDigests
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig
-from repro.metrics.collector import MetricsCollector, merge_metrics_states
+from repro.metrics.collector import _TABLES, MetricsCollector, merge_metrics_states
 from repro.runner import make_live_cluster
 from repro.runner.process_cluster import _receive_columns, _send_report, partition
 from repro.runner.shard import ShardReport
@@ -236,6 +239,141 @@ def test_shard_partition_is_contiguous_and_exact():
     assert partition(list(range(5)), 1) == [[0, 1, 2, 3, 4]]
 
 
+@pytest.mark.tcp
+def test_a_worker_killed_mid_run_leaves_the_rows_of_its_rounds():
+    """SIGKILL the one worker of a cluster between status rounds: a teardown
+    error names the worker and the last round it answered, and the rows of
+    every round it answered are in ``cluster.metrics`` and its residues."""
+    config = _config(n=4, delta=0.3)
+
+    async def run():
+        cluster = make_live_cluster(
+            config, placement="process", processes=1, teardown_timeout=10.0
+        )
+        try:
+            await asyncio.wait_for(cluster.run_until_commits(3, timeout=30.0), timeout=40.0)
+            worker = cluster._workers[0]
+            answered, commits = worker.rounds, dict(worker.commits)
+            worker.process.kill()
+            await asyncio.wait_for(cluster.run(1.0), timeout=10.0)
+        finally:
+            await asyncio.wait_for(cluster.stop(), timeout=30.0)
+        return cluster, answered, commits
+
+    cluster, answered, commits = asyncio.run(run())
+    assert answered > 0 and min(commits.values()) >= 3
+    assert any(
+        re.match(rf"worker 0 \(pids \(0, 1, 2, 3\)\): .* mid-run after round {answered} ", error)
+        for error in cluster.teardown_errors
+    ), cluster.teardown_errors
+    assert Counter(commit.pid for commit in cluster.metrics.commits) == commits
+    assert {pid: len(r.ledger) for pid, r in cluster.result().residues().items()} == commits
+    assert cluster.ledgers_are_consistent()
+    assert {event.pid for event in cluster.metrics.events("enter_view")} == set(commits)
+
+
+@pytest.mark.tcp
+def test_rows_shipped_every_round_equal_the_shards_shipped_once(tmp_path, monkeypatch):
+    """A two-worker shm cluster with a workload ships its rows every status
+    round.  Each worker also records every row into a twin collector, every
+    committed id into a list and every apply-chain link into bytes, none of
+    them ever drained, and writes them out at stop: the shards shipped
+    once.  The coordinator's merged collector equals their merge column for
+    column, and its ledgers and KV chains equal theirs."""
+    from repro.consensus.ledger import Ledger
+    from repro.runner.shard import Shard
+    from repro.runner.workload import WorkloadConfig
+    from repro.statemachine.kvstore import ReplicatedKV
+
+    twin: dict = {}  # filled in each worker after its fork
+
+    def tee(name: str) -> None:
+        original = getattr(MetricsCollector, name)
+
+        def teed(self, *args):
+            original(self, *args)
+            other = twin.get("metrics")
+            if other is not None and self is not other:
+                original(other, *args)
+        monkeypatch.setattr(MetricsCollector, name, teed)
+
+    for name in ("on_send", "record_event", "record_decision", "record_commit",
+                 "record_request_applied"):
+        tee(name)
+    go, stop, commit, catch_up = Shard.go, Shard.stop, Ledger.commit, ReplicatedKV.catch_up
+
+    def go_with_twin(self):
+        twin["metrics"] = MetricsCollector()
+        twin["metrics"].honest_ids = self.stack.metrics.honest_ids
+        twin["ledgers"], twin["chains"] = {}, {}
+        go(self)
+
+    def commit_twice(self, block, time, hold=False):
+        fresh = commit(self, block, time, hold)
+        if fresh and "ledgers" in twin:
+            twin["ledgers"].setdefault(self.owner, []).append(block.block_id)
+        return fresh
+
+    def catch_up_twice(self, ledger, now):
+        before = len(self._chain_history)
+        applied = catch_up(self, ledger, now)
+        twin["chains"][id(self)] = twin["chains"].get(id(self), b"") + bytes(
+            self._chain_history[before:]
+        )
+        return applied
+
+    async def stop_and_write(self):
+        report = await stop(self)
+        shipped_once = {
+            "state": twin["metrics"].state(),
+            "ledgers": twin["ledgers"],
+            "chains": {
+                pid: twin["chains"].get(id(node.replica.state_machine), b"")
+                for pid, node in self.nodes.items()
+            },
+        }
+        (tmp_path / f"shard-{self.spec.pids[0]}.pickle").write_bytes(pickle.dumps(shipped_once))
+        return report
+
+    monkeypatch.setattr(Shard, "go", go_with_twin)
+    monkeypatch.setattr(Shard, "stop", stop_and_write)
+    monkeypatch.setattr(Ledger, "commit", commit_twice)
+    monkeypatch.setattr(ReplicatedKV, "catch_up", catch_up_twice)
+    config = _config(
+        delta=0.3, workload=WorkloadConfig(mode="open", rate=100.0, clients=2, stop=3.0),
+    )
+
+    async def run():
+        cluster = make_live_cluster(config, placement="process", processes=2, transport="shm")
+        try:
+            await asyncio.wait_for(cluster.run(3.0), timeout=40.0)
+        finally:
+            await asyncio.wait_for(cluster.stop(), timeout=30.0)
+        return cluster
+
+    cluster = asyncio.run(run())
+    assert cluster.teardown_errors == []
+    assert all(worker.rounds > 10 for worker in cluster._workers)
+    shards = [pickle.loads(path.read_bytes()) for path in sorted(tmp_path.glob("shard-*"))]
+    assert len(shards) == 2
+    once = merge_metrics_states([shard["state"] for shard in shards])
+    merged = cluster.metrics
+    assert merged._kind_names == once._kind_names
+    for table, names in _TABLES.items():
+        for name in names:
+            column = f"_{table}_{name}"
+            assert list(getattr(merged, column)) == list(getattr(once, column)), column
+    assert merged.requests_applied > 0 and merged.view_entries == once.view_entries
+    residues = cluster.result().residues()
+    assert sorted(residues) == [0, 1, 2, 3]
+    for shard in shards:
+        for pid, ids in shard["ledgers"].items():
+            assert list(residues[pid].ledger) == ids
+            assert residues[pid].kv_chain == PackedDigests.from_bytes(shard["chains"][pid])
+            assert residues[pid].kv_digest is not None
+    assert cluster.ledgers_are_consistent() and cluster.kv_consistent()
+
+
 # ----------------------------------------------------------------------
 # Metrics merge (pure: the shard-snapshot half of the process story)
 # ----------------------------------------------------------------------
@@ -360,6 +498,108 @@ def test_a_report_ships_packed_digests_as_raw_bytes_after_its_head():
     merged = merge_metrics_states([back.metrics_state])
     assert [c.block_id for c in merged.commits] == [b for b in ids for _ in range(4)]
     assert len({id(c.block_id) for c in merged.commits}) == 100
+
+
+class _Recorder:
+    """A stand-in pipe end that keeps what ``_send_report`` sends, in order."""
+
+    def __init__(self) -> None:
+        self.sent: list = []
+
+    def send(self, message) -> None:
+        self.sent.append(("send", message))
+
+    def send_bytes(self, data) -> None:
+        self.sent.append(("bytes", bytes(data)))
+
+
+def _round(times) -> _Recorder:
+    """What a worker sends for a round of message rows at ``times`` (and one
+    replica's one new ledger id)."""
+    collector = MetricsCollector()
+    collector.set_honest({0, 1})
+    for time in times:
+        collector.on_send(Envelope(0, 0, 1, "vote", time, time + 0.1))
+    report = ShardReport(
+        metrics_state=collector.state(),
+        replicas={0: ReplicaResidue(PackedDigests([f"{times[0]}"]), None, PackedDigests(), {})},
+        commits={0: 1},
+    )
+    recorder = _Recorder()
+    _send_report(recorder, report, "status")
+    return recorder
+
+
+@pytest.mark.parametrize("fault", ["short", "long", "eof"])
+def test_a_lost_round_is_a_named_error_and_keeps_the_rounds_before(fault):
+    """A column of round 2 arrives short, too long, or not at all (the
+    worker's pipe hits end of file mid-round): the coordinator records a
+    teardown error naming the worker, the round, the table and column, and
+    the bytes expected against the bytes received; the rows of round 1
+    stay, every column cut back to them."""
+    from repro.runner.process_cluster import LiveCluster, _Worker
+
+    ours, theirs = multiprocessing.Pipe()
+    cluster = LiveCluster(_config(), placement="process")
+    worker = _Worker(index=0, pids=(0, 1), process=None, conn=theirs)
+    try:
+        for kind, value in _round([0.1, 0.2, 0.3]).sent:
+            (ours.send if kind == "send" else ours.send_bytes)(value)
+        assert cluster._take(worker, theirs.recv()[1])
+        sent = _round([0.4, 0.5, 0.6, 0.7]).sent
+        # The head, the message_times column whole, then message_senders
+        # (four 2-byte ids) cut short, doubled, or never sent.
+        assert sent[1] == ("bytes", array("d", [0.4, 0.5, 0.6, 0.7]).tobytes())
+        ours.send(sent[0][1])
+        ours.send_bytes(sent[1][1])
+        if fault == "eof":
+            ours.close()
+        else:
+            data = sent[2][1]
+            ours.send_bytes(data[:4] if fault == "short" else data + data)
+        assert not cluster._take(worker, theirs.recv()[1])
+    finally:
+        theirs.close()
+        if not ours.closed:
+            ours.close()
+    received = {"short": "4 bytes", "long": "16 bytes", "eof": "end of file"}[fault]
+    assert cluster.teardown_errors == [
+        f"worker 0 (pids (0, 1)): round 2 lost (table message column message_senders: "
+        f"expected 8 bytes, received {received}); the rows of earlier rounds are kept"
+    ]
+    assert not worker.alive and worker.commits == {0: 1}
+    merged = merge_metrics_states([worker.history.metrics_state])
+    assert list(merged._message_times) == [0.1, 0.2, 0.3]
+    assert list(merged._message_senders) == [0, 0, 0]
+    assert list(worker.history.replicas[0].ledger) == ["0.1"]
+
+
+def test_a_prefix_reads_off_the_longest_sequence_it_starts():
+    """At stop, a worker's ledgers and KV chains that are prefixes of its
+    longest one read off that one's buffer, and still read as themselves."""
+    from repro.runner.process_cluster import _share_prefixes
+
+    def residue(ids, chain):
+        return ReplicaResidue(
+            PackedDigests.from_bytes(bytearray(PackedDigests(ids).data)), "kv",
+            PackedDigests.from_bytes(bytearray(PackedDigests(chain).data)), {},
+        )
+
+    residues = {
+        0: residue(["a", "b", "c"], ["x"]),
+        1: residue(["a", "b"], ["x", "y"]),
+        2: residue(["a", "z"], []),
+    }
+    shared = _share_prefixes(residues)
+    assert shared == residues
+    assert shared[1].ledger.data is shared[0].ledger.data
+    assert shared[2].ledger.data is residues[2].ledger.data  # not a prefix: its own
+    assert shared[0].kv_chain.data is shared[2].kv_chain.data is shared[1].kv_chain.data
+    assert len(shared[1].ledger) == 2 and list(shared[1].ledger) == ["a", "b"]
+    assert len(shared[2].kv_chain) == 0 and list(shared[2].kv_chain) == []
+    assert PackedDigests.prefix_consistent([shared[0].ledger, shared[1].ledger])
+    assert not PackedDigests.prefix_consistent(r.ledger for r in shared.values())
+    assert pickle.loads(pickle.dumps(shared[1].ledger)) == ["a", "b"]
 
 
 def test_a_worker_counts_its_full_gc_passes_only_while_serving():

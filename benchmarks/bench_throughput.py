@@ -168,15 +168,21 @@ def run_virtual_time_cell(n: int, seed: int) -> dict:
         duration=30.0, seed=seed, workload=workload,
     )
     result = run_scenario(config)
-    counts = result.metrics.counts
+    metrics = result.metrics
+    counts = metrics.counts
     return {
         "n": n,
         "seed": seed,
         "ledgers_consistent": result.ledgers_are_consistent(),
         "kv_digests_agree": len(set(result.kv_digests().values())) == 1,
-        "requests_applied": result.metrics.requests_applied,
+        "requests_applied": metrics.requests_applied,
         "requests_submitted": counts["requests_submitted"],
         "duplicates_per_applied": round(result.duplicates_per_applied(), 5),
+        # Virtual time (Delta = 1 s): they repeat to the digit between commits.
+        **{
+            f"request_latency_p{q}": round(metrics.request_latency_percentile(q / 100), 5)
+            for q in (50, 90, 99)
+        },
         **_gateway_counts(counts),
     }
 
@@ -422,7 +428,9 @@ def run_report(args: argparse.Namespace) -> dict:
         print(
             f"[bench] virtual time n={n}: kv_digests_agree={cell['kv_digests_agree']} "
             f"applied {cell['requests_applied']}/{cell['requests_submitted']} "
-            f"duplicates/applied {cell['duplicates_per_applied']}",
+            f"duplicates/applied {cell['duplicates_per_applied']}, req p50/p90/p99 "
+            f"{cell['request_latency_p50']}/{cell['request_latency_p90']}/"
+            f"{cell['request_latency_p99']}, {cell['forwards_sent']} forwards",
             flush=True,
         )
 

@@ -31,11 +31,17 @@ blob and routes it by the leader schedule:
 * ``size`` — ``forward_batch`` commands are waiting: the cap on one forward,
   for a burst inside one view;
 * ``deadline`` — the oldest buffered command is ``forward_deadline`` seconds
-  old.  It survives as the stall fallback: while a silent leader's view
-  times out nobody enters a view, and commands still have to leave for the
-  leaders after it.  There is at most one armed timer per gateway; it
-  re-checks the age of the oldest buffered command when it fires instead of
-  being cancelled and re-armed by every flush.
+  old, unless the flush at the next view entry would be forwarded to the
+  same proposer turn (Nagle's rule on the leader schedule): then the buffer
+  waits for that view flush, or for the size trigger, and arms no timer
+  until the view changes.  So while a silent leader's view times out, a
+  gateway sends the proposer after it one forward per ``forward_batch``
+  commands and the rest at the next view entry, not one per deadline; a batch
+  the replica proposes itself never waits, and under one-view turns (the
+  round-robin pacemakers) the next view's route always moves, so nothing
+  waits.  There is at most one armed timer per gateway; it re-checks the
+  age of the oldest buffered command when it fires instead of being
+  cancelled and re-armed by every flush.
 
 ``counts["flushes.view"]`` (and ``.size`` / ``.deadline``) on the run's
 :class:`~repro.metrics.collector.MetricsCollector` counts which trigger
@@ -165,7 +171,10 @@ FALLBACK_VIEW_LAG = 8
 class RequestGateway:
     """Per-replica client ingress: buffer, batch, route, retry, complete.
 
-    Owns the outstanding-request table keyed ``(client, seq)``; the state
+    Buffers submissions until a view entry, ``forward_batch`` commands or
+    the ``forward_deadline`` flushes them; a deadline flush waits for the
+    next view entry when that flush reaches the same proposer turn.  Owns
+    the outstanding-request table keyed ``(client, seq)``; the state
     machine's ``on_apply`` callback completes entries and records
     end-to-end latency into the replica's
     :class:`~repro.metrics.collector.MetricsCollector`.
@@ -180,6 +189,9 @@ class RequestGateway:
         # When the one deadline timer fires (None = not armed).  Flushes never
         # cancel it: it looks at the oldest buffered command when it fires.
         self._deadline_due: Optional[float] = None
+        # The view in which a deadline flush was held for the next view's
+        # flush: no deadline timer is armed again until the view changes.
+        self._held_in: Optional[int] = None
         # (client, seq) -> (command, submit_time, last view of the turn it
         # was dispatched to), in dispatch order — so the turn views ascend
         # and a retry only ever inspects the head.
@@ -204,7 +216,7 @@ class RequestGateway:
         self._buffer.append((command, now))
         if len(self._buffer) >= self.workload.forward_batch:
             self.flush("size")
-        elif self._deadline_due is None:
+        elif self._deadline_due is None and self._held_in != self.replica.current_view:
             self._arm_deadline(now + self.workload.forward_deadline)
         return True
 
@@ -217,15 +229,36 @@ class RequestGateway:
         the one it was armed for (or as old), else wait out the remainder of
         that command's deadline — the flush times of a timer armed per
         command, at one timer per ``forward_deadline`` instead of one armed
-        and one cancelled per flush."""
+        and one cancelled per flush.  A due flush that the next view entry
+        would send to the same proposer turn is held for it instead."""
         armed_for, self._deadline_due = self._deadline_due, None
         if not self._buffer:
             return
         due = self._buffer[0][1] + self.workload.forward_deadline
-        if due <= armed_for:
-            self.flush("deadline")
-        else:
+        if due > armed_for:
             self._arm_deadline(due)
+        elif self._next_view_reaches_the_same_turn():
+            self._held_in = self.replica.current_view
+        else:
+            self.flush("deadline")
+
+    def _next_view_reaches_the_same_turn(self) -> bool:
+        """Whether a flush on entering ``current_view + 1`` would be
+        forwarded to the proposer turn a flush now would: then the buffer
+        waits for the next view entry's flush (routed from the view entered,
+        which may lie past a timed-out turn), and a stalled view costs a
+        gateway one forward per ``forward_batch`` commands, not one per
+        ``forward_deadline``.  In a healthy view of two message delays the
+        held forward can tie with the turn's first proposal and ride its
+        second.  A batch this replica proposes itself costs no message and
+        never waits; under one-view turns the next view's route always
+        moves."""
+        replica = self.replica
+        view = replica.current_view
+        now = self._route(view, replica.engine.proposal_pending(view))
+        return now[0] != replica.pid and now == self._route(
+            view + 1, replica.is_leader(view + 1)
+        )
 
     def flush(self, trigger: str) -> None:
         """Encode the buffer once and dispatch it to the next proposer;
@@ -238,18 +271,19 @@ class RequestGateway:
         self._dispatch(self._buffer)
         self._buffer.clear()
 
-    def _route(self) -> tuple[int, int]:
-        """``(proposer, last view of its turn)`` for a batch dispatched now.
+    def _route(self, view: int, pending: bool) -> tuple[int, int]:
+        """``(proposer, last view of its turn)`` for a batch dispatched in
+        ``view``; ``pending`` = this replica leads ``view`` and has yet to
+        propose in it (at a view's entry: whether it leads the view).
 
         The first proposer the batch can still reach: this replica when it
-        leads the view it is in and has yet to propose in it, or leads the
-        next view; else whoever leads the view after — a forward takes up to
-        a message delay and a view lasts two, so the next view's leader may
-        have proposed before the batch arrives.
+        has a proposal pending in ``view``, or leads the next view; else
+        whoever leads the view after — a forward takes up to a message delay
+        and a view lasts two, so the next view's leader may have proposed
+        before the batch arrives.
         """
         replica = self.replica
-        view = replica.current_view
-        if not replica.engine.proposal_pending(view):
+        if not pending:
             view += 1
             if not replica.is_leader(view):
                 view += 1
@@ -263,7 +297,8 @@ class RequestGateway:
         batch = CommandBatch(
             count=len(entries), data=encode_commands([entry[0] for entry in entries])
         )
-        proposer, turn_end = self._route()
+        view = replica.current_view
+        proposer, turn_end = self._route(view, replica.engine.proposal_pending(view))
         if proposer == replica.pid:
             replica.mempool.ingest(batch)
         else:

@@ -5,9 +5,11 @@ KV store deterministic under faults.  Headline assertions:
 
 * an open-loop sim run applies every submitted request exactly once, with
   identical KV digests on every replica;
-* under leader churn (``crash_churn``) plus transport drops the gateway
-  retry path re-proposes commands, each identity applies once, and the end
-  state equals a fault-free run's;
+* under leader churn (``crash_churn``) plus transport drops, over 56 loss
+  seeds, no identity applies twice and ledgers and KV stay consistent; on
+  every seed whose consensus does not stall the gateway retry path
+  re-proposes commands until all apply, into the state of a fault-free
+  run;
 * two leaders handed the same batch on purpose both commit it, and the
   exactly-once filter applies it once.
 """
@@ -24,7 +26,7 @@ from repro.experiments.scenario import (
 )
 from repro.faults import Lossy, get_scenario
 from repro.runner import WorkloadConfig
-from repro.runner.workload import make_command
+from repro.runner.workload import RequestGateway, make_command
 from repro.statemachine import apply_chains_consistent
 from repro.statemachine.commands import encode_commands
 from repro.statemachine.messages import CommandBatch
@@ -120,51 +122,101 @@ def test_unknown_workload_mode_rejected():
 # ----------------------------------------------------------------------
 # Exactly-once under leader churn + transport drops
 # ----------------------------------------------------------------------
-def test_exactly_once_under_churn_and_drops():
+#: ``Lossy`` seeds of the churn-and-drops sweep.
+_LOSS_SEEDS = range(56)
+#: A run is live to its end when every honest replica commits a block in
+#: its last this many Delta (one retry interval).
+_LIVE_TAIL = 2.0
+
+
+def _churn_and_drops_config(loss_seed: int) -> ScenarioConfig:
     # A named scenario fully determines the adversary, so loss rides on the
     # churn scenario's corruption plan plus a Lossy delay model.  Clients
     # must sit on replicas that never crash: the plan names them.
-    chaos_config = _config(duration=70.0, delay_model=Lossy(drop_rate=0.08, seed=7))
-    _, chaos_config.corruption = get_scenario("crash_churn").build(
-        chaos_config, {"faults": 1, "downtime": 6.0, "period": 12.0, "cycles": 2}
+    config = _config(duration=70.0, delay_model=Lossy(drop_rate=0.08, seed=loss_seed))
+    _, config.corruption = get_scenario("crash_churn").build(
+        config, {"faults": 1, "downtime": 6.0, "period": 12.0, "cycles": 2}
     )
-    honest = tuple(sorted(chaos_config.corruption.honest_ids))
+    honest = tuple(sorted(config.corruption.honest_ids))
     assert len(honest) == 3
     # key_space must exceed the sequences per client (125 here): chaos
     # reorders commits, and a key written by two different seqs would make
     # the final value order-dependent.  With every key written at most once
     # the end state depends only on the applied *set*, which is the
     # property under test.
-    workload = _workload(
+    config.workload = _workload(
         stop=25.0, retry_interval=2.0, client_pids=honest, key_space=128
     )
-    chaos_config.workload = workload
+    return config
 
-    chaotic = run_scenario(chaos_config)
-    assert chaotic.metrics.counts["drops"] > 0
 
-    submitted = chaotic.metrics.requests_submitted
-    assert submitted == int(workload.rate * workload.stop) * len(honest)
+def _churn_and_drops_sweep() -> tuple[list[int], list[int]]:
+    """Run every seed of :data:`_LOSS_SEEDS`; return ``(checked, stalled)``.
 
-    # Every submitted request eventually applied, none left outstanding.
-    assert chaotic.metrics.requests_applied == submitted
-    for pid in honest:
-        assert chaotic.replicas[pid].gateway.outstanding == 0
-
-    # Each identity applied exactly once on every replica.
-    for replica in chaotic.replicas.values():
-        assert replica.state_machine.store.applied_total == submitted
-    assert chaotic.kv_consistent()
-
-    # The end state matches a fault-free run offering the same commands —
-    # chaos changed the path, never the state.
-    clean_config = _config(duration=70.0, workload=workload)
-    clean = run_scenario(clean_config)
-    assert clean.metrics.requests_applied == submitted
+    Every seed: nothing applied twice or that no client submitted, ledgers
+    and KV apply chains consistent.  A seed that applies every request or
+    is live to its end must apply every request, exactly once on every
+    replica, into the state of a fault-free run offering the same commands —
+    chaos changed the path, never the state.  The other seeds are stalled:
+    consensus lost a frame that nothing retransmits (ROADMAP item 2), with
+    requests still outstanding.
+    """
+    workload = _churn_and_drops_config(0).workload
+    sequences = int(workload.rate * workload.stop) // workload.clients
+    clean = run_scenario(_config(duration=70.0, workload=workload))
     clean_digests = set(clean.kv_digests().values())
-    chaotic_digests = set(chaotic.kv_digests().values())
-    assert clean_digests == chaotic_digests
     assert len(clean_digests) == 1
+    checked, stalled = [], []
+    for loss_seed in _LOSS_SEEDS:
+        config = _churn_and_drops_config(loss_seed)
+        honest = config.workload.client_pids
+        clients = {pid + config.n * k for pid in honest for k in range(workload.clients)}
+        chaotic = run_scenario(config)
+        metrics = chaotic.metrics
+        assert metrics.counts["drops"] > 0
+        submitted = metrics.requests_submitted
+        assert submitted == sequences * len(clients)
+        for replica in chaotic.replicas.values():
+            # Each identity counts once in applied_total, so equality means
+            # every applied one was submitted.
+            store = replica.state_machine.store
+            assert store.applied_total == sum(
+                store.applied(client, seq) for client in clients for seq in range(sequences)
+            )
+        assert chaotic.ledgers_are_consistent() and chaotic.kv_consistent()
+        last_commit = {pid: 0.0 for pid in honest}
+        for commit in metrics.commits:
+            if commit.pid in last_commit:
+                last_commit[commit.pid] = max(last_commit[commit.pid], commit.time)
+        live = min(last_commit.values()) >= config.duration - _LIVE_TAIL
+        if not live and metrics.requests_applied < submitted:
+            stalled.append(loss_seed)
+            continue
+        checked.append(loss_seed)
+        assert metrics.requests_applied == submitted, loss_seed
+        for pid in honest:
+            assert chaotic.replicas[pid].gateway.outstanding == 0
+        for replica in chaotic.replicas.values():
+            assert replica.state_machine.store.applied_total == submitted
+        assert set(chaotic.kv_digests().values()) == clean_digests, loss_seed
+    return checked, stalled
+
+
+def test_exactly_once_under_churn_and_drops():
+    checked, stalled = _churn_and_drops_sweep()
+    # How many seeds finish is a race against consensus under 8 % loss, not a
+    # property of the client path; a quarter of them must be left to check.
+    assert len(checked) >= len(_LOSS_SEEDS) // 4, (
+        f"{len(stalled)} of {len(_LOSS_SEEDS)} loss seeds stalled with requests "
+        f"outstanding (a lost consensus frame is never retransmitted, ROADMAP "
+        f"item 2): {stalled}"
+    )
+
+
+def test_the_churn_and_drops_sweep_needs_the_redispatch(monkeypatch):
+    monkeypatch.setattr(RequestGateway, "redispatch", lambda self, frontier: None)
+    with pytest.raises(AssertionError):
+        _churn_and_drops_sweep()
 
 
 def test_commands_outside_the_filters_domain_apply_as_none_on_every_replica():

@@ -16,7 +16,8 @@ built on it:
 
 What is flushed is paced by the view: a replica's gateway flushes as the
 replica enters a view, before the engine may propose in it; ``forward_batch``
-caps one forward and ``forward_deadline`` is the fallback for a stalled view.
+caps one forward and ``forward_deadline`` is the fallback for a stalled view,
+held for the next view's flush when that reaches the same proposer turn.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.experiments.scenario import (
 )
 from repro.pacemakers.registry import available_pacemakers
 from repro.runner import WorkloadConfig
-from repro.runner.workload import make_command
+from repro.runner.workload import RequestGateway, make_command
 from repro.statemachine.messages import CommandBatch, CommandForward
 
 
@@ -49,6 +50,12 @@ def _one_silent_leader(faults: int) -> dict:
     if not faults:
         return {}
     return {"scenario": "silent_spread", "scenario_params": {"faults": 1}}
+
+
+def _route_now(replica) -> tuple[int, int]:
+    """The gateway's ``(proposer, turn_end)`` for a batch dispatched now."""
+    view = replica.current_view
+    return replica.gateway._route(view, replica.engine.proposal_pending(view))
 
 
 def _record_commits(replica) -> list:
@@ -99,11 +106,11 @@ def test_dispatch_targets_the_next_reachable_proposer(pacemaker):
             # the remote one again.
             if view >= 0 and replica.leader_of(view) == pid:
                 assert replica.engine.proposal_pending(view)
-                proposer, turn_end = replica.gateway._route()
+                proposer, turn_end = _route_now(replica)
                 assert proposer == pid and turn_end == replica.turn_end(view)
                 replica.engine._proposed_views[view] = None
             assert not replica.engine.proposal_pending(view)
-            proposer, turn_end = replica.gateway._route()
+            proposer, turn_end = _route_now(replica)
             own = replica.leader_of(view + 1) == pid
             first = view + 1 if own else view + 2
             assert proposer == (pid if own else replica.leader_of(view + 2))
@@ -138,7 +145,7 @@ def test_a_flush_is_filed_under_the_turn_it_was_sent_to():
     replica.send = lambda recipient, payload: sent.append((recipient, payload))
     for view in (3, 68):  # 68..71 is an epoch-boundary turn at n=7
         replica.pacemaker._current_view = view
-        proposer, turn_end = gateway._route()
+        proposer, turn_end = _route_now(replica)
         accepted = replica.mempool.accepted
         first_seq = view * 4
         for seq in range(first_seq, first_seq + 4):
@@ -208,6 +215,86 @@ def test_latency_through_a_silent_leader_is_under_one_rotation():
     assert stall_end - stall_start > 20.0
     in_stall = metrics.message_kinds_between(stall_start + 2.0, stall_end - 2.0)
     assert in_stall.get("CommandForward", 0) > 0
+
+
+# ----------------------------------------------------------------------
+# A stalled view: one forward per batch, not one per deadline
+# ----------------------------------------------------------------------
+def _silent_leader_run(pacemaker: str, n: int, stop: float, duration: float):
+    """``n`` replicas under one silent leader at 2 requests a second each:
+    ``(result, {pid: forward send times}, {pid: submit times})``."""
+    workload = WorkloadConfig(rate=2.0, clients=2, start=0.01, stop=stop)
+    result = build_scenario(_config(
+        n=n, pacemaker=pacemaker, gst=20.0, duration=duration, workload=workload,
+        scenario="silent_spread", scenario_params={"faults": 1},
+    ))
+    forwards = {pid: [] for pid in result.replicas}
+    submits = {pid: [] for pid in result.replicas}
+    for pid, replica in result.replicas.items():
+        sent, submitted = forwards[pid], submits[pid]
+
+        def send(recipient, payload, replica=replica, sent=sent, inner=replica.send):
+            if isinstance(payload, CommandForward):
+                sent.append(replica.now)
+            inner(recipient, payload)
+
+        def submit(command, replica=replica, submitted=submitted, inner=replica.gateway.submit):
+            accepted = inner(command)
+            if accepted:
+                submitted.append(replica.now)
+            return accepted
+
+        replica.send, replica.gateway.submit = send, submit
+    start_replicas(result.replicas)
+    result.simulator.run(until=duration)
+    metrics = result.metrics
+    assert metrics.requests_applied == metrics.requests_submitted > 0
+    for replica in result.replicas.values():
+        assert replica.state_machine.store.applied_total == metrics.requests_submitted
+    return result, forwards, submits
+
+
+def test_a_stalled_view_costs_a_gateway_one_forward_per_batch():
+    # Lumiere's silent leader holds a view for 24 Delta.  A flush aimed at the
+    # proposer after it would reach the same turn at the next view entry, so
+    # the gateway waits for that entry (or a full batch) instead of sending
+    # one command per 0.05 Delta deadline: ~48 forwards a stall before.
+    stop = 90.0
+    result, forwards, submits = _silent_leader_run("lumiere", 16, stop, 100.0)
+    batch = result.config.workload.forward_batch
+    stalls = 0
+    for replica in result.honest_replicas:
+        pid = replica.pid
+        entries = [row.time for row in result.metrics.events("enter_view", pid=pid)]
+        for begin, end in zip(entries, entries[1:]):
+            if begin < result.config.gst or end > stop or end - begin < 20.0:
+                continue
+            stalls += 1
+            commands = sum(begin <= t < end for t in submits[pid])
+            sent = sum(begin <= t < end for t in forwards[pid])
+            assert commands >= 40
+            # One forward per full batch, plus the view flush at the stall's
+            # own entry (what was buffered before it).
+            assert sent <= -(-commands // batch) + 1, (pid, begin, sent, commands)
+    assert stalls == 2 * len(result.honest_replicas)
+
+
+def test_one_view_turns_hold_no_flush(monkeypatch):
+    # Round-robin (LP22): the next view's flush always goes to another
+    # proposer, so every deadline flush leaves when it is due — through
+    # stalls of 14.5 Delta too, while the silent leader's views time out.
+    decisions = []
+    wait = RequestGateway._next_view_reaches_the_same_turn
+
+    def record(gateway):
+        decisions.append(wait(gateway))
+        return decisions[-1]
+
+    monkeypatch.setattr(RequestGateway, "_next_view_reaches_the_same_turn", record)
+    result, _, _ = _silent_leader_run("lp22", 7, 40.0, 100.0)
+    assert decisions and not any(decisions)
+    counts = result.metrics.counts
+    assert counts["flushes.deadline"] == result.metrics.requests_submitted
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +437,7 @@ def test_a_late_forward_is_refused_and_redispatched_by_its_owner():
         assert all(owner.leader_of(v) != target for v in range(view, view + 4))
         late.update(target=target, stamp=owner.turn_end(ended))
         # As if dispatched a few views ago and delayed on the way.
-        owner.gateway._route = lambda: (target, late["stamp"])
+        owner.gateway._route = lambda view, pending: (target, late["stamp"])
         for seq in range(8):
             assert owner.gateway.submit(make_command(workload, client=0, seq=seq))
         del owner.gateway._route
@@ -403,7 +490,7 @@ def test_a_backlog_over_two_proposals_does_not_wait_a_rotation():
     def submit_backlog(replicas):
         owner = replicas[0]
         aimed["committed"] = _record_commits(owner)
-        aimed["proposer"], aimed["turn_end"] = owner.gateway._route()
+        aimed["proposer"], aimed["turn_end"] = _route_now(owner)
         for seq in range(40):
             assert owner.gateway.submit(make_command(workload, client=0, seq=seq))
 

@@ -133,9 +133,9 @@ class ChainedHotStuff(ConsensusEngine):
             self._handle_proposal(proposal, sender)
 
     def release_below(self, floor: int) -> None:
-        """Free everything keyed by a view below ``floor``: the handlers
-        return on its messages first, and an orphan down there is off the
-        committed chain.  Learned-QC marks shrink to a bit each: a cut-off
+        """Free everything keyed by a view below ``floor``: no frame below
+        it files a key here, and an orphan down there is off the committed
+        chain.  Learned-QC marks shrink to a bit each: a cut-off
         replica first sees QC(v) after committing past v, and that counts."""
         release_below(
             floor, self._pending_proposals, self._new_view_qcs,
@@ -358,10 +358,9 @@ class ChainedHotStuff(ConsensusEngine):
 
     def _handle_vote(self, msg: Vote, sender: int) -> None:
         """Count a vote for the block this leader proposed in the vote's
-        view; a vote for any other block is refused before any digest."""
-        replica, view = self.replica, msg.view
-        if replica.leader_of(view) != replica.pid or view < replica.floor:
-            return
+        view; a vote for any other block, or a view it does not lead, is
+        refused before any digest."""
+        view = msg.view
         block_id = self._proposed_views.get(view)
         if block_id is None or msg.block_id != block_id:
             return

@@ -14,6 +14,16 @@ from repro.consensus.blocks import Block
 from repro.consensus.quorum import QuorumCertificate
 from repro.crypto.threshold import PartialSignature
 
+# A message class's ``admission`` bits say how ``Replica.on_message`` admits
+# its frames; without them (a QC announce, a client frame) a frame is
+# admitted at every view.
+#: Dropped below the committed-view floor, where its handler does nothing
+#: (not a proposal or NewView: the QC it carries may be a first sight there).
+DROPPED_BELOW_FLOOR = 1
+#: Held more than ``ADMISSION_WINDOW`` views ahead, one per class and sender.
+HELD_AHEAD = 2
+SHARE = DROPPED_BELOW_FLOOR | HELD_AHEAD
+
 
 @dataclass(frozen=True, slots=True)
 class ConsensusMessage:
@@ -28,6 +38,7 @@ class Proposal(ConsensusMessage):
 
     block: Block
     justify: Optional[QuorumCertificate]
+    admission = HELD_AHEAD
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,6 +47,7 @@ class Vote(ConsensusMessage):
 
     block_id: str
     partial: PartialSignature
+    admission = SHARE
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,3 +71,4 @@ class NewView(ConsensusMessage):
     """
 
     high_qc: Optional[QuorumCertificate]
+    admission = HELD_AHEAD

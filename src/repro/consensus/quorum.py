@@ -48,8 +48,9 @@ def release_below(floor, *tables, lowest: Optional[int] = None) -> None:
     ``(view,)`` for tables keyed ``(view, block_id)`` — it sorts first.
 
     ``lowest`` is the floor the owner released its int-keyed tables below
-    last time.  No owner files a key below its floor (every handler returns
-    on an older view first), so only the keys from ``lowest`` up to
+    last time.  No owner files a key below its floor (the replica drops a
+    frame below it that would, before any handler sees it, and the rest
+    return on an older view), so only the keys from ``lowest`` up to
     ``floor`` can be there and each is looked up; a floor that jumped past
     a table's size walks the table instead.  Without ``lowest`` a table's
     ``min`` says whether anything is that old, and only then is it walked.

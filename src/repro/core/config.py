@@ -22,7 +22,6 @@ yields Basic Lumiere (Section 3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.config import ProtocolConfig
 from repro.errors import ConfigurationError
@@ -38,43 +37,17 @@ class LumiereConfig:
     #: Whether to run the Section-3.5 mechanism that skips heavy epoch
     #: synchronisations once an epoch satisfies the success criterion.
     use_success_criterion: bool = True
-    #: Seed of the deterministic leader schedule shared by all processors.
-    leader_seed: int = 0
-    #: Override for Gamma (defaults to ``2 (x + 2) Delta``).
-    gamma_override: Optional[float] = None
-    #: Number of distinct leaders that must hit the per-leader QC quota for
-    #: the success criterion.  Defaults to ``2f + 1``.
-    success_leaders_override: Optional[int] = None
-    #: Number of QCs each of those leaders must produce within the epoch.
-    #: Defaults to the number of views each leader owns per epoch.
-    success_qcs_override: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.epoch_rounds < 1:
             raise ConfigurationError(f"epoch_rounds must be >= 1, got {self.epoch_rounds}")
-        if self.gamma_override is not None and self.gamma_override <= 0:
-            raise ConfigurationError("gamma_override must be positive")
-        # The success tracker counts a leader as qualified the moment its
-        # QC-set *reaches* the quota, so a quota (or leader requirement)
-        # below 1 is meaningless — reject it instead of silently never (or
-        # always) satisfying the criterion.
-        if self.success_qcs_override is not None and self.success_qcs_override < 1:
-            raise ConfigurationError(
-                f"success_qcs_override must be >= 1, got {self.success_qcs_override}"
-            )
-        if self.success_leaders_override is not None and self.success_leaders_override < 1:
-            raise ConfigurationError(
-                f"success_leaders_override must be >= 1, got {self.success_leaders_override}"
-            )
 
     # ------------------------------------------------------------------
     # Derived parameters
     # ------------------------------------------------------------------
     @property
     def gamma(self) -> float:
-        """Time allotted to each view: ``2 (x + 2) Delta`` unless overridden."""
-        if self.gamma_override is not None:
-            return self.gamma_override
+        """Time allotted to each view: ``2 (x + 2) Delta``."""
         return 2.0 * (self.protocol.x + 2) * self.protocol.delta
 
     @property
@@ -90,15 +63,11 @@ class LumiereConfig:
     @property
     def success_qcs_per_leader(self) -> int:
         """QCs a leader must produce within an epoch to count towards success."""
-        if self.success_qcs_override is not None:
-            return self.success_qcs_override
         return self.views_per_leader_per_epoch
 
     @property
     def success_leaders_required(self) -> int:
         """Distinct leaders needed for an epoch to satisfy the success criterion."""
-        if self.success_leaders_override is not None:
-            return self.success_leaders_override
         return self.protocol.quorum_size
 
     @property

@@ -62,9 +62,9 @@ class LumierePacemaker(Pacemaker):
             n=config.n,
             views_per_round=2 * config.n,
             rounds_per_epoch=self.cfg.epoch_rounds,
-            seed=self.cfg.leader_seed,
         )
-        # The schedule's own lookup, bound once: a call is one table index.
+        # The leader per the epoch-aware schedule (two consecutive views per
+        # leader): the schedule's own lookup, bound once, one table index.
         self.leader_of = self.schedule.leader_of
         self.success = SuccessTracker(self.cfg, self.leader_of)
         scheme = replica.scheme
@@ -94,12 +94,6 @@ class LumierePacemaker(Pacemaker):
     def clock_time(self, view: int) -> float:
         """``c_v``."""
         return self.cfg.clock_time(view)
-
-    def leader_of(self, view: int) -> int:
-        """Leader per the epoch-aware schedule (two consecutive views per
-        leader).  Each instance shadows this with the schedule's own bound
-        lookup (see ``__init__``)."""
-        return self.schedule.leader_of(view)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -182,8 +176,6 @@ class LumierePacemaker(Pacemaker):
         view = msg.view
         if not self.cfg.is_initial(view) or view < 0:
             return
-        if view < self.replica.floor:
-            return  # decided and left: line 36 saw it, or it can do nothing now
         payload, digest = self._view_payload(view)
         if not self.replica.scheme.verify(
             msg.aggregate, payload, self.config.small_quorum_size, digest

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.consensus.messages import DROPPED_BELOW_FLOOR, HELD_AHEAD, SHARE
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
 from repro.pacemakers.base import PacemakerMessage
 
@@ -42,6 +43,7 @@ class ViewMessage(PacemakerMessage):
 
     view: int
     partial: PartialSignature
+    admission = SHARE
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,6 +52,7 @@ class ViewCertificate(PacemakerMessage):
 
     view: int
     aggregate: ThresholdSignature
+    admission = DROPPED_BELOW_FLOOR
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,3 +61,5 @@ class EpochViewMessage(PacemakerMessage):
 
     view: int
     partial: PartialSignature
+    # Its guard is the floor's epoch, not the floor (``LumierePacemaker``).
+    admission = HELD_AHEAD

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
+from repro.consensus.messages import SHARE
 from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.crypto.threshold import PartialSignature
 from repro.errors import ConfigurationError
@@ -37,6 +38,7 @@ class ViewChangeMessage(PacemakerMessage):
 
     view: int
     partial: PartialSignature
+    admission = SHARE
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class ExponentialBackoffConfig:
     """Parameters of the backoff pacemaker."""
 
     protocol: ProtocolConfig
-    base_timeout_override: Optional[float] = None
     multiplier: float = 2.0
     max_timeout_factor: float = 64.0
 
@@ -56,8 +57,6 @@ class ExponentialBackoffConfig:
 
     @property
     def base_timeout(self) -> float:
-        if self.base_timeout_override is not None:
-            return self.base_timeout_override
         return (self.protocol.x + 1) * self.protocol.delta
 
     @property

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config import ProtocolConfig
 from repro.consensus.quorum import QuorumCertificate, release_below
@@ -91,6 +91,9 @@ class Pacemaker(ABC):
     clock_step: int = 1
     #: The pending clock-boundary timer, if this pacemaker arms one.
     _clock_timer: Optional["LocalTimer"] = None
+    #: The designated leader of a view: a schedule mixin's method, or a
+    #: lookup an instance binds itself (Lumiere's schedule table).
+    leader_of: Callable[[int], int]
 
     def __init__(self, replica: "Replica", config: ProtocolConfig) -> None:
         self.replica = replica
@@ -158,15 +161,11 @@ class Pacemaker(ABC):
 
     def release_below(self, floor: int) -> None:
         """The replica's committed-view floor rose to ``floor``: free every
-        table :meth:`_per_view` was handed below it.  Each handler returns on
-        a view below the floor before it reads one of them."""
+        table :meth:`_per_view` was handed below it.  ``Replica.on_message``
+        drops a frame below the floor that would file into one of them."""
         for table in self._floor_tables:
             table.release_below(floor)
         release_below(floor, *self._floor_dicts)
-
-    @abstractmethod
-    def leader_of(self, view: int) -> int:
-        """The designated leader of ``view``."""
 
     def may_produce_qc(self, view: int) -> bool:
         """Whether the leader (this replica) may still produce a QC for ``view``.

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
+from repro.consensus.messages import DROPPED_BELOW_FLOOR, SHARE
 from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
 from repro.errors import ConfigurationError
@@ -49,6 +50,7 @@ class WishMessage(PacemakerMessage):
 
     view: int
     partial: PartialSignature
+    admission = SHARE
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +59,7 @@ class RelayCertificate(PacemakerMessage):
 
     view: int
     aggregate: ThresholdSignature
+    admission = DROPPED_BELOW_FLOOR
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,6 @@ class CogsworthConfig:
     """
 
     protocol: ProtocolConfig
-    view_duration_override: Optional[float] = None
-    relay_patience_override: Optional[float] = None
     parallel_relays: int = 1
 
     def __post_init__(self) -> None:
@@ -82,14 +83,10 @@ class CogsworthConfig:
 
     @property
     def view_duration(self) -> float:
-        if self.view_duration_override is not None:
-            return self.view_duration_override
         return (self.protocol.x + 1) * self.protocol.delta
 
     @property
     def relay_patience(self) -> float:
-        if self.relay_patience_override is not None:
-            return self.relay_patience_override
         return 2.0 * self.protocol.delta
 
 
@@ -190,7 +187,7 @@ class CogsworthPacemaker(RoundRobinLeaderMixin, Pacemaker):
 
     def _on_wish(self, msg: WishMessage, sender: int) -> None:
         view = msg.view
-        if view <= 0 or view < self.replica.floor:
+        if view <= 0:
             return
         collector = self._relay_collector
         payload = cogsworth_wish_payload(view)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
+from repro.consensus.messages import DROPPED_BELOW_FLOOR, SHARE
 from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
-from repro.errors import ConfigurationError
 from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, PairedLeaderMixin
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,6 +44,7 @@ class FeverViewMessage(PacemakerMessage):
 
     view: int
     partial: PartialSignature
+    admission = SHARE
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,6 +53,7 @@ class FeverViewCertificate(PacemakerMessage):
 
     view: int
     aggregate: ThresholdSignature
+    admission = DROPPED_BELOW_FLOOR
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,9 @@ class FeverConfig:
     """Parameters of Fever: ``Gamma = 2 (x + 1) Delta``."""
 
     protocol: ProtocolConfig
-    gamma_override: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.gamma_override is not None and self.gamma_override <= 0:
-            raise ConfigurationError("gamma_override must be positive")
 
     @property
     def gamma(self) -> float:
-        if self.gamma_override is not None:
-            return self.gamma_override
         return 2.0 * (self.protocol.x + 1) * self.protocol.delta
 
     def clock_time(self, view: int) -> float:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import ProtocolConfig
+from repro.consensus.messages import DROPPED_BELOW_FLOOR, SHARE
 from repro.consensus.quorum import QuorumCertificate, ShareCollector
 from repro.crypto.threshold import PartialSignature, ThresholdSignature
-from repro.errors import ConfigurationError
 from repro.pacemakers.base import FirstSight, Pacemaker, PacemakerMessage, RoundRobinLeaderMixin
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +43,7 @@ class LP22EpochViewMessage(PacemakerMessage):
 
     view: int
     partial: PartialSignature
+    admission = SHARE
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +52,7 @@ class LP22EpochCertificate(PacemakerMessage):
 
     view: int
     aggregate: ThresholdSignature
+    admission = DROPPED_BELOW_FLOOR
 
 
 @dataclass(frozen=True)
@@ -58,16 +60,9 @@ class LP22Config:
     """Parameters of LP22: ``Gamma = (x + 1) Delta`` and epochs of ``f + 1`` views."""
 
     protocol: ProtocolConfig
-    gamma_override: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.gamma_override is not None and self.gamma_override <= 0:
-            raise ConfigurationError("gamma_override must be positive")
 
     @property
     def gamma(self) -> float:
-        if self.gamma_override is not None:
-            return self.gamma_override
         return (self.protocol.x + 1) * self.protocol.delta
 
     @property

@@ -628,7 +628,8 @@ class ShmEndpoint:
         Each frame is decoded once — in place from the ring's memoryview,
         before the read index advances (the producer cannot overwrite
         unconsumed bytes) — and its payload handed to each recipient its
-        tag names, in pid order.  The first recipient counts the decode.
+        tag names, in pid order, as the ring's sender's (not the sender the
+        frame names).  The first recipient counts the decode.
         Each ring yields at most :attr:`MAX_DRAIN_PER_RING` frames per
         sweep so one loud sender cannot starve the others.
         """
@@ -647,7 +648,7 @@ class ShmEndpoint:
                             f"recipient tag {body[0] << 8 | body[1]} names no pid "
                             f"of worker {self.worker}"
                         )
-                    sender, payload = decode(body[_BODY_AT:])
+                    payload = decode(body[_BODY_AT:])[1]
                 except WireCodecError as exc:
                     body = None  # release the memoryview into the ring
                     ring.consume()
@@ -661,7 +662,7 @@ class ShmEndpoint:
                 delivered += 1
                 recipients[0].frames_decoded += 1
                 for transport in recipients:
-                    transport._receive(sender, payload)
+                    transport._receive(src, payload)
         return delivered
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.config import ProtocolConfig
 from repro.crypto.signatures import PKI
 from repro.crypto.threshold import ThresholdScheme
 from repro.runtime import LocalTransport
 from repro.sim.events import Simulator
+
+# Tier-1 draws the same examples on every run: each @given test's examples
+# follow from a hash of the test, so its cost and its verdict repeat.  The
+# "explore" profile draws fresh ones, from the seed --hypothesis-seed names
+# (CI runs every @given test under it at the same example counts).
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -254,16 +254,6 @@ def _run(backend_name, batch_verify=True):
     return result
 
 
-def test_lumiere_config_rejects_degenerate_success_overrides():
-    from repro.core.config import LumiereConfig
-
-    protocol = ProtocolConfig(n=4)
-    with pytest.raises(ConfigurationError, match="success_qcs_override"):
-        LumiereConfig(protocol=protocol, success_qcs_override=0)
-    with pytest.raises(ConfigurationError, match="success_leaders_override"):
-        LumiereConfig(protocol=protocol, success_leaders_override=0)
-
-
 def test_backends_produce_identical_decisions_and_stay_safe():
     results = {name: _run(name) for name in ALL_BACKENDS}
     decision_counts = {name: r.honest_decisions() for name, r in results.items()}

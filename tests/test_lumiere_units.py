@@ -53,8 +53,6 @@ def test_qc_deadline_is_positive_for_default_parameters(protocol_config):
 def test_config_validation(protocol_config):
     with pytest.raises(ConfigurationError):
         LumiereConfig(protocol=protocol_config, epoch_rounds=0)
-    with pytest.raises(ConfigurationError):
-        LumiereConfig(protocol=protocol_config, gamma_override=-1.0)
 
 
 # ----------------------------------------------------------------------

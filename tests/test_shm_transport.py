@@ -542,6 +542,31 @@ class TestShmTransportPair:
         assert t1.last_errors[0].startswith("shm-decode-0->1: ")
         assert "unknown tag" in t1.last_errors[0]
 
+    def test_a_frame_is_delivered_as_its_rings_sender(self):
+        """A frame on pid 3's ring that names pid 0 as its sender arrives as
+        pid 3's: the ring, not the frame, says who sent it."""
+        token = _token()
+        shards = ((0,), (3,))
+        segments = create_cluster_rings(token, shards, MIN_RING_BYTES)
+
+        async def run():
+            (t0, t3), sinks = await _start_nodes(token, shards)
+            try:
+                forged = default_codec().encode_frame(0, "as pid 0")
+                t3._push(*t3._ring_to[0], _tagged(0, forged))
+                t3.send(3, 0, "honest")
+                await _wait_until(lambda: len(sinks[0].received) >= 2)
+            finally:
+                await t0.stop()
+                await t3.stop()
+            return sinks[0].received
+
+        try:
+            received = asyncio.run(run())
+        finally:
+            destroy_cluster_rings(segments)
+        assert received == [(3, "as pid 0"), (3, "honest")]
+
     def test_sends_after_stop_are_silently_swallowed(self):
         token = _token()
         segments = create_cluster_rings(token, APART, MIN_RING_BYTES)
